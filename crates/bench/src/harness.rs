@@ -10,7 +10,6 @@ pub struct Timing {
     /// tail figure every JSON artifact reports next to the median, so a
     /// bimodal run cannot hide behind a healthy-looking median.
     pub p95_ns: f64,
-    pub mean_ns: f64,
     pub min_ns: f64,
     pub iters: usize,
 }
@@ -57,11 +56,9 @@ pub fn bench<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Timing {
     };
     // Nearest-rank p95: ceil(0.95 * iters) clamped into the sample range.
     let p95_idx = ((iters as f64 * 0.95).ceil() as usize).clamp(1, iters) - 1;
-    let mean_ns = samples.iter().sum::<f64>() / iters as f64;
     Timing {
         median_ns,
         p95_ns: samples[p95_idx],
-        mean_ns,
         min_ns: samples[0],
         iters,
     }
@@ -81,7 +78,7 @@ mod tests {
         assert_eq!(t.iters, 11);
         assert!(t.min_ns <= t.median_ns);
         assert!(t.median_ns <= t.p95_ns);
-        assert!(t.median_ns >= 0.0 && t.mean_ns >= 0.0);
+        assert!(t.median_ns >= 0.0);
         assert_eq!(t.p95_ms(), t.p95_ns / 1e6);
         if t.median_ns > 0.0 {
             let per_s = t.per_second(10);

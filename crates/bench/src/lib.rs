@@ -2,7 +2,7 @@
 //! wall-clock micro-benchmark harness.
 //!
 //! The harness is the offline stand-in for `criterion` (no registry in this
-//! environment): fixed warm-up, N timed iterations, median/mean reporting.
+//! environment): fixed warm-up, N timed iterations, median/p95 reporting.
 //! Medians make the Fig-1 improvement factors robust to scheduler noise.
 
 pub mod harness;

@@ -20,9 +20,9 @@
 use std::io::{BufRead, BufReader, Write};
 
 use robopt::{
-    parse_request, render_response, BackendChoice, ExecuteRequest, ExecutionPolicy,
-    OptimizeRequest, Optimizer, Request, Response, RiskPolicy, ServiceError, TrainRequest,
-    TrainSource, WorkloadSpec,
+    parse_request, render_response, BackendChoice, CompareRequest, ExecuteRequest, ExecutionPolicy,
+    OptimizeRequest, Optimizer, Request, Response, RiskPolicy, ServiceError, SimulateRequest,
+    TrainRequest, TrainSource, WorkloadSpec,
 };
 
 /// Successful run.
@@ -146,13 +146,17 @@ impl Flags {
         self.switches.iter().any(|s| s == key)
     }
 
+    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("flag {key} has invalid value {raw:?}"))
+            })
+            .transpose()
+    }
+
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("flag {key} has invalid value {raw:?}")),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 }
 
@@ -214,9 +218,10 @@ fn risk_from_flags(flags: &Flags) -> Result<Option<RiskPolicy>, String> {
 }
 
 fn policy_from_flags(flags: &Flags) -> Result<ExecutionPolicy, String> {
-    let mut policy = ExecutionPolicy::default()
-        .with_workers(flags.parse("--workers", 1usize)?)
-        .with_split_parts(flags.parse("--split-parts", 8usize)?);
+    let defaults = ExecutionPolicy::default();
+    let mut policy = defaults
+        .with_workers(flags.parse("--workers", defaults.workers)?)
+        .with_split_parts(flags.parse("--split-parts", defaults.split_parts)?);
     if flags.has("--no-prune") {
         policy = policy.with_prune(false);
     }
@@ -267,22 +272,27 @@ fn cmd_one_shot(args: &[String], verb: Verb) -> i32 {
                 }
                 Request::Optimize(oreq)
             }
-            Verb::Simulate => Request::Simulate(robopt::SimulateRequest {
-                workload,
-                assignments: Vec::new(),
-                seed: flags.parse("--seed", 42u64)?,
-                noise: flags.parse("--noise", 0.0f64)?,
-            }),
+            Verb::Simulate => {
+                let defaults = SimulateRequest::new(workload);
+                Request::Simulate(SimulateRequest {
+                    seed: flags.parse("--seed", defaults.seed)?,
+                    noise: flags.parse("--noise", defaults.noise)?,
+                    ..defaults
+                })
+            }
             Verb::Execute => Request::Execute(
                 ExecuteRequest::new(workload)
                     .with_assignments(assignments_from_flags(&flags))
                     .with_backend(backend_from_flags(&flags)?),
             ),
-            Verb::Compare => Request::Compare(robopt::CompareRequest {
-                workload,
-                policy: policy_from_flags(&flags)?,
-                sim_seed: flags.parse("--sim-seed", 42u64)?,
-            }),
+            Verb::Compare => {
+                let defaults = CompareRequest::new(workload);
+                Request::Compare(CompareRequest {
+                    policy: policy_from_flags(&flags)?,
+                    sim_seed: flags.parse("--sim-seed", defaults.sim_seed)?,
+                    ..defaults
+                })
+            }
         };
         Ok((opt, req))
     })();
@@ -300,30 +310,27 @@ fn cmd_one_shot(args: &[String], verb: Verb) -> i32 {
     }
 }
 
+/// `robopt train` flags over the [`TrainRequest`] defaults.
+fn train_request_from_flags(flags: &Flags) -> Result<TrainRequest, String> {
+    let defaults = TrainRequest::default();
+    Ok(TrainRequest {
+        source: TrainSource::named(
+            flags.get("--source"),
+            flags.parse_opt("--seed")?,
+            flags.parse_opt("--noise")?,
+        )?,
+        rows: flags.parse("--rows", defaults.rows)?,
+        n_trees: flags.parse("--trees", defaults.n_trees)?,
+        forest_seed: flags.parse("--forest-seed", defaults.forest_seed)?,
+    })
+}
+
 fn cmd_train(args: &[String]) -> i32 {
     let flags = match parse_flags(args) {
         Ok(f) => f,
         Err(msg) => return usage_error(&msg),
     };
-    let setup = (|| -> Result<TrainRequest, String> {
-        let rows: usize = flags.parse("--rows", 512)?;
-        let seed: u64 = flags.parse("--seed", 41)?;
-        let source = match flags.get("--source").unwrap_or("simulator") {
-            "simulator" => TrainSource::Simulator {
-                seed,
-                noise: flags.parse("--noise", 0.05f64)?,
-            },
-            "tdgen" => TrainSource::Tdgen { seed },
-            other => return Err(format!("unknown training source {other:?}")),
-        };
-        Ok(TrainRequest {
-            source,
-            rows,
-            n_trees: flags.parse("--trees", 24)?,
-            forest_seed: flags.parse("--forest-seed", 0x0b5e_55edu64)?,
-        })
-    })();
-    let req = match setup {
+    let req = match train_request_from_flags(&flags) {
         Ok(req) => req,
         Err(msg) => return usage_error(&msg),
     };
@@ -386,19 +393,19 @@ fn serve_lines<R: BufRead, W: Write>(opt: &mut Optimizer, reader: R, writer: &mu
         if line.trim().is_empty() {
             continue;
         }
-        let resp = match parse_request(&line) {
-            Ok(Request::Quit) => {
-                let _ = writeln!(writer, "{}", quit_ack());
-                let _ = writer.flush();
-                return true;
-            }
-            Ok(req) => dispatch(opt, &req),
-            Err(e) => Response::Error(e),
+        let (mut reply, quit) = match parse_request(&line) {
+            Ok(Request::Quit) => (quit_ack(), true),
+            Ok(req) => (render_response(&dispatch(opt, &req)), false),
+            Err(e) => (render_response(&Response::Error(e)), false),
         };
-        if writeln!(writer, "{}", render_response(&resp)).is_err() {
-            return false;
-        }
+        // One write per reply: on a raw `TcpStream`, a separate write for
+        // the newline sits in Nagle's buffer until the client's delayed ACK.
+        reply.push('\n');
+        let sent = writer.write_all(reply.as_bytes()).is_ok();
         let _ = writer.flush();
+        if quit || !sent {
+            return quit;
+        }
     }
     false
 }
@@ -419,9 +426,8 @@ fn serve_tcp(opt: &mut Optimizer, port: u16) -> i32 {
 
 /// The daemon accept loop over an already-bound listener (public so tests
 /// can bind port 0 and drive real reconnects). Connections are handled one
-/// at a time — the facade is single-threaded by design; batching, not
-/// request threading, is the concurrency story, and one shared cache
-/// serves every connection. A client that disconnects (EOF, dropped
+/// at a time — the facade is single-threaded by design, and one shared
+/// cache serves every connection. A client that disconnects (EOF, dropped
 /// socket, write error) ends only *its* session: the loop goes straight
 /// back to `accept`, with the optimizer state (cache, telemetry, trained
 /// model) intact for the next client. Only an explicit `quit` stops the
@@ -484,6 +490,25 @@ fn usage_error(msg: &str) -> i32 {
 mod tests {
     use super::*;
 
+    /// A `Write` that records how many `write` calls it saw — what a raw
+    /// `TcpStream` turns into one segment each.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn serve_loop_answers_a_scripted_session() {
         let script = concat!(
@@ -497,10 +522,11 @@ mod tests {
             "\n",
         );
         let mut opt = Optimizer::named();
-        let mut out = Vec::new();
+        let mut out = CountingWriter::default();
         let quit = serve_lines(&mut opt, script.as_bytes(), &mut out);
         assert!(quit, "script ends with quit");
-        let text = String::from_utf8(out).expect("utf-8 output");
+        assert_eq!(out.writes, 4, "body and newline must share one write");
+        let text = String::from_utf8(out.bytes).expect("utf-8 output");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "one response per request");
         assert!(lines[0].contains("\"ok\":true"));
@@ -511,6 +537,14 @@ mod tests {
             lines[2]
         );
         assert!(lines[3].contains("\"quit\""));
+    }
+
+    #[test]
+    fn wire_and_cli_agree_on_what_a_bare_train_means() {
+        let wire = parse_request(r#"{"op":"train"}"#).expect("bare wire train");
+        let cli = train_request_from_flags(&Flags::default()).expect("bare cli train");
+        assert_eq!(wire, Request::Train(cli));
+        assert_eq!(cli, TrainRequest::default());
     }
 
     #[test]

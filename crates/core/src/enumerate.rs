@@ -298,6 +298,32 @@ pub struct Enumerator {
     edge_idx: Vec<u32>,
 }
 
+/// The contract every enumeration entry point ([`Enumerator::enumerate`],
+/// `ParallelEnumerator::enumerate`) holds its caller to, checked before any
+/// work (or any worker thread) starts.
+pub(crate) fn check_preconditions(
+    plan: &LogicalPlan,
+    layout: &FeatureLayout,
+    opts: EnumOptions<'_>,
+) {
+    let k = opts.n_platforms();
+    let oracle = opts.oracle();
+    assert!(plan.n_ops() >= 1, "empty plan");
+    assert_eq!(
+        k, layout.n_platforms,
+        "feature layout sized for {} platforms but the registry holds {k}",
+        layout.n_platforms
+    );
+    assert_eq!(
+        oracle.width(),
+        layout.width,
+        "cost oracle expects rows of width {} but the layout produces {}",
+        oracle.width(),
+        layout.width
+    );
+    assert!(plan.is_connected(), "enumeration requires a connected plan");
+}
+
 impl Enumerator {
     pub fn new() -> Self {
         Enumerator::default()
@@ -313,19 +339,20 @@ impl Enumerator {
         x
     }
 
-    /// Row count of the live unit rooted at `r`. The union-find invariant —
-    /// every root returned by [`Enumerator::find`] owns a `Some` unit until
-    /// it is contracted away — makes the lookup structural.
+    /// Row count and scope of the unit rooted at `r`, for ranking merge
+    /// candidates. Liveness is enforced where the unit is consumed
+    /// ([`Enumerator::take_unit`]), so a dead root just reads as empty.
     #[inline]
-    fn unit_rows(&self, r: u32) -> usize {
+    fn unit_shape(&self, r: u32) -> (usize, Scope) {
         match self.units.get(r as usize) {
-            // lint:allow(panic-expect) union-find root always holds a live unit (contracted roots are never re-found)
-            Some(u) => u.as_ref().expect("live unit at union-find root").mat.rows(),
-            None => 0,
+            Some(Some(u)) => (u.mat.rows(), u.scope),
+            _ => (0, Scope::default()),
         }
     }
 
-    /// Detach the live unit rooted at `r` (same invariant as `unit_rows`).
+    /// Detach the live unit rooted at `r`. The union-find invariant —
+    /// every root returned by [`Enumerator::find`] owns a `Some` unit until
+    /// it is contracted away — makes the lookup structural.
     #[inline]
     pub(crate) fn take_unit(&mut self, r: u32) -> Unit {
         self.units
@@ -383,16 +410,6 @@ impl Enumerator {
             }
         }
         count
-    }
-
-    /// Scope of the live unit rooted at `r` (same invariant as `unit_rows`).
-    #[inline]
-    fn unit_scope(&self, r: u32) -> Scope {
-        match self.units.get(r as usize) {
-            // lint:allow(panic-expect) union-find root always holds a live unit (contracted roots are never re-found)
-            Some(u) => u.as_ref().expect("live unit at union-find root").scope,
-            None => Scope::default(),
-        }
     }
 
     /// Reset per-run state for an `n`-operator plan: no live units yet,
@@ -526,10 +543,9 @@ impl Enumerator {
             if ra == rb {
                 continue;
             }
-            let rows_u = self.unit_rows(ra);
-            let rows_v = self.unit_rows(rb);
-            let frontier =
-                Self::boundary_count(plan, self.unit_scope(ra).union(self.unit_scope(rb)));
+            let (rows_u, scope_u) = self.unit_shape(ra);
+            let (rows_v, scope_v) = self.unit_shape(rb);
+            let frontier = Self::boundary_count(plan, scope_u.union(scope_v));
             self.heap.push(HeapEntry {
                 frontier,
                 larger_rows: rows_u.max(rows_v) as u64,
@@ -545,10 +561,9 @@ impl Enumerator {
             if ra == rb {
                 continue;
             }
-            let rows_a = self.unit_rows(ra);
-            let rows_b = self.unit_rows(rb);
-            let frontier =
-                Self::boundary_count(plan, self.unit_scope(ra).union(self.unit_scope(rb)));
+            let (rows_a, scope_a) = self.unit_shape(ra);
+            let (rows_b, scope_b) = self.unit_shape(rb);
+            let frontier = Self::boundary_count(plan, scope_a.union(scope_b));
             let larger_rows = rows_a.max(rows_b) as u64;
             if (frontier, larger_rows) != (entry.frontier, entry.larger_rows) {
                 self.heap.push(HeapEntry {
@@ -726,24 +741,8 @@ impl Enumerator {
         layout: &FeatureLayout,
         opts: EnumOptions<'_>,
     ) -> (ExecutionPlan, EnumStats) {
+        check_preconditions(plan, layout, opts);
         let n = plan.n_ops();
-        let registry = opts.registry();
-        let oracle = opts.oracle();
-        let k = registry.len();
-        assert!(n >= 1, "empty plan");
-        assert_eq!(
-            k, layout.n_platforms,
-            "feature layout sized for {} platforms but the registry holds {k}",
-            layout.n_platforms
-        );
-        assert_eq!(
-            oracle.width(),
-            layout.width,
-            "cost oracle expects rows of width {} but the layout produces {}",
-            oracle.width(),
-            layout.width
-        );
-        assert!(plan.is_connected(), "enumeration requires a connected plan");
         let mut stats = EnumStats::default();
 
         self.begin(n, layout);

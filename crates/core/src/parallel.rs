@@ -28,7 +28,7 @@
 use robopt_plan::LogicalPlan;
 use robopt_vector::FeatureLayout;
 
-use crate::enumerate::{EnumOptions, EnumStats, Enumerator};
+use crate::enumerate::{check_preconditions, EnumOptions, EnumStats, Enumerator};
 use crate::split::{split_plan, PlanSplit, SplitOptions};
 use crate::vectorize::ExecutionPlan;
 
@@ -75,12 +75,6 @@ impl ParallelEnumerator {
         self
     }
 
-    /// Worker threads this enumerator schedules parts onto.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Re-target the worker count **in place**, keeping every per-part
     /// enumerator (and its warmed matrix pool) alive. The service facade
     /// changes policy per request; rebuilding via [`ParallelEnumerator::new`]
@@ -109,9 +103,8 @@ impl ParallelEnumerator {
         layout: &FeatureLayout,
         opts: EnumOptions<'_>,
     ) -> (ExecutionPlan, EnumStats) {
+        check_preconditions(plan, layout, opts);
         let n = plan.n_ops();
-        assert!(n >= 1, "empty plan");
-        assert!(plan.is_connected(), "enumeration requires a connected plan");
 
         let split = split_plan(plan, self.split);
         let kp = split.len();

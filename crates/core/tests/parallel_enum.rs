@@ -82,3 +82,35 @@ fn parallel_matches_exhaustive_optimum_on_small_plans() {
         assert_eq!(stats.merges as usize, n - 1, "case {case}: merge count");
     }
 }
+
+/// A split driver over a 24-op pipeline (which `SplitOptions::new(4)`
+/// really cuts), fed a registry / layout / oracle triple that may disagree.
+fn split_enumerate(registry_k: usize, layout_k: usize, oracle_k: usize) {
+    let plan = workloads::synthetic_pipeline(24, 1e5);
+    let registry = PlatformRegistry::uniform(registry_k);
+    let layout = FeatureLayout::new(layout_k, N_OPERATOR_KINDS);
+    let oracle = AnalyticOracle::for_registry(
+        &PlatformRegistry::uniform(oracle_k),
+        &FeatureLayout::new(oracle_k, N_OPERATOR_KINDS),
+    );
+    ParallelEnumerator::new(2)
+        .with_split(SplitOptions::new(4))
+        .with_hardware_clamp(false)
+        .enumerate(
+            &plan,
+            &layout,
+            EnumOptions::new(&registry).with_oracle(&oracle),
+        );
+}
+
+#[test]
+#[should_panic(expected = "feature layout sized for 3 platforms but the registry holds 2")]
+fn split_path_rejects_a_layout_sized_for_another_registry() {
+    split_enumerate(2, 3, 3);
+}
+
+#[test]
+#[should_panic(expected = "cost oracle expects rows of width")]
+fn split_path_rejects_an_oracle_of_the_wrong_width() {
+    split_enumerate(3, 3, 2);
+}

@@ -576,7 +576,6 @@ pub(crate) fn fixture_ws(files: &[(&str, &str)]) -> Workspace {
         })
         .collect();
     Workspace {
-        root: std::path::PathBuf::from("."),
         sources,
         manifests: Vec::new(),
         docs: Vec::new(),

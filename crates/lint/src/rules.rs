@@ -18,7 +18,7 @@
 //! justification is mandatory and is carried into the JSON report so every
 //! suppression stays auditable.
 
-use std::path::Path;
+use std::collections::BTreeSet;
 
 use crate::lexer::{find_word, LineScan};
 use crate::report::{Diagnostic, LintOutcome, Suppression};
@@ -87,7 +87,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "artifact-exists",
-        guards: "honest docs: referenced experiment artifacts exist on disk",
+        guards: "honest docs: referenced experiment artifacts have a binary that writes them",
     },
     RuleInfo {
         id: "response-serialize-total",
@@ -133,8 +133,9 @@ pub fn check_with_graph(ws: &Workspace, graph: &crate::callgraph::CallGraph) -> 
     for m in &ws.manifests {
         check_manifest(m, &mut out);
     }
+    let produced = produced_artifacts(&ws.sources);
     for d in &ws.docs {
-        check_doc(&ws.root, d, &mut out);
+        check_doc(&produced, d, &mut out);
     }
     let (det_roots, np_roots) = crate::taint::run(ws, graph, &mut out);
     out.graph = graph.summary();
@@ -833,16 +834,46 @@ fn check_manifest(tf: &TextFile, out: &mut LintOutcome) {
     }
 }
 
-/// Artifact paths referenced by the docs must exist on disk.
-fn check_doc(root: &Path, tf: &TextFile, out: &mut LintOutcome) {
+/// Where artifact writers live: the experiment binaries and the lint's
+/// own report writer.
+const PRODUCER_DIRS: [&str; 2] = ["crates/bench/src/bin/", "crates/lint/src/"];
+
+/// Every filename-shaped token inside a string literal of non-test
+/// producer code — the names some binary can actually write.
+fn produced_artifacts(sources: &[SourceFile]) -> BTreeSet<&str> {
+    let mut names = BTreeSet::new();
+    for f in sources {
+        if !PRODUCER_DIRS.iter().any(|dir| f.rel.starts_with(dir)) {
+            continue;
+        }
+        for (line, &in_test) in f.lines.iter().zip(&f.test_mask) {
+            if !in_test {
+                names.extend(
+                    line.literal
+                        .split(|c| !is_artifact_char(c))
+                        .filter(|tok| tok.contains('.')),
+                );
+            }
+        }
+    }
+    names
+}
+
+/// Artifact paths referenced by the docs must have a producer: a file on
+/// disk that no binary writes is a placeholder, not a result.
+fn check_doc(produced: &BTreeSet<&str>, tf: &TextFile, out: &mut LintOutcome) {
     for (li, line) in tf.text.lines().enumerate() {
         for path in artifact_refs(line) {
-            if !root.join(&path).is_file() {
+            let name = path.rsplit('/').next().unwrap_or(&path);
+            if !produced.contains(name) {
                 out.violations.push(Diagnostic::new(
                     tf.rel.clone(),
                     li + 1,
                     "artifact-exists",
-                    format!("referenced artifact `{path}` does not exist on disk"),
+                    format!(
+                        "referenced artifact `{path}` has no producer: no binary under \
+                         {PRODUCER_DIRS:?} names `{name}` in a string literal"
+                    ),
                 ));
             }
         }
@@ -1369,19 +1400,36 @@ mod tests {
     }
 
     #[test]
-    fn missing_artifacts_are_flagged_globs_skipped() {
+    fn artifacts_without_a_producer_are_flagged_globs_skipped() {
+        // A binary that writes two artifacts, and a test module that only
+        // *mentions* a third: test code is not a producer.
+        let mut bin = fixture(
+            "bench",
+            "fn main() {\n    write(root.join(\"EXPERIMENTS_OUTPUT/fig01.txt\"));\n    \
+             write(root.join(\"BENCH_fig01.json\")).expect(\"write BENCH_fig01.json\");\n}\n\
+             #[cfg(test)]\nmod tests {\n    const P: &str = \"EXPERIMENTS_OUTPUT/placeholder.txt\";\n}\n",
+        );
+        bin.rel = "crates/bench/src/bin/fig01.rs".to_string();
+        // The same literal outside the producer directories does not count.
+        let lib = fixture(
+            "core",
+            "const P: &str = \"EXPERIMENTS_OUTPUT/placeholder.txt\";\n",
+        );
+        let sources = [bin, lib];
+        let produced = produced_artifacts(&sources);
+
         let tf = TextFile {
-            rel: "CHANGES.md".to_string(),
-            text: "wrote EXPERIMENTS_OUTPUT/definitely_missing.json and EXPERIMENTS_OUTPUT/*.txt\n"
+            rel: "EXPERIMENTS.md".to_string(),
+            text: "raw table in EXPERIMENTS_OUTPUT/fig01.txt, JSON in BENCH_fig01.json\n\
+                   committed by hand: EXPERIMENTS_OUTPUT/placeholder.txt (also EXPERIMENTS_OUTPUT/*.txt)\n"
                 .to_string(),
         };
         let mut out = LintOutcome::default();
-        check_doc(Path::new("/nonexistent-root"), &tf, &mut out);
+        check_doc(&produced, &tf, &mut out);
         assert_eq!(rule_hits(&out), vec!["artifact-exists"]);
-        assert!(out
-            .violations
-            .first()
-            .is_some_and(|d| d.message.contains("definitely_missing.json")));
+        let hit = out.violations.first().expect("one violation");
+        assert_eq!(hit.line, 2);
+        assert!(hit.message.contains("placeholder.txt"), "{}", hit.message);
     }
 
     #[test]

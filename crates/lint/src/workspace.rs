@@ -21,7 +21,7 @@
 //! brace-matching the item that follows the attribute.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::lexer::{scan, LineScan};
 use crate::parser::{self, FileItems};
@@ -76,7 +76,6 @@ pub struct TextFile {
 /// Everything the rule engine consumes.
 #[derive(Debug)]
 pub struct Workspace {
-    pub root: PathBuf,
     pub sources: Vec<SourceFile>,
     pub manifests: Vec<TextFile>,
     pub docs: Vec<TextFile>,
@@ -197,7 +196,6 @@ pub fn load(root: &Path) -> Result<Workspace, LintError> {
     }
 
     Ok(Workspace {
-        root: root.to_path_buf(),
         sources,
         manifests,
         docs,

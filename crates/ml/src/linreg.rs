@@ -32,15 +32,6 @@ impl LinearModel {
         }
     }
 
-    /// An unfitted model with an explicit relative ridge factor.
-    pub fn with_ridge(ridge: f64) -> Self {
-        assert!(ridge >= 0.0, "ridge factor must be non-negative");
-        LinearModel {
-            ridge,
-            weights: Vec::new(),
-        }
-    }
-
     /// Fitted coefficients (feature weights, then bias). Empty before fit.
     pub fn weights(&self) -> &[f64] {
         &self.weights
@@ -169,7 +160,8 @@ mod tests {
             feats.extend_from_slice(&[x0, x1]);
             labels.push(3.0 * x0 - 2.0 * x1 + 5.0);
         }
-        let mut model = LinearModel::with_ridge(1e-12);
+        let mut model = LinearModel::new();
+        model.ridge = 1e-12;
         model.fit(RowsView::new(&feats, 2), &labels);
         let w = model.weights();
         assert!((w[0] - 3.0).abs() < 1e-6, "slope x0: {}", w[0]);

@@ -108,11 +108,6 @@ impl<M: Model> ModelOracle<M> {
     pub fn model(&self) -> &M {
         &self.model
     }
-
-    /// Unwrap back into the model (e.g. to refit).
-    pub fn into_model(self) -> M {
-        self.model
-    }
 }
 
 // `CostOracle: Sync` (the parallel enumerator shares one oracle across its

@@ -149,60 +149,37 @@ fn sample_assignment(
     None
 }
 
-/// A [`TrainingSource`] labelling every row with a direct simulator call.
-///
-/// Deterministic for a fixed `(registry, layout, cfg)` and call sequence;
-/// the same config with a different seed yields an independent draw
-/// (held-out sets). Successive [`TrainingSource::generate`] calls continue
-/// the random stream, so one source never repeats rows.
+/// The one sampling loop behind both sources: a plan pool cycled
+/// round-robin, one random stream for assignment draws, and whatever
+/// [`ExecutionBackend`] the owning source hands in to label each draw.
 #[derive(Debug, Clone)]
-pub struct SimulatorSource<'a> {
+struct Sampler<'a> {
     registry: &'a PlatformRegistry,
     layout: FeatureLayout,
-    cfg: SamplerConfig,
     rng: SplitMix64,
     pool: Vec<LogicalPlan>,
     cursor: usize,
 }
 
-impl<'a> SimulatorSource<'a> {
-    /// A source over `registry`, encoding rows with `layout`.
-    pub fn new(registry: &'a PlatformRegistry, layout: FeatureLayout, cfg: SamplerConfig) -> Self {
+impl<'a> Sampler<'a> {
+    fn new(registry: &'a PlatformRegistry, layout: FeatureLayout, seed: u64) -> Self {
         assert_eq!(
             layout.n_platforms,
             registry.len(),
             "layout platform count must match the registry"
         );
-        let mut rng = SplitMix64::new(cfg.seed());
+        let mut rng = SplitMix64::new(seed);
         let pool = plan_pool(&mut rng);
-        SimulatorSource {
+        Sampler {
             registry,
             layout,
-            cfg,
             rng,
             pool,
             cursor: 0,
         }
     }
 
-    /// The configuration this source draws under.
-    #[inline]
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
-    }
-}
-
-impl TrainingSource for SimulatorSource<'_> {
-    fn layout(&self) -> FeatureLayout {
-        self.layout
-    }
-
-    fn generate(&mut self, n: usize) -> TrainingSet {
-        // Labels flow through the ExecutionBackend seam; for the simulator
-        // `ExecutionReport::seconds` is bit-identical to `simulate_raw`, so
-        // this path reproduces the pre-seam training sets exactly.
-        let sim = RuntimeSimulator::new(self.registry, self.cfg.seed() ^ 0x5157)
-            .with_noise(self.cfg.noise());
+    fn generate(&mut self, backend: &dyn ExecutionBackend, n: usize) -> TrainingSet {
         let mut set = TrainingSet::with_capacity(self.layout, n);
         let mut feats_buf = Vec::new();
         while set.len() < n {
@@ -211,7 +188,7 @@ impl TrainingSource for SimulatorSource<'_> {
             let plan = &self.pool[self.cursor % self.pool.len()];
             self.cursor += 1;
             let Some((assign, seconds)) =
-                sample_assignment(plan, self.registry, &sim, &mut self.rng, 16)
+                sample_assignment(plan, self.registry, backend, &mut self.rng, 16)
             else {
                 continue;
             };
@@ -219,6 +196,40 @@ impl TrainingSource for SimulatorSource<'_> {
             set.push_simulated(&feats_buf, seconds);
         }
         set
+    }
+}
+
+/// A [`TrainingSource`] labelling every row with a direct simulator call.
+///
+/// Deterministic for a fixed `(registry, layout, cfg)` and call sequence;
+/// the same config with a different seed yields an independent draw
+/// (held-out sets). Successive [`TrainingSource::generate`] calls continue
+/// the random stream, so one source never repeats rows.
+#[derive(Debug, Clone)]
+pub struct SimulatorSource<'a> {
+    sampler: Sampler<'a>,
+    sim: RuntimeSimulator<'a>,
+}
+
+impl<'a> SimulatorSource<'a> {
+    /// A source over `registry`, encoding rows with `layout`. Plan and
+    /// assignment draws run on `cfg.seed()`; the simulator's noise stream
+    /// is keyed by `cfg.seed() ^ 0x5157` so the two never correlate.
+    pub fn new(registry: &'a PlatformRegistry, layout: FeatureLayout, cfg: SamplerConfig) -> Self {
+        SimulatorSource {
+            sampler: Sampler::new(registry, layout, cfg.seed()),
+            sim: RuntimeSimulator::new(registry, cfg.seed() ^ 0x5157).with_noise(cfg.noise()),
+        }
+    }
+}
+
+impl TrainingSource for SimulatorSource<'_> {
+    fn layout(&self) -> FeatureLayout {
+        self.sampler.layout
+    }
+
+    fn generate(&mut self, n: usize) -> TrainingSet {
+        self.sampler.generate(&self.sim, n)
     }
 }
 
@@ -235,11 +246,7 @@ impl TrainingSource for SimulatorSource<'_> {
 #[derive(Debug)]
 pub struct BackendSource<'a> {
     backend: &'a dyn ExecutionBackend,
-    registry: &'a PlatformRegistry,
-    layout: FeatureLayout,
-    rng: SplitMix64,
-    pool: Vec<LogicalPlan>,
-    cursor: usize,
+    sampler: Sampler<'a>,
 }
 
 impl<'a> BackendSource<'a> {
@@ -251,20 +258,9 @@ impl<'a> BackendSource<'a> {
         layout: FeatureLayout,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            layout.n_platforms,
-            registry.len(),
-            "layout platform count must match the registry"
-        );
-        let mut rng = SplitMix64::new(seed);
-        let pool = plan_pool(&mut rng);
         BackendSource {
             backend,
-            registry,
-            layout,
-            rng,
-            pool,
-            cursor: 0,
+            sampler: Sampler::new(registry, layout, seed),
         }
     }
 
@@ -272,37 +268,18 @@ impl<'a> BackendSource<'a> {
     /// empty pool — a source that can never produce a row is a caller bug.
     pub fn with_pool(mut self, pool: Vec<LogicalPlan>) -> Self {
         assert!(!pool.is_empty(), "BackendSource pool must be non-empty");
-        self.pool = pool;
+        self.sampler.pool = pool;
         self
-    }
-
-    /// The backend labelling this source's rows.
-    #[inline]
-    pub fn backend(&self) -> &dyn ExecutionBackend {
-        self.backend
     }
 }
 
 impl TrainingSource for BackendSource<'_> {
     fn layout(&self) -> FeatureLayout {
-        self.layout
+        self.sampler.layout
     }
 
     fn generate(&mut self, n: usize) -> TrainingSet {
-        let mut set = TrainingSet::with_capacity(self.layout, n);
-        let mut feats_buf = Vec::new();
-        while set.len() < n {
-            let plan = &self.pool[self.cursor % self.pool.len()];
-            self.cursor += 1;
-            let Some((assign, seconds)) =
-                sample_assignment(plan, self.registry, self.backend, &mut self.rng, 16)
-            else {
-                continue;
-            };
-            vectorize_assignment(plan, &self.layout, &assign, &mut feats_buf);
-            set.push_simulated(&feats_buf, seconds);
-        }
-        set
+        self.sampler.generate(self.backend, n)
     }
 }
 
@@ -405,7 +382,7 @@ mod tests {
         let (registry, layout) = named_setup();
         let cfg = SamplerConfig::new().with_seed(11).with_noise(0.0);
         let direct = simulator_training_set(&registry, &layout, &cfg, 32);
-        // Same seed split as SimulatorSource::generate: pool/assignment rng
+        // Same seed split as SimulatorSource::new: pool/assignment rng
         // from cfg.seed, simulator noise stream from cfg.seed ^ 0x5157.
         let sim = RuntimeSimulator::new(&registry, cfg.seed() ^ 0x5157).with_noise(cfg.noise());
         let via_seam = BackendSource::new(&sim, &registry, layout, cfg.seed()).generate(32);

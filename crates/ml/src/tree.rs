@@ -286,10 +286,6 @@ impl RegressionTree {
         self.split_col.len() - 1
     }
 
-    /// Sentinel `split_col` entry marking a leaf (public so persistence
-    /// code can render/parse the flat arrays without magic numbers).
-    pub const LEAF_SENTINEL: u32 = LEAF;
-
     /// Reassemble a tree from its flat node arrays, validating every
     /// structural invariant `predict` relies on. The inverse of the
     /// [`RegressionTree::parts`] accessor; persistence loaders must come

@@ -154,13 +154,12 @@ impl LogicalPlan {
     /// requires this to contract the enumeration graph to a single unit).
     pub fn is_connected(&self) -> bool {
         let n = self.ops.len();
-        if n == 0 {
-            return true;
-        }
         let mut seen = vec![false; n];
+        let Some(first) = seen.first_mut() else {
+            return true;
+        };
+        *first = true;
         let mut stack = vec![0u32];
-        // lint:allow(index-literal) n == 0 returned early above, so operator 0 exists
-        seen[0] = true;
         let mut count = 1;
         while let Some(u) = stack.pop() {
             for &v in self.succs[u as usize]

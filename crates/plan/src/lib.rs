@@ -1,7 +1,7 @@
 //! `robopt-plan`: the optimizer-facing plan substrate.
 //!
 //! Logical operators (the 24-kind Rheem/Robopt operator algebra), dataflow
-//! DAGs with cardinality propagation, topology analysis, a deterministic
+//! DAGs with cardinality propagation, a deterministic
 //! seeded RNG (the offline stand-in for `rand`), and workload builders for
 //! the paper's plans (WordCount, TPC-H Q3, synthetic pipelines) plus random
 //! connected DAGs for property tests. [`WorkloadSpec`] is the validated,
@@ -15,7 +15,6 @@ pub mod dag;
 pub mod op;
 pub mod rng;
 pub mod spec;
-pub mod topology;
 pub mod workloads;
 
 pub use dag::LogicalPlan;

@@ -245,6 +245,32 @@ pub enum TrainSource {
     },
 }
 
+/// Seed and noise amplitude of a training source nobody configured.
+const TRAIN_SEED: u64 = 41;
+const TRAIN_NOISE: f64 = 0.05;
+
+impl TrainSource {
+    /// The source spelled `name` on the wire (`"source"`) and the command
+    /// line (`--source`): `simulator` (also what an absent name means) or
+    /// `tdgen`. An unset `seed` / `noise` falls back to the one default
+    /// both front ends share: seed 41, 5 % noise.
+    pub fn named(
+        name: Option<&str>,
+        seed: Option<u64>,
+        noise: Option<f64>,
+    ) -> Result<Self, String> {
+        let seed = seed.unwrap_or(TRAIN_SEED);
+        match name {
+            None | Some("simulator") => Ok(TrainSource::Simulator {
+                seed,
+                noise: noise.unwrap_or(TRAIN_NOISE),
+            }),
+            Some("tdgen") => Ok(TrainSource::Tdgen { seed }),
+            Some(other) => Err(format!("unknown training source {other:?}")),
+        }
+    }
+}
+
 /// Train a random forest and install it as the facade's cost oracle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainRequest {
@@ -259,18 +285,26 @@ pub struct TrainRequest {
 }
 
 impl TrainRequest {
-    /// Defaults matching the ml-crate test setup: simulator source
-    /// (seed 41, 5 % noise), 24 trees, the forest's default seed.
+    /// Defaults matching the ml-crate test setup: the default
+    /// [`TrainSource::named`] source, 24 trees, the forest's default seed.
     pub fn new(rows: usize) -> Self {
         TrainRequest {
             source: TrainSource::Simulator {
-                seed: 41,
-                noise: 0.05,
+                seed: TRAIN_SEED,
+                noise: TRAIN_NOISE,
             },
             rows,
             n_trees: 24,
             forest_seed: 0x0b5e_55ed,
         }
+    }
+}
+
+/// What `{"op":"train"}` and a bare `robopt train` mean: 512 rows under
+/// the [`TrainRequest::new`] defaults.
+impl Default for TrainRequest {
+    fn default() -> Self {
+        TrainRequest::new(512)
     }
 }
 
@@ -299,6 +333,19 @@ pub struct SimulateRequest {
     pub seed: u64,
     /// Simulator noise amplitude in `[0, 1)`.
     pub noise: f64,
+}
+
+impl SimulateRequest {
+    /// Simulate the optimizer's winning plan for `workload`, noiseless,
+    /// under simulator seed 42.
+    pub fn new(workload: WorkloadSpec) -> Self {
+        SimulateRequest {
+            workload,
+            assignments: Vec::new(),
+            seed: 42,
+            noise: 0.0,
+        }
+    }
 }
 
 /// Simulated runtime for one assignment.
@@ -420,6 +467,17 @@ pub struct CompareRequest {
     pub policy: ExecutionPolicy,
     /// Seed for the runtime simulation of every plan.
     pub sim_seed: u64,
+}
+
+impl CompareRequest {
+    /// Compare under the default [`ExecutionPolicy`] and simulator seed 42.
+    pub fn new(workload: WorkloadSpec) -> Self {
+        CompareRequest {
+            workload,
+            policy: ExecutionPolicy::default(),
+            sim_seed: 42,
+        }
+    }
 }
 
 /// One single-platform contender in a [`CompareResponse`].

@@ -130,14 +130,6 @@ impl PlanCache {
         self.slots.fill(0);
     }
 
-    /// Zero the hit/miss/eviction/insertion counters.
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
-        self.insertions = 0;
-    }
-
     /// Look up `key`, touching its recency to `tick` on a hit.
     pub fn lookup(&mut self, key: u64, tick: u64) -> Option<OptimizeResponse> {
         match self.find(key) {

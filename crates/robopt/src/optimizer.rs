@@ -76,10 +76,9 @@ pub struct Optimizer {
     tick: u64,
     requests: u64,
     total_micros: u64,
-    /// Scratch buffers for batched re-costing (`optimize_batch`) and
-    /// single-platform costing (`compare`); reused across requests.
+    /// Scratch feature row for the winner re-cost and single-platform
+    /// costing (`compare`); reused across requests.
     feats: Vec<f64>,
-    costs: Vec<f64>,
     /// Scratch distribution for the one-row winner re-cost that fills
     /// `cost_std` / `cost_q10` / `cost_q90`; reused across requests.
     dist: CostDistribution,
@@ -103,7 +102,6 @@ impl Optimizer {
             requests: 0,
             total_micros: 0,
             feats: Vec::new(),
-            costs: Vec::new(),
             dist: CostDistribution::new(),
         }
     }
@@ -151,17 +149,6 @@ impl Optimizer {
     /// callers never need this.
     pub fn enum_options(&self) -> EnumOptions<'_> {
         EnumOptions::new(&self.registry).with_oracle(self.oracle.as_dyn())
-    }
-
-    /// A raw [`RuntimeSimulator`] over the facade's registry — the escape
-    /// hatch (like [`Optimizer::enum_options`]) for calibration sweeps and
-    /// noise-envelope studies that need the simulator *object*, not a
-    /// runtime number. Service callers use [`Optimizer::simulate`] /
-    /// [`Optimizer::execute`], which run every backend through the
-    /// [`ExecutionBackend`] seam; going around the seam forfeits the
-    /// per-operator report and the digest contract.
-    pub fn simulator(&self, seed: u64, noise: f64) -> RuntimeSimulator<'_> {
-        RuntimeSimulator::new(&self.registry, seed).with_noise(noise)
     }
 
     /// A raw [`Engine`] over the facade's registry — escape hatch for
@@ -247,118 +234,6 @@ impl Optimizer {
         Ok(resp)
     }
 
-    /// Optimize a batch of requests, deduplicating by plan signature and
-    /// re-costing every distinct winner through **one**
-    /// [`CostOracle::cost_batch`] call — with a forest installed this is
-    /// batched tree inference across concurrent requests, not one dispatch
-    /// per request. Responses come back in request order and are
-    /// bit-identical to issuing [`Optimizer::optimize`] sequentially.
-    // lint:surface(deterministic, no-panic)
-    pub fn optimize_batch(
-        &mut self,
-        reqs: &[OptimizeRequest],
-    ) -> Result<Vec<OptimizeResponse>, ServiceError> {
-        let started = now();
-        // Slot per request: a cache hit resolved immediately, or an index
-        // into the freshly-enumerated distinct plans.
-        enum Slot {
-            Hit(OptimizeResponse),
-            Fresh(usize),
-        }
-        let mut slots = Vec::with_capacity(reqs.len());
-        let mut fresh: Vec<(u64, LogicalPlan, OptimizeResponse)> = Vec::new();
-        for req in reqs {
-            self.requests += 1;
-            self.tick += 1;
-            let req = &self.effective(req);
-            if let Some(risk) = req.risk {
-                risk.validate().map_err(ServiceError::InvalidRequest)?;
-            }
-            let sig = req.signature();
-            if self.cache_enabled {
-                if let Some(hit) = self.cache.lookup(sig, self.tick) {
-                    slots.push(Slot::Hit(hit));
-                    continue;
-                }
-            }
-            if let Some(i) = fresh.iter().position(|(s, _, _)| *s == sig) {
-                // In-batch duplicate of a plan still being assembled.
-                slots.push(Slot::Fresh(i));
-                continue;
-            }
-            let plan = build_workload(&req.workload)?;
-            let resp = self.enumerate_response(req, sig, &plan)?;
-            fresh.push((sig, plan, resp));
-            slots.push(Slot::Fresh(fresh.len() - 1));
-        }
-
-        if !fresh.is_empty() {
-            // One flat feature matrix over every distinct winner, one
-            // cost_batch call. The canonical per-plan cost in `finish` used
-            // cost_row on exactly these vectors, and every in-tree oracle's
-            // batch path is bit-identical to its row path, so this only
-            // *asserts* — it cannot change the responses.
-            let Optimizer {
-                registry,
-                oracle,
-                layout,
-                feats,
-                costs,
-                ..
-            } = self;
-            feats.clear();
-            let mut row = Vec::new();
-            for (_, plan, resp) in fresh.iter() {
-                let raw = raw_assignments(registry, resp)?;
-                vectorize_assignment(plan, layout, &raw, &mut row);
-                feats.extend_from_slice(&row);
-            }
-            oracle
-                .as_dyn()
-                .cost_batch(RowsView::new(feats, layout.width), costs);
-            debug_assert!(
-                fresh
-                    .iter()
-                    .zip(costs.iter())
-                    .all(|((_, _, resp), batched)| resp.cost.to_bits() == batched.to_bits()),
-                "batched re-cost diverged from the canonical per-plan cost"
-            );
-            for ((_, _, resp), &batched) in fresh.iter_mut().zip(costs.iter()) {
-                resp.cost = batched;
-            }
-        }
-
-        if self.cache_enabled {
-            for (sig, _, resp) in &fresh {
-                let work = resp.stats.generated.max(1);
-                self.cache.insert(*sig, resp.clone(), work, self.tick);
-            }
-        }
-        let out = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Hit(resp) => resp,
-                Slot::Fresh(i) => fresh
-                    .get(i)
-                    .map(|(_, _, resp)| resp.clone())
-                    .unwrap_or_else(|| OptimizeResponse {
-                        workload: String::new(),
-                        signature: 0,
-                        assignments: Vec::new(),
-                        distinct_platforms: 0,
-                        cost: f64::INFINITY,
-                        cost_std: 0.0,
-                        cost_q10: f64::INFINITY,
-                        cost_q90: f64::INFINITY,
-                        risk_policy: String::new(),
-                        stats: Default::default(),
-                    }),
-            })
-            .collect();
-        self.total_micros += elapsed_micros(started);
-        Ok(out)
-    }
-
     /// Train a forest per `req` and install it as the active oracle.
     // lint:surface(deterministic, no-panic)
     pub fn train(&mut self, req: &TrainRequest) -> Result<TrainResponse, ServiceError> {
@@ -412,9 +287,7 @@ impl Optimizer {
     /// Since DESIGN §11 this verb runs through the
     /// [`ExecutionBackend`] seam (the simulator is just one backend), so
     /// `seconds` is bit-identical to the pre-seam direct
-    /// `RuntimeSimulator::simulate` path. Callers that need the raw
-    /// simulator object — calibration sweeps, noise-envelope studies —
-    /// use the [`Optimizer::simulator`] escape hatch instead of this verb.
+    /// `RuntimeSimulator::simulate` path.
     // lint:surface(deterministic, no-panic)
     pub fn simulate(&mut self, req: &SimulateRequest) -> Result<SimulateResponse, ServiceError> {
         check_noise(req.noise)?;
@@ -549,27 +422,16 @@ impl Optimizer {
         })
     }
 
-    /// Cold path: build the plan and enumerate.
+    /// Cold path: build the plan, run split-based enumeration under the
+    /// request's policy and shape the result into a response. Always goes
+    /// through the parallel driver — its output is bit-identical across
+    /// worker counts, which is what lets the cache key ignore `workers`.
     fn optimize_cold(
         &mut self,
         req: &OptimizeRequest,
         sig: u64,
     ) -> Result<OptimizeResponse, ServiceError> {
-        let plan = build_workload(&req.workload)?;
-        self.enumerate_response(req, sig, &plan)
-    }
-
-    /// Run split-based enumeration under the request's policy and shape
-    /// the result into a response. Always goes through the parallel
-    /// driver — its output is bit-identical across worker counts, which is
-    /// what lets the cache key ignore `workers`.
-    // lint:allow(index-literal) one-row winner distribution by construction: finish() asserts a non-empty enumeration, and the debug_assert below checks the mean against the canonical cost
-    fn enumerate_response(
-        &mut self,
-        req: &OptimizeRequest,
-        sig: u64,
-        plan: &LogicalPlan,
-    ) -> Result<OptimizeResponse, ServiceError> {
+        let plan = &build_workload(&req.workload)?;
         let Optimizer {
             registry,
             layout,
@@ -597,9 +459,14 @@ impl Optimizer {
         oracle
             .as_dyn()
             .cost_batch_dist(RowsView::new(feats, layout.width), dist);
-        let _winner_mean = dist.mean[0];
+        let Some((_mean, cost_std, cost_q10, cost_q90)) = dist.single_row() else {
+            return Err(ServiceError::BadModel(format!(
+                "cost model returned {} distribution rows for the one winning plan",
+                dist.len()
+            )));
+        };
         debug_assert_eq!(
-            _winner_mean.to_bits(),
+            _mean.to_bits(),
             exec.cost.to_bits(),
             "winner distribution mean diverged from the canonical cost"
         );
@@ -613,9 +480,9 @@ impl Optimizer {
                 .collect(),
             distinct_platforms: exec.distinct_platforms(),
             cost: exec.cost,
-            cost_std: dist.std[0],
-            cost_q10: dist.q10[0],
-            cost_q90: dist.q90[0],
+            cost_std,
+            cost_q10,
+            cost_q90,
             risk_policy: risk.label(),
             stats,
         })
@@ -789,30 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn optimize_batch_matches_sequential_and_dedupes() {
-        let reqs: Vec<OptimizeRequest> = vec![
-            OptimizeRequest::new(wc()),
-            OptimizeRequest::new(WorkloadSpec::TpchQ3 { scale: 1e6 }),
-            OptimizeRequest::new(wc()),
-            OptimizeRequest::new(WorkloadSpec::Pipeline {
-                ops: 12,
-                scale: 1e5,
-            }),
-        ];
-        let mut seq = Optimizer::named();
-        seq.set_cache_enabled(false);
-        let expected: Vec<OptimizeResponse> = reqs
-            .iter()
-            .map(|r| seq.optimize(r).expect("sequential"))
-            .collect();
-        let mut batched = Optimizer::named();
-        let got = batched.optimize_batch(&reqs).expect("batch");
-        assert_eq!(got, expected);
-        // Two wordcount requests, one enumeration.
-        assert_eq!(batched.cache_stats().insertions, 3);
-    }
-
-    #[test]
     fn default_risk_fills_unlabelled_requests_and_keys_the_cache() {
         let mut opt = Optimizer::named();
         let plain = opt.optimize(&OptimizeRequest::new(wc())).expect("expected");
@@ -869,23 +712,12 @@ mod tests {
     fn simulate_and_compare_round_trip_names() {
         let mut opt = Optimizer::named();
         let sim = opt
-            .simulate(&SimulateRequest {
-                workload: wc(),
-                assignments: Vec::new(),
-                seed: 42,
-                noise: 0.0,
-            })
+            .simulate(&SimulateRequest::new(wc()))
             .expect("simulate the optimum");
         assert!(sim.feasible, "optimal plan must be executable");
         assert!(sim.seconds > 0.0);
 
-        let cmp = opt
-            .compare(&CompareRequest {
-                workload: wc(),
-                policy: ExecutionPolicy::default(),
-                sim_seed: 42,
-            })
-            .expect("compare");
+        let cmp = opt.compare(&CompareRequest::new(wc())).expect("compare");
         assert_eq!(cmp.singles.len(), opt.registry().len());
         assert!(!cmp.mix.is_empty());
         if let Some(best) = cmp.best_single_cost {

@@ -76,34 +76,28 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
             },
         })),
         "train" => {
-            let defaults = TrainRequest::new(field_usize(&doc, "rows").unwrap_or(512));
-            let source = match doc.get("source").and_then(JsonValue::as_str) {
-                None | Some("simulator") => TrainSource::Simulator {
-                    seed: field_u64(&doc, "seed").unwrap_or(41),
-                    noise: field_f64(&doc, "noise").unwrap_or(0.05),
-                },
-                Some("tdgen") => TrainSource::Tdgen {
-                    seed: field_u64(&doc, "seed").unwrap_or(41),
-                },
-                Some(other) => {
-                    return Err(ServiceError::Parse(format!(
-                        "unknown training source {other:?}"
-                    )))
-                }
-            };
+            let defaults = TrainRequest::default();
             Ok(Request::Train(TrainRequest {
-                source,
-                rows: defaults.rows,
+                source: TrainSource::named(
+                    doc.get("source").and_then(JsonValue::as_str),
+                    field_u64(&doc, "seed"),
+                    field_f64(&doc, "noise"),
+                )
+                .map_err(ServiceError::Parse)?,
+                rows: field_usize(&doc, "rows").unwrap_or(defaults.rows),
                 n_trees: field_usize(&doc, "n_trees").unwrap_or(defaults.n_trees),
                 forest_seed: field_u64(&doc, "forest_seed").unwrap_or(defaults.forest_seed),
             }))
         }
-        "simulate" => Ok(Request::Simulate(SimulateRequest {
-            workload: parse_workload(&doc)?,
-            assignments: parse_assignments(&doc),
-            seed: field_u64(&doc, "seed").unwrap_or(42),
-            noise: field_f64(&doc, "noise").unwrap_or(0.0),
-        })),
+        "simulate" => {
+            let defaults = SimulateRequest::new(parse_workload(&doc)?);
+            Ok(Request::Simulate(SimulateRequest {
+                assignments: parse_assignments(&doc),
+                seed: field_u64(&doc, "seed").unwrap_or(defaults.seed),
+                noise: field_f64(&doc, "noise").unwrap_or(defaults.noise),
+                ..defaults
+            }))
+        }
         "execute" => Ok(Request::Execute(ExecuteRequest {
             workload: parse_workload(&doc)?,
             assignments: parse_assignments(&doc),
@@ -120,11 +114,14 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
                 }
             },
         })),
-        "compare" => Ok(Request::Compare(CompareRequest {
-            workload: parse_workload(&doc)?,
-            policy: parse_policy(&doc),
-            sim_seed: field_u64(&doc, "sim_seed").unwrap_or(42),
-        })),
+        "compare" => {
+            let defaults = CompareRequest::new(parse_workload(&doc)?);
+            Ok(Request::Compare(CompareRequest {
+                policy: parse_policy(&doc),
+                sim_seed: field_u64(&doc, "sim_seed").unwrap_or(defaults.sim_seed),
+                ..defaults
+            }))
+        }
         "stats" => Ok(Request::Stats),
         "quit" => Ok(Request::Quit),
         other => Err(ServiceError::Parse(format!("unknown op {other:?}"))),

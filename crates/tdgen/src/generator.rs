@@ -25,40 +25,37 @@ use crate::switches::sample_assignment;
 ///
 /// ```
 /// # use robopt_tdgen::TdgenConfig;
-/// let cfg = TdgenConfig::new().with_seed(7).with_beta(2).with_knots(16);
-/// assert_eq!(cfg.beta(), 2);
+/// let cfg = TdgenConfig::new().with_seed(7).with_knots(16);
+/// assert_eq!(cfg.seed(), 7);
 /// assert_eq!(cfg.knots(), 16);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TdgenConfig {
     seed: u64,
     noise: f64,
-    beta: usize,
     knots: usize,
-    scale_lo: f64,
-    scale_hi: f64,
-    shape_mix: Vec<ShapeKind>,
     min_ops: usize,
     max_ops: usize,
     assignments_per_skeleton: usize,
     rows_per_curve: usize,
 }
 
+/// Maximum platform switches along any source→sink path: the paper's β.
+const BETA: usize = 3;
+/// Input-scale range `[lo, hi]` (tuples) every curve sweeps.
+const SCALE_RANGE: (f64, f64) = (1e4, 1e9);
+
 impl TdgenConfig {
-    /// Paper-flavoured defaults: β = 3, 11 knots over scales
-    /// `[1e4, 1e9]`, all five shapes, 4–14 operators (small skeletons
-    /// resemble the subplans the enumerator costs mid-search), 4
-    /// assignments per skeleton, 64 rows per curve (≈ 5.8 rows per
-    /// simulator call).
+    /// Paper-flavoured defaults: 11 knots, 4–14 operators (small
+    /// skeletons resemble the subplans the enumerator costs mid-search),
+    /// 4 assignments per skeleton, 64 rows per curve (≈ 5.8 rows per
+    /// simulator call). β = 3, the `[1e4, 1e9]` scale range and the
+    /// uniform draw over all five shapes are fixed.
     pub fn new() -> Self {
         TdgenConfig {
             seed: 0x7d9e_0001,
             noise: 0.05,
-            beta: 3,
             knots: 11,
-            scale_lo: 1e4,
-            scale_hi: 1e9,
-            shape_mix: ShapeKind::ALL.to_vec(),
             min_ops: 4,
             max_ops: 14,
             assignments_per_skeleton: 4,
@@ -82,13 +79,6 @@ impl TdgenConfig {
         self
     }
 
-    /// Maximum platform switches along any source→sink path
-    /// (`usize::MAX` disables pruning).
-    pub fn with_beta(mut self, beta: usize) -> Self {
-        self.beta = beta;
-        self
-    }
-
     /// Knot count per curve: the number of scales actually simulated.
     /// Must be window-compatible (6, 11, 16, …).
     pub fn with_knots(mut self, knots: usize) -> Self {
@@ -97,21 +87,6 @@ impl TdgenConfig {
             "knot count must be 6, 11, 16, … (got {knots})"
         );
         self.knots = knots;
-        self
-    }
-
-    /// Input-scale range `[lo, hi]` (tuples) each curve sweeps.
-    pub fn with_scale_range(mut self, lo: f64, hi: f64) -> Self {
-        assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-        self.scale_lo = lo;
-        self.scale_hi = hi;
-        self
-    }
-
-    /// Restrict the shape families drawn from (uniformly).
-    pub fn with_shape_mix(mut self, mix: &[ShapeKind]) -> Self {
-        assert!(!mix.is_empty(), "shape mix must not be empty");
-        self.shape_mix = mix.to_vec();
         self
     }
 
@@ -141,31 +116,23 @@ impl TdgenConfig {
     pub fn seed(&self) -> u64 {
         self.seed
     }
-    pub fn noise(&self) -> f64 {
-        self.noise
-    }
     pub fn beta(&self) -> usize {
-        self.beta
+        BETA
     }
     pub fn knots(&self) -> usize {
         self.knots
     }
     /// The swept scale range `(lo, hi)`.
     pub fn scale_range(&self) -> (f64, f64) {
-        (self.scale_lo, self.scale_hi)
+        SCALE_RANGE
     }
+    /// The shape families drawn from (uniformly).
     pub fn shape_mix(&self) -> &[ShapeKind] {
-        &self.shape_mix
+        &ShapeKind::ALL
     }
     /// The operator-count range `(min, max)`.
     pub fn ops_range(&self) -> (usize, usize) {
         (self.min_ops, self.max_ops)
-    }
-    pub fn assignments_per_skeleton(&self) -> usize {
-        self.assignments_per_skeleton
-    }
-    pub fn rows_per_curve(&self) -> usize {
-        self.rows_per_curve
     }
 }
 
@@ -252,39 +219,29 @@ impl<'a> TdgenGenerator<'a> {
         }
     }
 
-    /// The configuration this generator draws under.
-    pub fn config(&self) -> &TdgenConfig {
-        &self.cfg
-    }
-
     /// Work counters accumulated so far.
     pub fn stats(&self) -> TdgenStats {
         self.stats
     }
 
     /// Candidate assignments for one skeleton, **stratified by switch
-    /// budget**: the i-th candidate is drawn with `beta` clamped to
-    /// `i mod (beta + 1)`, so every skeleton contributes homogeneous
+    /// budget**: the i-th candidate is drawn with β clamped to
+    /// `i mod (β + 1)`, so every skeleton contributes homogeneous
     /// (0-switch) and near-homogeneous curves alongside multi-switch
     /// ones. Optimal plans live in the low-switch region, and a uniform
     /// β-bounded walk almost never lands there — without stratification
     /// the model never learns the region the optimizer queries hardest.
     fn pick_assignments(&mut self, skel: &crate::shapes::JobSkeleton) -> Vec<Vec<u8>> {
         let want = self.cfg.assignments_per_skeleton;
-        let beta = self.cfg.beta;
         let mut picked: Vec<Vec<u8>> = Vec::with_capacity(want);
         for i in 0..want {
-            let budget = if beta == usize::MAX {
-                beta
-            } else {
-                i % (beta + 1)
-            };
+            let budget = i % (BETA + 1);
             let drawn =
                 sample_assignment(skel, self.registry, budget, &mut self.rng, 64).or_else(|| {
                     // A tight budget can be structurally infeasible (e.g.
                     // no single platform covers every kind on a path);
                     // retry at the full β before giving up on this slot.
-                    sample_assignment(skel, self.registry, beta, &mut self.rng, 64)
+                    sample_assignment(skel, self.registry, BETA, &mut self.rng, 64)
                 });
             match drawn {
                 Some(a) if !picked.contains(&a) => picked.push(a),
@@ -349,9 +306,9 @@ impl<'a> TdgenGenerator<'a> {
     /// Produce curves until at least `n` rows are buffered.
     fn refill(&mut self, n: usize) {
         let sim = RuntimeSimulator::new(self.registry, self.sim_seed).with_noise(self.cfg.noise);
-        let knot_scales = log_knots(self.cfg.scale_lo, self.cfg.scale_hi, self.cfg.knots);
+        let knot_scales = log_knots(SCALE_RANGE.0, SCALE_RANGE.1, self.cfg.knots);
         while self.pending.len() < n {
-            let shape = self.cfg.shape_mix[self.rng.gen_range(self.cfg.shape_mix.len())];
+            let shape = ShapeKind::ALL[self.rng.gen_range(ShapeKind::ALL.len())];
             let span = self.cfg.max_ops - self.cfg.min_ops + 1;
             let n_ops = self.cfg.min_ops + self.rng.gen_range(span);
             let skel = sample_skeleton(&mut self.rng, self.registry, shape, n_ops);

@@ -9,8 +9,8 @@
 //!   the `robopt_platforms::PlatformRegistry` availability matrix, and
 //!   which instantiate at any input scale;
 //! * [`switches`] — **platform-switch pruning**: candidate assignments
-//!   whose worst source→sink path exceeds β switches (default 3) are
-//!   discarded before any label is paid for;
+//!   whose worst source→sink path exceeds β = 3 switches (the paper's
+//!   value, fixed) are discarded before any label is paid for;
 //! * [`interpolate`] — **runtime interpolation**: the simulator runs only
 //!   at a log-spaced knot set of scales per (skeleton, assignment) curve;
 //!   a piecewise degree-5 polynomial in log-log space synthesizes labels
@@ -33,4 +33,4 @@ pub mod switches;
 pub use generator::{tdgen_training_set, TdgenConfig, TdgenGenerator, TdgenStats};
 pub use interpolate::{log_knots, PiecewisePoly, WINDOW};
 pub use shapes::{sample_skeleton, JobSkeleton, ShapeKind, SkeletonOp};
-pub use switches::{count_assignments, enumerate_assignments, max_switches, sample_assignment};
+pub use switches::{enumerate_assignments, max_switches, sample_assignment};

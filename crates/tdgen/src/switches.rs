@@ -131,16 +131,6 @@ fn dfs(
     }
 }
 
-/// Number of feasible β-bounded assignments, capped at `limit`.
-pub fn count_assignments(
-    skeleton: &JobSkeleton,
-    registry: &PlatformRegistry,
-    beta: usize,
-    limit: usize,
-) -> usize {
-    enumerate_assignments(skeleton, registry, beta, limit).len()
-}
-
 /// Draw one feasible β-bounded assignment by a random topological walk:
 /// each operator picks uniformly among the placeable platforms that keep
 /// the prefix within β, restarting (up to `attempts` times) when a walk
@@ -213,17 +203,18 @@ mod tests {
     fn beta_counts_are_monotone_and_max_recovers_unpruned() {
         let (registry, skel) = setup(ShapeKind::Diamond, 7);
         let cap = 1_000_000;
-        let unpruned = count_assignments(&skel, &registry, usize::MAX, cap);
+        let count = |beta| enumerate_assignments(&skel, &registry, beta, cap).len();
+        let unpruned = count(usize::MAX);
         let mut prev = 0;
         for beta in 0..6 {
-            let c = count_assignments(&skel, &registry, beta, cap);
+            let c = count(beta);
             assert!(c >= prev, "count must grow with beta");
             assert!(c <= unpruned);
             prev = c;
         }
         // Longest path in a 7-op diamond is short enough that beta = 6
         // can no longer prune anything.
-        assert_eq!(count_assignments(&skel, &registry, 6, cap), unpruned);
+        assert_eq!(count(6), unpruned);
         assert!(unpruned > 0, "the skeleton must be placeable at all");
     }
 

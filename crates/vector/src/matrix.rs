@@ -97,11 +97,6 @@ impl EnumMatrix {
     }
 
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.feats[r * self.width..(r + 1) * self.width]
-    }
-
-    #[inline]
     pub fn assignments(&self, r: usize) -> &[u8] {
         &self.assign[r * self.n_ops..(r + 1) * self.n_ops]
     }
@@ -212,19 +207,6 @@ impl<'a> RowsView<'a> {
         debug_assert!(col < self.width, "column {col} out of range");
         self.feats[row * self.width + col]
     }
-
-    /// Iterator over column `col` (one value per row, in row order) — the
-    /// column view variance-reduction split search scans.
-    #[inline]
-    pub fn col(&self, col: usize) -> impl Iterator<Item = f64> + 'a {
-        assert!(col < self.width, "column {col} out of range");
-        self.feats
-            .get(col..)
-            .unwrap_or(&[])
-            .iter()
-            .step_by(self.width)
-            .copied()
-    }
 }
 
 #[cfg(test)]
@@ -251,9 +233,6 @@ mod tests {
         let v = RowsView::new(&buf, 3);
         assert_eq!(v.value(0, 2), 3.0);
         assert_eq!(v.value(1, 0), 4.0);
-        assert_eq!(v.col(1).collect::<Vec<_>>(), vec![2.0, 5.0]);
-        let empty = RowsView::new(&[], 3);
-        assert_eq!(empty.col(2).count(), 0);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! Crate map (re-exported below):
 //!
-//! * [`robopt_plan`] — logical operators, dataflow DAGs, workloads;
+//! * [`robopt_plan`] — logical operators, dataflow DAGs with cardinality
+//!   propagation, the seeded RNG, `WorkloadSpec` and the workload builders;
 //! * [`robopt_vector`] — Fig-5 layout, `EnumMatrix`, merge kernel,
 //!   pruning footprints;
 //! * [`robopt_core`] — vectorize / enumerate / unvectorize (Algorithm 1);
@@ -20,9 +21,10 @@
 //!   deterministic runtime simulator;
 //! * [`robopt_ml`] — the learned cost model: CART regression trees, the
 //!   bagged random forest, the ridge linear baseline, accuracy metrics,
-//!   and the `TrainingSource` / `TrainingSet` contract every label
-//!   provider implements — all pluggable into enumeration through
-//!   `ModelOracle` behind `&dyn CostOracle`;
+//!   the `TrainingSource` / `TrainingSet` contract every label provider
+//!   implements, and the one plan/assignment sampler behind both
+//!   `SimulatorSource` and `BackendSource` — all pluggable into
+//!   enumeration through `ModelOracle` behind `&dyn CostOracle`;
 //! * [`robopt_tdgen`] — TDGEN, the scalable training-data generator:
 //!   seeded job-shape templates, β-bounded platform-switch pruning, and
 //!   piecewise degree-5 log-log runtime interpolation so most labels are
@@ -52,7 +54,8 @@ pub use robopt_platforms as platforms;
 pub use robopt_tdgen as tdgen;
 pub use robopt_vector as vector;
 
-/// Convenience prelude for examples and tests.
+/// Convenience prelude: the service API first, then the raw plumbing
+/// (enumerators, models, training sources) behind it.
 pub mod prelude {
     pub use robopt::{
         BackendChoice, ExecuteRequest, ExecuteResponse, ExecutionPolicy, OptimizeRequest,
