@@ -19,7 +19,7 @@
 //!    all feasible platform assignments.
 //!
 //! Writes `EXPERIMENTS_OUTPUT/fig08_tdgen.txt` and `BENCH_tdgen.json` at
-//! the repository root. `--quick` shrinks row counts for the CI smoke run.
+//! the repository root.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -150,15 +150,11 @@ fn true_optimum(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     // TDGEN's training set is 3x the direct one on purpose: with the
     // default ~5.8x reduction it still spends roughly *half* the
     // simulator calls — the paper's pitch is more data per execution.
-    let (tdgen_n, direct_n, heldout_n, n_trees, fid_curves, fid_probes) = if quick {
-        (3000, 1000, 150, 16, 8, 12)
-    } else {
-        (18000, 6000, 500, 32, 24, 25)
-    };
+    let (tdgen_n, direct_n, heldout_n, n_trees, fid_curves, fid_probes) =
+        (18000, 6000, 500, 32, 24, 25);
 
     let registry = PlatformRegistry::named();
     let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
@@ -238,13 +234,12 @@ fn main() {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "Fig 8: TDGEN training-data generation ({} platforms, beta = {}, {} knots, scales [{:.0e}, {:.0e}]{})",
+        "Fig 8: TDGEN training-data generation ({} platforms, beta = {}, {} knots, scales [{:.0e}, {:.0e}])",
         registry.len(),
         cfg.beta(),
         cfg.knots(),
         cfg.scale_range().0,
-        cfg.scale_range().1,
-        if quick { ", --quick" } else { "" }
+        cfg.scale_range().1
     );
     let _ = writeln!(report);
     let _ = writeln!(
@@ -332,7 +327,6 @@ fn main() {
 
     // Hand-rendered JSON (offline environment: no serde_json).
     let mut json = String::from("{\n  \"experiment\": \"fig08_tdgen\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"beta\": {},", cfg.beta());
     let _ = writeln!(json, "  \"knots\": {},", cfg.knots());
     let _ = writeln!(json, "  \"tdgen_rows\": {tdgen_n},");

@@ -12,8 +12,6 @@
 //! the analytic oracle's pick. Writes
 //! `EXPERIMENTS_OUTPUT/fig09_model_accuracy.txt` and
 //! `BENCH_model_accuracy.json` at the repository root.
-//!
-//! `--quick` shrinks sizes and tree counts for the CI training-smoke run.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -53,12 +51,7 @@ fn eval_model(model: &dyn Model, heldout: &TrainingSet) -> (Metrics, f64) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (sizes, n_trees, heldout_n): (&[usize], usize, usize) = if quick {
-        (&[100, 200, 400], 16, 150)
-    } else {
-        (&[250, 500, 1000, 2000], 32, 500)
-    };
+    let (sizes, n_trees, heldout_n): (&[usize], usize, usize) = (&[250, 500, 1000, 2000], 32, 500);
 
     let registry = PlatformRegistry::named();
     let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
@@ -157,10 +150,9 @@ fn main() {
     let _ = writeln!(
         report,
         "Fig 9: cost-model accuracy on held-out simulator-labelled plans \
-         ({} rows, {} platforms{})",
+         ({} rows, {} platforms)",
         heldout.len(),
-        registry.len(),
-        if quick { ", --quick" } else { "" }
+        registry.len()
     );
     let _ = writeln!(
         report,
@@ -229,7 +221,6 @@ fn main() {
 
     // Hand-rendered JSON (offline environment: no serde_json).
     let mut json = String::from("{\n  \"experiment\": \"fig09_model_accuracy\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"n_trees\": {n_trees},");
     let _ = writeln!(json, "  \"heldout_rows\": {},", heldout.len());
     let _ = writeln!(

@@ -22,7 +22,6 @@
 //!    per-operator overheads are orders of magnitude below spark/flink at
 //!    this input volume).
 //!
-//! `--quick` shrinks the pool and training set for CI smoke coverage.
 //! Writes `EXPERIMENTS_OUTPUT/fig10_engine_validation.txt` and
 //! `BENCH_engine.json` at the repository root.
 
@@ -43,8 +42,8 @@ const TRAIN_SEED: u64 = 0x00F1_6A11;
 /// The shared workload pool: volume-separated so both backends face a
 /// clear ordering, with every operator family (flat map, join, loop)
 /// represented.
-fn pool(quick: bool) -> Vec<(String, LogicalPlan)> {
-    let mut entries = vec![
+fn pool() -> Vec<(String, LogicalPlan)> {
+    vec![
         ("wordcount(1e3)".to_string(), workloads::wordcount(1e3)),
         ("wordcount(1e4)".to_string(), workloads::wordcount(1e4)),
         ("wordcount(1e5)".to_string(), workloads::wordcount(1e5)),
@@ -56,18 +55,15 @@ fn pool(quick: bool) -> Vec<(String, LogicalPlan)> {
             "pipeline(8,1e4)".to_string(),
             workloads::synthetic_pipeline(8, 1e4),
         ),
-    ];
-    if !quick {
-        entries.push(("wordcount(2e5)".to_string(), workloads::wordcount(2e5)));
-        entries.push(("tpch_q3(1e5)".to_string(), workloads::tpch_q3(1e5)));
-        entries.push(("pagerank(2e4,10)".to_string(), workloads::pagerank(2e4, 10)));
-        entries.push(("kmeans(2e4,10)".to_string(), workloads::kmeans(2e4, 10)));
-        entries.push((
+        ("wordcount(2e5)".to_string(), workloads::wordcount(2e5)),
+        ("tpch_q3(1e5)".to_string(), workloads::tpch_q3(1e5)),
+        ("pagerank(2e4,10)".to_string(), workloads::pagerank(2e4, 10)),
+        ("kmeans(2e4,10)".to_string(), workloads::kmeans(2e4, 10)),
+        (
             "pipeline(16,1e5)".to_string(),
             workloads::synthetic_pipeline(16, 1e5),
-        ));
-    }
-    entries
+        ),
+    ]
 }
 
 fn uniform(registry: &PlatformRegistry, name: &str, n: usize) -> Vec<PlatformId> {
@@ -118,10 +114,9 @@ fn engine_seconds(engine: &Engine<'_>, plan: &LogicalPlan, assign: &[PlatformId]
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let registry = PlatformRegistry::named();
     let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
-    let entries = pool(quick);
+    let entries = pool();
 
     // Phase 1 — correctness before any clock starts.
     correctness_gate(&registry, &entries);
@@ -151,7 +146,7 @@ fn main() {
     let rho = spearman(&engine_secs, &sim_secs);
 
     // Phase 3 — train on engine-measured rows, pick the measured optimum.
-    let train_rows = if quick { 96 } else { 192 };
+    let train_rows = 192;
     let train_pool = vec![
         workloads::wordcount(3e3),
         workloads::wordcount(1e4),
@@ -168,7 +163,7 @@ fn main() {
         BackendSource::new(engine_backend, &registry, layout, TRAIN_SEED).with_pool(train_pool);
     let set = source.generate(train_rows);
     let forest_cfg = ForestConfig {
-        n_trees: if quick { 12 } else { 24 },
+        n_trees: 24,
         seed: 0x0F02_0E57,
         ..ForestConfig::default()
     };
@@ -206,9 +201,8 @@ fn main() {
     let _ = writeln!(
         report,
         "Engine validation: real executor vs analytic simulator vs learned forest \
-         ({} workloads{})",
-        entries.len(),
-        if quick { ", --quick" } else { "" }
+         ({} workloads)",
+        entries.len()
     );
     let _ = writeln!(report);
     let _ = writeln!(
@@ -278,7 +272,6 @@ fn main() {
 
     // Hand-rendered JSON (offline environment: no serde_json).
     let mut json = String::from("{\n  \"experiment\": \"fig10_engine_validation\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"engine_seed\": {ENGINE_SEED},");
     let _ = writeln!(json, "  \"spearman\": {rho:.6},");
     let _ = writeln!(json, "  \"train_rows\": {},", set.len());

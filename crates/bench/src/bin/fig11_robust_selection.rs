@@ -33,9 +33,8 @@
 //! bit-identically on a cache-off facade, so the distributional seam
 //! costs nothing when risk is off.
 //!
-//! `--quick` shrinks the grid, the training set and the seed count for CI
-//! smoke coverage. Writes `EXPERIMENTS_OUTPUT/fig11_robust_selection.txt`
-//! and `BENCH_robust.json` at the repository root.
+//! Writes `EXPERIMENTS_OUTPUT/fig11_robust_selection.txt` and
+//! `BENCH_robust.json` at the repository root.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -160,8 +159,8 @@ impl CostOracle for CardSensitivityOracle<'_> {
 
 /// The log-spaced input-scale grid over the Fig-1 workload shapes,
 /// bracketing the named registry's platform crossovers.
-fn scan_specs(quick: bool) -> Vec<WorkloadSpec> {
-    let steps = if quick { 5 } else { 12 };
+fn scan_specs() -> Vec<WorkloadSpec> {
+    let steps = 12;
     let mut specs = Vec::new();
     for i in 0..steps {
         let t = i as f64 / (steps - 1) as f64;
@@ -233,9 +232,8 @@ struct RegretRow {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let policy_set = policies();
-    let train_rows = if quick { 400 } else { 1600 };
+    let train_rows = 1600;
 
     // Phase 0 — train the forest through the service facade.
     let mut opt = Optimizer::named();
@@ -245,7 +243,7 @@ fn main() {
             noise: TRAIN_NOISE,
         },
         rows: train_rows,
-        n_trees: if quick { 12 } else { 24 },
+        n_trees: 24,
         forest_seed: 0x0b5e_55ed,
     })
     .expect("train the forest");
@@ -297,7 +295,7 @@ fn main() {
 
     // Phase 1 — divergence scan at the highest misestimation level.
     let oracle_max = CardSensitivityOracle::new(forest, &layout, err_factor(nu_max));
-    let specs = scan_specs(quick);
+    let specs = scan_specs();
     let mut scan_picks: Vec<Vec<Vec<PlatformId>>> = Vec::new();
     for spec in &specs {
         let per_policy: Vec<Vec<PlatformId>> = policy_set
@@ -330,7 +328,7 @@ fn main() {
     // Phase 3 — regret sweep: optimize at the estimated scale, execute at
     // the true scale `c·err` on a noisy simulator, charge each policy its
     // excess over the best pick of that draw.
-    let seeds = if quick { 40 } else { 150 };
+    let seeds = 150;
     let mut regret_rows: Vec<RegretRow> = Vec::new();
     for (ni, &noise) in EVAL_NOISES.iter().enumerate() {
         let f = err_factor(noise);
@@ -384,10 +382,9 @@ fn main() {
     let _ = writeln!(
         report,
         "Robust plan selection: risk policies vs noise + cardinality misestimation \
-         ({} grid workloads, {} seeds/noise{})",
+         ({} grid workloads, {} seeds/noise)",
         specs.len(),
-        seeds,
-        if quick { ", --quick" } else { "" }
+        seeds
     );
     let _ = writeln!(
         report,
@@ -505,7 +502,6 @@ fn main() {
     // aggregates use the shared bench schema: `<prefix>_ms` is the median,
     // `<prefix>_p95_ms` the 95th percentile.
     let mut json = String::from("{\n  \"experiment\": \"fig11_robust_selection\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"train_rows\": {train_rows},");
     let _ = writeln!(json, "  \"seeds_per_noise\": {seeds},");
     let _ = writeln!(json, "  \"grid_workloads\": {},", specs.len());

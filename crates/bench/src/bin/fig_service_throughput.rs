@@ -2,7 +2,7 @@
 //! facade on a repeat-heavy request stream, with and without the
 //! plan-signature cache, at 1/2/4/8 workers — ISSUE 7's service benchmark.
 //!
-//! Three phases:
+//! Two phases:
 //!
 //! 1. **Correctness gate** (before any timing): for representative
 //!    workloads the cached response is asserted bit-identical (the
@@ -17,17 +17,8 @@
 //!    worker count. The cache-on hit rate must reach ≥ 0.5 (it lands near
 //!    1.0: the pool is tiny relative to the stream) and at one worker the
 //!    cache must lift stream throughput ≥ 1.2× over cold replay.
-//! 3. **Heavy-plan worker scaling** — a single 128-operator pipeline,
-//!    cache off, per worker count. Speedup assertions are gated on
-//!    `std::thread::available_parallelism()` exactly like
-//!    `fig03_parallel_scaling`: ≥ 1.5× at 4 workers needs ≥ 4 hardware
-//!    threads, ≥ 1.1× on 2–3, and a single-core host (where the clamp
-//!    collapses every worker count to one, making the entries replicates)
-//!    gets a pooled ≥ 0.65× overhead regression guard instead of a
-//!    speedup claim.
 //!
-//! `--quick` shrinks the stream and sweeps for CI smoke coverage. Writes
-//! `EXPERIMENTS_OUTPUT/fig_service_throughput.txt` and
+//! Writes `EXPERIMENTS_OUTPUT/fig_service_throughput.txt` and
 //! `BENCH_service.json` (shared schema: `<prefix>_ms`, `<prefix>_p95_ms`,
 //! `<prefix>_per_s`) at the repository root.
 
@@ -44,68 +35,47 @@ const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Light-to-heavy workload pool. The Zipf-ish index bias (`idx ∝ r²`)
 /// makes low indices frequent, so ordering light → heavy keeps cold
 /// replay affordable while still exercising big plans.
-fn pool(quick: bool) -> Vec<WorkloadSpec> {
-    if quick {
-        vec![
-            WorkloadSpec::WordCount { scale: 1e5 },
-            WorkloadSpec::WordCount { scale: 1e7 },
-            WorkloadSpec::TpchQ3 { scale: 1e6 },
-            WorkloadSpec::Pipeline {
-                ops: 12,
-                scale: 1e5,
-            },
-            WorkloadSpec::RandomDag {
-                seed: 7,
-                ops: 10,
-                density: 0.3,
-            },
-            WorkloadSpec::Pipeline {
-                ops: 24,
-                scale: 1e6,
-            },
-        ]
-    } else {
-        vec![
-            WorkloadSpec::WordCount { scale: 1e5 },
-            WorkloadSpec::WordCount { scale: 1e7 },
-            WorkloadSpec::TpchQ3 { scale: 1e5 },
-            WorkloadSpec::TpchQ3 { scale: 1e6 },
-            WorkloadSpec::Pipeline {
-                ops: 12,
-                scale: 1e5,
-            },
-            WorkloadSpec::RandomDag {
-                seed: 7,
-                ops: 10,
-                density: 0.3,
-            },
-            WorkloadSpec::Pipeline {
-                ops: 16,
-                scale: 1e6,
-            },
-            WorkloadSpec::RandomDag {
-                seed: 11,
-                ops: 14,
-                density: 0.5,
-            },
-            WorkloadSpec::Pipeline {
-                ops: 24,
-                scale: 1e5,
-            },
-            WorkloadSpec::Pipeline {
-                ops: 32,
-                scale: 1e6,
-            },
-            WorkloadSpec::Pipeline {
-                ops: 48,
-                scale: 1e5,
-            },
-            WorkloadSpec::Pipeline {
-                ops: 64,
-                scale: 1e6,
-            },
-        ]
-    }
+fn pool() -> Vec<WorkloadSpec> {
+    vec![
+        WorkloadSpec::WordCount { scale: 1e5 },
+        WorkloadSpec::WordCount { scale: 1e7 },
+        WorkloadSpec::TpchQ3 { scale: 1e5 },
+        WorkloadSpec::TpchQ3 { scale: 1e6 },
+        WorkloadSpec::Pipeline {
+            ops: 12,
+            scale: 1e5,
+        },
+        WorkloadSpec::RandomDag {
+            seed: 7,
+            ops: 10,
+            density: 0.3,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 16,
+            scale: 1e6,
+        },
+        WorkloadSpec::RandomDag {
+            seed: 11,
+            ops: 14,
+            density: 0.5,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 24,
+            scale: 1e5,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 32,
+            scale: 1e6,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 48,
+            scale: 1e5,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 64,
+            scale: 1e6,
+        },
+    ]
 }
 
 /// Seeded Zipf-ish stream of pool indices: squaring the uniform draw
@@ -161,33 +131,6 @@ fn stream_throughput(
     }
 }
 
-struct HeavyEntry {
-    workers: usize,
-    ops: usize,
-    optimize_ms: f64,
-    optimize_p95_ms: f64,
-    optimize_per_s: f64,
-}
-
-/// Time one cache-off heavy-plan request per iteration at `workers`.
-fn heavy_scaling(ops: usize, workers: usize, warmup: usize, iters: usize) -> HeavyEntry {
-    let mut opt = Optimizer::named();
-    opt.set_cache_enabled(false);
-    let req = OptimizeRequest::new(WorkloadSpec::Pipeline { ops, scale: 1e5 })
-        .with_policy(ExecutionPolicy::default().with_workers(workers));
-    let t = bench(warmup, iters, || {
-        let resp = opt.optimize(&req).expect("heavy optimize");
-        std::hint::black_box(resp.cost);
-    });
-    HeavyEntry {
-        workers,
-        ops,
-        optimize_ms: t.median_ms(),
-        optimize_p95_ms: t.p95_ms(),
-        optimize_per_s: t.per_second(1),
-    }
-}
-
 /// Phase 1: assert the cache and worker-count bit-identity contracts on
 /// `specs` before any timing. Panics (exit ≠ 0) on violation.
 fn correctness_gate(specs: &[WorkloadSpec]) {
@@ -238,22 +181,10 @@ fn correctness_gate(specs: &[WorkloadSpec]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (stream_n, warmup, iters) = (400, 1, 5);
 
-    let (stream_n, heavy_ops, worker_sweep, warmup, iters): (
-        usize,
-        usize,
-        Vec<usize>,
-        usize,
-        usize,
-    ) = if quick {
-        (60, 32, vec![1, 2], 1, 3)
-    } else {
-        (400, 128, WORKER_SWEEP.to_vec(), 1, 5)
-    };
-
-    let specs = pool(quick);
+    let specs = pool();
     let idxs = stream_indices(specs.len(), stream_n, STREAM_SEED);
     let mut distinct: Vec<usize> = idxs.clone();
     distinct.sort_unstable();
@@ -263,30 +194,23 @@ fn main() {
     correctness_gate(&specs);
 
     // Phase 2 — stream throughput, cache on and off, per worker count.
-    let cache_on: Vec<StreamEntry> = worker_sweep
+    let cache_on: Vec<StreamEntry> = WORKER_SWEEP
         .iter()
         .map(|&w| stream_throughput(&specs, &idxs, w, true, warmup, iters))
         .collect();
-    let cache_off: Vec<StreamEntry> = worker_sweep
+    let cache_off: Vec<StreamEntry> = WORKER_SWEEP
         .iter()
         .map(|&w| stream_throughput(&specs, &idxs, w, false, warmup, iters))
-        .collect();
-
-    // Phase 3 — heavy-plan worker scaling, cache off.
-    let heavy: Vec<HeavyEntry> = worker_sweep
-        .iter()
-        .map(|&w| heavy_scaling(heavy_ops, w, warmup, iters))
         .collect();
 
     let mut report = String::new();
     let _ = writeln!(
         report,
         "Service throughput: requests/s through the Optimizer facade \
-         ({} workloads, {} requests, {} distinct, {hw_threads} hw threads{})",
+         ({} workloads, {} requests, {} distinct, {hw_threads} hw threads)",
         specs.len(),
         stream_n,
-        distinct.len(),
-        if quick { ", --quick" } else { "" }
+        distinct.len()
     );
     let _ = writeln!(report);
     let _ = writeln!(
@@ -319,25 +243,6 @@ fn main() {
             }
         }
     }
-    let _ = writeln!(report);
-    let _ = writeln!(report, "heavy plan (pipeline, {heavy_ops} ops, cache off):");
-    let _ = writeln!(
-        report,
-        "{:>7} {:>14} {:>14} {:>12} {:>9}",
-        "workers", "optimize ms", "p95 ms", "plans/s", "speedup"
-    );
-    let heavy_base = heavy[0].optimize_ms;
-    for e in &heavy {
-        let _ = writeln!(
-            report,
-            "{:>7} {:>14.4} {:>14.4} {:>12.2} {:>8.2}x",
-            e.workers,
-            e.optimize_ms,
-            e.optimize_p95_ms,
-            e.optimize_per_s,
-            heavy_base / e.optimize_ms
-        );
-    }
 
     let mut failed = false;
     let mut check = |report: &mut String, line: String, ok: bool| {
@@ -367,57 +272,6 @@ fn main() {
         format!("cache lifts 1-worker stream throughput >= 1.2x (measured {lift:.2}x)"),
         lift >= 1.2,
     );
-    // Hardware-gated heavy-plan scaling, mirroring fig03: on a clamped
-    // single-core host all worker counts run one worker, so the entries
-    // are replicates and the pooled guard only polices overhead.
-    let speedup_at = |w: usize| {
-        heavy
-            .iter()
-            .find(|e| e.workers == w)
-            .map_or(0.0, |e| heavy_base / e.optimize_ms)
-    };
-    let best_multi = heavy
-        .iter()
-        .filter(|e| e.workers > 1)
-        .map(|e| heavy_base / e.optimize_ms)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if quick {
-        let (bound, label, got) = if hw_threads >= 2 {
-            (
-                1.0,
-                "heavy speedup >= 1.0 at 2 workers (hw >= 2)",
-                speedup_at(2),
-            )
-        } else {
-            (
-                0.5,
-                "heavy speedup >= 0.5 overhead guard (single-core host, 32-op plan)",
-                best_multi,
-            )
-        };
-        check(&mut report, format!("{label}: {got:.2}x"), got >= bound);
-    } else {
-        let (bound, label, got) = if hw_threads >= 4 {
-            (
-                1.5,
-                "heavy speedup >= 1.5x at 4 workers (hw >= 4)",
-                speedup_at(4),
-            )
-        } else if hw_threads >= 2 {
-            (
-                1.1,
-                "heavy speedup >= 1.1x at 4 workers (hw 2-3)",
-                speedup_at(4),
-            )
-        } else {
-            (
-                0.65,
-                "heavy speedup >= 0.65 overhead guard (single-core host, replicates pooled)",
-                best_multi,
-            )
-        };
-        check(&mut report, format!("{label}: {got:.2}x"), got >= bound);
-    }
     print!("{report}");
 
     let root = repo_root();
@@ -431,7 +285,6 @@ fn main() {
     // Hand-rendered JSON (offline environment: no serde_json).
     let mut json = String::from("{\n  \"experiment\": \"fig_service_throughput\",\n");
     let _ = writeln!(json, "  \"hw_threads\": {hw_threads},");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"iters\": {iters},");
     let _ = writeln!(
         json,
@@ -468,21 +321,6 @@ fn main() {
             e.workers, e.stream_ms, e.stream_p95_ms, e.requests_per_s
         );
         json.push_str(if i + 1 < cache_off.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"heavy\": [\n");
-    for (i, e) in heavy.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"workers\": {}, \"ops\": {}, \"optimize_ms\": {:.6}, \
-             \"optimize_p95_ms\": {:.6}, \"optimize_per_s\": {:.3}, \"speedup\": {:.3}}}",
-            e.workers,
-            e.ops,
-            e.optimize_ms,
-            e.optimize_p95_ms,
-            e.optimize_per_s,
-            heavy_base / e.optimize_ms
-        );
-        json.push_str(if i + 1 < heavy.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
     fs::write(root.join("BENCH_service.json"), json).expect("write BENCH_service.json");

@@ -22,7 +22,7 @@ use std::io::{BufRead, BufReader, Write};
 use robopt::{
     parse_request, render_response, BackendChoice, CompareRequest, ExecuteRequest, ExecutionPolicy,
     OptimizeRequest, Optimizer, Request, Response, RiskPolicy, ServiceError, SimulateRequest,
-    TrainRequest, TrainSource, WorkloadSpec,
+    TrainRequest, TrainSource, WorkloadParams, WorkloadSpec,
 };
 
 /// Successful run.
@@ -85,7 +85,8 @@ USAGE:
 WORKLOAD FLAGS:
   --workload wordcount|tpch_q3|pipeline|random_dag|pagerank|kmeans
                  (default wordcount)
-  --scale X      input tuples (default 1e7)
+  --scale X      input tuples (default: wordcount 1e7, tpch_q3 1e6,
+                 pipeline/pagerank/kmeans 1e5)
   --ops N        operator count for pipeline/random_dag (default 16)
   --dag-seed N   random_dag shape seed (default 1)
   --density X    random_dag extra-edge probability (default 0.3)
@@ -161,27 +162,15 @@ impl Flags {
 }
 
 fn workload_from_flags(flags: &Flags) -> Result<WorkloadSpec, String> {
-    let scale: f64 = flags.parse("--scale", 1e7)?;
-    let ops: usize = flags.parse("--ops", 16)?;
-    match flags.get("--workload").unwrap_or("wordcount") {
-        "wordcount" => Ok(WorkloadSpec::WordCount { scale }),
-        "tpch_q3" => Ok(WorkloadSpec::TpchQ3 { scale }),
-        "pipeline" => Ok(WorkloadSpec::Pipeline { ops, scale }),
-        "random_dag" => Ok(WorkloadSpec::RandomDag {
-            seed: flags.parse("--dag-seed", 1u64)?,
-            ops,
-            density: flags.parse("--density", 0.3f64)?,
-        }),
-        "pagerank" => Ok(WorkloadSpec::PageRank {
-            scale,
-            iterations: flags.parse("--iterations", 10u32)?,
-        }),
-        "kmeans" => Ok(WorkloadSpec::KMeans {
-            scale,
-            iterations: flags.parse("--iterations", 10u32)?,
-        }),
-        other => Err(format!("unknown workload {other:?}")),
-    }
+    let params = WorkloadParams {
+        scale: flags.parse_opt("--scale")?,
+        ops: flags.parse_opt("--ops")?,
+        seed: flags.parse_opt("--dag-seed")?,
+        density: flags.parse_opt("--density")?,
+        iterations: flags.parse_opt("--iterations")?,
+    };
+    WorkloadSpec::named(flags.get("--workload").unwrap_or("wordcount"), params)
+        .map_err(|e| e.to_string())
 }
 
 /// `--assign java,spark,...` into per-operator platform names (empty flag
@@ -200,16 +189,12 @@ fn assignments_from_flags(flags: &Flags) -> Vec<String> {
 }
 
 fn backend_from_flags(flags: &Flags) -> Result<BackendChoice, String> {
-    match flags.get("--backend").unwrap_or("engine") {
-        "engine" => Ok(BackendChoice::Engine {
-            workers: flags.parse("--engine-workers", 2usize)?,
-        }),
-        "simulator" => Ok(BackendChoice::Simulator {
-            seed: flags.parse("--seed", 42u64)?,
-            noise: flags.parse("--noise", 0.0f64)?,
-        }),
-        other => Err(format!("unknown backend {other:?}")),
-    }
+    BackendChoice::named(
+        flags.get("--backend"),
+        flags.parse_opt("--engine-workers")?,
+        flags.parse_opt("--seed")?,
+        flags.parse_opt("--noise")?,
+    )
 }
 
 /// `--risk expected|sigma<k>|q<q>` into a policy, `None` when absent.
@@ -547,6 +532,84 @@ mod tests {
         assert_eq!(cli, TrainRequest::default());
     }
 
+    fn flags(args: &[&str]) -> Flags {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_flags(&args).expect("well-formed flags")
+    }
+
+    #[test]
+    fn wire_and_cli_agree_on_every_bare_workload_and_backend() {
+        // An unparameterised workload of every kind, through both doors.
+        let kinds = [
+            ("wordcount", WorkloadSpec::WordCount { scale: 1e7 }),
+            ("tpch_q3", WorkloadSpec::TpchQ3 { scale: 1e6 }),
+            (
+                "pipeline",
+                WorkloadSpec::Pipeline {
+                    ops: 16,
+                    scale: 1e5,
+                },
+            ),
+            (
+                "random_dag",
+                WorkloadSpec::RandomDag {
+                    seed: 1,
+                    ops: 16,
+                    density: 0.3,
+                },
+            ),
+            (
+                "pagerank",
+                WorkloadSpec::PageRank {
+                    scale: 1e5,
+                    iterations: 10,
+                },
+            ),
+            (
+                "kmeans",
+                WorkloadSpec::KMeans {
+                    scale: 1e5,
+                    iterations: 10,
+                },
+            ),
+        ];
+        for (kind, expected) in kinds {
+            let line = format!(r#"{{"op":"optimize","workload":{{"kind":"{kind}"}}}}"#);
+            let wire = parse_request(&line).expect("bare wire workload");
+            let cli = workload_from_flags(&flags(&["--workload", kind])).expect("bare cli");
+            assert_eq!(wire, Request::Optimize(OptimizeRequest::new(cli)), "{kind}");
+            assert_eq!(cli, expected, "{kind}");
+        }
+        // An explicit parameter still wins over its kind's default.
+        let cli = workload_from_flags(&flags(&["--workload", "tpch_q3", "--scale", "1e7"]));
+        assert_eq!(cli, Ok(WorkloadSpec::TpchQ3 { scale: 1e7 }));
+
+        // A bare execute on either backend.
+        for (name, expected) in [
+            (None, BackendChoice::Engine { workers: 2 }),
+            (Some("engine"), BackendChoice::default()),
+            (
+                Some("simulator"),
+                BackendChoice::Simulator {
+                    seed: 42,
+                    noise: 0.0,
+                },
+            ),
+        ] {
+            let (field, args) = match name {
+                Some(n) => (format!(r#","backend":"{n}""#), vec!["--backend", n]),
+                None => (String::new(), vec![]),
+            };
+            let line = format!(r#"{{"op":"execute","workload":{{"kind":"wordcount"}}{field}}}"#);
+            let Request::Execute(wire) = parse_request(&line).expect("bare wire execute") else {
+                panic!("execute line parsed as another verb");
+            };
+            let cli = backend_from_flags(&flags(&args)).expect("bare cli backend");
+            assert_eq!(wire.backend, cli, "{name:?}");
+            assert_eq!(cli, expected, "{name:?}");
+        }
+    }
+
     #[test]
     fn serve_loop_survives_garbage_lines() {
         let script = "this is not json\n{\"op\":\"warp\"}\n{\"op\":\"stats\"}\n";
@@ -670,7 +733,7 @@ mod tests {
             workload_from_flags(&flags).expect("workload"),
             WorkloadSpec::Pipeline {
                 ops: 24,
-                scale: 1e7
+                scale: 1e5
             }
         );
     }

@@ -22,6 +22,9 @@
 //! no `EnumMatrix` buffer growth (asserted by `tests/buffer_reuse.rs` via
 //! [`robopt_vector::alloc_events`]).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use robopt_plan::LogicalPlan;
 use robopt_platforms::{PlatformId, PlatformRegistry};
 use robopt_vector::merge::{merge_assignments, merge_feats_many};
@@ -177,84 +180,28 @@ impl EnumStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    /// Boundary operators of the merged scope. Primary key: the pruned
-    /// frontier is bounded by `k^frontier`, and that frontier multiplies
-    /// the staging cost of *every* future merge touching the unit, so
-    /// shrinking it first dominates any one merge's own cross-product.
-    frontier: u32,
-    /// Row count of the larger endpoint unit. Inverted in [`Self::key`]:
-    /// among equal-frontier candidates, *extending* an existing multi-row
-    /// unit wins over pairing two fresh singletons. This keeps merge trees
-    /// linear — a balanced tree merges two k²-row units into a k⁴
-    /// cross-product where the linear tree stages k³ — which is what lets
-    /// split parts (whose interior scopes carry two boundary operators)
-    /// stay within a constant factor of serial enumeration.
-    larger_rows: u64,
-    seq: u32,
-    edge: u32,
-}
+/// Def-3 priority of a candidate contraction, smallest first:
+/// `(frontier, u64::MAX - larger_rows, edge)`.
+///
+/// * `frontier` — boundary operators of the merged scope. Primary key:
+///   the pruned frontier is bounded by `k^frontier`, and that frontier
+///   multiplies the staging cost of *every* future merge touching the
+///   unit, so shrinking it first dominates any one merge's own
+///   cross-product.
+/// * `larger_rows` — row count of the larger endpoint unit, inverted:
+///   among equal-frontier candidates, *extending* an existing multi-row
+///   unit wins over pairing two fresh singletons. This keeps merge trees
+///   linear — a balanced tree merges two k²-row units into a k⁴
+///   cross-product where the linear tree stages k³ — which is what lets
+///   split parts (whose interior scopes carry two boundary operators)
+///   stay within a constant factor of serial enumeration.
+/// * `edge` — the dataflow edge index: FIFO among full ties, and (one
+///   live entry per edge) what makes every key unique, so the pop order
+///   is a function of the keys alone.
+type HeapKey = Reverse<(u32, u64, u32)>;
 
-impl HeapEntry {
-    #[inline]
-    fn key(&self) -> (u32, u64, u32) {
-        (self.frontier, u64::MAX - self.larger_rows, self.seq)
-    }
-}
-
-/// Minimal binary min-heap over a reusable `Vec` (keeps its capacity across
-/// enumeration runs, unlike `std::collections::BinaryHeap` draining).
-#[derive(Debug, Default)]
-struct MinHeap {
-    items: Vec<HeapEntry>,
-}
-
-impl MinHeap {
-    fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    fn push(&mut self, e: HeapEntry) {
-        self.items.push(e);
-        let mut i = self.items.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.items[i].key() < self.items[parent].key() {
-                self.items.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<HeapEntry> {
-        let n = self.items.len();
-        if n == 0 {
-            return None;
-        }
-        self.items.swap(0, n - 1);
-        let top = self.items.pop();
-        let n = self.items.len();
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n && self.items[l].key() < self.items[smallest].key() {
-                smallest = l;
-            }
-            if r < n && self.items[r].key() < self.items[smallest].key() {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.items.swap(i, smallest);
-            i = smallest;
-        }
-        top
-    }
+fn heap_key(frontier: u32, larger_rows: u64, edge: u32) -> HeapKey {
+    Reverse((frontier, u64::MAX - larger_rows, edge))
 }
 
 /// One live node of the enumeration graph: the scope it covers and the
@@ -277,7 +224,7 @@ pub struct Enumerator {
     pool: Vec<EnumMatrix>,
     units: Vec<Option<Unit>>,
     parent: Vec<u32>,
-    heap: MinHeap,
+    heap: BinaryHeap<HeapKey>,
     fp_map: FootprintTable,
     scratch_feats: Vec<f64>,
     scratch_assign: Vec<u8>,
@@ -546,16 +493,13 @@ impl Enumerator {
             let (rows_u, scope_u) = self.unit_shape(ra);
             let (rows_v, scope_v) = self.unit_shape(rb);
             let frontier = Self::boundary_count(plan, scope_u.union(scope_v));
-            self.heap.push(HeapEntry {
-                frontier,
-                larger_rows: rows_u.max(rows_v) as u64,
-                seq: e,
-                edge: e,
-            });
+            self.heap
+                .push(heap_key(frontier, rows_u.max(rows_v) as u64, e));
         }
 
-        while let Some(entry) = self.heap.pop() {
-            let (eu, ev) = plan.edges()[entry.edge as usize];
+        while let Some(Reverse(entry)) = self.heap.pop() {
+            let edge = entry.2;
+            let (eu, ev) = plan.edges()[edge as usize];
             let ra = self.find(eu);
             let rb = self.find(ev);
             if ra == rb {
@@ -564,13 +508,10 @@ impl Enumerator {
             let (rows_a, scope_a) = self.unit_shape(ra);
             let (rows_b, scope_b) = self.unit_shape(rb);
             let frontier = Self::boundary_count(plan, scope_a.union(scope_b));
-            let larger_rows = rows_a.max(rows_b) as u64;
-            if (frontier, larger_rows) != (entry.frontier, entry.larger_rows) {
-                self.heap.push(HeapEntry {
-                    frontier,
-                    larger_rows,
-                    ..entry
-                });
+            // Stale priority (an endpoint grew since the push): requeue.
+            let fresh = heap_key(frontier, rows_a.max(rows_b) as u64, edge);
+            if fresh.0 != entry {
+                self.heap.push(fresh);
                 continue;
             }
 
@@ -734,7 +675,6 @@ impl Enumerator {
     /// Run Algorithm 1. The plan must be sealed and connected; the layout's
     /// platform dimension must match the registry carried by `opts`, and the
     /// oracle carried by `opts` must expect the layout's row width.
-    // lint:surface(deterministic)
     pub fn enumerate(
         &mut self,
         plan: &LogicalPlan,

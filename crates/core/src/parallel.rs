@@ -96,7 +96,6 @@ impl ParallelEnumerator {
     /// Run split-based enumeration. Same contract as
     /// [`Enumerator::enumerate`]; additionally the result is bit-identical
     /// across thread counts (see the module docs).
-    // lint:surface(deterministic)
     pub fn enumerate(
         &mut self,
         plan: &LogicalPlan,
@@ -120,7 +119,7 @@ impl ParallelEnumerator {
         // (forest-style tiling); `thread::scope` joins them all and
         // propagates panics, so no thread outlives this call.
         let hw = if self.hardware_clamp {
-            // lint:allow(determinism-taint) the worker count only tiles the part blocks; merge order and result bytes are identical for every thread count (asserted across 1..=4 workers by parallel_matches_serial)
+            // lint:allow(wall-clock) the worker count only tiles the part blocks; merge order and result bytes are identical for every thread count (asserted across 1..=4 workers by parallel_matches_serial)
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             usize::MAX

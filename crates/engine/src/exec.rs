@@ -145,7 +145,6 @@ impl<'a> Engine<'a> {
 
     /// Run `plan` and keep the terminal record streams (the trait method
     /// [`ExecutionBackend::execute`] drops them).
-    // lint:surface(deterministic)
     pub fn execute_collect(
         &self,
         plan: &LogicalPlan,
@@ -580,7 +579,6 @@ impl ExecutionBackend for Engine<'_> {
         "engine"
     }
 
-    // lint:surface(deterministic)
     fn execute(&self, plan: &LogicalPlan, assignments: &[PlatformId]) -> ExecutionReport {
         self.execute_collect(plan, assignments).report
     }

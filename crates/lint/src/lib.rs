@@ -13,12 +13,8 @@
 //!   inside literals or docs);
 //! * [`workspace`] — file discovery, crate classification,
 //!   `#[cfg(test)]` masking;
-//! * [`parser`] — lightweight item parser: `fn` items, `impl`/`trait`
-//!   blocks, `use` bindings;
-//! * [`callgraph`] — the workspace-wide symbol-resolved call graph
-//!   (conservative over-approximation through `&dyn` seams);
-//! * [`taint`] — the interprocedural determinism-taint and
-//!   panic-reachability passes (rules 17–18);
+//! * [`parser`] — lightweight item parser: `fn`, `impl` and `struct`
+//!   spans, the one item model every item-shaped rule reads;
 //! * [`rules`] — the rule engine and the [`rules::RULES`] table;
 //! * [`report`] — rustc-style diagnostics and the hand-rendered JSON
 //!   report behind `--fix-report`.
@@ -26,23 +22,17 @@
 //! Suppression: a trailing or immediately preceding
 //! `// lint:allow(<rule-id>) <justification>` comment — or one on the
 //! enclosing fn's signature line — turns a violation into an audited
-//! [`report::Suppression`]; empty justifications do not count. The
-//! interprocedural passes additionally read
-//! `// lint:surface(deterministic)` / `// lint:surface(no-panic)` markers
-//! declaring the surface they protect.
+//! [`report::Suppression`]; empty justifications do not count.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod taint;
 pub mod workspace;
 
-pub use callgraph::{CallGraph, GraphSummary};
 pub use report::{Diagnostic, LintError, LintOutcome, Suppression};
 pub use rules::{check, RULES};
 
@@ -50,14 +40,5 @@ use std::path::Path;
 
 /// Lint the workspace rooted at `root`: load, classify, run every rule.
 pub fn run_lint(root: &Path) -> Result<LintOutcome, LintError> {
-    run_lint_graph(root).map(|(outcome, _)| outcome)
-}
-
-/// Like [`run_lint`], but also returns the call graph the interprocedural
-/// passes ran over (for the `lint_callgraph.json` CI artifact).
-pub fn run_lint_graph(root: &Path) -> Result<(LintOutcome, CallGraph), LintError> {
-    let ws = workspace::load(root)?;
-    let graph = callgraph::build(&ws);
-    let outcome = rules::check_with_graph(&ws, &graph);
-    Ok((outcome, graph))
+    Ok(rules::check(&workspace::load(root)?))
 }

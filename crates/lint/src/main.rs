@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use robopt_lint::{callgraph, run_lint_graph, RULES};
+use robopt_lint::{run_lint, RULES};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let (outcome, graph) = match run_lint_graph(&root) {
+    let outcome = match run_lint(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
@@ -72,25 +72,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         eprintln!("robopt-lint: report written to {}", path.display());
-        // The call graph goes next to the report as its own artifact.
-        let graph_path = path.with_file_name("lint_callgraph.json");
-        let graph_json = callgraph::to_json(&graph, &outcome.graph);
-        if let Err(e) = std::fs::write(&graph_path, graph_json) {
-            eprintln!("robopt-lint: cannot write {}: {e}", graph_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "robopt-lint: call graph written to {}",
-            graph_path.display()
-        );
     }
     eprintln!(
-        "robopt-lint: {} file(s), {} fn(s) in {} crate(s), {} call edge(s), \
-         {} violation(s), {} justified suppression(s)",
+        "robopt-lint: {} file(s), {} violation(s), {} justified suppression(s)",
         outcome.files_scanned,
-        outcome.graph.functions,
-        outcome.graph.crates,
-        outcome.graph.edges,
         outcome.violations.len(),
         outcome.allowed.len()
     );

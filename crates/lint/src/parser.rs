@@ -1,71 +1,83 @@
 //! A lightweight Rust *item* parser on top of the line lexer.
 //!
 //! [`crate::lexer::scan`] gives every rule comment-free, literal-blanked
-//! code text; this module recovers the item structure the interprocedural
-//! passes need: `fn` items (free functions, inherent and trait-impl
-//! methods, trait declarations with default bodies), the `impl` / `trait`
-//! blocks that scope them, and `use` declarations (including groups,
-//! renames and globs) so cross-crate calls can be path-resolved.
+//! code text; this module recovers the item structure the rules read, so
+//! no rule brace-matches on its own: `fn` items with their signature and
+//! body spans, `impl` blocks with the trait and type they name, and
+//! `struct` items with their named fields.
 //!
 //! It is deliberately *not* a full Rust parser. The workspace is
-//! rustfmt-formatted, which the parser leans on in exactly two places:
-//! `impl` and `trait` headers start their line (so `-> impl Iterator`
-//! return types are never mistaken for blocks), and a `fn` signature never
-//! shares its line with an unrelated earlier `{`. Everything else —
-//! multi-line signatures, where-clauses, nested modules, `#[cfg(test)]`
-//! items — is handled structurally via brace matching.
+//! rustfmt-formatted, which the parser leans on in exactly three places:
+//! an `impl` header starts its line (so `-> impl Iterator` return types
+//! are never mistaken for blocks), a `fn` signature never shares its line
+//! with an unrelated earlier `{`, and a named struct field starts its
+//! line. Everything else — multi-line signatures, where-clauses, nested
+//! modules, `#[cfg(test)]` items — is handled structurally via brace
+//! matching.
 
 use crate::lexer::{find_word, LineScan};
 use crate::workspace::{find_code_char, match_brace};
-
-/// One `use` binding: the in-scope name and the full path it stands for.
-/// Glob imports bind the special alias `*`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseBinding {
-    /// Name the binding introduces (`alias` in `use a::b as alias`; the
-    /// last path segment otherwise; `*` for globs).
-    pub alias: String,
-    /// Full path segments, e.g. `["robopt_core", "enumerate", "EnumOptions"]`.
-    pub path: Vec<String>,
-}
 
 /// One `fn` item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnItem {
     pub name: String,
-    /// The `impl`/`trait` type this fn is a method of (`Engine` for
-    /// `impl ExecutionBackend for Engine`); `None` for free functions.
-    pub self_ty: Option<String>,
-    /// Trait name when the enclosing block is `impl Trait for Type` or a
-    /// `trait Trait { … }` declaration.
-    pub trait_name: Option<String>,
     pub is_pub: bool,
     /// 0-based line of the `fn` keyword.
     pub sig_line: usize,
-    /// `(open-brace line, close-brace line)`; `None` for bodyless trait
-    /// method declarations.
-    pub body: Option<(usize, usize)>,
-    /// Column of the opening brace on its line (calls are scanned from
-    /// there, so sibling signature text is never misread as body code).
-    pub body_open_col: usize,
+    /// Line of the `{` or `;` that ends the signature.
+    pub sig_end: usize,
+    /// Line of the closing brace (the body spans `sig_end..=body_end`);
+    /// `None` for bodyless trait method declarations.
+    pub body_end: Option<usize>,
     /// The fn sits inside a `#[cfg(test)]` item.
     pub in_test: bool,
+}
+
+/// One `impl` block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImplItem {
+    /// Lines of the `impl` keyword and of the closing brace.
+    pub start: usize,
+    pub end: usize,
+    /// `Engine` for `impl ExecutionBackend for Engine<'a>`.
+    pub self_ty: String,
+    /// `ExecutionBackend` above; `None` for inherent impls.
+    pub trait_name: Option<String>,
+}
+
+/// One named field of a braced struct.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldItem {
+    pub name: String,
+    /// Plain `pub` (restricted visibility such as `pub(crate)` is not).
+    pub is_pub: bool,
+    pub line: usize,
+}
+
+/// One braced `struct` item (tuple and unit structs have no named fields
+/// and are not recorded).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StructItem {
+    pub name: String,
+    pub is_pub: bool,
+    pub fields: Vec<FieldItem>,
 }
 
 /// Everything parsed out of one source file.
 #[derive(Debug, Clone, Default)]
 pub struct FileItems {
     pub fns: Vec<FnItem>,
-    pub uses: Vec<UseBinding>,
+    pub impls: Vec<ImplItem>,
+    pub structs: Vec<StructItem>,
 }
 
-/// An `impl`/`trait` block span scoping the methods inside it.
-#[derive(Debug, Clone)]
-struct ContainerSpan {
-    start: usize,
-    end: usize,
-    self_ty: String,
-    trait_name: Option<String>,
+/// The identifier `s` starts with (empty if it starts with none).
+fn leading_ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !c.is_alphanumeric() && c != '_')
+        .unwrap_or(s.len());
+    s.get(..end).unwrap_or("")
 }
 
 /// Last path segment of a type expression, generics/refs stripped:
@@ -90,76 +102,56 @@ fn last_type_segment(expr: &str) -> String {
         .collect()
 }
 
-/// First `{` or `;` at *bracket depth zero* from `(li, ci)` — the char
-/// that ends an item header. Semicolons inside `(...)` / `[...]` (array
-/// types like `[f64; N]` in parameters or return position) are part of the
-/// signature, not a bodyless-declaration terminator.
-fn find_header_end(lines: &[LineScan], li: usize, ci: usize) -> Option<(usize, usize)> {
+/// Span of the item whose header starts at `(li, ci)`: line and column of
+/// the first `{` or `;` at *bracket depth zero* — semicolons inside `(...)`
+/// / `[...]` (array types like `[f64; N]` in a signature) do not end a
+/// header — and, when that char is `{`, the line of its matching `}`.
+pub(crate) fn item_span(
+    lines: &[LineScan],
+    li: usize,
+    ci: usize,
+) -> Option<(usize, usize, Option<usize>)> {
     let mut depth = 0i32;
     let mut cur = (li, ci);
     loop {
         let (bl, bc) = find_code_char(lines, cur.0, cur.1, |c| {
             matches!(c, '{' | ';' | '(' | ')' | '[' | ']')
         })?;
-        let c = lines
-            .get(bl)
-            .and_then(|l| l.code.get(bc..))
-            .and_then(|s| s.chars().next())?;
+        let c = lines.get(bl)?.code.get(bc..)?.chars().next()?;
         match c {
             '(' | '[' => depth += 1,
             ')' | ']' => depth -= 1,
-            _ if depth == 0 => return Some((bl, bc)),
+            '{' if depth == 0 => {
+                return Some((bl, bc, Some(match_brace(lines, bl, bc).unwrap_or(bl))))
+            }
+            ';' if depth == 0 => return Some((bl, bc, None)),
             _ => {}
         }
         cur = (bl, bc + 1);
     }
 }
 
-/// Parse the `impl`/`trait` container blocks of a file.
-fn parse_containers(lines: &[LineScan]) -> Vec<ContainerSpan> {
+/// Parse the `impl` blocks of a file.
+fn parse_impls(lines: &[LineScan]) -> Vec<ImplItem> {
     let mut out = Vec::new();
-    for li in 0..lines.len() {
-        let code = lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-        let trimmed = code.trim_start();
-        let (kw, is_trait) = if trimmed.starts_with("impl") {
-            ("impl", false)
-        } else if trimmed.starts_with("trait ")
-            || trimmed.starts_with("pub trait ")
-            || trimmed.starts_with("pub(crate) trait ")
-        {
-            ("trait", true)
-        } else {
+    for (li, line) in lines.iter().enumerate() {
+        let code = line.code.as_str();
+        // `impl` must start the line as a keyword, not an identifier prefix.
+        let Some(rest) = code.trim_start().strip_prefix("impl") else {
             continue;
         };
-        // `impl` must be the keyword, not a prefix of an identifier.
-        let kw_at = match code.find(kw) {
-            Some(at) => at,
-            None => continue,
-        };
-        let after = code
-            .get(kw_at + kw.len()..)
-            .and_then(|s| s.chars().next())
-            .unwrap_or(' ');
-        if after.is_alphanumeric() || after == '_' {
+        if !leading_ident(rest).is_empty() {
             continue;
         }
-        let Some((bl, bc)) = find_header_end(lines, li, kw_at) else {
+        let kw_end = code.len() - rest.len();
+        let Some((bl, bc, Some(end))) = item_span(lines, li, kw_end) else {
             continue;
         };
-        let opens = lines
-            .get(bl)
-            .and_then(|l| l.code.get(bc..))
-            .and_then(|s| s.chars().next())
-            == Some('{');
-        if !opens {
-            continue; // `trait Marker: Base;`-style item, no methods
-        }
-        let end = match_brace(lines, bl, bc).unwrap_or(bl);
         // Header text between the keyword and the opening brace.
         let mut header = String::new();
         for (i, l) in lines.iter().enumerate().take(bl + 1).skip(li) {
             let s = l.code.as_str();
-            let lo = if i == li { kw_at + kw.len() } else { 0 };
+            let lo = if i == li { kw_end } else { 0 };
             let hi = if i == bl { bc } else { s.len() };
             header.push_str(s.get(lo..hi).unwrap_or(""));
             header.push(' ');
@@ -186,26 +178,21 @@ fn parse_containers(lines: &[LineScan]) -> Vec<ContainerSpan> {
         } else {
             header
         };
-        let (self_ty, trait_name) = if is_trait {
-            (last_type_segment(header), None)
-        } else {
-            match split_on_for(header) {
-                Some((trait_part, type_part)) => (
-                    last_type_segment(type_part),
-                    Some(last_type_segment(trait_part)),
-                ),
-                None => (last_type_segment(header), None),
-            }
+        let (self_ty, trait_name) = match split_on_for(header) {
+            Some((trait_part, type_part)) => (
+                last_type_segment(type_part),
+                Some(last_type_segment(trait_part)),
+            ),
+            None => (last_type_segment(header), None),
         };
-        if self_ty.is_empty() {
-            continue;
+        if !self_ty.is_empty() {
+            out.push(ImplItem {
+                start: li,
+                end,
+                self_ty,
+                trait_name,
+            });
         }
-        out.push(ContainerSpan {
-            start: li,
-            end,
-            self_ty,
-            trait_name,
-        });
     }
     out
 }
@@ -234,179 +221,65 @@ fn split_on_for(header: &str) -> Option<(&str, &str)> {
     None
 }
 
-/// Parse the `use` declarations of a file into flat alias bindings.
-fn parse_uses(lines: &[LineScan]) -> Vec<UseBinding> {
-    let mut out = Vec::new();
-    for li in 0..lines.len() {
-        let code = lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-        let trimmed = code.trim_start();
-        let rest = trimmed
-            .strip_prefix("pub use ")
-            .or_else(|| trimmed.strip_prefix("pub(crate) use "))
-            .or_else(|| trimmed.strip_prefix("use "));
-        let Some(rest) = rest else { continue };
-        // Gather the declaration text up to its terminating `;`.
-        let mut decl = String::new();
-        let mut done = false;
-        decl.push_str(rest);
-        if let Some(p) = decl.find(';') {
-            decl.truncate(p);
-            done = true;
-        }
-        let mut nl = li + 1;
-        while !done && nl < lines.len() {
-            let c = lines.get(nl).map(|l| l.code.as_str()).unwrap_or("");
-            match c.find(';') {
-                Some(p) => {
-                    decl.push_str(c.get(..p).unwrap_or(""));
-                    done = true;
-                }
-                None => decl.push_str(c),
-            }
-            nl += 1;
-        }
-        flatten_use_tree(&decl, &mut Vec::new(), &mut out);
-    }
-    out
-}
-
-/// Recursively flatten a use-tree (`a::{b, c::d as e, f::*}`) into
-/// bindings under `prefix`.
-fn flatten_use_tree(tree: &str, prefix: &mut Vec<String>, out: &mut Vec<UseBinding>) {
-    let tree = tree.trim();
-    if tree.is_empty() {
-        return;
-    }
-    // Split `head::{group}` / `head::tail` / leaf.
-    if let Some(brace) = tree.find('{') {
-        // Everything before the brace is path segments ending with `::`.
-        let head = tree
-            .get(..brace)
-            .unwrap_or("")
-            .trim()
-            .trim_end_matches("::");
-        let depth_added: Vec<String> = head
-            .split("::")
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| s.trim().to_string())
-            .collect();
-        prefix.extend(depth_added.iter().cloned());
-        let inner = tree
-            .get(brace + 1..)
-            .unwrap_or("")
-            .trim_end()
-            .trim_end_matches('}');
-        for part in split_top_level(inner) {
-            flatten_use_tree(&part, prefix, out);
-        }
-        prefix.truncate(prefix.len() - depth_added.len());
-        return;
-    }
-    // Leaf: `a::b::c [as alias]` or glob `a::b::*`.
-    let (path_text, alias) = match find_word(tree, "as").first() {
-        Some(&at) => (
-            tree.get(..at).unwrap_or("").trim(),
-            Some(tree.get(at + 2..).unwrap_or("").trim().to_string()),
-        ),
-        None => (tree, None),
+/// The named field a struct-body line declares, if it declares one.
+fn parse_field(code: &str, line: usize) -> Option<FieldItem> {
+    let t = code.trim_start();
+    let (is_pub, rest) = match t.strip_prefix("pub") {
+        Some(r) if r.starts_with(' ') => (true, r.trim_start()),
+        Some(r) if r.starts_with('(') => (false, r.split_once(')')?.1.trim_start()),
+        _ => (false, t),
     };
-    let mut path: Vec<String> = prefix.clone();
-    for seg in path_text.split("::") {
-        let seg = seg.trim();
-        if !seg.is_empty() {
-            path.push(seg.to_string());
-        }
-    }
-    if path.is_empty() {
-        return;
-    }
-    let alias = alias.unwrap_or_else(|| path.last().cloned().unwrap_or_default());
-    out.push(UseBinding { alias, path });
-}
-
-/// Split a use-group body on top-level commas (nested `{}` kept intact).
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut depth = 0i32;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '{' => {
-                depth += 1;
-                cur.push(c);
-            }
-            '}' => {
-                depth -= 1;
-                cur.push(c);
-            }
-            ',' if depth == 0 => {
-                parts.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        parts.push(cur);
-    }
-    parts
+    let name = leading_ident(rest);
+    let is_field = !name.is_empty() && rest.get(name.len()..)?.trim_start().starts_with(':');
+    is_field.then(|| FieldItem {
+        name: name.to_string(),
+        is_pub,
+        line,
+    })
 }
 
 /// Parse one lexed file into its items.
 pub fn parse_file(lines: &[LineScan], test_mask: &[bool]) -> FileItems {
-    let containers = parse_containers(lines);
-    let mut fns = Vec::new();
-    for li in 0..lines.len() {
-        let code = lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
+    let mut items = FileItems {
+        impls: parse_impls(lines),
+        ..FileItems::default()
+    };
+    for (li, line) in lines.iter().enumerate() {
+        let code = line.code.as_str();
+        let is_pub = |at: usize| !find_word(code.get(..at).unwrap_or(""), "pub").is_empty();
         for at in find_word(code, "fn") {
             // Name: the identifier after `fn` (skipping whitespace). `fn(`
             // pointer types and `Fn` bounds produce no name and are skipped.
-            let after = code.get(at + 2..).unwrap_or("");
-            let name: String = after
-                .trim_start()
-                .chars()
-                .take_while(|&c| c.is_alphanumeric() || c == '_')
-                .collect();
-            if name.is_empty() || name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
+            let name = leading_ident(code.get(at + 2..).unwrap_or("").trim_start());
+            if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
                 continue;
             }
-            let is_pub = !find_word(code.get(..at).unwrap_or(""), "pub").is_empty();
-            let (body, body_open_col) = match find_header_end(lines, li, at) {
-                Some((bl, bc)) => {
-                    let opens = lines
-                        .get(bl)
-                        .and_then(|l| l.code.get(bc..))
-                        .and_then(|s| s.chars().next())
-                        == Some('{');
-                    if opens {
-                        let end = match_brace(lines, bl, bc).unwrap_or(bl);
-                        (Some((bl, end)), bc)
-                    } else {
-                        (None, 0)
-                    }
-                }
-                None => (None, 0),
-            };
-            // Innermost container whose span covers the signature line.
-            let container = containers
-                .iter()
-                .filter(|c| c.start <= li && li <= c.end)
-                .min_by_key(|c| c.end - c.start);
-            fns.push(FnItem {
-                name,
-                self_ty: container.map(|c| c.self_ty.clone()),
-                trait_name: container.and_then(|c| c.trait_name.clone()),
-                is_pub,
+            let (sig_end, _, body_end) = item_span(lines, li, at).unwrap_or((li, 0, None));
+            items.fns.push(FnItem {
+                name: name.to_string(),
+                is_pub: is_pub(at),
                 sig_line: li,
-                body,
-                body_open_col,
+                sig_end,
+                body_end,
                 in_test: test_mask.get(li).copied().unwrap_or(false),
             });
         }
+        for at in find_word(code, "struct") {
+            let name = leading_ident(code.get(at + "struct".len()..).unwrap_or("").trim_start());
+            let Some((bl, _, Some(end))) = item_span(lines, li, at) else {
+                continue;
+            };
+            let fields = (bl..=end)
+                .filter_map(|fl| parse_field(lines.get(fl)?.code.as_str(), fl))
+                .collect();
+            items.structs.push(StructItem {
+                name: name.to_string(),
+                is_pub: is_pub(at),
+                fields,
+            });
+        }
     }
-    FileItems {
-        fns,
-        uses: parse_uses(lines),
-    }
+    items
 }
 
 /// Map every line to the signature line of its innermost enclosing fn
@@ -415,7 +288,7 @@ pub fn enclosing_fn_sig(items: &FileItems, n_lines: usize) -> Vec<Option<usize>>
     let mut sig: Vec<Option<usize>> = vec![None; n_lines];
     let mut span: Vec<usize> = vec![usize::MAX; n_lines];
     for f in &items.fns {
-        let Some((_, end)) = f.body else { continue };
+        let Some(end) = f.body_end else { continue };
         let width = end.saturating_sub(f.sig_line);
         for li in f.sig_line..=end.min(n_lines.saturating_sub(1)) {
             if width < span[li] {
@@ -440,52 +313,58 @@ mod tests {
     }
 
     #[test]
-    fn free_fns_and_methods_are_distinguished() {
+    fn fns_and_the_impls_that_scope_them() {
         let src = "pub fn free(x: u32) -> u32 { x }\n\
                    impl Engine {\n    pub fn start(&self) {}\n    fn stop(&self) {}\n}\n\
                    impl fmt::Display for Engine {\n    fn fmt(&self) {}\n}\n";
         let items = parse(src);
-        let names: Vec<(&str, Option<&str>, Option<&str>)> = items
+        let fns: Vec<(&str, bool)> = items
             .fns
             .iter()
-            .map(|f| {
-                (
-                    f.name.as_str(),
-                    f.self_ty.as_deref(),
-                    f.trait_name.as_deref(),
-                )
-            })
+            .map(|f| (f.name.as_str(), f.is_pub))
             .collect();
         assert_eq!(
-            names,
+            fns,
             vec![
-                ("free", None, None),
-                ("start", Some("Engine"), None),
-                ("stop", Some("Engine"), None),
-                ("fmt", Some("Engine"), Some("Display")),
+                ("free", true),
+                ("start", true),
+                ("stop", false),
+                ("fmt", false)
             ]
         );
-        assert!(items.fns[0].is_pub && items.fns[1].is_pub && !items.fns[2].is_pub);
+        let impls: Vec<(usize, usize, &str, Option<&str>)> = items
+            .impls
+            .iter()
+            .map(|i| (i.start, i.end, i.self_ty.as_str(), i.trait_name.as_deref()))
+            .collect();
+        assert_eq!(
+            impls,
+            vec![(1, 4, "Engine", None), (5, 7, "Engine", Some("Display"))]
+        );
     }
 
     #[test]
-    fn trait_decls_carry_the_trait_as_self_ty() {
+    fn bodyless_trait_declarations_have_no_body() {
         let src = "pub trait Backend {\n    fn execute(&self);\n    fn execute_raw(&self) {\n        self.execute()\n    }\n}\n";
         let items = parse(src);
         assert_eq!(items.fns.len(), 2);
-        assert_eq!(items.fns[0].self_ty.as_deref(), Some("Backend"));
-        assert!(items.fns[0].body.is_none(), "bodyless declaration");
-        assert_eq!(items.fns[1].body, Some((2, 4)));
+        assert_eq!((items.fns[0].sig_end, items.fns[0].body_end), (1, None));
+        assert_eq!((items.fns[1].sig_end, items.fns[1].body_end), (2, Some(4)));
     }
 
     #[test]
     fn impl_generics_and_return_position_impl_are_not_blocks() {
         let src = "impl<'a, T: Clone> Holder<'a, T> {\n    fn get(&self) {}\n}\n\
-                   fn make() -> impl Iterator<Item = u32> {\n    (0..3).map(|x| x)\n}\n";
+                   fn make() -> impl Iterator<Item = u32> {\n    (0..3).map(|x| x)\n}\n\
+                   impl<O: CostOracle + ?Sized> CostOracle for &O {}\n";
         let items = parse(src);
-        assert_eq!(items.fns[0].self_ty.as_deref(), Some("Holder"));
-        // `make` is a free fn: `-> impl Iterator` must not open a container.
-        assert_eq!(items.fns[1].self_ty, None);
+        // `-> impl Iterator` must not open a block; a bound naming the
+        // trait is not the trait being implemented.
+        assert_eq!(items.impls.len(), 2);
+        assert_eq!(items.impls[0].self_ty, "Holder");
+        assert_eq!(items.impls[0].trait_name, None);
+        assert_eq!(items.impls[1].trait_name.as_deref(), Some("CostOracle"));
+        assert_eq!(items.impls[1].self_ty, "O");
     }
 
     #[test]
@@ -495,7 +374,7 @@ mod tests {
         let src = "fn coeffs(xs: &[f64], ys: [f64; 6]) -> [f64; 6] {\n    ys\n}\n";
         let items = parse(src);
         assert_eq!(items.fns.len(), 1);
-        assert_eq!(items.fns[0].body, Some((0, 2)));
+        assert_eq!(items.fns[0].body_end, Some(2));
     }
 
     #[test]
@@ -503,34 +382,27 @@ mod tests {
         let src = "pub fn long(\n    a: u32,\n    b: u32,\n) -> u32 {\n    a + b\n}\n";
         let items = parse(src);
         assert_eq!(items.fns.len(), 1);
-        assert_eq!(items.fns[0].sig_line, 0);
-        assert_eq!(items.fns[0].body, Some((3, 5)));
+        let f = &items.fns[0];
+        assert_eq!((f.sig_line, f.sig_end, f.body_end), (0, 3, Some(5)));
     }
 
     #[test]
-    fn use_groups_renames_and_globs_flatten() {
-        let src = "use robopt_core::{enumerate::{EnumOptions, Enumerator as En}, split_plan};\nuse robopt_ml::metrics::*;\n";
+    fn braced_structs_carry_their_named_fields() {
+        let src = "pub struct PingResponse<T>\nwhere\n    T: Clone,\n{\n    pub seconds: f64,\n    #[doc(hidden)]\n    pub(crate) tag: T,\n    risk: u8,\n}\n\
+                   pub struct Id(pub [u8; 4]);\nstruct Unit;\n";
         let items = parse(src);
-        let find = |alias: &str| {
-            items
-                .uses
-                .iter()
-                .find(|u| u.alias == alias)
-                .map(|u| u.path.join("::"))
-        };
+        assert_eq!(items.structs.len(), 1, "tuple and unit structs are skipped");
+        let s = &items.structs[0];
+        assert_eq!((s.name.as_str(), s.is_pub), ("PingResponse", true));
+        let fields: Vec<(&str, bool, usize)> = s
+            .fields
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.line))
+            .collect();
         assert_eq!(
-            find("EnumOptions").as_deref(),
-            Some("robopt_core::enumerate::EnumOptions")
+            fields,
+            vec![("seconds", true, 4), ("tag", false, 6), ("risk", false, 7)]
         );
-        assert_eq!(
-            find("En").as_deref(),
-            Some("robopt_core::enumerate::Enumerator")
-        );
-        assert_eq!(
-            find("split_plan").as_deref(),
-            Some("robopt_core::split_plan")
-        );
-        assert_eq!(find("*").as_deref(), Some("robopt_ml::metrics::*"));
     }
 
     #[test]

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use crate::callgraph::GraphSummary;
-
 /// A rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -19,21 +17,15 @@ pub struct Diagnostic {
     /// Rule id, e.g. `panic-unwrap`.
     pub rule: &'static str,
     pub message: String,
-    /// Interprocedural rules attach the call chain from the reported
-    /// surface fn down to the source (`serve → optimize → merge → v[0]`);
-    /// empty for line-level rules.
-    pub witness: Vec<String>,
 }
 
 impl Diagnostic {
-    /// A line-level diagnostic (no witness path).
     pub fn new(file: String, line: usize, rule: &'static str, message: String) -> Self {
         Diagnostic {
             file,
             line,
             rule,
             message,
-            witness: Vec::new(),
         }
     }
 }
@@ -64,8 +56,6 @@ pub struct LintOutcome {
     pub violations: Vec<Diagnostic>,
     pub allowed: Vec<Suppression>,
     pub files_scanned: usize,
-    /// Call-graph statistics from the interprocedural passes.
-    pub graph: GraphSummary,
 }
 
 impl LintOutcome {
@@ -94,20 +84,6 @@ impl LintOutcome {
             "  \"suppression_count\": {},\n",
             self.allowed.len()
         ));
-        let g = &self.graph;
-        s.push_str(&format!(
-            "  \"graph\": {{\"functions\": {}, \"edges\": {}, \"crates\": {}, \
-             \"resolved_calls\": {}, \"unresolved_calls\": {}, \"external_calls\": {}, \
-             \"deterministic_roots\": {}, \"no_panic_roots\": {}}},\n",
-            g.functions,
-            g.edges,
-            g.crates,
-            g.resolved_calls,
-            g.unresolved_calls,
-            g.external_calls,
-            g.deterministic_roots,
-            g.no_panic_roots
-        ));
         s.push_str("  \"violations\": [\n");
         for (i, d) in self.violations.iter().enumerate() {
             let comma = if i + 1 < self.violations.len() {
@@ -115,19 +91,12 @@ impl LintOutcome {
             } else {
                 ""
             };
-            let witness = d
-                .witness
-                .iter()
-                .map(|w| json_str(w))
-                .collect::<Vec<_>>()
-                .join(", ");
             s.push_str(&format!(
-                "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"witness\": [{}]}}{}\n",
+                "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}{}\n",
                 json_str(&d.file),
                 d.line,
                 json_str(d.rule),
                 json_str(&d.message),
-                witness,
                 comma
             ));
         }
@@ -201,11 +170,9 @@ mod tests {
                 line: 3,
                 rule: "panic-unwrap",
                 message: "say \"no\"".to_string(),
-                witness: vec!["serve".to_string(), "helper".to_string()],
             }],
             allowed: Vec::new(),
             files_scanned: 2,
-            graph: GraphSummary::default(),
         };
         out.sort();
         let j = out.to_json();
@@ -213,8 +180,6 @@ mod tests {
         assert!(j.contains("\\\"no\\\""));
         assert!(j.contains("\"violation_count\": 1"));
         assert!(j.contains("\"suppression_count\": 0"));
-        assert!(j.contains("\"witness\": [\"serve\", \"helper\"]"));
-        assert!(j.contains("\"graph\": {\"functions\": 0"));
     }
 
     #[test]

@@ -5,13 +5,21 @@
 //! "§ Static invariants"):
 //!
 //! * **Determinism** (Lemma 1, bit-identical seeded training):
-//!   `hash-container`, `wall-clock`, `thread-spawn-join`.
+//!   `hash-container`, `wall-clock`, `thread-spawn-join`,
+//!   `float-total-order`. Each family has exactly one token table
+//!   (`HASH_CONTAINERS`, `WALL_CLOCK_TOKENS`).
 //! * **Panic-freedom** (library code must degrade, not abort):
 //!   `panic-unwrap`, `panic-expect`, `panic-macro`, `index-literal`.
-//! * **Oracle / platform contracts** (estimator API): `oracle-width`,
-//!   `cost-batch-guard`, `platform-id`, `safety-comment`, `crate-attrs`.
+//! * **Oracle / platform / service contracts**: `oracle-width`,
+//!   `cost-batch-guard`, `platform-id`, `safety-comment`, `crate-attrs`,
+//!   `response-serialize-total`, `risk-policy-cache-key`. The item-shaped
+//!   ones read [`crate::parser::FileItems`]; none brace-matches itself.
 //! * **Workspace hygiene** (offline build image, honest docs):
 //!   `workspace-deps`, `artifact-exists`.
+//!
+//! Every token rule reports at the token's own line, so a source buried
+//! any number of calls below a public entry point fails the run exactly
+//! where it must be fixed or justified (DESIGN §13).
 //!
 //! A violation on line `n` is suppressed by a trailing or immediately
 //! preceding comment `// lint:allow(<rule-id>) <justification>`; the
@@ -21,8 +29,9 @@
 use std::collections::BTreeSet;
 
 use crate::lexer::{find_word, LineScan};
+use crate::parser::FnItem;
 use crate::report::{Diagnostic, LintOutcome, Suppression};
-use crate::workspace::{find_code_char, match_brace, CrateClass, SourceFile, TextFile, Workspace};
+use crate::workspace::{CrateClass, SourceFile, TextFile, Workspace};
 
 /// A rule's identity and the invariant it guards.
 #[derive(Debug, Clone, Copy)]
@@ -35,11 +44,11 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "hash-container",
-        guards: "determinism: std hash containers iterate in per-process random order",
+        guards: "determinism: std hash containers (and RandomState) iterate in per-process random order",
     },
     RuleInfo {
         id: "wall-clock",
-        guards: "determinism: wall-clock/thread-identity values vary across runs",
+        guards: "determinism: wall-clock, thread-identity, host-shape and ambient-input (env/fs/stdin) values vary across runs",
     },
     RuleInfo {
         id: "thread-spawn-join",
@@ -98,29 +107,13 @@ pub const RULES: &[RuleInfo] = &[
         guards: "cache soundness: a struct with a cache-key fn and a risk field must hash the risk policy into the key",
     },
     RuleInfo {
-        id: "determinism-taint",
-        guards: "interprocedural determinism: no fn on the declared deterministic surface may transitively reach an unjustified nondeterminism source",
-    },
-    RuleInfo {
-        id: "panic-reachability",
-        guards: "interprocedural panic-freedom: no fn on the declared no-panic surface may transitively reach an unjustified panic site",
-    },
-    RuleInfo {
         id: "float-total-order",
         guards: "determinism: partial_cmp().unwrap() and raw `<` comparators are NaN-unsafe; use f64::total_cmp",
     },
 ];
 
-/// Run every rule over the loaded workspace (builds the call graph
-/// internally; callers that also want the graph use [`check_with_graph`]).
+/// Run every rule over the loaded workspace.
 pub fn check(ws: &Workspace) -> LintOutcome {
-    let graph = crate::callgraph::build(ws);
-    check_with_graph(ws, &graph)
-}
-
-/// Run every rule — the 16 line/contract rules plus the interprocedural
-/// taint passes over a prebuilt call graph.
-pub fn check_with_graph(ws: &Workspace, graph: &crate::callgraph::CallGraph) -> LintOutcome {
     let mut out = LintOutcome {
         files_scanned: ws.files_scanned(),
         ..LintOutcome::default()
@@ -137,10 +130,6 @@ pub fn check_with_graph(ws: &Workspace, graph: &crate::callgraph::CallGraph) -> 
     for d in &ws.docs {
         check_doc(&produced, d, &mut out);
     }
-    let (det_roots, np_roots) = crate::taint::run(ws, graph, &mut out);
-    out.graph = graph.summary();
-    out.graph.deterministic_roots = det_roots;
-    out.graph.no_panic_roots = np_roots;
     out.sort();
     out
 }
@@ -149,7 +138,7 @@ pub fn check_with_graph(ws: &Workspace, graph: &crate::callgraph::CallGraph) -> 
 /// the line immediately preceding it, the enclosing fn's signature line,
 /// or the line immediately preceding that signature (whole-function
 /// allows). The justification is mandatory.
-pub(crate) fn allow_justification(file: &SourceFile, li: usize, rule: &str) -> Option<String> {
+fn allow_justification(file: &SourceFile, li: usize, rule: &str) -> Option<String> {
     let needle = format!("lint:allow({rule})");
     let sig = file.fn_sigs.get(li).copied().flatten();
     let candidates = [
@@ -176,13 +165,7 @@ pub(crate) fn allow_justification(file: &SourceFile, li: usize, rule: &str) -> O
 
 /// Record a hit on line `li` (0-based): a violation, unless a justified
 /// `lint:allow` suppresses it.
-pub(crate) fn emit(
-    file: &SourceFile,
-    li: usize,
-    rule: &'static str,
-    message: String,
-    out: &mut LintOutcome,
-) {
+fn emit(file: &SourceFile, li: usize, rule: &'static str, message: String, out: &mut LintOutcome) {
     match allow_justification(file, li, rule) {
         Some(justification) => out.allowed.push(Suppression {
             file: file.rel.clone(),
@@ -196,47 +179,78 @@ pub(crate) fn emit(
     }
 }
 
+/// The `hash-container` family (word-boundary matched): names whose
+/// iteration order is seeded per process.
+const HASH_CONTAINERS: &[&str] = &["HashMap", "HashSet", "RandomState"];
+
+/// The `wall-clock` family (substring matched, first hit reported): values
+/// that differ from one run of the same seeded program to the next. The
+/// leading `CLOCK_TOKENS` entries — clocks and thread identity — apply
+/// to every non-exempt crate; the rest — host shape, then ambient input
+/// (environment, file system, stdin) — to the determinism class, i.e.
+/// every product library (reading the tree and argv is the lint's own
+/// job). `env::var` also matches `env::vars`, `fs::read` every `fs::read_*`.
+const WALL_CLOCK_TOKENS: &[&str] = &[
+    "std::time",
+    "SystemTime",
+    "Instant::now",
+    "thread::current",
+    "available_parallelism",
+    "env::var",
+    "env::args",
+    "fs::read",
+    "read_to_string",
+    "read_dir",
+    "File::open",
+    "File::create",
+    "stdin",
+];
+const CLOCK_TOKENS: usize = 4;
+
 fn check_source(file: &SourceFile, out: &mut LintOutcome) {
     let panic_rules = file.class != CrateClass::Exempt && !file.is_binary;
+    let wall_clock = match file.class {
+        CrateClass::Determinism => WALL_CLOCK_TOKENS,
+        CrateClass::Library => &WALL_CLOCK_TOKENS[..CLOCK_TOKENS],
+        CrateClass::Exempt => &[],
+    };
     for (li, line) in file.lines.iter().enumerate() {
         let code = line.code.as_str();
         let in_test = file.test_mask.get(li).copied().unwrap_or(false);
 
         if file.class == CrateClass::Determinism {
-            for container in ["HashMap", "HashSet"] {
-                if !find_word(code, container).is_empty() {
-                    emit(
-                        file,
-                        li,
-                        "hash-container",
-                        format!(
-                            "{container} in a determinism-critical crate: std's per-process \
-                             hasher seed makes iteration order nondeterministic; use \
-                             robopt_vector::FootprintTable or a sorted Vec, or justify a \
-                             provably non-iterating use with lint:allow(hash-container)"
-                        ),
-                        out,
-                    );
-                }
+            let hit = HASH_CONTAINERS
+                .iter()
+                .find(|name| !find_word(code, name).is_empty());
+            if let Some(container) = hit {
+                emit(
+                    file,
+                    li,
+                    "hash-container",
+                    format!(
+                        "{container} in a determinism-critical crate: std's per-process \
+                         hasher seed makes iteration order nondeterministic; use \
+                         robopt_vector::FootprintTable or a sorted Vec, or justify a \
+                         provably non-iterating use with lint:allow(hash-container)"
+                    ),
+                    out,
+                );
             }
         }
 
-        if file.class != CrateClass::Exempt {
-            for pattern in ["std::time", "SystemTime", "Instant::now", "thread::current"] {
-                if code.contains(pattern) {
-                    emit(
-                        file,
-                        li,
-                        "wall-clock",
-                        format!(
-                            "`{pattern}` in a library crate: wall-clock and thread-identity \
-                             values break bit-identical seeded runs; timing belongs in \
-                             robopt-bench"
-                        ),
-                        out,
-                    );
-                }
-            }
+        if let Some(token) = wall_clock.iter().find(|t| code.contains(**t)) {
+            emit(
+                file,
+                li,
+                "wall-clock",
+                format!(
+                    "`{token}` in a library crate: clock, thread-identity, host-shape and \
+                     ambient-input (env/fs/stdin) values differ run to run and break \
+                     bit-identical seeded output; timing belongs in robopt-bench, inputs \
+                     in the request"
+                ),
+                out,
+            );
         }
 
         if panic_rules && !in_test {
@@ -342,8 +356,7 @@ fn check_source(file: &SourceFile, out: &mut LintOutcome) {
         }
     }
 
-    check_cost_oracle_impls(file, out);
-    check_cost_batch_bodies(file, out);
+    check_oracle_contract(file, out);
     check_thread_spawns(file, out);
     if file.class != CrateClass::Exempt && file.crate_name != "platforms" {
         check_platform_params(file, out);
@@ -414,7 +427,7 @@ fn joined_in_scope(lines: &[LineScan], li: usize, col: usize) -> bool {
 
 /// `foo[3]`-style indexing: `[` preceded by an identifier character, `)` or
 /// `]`, whose bracket content is a bare integer literal.
-pub(crate) fn has_literal_index(code: &str) -> bool {
+fn has_literal_index(code: &str) -> bool {
     for (at, c) in code.char_indices() {
         if c != '[' {
             continue;
@@ -460,7 +473,7 @@ fn nan_unsafe_comparison(code: &str) -> bool {
         && !code.contains("partial_cmp")
 }
 
-/// Join the code of lines `lo..=hi` with spaces (signature/header text).
+/// Join the code of lines `lo..=hi` with spaces (signature/body text).
 fn joined_code(lines: &[LineScan], lo: usize, hi: usize) -> String {
     let mut s = String::new();
     for l in lines.iter().take(hi + 1).skip(lo) {
@@ -470,78 +483,44 @@ fn joined_code(lines: &[LineScan], lo: usize, hi: usize) -> String {
     s
 }
 
-/// Every `impl … CostOracle for …` block must define `fn width`.
-fn check_cost_oracle_impls(file: &SourceFile, out: &mut LintOutcome) {
-    for li in 0..file.lines.len() {
-        let code = file.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-        for at in find_word(code, "impl") {
-            let Some((bl, bc)) = find_code_char(&file.lines, li, at, |c| c == '{' || c == ';')
-            else {
-                continue;
-            };
-            let header = joined_code(&file.lines, li, bl);
-            if find_word(&header, "CostOracle").is_empty() || find_word(&header, "for").is_empty() {
-                continue;
-            }
-            let opens = file
-                .lines
-                .get(bl)
-                .and_then(|l| l.code.get(bc..))
-                .and_then(|s| s.chars().next())
-                == Some('{');
-            if !opens {
-                continue;
-            }
-            let end = match_brace(&file.lines, bl, bc).unwrap_or(bl);
-            let body = joined_code(&file.lines, bl, end);
-            if !body.contains("fn width") {
-                emit(
-                    file,
-                    li,
-                    "oracle-width",
-                    "impl CostOracle must define fn width() so every batch path can \
-                     validate incoming row layouts"
-                        .to_string(),
-                    out,
-                );
-            }
-        }
-    }
+/// Code text of `f`'s body (from the line of its `{`); `None` if bodyless.
+fn body_text(file: &SourceFile, f: &FnItem) -> Option<String> {
+    Some(joined_code(&file.lines, f.sig_end, f.body_end?))
 }
 
-/// Every `fn cost_batch` body must `debug_assert` something about `width`.
-fn check_cost_batch_bodies(file: &SourceFile, out: &mut LintOutcome) {
-    for li in 0..file.lines.len() {
-        let code = file.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-        let Some(at) = code.find("fn cost_batch") else {
-            continue;
-        };
-        // Word boundary: don't match fns whose name merely starts with
-        // `cost_batch` (e.g. this rule's own tests).
-        let after = code
-            .get(at + "fn cost_batch".len()..)
-            .and_then(|s| s.chars().next());
-        if after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-            continue;
+/// `oracle-width`: every `impl CostOracle for …` block must define
+/// `fn width`. `cost-batch-guard`: every `fn cost_batch` body must
+/// `debug_assert` something about `width`.
+fn check_oracle_contract(file: &SourceFile, out: &mut LintOutcome) {
+    let oracle_impls = file.items.impls.iter();
+    for im in oracle_impls.filter(|im| im.trait_name.as_deref() == Some("CostOracle")) {
+        let defines_width = file
+            .items
+            .fns
+            .iter()
+            .any(|f| f.name == "width" && (im.start..=im.end).contains(&f.sig_line));
+        if !defines_width {
+            emit(
+                file,
+                im.start,
+                "oracle-width",
+                format!(
+                    "impl CostOracle for {} must define fn width() so every batch \
+                     path can validate incoming row layouts",
+                    im.self_ty
+                ),
+                out,
+            );
         }
-        let Some((bl, bc)) = find_code_char(&file.lines, li, at, |c| c == '{' || c == ';') else {
-            continue;
-        };
-        let opens = file
-            .lines
-            .get(bl)
-            .and_then(|l| l.code.get(bc..))
-            .and_then(|s| s.chars().next())
-            == Some('{');
-        if !opens {
+    }
+    for f in file.items.fns.iter().filter(|f| f.name == "cost_batch") {
+        let Some(body) = body_text(file, f) else {
             continue; // bodyless trait declaration
-        }
-        let end = match_brace(&file.lines, bl, bc).unwrap_or(bl);
-        let body = joined_code(&file.lines, bl, end);
+        };
         if !body.contains("debug_assert") || find_word(&body, "width").is_empty() {
             emit(
                 file,
-                li,
+                f.sig_line,
                 "cost-batch-guard",
                 "fn cost_batch must debug_assert the incoming batch width against \
                  CostOracle::width() — the wrong-layout class is silent otherwise"
@@ -555,34 +534,25 @@ fn check_cost_batch_bodies(file: &SourceFile, out: &mut LintOutcome) {
 /// `pub fn` parameters like `platform: usize` outside `robopt-platforms`
 /// should take `PlatformId` (the raw-index wraparound class of PR 1).
 fn check_platform_params(file: &SourceFile, out: &mut LintOutcome) {
-    for li in 0..file.lines.len() {
-        let code = file.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-        let Some(fn_at) = find_word(code, "fn").into_iter().next() else {
+    for f in file.items.fns.iter().filter(|f| f.is_pub) {
+        let sig = joined_code(&file.lines, f.sig_line, f.sig_end);
+        // The parameter list: from the first `(` to its matching `)`.
+        let Some((_, after)) = sig.split_once('(') else {
             continue;
         };
-        if find_word(code.get(..fn_at).unwrap_or(""), "pub").is_empty() {
-            continue;
-        }
-        let Some((pl, pc)) = find_code_char(&file.lines, li, fn_at, |c| c == '(') else {
-            continue;
-        };
-        let Some((el, _)) = find_code_char(&file.lines, pl, pc, |c| c == ')') else {
-            continue;
-        };
-        let sig = joined_code(&file.lines, li, el);
-        let params = sig
-            .find('(')
-            .map(|s| sig.get(s + 1..).unwrap_or(""))
-            .unwrap_or("");
-        let params = params.split(')').next().unwrap_or("");
+        let mut depth = 1usize;
+        let close = after.find(|c: char| {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        });
+        let params = after.get(..close.unwrap_or(after.len())).unwrap_or("");
         for param in params.split(',') {
-            let mut halves = param.splitn(2, ':');
-            let name = halves
-                .next()
-                .unwrap_or("")
-                .trim()
-                .trim_start_matches("mut ");
-            let ty = halves.next().unwrap_or("");
+            let (name, ty) = param.split_once(':').unwrap_or((param, ""));
+            let name = name.trim().trim_start_matches("mut ");
             if name.contains("platform")
                 && !name.starts_with("n_")
                 && name != "platforms"
@@ -590,7 +560,7 @@ fn check_platform_params(file: &SourceFile, out: &mut LintOutcome) {
             {
                 emit(
                     file,
-                    li,
+                    f.sig_line,
                     "platform-id",
                     format!(
                         "pub fn takes a raw `{name}: usize` platform index outside \
@@ -615,79 +585,41 @@ const SERVICE_CRATE: &str = "robopt";
 /// `*Response` struct in the service crate must appear as a quoted
 /// `"key"` inside that crate's non-test string literals.
 fn check_response_fields(sources: &[SourceFile], out: &mut LintOutcome) {
+    let service = || sources.iter().filter(|f| f.crate_name == SERVICE_CRATE);
     // Pool every literal the service crate can render (non-test lines:
     // a key mentioned only by a test must not mask a missing renderer).
     let mut pool = String::new();
-    for f in sources.iter().filter(|f| f.crate_name == SERVICE_CRATE) {
-        for (li, line) in f.lines.iter().enumerate() {
-            if !f.test_mask.get(li).copied().unwrap_or(false) {
+    for f in service() {
+        for (line, &in_test) in f.lines.iter().zip(&f.test_mask) {
+            if !in_test {
                 pool.push_str(&line.literal);
                 pool.push('\n');
             }
         }
     }
-    for f in sources.iter().filter(|f| f.crate_name == SERVICE_CRATE) {
-        for li in 0..f.lines.len() {
-            let code = f.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-            let Some(at) = code.find("pub struct ") else {
-                continue;
-            };
-            let name: String = code
-                .get(at + "pub struct ".len()..)
-                .unwrap_or("")
-                .chars()
-                .take_while(|&c| c.is_alphanumeric() || c == '_')
-                .collect();
-            if !name.ends_with("Response") {
-                continue;
-            }
-            let Some((bl, bc)) = find_code_char(&f.lines, li, at, |c| c == '{' || c == ';') else {
-                continue;
-            };
-            let opens = f
-                .lines
-                .get(bl)
-                .and_then(|l| l.code.get(bc..))
-                .and_then(|s| s.chars().next())
-                == Some('{');
-            if !opens {
-                continue; // tuple/unit struct: nothing field-named to check
-            }
-            let end = match_brace(&f.lines, bl, bc).unwrap_or(bl);
-            for fl in bl..=end {
-                let fcode = f.lines.get(fl).map(|l| l.code.as_str()).unwrap_or("");
-                let Some(rest) = fcode.trim_start().strip_prefix("pub ") else {
+    for f in service() {
+        let responses = f.items.structs.iter();
+        for s in responses.filter(|s| s.is_pub && s.name.ends_with("Response")) {
+            let name = &s.name;
+            for field in s.fields.iter().filter(|fld| fld.is_pub) {
+                let key = &field.name;
+                if pool.contains(&format!("\"{key}\"")) {
                     continue;
-                };
-                let field: String = rest
-                    .chars()
-                    .take_while(|&c| c.is_alphanumeric() || c == '_')
-                    .collect();
-                let is_field = !field.is_empty()
-                    && rest
-                        .get(field.len()..)
-                        .unwrap_or("")
-                        .trim_start()
-                        .starts_with(':');
-                if !is_field {
-                    continue; // the struct header itself, or a nested item
                 }
-                if !pool.contains(&format!("\"{field}\"")) {
-                    emit(
-                        f,
-                        fl,
-                        "response-serialize-total",
-                        format!(
-                            "field `{field}` of `{name}` never appears as a quoted \
-                             \"{field}\" key in the {SERVICE_CRATE} crate's string \
-                             literals: the hand-rendered wire protocol would drop it \
-                             from every served response; render it (or justify an \
-                             internal-only field with \
-                             lint:allow(response-serialize-total))"
-                        ),
-                        out,
-                    );
-                }
+                emit(
+                    f,
+                    field.line,
+                    "response-serialize-total",
+                    format!(
+                        "field `{key}` of `{name}` never appears as a quoted \
+                         \"{key}\" key in the {SERVICE_CRATE} crate's string \
+                         literals: the hand-rendered wire protocol would drop it \
+                         from every served response; render it (or justify an \
+                         internal-only field with \
+                         lint:allow(response-serialize-total))"
+                    ),
+                    out,
+                );
             }
         }
     }
@@ -703,104 +635,42 @@ fn check_response_fields(sources: &[SourceFile], out: &mut LintOutcome) {
 /// there is no key to desynchronize).
 fn check_risk_cache_key(sources: &[SourceFile], out: &mut LintOutcome) {
     // Pass 1: which crates have cache-key fns, and do any hash `risk`?
-    let mut with_sig: Vec<&str> = Vec::new();
-    let mut hashing: Vec<&str> = Vec::new();
+    let mut with_sig: BTreeSet<&str> = BTreeSet::new();
+    let mut hashing: BTreeSet<&str> = BTreeSet::new();
     for f in sources {
-        for li in 0..f.lines.len() {
-            if f.test_mask.get(li).copied().unwrap_or(false) {
-                continue;
-            }
-            let code = f.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-            let Some(at) = code.find("fn signature") else {
-                continue;
-            };
-            // Word boundary: `fn signature_helper` is not a cache-key fn.
-            let after = code
-                .get(at + "fn signature".len()..)
-                .and_then(|s| s.chars().next());
-            if after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                continue;
-            }
-            let Some((bl, bc)) = find_code_char(&f.lines, li, at, |c| c == '{' || c == ';') else {
-                continue;
-            };
-            if !with_sig.contains(&f.crate_name.as_str()) {
-                with_sig.push(&f.crate_name);
-            }
-            let opens = f
-                .lines
-                .get(bl)
-                .and_then(|l| l.code.get(bc..))
-                .and_then(|s| s.chars().next())
-                == Some('{');
-            if !opens {
-                continue; // trait declaration: the impls carry the bodies
-            }
-            let end = match_brace(&f.lines, bl, bc).unwrap_or(bl);
-            let body = joined_code(&f.lines, bl, end);
-            if !find_word(&body, "risk").is_empty() && !hashing.contains(&f.crate_name.as_str()) {
-                hashing.push(&f.crate_name);
+        let key_fns = f.items.fns.iter();
+        for key_fn in key_fns.filter(|k| k.name == "signature" && !k.in_test) {
+            with_sig.insert(&f.crate_name);
+            // A trait declaration has no body: the impls carry them.
+            if body_text(f, key_fn).is_some_and(|b| !find_word(&b, "risk").is_empty()) {
+                hashing.insert(&f.crate_name);
             }
         }
     }
     // Pass 2: every `risk` struct field in a crate whose cache-key fns
     // never read the policy.
     for f in sources {
-        if !with_sig.contains(&f.crate_name.as_str()) || hashing.contains(&f.crate_name.as_str()) {
+        let name = f.crate_name.as_str();
+        if !with_sig.contains(name) || hashing.contains(name) {
             continue;
         }
-        for li in 0..f.lines.len() {
-            let code = f.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-            for at in find_word(code, "struct") {
-                let Some((bl, bc)) = find_code_char(&f.lines, li, at, |c| c == '{' || c == ';')
-                else {
-                    continue;
-                };
-                let opens = f
-                    .lines
-                    .get(bl)
-                    .and_then(|l| l.code.get(bc..))
-                    .and_then(|s| s.chars().next())
-                    == Some('{');
-                if !opens {
-                    continue;
-                }
-                let end = match_brace(&f.lines, bl, bc).unwrap_or(bl);
-                for fl in bl..=end {
-                    if f.test_mask.get(fl).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let fcode = f.lines.get(fl).map(|l| l.code.as_str()).unwrap_or("");
-                    let rest = fcode.trim_start();
-                    let rest = rest.strip_prefix("pub ").unwrap_or(rest);
-                    let field: String = rest
-                        .chars()
-                        .take_while(|&c| c.is_alphanumeric() || c == '_')
-                        .collect();
-                    let is_field = field == "risk"
-                        && rest
-                            .get(field.len()..)
-                            .unwrap_or("")
-                            .trim_start()
-                            .starts_with(':');
-                    if is_field {
-                        emit(
-                            f,
-                            fl,
-                            "risk-policy-cache-key",
-                            format!(
-                                "struct field `risk` in crate `{}` whose cache-key fn \
-                                 (`fn signature`) never reads the policy: a risk-aware \
-                                 request could replay a cache entry computed under a \
-                                 different policy; hash the policy into the signature \
-                                 (or justify a key-irrelevant field with \
-                                 lint:allow(risk-policy-cache-key))",
-                                f.crate_name
-                            ),
-                            out,
-                        );
-                    }
-                }
+        for field in f.items.structs.iter().flat_map(|s| &s.fields) {
+            let in_test = f.test_mask.get(field.line).copied().unwrap_or(false);
+            if field.name == "risk" && !in_test {
+                emit(
+                    f,
+                    field.line,
+                    "risk-policy-cache-key",
+                    format!(
+                        "struct field `risk` in crate `{name}` whose cache-key fn \
+                         (`fn signature`) never reads the policy: a risk-aware \
+                         request could replay a cache entry computed under a \
+                         different policy; hash the policy into the signature \
+                         (or justify a key-irrelevant field with \
+                         lint:allow(risk-policy-cache-key))"
+                    ),
+                    out,
+                );
             }
         }
     }
@@ -965,13 +835,97 @@ mod tests {
         out.violations.iter().map(|d| d.rule).collect()
     }
 
+    // -- both token families, end to end ---------------------------------
+
+    /// DESIGN §13's subsumption argument on inputs: a token of either
+    /// family fails the run at its own line however many calls sit between
+    /// it and the public entry point, in every product library crate.
+    #[test]
+    fn every_family_token_is_caught_at_its_own_line_however_deep() {
+        let table: &[(&str, &str)] = &[
+            ("panic-unwrap", "let _ = x.unwrap();"),
+            ("panic-expect", "let _ = x.expect(\"set by ctor\");"),
+            ("panic-macro", "panic!(\"boom\");"),
+            ("panic-macro", "unreachable!();"),
+            ("panic-macro", "todo!();"),
+            ("panic-macro", "unimplemented!();"),
+            ("index-literal", "let _ = v[0];"),
+            ("wall-clock", "let _ = std::time::Duration::ZERO;"),
+            ("wall-clock", "let _ = SystemTime::UNIX_EPOCH;"),
+            ("wall-clock", "let _ = Instant::now();"),
+            ("wall-clock", "let _ = thread::current().id();"),
+            ("wall-clock", "let _ = thread::available_parallelism();"),
+            ("wall-clock", "let _ = env::var(\"HOME\");"),
+            ("wall-clock", "let _ = env::args();"),
+            ("wall-clock", "let _ = env::vars();"),
+            ("wall-clock", "let _ = fs::read(p);"),
+            ("wall-clock", "let _ = file.read_to_string(&mut s);"),
+            ("wall-clock", "let _ = path.read_dir();"),
+            ("wall-clock", "let _ = File::open(p);"),
+            ("wall-clock", "let _ = File::create(p);"),
+            ("wall-clock", "let _ = io::stdin();"),
+            ("hash-container", "let _ = HashMap::<u8, u8>::new();"),
+            ("hash-container", "let _ = HashSet::<u8>::new();"),
+            ("hash-container", "let _ = RandomState::new();"),
+        ];
+        let hits = |out: &LintOutcome| -> Vec<(&'static str, usize)> {
+            out.violations.iter().map(|d| (d.rule, d.line)).collect()
+        };
+        for &(rule, stmt) in table {
+            let leaf = |above_fn: &str, above_stmt: &str| {
+                format!(
+                    "pub fn entry() {{\n    mid();\n}}\nfn mid() {{\n    leaf();\n}}\n\
+                     {above_fn}fn leaf() {{\n{above_stmt}    {stmt}\n}}\n"
+                )
+            };
+            // Two calls below the `pub fn`: the owning rule, the token's line.
+            for krate in [
+                "core",
+                "engine",
+                "plan",
+                "baselines",
+                "robopt",
+                "robopt-repro",
+            ] {
+                let out = lint(krate, &leaf("", ""));
+                assert_eq!(hits(&out), vec![(rule, 8)], "{krate}: {stmt}");
+            }
+            // Text, not code: strings and comments never fire.
+            let quoted =
+                format!("pub fn f() -> &'static str {{\n    // {stmt}\n    r#\"{stmt}\"#\n}}\n");
+            assert!(lint("core", &quoted).violations.is_empty(), "{stmt}");
+            // Tests may panic, so the panic family is masked under
+            // `#[cfg(test)]`; the determinism family is not — an expected
+            // value built from a HashMap walk or a clock is a flaky test.
+            let in_test =
+                format!("#[cfg(test)]\nmod tests {{\n    fn t() {{\n        {stmt}\n    }}\n}}\n");
+            let panic_family = rule.starts_with("panic") || rule == "index-literal";
+            let expected = if panic_family {
+                vec![]
+            } else {
+                vec![(rule, 4)]
+            };
+            assert_eq!(hits(&lint("core", &in_test)), expected, "{stmt}");
+            // A justified allow of the owning rule — on the line above the
+            // token or above the enclosing fn — audits the site instead.
+            let allow = format!("// lint:allow({rule}) fixture: justified\n");
+            for src in [leaf("", &format!("    {allow}")), leaf(&allow, "")] {
+                let out = lint("core", &src);
+                assert!(out.violations.is_empty(), "{stmt}: {:?}", out.violations);
+                assert_eq!(out.allowed.len(), 1, "{stmt}");
+                assert_eq!(out.allowed.first().map(|a| a.rule), Some(rule));
+            }
+        }
+    }
+
     // -- hash-container -------------------------------------------------
 
     #[test]
     fn hash_container_fires_in_determinism_crates_only() {
         let src = "use std::collections::HashMap;\n";
         assert_eq!(rule_hits(&lint("core", src)), vec!["hash-container"]);
-        assert!(rule_hits(&lint("baselines", src)).is_empty());
+        assert!(rule_hits(&lint("lint", src)).is_empty());
+        assert!(rule_hits(&lint("cli", src)).is_empty());
     }
 
     #[test]
@@ -998,9 +952,18 @@ mod tests {
     #[test]
     fn wall_clock_fires_in_libraries_not_bench() {
         let src = "pub fn t() { let _ = std::time::Instant::now(); }\n";
-        let hits = rule_hits(&lint("plan", src));
-        assert!(hits.contains(&"wall-clock"));
+        assert_eq!(
+            rule_hits(&lint("plan", src)),
+            vec!["wall-clock"],
+            "one hit per line"
+        );
+        assert_eq!(rule_hits(&lint("lint", src)), vec!["wall-clock"]);
         assert!(rule_hits(&lint("bench", src)).is_empty());
+        // The lint's own input is the source tree and argv: the
+        // ambient-input tokens bind the product libraries only.
+        let ambient = "pub fn t(p: &Path) { let _ = std::fs::read_to_string(p); }\n";
+        assert_eq!(rule_hits(&lint("robopt", ambient)), vec!["wall-clock"]);
+        assert!(rule_hits(&lint("lint", ambient)).is_empty());
     }
 
     // -- panic rules ----------------------------------------------------

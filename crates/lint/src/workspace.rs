@@ -1,19 +1,21 @@
 //! Workspace discovery and file classification.
 //!
 //! The lint walks the repository it lives in: every `.rs` file under
-//! `src/` and `crates/*/src/`, every workspace `Cargo.toml`, and the two
-//! artifact-referencing documents (`CHANGES.md`, `EXPERIMENTS.md`).
-//! Files are classified by the crate they belong to, because the rules
-//! apply per class:
+//! `src/` and `crates/*/src/`, every workspace `Cargo.toml`, and the live
+//! artifact index `EXPERIMENTS.md`. Files are classified by the crate
+//! they belong to, because the rules apply per class:
 //!
-//! * **Determinism-critical** (`core`, `vector`, `ml`, `tdgen`,
-//!   `platforms`, `engine`): everything a seeded run flows through —
-//!   additionally subject to the `hash-container` rule. The engine
+//! * **Determinism-critical** (every product library: `core`, `vector`,
+//!   `ml`, `tdgen`, `platforms`, `engine`, `plan`, `baselines`, `robopt`
+//!   and the root facade): everything a seeded run or a served response
+//!   flows through — subject to the whole determinism family
+//!   (`hash-container`, `wall-clock` incl. its host-shape and
+//!   ambient-input tokens) on top of the panic-freedom rules. The engine
 //!   qualifies because its output records and digests are contractually
 //!   pure functions of `(plan, seed, row cap)`; only its *timings* are
 //!   measured, through two explicitly `lint:allow`ed clock shims.
-//! * **Library** (`plan`, `baselines`, `lint`, the root facade):
-//!   subject to panic-freedom and wall-clock rules.
+//! * **Library** (`lint` itself): panic-freedom and the clock tokens of
+//!   `wall-clock`; reading the source tree and argv is this tool's job.
 //! * **Exempt** (`bench`, `cli`): timing harnesses and user-facing entry
 //!   points may unwrap and read clocks; contract rules still apply.
 //!
@@ -28,8 +30,24 @@ use crate::parser::{self, FileItems};
 use crate::report::LintError;
 
 /// Crates whose iteration order and value provenance must be a pure
-/// function of the seed (Lemma 1 / bit-identical training).
-pub const DETERMINISM_CRATES: &[&str] = &["core", "vector", "ml", "tdgen", "platforms", "engine"];
+/// function of the seed (Lemma 1 / bit-identical training): every product
+/// library a deterministic surface (`optimize`, `train`, `enumerate`,
+/// `execute`) can reach.
+pub const DETERMINISM_CRATES: &[&str] = &[
+    "core",
+    "vector",
+    "ml",
+    "tdgen",
+    "platforms",
+    "engine",
+    "plan",
+    "baselines",
+    "robopt",
+    ROOT_CRATE,
+];
+
+/// Crate name given to the root facade's `src/`.
+pub const ROOT_CRATE: &str = "robopt-repro";
 
 /// Crates exempt from the panic-freedom and wall-clock rules.
 pub const EXEMPT_CRATES: &[&str] = &["bench", "cli"];
@@ -59,7 +77,7 @@ pub struct SourceFile {
     pub lines: Vec<LineScan>,
     /// `test_mask[i]` — line `i` (0-based) is inside a `#[cfg(test)]` item.
     pub test_mask: Vec<bool>,
-    /// Parsed items (fn table + `use` bindings) for the call graph.
+    /// Parsed items: the fn, impl and struct spans the rules read.
     pub items: FileItems,
     /// `fn_sigs[i]` — signature line of the innermost fn enclosing line
     /// `i`, if any; lets suppression lookups walk to the fn header.
@@ -159,7 +177,7 @@ pub fn load(root: &Path) -> Result<Workspace, LintError> {
         text: read(root, "Cargo.toml")?,
     });
     for rel in rust_files_under(root, "src")? {
-        sources.push(load_source(root, &rel, "robopt-repro")?);
+        sources.push(load_source(root, &rel, ROOT_CRATE)?);
     }
 
     let mut crate_dirs: Vec<String> = Vec::new();
@@ -186,13 +204,14 @@ pub fn load(root: &Path) -> Result<Workspace, LintError> {
         }
     }
 
-    for doc in ["CHANGES.md", "EXPERIMENTS.md"] {
-        if root.join(doc).is_file() {
-            docs.push(TextFile {
-                rel: doc.to_string(),
-                text: read(root, doc)?,
-            });
-        }
+    // The live artifact index only: CHANGES.md is an append-only history,
+    // and a true sentence about a since-deleted producer is not a claim.
+    let doc = "EXPERIMENTS.md";
+    if root.join(doc).is_file() {
+        docs.push(TextFile {
+            rel: doc.to_string(),
+            text: read(root, doc)?,
+        });
     }
 
     Ok(Workspace {
@@ -255,22 +274,13 @@ pub(crate) fn compute_test_mask(lines: &[LineScan]) -> Vec<bool> {
         let Some(attr_at) = code.find("#[cfg(test)]") else {
             continue;
         };
-        // The attribute applies to the next item: brace-match it if it has
-        // a body, otherwise mask through its terminating semicolon.
+        // The attribute applies to the next item: mask through its closing
+        // brace if it has a body, otherwise its terminating semicolon.
         let after = attr_at + "#[cfg(test)]".len();
-        let Some((bl, bc)) = find_code_char(lines, li, after, |c| c == '{' || c == ';') else {
+        let Some((head, _, close)) = parser::item_span(lines, li, after) else {
             continue;
         };
-        let opener = lines
-            .get(bl)
-            .and_then(|l| l.code.get(bc..))
-            .and_then(|s| s.chars().next());
-        let end = if opener == Some('{') {
-            match_brace(lines, bl, bc).unwrap_or(bl)
-        } else {
-            bl
-        };
-        for m in mask.iter_mut().take(end + 1).skip(li) {
+        for m in mask.iter_mut().take(close.unwrap_or(head) + 1).skip(li) {
             *m = true;
         }
     }

@@ -1,10 +1,10 @@
-//! Fixture core: a declared deterministic entry point that reaches a
-//! nondeterminism source two calls down. `self_check` expects rule 17 to
-//! flag `entry` with the full witness path.
+//! Fixture core: a public entry point that reaches a nondeterminism
+//! source two calls down. `self_check` expects `wall-clock` at the
+//! source's own line.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-// lint:surface(deterministic)
+/// The entry point; two helpers sit between it and the host-shape read.
 pub fn entry(x: u64) -> u64 {
     helper_mid(x)
 }

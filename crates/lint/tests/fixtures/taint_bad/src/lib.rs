@@ -1,10 +1,10 @@
-//! Fixture facade: a declared no-panic service entry point whose handler
-//! reaches a panic site two calls down. `self_check` expects rule 18 to
-//! flag `svc` with the full witness path.
+//! Fixture facade: a public service entry point whose handler reaches a
+//! panic site two calls down. `self_check` expects `panic-unwrap` at the
+//! unwrap's own line.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-// lint:surface(no-panic)
+/// The entry point; `step_a` and `step_b` put two calls between it and the unwrap.
 pub fn svc(input: &[u64]) -> u64 {
     step_a(input)
 }

@@ -1,10 +1,10 @@
-//! Fixture core, good variant: the same deterministic surface and call
-//! chain as `taint_bad`, but the nondeterminism source carries a justified
-//! source-level allow — `self_check` expects the whole workspace to pass.
+//! Fixture core, good variant: the same call chain as `taint_bad`, but the
+//! nondeterminism source carries a justified source-level allow —
+//! `self_check` expects the whole workspace to pass.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-// lint:surface(deterministic)
+/// The entry point; two helpers sit between it and the host-shape read.
 pub fn entry(x: u64) -> u64 {
     helper_mid(x)
 }
@@ -14,7 +14,7 @@ fn helper_mid(x: u64) -> u64 {
 }
 
 fn helper_leaf(x: u64) -> u64 {
-    // lint:allow(determinism-taint) the worker count only sizes a scratch factor here; the fixture result is asserted identical across counts
+    // lint:allow(wall-clock) the worker count only sizes a scratch factor here; the fixture result is asserted identical across counts
     let w = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     x * w
 }

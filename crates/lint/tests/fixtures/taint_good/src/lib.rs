@@ -1,10 +1,10 @@
-//! Fixture facade, good variant: the same no-panic surface and call chain
-//! as `taint_bad`, but the panic site carries a justified source-level
-//! allow — `self_check` expects the whole workspace to pass.
+//! Fixture facade, good variant: the same call chain as `taint_bad`, but
+//! the panic site carries a justified source-level allow — `self_check`
+//! expects the whole workspace to pass.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-// lint:surface(no-panic)
+/// The entry point; `step_a` and `step_b` put two calls between it and the unwrap.
 pub fn svc(input: &[u64]) -> u64 {
     step_a(input)
 }

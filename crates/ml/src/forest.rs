@@ -7,10 +7,10 @@
 //!   fitted forest is identical whether training ran on 1 thread or 16.
 //! * **Parallel training**: tree indices are dealt round-robin across
 //!   `std::thread::scope` workers (no work queue, no locks).
-//! * **Batched parallel inference**: [`RandomForest::predict_batch`] makes
-//!   one flat pass per tree over the [`RowsView`], accumulating into the
-//!   caller's output buffer — no per-row allocation; large batches are
-//!   row-chunked across threads.
+//! * **Batched inference**: [`RandomForest::predict_batch`] makes one flat
+//!   pass per tree over the [`RowsView`], accumulating into the caller's
+//!   output buffer — no per-row allocation, and single-threaded:
+//!   enumeration batches are at most k² rows.
 
 use std::num::NonZeroUsize;
 
@@ -20,10 +20,6 @@ use robopt_vector::RowsView;
 
 use crate::model::{DistModel, Model};
 use crate::tree::{RegressionTree, TreeConfig};
-
-/// Row count below which batched inference stays single-threaded (thread
-/// spawn costs more than the walk).
-const PAR_MIN_ROWS: usize = 4096;
 
 /// Forest-level configuration. `tree.feature_candidates: None` means "use
 /// the regression default `ceil(width / 3)`", resolved at fit time.
@@ -152,25 +148,6 @@ impl RandomForest {
         let sum: f64 = self.trees.iter().map(|t| t.predict(feats)).sum();
         sum / self.trees.len() as f64
     }
-
-    /// Accumulate every tree's predictions for the row range
-    /// `[row_offset, row_offset + out.len())` into `out`, then average.
-    fn predict_range(&self, rows: RowsView<'_>, row_offset: usize, out: &mut [f64]) {
-        out.fill(0.0);
-        for tree in &self.trees {
-            // One flat pass per tree: tight loop over contiguous rows, no
-            // allocation, accumulation straight into the output buffer.
-            for (i, acc) in out.iter_mut().enumerate() {
-                *acc += tree.predict(rows.row(row_offset + i));
-            }
-        }
-        // Divide (not multiply by a precomputed reciprocal) so the batch
-        // path is bit-identical to `predict`'s `sum / n`.
-        let n_trees = self.trees.len() as f64;
-        for acc in out.iter_mut() {
-            *acc /= n_trees;
-        }
-    }
 }
 
 impl Model for RandomForest {
@@ -195,20 +172,21 @@ impl Model for RandomForest {
             rows.width(),
             self.width()
         );
-        let n = rows.rows();
         out.clear();
-        out.resize(n, 0.0);
-        let n_threads = available_threads();
-        if n < PAR_MIN_ROWS || n_threads <= 1 {
-            self.predict_range(rows, 0, out);
-            return;
-        }
-        let chunk = n.div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            for (c, slice) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || self.predict_range(rows, c * chunk, slice));
+        out.resize(rows.rows(), 0.0);
+        for tree in &self.trees {
+            // One flat pass per tree: tight loop over contiguous rows, no
+            // allocation, accumulation straight into the output buffer.
+            for (i, acc) in out.iter_mut().enumerate() {
+                *acc += tree.predict(rows.row(i));
             }
-        });
+        }
+        // Divide (not multiply by a precomputed reciprocal) so the batch
+        // path is bit-identical to `predict`'s `sum / n`.
+        let n_trees = self.trees.len() as f64;
+        for acc in out.iter_mut() {
+            *acc /= n_trees;
+        }
     }
 }
 
@@ -232,7 +210,7 @@ impl DistModel for RandomForest {
         let t = self.trees.len();
         let scratch = out.sample_scratch(n, t);
         for (ti, tree) in self.trees.iter().enumerate() {
-            // Flat pass per tree, contiguous rows — the predict_range walk.
+            // Flat pass per tree, contiguous rows — the predict_batch walk.
             for i in 0..n {
                 scratch[i * t + ti] = tree.predict(rows.row(i));
             }
@@ -256,7 +234,7 @@ fn fit_one(
     RegressionTree::fit_on_indices(config, rows, labels, &idx, &mut rng)
 }
 
-// lint:allow(determinism-taint) thread count only sizes the tree-fitting tile blocks; every tree is seeded by its index, so forests are bit-identical across worker counts
+// lint:allow(wall-clock) thread count only sizes the tree-fitting tile blocks; every tree is seeded by its index, so forests are bit-identical across worker counts
 fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)

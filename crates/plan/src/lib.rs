@@ -20,4 +20,4 @@ pub mod workloads;
 pub use dag::LogicalPlan;
 pub use op::{Operator, OperatorKind, N_OPERATOR_KINDS};
 pub use rng::SplitMix64;
-pub use spec::{SpecError, WorkloadSpec};
+pub use spec::{SpecError, WorkloadParams, WorkloadSpec};

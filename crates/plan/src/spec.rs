@@ -57,6 +57,22 @@ pub enum WorkloadSpec {
     },
 }
 
+/// The parameters a front end may leave unset; [`WorkloadSpec::named`]
+/// fills each one its kind reads from the per-kind defaults.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WorkloadParams {
+    /// Input tuple count.
+    pub scale: Option<f64>,
+    /// Operator count (`pipeline`, `random_dag`).
+    pub ops: Option<usize>,
+    /// Shape seed (`random_dag`).
+    pub seed: Option<u64>,
+    /// Extra-edge probability (`random_dag`).
+    pub density: Option<f64>,
+    /// Loop trips (`pagerank`, `kmeans`).
+    pub iterations: Option<u32>,
+}
+
 /// Operator-count bounds for the parameterized workload shapes; keeps
 /// callers from building degenerate or exponential plans.
 const MIN_OPS: usize = 2;
@@ -66,6 +82,42 @@ const MAX_OPS: usize = 128;
 const MAX_ITERATIONS: u32 = 256;
 
 impl WorkloadSpec {
+    /// The workload spelled `kind` on the wire (`"kind"`) and the command
+    /// line (`--workload`). This match is the one per-kind default table
+    /// both front ends share: wordcount 1e7 tuples; tpch_q3 1e6; pipeline
+    /// 16 ops over 1e5; random_dag seed 1, 16 ops, density 0.3; pagerank
+    /// and kmeans 1e5 tuples, 10 iterations.
+    pub fn named(kind: &str, p: WorkloadParams) -> Result<WorkloadSpec, SpecError> {
+        let ops = p.ops.unwrap_or(16);
+        let iterations = p.iterations.unwrap_or(10);
+        match kind {
+            "wordcount" => Ok(WorkloadSpec::WordCount {
+                scale: p.scale.unwrap_or(1e7),
+            }),
+            "tpch_q3" => Ok(WorkloadSpec::TpchQ3 {
+                scale: p.scale.unwrap_or(1e6),
+            }),
+            "pipeline" => Ok(WorkloadSpec::Pipeline {
+                ops,
+                scale: p.scale.unwrap_or(1e5),
+            }),
+            "random_dag" => Ok(WorkloadSpec::RandomDag {
+                seed: p.seed.unwrap_or(1),
+                ops,
+                density: p.density.unwrap_or(0.3),
+            }),
+            "pagerank" => Ok(WorkloadSpec::PageRank {
+                scale: p.scale.unwrap_or(1e5),
+                iterations,
+            }),
+            "kmeans" => Ok(WorkloadSpec::KMeans {
+                scale: p.scale.unwrap_or(1e5),
+                iterations,
+            }),
+            other => Err(SpecError::new(format!("unknown workload kind {other:?}"))),
+        }
+    }
+
     /// Human-readable workload label used in responses and artifacts,
     /// e.g. `wordcount(1e7)` or `pagerank(1e5,iters=10)`.
     pub fn name(&self) -> String {

@@ -139,7 +139,6 @@ impl ExecutionBackend for RuntimeSimulator<'_> {
         "simulator"
     }
 
-    // lint:surface(deterministic)
     fn execute(&self, plan: &LogicalPlan, assignments: &[PlatformId]) -> ExecutionReport {
         let mut prof = SimProfile::default();
         let seconds = self.simulate_profiled(plan, assignments, &mut prof);

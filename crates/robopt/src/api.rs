@@ -13,7 +13,7 @@ use robopt_vector::SigHasher;
 // The workload recipe lives in `robopt_plan` since ISSUE 8 (one constructor
 // path for service, figs, and engine); re-exported here so service callers
 // keep their import path.
-pub use robopt_plan::{SpecError, WorkloadSpec};
+pub use robopt_plan::{SpecError, WorkloadParams, WorkloadSpec};
 
 use crate::cache::CacheStats;
 
@@ -342,7 +342,7 @@ impl SimulateRequest {
         SimulateRequest {
             workload,
             assignments: Vec::new(),
-            seed: 42,
+            seed: SIM_SEED,
             noise: 0.0,
         }
     }
@@ -380,9 +380,41 @@ pub enum BackendChoice {
     },
 }
 
+/// Engine workers and simulator seed of a request nobody configured (the
+/// seed is the one `simulate` and `compare` default to as well).
+const ENGINE_WORKERS: usize = 2;
+const SIM_SEED: u64 = 42;
+
 impl Default for BackendChoice {
     fn default() -> Self {
-        BackendChoice::Engine { workers: 2 }
+        BackendChoice::Engine {
+            workers: ENGINE_WORKERS,
+        }
+    }
+}
+
+impl BackendChoice {
+    /// The backend spelled `name` on the wire (`"backend"`) and the
+    /// command line (`--backend`): `engine` (also what an absent name
+    /// means) or `simulator`. Unset parameters fall back to the one
+    /// default both front ends share: 2 engine workers; simulator seed 42,
+    /// noiseless.
+    pub fn named(
+        name: Option<&str>,
+        workers: Option<usize>,
+        seed: Option<u64>,
+        noise: Option<f64>,
+    ) -> Result<Self, String> {
+        match name {
+            None | Some("engine") => Ok(BackendChoice::Engine {
+                workers: workers.unwrap_or(ENGINE_WORKERS),
+            }),
+            Some("simulator") => Ok(BackendChoice::Simulator {
+                seed: seed.unwrap_or(SIM_SEED),
+                noise: noise.unwrap_or(0.0),
+            }),
+            Some(other) => Err(format!("unknown backend {other:?}")),
+        }
     }
 }
 
@@ -475,7 +507,7 @@ impl CompareRequest {
         CompareRequest {
             workload,
             policy: ExecutionPolicy::default(),
-            sim_seed: 42,
+            sim_seed: SIM_SEED,
         }
     }
 }

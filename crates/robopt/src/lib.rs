@@ -48,7 +48,7 @@ pub use api::{
     BackendChoice, CompareRequest, CompareResponse, ExecuteRequest, ExecuteResponse,
     ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, SimulateRequest,
     SimulateResponse, SinglePlatformPlan, StatsResponse, TrainRequest, TrainResponse, TrainSource,
-    WorkloadSpec,
+    WorkloadParams, WorkloadSpec,
 };
 pub use cache::{CacheStats, PlanCache};
 pub use optimizer::Optimizer;

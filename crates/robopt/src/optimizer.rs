@@ -209,7 +209,6 @@ impl Optimizer {
     /// Optimize one workload. Cache hits return the memoized response,
     /// which is bit-identical to what the cold path would produce
     /// (`tests/service_api.rs` and `tests/determinism.rs` assert this).
-    // lint:surface(deterministic, no-panic)
     pub fn optimize(&mut self, req: &OptimizeRequest) -> Result<OptimizeResponse, ServiceError> {
         let started = now();
         self.requests += 1;
@@ -235,7 +234,6 @@ impl Optimizer {
     }
 
     /// Train a forest per `req` and install it as the active oracle.
-    // lint:surface(deterministic, no-panic)
     pub fn train(&mut self, req: &TrainRequest) -> Result<TrainResponse, ServiceError> {
         if req.rows < 8 || req.rows > 1_000_000 {
             return Err(ServiceError::InvalidRequest(format!(
@@ -288,7 +286,6 @@ impl Optimizer {
     /// [`ExecutionBackend`] seam (the simulator is just one backend), so
     /// `seconds` is bit-identical to the pre-seam direct
     /// `RuntimeSimulator::simulate` path.
-    // lint:surface(deterministic, no-panic)
     pub fn simulate(&mut self, req: &SimulateRequest) -> Result<SimulateResponse, ServiceError> {
         check_noise(req.noise)?;
         let plan = build_workload(&req.workload)?;
@@ -312,7 +309,6 @@ impl Optimizer {
     /// plus modeled platform overheads. With [`BackendChoice::Simulator`]
     /// this is `simulate` with the full per-operator breakdown. Empty
     /// `req.assignments` optimizes first and executes the winner.
-    // lint:surface(no-panic)
     pub fn execute(&mut self, req: &ExecuteRequest) -> Result<ExecuteResponse, ServiceError> {
         let plan = build_workload(&req.workload)?;
         let names = self.resolve_or_optimize(&plan, &req.workload, &req.assignments)?;
@@ -376,7 +372,6 @@ impl Optimizer {
     /// The Fig-2 experiment as a verb: optimize, then pit the mixed winner
     /// against every single-platform execution under oracle cost *and*
     /// simulated runtime.
-    // lint:surface(deterministic, no-panic)
     pub fn compare(&mut self, req: &CompareRequest) -> Result<CompareResponse, ServiceError> {
         let plan = build_workload(&req.workload)?;
         let mixed = self.optimize(&OptimizeRequest::new(req.workload).with_policy(req.policy))?;

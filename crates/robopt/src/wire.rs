@@ -16,7 +16,8 @@
 use crate::api::{
     BackendChoice, CompareRequest, CompareResponse, ExecuteRequest, ExecuteResponse,
     ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, SimulateRequest,
-    SimulateResponse, StatsResponse, TrainRequest, TrainResponse, TrainSource, WorkloadSpec,
+    SimulateResponse, StatsResponse, TrainRequest, TrainResponse, TrainSource, WorkloadParams,
+    WorkloadSpec,
 };
 use crate::json::{self, escape_into, JsonValue};
 use robopt_core::RiskPolicy;
@@ -101,18 +102,13 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
         "execute" => Ok(Request::Execute(ExecuteRequest {
             workload: parse_workload(&doc)?,
             assignments: parse_assignments(&doc),
-            backend: match doc.get("backend").and_then(JsonValue::as_str) {
-                None | Some("engine") => BackendChoice::Engine {
-                    workers: field_usize(&doc, "workers").unwrap_or(2),
-                },
-                Some("simulator") => BackendChoice::Simulator {
-                    seed: field_u64(&doc, "seed").unwrap_or(42),
-                    noise: field_f64(&doc, "noise").unwrap_or(0.0),
-                },
-                Some(other) => {
-                    return Err(ServiceError::Parse(format!("unknown backend {other:?}")))
-                }
-            },
+            backend: BackendChoice::named(
+                doc.get("backend").and_then(JsonValue::as_str),
+                field_usize(&doc, "workers"),
+                field_u64(&doc, "seed"),
+                field_f64(&doc, "noise"),
+            )
+            .map_err(ServiceError::Parse)?,
         })),
         "compare" => {
             let defaults = CompareRequest::new(parse_workload(&doc)?);
@@ -331,34 +327,14 @@ fn parse_workload(doc: &JsonValue) -> Result<WorkloadSpec, ServiceError> {
         .get("kind")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| ServiceError::Parse("workload missing \"kind\"".to_string()))?;
-    match kind {
-        "wordcount" => Ok(WorkloadSpec::WordCount {
-            scale: field_f64(w, "scale").unwrap_or(1e7),
-        }),
-        "tpch_q3" => Ok(WorkloadSpec::TpchQ3 {
-            scale: field_f64(w, "scale").unwrap_or(1e6),
-        }),
-        "pipeline" => Ok(WorkloadSpec::Pipeline {
-            ops: field_usize(w, "ops").unwrap_or(16),
-            scale: field_f64(w, "scale").unwrap_or(1e5),
-        }),
-        "random_dag" => Ok(WorkloadSpec::RandomDag {
-            seed: field_u64(w, "seed").unwrap_or(1),
-            ops: field_usize(w, "ops").unwrap_or(16),
-            density: field_f64(w, "density").unwrap_or(0.3),
-        }),
-        "pagerank" => Ok(WorkloadSpec::PageRank {
-            scale: field_f64(w, "scale").unwrap_or(1e5),
-            iterations: field_u32(w, "iterations").unwrap_or(10),
-        }),
-        "kmeans" => Ok(WorkloadSpec::KMeans {
-            scale: field_f64(w, "scale").unwrap_or(1e5),
-            iterations: field_u32(w, "iterations").unwrap_or(10),
-        }),
-        other => Err(ServiceError::Parse(format!(
-            "unknown workload kind {other:?}"
-        ))),
-    }
+    let params = WorkloadParams {
+        scale: field_f64(w, "scale"),
+        ops: field_usize(w, "ops"),
+        seed: field_u64(w, "seed"),
+        density: field_f64(w, "density"),
+        iterations: field_u32(w, "iterations"),
+    };
+    WorkloadSpec::named(kind, params).map_err(|e| ServiceError::Parse(e.to_string()))
 }
 
 fn parse_policy(doc: &JsonValue) -> ExecutionPolicy {
