@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::time::Instant;
 
-use robopt::{OptimizeRequest, Optimizer, SimulateRequest, WorkloadSpec};
+use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_bench::repo_root;
 use robopt_ml::{
     spearman, ForestConfig, Metrics, Model, RandomForest, SamplerConfig, SimulatorSource,
@@ -214,12 +214,14 @@ fn main() {
         .optimize(&OptimizeRequest::new(wc))
         .expect("optimize under the TDGEN forest");
     let picked_s = opt
-        .simulate(&SimulateRequest {
-            workload: wc,
-            assignments: picked.assignments.clone(),
-            seed: SIM_SEED,
-            noise: 0.0,
-        })
+        .execute(
+            &ExecuteRequest::new(wc)
+                .with_assignments(picked.assignments.clone())
+                .with_backend(BackendChoice::Simulator {
+                    seed: SIM_SEED,
+                    noise: 0.0,
+                }),
+        )
         .expect("simulate the forest-picked plan")
         .seconds;
     let plan = workloads::wordcount(1e7);

@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::fs;
 
-use robopt::{OptimizeRequest, Optimizer, SimulateRequest, WorkloadSpec};
+use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_bench::repo_root;
 use robopt_ml::{
     simulator_training_set, CostDistribution, DistModel, ForestConfig, LinearModel, Metrics, Model,
@@ -117,11 +117,13 @@ fn main() {
     // oracle, both driving enumeration through the service facade on
     // WordCount(1e7); the simulator is the ground-truth judge.
     let wc = WorkloadSpec::WordCount { scale: 1e7 };
-    let sim_req = |assignments: Vec<String>| SimulateRequest {
-        workload: wc,
-        assignments,
-        seed: SIM_SEED,
-        noise: 0.0,
+    let sim_req = |assignments: Vec<String>| {
+        ExecuteRequest::new(wc)
+            .with_assignments(assignments)
+            .with_backend(BackendChoice::Simulator {
+                seed: SIM_SEED,
+                noise: 0.0,
+            })
     };
     let mut forest_opt = Optimizer::named();
     forest_opt
@@ -131,7 +133,7 @@ fn main() {
         .optimize(&OptimizeRequest::new(wc))
         .expect("optimize under the forest");
     let forest_sim_s = forest_opt
-        .simulate(&sim_req(forest_resp.assignments.clone()))
+        .execute(&sim_req(forest_resp.assignments.clone()))
         .expect("simulate the forest-picked plan")
         .seconds;
     let mut analytic_opt = Optimizer::named();
@@ -139,7 +141,7 @@ fn main() {
         .optimize(&OptimizeRequest::new(wc))
         .expect("optimize under the analytic oracle");
     let analytic_sim_s = analytic_opt
-        .simulate(&sim_req(analytic_resp.assignments.clone()))
+        .execute(&sim_req(analytic_resp.assignments.clone()))
         .expect("simulate the analytic-picked plan")
         .seconds;
 

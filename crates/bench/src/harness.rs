@@ -24,10 +24,8 @@ impl Timing {
     }
 
     /// Median throughput in items per second, for an iteration that
-    /// processes `items_per_iter` items — the `<prefix>_per_s` figure every
-    /// JSON artifact reports next to `<prefix>_ms` / `<prefix>_p95_ms`, so
-    /// throughput benchmarks (the service daemon) and latency benchmarks
-    /// (the enumeration kernels) share one schema.
+    /// processes `items_per_iter` items — the `<prefix>_per_s` figure the
+    /// JSON artifacts report next to `<prefix>_ms` / `<prefix>_p95_ms`.
     pub fn per_second(&self, items_per_iter: usize) -> f64 {
         if self.median_ns <= 0.0 {
             return f64::INFINITY;

@@ -1,14 +1,18 @@
 //! `robopt-cli`: the `robopt` command-line tool.
 //!
-//! One binary, five subcommands, all speaking the `robopt` service API:
+//! One binary, five subcommands, one way in: every request — a line a
+//! `serve` client sent or the flags of a one-shot verb — is decoded by
+//! `robopt::parse_request` and answered through the same `dispatch` →
+//! `render_response` path.
 //!
 //! * `robopt serve [--tcp PORT]` — the optimizer daemon: one JSON request
 //!   per line (stdin by default, a localhost TCP socket with `--tcp`), one
 //!   JSON response per line, until `{"op":"quit"}` or EOF;
-//! * `robopt optimize|simulate|compare` — one-shot verbs taking the
-//!   workload from flags, printing the response line to stdout;
-//! * `robopt train` — trains a forest, installs it, and (with
-//!   `--model-out`) persists it as bit-exact JSON for later `--model` use.
+//! * `robopt optimize|execute|compare|train` — one-shot verbs: the flags
+//!   are translated, row by row of the [`FLAGS`] table, into the request
+//!   line a `serve` client would have sent, and the response line goes to
+//!   stdout (`train --model-out` also persists the forest as bit-exact
+//!   JSON for later `--model` use).
 //!
 //! Everything is offline and dependency-free: flag parsing is hand-rolled,
 //! the wire format is the hand-rendered JSON from `robopt::wire`, and the
@@ -19,44 +23,48 @@
 
 use std::io::{BufRead, BufReader, Write};
 
+use robopt::json::escape_into;
 use robopt::{
-    parse_request, render_response, BackendChoice, CompareRequest, ExecuteRequest, ExecutionPolicy,
-    OptimizeRequest, Optimizer, Request, Response, RiskPolicy, ServiceError, SimulateRequest,
-    TrainRequest, TrainSource, WorkloadParams, WorkloadSpec,
+    parse_request, render_response, Optimizer, Request, Response, RiskPolicy, ServiceError,
 };
 
 /// Successful run.
 pub const EXIT_OK: i32 = 0;
 /// A well-formed request that the service answered with an error.
 pub const EXIT_REQUEST_FAILED: i32 = 1;
-/// Unusable command line (unknown subcommand, bad flag, missing value).
+/// Unusable command line (unknown subcommand or flag, missing or malformed
+/// value, a request line `parse_request` rejects).
 pub const EXIT_USAGE: i32 = 2;
 
 /// Entry point: dispatch `args` (without the program name) and return the
 /// process exit code.
 pub fn run(args: Vec<String>) -> i32 {
-    let mut args = args.into_iter();
-    let Some(cmd) = args.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return EXIT_USAGE;
     };
-    let rest: Vec<String> = args.collect();
-    match cmd.as_str() {
-        "serve" => cmd_serve(&rest),
-        "optimize" => cmd_one_shot(&rest, Verb::Optimize),
-        "simulate" => cmd_one_shot(&rest, Verb::Simulate),
-        "execute" => cmd_one_shot(&rest, Verb::Execute),
-        "compare" => cmd_one_shot(&rest, Verb::Compare),
-        "train" => cmd_train(&rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            EXIT_OK
-        }
-        other => {
-            eprintln!("unknown subcommand {other:?}\n{USAGE}");
-            EXIT_USAGE
-        }
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return EXIT_OK;
     }
+    if !FLAGS
+        .iter()
+        .any(|(_, verbs, ..)| verbs.contains(&cmd.as_str()))
+    {
+        eprintln!("unknown subcommand {cmd:?}\n{USAGE}");
+        return EXIT_USAGE;
+    }
+    let outcome = (|| -> Result<i32, String> {
+        let flags = parse_flags(cmd, rest)?;
+        let mut opt = optimizer_from_flags(&flags)?;
+        if cmd == "serve" {
+            return cmd_serve(&mut opt, &flags);
+        }
+        let req = parse_request(&request_line(cmd, &flags)?).map_err(|e| e.to_string())?;
+        let model_out = deployment(&flags, "--model-out");
+        Ok(cmd_one_shot(&mut opt, &req, model_out))
+    })();
+    outcome.unwrap_or_else(|msg| usage_error(&msg))
 }
 
 const USAGE: &str = "robopt — optimizer-as-a-service for cross-platform query plans
@@ -64,23 +72,25 @@ const USAGE: &str = "robopt — optimizer-as-a-service for cross-platform query 
 USAGE:
   robopt serve [--tcp PORT] [--cache-capacity N] [--no-cache] [--model FILE]
                [--risk POLICY]
-      Line-delimited JSON request loop ({\"op\":\"optimize\"|\"train\"|
-      \"simulate\"|\"compare\"|\"stats\"|\"quit\"}) over stdin or a
+      Line-delimited JSON request loop ({\"op\":\"optimize\"|\"execute\"|
+      \"compare\"|\"train\"|\"stats\"|\"quit\"}) over stdin or a
       loopback TCP socket. --risk sets the session default policy for
       optimize requests that don't carry their own.
 
   robopt optimize [workload flags] [--workers N] [--split-parts N]
-                  [--no-prune] [--model FILE] [--risk POLICY]
-  robopt simulate [workload flags] [--seed N] [--noise X] [--model FILE]
+                  [--no-prune] [--no-clamp] [--risk POLICY] [--model FILE]
   robopt execute  [workload flags] [--backend engine|simulator]
                   [--engine-workers N] [--assign p1,p2,...] [--seed N]
                   [--noise X] [--model FILE]
       Actually run the workload (engine: measured runtimes, real output
-      rows and digest; simulator: modeled). Empty --assign optimizes
-      first and executes the winner.
-  robopt compare  [workload flags] [--workers N] [--sim-seed N] [--model FILE]
-  robopt train    [--rows N] [--trees N] [--seed N] [--source simulator|tdgen]
-                  [--forest-seed N] [--model-out FILE]
+      rows and digest; simulator: modeled, --seed/--noise apply). Empty
+      --assign optimizes first and executes the winner.
+  robopt compare  [workload flags] [--workers N] [--split-parts N]
+                  [--no-prune] [--no-clamp] [--sim-seed N] [--model FILE]
+  robopt train    [--rows N] [--trees N] [--source simulator|tdgen]
+                  [--seed N] [--noise X] [--forest-seed N] [--model-out FILE]
+      One-shot verbs: the flags become the request line a serve client
+      would send; a flag the verb does not list is an error.
 
 WORKLOAD FLAGS:
   --workload wordcount|tpch_q3|pipeline|random_dag|pagerank|kmeans
@@ -97,138 +107,170 @@ RISK POLICIES (--risk):
   sigma<k>       mean + k standard deviations, e.g. sigma1.5
   q<q>           cost quantile, q in (0,1), e.g. q0.9";
 
-/// One-shot verbs sharing the workload/policy flag surface.
+/// How a flag's value becomes JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verb {
-    Optimize,
-    Simulate,
-    Execute,
-    Compare,
+enum Kind {
+    /// A number (integers verbatim, so 64-bit seeds survive).
+    Num,
+    /// A string.
+    Str,
+    /// `a,b,c` into an array of strings.
+    List,
+    /// A valueless switch that turns a boolean off.
+    Off,
 }
 
-/// Parsed flag list: `--key value` pairs plus boolean `--key` switches.
-#[derive(Debug, Default)]
-struct Flags {
-    pairs: Vec<(String, String)>,
-    switches: Vec<String>,
-}
+/// `(flag, subcommands that accept it, JSON path, value kind)`. The path
+/// is where the value lands in the request line (`object.key`, or a
+/// top-level `key`); empty marks a deployment setting that shapes the
+/// facade or the transport instead and never reaches the wire.
+type FlagRow = (&'static str, &'static [&'static str], &'static str, Kind);
 
-/// Flags that take no value; everything else expects `--flag VALUE`.
-const SWITCHES: &[&str] = &["--no-cache", "--no-prune", "--no-clamp"];
+/// One flag as given: its table row and raw value (`""` for a switch).
+type Flag<'a> = (&'static FlagRow, &'a str);
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags::default();
+const WORKLOAD: &[&str] = &["optimize", "execute", "compare"];
+const POLICY: &[&str] = &["optimize", "compare"];
+const MODEL: &[&str] = &["serve", "optimize", "execute", "compare"];
+
+/// Every flag of every subcommand — the one table both flag validation
+/// ([`parse_flags`]) and line building ([`request_line`]) read.
+const FLAGS: &[FlagRow] = &[
+    ("--workload", WORKLOAD, "workload.kind", Kind::Str),
+    ("--scale", WORKLOAD, "workload.scale", Kind::Num),
+    ("--ops", WORKLOAD, "workload.ops", Kind::Num),
+    ("--dag-seed", WORKLOAD, "workload.seed", Kind::Num),
+    ("--density", WORKLOAD, "workload.density", Kind::Num),
+    ("--iterations", WORKLOAD, "workload.iterations", Kind::Num),
+    ("--workers", POLICY, "policy.workers", Kind::Num),
+    ("--split-parts", POLICY, "policy.split_parts", Kind::Num),
+    ("--no-prune", POLICY, "policy.prune", Kind::Off),
+    ("--no-clamp", POLICY, "policy.hardware_clamp", Kind::Off),
+    ("--risk", &["optimize"], "risk", Kind::Str),
+    ("--backend", &["execute"], "backend", Kind::Str),
+    ("--engine-workers", &["execute"], "workers", Kind::Num),
+    ("--assign", &["execute"], "assignments", Kind::List),
+    ("--seed", &["execute", "train"], "seed", Kind::Num),
+    ("--noise", &["execute", "train"], "noise", Kind::Num),
+    ("--sim-seed", &["compare"], "sim_seed", Kind::Num),
+    ("--rows", &["train"], "rows", Kind::Num),
+    ("--trees", &["train"], "n_trees", Kind::Num),
+    ("--source", &["train"], "source", Kind::Str),
+    ("--forest-seed", &["train"], "forest_seed", Kind::Num),
+    ("--model", MODEL, "", Kind::Str),
+    ("--model-out", &["train"], "", Kind::Str),
+    ("--risk", &["serve"], "", Kind::Str),
+    ("--cache-capacity", &["serve"], "", Kind::Num),
+    ("--no-cache", &["serve"], "", Kind::Off),
+    ("--tcp", &["serve"], "", Kind::Num),
+];
+
+/// The command line as [`Flag`]s, in order; a flag with no [`FLAGS`] row
+/// for `verb` is an error.
+fn parse_flags<'a>(verb: &str, args: &'a [String]) -> Result<Vec<Flag<'a>>, String> {
+    let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if !arg.starts_with("--") {
             return Err(format!("unexpected argument {arg:?}"));
         }
-        if SWITCHES.contains(&arg.as_str()) {
-            flags.switches.push(arg.clone());
-            continue;
-        }
-        let Some(value) = it.next() else {
-            return Err(format!("flag {arg} expects a value"));
+        let Some(row) = FLAGS
+            .iter()
+            .find(|(flag, verbs, ..)| flag == arg && verbs.contains(&verb))
+        else {
+            return Err(format!("unknown flag {arg} for `robopt {verb}`"));
         };
-        flags.pairs.push((arg.clone(), value.clone()));
+        let value = match row.3 {
+            Kind::Off => "",
+            _ => it
+                .next()
+                .ok_or_else(|| format!("flag {arg} expects a value"))?,
+        };
+        flags.push((row, value));
     }
     Ok(flags)
 }
 
-impl Flags {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
-    }
-
-    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        self.get(key)
-            .map(|raw| {
-                raw.parse()
-                    .map_err(|_| format!("flag {key} has invalid value {raw:?}"))
-            })
-            .transpose()
-    }
-
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        Ok(self.parse_opt(key)?.unwrap_or(default))
-    }
-}
-
-fn workload_from_flags(flags: &Flags) -> Result<WorkloadSpec, String> {
-    let params = WorkloadParams {
-        scale: flags.parse_opt("--scale")?,
-        ops: flags.parse_opt("--ops")?,
-        seed: flags.parse_opt("--dag-seed")?,
-        density: flags.parse_opt("--density")?,
-        iterations: flags.parse_opt("--iterations")?,
-    };
-    WorkloadSpec::named(flags.get("--workload").unwrap_or("wordcount"), params)
-        .map_err(|e| e.to_string())
-}
-
-/// `--assign java,spark,...` into per-operator platform names (empty flag
-/// or no flag means "optimize first").
-fn assignments_from_flags(flags: &Flags) -> Vec<String> {
+/// The raw value of deployment flag `name` (a row with an empty path).
+fn deployment<'a>(flags: &[Flag<'a>], name: &str) -> Option<&'a str> {
     flags
-        .get("--assign")
-        .map(|list| {
-            list.split(',')
+        .iter()
+        .find(|((flag, _, path, _), _)| *flag == name && path.is_empty())
+        .map(|&(_, value)| value)
+}
+
+/// `raw` as a JSON token of `kind`.
+fn json_value(flag: &str, kind: Kind, raw: &str) -> Result<String, String> {
+    let quoted = |text: &str| {
+        let mut s = String::from("\"");
+        escape_into(&mut s, text);
+        s.push('"');
+        s
+    };
+    match kind {
+        Kind::Num => match (raw.parse::<u64>(), raw.parse::<f64>()) {
+            (Ok(n), _) => Ok(n.to_string()),
+            (_, Ok(x)) if x.is_finite() => Ok(format!("{x:?}")),
+            _ => Err(format!("flag {flag} has invalid value {raw:?}")),
+        },
+        Kind::Str => Ok(quoted(raw)),
+        Kind::List => {
+            let items: Vec<String> = raw
+                .split(',')
                 .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect()
+                .filter(|item| !item.is_empty())
+                .map(quoted)
+                .collect();
+            Ok(format!("[{}]", items.join(",")))
+        }
+        Kind::Off => Ok("false".to_string()),
+    }
+}
+
+/// The request line `robopt <verb> <flags>` stands for: each flag's value
+/// at its row's path, plus the one thing the wire requires that the
+/// command line lets you omit — the workload kind (default `wordcount`).
+fn request_line(verb: &str, flags: &[Flag<'_>]) -> Result<String, String> {
+    // Members per JSON object; "" is the request object itself.
+    let mut objects = vec![("", vec![format!("\"op\":\"{verb}\"")])];
+    if WORKLOAD.contains(&verb) && !flags.iter().any(|(row, _)| row.0 == "--workload") {
+        objects.push(("workload", vec!["\"kind\":\"wordcount\"".to_string()]));
+    }
+    for &(&(flag, _, path, kind), raw) in flags {
+        if path.is_empty() {
+            continue;
+        }
+        let (object, key) = path.split_once('.').unwrap_or(("", path));
+        let member = format!("\"{key}\":{}", json_value(flag, kind, raw)?);
+        match objects.iter_mut().find(|(name, _)| *name == object) {
+            Some((_, members)) => members.push(member),
+            None => objects.push((object, vec![member])),
+        }
+    }
+    let rendered: Vec<String> = objects
+        .iter()
+        .map(|(name, members)| match *name {
+            "" => members.join(","),
+            name => format!("\"{name}\":{{{}}}", members.join(",")),
         })
-        .unwrap_or_default()
+        .collect();
+    Ok(format!("{{{}}}", rendered.join(",")))
 }
 
-fn backend_from_flags(flags: &Flags) -> Result<BackendChoice, String> {
-    BackendChoice::named(
-        flags.get("--backend"),
-        flags.parse_opt("--engine-workers")?,
-        flags.parse_opt("--seed")?,
-        flags.parse_opt("--noise")?,
-    )
-}
-
-/// `--risk expected|sigma<k>|q<q>` into a policy, `None` when absent.
-fn risk_from_flags(flags: &Flags) -> Result<Option<RiskPolicy>, String> {
-    flags.get("--risk").map(RiskPolicy::parse).transpose()
-}
-
-fn policy_from_flags(flags: &Flags) -> Result<ExecutionPolicy, String> {
-    let defaults = ExecutionPolicy::default();
-    let mut policy = defaults
-        .with_workers(flags.parse("--workers", defaults.workers)?)
-        .with_split_parts(flags.parse("--split-parts", defaults.split_parts)?);
-    if flags.has("--no-prune") {
-        policy = policy.with_prune(false);
-    }
-    if flags.has("--no-clamp") {
-        policy = policy.with_hardware_clamp(false);
-    }
-    Ok(policy)
-}
-
-/// Build the facade, honoring `--model`, `--cache-capacity`, `--no-cache`.
-fn optimizer_from_flags(flags: &Flags) -> Result<Optimizer, String> {
+/// Build the facade from the deployment flags: `--model`,
+/// `--cache-capacity`, `--no-cache`, and `serve --risk`.
+fn optimizer_from_flags(flags: &[Flag<'_>]) -> Result<Optimizer, String> {
     let mut opt = Optimizer::named();
-    if let Some(capacity) = flags.get("--cache-capacity") {
+    if let Some(capacity) = deployment(flags, "--cache-capacity") {
         let capacity: usize = capacity
             .parse()
             .map_err(|_| format!("--cache-capacity has invalid value {capacity:?}"))?;
         opt.set_cache_capacity(capacity);
     }
-    if flags.has("--no-cache") {
+    if deployment(flags, "--no-cache").is_some() {
         opt.set_cache_enabled(false);
     }
-    if let Some(path) = flags.get("--model") {
+    if let Some(path) = deployment(flags, "--model") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read model file {path:?}: {e}"))?;
         let forest = robopt::forest_from_json(&text).map_err(|e| e.to_string())?;
@@ -236,135 +278,47 @@ fn optimizer_from_flags(flags: &Flags) -> Result<Optimizer, String> {
     }
     // Session-wide default; `robopt serve --risk` applies it to every
     // optimize request that doesn't carry its own policy.
-    opt.set_default_risk(risk_from_flags(flags)?);
+    opt.set_default_risk(
+        deployment(flags, "--risk")
+            .map(RiskPolicy::parse)
+            .transpose()?,
+    );
     Ok(opt)
 }
 
-fn cmd_one_shot(args: &[String], verb: Verb) -> i32 {
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(msg) => return usage_error(&msg),
-    };
-    let setup = (|| -> Result<(Optimizer, Request), String> {
-        let opt = optimizer_from_flags(&flags)?;
-        let workload = workload_from_flags(&flags)?;
-        let req = match verb {
-            Verb::Optimize => {
-                let mut oreq =
-                    OptimizeRequest::new(workload).with_policy(policy_from_flags(&flags)?);
-                if let Some(risk) = risk_from_flags(&flags)? {
-                    oreq = oreq.with_risk(risk);
-                }
-                Request::Optimize(oreq)
-            }
-            Verb::Simulate => {
-                let defaults = SimulateRequest::new(workload);
-                Request::Simulate(SimulateRequest {
-                    seed: flags.parse("--seed", defaults.seed)?,
-                    noise: flags.parse("--noise", defaults.noise)?,
-                    ..defaults
-                })
-            }
-            Verb::Execute => Request::Execute(
-                ExecuteRequest::new(workload)
-                    .with_assignments(assignments_from_flags(&flags))
-                    .with_backend(backend_from_flags(&flags)?),
-            ),
-            Verb::Compare => {
-                let defaults = CompareRequest::new(workload);
-                Request::Compare(CompareRequest {
-                    policy: policy_from_flags(&flags)?,
-                    sim_seed: flags.parse("--sim-seed", defaults.sim_seed)?,
-                    ..defaults
-                })
-            }
+/// Answer one request and print the response line; a successful `train`
+/// persists the new forest to `model_out` first.
+fn cmd_one_shot(opt: &mut Optimizer, req: &Request, model_out: Option<&str>) -> i32 {
+    let resp = dispatch(opt, req);
+    if let (Response::Train(_), Some(path)) = (&resp, model_out) {
+        let Some(forest) = opt.forest() else {
+            eprintln!("internal error: train succeeded without a forest");
+            return EXIT_REQUEST_FAILED;
         };
-        Ok((opt, req))
-    })();
-    let (mut opt, req) = match setup {
-        Ok(pair) => pair,
-        Err(msg) => return usage_error(&msg),
-    };
-    let resp = dispatch(&mut opt, &req);
-    let failed = matches!(resp, Response::Error(_));
+        if let Err(e) = std::fs::write(path, robopt::forest_to_json(forest)) {
+            eprintln!("cannot write model file {path:?}: {e}");
+            return EXIT_REQUEST_FAILED;
+        }
+    }
     println!("{}", render_response(&resp));
-    if failed {
+    if matches!(resp, Response::Error(_)) {
         EXIT_REQUEST_FAILED
     } else {
         EXIT_OK
     }
 }
 
-/// `robopt train` flags over the [`TrainRequest`] defaults.
-fn train_request_from_flags(flags: &Flags) -> Result<TrainRequest, String> {
-    let defaults = TrainRequest::default();
-    Ok(TrainRequest {
-        source: TrainSource::named(
-            flags.get("--source"),
-            flags.parse_opt("--seed")?,
-            flags.parse_opt("--noise")?,
-        )?,
-        rows: flags.parse("--rows", defaults.rows)?,
-        n_trees: flags.parse("--trees", defaults.n_trees)?,
-        forest_seed: flags.parse("--forest-seed", defaults.forest_seed)?,
-    })
-}
-
-fn cmd_train(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(msg) => return usage_error(&msg),
+fn cmd_serve(opt: &mut Optimizer, flags: &[Flag<'_>]) -> Result<i32, String> {
+    let Some(port) = deployment(flags, "--tcp") else {
+        let stdin = std::io::stdin();
+        let mut stdout = std::io::stdout().lock();
+        serve_lines(opt, stdin.lock(), &mut stdout);
+        return Ok(EXIT_OK);
     };
-    let req = match train_request_from_flags(&flags) {
-        Ok(req) => req,
-        Err(msg) => return usage_error(&msg),
-    };
-    let mut opt = Optimizer::named();
-    match opt.train(&req) {
-        Ok(resp) => {
-            if let Some(path) = flags.get("--model-out") {
-                let Some(forest) = opt.forest() else {
-                    eprintln!("internal error: train succeeded without a forest");
-                    return EXIT_REQUEST_FAILED;
-                };
-                if let Err(e) = std::fs::write(path, robopt::forest_to_json(forest)) {
-                    eprintln!("cannot write model file {path:?}: {e}");
-                    return EXIT_REQUEST_FAILED;
-                }
-            }
-            println!("{}", render_response(&Response::Train(resp)));
-            EXIT_OK
-        }
-        Err(e) => {
-            println!("{}", render_response(&Response::Error(e)));
-            EXIT_REQUEST_FAILED
-        }
-    }
-}
-
-fn cmd_serve(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(msg) => return usage_error(&msg),
-    };
-    let mut opt = match optimizer_from_flags(&flags) {
-        Ok(opt) => opt,
-        Err(msg) => return usage_error(&msg),
-    };
-    match flags.get("--tcp") {
-        None => {
-            let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout().lock();
-            serve_lines(&mut opt, stdin.lock(), &mut stdout);
-            EXIT_OK
-        }
-        Some(port) => {
-            let Ok(port) = port.parse::<u16>() else {
-                return usage_error(&format!("--tcp has invalid port {port:?}"));
-            };
-            serve_tcp(&mut opt, port)
-        }
-    }
+    let port = port
+        .parse::<u16>()
+        .map_err(|_| format!("--tcp has invalid port {port:?}"))?;
+    Ok(serve_tcp(opt, port))
 }
 
 /// The serve loop: one request line in, one response line out, until
@@ -434,32 +388,17 @@ pub fn serve_on_listener(opt: &mut Optimizer, listener: &std::net::TcpListener) 
 
 /// Route one parsed request into the facade.
 fn dispatch(opt: &mut Optimizer, req: &Request) -> Response {
-    match req {
-        Request::Optimize(r) => match opt.optimize(r) {
-            Ok(resp) => Response::Optimize(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Train(r) => match opt.train(r) {
-            Ok(resp) => Response::Train(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Simulate(r) => match opt.simulate(r) {
-            Ok(resp) => Response::Simulate(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Execute(r) => match opt.execute(r) {
-            Ok(resp) => Response::Execute(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Compare(r) => match opt.compare(r) {
-            Ok(resp) => Response::Compare(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Stats => Response::Stats(opt.service_stats()),
-        Request::Quit => Response::Error(ServiceError::InvalidRequest(
+    let answer = match req {
+        Request::Optimize(r) => opt.optimize(r).map(Response::Optimize),
+        Request::Train(r) => opt.train(r).map(Response::Train),
+        Request::Execute(r) => opt.execute(r).map(Response::Execute),
+        Request::Compare(r) => opt.compare(r).map(Response::Compare),
+        Request::Stats => Ok(Response::Stats(opt.service_stats())),
+        Request::Quit => Err(ServiceError::InvalidRequest(
             "quit is handled by the serve loop".to_string(),
         )),
-    }
+    };
+    answer.unwrap_or_else(Response::Error)
 }
 
 fn quit_ack() -> String {
@@ -524,90 +463,91 @@ mod tests {
         assert!(lines[3].contains("\"quit\""));
     }
 
-    #[test]
-    fn wire_and_cli_agree_on_what_a_bare_train_means() {
-        let wire = parse_request(r#"{"op":"train"}"#).expect("bare wire train");
-        let cli = train_request_from_flags(&Flags::default()).expect("bare cli train");
-        assert_eq!(wire, Request::Train(cli));
-        assert_eq!(cli, TrainRequest::default());
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
     }
 
-    fn flags(args: &[&str]) -> Flags {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_flags(&args).expect("well-formed flags")
+    /// The `Request` that `robopt <verb> <flags>` sends.
+    fn request(verb: &str, flags: &[&str]) -> Result<Request, String> {
+        let flags = args(flags);
+        let line = request_line(verb, &parse_flags(verb, &flags)?)?;
+        parse_request(&line).map_err(|e| e.to_string())
     }
 
+    /// The flag table is total and documented: every row is a live flag of
+    /// a real subcommand — setting it alone moves the request the wire
+    /// decodes, or reaches the facade — and USAGE mentions it.
     #[test]
-    fn wire_and_cli_agree_on_every_bare_workload_and_backend() {
-        // An unparameterised workload of every kind, through both doors.
-        let kinds = [
-            ("wordcount", WorkloadSpec::WordCount { scale: 1e7 }),
-            ("tpch_q3", WorkloadSpec::TpchQ3 { scale: 1e6 }),
-            (
-                "pipeline",
-                WorkloadSpec::Pipeline {
-                    ops: 16,
-                    scale: 1e5,
-                },
-            ),
-            (
-                "random_dag",
-                WorkloadSpec::RandomDag {
-                    seed: 1,
-                    ops: 16,
-                    density: 0.3,
-                },
-            ),
-            (
-                "pagerank",
-                WorkloadSpec::PageRank {
-                    scale: 1e5,
-                    iterations: 10,
-                },
-            ),
-            (
-                "kmeans",
-                WorkloadSpec::KMeans {
-                    scale: 1e5,
-                    iterations: 10,
-                },
-            ),
+    fn every_flag_row_reaches_the_request_and_the_usage_text() {
+        // (flag, a non-default value, the flags that make it matter)
+        const SAMPLES: &[(&str, &str, &[&str])] = &[
+            ("--workload", "tpch_q3", &[]),
+            ("--scale", "3e3", &[]),
+            ("--ops", "9", &["--workload", "pipeline"]),
+            ("--dag-seed", "5", &["--workload", "random_dag"]),
+            ("--density", "0.7", &["--workload", "random_dag"]),
+            ("--iterations", "3", &["--workload", "pagerank"]),
+            ("--workers", "3", &[]),
+            ("--split-parts", "2", &[]),
+            ("--no-prune", "", &[]),
+            ("--no-clamp", "", &[]),
+            ("--risk", "q0.9", &[]),
+            ("--backend", "simulator", &[]),
+            ("--engine-workers", "3", &[]),
+            ("--assign", "java,spark", &[]),
+            ("--seed", "7", &["--backend", "simulator"]),
+            ("--noise", "0.25", &["--backend", "simulator"]),
+            ("--sim-seed", "7", &[]),
+            ("--rows", "64", &[]),
+            ("--trees", "4", &[]),
+            ("--source", "tdgen", &[]),
+            ("--forest-seed", "9", &[]),
         ];
-        for (kind, expected) in kinds {
-            let line = format!(r#"{{"op":"optimize","workload":{{"kind":"{kind}"}}}}"#);
-            let wire = parse_request(&line).expect("bare wire workload");
-            let cli = workload_from_flags(&flags(&["--workload", kind])).expect("bare cli");
-            assert_eq!(wire, Request::Optimize(OptimizeRequest::new(cli)), "{kind}");
-            assert_eq!(cli, expected, "{kind}");
+        for &(flag, verbs, path, kind) in FLAGS {
+            assert!(USAGE.contains(flag), "USAGE omits {flag}");
+            if path.is_empty() {
+                continue;
+            }
+            let &(_, value, context) = SAMPLES
+                .iter()
+                .find(|(sample, ..)| *sample == flag)
+                .unwrap_or_else(|| panic!("no sample value for {flag}"));
+            for verb in verbs {
+                // `--backend` is an execute flag; train needs no context.
+                let context = if *verb == "train" { &[] } else { context };
+                let mut with = context.to_vec();
+                with.push(flag);
+                if kind != Kind::Off {
+                    with.push(value);
+                }
+                let bare = request(verb, context).expect("context alone is valid");
+                let set = request(verb, &with).expect("sample value is valid");
+                assert_ne!(bare, set, "{verb} {flag} is a dead flag");
+            }
         }
-        // An explicit parameter still wins over its kind's default.
-        let cli = workload_from_flags(&flags(&["--workload", "tpch_q3", "--scale", "1e7"]));
-        assert_eq!(cli, Ok(WorkloadSpec::TpchQ3 { scale: 1e7 }));
-
-        // A bare execute on either backend.
-        for (name, expected) in [
-            (None, BackendChoice::Engine { workers: 2 }),
-            (Some("engine"), BackendChoice::default()),
-            (
-                Some("simulator"),
-                BackendChoice::Simulator {
-                    seed: 42,
-                    noise: 0.0,
-                },
-            ),
+        // Every op the wire accepts is documented, and only those.
+        for op in [
+            "optimize", "execute", "compare", "train", "stats", "quit", "simulate",
         ] {
-            let (field, args) = match name {
-                Some(n) => (format!(r#","backend":"{n}""#), vec!["--backend", n]),
-                None => (String::new(), vec![]),
-            };
-            let line = format!(r#"{{"op":"execute","workload":{{"kind":"wordcount"}}{field}}}"#);
-            let Request::Execute(wire) = parse_request(&line).expect("bare wire execute") else {
-                panic!("execute line parsed as another verb");
-            };
-            let cli = backend_from_flags(&flags(&args)).expect("bare cli backend");
-            assert_eq!(wire.backend, cli, "{name:?}");
-            assert_eq!(cli, expected, "{name:?}");
+            let line = format!(r#"{{"op":"{op}","workload":{{"kind":"wordcount"}}}}"#);
+            assert_eq!(
+                parse_request(&line).is_ok(),
+                USAGE.contains(&format!("\"{op}\"")),
+                "USAGE and parse_request disagree on {op:?}"
+            );
         }
+        // A 64-bit seed crosses the flag → line → request path exactly.
+        let Ok(Request::Train(train)) = request("train", &["--seed", "18446744073709551615"])
+        else {
+            panic!("train line parsed as another verb");
+        };
+        assert_eq!(
+            train.source,
+            robopt::TrainSource::Simulator {
+                seed: u64::MAX,
+                noise: 0.05
+            }
+        );
     }
 
     #[test]
@@ -689,18 +629,22 @@ mod tests {
 
     #[test]
     fn risk_flag_parses_policies_and_rejects_garbage() {
-        let flags = parse_flags(&["--risk".to_string(), "sigma1.5".to_string()]).expect("flags");
-        assert_eq!(
-            risk_from_flags(&flags).expect("parse"),
-            Some(RiskPolicy::MeanPlusKSigma(1.5))
-        );
-        assert_eq!(risk_from_flags(&Flags::default()).expect("absent"), None);
-        let bad = parse_flags(&["--risk".to_string(), "wild".to_string()]).expect("flags");
+        let Ok(Request::Optimize(req)) = request("optimize", &["--risk", "sigma1.5"]) else {
+            panic!("optimize line parsed as another verb");
+        };
+        assert_eq!(req.risk, Some(RiskPolicy::MeanPlusKSigma(1.5)));
+        let Ok(Request::Optimize(req)) = request("optimize", &[]) else {
+            panic!("optimize line parsed as another verb");
+        };
+        assert_eq!(req.risk, None);
         assert!(
-            risk_from_flags(&bad).is_err(),
+            request("optimize", &["--risk", "wild"]).is_err(),
             "unknown policy is a usage error"
         );
-        // End to end: the one-shot verb carries the policy onto the wire.
+        let wild = args(&["--risk", "wild"]);
+        let serve_flags = parse_flags("serve", &wild).expect("serve takes --risk");
+        assert!(optimizer_from_flags(&serve_flags).is_err());
+        // End to end: the policy rides the wire into the response.
         let script = concat!(
             r#"{"op":"optimize","workload":{"kind":"wordcount","scale":1e6},"risk":"q0.9"}"#,
             "\n",
@@ -715,26 +659,41 @@ mod tests {
 
     #[test]
     fn flag_parsing_catches_the_usual_mistakes() {
-        assert!(
-            parse_flags(&["--rows".to_string()]).is_err(),
-            "missing value"
-        );
-        assert!(parse_flags(&["stray".to_string()]).is_err(), "non-flag arg");
-        let flags = parse_flags(&[
-            "--workload".to_string(),
-            "pipeline".to_string(),
-            "--ops".to_string(),
-            "24".to_string(),
-            "--no-cache".to_string(),
-        ])
-        .expect("valid flags");
-        assert!(flags.has("--no-cache"));
+        for (verb, bad, names) in [
+            ("train", &["--rows"][..], "expects a value"),
+            ("optimize", &["stray"], "stray"),
+            // Regression: a misspelt flag used to be silently ignored and
+            // the default workload optimized instead.
+            ("optimize", &["--scael", "1e9"], "--scael"),
+            ("optimize", &["--rows", "64"], "--rows"),
+            ("compare", &["--risk", "sigma2"], "--risk"),
+            ("train", &["--no-cache"], "--no-cache"),
+        ] {
+            let err = parse_flags(verb, &args(bad)).expect_err("bad command line");
+            assert!(err.contains(names), "{verb} {bad:?}: {err:?}");
+        }
+        for bad in [
+            &["--scale", "inf"][..],
+            &["--scale", "lots"],
+            &["--ops", "1.5"],
+            &["--workload", "mystery"],
+        ] {
+            assert!(request("optimize", bad).is_err(), "{bad:?}");
+        }
+        assert_eq!(run(args(&["optimize", "--scael", "1e9"])), EXIT_USAGE);
+        // A switch takes no value: the next argument is the next flag.
         assert_eq!(
-            workload_from_flags(&flags).expect("workload"),
-            WorkloadSpec::Pipeline {
-                ops: 24,
-                scale: 1e5
-            }
+            request(
+                "optimize",
+                &["--no-clamp", "--workload", "pipeline", "--ops", "24"]
+            ),
+            Ok(Request::Optimize(
+                robopt::OptimizeRequest::new(robopt::WorkloadSpec::Pipeline {
+                    ops: 24,
+                    scale: 1e5
+                })
+                .with_policy(robopt::ExecutionPolicy::default().with_hardware_clamp(false))
+            ))
         );
     }
 }

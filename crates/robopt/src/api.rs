@@ -246,30 +246,8 @@ pub enum TrainSource {
 }
 
 /// Seed and noise amplitude of a training source nobody configured.
-const TRAIN_SEED: u64 = 41;
-const TRAIN_NOISE: f64 = 0.05;
-
-impl TrainSource {
-    /// The source spelled `name` on the wire (`"source"`) and the command
-    /// line (`--source`): `simulator` (also what an absent name means) or
-    /// `tdgen`. An unset `seed` / `noise` falls back to the one default
-    /// both front ends share: seed 41, 5 % noise.
-    pub fn named(
-        name: Option<&str>,
-        seed: Option<u64>,
-        noise: Option<f64>,
-    ) -> Result<Self, String> {
-        let seed = seed.unwrap_or(TRAIN_SEED);
-        match name {
-            None | Some("simulator") => Ok(TrainSource::Simulator {
-                seed,
-                noise: noise.unwrap_or(TRAIN_NOISE),
-            }),
-            Some("tdgen") => Ok(TrainSource::Tdgen { seed }),
-            Some(other) => Err(format!("unknown training source {other:?}")),
-        }
-    }
-}
+pub(crate) const TRAIN_SEED: u64 = 41;
+pub(crate) const TRAIN_NOISE: f64 = 0.05;
 
 /// Train a random forest and install it as the facade's cost oracle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,8 +263,8 @@ pub struct TrainRequest {
 }
 
 impl TrainRequest {
-    /// Defaults matching the ml-crate test setup: the default
-    /// [`TrainSource::named`] source, 24 trees, the forest's default seed.
+    /// Defaults matching the ml-crate test setup: the simulator source
+    /// (seed 41, 5 % noise), 24 trees, the forest's default seed.
     pub fn new(rows: usize) -> Self {
         TrainRequest {
             source: TrainSource::Simulator {
@@ -300,8 +278,8 @@ impl TrainRequest {
     }
 }
 
-/// What `{"op":"train"}` and a bare `robopt train` mean: 512 rows under
-/// the [`TrainRequest::new`] defaults.
+/// What `{"op":"train"}` means: 512 rows under the [`TrainRequest::new`]
+/// defaults.
 impl Default for TrainRequest {
     fn default() -> Self {
         TrainRequest::new(512)
@@ -319,46 +297,6 @@ pub struct TrainResponse {
     pub width: usize,
     /// Mean squared error on the training rows (fit sanity, not accuracy).
     pub train_mse: f64,
-}
-
-/// Simulate a workload under an explicit (or optimized) assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateRequest {
-    /// What to run.
-    pub workload: WorkloadSpec,
-    /// Platform name per operator; empty means "optimize first, then
-    /// simulate the winning assignment".
-    pub assignments: Vec<String>,
-    /// Simulator seed.
-    pub seed: u64,
-    /// Simulator noise amplitude in `[0, 1)`.
-    pub noise: f64,
-}
-
-impl SimulateRequest {
-    /// Simulate the optimizer's winning plan for `workload`, noiseless,
-    /// under simulator seed 42.
-    pub fn new(workload: WorkloadSpec) -> Self {
-        SimulateRequest {
-            workload,
-            assignments: Vec::new(),
-            seed: SIM_SEED,
-            noise: 0.0,
-        }
-    }
-}
-
-/// Simulated runtime for one assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateResponse {
-    /// Workload label.
-    pub workload: String,
-    /// The assignment that was simulated (resolved names).
-    pub assignments: Vec<String>,
-    /// Simulated wall seconds (`infinite` ⇒ infeasible, see `feasible`).
-    pub seconds: f64,
-    /// Whether the assignment was executable (finite runtime).
-    pub feasible: bool,
 }
 
 /// Which [`robopt_platforms::ExecutionBackend`] answers an
@@ -381,39 +319,14 @@ pub enum BackendChoice {
 }
 
 /// Engine workers and simulator seed of a request nobody configured (the
-/// seed is the one `simulate` and `compare` default to as well).
-const ENGINE_WORKERS: usize = 2;
-const SIM_SEED: u64 = 42;
+/// seed is the one `compare` defaults to as well).
+pub(crate) const ENGINE_WORKERS: usize = 2;
+pub(crate) const SIM_SEED: u64 = 42;
 
 impl Default for BackendChoice {
     fn default() -> Self {
         BackendChoice::Engine {
             workers: ENGINE_WORKERS,
-        }
-    }
-}
-
-impl BackendChoice {
-    /// The backend spelled `name` on the wire (`"backend"`) and the
-    /// command line (`--backend`): `engine` (also what an absent name
-    /// means) or `simulator`. Unset parameters fall back to the one
-    /// default both front ends share: 2 engine workers; simulator seed 42,
-    /// noiseless.
-    pub fn named(
-        name: Option<&str>,
-        workers: Option<usize>,
-        seed: Option<u64>,
-        noise: Option<f64>,
-    ) -> Result<Self, String> {
-        match name {
-            None | Some("engine") => Ok(BackendChoice::Engine {
-                workers: workers.unwrap_or(ENGINE_WORKERS),
-            }),
-            Some("simulator") => Ok(BackendChoice::Simulator {
-                seed: seed.unwrap_or(SIM_SEED),
-                noise: noise.unwrap_or(0.0),
-            }),
-            Some(other) => Err(format!("unknown backend {other:?}")),
         }
     }
 }
@@ -499,17 +412,6 @@ pub struct CompareRequest {
     pub policy: ExecutionPolicy,
     /// Seed for the runtime simulation of every plan.
     pub sim_seed: u64,
-}
-
-impl CompareRequest {
-    /// Compare under the default [`ExecutionPolicy`] and simulator seed 42.
-    pub fn new(workload: WorkloadSpec) -> Self {
-        CompareRequest {
-            workload,
-            policy: ExecutionPolicy::default(),
-            sim_seed: SIM_SEED,
-        }
-    }
 }
 
 /// One single-platform contender in a [`CompareResponse`].

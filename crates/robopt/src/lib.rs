@@ -12,8 +12,7 @@
 //! * [`optimizer`] — the [`Optimizer`] facade: owns the registry, the cost
 //!   model (analytic or trained forest behind `&dyn CostOracle`), the
 //!   warmed per-part matrix pools of one [`robopt_core::ParallelEnumerator`],
-//!   and the plan-signature cache; batches forest inference across
-//!   concurrent requests via `cost_batch`;
+//!   and the plan-signature cache;
 //! * [`cache`] — [`PlanCache`], deterministic open-addressed plan-signature
 //!   memoization with benefit-weighted eviction and hit/miss counters;
 //! * [`json`] — a dependency-free JSON value/parser pair for the wire
@@ -46,9 +45,8 @@ pub mod wire;
 
 pub use api::{
     BackendChoice, CompareRequest, CompareResponse, ExecuteRequest, ExecuteResponse,
-    ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, SimulateRequest,
-    SimulateResponse, SinglePlatformPlan, StatsResponse, TrainRequest, TrainResponse, TrainSource,
-    WorkloadParams, WorkloadSpec,
+    ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, SinglePlatformPlan,
+    StatsResponse, TrainRequest, TrainResponse, TrainSource, WorkloadParams, WorkloadSpec,
 };
 pub use cache::{CacheStats, PlanCache};
 pub use optimizer::Optimizer;

@@ -36,8 +36,8 @@ use robopt_vector::{FeatureLayout, RowsView};
 
 use crate::api::{
     build_workload, BackendChoice, CompareRequest, CompareResponse, ExecuteRequest,
-    ExecuteResponse, OptimizeRequest, OptimizeResponse, ServiceError, SimulateRequest,
-    SimulateResponse, SinglePlatformPlan, StatsResponse, TrainRequest, TrainResponse, TrainSource,
+    ExecuteResponse, OptimizeRequest, OptimizeResponse, ServiceError, SinglePlatformPlan,
+    StatsResponse, TrainRequest, TrainResponse, TrainSource,
 };
 use crate::cache::{CacheStats, PlanCache};
 
@@ -279,36 +279,14 @@ impl Optimizer {
         })
     }
 
-    /// Simulate a workload under an explicit assignment, or — when
-    /// `req.assignments` is empty — under the optimizer's winning plan.
-    ///
-    /// Since DESIGN §11 this verb runs through the
-    /// [`ExecutionBackend`] seam (the simulator is just one backend), so
-    /// `seconds` is bit-identical to the pre-seam direct
-    /// `RuntimeSimulator::simulate` path.
-    pub fn simulate(&mut self, req: &SimulateRequest) -> Result<SimulateResponse, ServiceError> {
-        check_noise(req.noise)?;
-        let plan = build_workload(&req.workload)?;
-        let names = self.resolve_or_optimize(&plan, &req.workload, &req.assignments)?;
-        let ids = self.resolve_platform_ids(&names)?;
-        let sim = RuntimeSimulator::new(&self.registry, req.seed).with_noise(req.noise);
-        let backend: &dyn ExecutionBackend = &sim;
-        let report = backend.execute(&plan, &ids);
-        Ok(SimulateResponse {
-            workload: req.workload.name(),
-            assignments: names,
-            seconds: report.seconds,
-            feasible: report.feasible,
-        })
-    }
-
     /// Execute a workload on a backend — the `execute` service verb
     /// (DESIGN §11). With [`BackendChoice::Engine`] the plan *actually
     /// runs*: seeded generators feed the multi-threaded executor,
     /// WordCount counts real words, and `seconds` is measured wall clock
     /// plus modeled platform overheads. With [`BackendChoice::Simulator`]
-    /// this is `simulate` with the full per-operator breakdown. Empty
-    /// `req.assignments` optimizes first and executes the winner.
+    /// the analytic runtime simulator answers instead: fully modeled,
+    /// `seconds` bit-identical to a direct `RuntimeSimulator::simulate`.
+    /// Empty `req.assignments` optimizes first and executes the winner.
     pub fn execute(&mut self, req: &ExecuteRequest) -> Result<ExecuteResponse, ServiceError> {
         let plan = build_workload(&req.workload)?;
         let names = self.resolve_or_optimize(&plan, &req.workload, &req.assignments)?;
@@ -603,6 +581,11 @@ mod tests {
         WorkloadSpec::WordCount { scale: 1e7 }
     }
 
+    const SIM: BackendChoice = BackendChoice::Simulator {
+        seed: 42,
+        noise: 0.0,
+    };
+
     #[test]
     fn cached_response_is_bit_identical_to_cold() {
         let mut opt = Optimizer::named();
@@ -704,15 +687,21 @@ mod tests {
     }
 
     #[test]
-    fn simulate_and_compare_round_trip_names() {
+    fn simulated_execute_and_compare_round_trip_names() {
         let mut opt = Optimizer::named();
         let sim = opt
-            .simulate(&SimulateRequest::new(wc()))
+            .execute(&ExecuteRequest::new(wc()).with_backend(SIM))
             .expect("simulate the optimum");
         assert!(sim.feasible, "optimal plan must be executable");
         assert!(sim.seconds > 0.0);
 
-        let cmp = opt.compare(&CompareRequest::new(wc())).expect("compare");
+        let cmp = opt
+            .compare(&CompareRequest {
+                workload: wc(),
+                policy: ExecutionPolicy::default(),
+                sim_seed: 42,
+            })
+            .expect("compare");
         assert_eq!(cmp.singles.len(), opt.registry().len());
         assert!(!cmp.mix.is_empty());
         if let Some(best) = cmp.best_single_cost {
@@ -751,30 +740,26 @@ mod tests {
     }
 
     #[test]
-    fn execute_on_the_simulator_matches_the_simulate_verb() {
+    fn execute_on_the_simulator_matches_the_direct_simulator() {
         let mut opt = Optimizer::named();
         let spec = WorkloadSpec::TpchQ3 { scale: 1e5 };
-        let sim = opt
-            .simulate(&SimulateRequest {
-                workload: spec,
-                assignments: Vec::new(),
-                seed: 13,
-                noise: 0.2,
-            })
-            .expect("simulate");
         let exec = opt
             .execute(
-                &ExecuteRequest::new(spec)
-                    .with_backend(BackendChoice::Simulator {
-                        seed: 13,
-                        noise: 0.2,
-                    })
-                    .with_assignments(sim.assignments.clone()),
+                &ExecuteRequest::new(spec).with_backend(BackendChoice::Simulator {
+                    seed: 13,
+                    noise: 0.2,
+                }),
             )
             .expect("execute via simulator backend");
         assert_eq!(exec.backend, "simulator");
         assert!(!exec.measured);
-        assert_eq!(sim.seconds.to_bits(), exec.seconds.to_bits());
+        let ids = opt
+            .resolve_platform_ids(&exec.assignments)
+            .expect("response names resolve");
+        let direct = RuntimeSimulator::new(opt.registry(), 13)
+            .with_noise(0.2)
+            .simulate(&spec.build().expect("valid spec"), &ids);
+        assert_eq!(direct.to_bits(), exec.seconds.to_bits());
     }
 
     #[test]
@@ -786,22 +771,17 @@ mod tests {
             })),
             Err(ServiceError::InvalidRequest(_))
         ));
+        let pinned = |names: Vec<String>| {
+            ExecuteRequest::new(wc())
+                .with_backend(SIM)
+                .with_assignments(names)
+        };
         assert!(matches!(
-            opt.simulate(&SimulateRequest {
-                workload: wc(),
-                assignments: vec!["no-such-engine".to_string(); 6],
-                seed: 1,
-                noise: 0.0,
-            }),
+            opt.execute(&pinned(vec!["no-such-engine".to_string(); 6])),
             Err(ServiceError::UnknownPlatform(_))
         ));
         assert!(matches!(
-            opt.simulate(&SimulateRequest {
-                workload: wc(),
-                assignments: vec!["flink".to_string()],
-                seed: 1,
-                noise: 0.0,
-            }),
+            opt.execute(&pinned(vec!["flink".to_string()])),
             Err(ServiceError::AssignmentLength { .. })
         ));
         assert!(matches!(

@@ -15,9 +15,9 @@
 
 use crate::api::{
     BackendChoice, CompareRequest, CompareResponse, ExecuteRequest, ExecuteResponse,
-    ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, SimulateRequest,
-    SimulateResponse, StatsResponse, TrainRequest, TrainResponse, TrainSource, WorkloadParams,
-    WorkloadSpec,
+    ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, StatsResponse, TrainRequest,
+    TrainResponse, TrainSource, WorkloadParams, WorkloadSpec, ENGINE_WORKERS, SIM_SEED,
+    TRAIN_NOISE, TRAIN_SEED,
 };
 use crate::json::{self, escape_into, JsonValue};
 use robopt_core::RiskPolicy;
@@ -29,8 +29,6 @@ pub enum Request {
     Optimize(OptimizeRequest),
     /// `{"op":"train", ...}`
     Train(TrainRequest),
-    /// `{"op":"simulate", ...}`
-    Simulate(SimulateRequest),
     /// `{"op":"execute", "workload":{...}, "backend":"engine", ...}`
     Execute(ExecuteRequest),
     /// `{"op":"compare", ...}`
@@ -48,8 +46,6 @@ pub enum Response {
     Optimize(OptimizeResponse),
     /// Training result.
     Train(TrainResponse),
-    /// Simulation result.
-    Simulate(SimulateResponse),
     /// Execution result.
     Execute(ExecuteResponse),
     /// Comparison result.
@@ -70,54 +66,54 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
     match op {
         "optimize" => Ok(Request::Optimize(OptimizeRequest {
             workload: parse_workload(&doc)?,
-            policy: parse_policy(&doc),
-            risk: match doc.get("risk").and_then(JsonValue::as_str) {
+            policy: parse_policy(&doc)?,
+            risk: match field_str(&doc, "risk")? {
                 Some(text) => Some(RiskPolicy::parse(text).map_err(ServiceError::Parse)?),
                 None => None,
             },
         })),
         "train" => {
             let defaults = TrainRequest::default();
+            let seed = field_u64(&doc, "seed")?.unwrap_or(TRAIN_SEED);
             Ok(Request::Train(TrainRequest {
-                source: TrainSource::named(
-                    doc.get("source").and_then(JsonValue::as_str),
-                    field_u64(&doc, "seed"),
-                    field_f64(&doc, "noise"),
-                )
-                .map_err(ServiceError::Parse)?,
-                rows: field_usize(&doc, "rows").unwrap_or(defaults.rows),
-                n_trees: field_usize(&doc, "n_trees").unwrap_or(defaults.n_trees),
-                forest_seed: field_u64(&doc, "forest_seed").unwrap_or(defaults.forest_seed),
-            }))
-        }
-        "simulate" => {
-            let defaults = SimulateRequest::new(parse_workload(&doc)?);
-            Ok(Request::Simulate(SimulateRequest {
-                assignments: parse_assignments(&doc),
-                seed: field_u64(&doc, "seed").unwrap_or(defaults.seed),
-                noise: field_f64(&doc, "noise").unwrap_or(defaults.noise),
-                ..defaults
+                source: match field_str(&doc, "source")? {
+                    None | Some("simulator") => TrainSource::Simulator {
+                        seed,
+                        noise: field_f64(&doc, "noise")?.unwrap_or(TRAIN_NOISE),
+                    },
+                    Some("tdgen") => TrainSource::Tdgen { seed },
+                    Some(other) => {
+                        return Err(ServiceError::Parse(format!(
+                            "unknown training source {other:?}"
+                        )))
+                    }
+                },
+                rows: field_usize(&doc, "rows")?.unwrap_or(defaults.rows),
+                n_trees: field_usize(&doc, "n_trees")?.unwrap_or(defaults.n_trees),
+                forest_seed: field_u64(&doc, "forest_seed")?.unwrap_or(defaults.forest_seed),
             }))
         }
         "execute" => Ok(Request::Execute(ExecuteRequest {
             workload: parse_workload(&doc)?,
-            assignments: parse_assignments(&doc),
-            backend: BackendChoice::named(
-                doc.get("backend").and_then(JsonValue::as_str),
-                field_usize(&doc, "workers"),
-                field_u64(&doc, "seed"),
-                field_f64(&doc, "noise"),
-            )
-            .map_err(ServiceError::Parse)?,
+            assignments: parse_assignments(&doc)?,
+            backend: match field_str(&doc, "backend")? {
+                None | Some("engine") => BackendChoice::Engine {
+                    workers: field_usize(&doc, "workers")?.unwrap_or(ENGINE_WORKERS),
+                },
+                Some("simulator") => BackendChoice::Simulator {
+                    seed: field_u64(&doc, "seed")?.unwrap_or(SIM_SEED),
+                    noise: field_f64(&doc, "noise")?.unwrap_or(0.0),
+                },
+                Some(other) => {
+                    return Err(ServiceError::Parse(format!("unknown backend {other:?}")))
+                }
+            },
         })),
-        "compare" => {
-            let defaults = CompareRequest::new(parse_workload(&doc)?);
-            Ok(Request::Compare(CompareRequest {
-                policy: parse_policy(&doc),
-                sim_seed: field_u64(&doc, "sim_seed").unwrap_or(defaults.sim_seed),
-                ..defaults
-            }))
-        }
+        "compare" => Ok(Request::Compare(CompareRequest {
+            workload: parse_workload(&doc)?,
+            policy: parse_policy(&doc)?,
+            sim_seed: field_u64(&doc, "sim_seed")?.unwrap_or(SIM_SEED),
+        })),
         "stats" => Ok(Request::Stats),
         "quit" => Ok(Request::Quit),
         other => Err(ServiceError::Parse(format!("unknown op {other:?}"))),
@@ -141,18 +137,6 @@ pub fn render_response(resp: &Response) -> String {
             r.width,
             num(r.train_mse)
         ),
-        Response::Simulate(r) => {
-            let mut s = String::from("{\"ok\":true,\"kind\":\"simulate\",\"workload\":");
-            push_str_value(&mut s, &r.workload);
-            s.push_str(",\"assignments\":");
-            push_str_array(&mut s, &r.assignments);
-            s.push_str(&format!(
-                ",\"seconds\":{},\"feasible\":{}}}",
-                num(r.seconds),
-                r.feasible
-            ));
-            s
-        }
         Response::Execute(r) => {
             let mut s = String::from("{\"ok\":true,\"kind\":\"execute\",\"workload\":");
             push_str_value(&mut s, &r.workload);
@@ -264,10 +248,7 @@ fn push_optimize_fields(s: &mut String, r: &OptimizeResponse) {
 /// bits, so finite values survive the wire exactly.
 fn num(v: f64) -> String {
     if v.is_finite() {
-        let s = format!("{v:?}");
-        // `{:?}` may omit the exponent form JSON requires nothing of, but
-        // always yields a valid JSON number for finite values.
-        s
+        format!("{v:?}")
     } else {
         "null".to_string()
     }
@@ -323,66 +304,88 @@ fn parse_workload(doc: &JsonValue) -> Result<WorkloadSpec, ServiceError> {
     let w = doc
         .get("workload")
         .ok_or_else(|| ServiceError::Parse("missing \"workload\" object".to_string()))?;
-    let kind = w
-        .get("kind")
-        .and_then(JsonValue::as_str)
+    let kind = field_str(w, "kind")?
         .ok_or_else(|| ServiceError::Parse("workload missing \"kind\"".to_string()))?;
     let params = WorkloadParams {
-        scale: field_f64(w, "scale"),
-        ops: field_usize(w, "ops"),
-        seed: field_u64(w, "seed"),
-        density: field_f64(w, "density"),
-        iterations: field_u32(w, "iterations"),
+        scale: field_f64(w, "scale")?,
+        ops: field_usize(w, "ops")?,
+        seed: field_u64(w, "seed")?,
+        density: field_f64(w, "density")?,
+        iterations: field(w, "iterations", "an integer that fits u32", |v| {
+            v.as_u64().and_then(|n| u32::try_from(n).ok())
+        })?,
     };
     WorkloadSpec::named(kind, params).map_err(|e| ServiceError::Parse(e.to_string()))
 }
 
-fn parse_policy(doc: &JsonValue) -> ExecutionPolicy {
+fn parse_policy(doc: &JsonValue) -> Result<ExecutionPolicy, ServiceError> {
     let mut policy = ExecutionPolicy::default();
-    if let Some(p) = doc.get("policy") {
-        if let Some(workers) = field_usize(p, "workers") {
+    if let Some(p) = field(doc, "policy", "an object", |v| {
+        matches!(v, JsonValue::Obj(_)).then_some(v)
+    })? {
+        if let Some(workers) = field_usize(p, "workers")? {
             policy = policy.with_workers(workers);
         }
-        if let Some(parts) = field_usize(p, "split_parts") {
+        if let Some(parts) = field_usize(p, "split_parts")? {
             policy = policy.with_split_parts(parts);
         }
-        if let Some(prune) = p.get("prune").and_then(JsonValue::as_bool) {
+        if let Some(prune) = field_bool(p, "prune")? {
             policy = policy.with_prune(prune);
         }
-        if let Some(clamp) = p.get("hardware_clamp").and_then(JsonValue::as_bool) {
+        if let Some(clamp) = field_bool(p, "hardware_clamp")? {
             policy = policy.with_hardware_clamp(clamp);
         }
     }
-    policy
+    Ok(policy)
 }
 
-fn field_f64(v: &JsonValue, key: &str) -> Option<f64> {
-    v.get(key).and_then(JsonValue::as_f64)
-}
-
-fn field_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    v.get(key).and_then(JsonValue::as_u64)
-}
-
-fn field_usize(v: &JsonValue, key: &str) -> Option<usize> {
-    v.get(key).and_then(JsonValue::as_usize)
-}
-
-fn field_u32(v: &JsonValue, key: &str) -> Option<u32> {
-    field_u64(v, key).and_then(|n| u32::try_from(n).ok())
-}
-
-/// The optional `"assignments"` string array shared by simulate/execute.
-fn parse_assignments(doc: &JsonValue) -> Vec<String> {
-    doc.get("assignments")
-        .and_then(JsonValue::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
+/// The optional field `key` of `v`, decoded by `read`: absent is `None`,
+/// but a field that is present and does not decode (wrong JSON type, or a
+/// number outside the target integer type) is a parse error naming it —
+/// never a silent fall-back to the default.
+fn field<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    want: &str,
+    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<Option<T>, ServiceError> {
+    v.get(key)
+        .map(|raw| {
+            read(raw).ok_or_else(|| ServiceError::Parse(format!("field {key:?} must be {want}")))
         })
-        .unwrap_or_default()
+        .transpose()
+}
+
+fn field_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, ServiceError> {
+    field(v, key, "a number", JsonValue::as_f64)
+}
+
+fn field_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ServiceError> {
+    field(v, key, "an integer that fits u64", JsonValue::as_u64)
+}
+
+fn field_usize(v: &JsonValue, key: &str) -> Result<Option<usize>, ServiceError> {
+    field(v, key, "an integer that fits usize", JsonValue::as_usize)
+}
+
+fn field_bool(v: &JsonValue, key: &str) -> Result<Option<bool>, ServiceError> {
+    field(v, key, "a boolean", JsonValue::as_bool)
+}
+
+fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<Option<&'a str>, ServiceError> {
+    field(v, key, "a string", JsonValue::as_str)
+}
+
+/// The optional `"assignments"` array of platform names; absent or empty
+/// means "optimize first".
+fn parse_assignments(doc: &JsonValue) -> Result<Vec<String>, ServiceError> {
+    let names = field(doc, "assignments", "an array of strings", |v| {
+        v.as_arr()?
+            .iter()
+            .map(|item| item.as_str().map(str::to_string))
+            .collect()
+    })?;
+    Ok(names.unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -438,19 +441,48 @@ mod tests {
 
     #[test]
     fn malformed_requests_yield_parse_errors() {
-        for bad in [
-            "",
-            "not json",
-            "{}",
-            r#"{"op":"warp"}"#,
-            r#"{"op":"optimize"}"#,
-            r#"{"op":"optimize","workload":{"kind":"mystery"}}"#,
-            r#"{"op":"train","source":"oracle"}"#,
+        // (line, what the error message must name)
+        for (bad, names) in [
+            ("", "json error"),
+            ("not json", "json error"),
+            ("{}", "\"op\""),
+            (r#"{"op":"warp"}"#, "unknown op"),
+            (
+                r#"{"op":"simulate","workload":{"kind":"wordcount"}}"#,
+                "unknown op",
+            ),
+            (r#"{"op":"optimize"}"#, "\"workload\""),
+            (
+                r#"{"op":"optimize","workload":{"kind":"mystery"}}"#,
+                "mystery",
+            ),
+            (r#"{"op":"train","source":"oracle"}"#, "oracle"),
+            // Present but mistyped or out of range: an error naming the
+            // field, never a silent default.
+            (r#"{"op":"train","rows":"many","n_trees":2}"#, "\"rows\""),
+            (
+                r#"{"op":"execute","workload":{"kind":"pagerank","iterations":4294967296}}"#,
+                "\"iterations\"",
+            ),
+            (
+                r#"{"op":"optimize","workload":{"kind":"wordcount"},"risk":7}"#,
+                "\"risk\"",
+            ),
+            (
+                r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"prune":"no"}}"#,
+                "\"prune\"",
+            ),
+            (
+                r#"{"op":"execute","workload":{"kind":"wordcount"},"assignments":["java",7,"java","java","java","java"]}"#,
+                "\"assignments\"",
+            ),
         ] {
-            assert!(
-                matches!(parse_request(bad), Err(ServiceError::Parse(_))),
-                "{bad:?} should be a parse error"
-            );
+            match parse_request(bad) {
+                Err(ServiceError::Parse(msg)) => {
+                    assert!(msg.contains(names), "{bad:?}: {msg:?} lacks {names:?}")
+                }
+                other => panic!("{bad:?} should be a parse error, got {other:?}"),
+            }
         }
     }
 
@@ -535,6 +567,60 @@ mod tests {
     }
 
     #[test]
+    fn absent_fields_take_the_documented_defaults() {
+        // An unparameterised workload of every kind, then one explicit
+        // parameter; the label renders every field of the spec.
+        for (workload, label) in [
+            (r#"{"kind":"wordcount"}"#, "wordcount(1e7)"),
+            (r#"{"kind":"tpch_q3"}"#, "tpch_q3(1e6)"),
+            (r#"{"kind":"pipeline"}"#, "pipeline(ops=16,1e5)"),
+            (
+                r#"{"kind":"random_dag"}"#,
+                "random_dag(seed=1,ops=16,density=0.30)",
+            ),
+            (r#"{"kind":"pagerank"}"#, "pagerank(1e5,iters=10)"),
+            (r#"{"kind":"kmeans"}"#, "kmeans(1e5,iters=10)"),
+            (r#"{"kind":"tpch_q3","scale":1e7}"#, "tpch_q3(1e7)"),
+        ] {
+            let line = format!(r#"{{"op":"optimize","workload":{workload}}}"#);
+            let Ok(Request::Optimize(req)) = parse_request(&line) else {
+                panic!("{line} should parse as optimize");
+            };
+            assert_eq!(req.workload.name(), label);
+            assert_eq!(req, OptimizeRequest::new(req.workload), "{label}");
+        }
+        // A bare execute on either backend, a bare compare, a bare train.
+        let wc = WorkloadSpec::WordCount { scale: 1e7 };
+        for (field, backend) in [
+            ("", BackendChoice::Engine { workers: 2 }),
+            (r#","backend":"engine""#, BackendChoice::default()),
+            (
+                r#","backend":"simulator""#,
+                BackendChoice::Simulator {
+                    seed: 42,
+                    noise: 0.0,
+                },
+            ),
+        ] {
+            let line = format!(r#"{{"op":"execute","workload":{{"kind":"wordcount"}}{field}}}"#);
+            let expected = ExecuteRequest::new(wc).with_backend(backend);
+            assert_eq!(parse_request(&line), Ok(Request::Execute(expected)));
+        }
+        assert_eq!(
+            parse_request(r#"{"op":"compare","workload":{"kind":"wordcount"}}"#),
+            Ok(Request::Compare(CompareRequest {
+                workload: wc,
+                policy: ExecutionPolicy::default(),
+                sim_seed: 42,
+            }))
+        );
+        assert_eq!(
+            parse_request(r#"{"op":"train"}"#),
+            Ok(Request::Train(TrainRequest::default()))
+        );
+    }
+
+    #[test]
     fn execute_response_renders_every_field_exactly() {
         let resp = Response::Execute(ExecuteResponse {
             workload: "pagerank(1e5,iters=10)".to_string(),
@@ -592,11 +678,19 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_render_as_null() {
-        let resp = Response::Simulate(SimulateResponse {
+        let resp = Response::Execute(ExecuteResponse {
             workload: "w".to_string(),
+            backend: "simulator".to_string(),
             assignments: vec![],
             seconds: f64::INFINITY,
+            compute_seconds: f64::INFINITY,
+            overhead_seconds: 0.0,
             feasible: false,
+            measured: false,
+            output_rows: 0,
+            output_digest: 0,
+            op_seconds: vec![f64::NAN],
+            op_output_rows: vec![0],
         });
         let line = render_response(&resp);
         let doc = crate::json::parse(&line).expect("valid JSON");

@@ -33,8 +33,8 @@
 //!   facade: request/response API, plan-signature cache, forest
 //!   persistence, and the wire protocol the `robopt` binary speaks;
 //! * [`robopt_cli`] — the `robopt` binary: `serve` daemon plus one-shot
-//!   `optimize` / `train` / `simulate` / `compare` / `execute`
-//!   subcommands;
+//!   `optimize` / `execute` / `compare` / `train` subcommands, each a
+//!   table-driven translation of flags into the wire request line;
 //! * [`robopt_engine`] — the real multi-threaded in-memory dataflow
 //!   executor behind the `ExecutionBackend` seam: seeded data
 //!   generators, partition-parallel operators, iterative PageRank /
@@ -53,27 +53,3 @@ pub use robopt_plan as plan;
 pub use robopt_platforms as platforms;
 pub use robopt_tdgen as tdgen;
 pub use robopt_vector as vector;
-
-/// Convenience prelude: the service API first, then the raw plumbing
-/// (enumerators, models, training sources) behind it.
-pub mod prelude {
-    pub use robopt::{
-        BackendChoice, ExecuteRequest, ExecuteResponse, ExecutionPolicy, OptimizeRequest,
-        OptimizeResponse, Optimizer, ServiceError, WorkloadSpec,
-    };
-    pub use robopt_core::{
-        uniform_oracle, AnalyticOracle, CostOracle, EnumOptions, EnumStats, Enumerator,
-    };
-    pub use robopt_engine::{execute_reference, Engine};
-    pub use robopt_ml::{
-        r_squared, simulator_training_set, spearman, ForestConfig, LinearModel, Metrics, Model,
-        ModelOracle, RandomForest, SamplerConfig, SimulatorSource, TrainingSet, TrainingSource,
-    };
-    pub use robopt_plan::{workloads, LogicalPlan, Operator, OperatorKind, SplitMix64};
-    pub use robopt_platforms::{
-        ExecutionBackend, ExecutionReport, Platform, PlatformId, PlatformRegistry,
-        RuntimeSimulator, MAX_PLATFORMS,
-    };
-    pub use robopt_tdgen::{tdgen_training_set, ShapeKind, TdgenConfig, TdgenGenerator};
-    pub use robopt_vector::{EnumMatrix, FeatureLayout, RowsView, Scope};
-}

@@ -10,7 +10,7 @@
 //!   vectorized enumerator end-to-end, and its chosen WordCount(1e7) plan
 //!   simulates no slower than the analytic oracle's choice.
 
-use robopt::{OptimizeRequest, Optimizer, SimulateRequest, WorkloadSpec};
+use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_ml::{
     mse, simulator_training_set, ForestConfig, LinearModel, Model, RandomForest, SamplerConfig,
 };
@@ -156,17 +156,19 @@ fn trained_forest_behind_dyn_oracle_drives_enumeration_end_to_end() {
 
     // Ground truth: the simulator the training labels came from (noise
     // off — both plans judged on the clean surface).
-    let sim_req = |assignments: &[String]| SimulateRequest {
-        workload: spec,
-        assignments: assignments.to_vec(),
-        seed: 42,
-        noise: 0.0,
+    let sim_req = |assignments: &[String]| {
+        ExecuteRequest::new(spec)
+            .with_assignments(assignments.to_vec())
+            .with_backend(BackendChoice::Simulator {
+                seed: 42,
+                noise: 0.0,
+            })
     };
     let forest_s = forest_opt
-        .simulate(&sim_req(&forest_resp.assignments))
+        .execute(&sim_req(&forest_resp.assignments))
         .expect("simulate forest pick");
     let analytic_s = analytic_opt
-        .simulate(&sim_req(&analytic_resp.assignments))
+        .execute(&sim_req(&analytic_resp.assignments))
         .expect("simulate analytic pick");
     assert!(forest_s.feasible, "forest picked an unexecutable plan");
     assert!(

@@ -11,7 +11,7 @@
 //!   `k <= 5`;
 //! * `cost_batch` == row-wise `cost_row` on random feature matrices.
 
-use robopt::{OptimizeRequest, Optimizer, SimulateRequest, WorkloadSpec};
+use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_baselines::exhaustive_best;
 use robopt_core::{AnalyticOracle, CostOracle};
 use robopt_plan::{SplitMix64, N_OPERATOR_KINDS};
@@ -67,15 +67,14 @@ fn simulator_is_deterministic_under_a_fixed_seed() {
         .expect("optimize tpch_q3")
         .assignments;
 
-    let sim_req = |seed: u64, noise: f64| SimulateRequest {
-        workload: spec,
-        assignments: winner.clone(),
-        seed,
-        noise,
+    let sim_req = |seed: u64, noise: f64| {
+        ExecuteRequest::new(spec)
+            .with_assignments(winner.clone())
+            .with_backend(BackendChoice::Simulator { seed, noise })
     };
     for noise in [0.0, 0.2] {
-        let a = opt.simulate(&sim_req(7, noise)).expect("simulate");
-        let b = opt.simulate(&sim_req(7, noise)).expect("simulate");
+        let a = opt.execute(&sim_req(7, noise)).expect("simulate");
+        let b = opt.execute(&sim_req(7, noise)).expect("simulate");
         assert!(a.feasible && a.seconds > 0.0);
         assert_eq!(
             a.seconds, b.seconds,
@@ -83,8 +82,8 @@ fn simulator_is_deterministic_under_a_fixed_seed() {
         );
     }
     // Different seeds only matter once noise is enabled.
-    let s1 = opt.simulate(&sim_req(1, 0.2)).expect("simulate");
-    let s2 = opt.simulate(&sim_req(2, 0.2)).expect("simulate");
+    let s1 = opt.execute(&sim_req(1, 0.2)).expect("simulate");
+    let s2 = opt.execute(&sim_req(2, 0.2)).expect("simulate");
     assert_ne!(s1.seconds, s2.seconds);
 }
 
