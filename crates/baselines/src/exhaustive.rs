@@ -111,7 +111,10 @@ pub fn exhaustive_best(
         &mut best_cost,
         &mut best_assign,
     );
-    // lint:allow(panic-expect) exhaustive search over an availability-satisfiable plan always visits at least one feasible assignment
+    #[expect(
+        clippy::expect_used,
+        reason = "exhaustive search over an availability-satisfiable plan always visits at least one feasible assignment"
+    )]
     let best_assign = best_assign.expect("no feasible assignment under this registry");
     ExecutionPlan::from_raw(&best_assign, best_cost)
 }

@@ -10,9 +10,6 @@
 //! * [`exhaustive`] — enumerate all `k^n` assignments (tiny plans only);
 //!   the ground truth for the Lemma-1 losslessness property tests.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub mod exhaustive;
 pub mod object_plan;
 pub mod rheem_ml;

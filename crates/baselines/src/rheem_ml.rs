@@ -89,7 +89,10 @@ impl ObjectEnumerator {
     /// Run the enumeration; result matches the vector enumerator's optimum
     /// over the same registry and oracle (both carried by `opts`). The
     /// strawman always prunes (Def-2); `opts.prune()` is ignored.
-    // lint:allow(panic-expect) whole-fn invariants: union-find roots always hold live units (contracted roots are never re-found), the plan is asserted connected so every contraction round finds a crossing edge, and every singleton keeps >= 1 availability-masked plan through merges
+    #[expect(
+        clippy::expect_used,
+        reason = "whole-fn invariants: union-find roots always hold live units (contracted roots are never re-found), the plan is asserted connected so every contraction round finds a crossing edge, and every singleton keeps >= 1 availability-masked plan through merges"
+    )]
     pub fn enumerate(
         &mut self,
         plan: &LogicalPlan,

@@ -18,9 +18,6 @@
 //! the wire format is the hand-rendered JSON from `robopt::wire`, and the
 //! TCP mode binds loopback only.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 use std::io::{BufRead, BufReader, Write};
 
 use robopt::json::escape_into;

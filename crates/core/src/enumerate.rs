@@ -127,9 +127,12 @@ impl<'a> EnumOptions<'a> {
     /// The cost oracle. Panics when none was set — enumeration cannot rank
     /// candidates without one.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: enumeration without an oracle is a caller bug, asserted by enumeration_without_an_oracle_is_rejected"
+    )]
     pub fn oracle(&self) -> &'a dyn CostOracle {
         self.oracle
-            // lint:allow(panic-expect) documented contract: enumeration without an oracle is a caller bug, asserted by enumeration_without_an_oracle_is_rejected
             .expect("EnumOptions::with_oracle: enumeration requires a cost oracle")
     }
 
@@ -301,11 +304,14 @@ impl Enumerator {
     /// every root returned by [`Enumerator::find`] owns a `Some` unit until
     /// it is contracted away — makes the lookup structural.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "union-find root always holds a live unit (contracted roots are never re-found)"
+    )]
     pub(crate) fn take_unit(&mut self, r: u32) -> Unit {
         self.units
             .get_mut(r as usize)
             .and_then(Option::take)
-            // lint:allow(panic-expect) union-find root always holds a live unit (contracted roots are never re-found)
             .expect("live unit at union-find root")
     }
 
@@ -427,7 +433,10 @@ impl Enumerator {
     /// at the scope's lowest op id so later [`Enumerator::find`] calls from
     /// any covered operator land on it.
     pub(crate) fn install_unit(&mut self, scope: Scope, mat: EnumMatrix) {
-        // lint:allow(panic-expect) installing an empty-scope unit is a caller bug
+        #[expect(
+            clippy::expect_used,
+            reason = "installing an empty-scope unit is a caller bug"
+        )]
         let root = scope.min_op().expect("non-empty unit scope");
         for op in 0..self.parent.len() as u32 {
             if scope.contains(op) {
@@ -661,7 +670,10 @@ impl Enumerator {
             n,
             "enumeration finished without covering the whole plan"
         );
-        // lint:allow(panic-expect) every singleton pushes >= 1 row and every merge asserts a feasible row, so the final unit is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "every singleton pushes >= 1 row and every merge asserts a feasible row, so the final unit is non-empty"
+        )]
         let best = unit.mat.min_cost_row().expect("non-empty enumeration");
         let mut feats = std::mem::take(&mut self.scratch_feats);
         vectorize_assignment(plan, layout, unit.mat.assignments(best), &mut feats);

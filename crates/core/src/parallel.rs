@@ -23,7 +23,7 @@
 //! different floating-point addition orders. The final reported cost is
 //! immune to that — both paths re-cost the winning assignment canonically
 //! in `finish` — so best assignment and cost bits agree (also asserted in
-//! the test suites and in `fig03_parallel_scaling`).
+//! the test suites).
 
 use robopt_plan::LogicalPlan;
 use robopt_vector::FeatureLayout;
@@ -118,8 +118,11 @@ impl ParallelEnumerator {
         // Phase 1: enumerate every part. Workers own disjoint part blocks
         // (forest-style tiling); `thread::scope` joins them all and
         // propagates panics, so no thread outlives this call.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the worker count only tiles the part blocks; merge order and result bytes are identical for every thread count (asserted across 1..=4 workers by parallel_matches_serial)"
+        )]
         let hw = if self.hardware_clamp {
-            // lint:allow(wall-clock) the worker count only tiles the part blocks; merge order and result bytes are identical for every thread count (asserted across 1..=4 workers by parallel_matches_serial)
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             usize::MAX

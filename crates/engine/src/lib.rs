@@ -19,9 +19,6 @@
 //! chunkings, and processes. Measured timings are wall clock, surfaced
 //! only through [`robopt_platforms::ExecutionReport`], and never digested.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub mod data;
 pub mod exec;
 pub mod reference;

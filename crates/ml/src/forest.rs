@@ -54,6 +54,10 @@ impl RandomForest {
     /// Fit a forest on `rows`/`labels` under `config`. Training is
     /// parallel across trees yet bit-identical to the serial order because
     /// per-tree randomness never depends on scheduling.
+    #[expect(
+        clippy::expect_used,
+        reason = "the spawn blocks tile 0..n_trees exactly, so every slot is filled once the scope joins"
+    )]
     pub fn fit(config: &ForestConfig, rows: RowsView<'_>, labels: &[f64]) -> RandomForest {
         assert!(config.n_trees >= 1, "forest needs at least one tree");
         assert_eq!(rows.rows(), labels.len(), "one label per feature row");
@@ -97,7 +101,6 @@ impl RandomForest {
             width: rows.width(),
             trees: trees
                 .into_iter()
-                // lint:allow(panic-expect) the spawn blocks tile 0..n_trees exactly, so every slot is filled once the scope joins
                 .map(|t| t.expect("every tree fitted"))
                 .collect(),
         }
@@ -234,7 +237,10 @@ fn fit_one(
     RegressionTree::fit_on_indices(config, rows, labels, &idx, &mut rng)
 }
 
-// lint:allow(wall-clock) thread count only sizes the tree-fitting tile blocks; every tree is seeded by its index, so forests are bit-identical across worker counts
+#[expect(
+    clippy::disallowed_methods,
+    reason = "thread count only sizes the tree-fitting tile blocks; every tree is seeded by its index, so forests are bit-identical across worker counts"
+)]
 fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)

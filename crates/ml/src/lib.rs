@@ -27,9 +27,6 @@
 //! `robopt_plan::rng::SplitMix64`, parallelism from `std::thread::scope`,
 //! and linear algebra from the in-tree Cholesky solver.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub mod forest;
 pub mod linreg;
 pub mod metrics;

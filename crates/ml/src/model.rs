@@ -152,6 +152,7 @@ impl<M: DistModel + Sync> CostOracle for ModelOracle<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest::{ForestConfig, RandomForest};
 
     /// Minimal model: predicts the sum of the features.
     struct SumModel {
@@ -205,6 +206,31 @@ mod tests {
         assert_eq!(dist.mean, vec![3.0, 7.0]);
         assert_eq!(dist.std, vec![0.0, 0.0]);
         assert_eq!(dist.q90, vec![3.0, 7.0]);
+    }
+
+    /// A two-tree forest over width-2 rows behind the oracle seam.
+    fn forest_oracle() -> ModelOracle<RandomForest> {
+        let feats = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let config = ForestConfig {
+            n_trees: 2,
+            ..ForestConfig::default()
+        };
+        let rows = RowsView::new(&feats, 2);
+        ModelOracle::new(RandomForest::fit(&config, rows, &[1.0, 2.0, 3.0]))
+    }
+
+    // Release builds skip the debug_assert; both tests are vacuous there
+    // (a too-wide row is still in bounds for every tree).
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "oracle expecting"))]
+    fn forest_oracle_rejects_a_wrong_width_batch_in_debug() {
+        forest_oracle().cost_batch(RowsView::new(&[0.0; 6], 3), &mut Vec::new());
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "oracle expecting"))]
+    fn forest_oracle_rejects_a_wrong_width_dist_batch_in_debug() {
+        forest_oracle().cost_batch_dist(RowsView::new(&[0.0; 6], 3), &mut CostDistribution::new());
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! serializable recipe shared by the service facade, the fig binaries, and
 //! the execution engine.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub mod dag;
 pub mod op;
 pub mod rng;

@@ -74,10 +74,18 @@ impl ExecutionPolicy {
     }
 
     /// Fold the result-affecting fields into a signature hasher.
-    /// `workers` / `hardware_clamp` deliberately excluded (see type docs).
+    /// `workers` / `hardware_clamp` deliberately excluded (see type docs);
+    /// the pattern names every field, so a new one must be keyed or
+    /// excluded here before the crate compiles.
     pub(crate) fn write_sig(&self, h: &mut SigHasher) {
-        h.write_u64(u64::from(self.prune));
-        h.write_u64(self.split_parts as u64);
+        let ExecutionPolicy {
+            workers: _,
+            split_parts,
+            hardware_clamp: _,
+            prune,
+        } = self;
+        h.write_u64(u64::from(*prune));
+        h.write_u64(*split_parts as u64);
     }
 }
 
@@ -170,10 +178,15 @@ impl OptimizeRequest {
     /// any other policy gets a distinct key: a `MeanPlusKSigma` hit must
     /// never serve an `ExpectedCost` entry.
     pub fn signature(&self) -> u64 {
+        let OptimizeRequest {
+            workload,
+            policy,
+            risk,
+        } = self;
         let mut h = SigHasher::new();
-        write_workload_sig(&self.workload, &mut h);
-        self.policy.write_sig(&mut h);
-        let (tag, param) = self.risk.unwrap_or(RiskPolicy::ExpectedCost).sig_parts();
+        write_workload_sig(workload, &mut h);
+        policy.write_sig(&mut h);
+        let (tag, param) = risk.unwrap_or(RiskPolicy::ExpectedCost).sig_parts();
         h.write_u64(tag);
         h.write_f64_bits(param);
         h.finish()
@@ -215,16 +228,28 @@ pub struct OptimizeResponse {
 
 impl PartialEq for OptimizeResponse {
     fn eq(&self, other: &Self) -> bool {
-        self.workload == other.workload
-            && self.signature == other.signature
-            && self.assignments == other.assignments
-            && self.distinct_platforms == other.distinct_platforms
-            && self.cost.to_bits() == other.cost.to_bits()
-            && self.cost_std.to_bits() == other.cost_std.to_bits()
-            && self.cost_q10.to_bits() == other.cost_q10.to_bits()
-            && self.cost_q90.to_bits() == other.cost_q90.to_bits()
-            && self.risk_policy == other.risk_policy
-            && self.stats == other.stats
+        let OptimizeResponse {
+            workload,
+            signature,
+            assignments,
+            distinct_platforms,
+            cost,
+            cost_std,
+            cost_q10,
+            cost_q90,
+            risk_policy,
+            stats,
+        } = self;
+        *workload == other.workload
+            && *signature == other.signature
+            && *assignments == other.assignments
+            && *distinct_platforms == other.distinct_platforms
+            && cost.to_bits() == other.cost.to_bits()
+            && cost_std.to_bits() == other.cost_std.to_bits()
+            && cost_q10.to_bits() == other.cost_q10.to_bits()
+            && cost_q90.to_bits() == other.cost_q90.to_bits()
+            && *risk_policy == other.risk_policy
+            && *stats == other.stats
     }
 }
 

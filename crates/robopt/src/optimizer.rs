@@ -561,13 +561,15 @@ fn check_noise(noise: f64) -> Result<(), ServiceError> {
 /// Wall-clock start mark for service telemetry. The reading feeds only
 /// `StatsResponse::total_micros` — never optimization, caching, eviction,
 /// or any deterministic response field.
-// lint:allow(wall-clock) service telemetry only: values land in StatsResponse::total_micros and never influence optimization, cache decisions, or response payloads
+#[expect(
+    clippy::disallowed_methods,
+    reason = "service telemetry only: values land in StatsResponse::total_micros and never influence optimization, cache decisions, or response payloads"
+)]
 fn now() -> std::time::Instant {
     std::time::Instant::now()
 }
 
 /// Microseconds since `started`, saturated into `u64`.
-// lint:allow(wall-clock) telemetry-only: reads back the mark taken by now()
 fn elapsed_micros(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }

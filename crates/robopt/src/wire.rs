@@ -8,17 +8,17 @@
 //! additionally mirrored as a `cost_bits` integer so bit-identity survives
 //! any JSON intermediary.
 //!
-//! The `response-serialize-total` lint rule checks this module: every
-//! public field of every `*Response` type must appear as a quoted key in
-//! some renderer here, so a field added to the API cannot silently vanish
-//! from the wire.
+//! Every renderer destructures its response type without `..`, so a field
+//! added to the API without deciding how it is rendered does not compile
+//! (E0027) instead of silently vanishing from the wire.
 
 use crate::api::{
     BackendChoice, CompareRequest, CompareResponse, ExecuteRequest, ExecuteResponse,
-    ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, StatsResponse, TrainRequest,
-    TrainResponse, TrainSource, WorkloadParams, WorkloadSpec, ENGINE_WORKERS, SIM_SEED,
-    TRAIN_NOISE, TRAIN_SEED,
+    ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, SinglePlatformPlan,
+    StatsResponse, TrainRequest, TrainResponse, TrainSource, WorkloadParams, WorkloadSpec,
+    ENGINE_WORKERS, SIM_SEED, TRAIN_NOISE, TRAIN_SEED,
 };
+use crate::cache::CacheStats;
 use crate::json::{self, escape_into, JsonValue};
 use robopt_core::RiskPolicy;
 
@@ -129,84 +129,129 @@ pub fn render_response(resp: &Response) -> String {
             s.push('}');
             s
         }
-        Response::Train(r) => format!(
+        Response::Train(TrainResponse {
+            rows,
+            n_trees,
+            width,
+            train_mse,
+        }) => format!(
             "{{\"ok\":true,\"kind\":\"train\",\"rows\":{},\"n_trees\":{},\"width\":{},\
              \"train_mse\":{}}}",
-            r.rows,
-            r.n_trees,
-            r.width,
-            num(r.train_mse)
+            rows,
+            n_trees,
+            width,
+            num(*train_mse)
         ),
-        Response::Execute(r) => {
+        Response::Execute(ExecuteResponse {
+            workload,
+            backend,
+            assignments,
+            seconds,
+            compute_seconds,
+            overhead_seconds,
+            feasible,
+            measured,
+            output_rows,
+            output_digest,
+            op_seconds,
+            op_output_rows,
+        }) => {
             let mut s = String::from("{\"ok\":true,\"kind\":\"execute\",\"workload\":");
-            push_str_value(&mut s, &r.workload);
+            push_str_value(&mut s, workload);
             s.push_str(",\"backend\":");
-            push_str_value(&mut s, &r.backend);
+            push_str_value(&mut s, backend);
             s.push_str(",\"assignments\":");
-            push_str_array(&mut s, &r.assignments);
+            push_str_array(&mut s, assignments);
             s.push_str(&format!(
                 ",\"seconds\":{},\"compute_seconds\":{},\"overhead_seconds\":{},\
                  \"feasible\":{},\"measured\":{},\"output_rows\":{},\"output_digest\":{}",
-                num(r.seconds),
-                num(r.compute_seconds),
-                num(r.overhead_seconds),
-                r.feasible,
-                r.measured,
-                r.output_rows,
-                r.output_digest
+                num(*seconds),
+                num(*compute_seconds),
+                num(*overhead_seconds),
+                feasible,
+                measured,
+                output_rows,
+                output_digest
             ));
             s.push_str(",\"op_seconds\":");
-            push_num_array(&mut s, &r.op_seconds);
+            push_num_array(&mut s, op_seconds);
             s.push_str(",\"op_output_rows\":");
-            push_u64_array(&mut s, &r.op_output_rows);
+            push_u64_array(&mut s, op_output_rows);
             s.push('}');
             s
         }
-        Response::Compare(r) => {
+        Response::Compare(CompareResponse {
+            workload,
+            mixed,
+            mix,
+            mixed_sim_seconds,
+            singles,
+            best_single_cost,
+            mixed_wins,
+        }) => {
             let mut s = String::from("{\"ok\":true,\"kind\":\"compare\",\"workload\":");
-            push_str_value(&mut s, &r.workload);
+            push_str_value(&mut s, workload);
             s.push_str(",\"mixed\":{");
-            push_optimize_fields(&mut s, &r.mixed);
+            push_optimize_fields(&mut s, mixed);
             s.push_str("},\"mix\":");
-            push_str_value(&mut s, &r.mix);
+            push_str_value(&mut s, mix);
             s.push_str(&format!(
                 ",\"mixed_sim_seconds\":{}",
-                num(r.mixed_sim_seconds)
+                num(*mixed_sim_seconds)
             ));
             s.push_str(",\"singles\":[");
-            for (i, single) in r.singles.iter().enumerate() {
+            for (i, single) in singles.iter().enumerate() {
+                let SinglePlatformPlan {
+                    platform,
+                    cost,
+                    sim_seconds,
+                } = single;
                 if i > 0 {
                     s.push(',');
                 }
                 s.push_str("{\"platform\":");
-                push_str_value(&mut s, &single.platform);
+                push_str_value(&mut s, platform);
                 s.push_str(&format!(
                     ",\"cost\":{},\"sim_seconds\":{}}}",
-                    opt_num(single.cost),
-                    opt_num(single.sim_seconds)
+                    opt_num(*cost),
+                    opt_num(*sim_seconds)
                 ));
             }
             s.push_str(&format!(
                 "],\"best_single_cost\":{},\"mixed_wins\":{}}}",
-                opt_num(r.best_single_cost),
-                r.mixed_wins
+                opt_num(*best_single_cost),
+                mixed_wins
             ));
             s
         }
-        Response::Stats(r) => format!(
-            "{{\"ok\":true,\"kind\":\"stats\",\"requests\":{},\"cache\":{{\
-             \"hits\":{},\"misses\":{},\"evictions\":{},\"insertions\":{},\
-             \"len\":{},\"capacity\":{},\"hit_rate\":{}}},\"total_micros\":{}}}",
-            r.requests,
-            r.cache.hits,
-            r.cache.misses,
-            r.cache.evictions,
-            r.cache.insertions,
-            r.cache.len,
-            r.cache.capacity,
-            num(r.cache.hit_rate()),
-            r.total_micros
-        ),
+        Response::Stats(StatsResponse {
+            requests,
+            cache,
+            total_micros,
+        }) => {
+            let CacheStats {
+                hits,
+                misses,
+                evictions,
+                insertions,
+                len,
+                capacity,
+            } = cache;
+            format!(
+                "{{\"ok\":true,\"kind\":\"stats\",\"requests\":{},\"cache\":{{\
+                 \"hits\":{},\"misses\":{},\"evictions\":{},\"insertions\":{},\
+                 \"len\":{},\"capacity\":{},\"hit_rate\":{}}},\"total_micros\":{}}}",
+                requests,
+                hits,
+                misses,
+                evictions,
+                insertions,
+                len,
+                capacity,
+                num(cache.hit_rate()),
+                total_micros
+            )
+        }
         Response::Error(e) => {
             let mut s = String::from("{\"ok\":false,\"error\":");
             push_str_value(&mut s, &e.to_string());
@@ -220,26 +265,38 @@ pub fn render_response(resp: &Response) -> String {
 /// `cost` is mirrored as `cost_bits` so consumers that must preserve
 /// bit-identity never depend on decimal formatting.
 fn push_optimize_fields(s: &mut String, r: &OptimizeResponse) {
+    let OptimizeResponse {
+        workload,
+        signature,
+        assignments,
+        distinct_platforms,
+        cost,
+        cost_std,
+        cost_q10,
+        cost_q90,
+        risk_policy,
+        stats,
+    } = r;
     s.push_str("\"workload\":");
-    push_str_value(s, &r.workload);
-    s.push_str(&format!(",\"signature\":{}", r.signature));
+    push_str_value(s, workload);
+    s.push_str(&format!(",\"signature\":{signature}"));
     s.push_str(",\"assignments\":");
-    push_str_array(s, &r.assignments);
+    push_str_array(s, assignments);
     s.push_str(&format!(
         ",\"distinct_platforms\":{},\"cost\":{},\"cost_bits\":{},\
          \"cost_std\":{},\"cost_q10\":{},\"cost_q90\":{}",
-        r.distinct_platforms,
-        num(r.cost),
-        r.cost.to_bits(),
-        num(r.cost_std),
-        num(r.cost_q10),
-        num(r.cost_q90)
+        distinct_platforms,
+        num(*cost),
+        cost.to_bits(),
+        num(*cost_std),
+        num(*cost_q10),
+        num(*cost_q90)
     ));
     s.push_str(",\"risk_policy\":");
-    push_str_value(s, &r.risk_policy);
+    push_str_value(s, risk_policy);
     s.push_str(&format!(
         ",\"stats\":{{\"generated\":{},\"kept\":{},\"merges\":{},\"peak_rows\":{}}}",
-        r.stats.generated, r.stats.kept, r.stats.merges, r.stats.peak_rows
+        stats.generated, stats.kept, stats.merges, stats.peak_rows
     ));
 }
 
@@ -510,8 +567,8 @@ mod tests {
         assert_eq!(bits, (0.1f64 + 0.2).to_bits(), "bit-exact cost transport");
         let cost = doc.get("cost").and_then(JsonValue::as_f64).expect("cost");
         assert_eq!(cost.to_bits(), bits, "shortest-round-trip decimal agrees");
-        // The uncertainty fields ride the same line (lint rule 15: every
-        // public response field must be wire-rendered).
+        // The uncertainty fields ride the same line (every public response
+        // field must be wire-rendered).
         assert_eq!(
             doc.get("cost_std").and_then(JsonValue::as_f64),
             Some(0.25),

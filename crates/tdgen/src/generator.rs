@@ -283,7 +283,6 @@ impl<'a> TdgenGenerator<'a> {
         }
         let poly = PiecewisePoly::fit(&ln_xs, &ys);
         self.pending.extend(knot_rows);
-        // lint:allow(index-literal) the knot grid always holds KNOTS >= 6 abscissae
         let (lln, hln) = (ln_xs[0], ln_xs[ln_xs.len() - 1]);
         for _ in 0..self.cfg.rows_per_curve - knot_scales.len() {
             let ln_s = lln + (hln - lln) * self.rng.next_f64();

@@ -85,9 +85,11 @@ impl PiecewisePoly {
 }
 
 /// Newton divided-difference coefficients for one window.
-// lint:allow(index-literal) fixed-size [f64; WINDOW] arrays, in-bounds by construction
 fn newton_coeffs(xs: &[f64], ys: &[f64]) -> [f64; WINDOW] {
-    // lint:allow(panic-expect) callers slice exact WINDOW-length windows out of the knot grid
+    #[expect(
+        clippy::expect_used,
+        reason = "callers slice exact WINDOW-length windows out of the knot grid"
+    )]
     let mut table: [f64; WINDOW] = ys.try_into().expect("window of 6 ordinates");
     let mut out = [0.0; WINDOW];
     out[0] = table[0];

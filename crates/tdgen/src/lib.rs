@@ -22,9 +22,6 @@
 //! `fig08_tdgen` bench binary measures the resulting simulator-call
 //! reduction and label fidelity.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub mod generator;
 pub mod interpolate;
 pub mod shapes;

@@ -160,6 +160,10 @@ const SOURCE_POOL: [OperatorKind; 3] = [
 
 /// Draw one kind from `pool`, weighted by how many platforms of
 /// `registry` can execute it (the availability matrix drives population).
+#[expect(
+    clippy::unreachable,
+    reason = "draw < total = sum(weights) by gen_range's contract, so the loop always returns"
+)]
 fn weighted_kind(
     rng: &mut SplitMix64,
     registry: &PlatformRegistry,
@@ -178,7 +182,6 @@ fn weighted_kind(
         }
         draw -= w;
     }
-    // lint:allow(panic-macro) draw < total = sum(weights) by gen_range's contract, so the loop always returns
     unreachable!("weighted draw exhausted the pool");
 }
 

@@ -105,7 +105,10 @@ pub fn enumerate_assignments(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "recursive search state: four read-only inputs, the cursor and three buffers reused across the recursion"
+)]
 fn dfs(
     skeleton: &JobSkeleton,
     registry: &PlatformRegistry,

@@ -139,9 +139,9 @@ impl SigHasher {
 /// sequence, never of a per-process hasher seed. This replaces the
 /// `std::collections::HashMap<u64, _>` footprint tables the enumerators
 /// used: `std`'s map is seeded per process (`RandomState`), so any code
-/// path that ever iterates it is a latent cross-run nondeterminism bug the
-/// `robopt-lint` `hash-container` rule now rejects outright in
-/// determinism-critical crates.
+/// path that ever iterates it is a latent cross-run nondeterminism bug
+/// `clippy::disallowed_types` (clippy.toml) now rejects outright in every
+/// product library.
 ///
 /// `clear` keeps both allocations, so a warmed table serves the
 /// enumeration hot loop without growing (same pooling discipline as

@@ -62,28 +62,24 @@ impl FeatureLayout {
 
     /// Instance count of `kind` assigned to `platform`.
     #[inline]
-    // lint:allow(platform-id) robopt-vector sits below robopt-platforms in the dependency graph; callers derive this index from PlatformId::index()
     pub fn kind_platform_count(&self, kind: usize, platform: usize) -> usize {
         Self::GLOBAL_CELLS + 3 * self.n_kinds + kind * self.n_platforms + platform
     }
 
     /// Number of data-movement conversions *into* `platform`.
     #[inline]
-    // lint:allow(platform-id) robopt-vector sits below robopt-platforms in the dependency graph; callers derive this index from PlatformId::index()
     pub fn conversion_count(&self, platform: usize) -> usize {
         Self::GLOBAL_CELLS + 3 * self.n_kinds + self.n_kinds * self.n_platforms + 2 * platform
     }
 
     /// Tuples moved by conversions *into* `platform`.
     #[inline]
-    // lint:allow(platform-id) robopt-vector sits below robopt-platforms in the dependency graph; callers derive this index from PlatformId::index()
     pub fn conversion_tuples(&self, platform: usize) -> usize {
         self.conversion_count(platform) + 1
     }
 
     /// Effective input tuples processed on `platform`.
     #[inline]
-    // lint:allow(platform-id) robopt-vector sits below robopt-platforms in the dependency graph; callers derive this index from PlatformId::index()
     pub fn platform_input_tuples(&self, platform: usize) -> usize {
         Self::GLOBAL_CELLS
             + 3 * self.n_kinds

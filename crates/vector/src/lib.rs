@@ -13,9 +13,6 @@
 //!   `u64`, and the deterministic insertion-ordered
 //!   [`footprint::FootprintTable`] the pruning pass keys on.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub mod footprint;
 pub mod layout;
 pub mod matrix;

@@ -40,9 +40,6 @@
 //!   generators, partition-parallel operators, iterative PageRank /
 //!   k-means kernels, byte-identical outputs across worker counts.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub use robopt as service;
 pub use robopt_baselines as baselines;
 pub use robopt_cli as cli;
