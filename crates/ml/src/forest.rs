@@ -7,10 +7,16 @@
 //!   fitted forest is identical whether training ran on 1 thread or 16.
 //! * **Parallel training**: tree indices are dealt round-robin across
 //!   `std::thread::scope` workers (no work queue, no locks).
-//! * **Batched inference**: [`RandomForest::predict_batch`] makes one flat
-//!   pass per tree over the [`RowsView`], accumulating into the caller's
-//!   output buffer — no per-row allocation, and single-threaded:
-//!   enumeration batches are at most k² rows.
+//! * **Lock-step inference**: every prediction entry point is a sink over
+//!   one descent, [`walk`], which advances a block of up to
+//!   [`ROW_BLOCK`] rows × [`TREE_BLOCK`] trees one level at a time. The
+//!   packed nodes ([`crate::tree`]) make a step branch-free and leaves map
+//!   to themselves, so the block runs a fixed number of iterations with
+//!   up to 32 independent load chains in flight instead of one serial
+//!   load → compare → load chain per tree-row. Leaf values reach the sink
+//!   tree-ascending per row — the summation order, hence the bits, of a
+//!   tree-at-a-time walk. No allocation, single-threaded: enumeration
+//!   batches are a handful of rows.
 
 use std::num::NonZeroUsize;
 
@@ -19,7 +25,15 @@ use robopt_plan::rng::{mix64, SplitMix64};
 use robopt_vector::RowsView;
 
 use crate::model::{DistModel, Model};
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{Node, RegressionTree, TreeConfig};
+
+/// Rows advanced together by one [`walk`] block. Enumeration sends
+/// batches of 4–5 rows, so a wider block would rarely fill.
+const ROW_BLOCK: usize = 4;
+
+/// Trees advanced together by one [`walk`] block; the `n_trees % 8`
+/// remainder goes one tree at a time.
+const TREE_BLOCK: usize = 8;
 
 /// Forest-level configuration. `tree.feature_candidates: None` means "use
 /// the regression default `ceil(width / 3)`", resolved at fit time.
@@ -148,8 +162,83 @@ impl RandomForest {
     /// Mean prediction of all trees for one row.
     pub fn predict(&self, feats: &[f64]) -> f64 {
         debug_assert_eq!(feats.len(), self.width);
-        let sum: f64 = self.trees.iter().map(|t| t.predict(feats)).sum();
+        let mut sum = 0.0;
+        self.walk_rows(&[feats], |_, _, value| sum += value);
         sum / self.trees.len() as f64
+    }
+
+    /// Hand `(tree, row, leaf value)` to `sink` for every tree and every
+    /// row of `rows`, tree-ascending for any one row.
+    fn walk_batch(&self, rows: RowsView<'_>, mut sink: impl FnMut(usize, usize, f64)) {
+        let n = rows.rows();
+        for start in (0..n).step_by(ROW_BLOCK) {
+            let sink = |tree, row, value| sink(tree, start + row, value);
+            match n - start {
+                1 => self.walk_rows(&row_block::<1>(rows, start), sink),
+                2 => self.walk_rows(&row_block::<2>(rows, start), sink),
+                3 => self.walk_rows(&row_block::<3>(rows, start), sink),
+                _ => self.walk_rows(&row_block::<ROW_BLOCK>(rows, start), sink),
+            }
+        }
+    }
+
+    /// One block of `G` rows through every tree: [`TREE_BLOCK`] trees at a
+    /// time, then the remainder singly — ascending either way.
+    fn walk_rows<const G: usize>(
+        &self,
+        rows: &[&[f64]; G],
+        mut sink: impl FnMut(usize, usize, f64),
+    ) {
+        let mut rest = self.trees.as_slice();
+        let mut first = 0;
+        while let Some((block, tail)) = rest.split_first_chunk::<TREE_BLOCK>() {
+            walk(block, rows, |tree, row, value| {
+                sink(first + tree, row, value);
+            });
+            first += TREE_BLOCK;
+            rest = tail;
+        }
+        for (t, tree) in rest.iter().enumerate() {
+            walk(std::array::from_ref(tree), rows, |_, row, value| {
+                sink(first + t, row, value);
+            });
+        }
+    }
+}
+
+/// Rows `start..start + G` of `rows`.
+fn row_block<'a, const G: usize>(rows: RowsView<'a>, start: usize) -> [&'a [f64]; G] {
+    std::array::from_fn(|row| rows.row(start + row))
+}
+
+/// The crate's one descent: advance `G` rows through `T` trees in
+/// lock-step, one level per iteration, then hand `(tree, row, leaf
+/// value)` to `sink` — trees ascending within each row.
+///
+/// The loop runs to the deepest tree's depth with no leaf test: a leaf's
+/// [`Node::next`] is itself, so rows that arrive early (and whole trees
+/// shallower than the block's deepest) just idle. Within a level the
+/// `G × T` steps are independent, which is what lets their loads overlap.
+pub(crate) fn walk<const G: usize, const T: usize>(
+    trees: &[RegressionTree; T],
+    rows: &[&[f64]; G],
+    mut sink: impl FnMut(usize, usize, f64),
+) {
+    let nodes: [&[Node]; T] = trees.each_ref().map(RegressionTree::nodes);
+    let depth = trees.iter().map(RegressionTree::depth).max().unwrap_or(0);
+    // `at[tree][row]`: the node each row currently rests on, root first.
+    let mut at = [[0u32; G]; T];
+    for _ in 0..depth {
+        for (nodes, lane) in nodes.iter().zip(&mut at) {
+            for (node, feats) in lane.iter_mut().zip(rows) {
+                *node = nodes[*node as usize].next(feats);
+            }
+        }
+    }
+    for row in 0..G {
+        for (tree, (fitted, lane)) in trees.iter().zip(&at).enumerate() {
+            sink(tree, row, fitted.values()[lane[row] as usize]);
+        }
     }
 }
 
@@ -177,13 +266,7 @@ impl Model for RandomForest {
         );
         out.clear();
         out.resize(rows.rows(), 0.0);
-        for tree in &self.trees {
-            // One flat pass per tree: tight loop over contiguous rows, no
-            // allocation, accumulation straight into the output buffer.
-            for (i, acc) in out.iter_mut().enumerate() {
-                *acc += tree.predict(rows.row(i));
-            }
-        }
+        self.walk_batch(rows, |_, row, value| out[row] += value);
         // Divide (not multiply by a precomputed reciprocal) so the batch
         // path is bit-identical to `predict`'s `sum / n`.
         let n_trees = self.trees.len() as f64;
@@ -194,7 +277,7 @@ impl Model for RandomForest {
 }
 
 impl DistModel for RandomForest {
-    /// One batched pass over the forest — the same per-tree flat walk as
+    /// One batched pass over the forest — the same lock-step walk as
     /// [`RandomForest::predict_batch`], except each tree's prediction
     /// lands in the per-row sample slot instead of being folded away, so
     /// the spread survives at no extra traversal cost. The mean reduces
@@ -209,15 +292,9 @@ impl DistModel for RandomForest {
             rows.width(),
             self.width()
         );
-        let n = rows.rows();
         let t = self.trees.len();
-        let scratch = out.sample_scratch(n, t);
-        for (ti, tree) in self.trees.iter().enumerate() {
-            // Flat pass per tree, contiguous rows — the predict_batch walk.
-            for i in 0..n {
-                scratch[i * t + ti] = tree.predict(rows.row(i));
-            }
-        }
+        let scratch = out.sample_scratch(rows.rows(), t);
+        self.walk_batch(rows, |tree, row, value| scratch[row * t + tree] = value);
         out.finalize_samples(t);
     }
 }
@@ -250,6 +327,7 @@ fn available_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::TreeParts;
 
     fn noisy_quadratic(n: usize, width: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut rng = SplitMix64::new(seed);
@@ -371,5 +449,149 @@ mod tests {
         forest.predict_dist_batch(rows, &mut again);
         assert_eq!(dist.std, again.std);
         assert_eq!(dist.q90, again.q90);
+    }
+
+    /// The scalar descent this crate shipped before the lock-step walk,
+    /// kept as the independent reference: it reads the persisted arrays,
+    /// tests for a leaf at every node and branches on the comparison.
+    fn reference_predict(parts: &TreeParts, feats: &[f64]) -> f64 {
+        let (split_col, threshold, left, right, value) = parts;
+        let mut node = 0;
+        loop {
+            if split_col[node] == u32::MAX {
+                return value[node];
+            }
+            node = if feats[split_col[node] as usize] <= threshold[node] {
+                left[node] as usize
+            } else {
+                right[node] as usize
+            };
+        }
+    }
+
+    /// A forest whose tree `t` is grown to `depths[t % depths.len()]`, so
+    /// one lock-step block can hold stumps, single leaves and deep trees.
+    fn forest_of_depths(n_trees: usize, depths: &[usize], width: usize, seed: u64) -> RandomForest {
+        let mut rng = SplitMix64::new(seed);
+        let n = 96;
+        let feats: Vec<f64> = (0..n * width)
+            .map(|_| (rng.next_f64() * 16.0).floor() - 8.0)
+            .collect();
+        let labels: Vec<f64> = (0..n).map(|_| rng.next_f64() * 10.0).collect();
+        let rows = RowsView::new(&feats, width);
+        let trees = (0..n_trees)
+            .map(|t| {
+                let config = TreeConfig {
+                    max_depth: depths[t % depths.len()],
+                    feature_candidates: Some(width.div_ceil(3)),
+                    ..TreeConfig::default()
+                };
+                fit_one(&config, rows, &labels, seed, t)
+            })
+            .collect();
+        RandomForest::from_trees(width, trees).unwrap()
+    }
+
+    /// `n` probe rows mixing ordinary values with NaN, ±∞, −0.0 and
+    /// values sitting exactly on some tree's split threshold.
+    fn probe_rows(n: usize, width: usize, parts: &[TreeParts], rng: &mut SplitMix64) -> Vec<f64> {
+        let mut feats: Vec<f64> = (0..n * width)
+            .map(|_| match rng.gen_range(12) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -0.0,
+                _ => (rng.next_f64() * 18.0).floor() * 0.5 - 4.5,
+            })
+            .collect();
+        for row in feats.chunks_exact_mut(width) {
+            let (split_col, threshold, ..) = &parts[rng.gen_range(parts.len())];
+            let node = rng.gen_range(split_col.len());
+            if split_col[node] != u32::MAX {
+                row[split_col[node] as usize] = threshold[node];
+            }
+        }
+        feats
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_entry_point_matches_the_scalar_reference_bit_for_bit() {
+        const MIXED: &[usize] = &[14, 0, 3, 1, 0];
+        let depth_modes: [&[usize]; 5] = [&[0], &[1], &[3], &[14], MIXED];
+        let mut rng = SplitMix64::new(0x010c_57e9);
+        let mut forests = 0;
+        for n_trees in [1, 7, 8, 9, 64, 67] {
+            for depths in depth_modes {
+                let width = 1 + forests % 27;
+                forests += 1;
+                let forest = forest_of_depths(n_trees, depths, width, 1000 + forests as u64);
+                let parts: Vec<TreeParts> = forest.trees().iter().map(|t| t.parts()).collect();
+                if depths == [0] {
+                    assert!(forest.trees().iter().all(|t| t.n_nodes() == 1));
+                }
+                for n in [0, 1, 2, 3, 4, 5, 7, 8, 9, 33, 100] {
+                    let feats = probe_rows(n, width, &parts, &mut rng);
+                    let rows = RowsView::new(&feats, width);
+                    let case =
+                        format!("{n_trees} trees, depths {depths:?}, width {width}, {n} rows");
+
+                    // Reference: per-tree samples row-major, mean summed
+                    // in tree order, the other columns by the shared
+                    // reduction over those samples.
+                    let mut want = CostDistribution::new();
+                    let want_samples: Vec<f64> = (0..n)
+                        .flat_map(|r| parts.iter().map(move |p| reference_predict(p, rows.row(r))))
+                        .collect();
+                    want.sample_scratch(n, n_trees)
+                        .copy_from_slice(&want_samples);
+                    want.finalize_samples(n_trees);
+                    let want_mean: Vec<f64> = want_samples
+                        .chunks_exact(n_trees)
+                        .map(|row| row.iter().sum::<f64>() / n_trees as f64)
+                        .collect();
+                    assert_eq!(bits(&want.mean), bits(&want_mean), "{case}");
+
+                    let mut batch = vec![f64::NAN; 3]; // stale content must go
+                    forest.predict_batch(rows, &mut batch);
+                    assert_eq!(bits(&batch), bits(&want_mean), "predict_batch: {case}");
+                    for (r, want) in want_mean.iter().enumerate() {
+                        assert_eq!(
+                            forest.predict_row(rows.row(r)).to_bits(),
+                            want.to_bits(),
+                            "predict_row {r}: {case}"
+                        );
+                    }
+
+                    let mut got_samples = vec![f64::NAN; n * n_trees];
+                    let mut last_tree = vec![None; n];
+                    forest.walk_batch(rows, |tree, row, value| {
+                        assert!(
+                            last_tree[row] < Some(tree),
+                            "row {row} not tree-ascending: {case}"
+                        );
+                        last_tree[row] = Some(tree);
+                        got_samples[row * n_trees + tree] = value;
+                    });
+                    assert_eq!(bits(&got_samples), bits(&want_samples), "samples: {case}");
+
+                    let mut dist = CostDistribution::new();
+                    forest.predict_dist_batch(rows, &mut dist);
+                    for (name, got, want) in [
+                        ("mean", &dist.mean, &want.mean),
+                        ("std", &dist.std, &want.std),
+                        ("q10", &dist.q10, &want.q10),
+                        ("q50", &dist.q50, &want.q50),
+                        ("q90", &dist.q90, &want.q90),
+                    ] {
+                        assert_eq!(bits(got), bits(want), "dist {name}: {case}");
+                    }
+                }
+            }
+        }
+        assert!(forests >= 27, "every width 1..=27 was used");
     }
 }

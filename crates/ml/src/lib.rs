@@ -5,10 +5,13 @@
 //!   fitted model behind `&dyn robopt_core::CostOracle` so it can drive
 //!   enumeration interchangeably with the analytic oracle;
 //! * [`tree`] — CART regression trees: variance-reduction splits over
-//!   [`robopt_vector::RowsView`] columns, flat struct-of-arrays storage;
+//!   [`robopt_vector::RowsView`] columns, packed 16-byte nodes whose
+//!   leaves map to themselves so a descent needs no branch;
 //! * [`forest`] — bagged random forest: bootstrap sampling, per-split
-//!   feature subsampling, thread-parallel deterministic training, batched
-//!   allocation-free inference;
+//!   feature subsampling, thread-parallel deterministic training, and the
+//!   crate's one descent — a lock-step walk of 4 rows × 8 trees that every
+//!   prediction entry point is a sink over (allocation-free, bit-identical
+//!   to a tree-at-a-time walk);
 //! * [`linreg`] — closed-form ridge linear regression, the baseline the
 //!   forest must beat (Fig 9);
 //! * [`metrics`] — MSE / MAE / q-error / Spearman / R² accuracy reports;

@@ -1,5 +1,14 @@
 //! CART regression tree: variance-reduction splits over [`RowsView`]
-//! columns, flat struct-of-arrays node storage, deterministic fit.
+//! columns, packed 16-byte nodes, deterministic fit.
+//!
+//! A fitted tree is one `Vec` of [`Node`]s — `{payload, col, right}`, so a
+//! descent step touches one 16-byte record — beside the per-node mean
+//! labels. An internal node routes `x[col] <= payload` to `right - 1` and
+//! everything else (NaN included) to `right`: siblings are adjacent. A
+//! leaf is encoded so that the *same* step maps it to itself for every
+//! `x`, which turns a root → leaf descent into a fixed `depth`-iteration
+//! loop with no data-dependent branch; [`crate::forest`] owns that loop
+//! (the one descent implementation in this crate).
 //!
 //! The tree is the forest's base learner. Fitting works on an explicit
 //! node stack over a reusable index buffer — no recursion, no per-node
@@ -13,7 +22,8 @@ use robopt_vector::RowsView;
 
 use crate::model::Model;
 
-/// Sentinel column id marking a leaf node.
+/// Sentinel column id marking a leaf node in the persisted
+/// ([`RegressionTree::parts`]) form.
 const LEAF: u32 = u32::MAX;
 
 /// Why a deserialized tree/forest was rejected by the validated
@@ -31,13 +41,16 @@ pub enum ModelImportError {
         expected: usize,
         got: usize,
     },
-    /// Every tree of a forest must share the forest's feature width.
+    /// Every tree of a forest must share the forest's feature width, and
+    /// a tree needs at least one feature column (`expected: 1, got: 0`).
     WidthMismatch { expected: usize, got: usize },
     /// An internal node's split column is outside the feature width.
     SplitColOutOfRange { node: usize, col: u32 },
     /// A child index is out of bounds or not strictly greater than its
     /// parent (children follow parents in the flat arrays, which is what
-    /// guarantees `predict` terminates).
+    /// bounds every descent), or the right child is not the slot after
+    /// the left one (siblings are adjacent — the packed node stores only
+    /// one child index).
     BadChild { node: usize, child: u32 },
     /// A threshold or leaf value is NaN/infinite.
     NonFinite { node: usize },
@@ -67,7 +80,7 @@ impl std::fmt::Display for ModelImportError {
             ModelImportError::BadChild { node, child } => {
                 write!(
                     f,
-                    "node {node} points at child {child} (out of range or non-forward)"
+                    "node {node} points at child {child} (out of range, non-forward or not adjacent to its sibling)"
                 )
             }
             ModelImportError::NonFinite { node } => {
@@ -105,24 +118,59 @@ impl Default for TreeConfig {
     }
 }
 
-/// A fitted CART regression tree in flat struct-of-arrays form.
+/// One packed tree node: 16 bytes, so a descent step is one record load
+/// plus one feature load.
 ///
-/// Node `i` is a leaf iff `split_col[i] == u32::MAX`; internal nodes route
-/// `row[split_col] <= threshold` left, else right.
+/// * internal — `payload` is the split threshold, `col` the split column,
+///   `right` the right child; the left child is `right - 1`.
+/// * leaf — `payload = NaN`, `col = 0`, `right` = the node's own index.
+///   `x <= NaN` is false for every `x`, so [`Node::next`] returns the leaf
+///   itself: stepping past a leaf is a no-op, never a branch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    payload: f64,
+    col: u32,
+    right: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    fn leaf(index: usize) -> Node {
+        Node {
+            payload: f64::NAN,
+            col: 0,
+            right: index as u32,
+        }
+    }
+
+    /// The node a row moves to from this one: `right - 1` when
+    /// `feats[col] <= payload`, else `right` — NaN features go right, and
+    /// a leaf stays where it is.
+    #[inline]
+    pub(crate) fn next(self, feats: &[f64]) -> u32 {
+        self.right - u32::from(feats[self.col as usize] <= self.payload)
+    }
+}
+
+/// A fitted CART regression tree: packed [`Node`]s in fit order (children
+/// after parents, siblings adjacent) plus each node's mean label.
 #[derive(Debug, Clone, Default)]
 pub struct RegressionTree {
     width: usize,
-    split_col: Vec<u32>,
-    threshold: Vec<f64>,
-    left: Vec<u32>,
-    right: Vec<u32>,
+    /// Edges on the longest root → leaf path: the iteration count after
+    /// which every row of every descent rests on a leaf.
+    depth: usize,
+    nodes: Vec<Node>,
     value: Vec<f64>,
 }
 
-/// Borrowed views of a tree's flat node arrays, in
+/// A tree's node arrays in the persisted form, in
 /// `(split_col, threshold, left, right, value)` order — what
-/// [`RegressionTree::parts`] returns and persistence renderers consume.
-pub type TreeParts<'a> = (&'a [u32], &'a [f64], &'a [u32], &'a [u32], &'a [f64]);
+/// [`RegressionTree::parts`] renders and [`RegressionTree::from_parts`]
+/// takes back. Leaves read `split_col = u32::MAX`, threshold `0.0`,
+/// children `0`.
+pub type TreeParts = (Vec<u32>, Vec<f64>, Vec<u32>, Vec<u32>, Vec<f64>);
 
 /// One pending node during fitting: its slice of the shared index buffer.
 struct PendingNode {
@@ -235,10 +283,13 @@ impl RegressionTree {
             order[mid..pending.end].copy_from_slice(&spill);
             let left_node = tree.push_leaf(mean_label(labels, &order[pending.start..mid]));
             let right_node = tree.push_leaf(mean_label(labels, &order[mid..pending.end]));
-            tree.split_col[pending.node] = split.col as u32;
-            tree.threshold[pending.node] = split.threshold;
-            tree.left[pending.node] = left_node as u32;
-            tree.right[pending.node] = right_node as u32;
+            debug_assert_eq!(right_node, left_node + 1, "siblings are adjacent");
+            tree.nodes[pending.node] = Node {
+                payload: split.threshold,
+                col: split.col as u32,
+                right: right_node as u32,
+            };
+            tree.depth = tree.depth.max(pending.depth + 1);
             stack.push(PendingNode {
                 node: right_node,
                 start: mid,
@@ -278,19 +329,19 @@ impl RegressionTree {
     }
 
     fn push_leaf(&mut self, value: f64) -> usize {
-        self.split_col.push(LEAF);
-        self.threshold.push(0.0);
-        self.left.push(0);
-        self.right.push(0);
+        let index = self.nodes.len();
+        self.nodes.push(Node::leaf(index));
         self.value.push(value);
-        self.split_col.len() - 1
+        index
     }
 
-    /// Reassemble a tree from its flat node arrays, validating every
-    /// structural invariant `predict` relies on. The inverse of the
-    /// [`RegressionTree::parts`] accessor; persistence loaders must come
-    /// through here so a corrupted file can never build a tree that loops
-    /// or indexes out of bounds.
+    /// Reassemble a tree from its persisted node arrays, validating every
+    /// structural invariant the descent relies on. The inverse of
+    /// [`RegressionTree::parts`]; persistence loaders must come through
+    /// here so a corrupted file can never build a tree that loops or
+    /// indexes out of bounds. `depth` is derived here, never read from a
+    /// file: children sit after parents, so one forward pass sees every
+    /// node's depth before its children's.
     pub fn from_parts(
         width: usize,
         split_col: Vec<u32>,
@@ -302,6 +353,13 @@ impl RegressionTree {
         let n = split_col.len();
         if n == 0 {
             return Err(ModelImportError::Empty);
+        }
+        // A leaf step still reads `feats[0]`.
+        if width == 0 {
+            return Err(ModelImportError::WidthMismatch {
+                expected: 1,
+                got: 0,
+            });
         }
         for (field, got) in [
             ("threshold", threshold.len()),
@@ -317,11 +375,15 @@ impl RegressionTree {
                 });
             }
         }
+        let mut nodes = Vec::with_capacity(n);
+        let mut node_depth = vec![0usize; n];
+        let mut depth = 0;
         for node in 0..n {
             if !value[node].is_finite() {
                 return Err(ModelImportError::NonFinite { node });
             }
             if split_col[node] == LEAF {
+                nodes.push(Node::leaf(node));
                 continue;
             }
             if split_col[node] as usize >= width {
@@ -340,62 +402,98 @@ impl RegressionTree {
                 if child as usize >= n || child as usize <= node {
                     return Err(ModelImportError::BadChild { node, child });
                 }
+                node_depth[child as usize] = node_depth[child as usize].max(node_depth[node] + 1);
+                depth = depth.max(node_depth[child as usize]);
             }
+            // The fitter pushes siblings back to back; the packed node
+            // keeps only `right` and finds the left child at `right - 1`.
+            if left[node].checked_add(1) != Some(right[node]) {
+                return Err(ModelImportError::BadChild {
+                    node,
+                    child: right[node],
+                });
+            }
+            nodes.push(Node {
+                payload: threshold[node],
+                col: split_col[node],
+                right: right[node],
+            });
         }
         Ok(RegressionTree {
             width,
-            split_col,
-            threshold,
-            left,
-            right,
+            depth,
+            nodes,
             value,
         })
     }
 
-    /// The flat node arrays `(split_col, threshold, left, right, value)` —
-    /// the tree's full persistent state alongside [`Model::width`].
-    pub fn parts(&self) -> TreeParts<'_> {
-        (
-            &self.split_col,
-            &self.threshold,
-            &self.left,
-            &self.right,
-            &self.value,
-        )
+    /// The persisted node arrays `(split_col, threshold, left, right,
+    /// value)` — the tree's full persistent state alongside
+    /// [`Model::width`], rendered from the packed nodes with every leaf
+    /// written canonically.
+    pub fn parts(&self) -> TreeParts {
+        let n = self.nodes.len();
+        let mut split_col = vec![LEAF; n];
+        let mut threshold = vec![0.0; n];
+        let mut left = vec![0; n];
+        let mut right = vec![0; n];
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !self.is_leaf(i) {
+                split_col[i] = node.col;
+                threshold[i] = node.payload;
+                left[i] = node.right - 1;
+                right[i] = node.right;
+            }
+        }
+        (split_col, threshold, left, right, self.value.clone())
+    }
+
+    /// Only a leaf's `right` is its own index: children sit after parents.
+    fn is_leaf(&self, node: usize) -> bool {
+        self.nodes[node].right as usize == node
     }
 
     /// Number of nodes (internal + leaves).
     pub fn n_nodes(&self) -> usize {
-        self.split_col.len()
+        self.nodes.len()
     }
 
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
-        self.split_col.iter().filter(|&&c| c == LEAF).count()
+        (0..self.nodes.len()).filter(|&i| self.is_leaf(i)).count()
     }
 
-    /// Predict one row by walking root → leaf.
+    /// The packed nodes, root first.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// Edges on the longest root → leaf path.
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Mean label of every node; a descent reads the leaf it ended on.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.value
+    }
+
+    /// Predict one row: the one-row, one-tree case of the forest's
+    /// lock-step [`walk`](crate::forest::walk).
     #[inline]
     pub fn predict(&self, feats: &[f64]) -> f64 {
         debug_assert_eq!(feats.len(), self.width);
-        let mut node = 0usize;
-        loop {
-            let col = self.split_col[node];
-            if col == LEAF {
-                return self.value[node];
-            }
-            node = if feats[col as usize] <= self.threshold[node] {
-                self.left[node] as usize
-            } else {
-                self.right[node] as usize
-            };
-        }
+        let mut leaf_value = 0.0;
+        crate::forest::walk(std::array::from_ref(self), &[feats], |_, _, value| {
+            leaf_value = value;
+        });
+        leaf_value
     }
 }
 
 impl Model for RegressionTree {
     fn width(&self) -> usize {
-        assert!(!self.split_col.is_empty(), "RegressionTree::fit not called");
+        assert!(!self.nodes.is_empty(), "RegressionTree::fit not called");
         self.width
     }
 
@@ -504,7 +602,7 @@ mod tests {
             labels.push(if i < 8 { -1.0 } else { 1.0 });
         }
         let tree = fit_all(&TreeConfig::default(), &feats, 2, &labels);
-        assert_eq!(tree.split_col[0], 0, "root must split the signal column");
+        assert_eq!(tree.parts().0[0], 0, "root must split the signal column");
         assert_eq!(tree.predict(&[2.0, 42.0]), -1.0);
         assert_eq!(tree.predict(&[13.0, 42.0]), 1.0);
     }
@@ -524,32 +622,88 @@ mod tests {
         let idx: Vec<u32> = (0..n as u32).collect();
         let a = RegressionTree::fit_on_indices(&cfg, rows, &labels, &idx, &mut SplitMix64::new(5));
         let b = RegressionTree::fit_on_indices(&cfg, rows, &labels, &idx, &mut SplitMix64::new(5));
-        assert_eq!(a.split_col, b.split_col);
-        assert_eq!(a.threshold, b.threshold);
-        assert_eq!(a.value, b.value);
+        assert_eq!(a.parts(), b.parts());
     }
 
     #[test]
-    fn parts_round_trip_preserves_predictions() {
+    fn parts_round_trip_is_bit_identical() {
         let feats: Vec<f64> = (0..32).map(f64::from).collect();
         let labels: Vec<f64> = feats.iter().map(|&x| (x * 0.7).sin()).collect();
         let tree = fit_all(&TreeConfig::default(), &feats, 1, &labels);
         let (sc, th, l, r, v) = tree.parts();
-        let rebuilt = RegressionTree::from_parts(
-            1,
-            sc.to_vec(),
-            th.to_vec(),
-            l.to_vec(),
-            r.to_vec(),
-            v.to_vec(),
-        )
-        .unwrap();
+        let rebuilt = RegressionTree::from_parts(1, sc, th, l, r, v).unwrap();
+        assert_eq!(rebuilt.depth, tree.depth, "depth is derived, not stored");
+        let bits = |(sc, th, l, r, v): TreeParts| {
+            let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            (sc, bits(th), l, r, bits(v))
+        };
+        assert_eq!(bits(rebuilt.parts()), bits(tree.parts()));
         for x in &feats {
             assert_eq!(
                 tree.predict(&[*x]).to_bits(),
                 rebuilt.predict(&[*x]).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn parts_write_leaves_canonically() {
+        let tree = fit_all(&TreeConfig::default(), &[0.0, 1.0, 2.0, 3.0], 1, &[0.0; 4]);
+        assert_eq!(tree.n_nodes(), 1, "constant labels: the root stays a leaf");
+        assert_eq!(
+            tree.parts(),
+            (vec![LEAF], vec![0.0], vec![0], vec![0], vec![0.0])
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_non_adjacent_siblings() {
+        // Forward, in range, finite — but right is not left + 1, which
+        // the packed node cannot represent.
+        let built = |left: u32, right: u32| {
+            RegressionTree::from_parts(
+                1,
+                vec![0, LEAF, LEAF, LEAF],
+                vec![0.5, 0.0, 0.0, 0.0],
+                vec![left, 0, 0, 0],
+                vec![right, 0, 0, 0],
+                vec![0.0, 1.0, 2.0, 3.0],
+            )
+        };
+        assert!(built(1, 2).is_ok());
+        assert!(matches!(
+            built(1, 3),
+            Err(ModelImportError::BadChild { node: 0, child: 3 })
+        ));
+        assert!(matches!(
+            built(2, 1),
+            Err(ModelImportError::BadChild { node: 0, child: 1 })
+        ));
+        assert!(matches!(
+            built(2, 2),
+            Err(ModelImportError::BadChild { node: 0, child: 2 })
+        ));
+    }
+
+    #[test]
+    fn from_parts_derives_depth_from_the_longest_path() {
+        // 0 → (1, 2); 2 → (3, 4); 4 → (5, 6): a right spine of depth 3.
+        let tree = RegressionTree::from_parts(
+            2,
+            vec![0, LEAF, 1, LEAF, 0, LEAF, LEAF],
+            vec![0.5, 0.0, 0.5, 0.0, 1.5, 0.0, 0.0],
+            vec![1, 0, 3, 0, 5, 0, 0],
+            vec![2, 0, 4, 0, 6, 0, 0],
+            vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        )
+        .unwrap();
+        assert_eq!(tree.depth, 3);
+        assert_eq!(tree.n_leaves(), 4);
+        assert_eq!(tree.predict(&[0.0, 9.0]), 1.0);
+        assert_eq!(tree.predict(&[1.0, 0.0]), 3.0);
+        assert_eq!(tree.predict(&[1.0, 1.0]), 5.0);
+        assert_eq!(tree.predict(&[2.0, 1.0]), 6.0);
+        assert_eq!(tree.predict(&[f64::NAN, f64::NAN]), 6.0, "NaN goes right");
     }
 
     #[test]
@@ -563,6 +717,14 @@ mod tests {
         assert!(matches!(
             RegressionTree::from_parts(1, vec![LEAF], vec![0.0], vec![0], vec![0], vec![]),
             Err(ModelImportError::LengthMismatch { field: "value", .. })
+        ));
+        // No feature column at all.
+        assert!(matches!(
+            RegressionTree::from_parts(0, vec![LEAF], vec![0.0], vec![0], vec![0], vec![1.0]),
+            Err(ModelImportError::WidthMismatch {
+                expected: 1,
+                got: 0
+            })
         ));
         // Split column outside the width.
         assert!(matches!(

@@ -7,6 +7,14 @@
 //! through [`RegressionTree::from_parts`] / [`RandomForest::from_trees`],
 //! so a malformed or hand-edited file is rejected with a typed error and
 //! can never install a tree that loops or indexes out of range.
+//!
+//! The file holds five parallel arrays per tree; in memory a tree is
+//! packed nodes that store one child index, so [`RegressionTree::parts`]
+//! renders the arrays (leaves canonically: `split_col = u32::MAX`,
+//! threshold `0.0`, children `0`) and the loader rejects any internal
+//! node whose `right` is not `left + 1`. Every forest this repo has saved
+//! has adjacent siblings — the fitter pushes them back to back — so
+//! [`FOREST_FORMAT`] and the saved bytes are unchanged.
 
 use robopt_ml::tree::ModelImportError;
 use robopt_ml::{Model, RandomForest, RegressionTree};
@@ -67,15 +75,15 @@ pub fn forest_to_json(forest: &RandomForest) -> String {
         }
         let (split_col, threshold, left, right, value) = tree.parts();
         out.push_str("{\"split_col\":");
-        push_u32_array(&mut out, split_col);
+        push_u32_array(&mut out, &split_col);
         out.push_str(",\"threshold_bits\":");
-        push_bits_array(&mut out, threshold);
+        push_bits_array(&mut out, &threshold);
         out.push_str(",\"left\":");
-        push_u32_array(&mut out, left);
+        push_u32_array(&mut out, &left);
         out.push_str(",\"right\":");
-        push_u32_array(&mut out, right);
+        push_u32_array(&mut out, &right);
         out.push_str(",\"value_bits\":");
-        push_bits_array(&mut out, value);
+        push_bits_array(&mut out, &value);
         out.push('}');
     }
     out.push_str("]}");
