@@ -548,18 +548,38 @@ mod tests {
     }
 
     #[test]
-    fn serve_loop_survives_garbage_lines() {
-        let script = "this is not json\n{\"op\":\"warp\"}\n{\"op\":\"stats\"}\n";
+    fn serve_loop_survives_garbage_and_over_budget_lines() {
+        // The third line used to abort the daemon in `handle_alloc_error`.
+        let script = concat!(
+            "this is not json\n",
+            r#"{"op":"warp"}"#,
+            "\n",
+            r#"{"op":"optimize","workload":{"kind":"random_dag","ops":12,"seed":3,"density":0.5},"policy":{"prune":false}}"#,
+            "\n",
+            r#"{"op":"stats"}"#,
+            "\n",
+        );
         let mut opt = Optimizer::named();
-        let mut out = Vec::new();
+        let mut out = CountingWriter::default();
         let quit = serve_lines(&mut opt, script.as_bytes(), &mut out);
         assert!(!quit, "EOF, not quit");
-        let text = String::from_utf8(out).expect("utf-8 output");
+        assert_eq!(out.writes, 4, "an error reply is one write too");
+        let text = String::from_utf8(out.bytes).expect("utf-8 output");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"ok\":false"));
-        assert!(lines[1].contains("\"ok\":false"));
-        assert!(lines[2].contains("\"ok\":true"));
+        assert_eq!(lines.len(), 4);
+        for refused in &lines[..3] {
+            assert!(refused.contains("\"ok\":false"), "{refused}");
+        }
+        assert!(lines[2].contains("invalid request"), "{}", lines[2]);
+        // The refused optimize was counted, missed, and cached nothing.
+        for counter in [
+            "\"ok\":true",
+            "\"requests\":1",
+            "\"misses\":1",
+            "\"insertions\":0",
+        ] {
+            assert!(lines[3].contains(counter), "{counter}: {}", lines[3]);
+        }
     }
 
     #[test]

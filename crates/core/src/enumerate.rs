@@ -274,6 +274,25 @@ pub(crate) fn check_preconditions(
     assert!(plan.is_connected(), "enumeration requires a connected plan");
 }
 
+/// Fill `out` with the boundary operators of `scope` — operators inside
+/// with at least one dataflow edge to an operator outside — in ascending
+/// op id (the canonical footprint order).
+fn boundary_ops(plan: &LogicalPlan, scope: Scope, out: &mut Vec<u32>) {
+    out.clear();
+    for op in 0..plan.n_ops() as u32 {
+        if scope.contains(op) {
+            let crosses = plan
+                .succs(op)
+                .iter()
+                .chain(plan.preds(op))
+                .any(|&o| !scope.contains(o));
+            if crosses {
+                out.push(op);
+            }
+        }
+    }
+}
+
 impl Enumerator {
     pub fn new() -> Self {
         Enumerator::default()
@@ -346,23 +365,6 @@ impl Enumerator {
                 self.cost_buf.push(risk.score(&self.dist_buf, r));
             }
         }
-    }
-
-    /// Number of boundary operators of `scope`: operators inside with at
-    /// least one dataflow edge to an operator outside.
-    fn boundary_count(plan: &LogicalPlan, scope: Scope) -> u32 {
-        let mut count = 0;
-        for op in 0..plan.n_ops() as u32 {
-            if scope.contains(op) {
-                let crosses = plan
-                    .succs(op)
-                    .iter()
-                    .chain(plan.preds(op))
-                    .any(|&o| !scope.contains(o));
-                count += u32::from(crosses);
-            }
-        }
-        count
     }
 
     /// Reset per-run state for an `n`-operator plan: no live units yet,
@@ -468,6 +470,23 @@ impl Enumerator {
         }
     }
 
+    /// Current Def-3 key of dataflow edge `e` and the roots of the two units
+    /// it would merge; `None` once both endpoints share a unit. Leaves the
+    /// merged scope's boundary operators in `self.boundary`: their count
+    /// ranks the edge, their list is the footprint every staged row hashes.
+    fn edge_key(&mut self, plan: &LogicalPlan, e: u32) -> Option<(u32, u32, HeapKey)> {
+        let (u, v) = plan.edges()[e as usize];
+        let (ra, rb) = (self.find(u), self.find(v));
+        if ra == rb {
+            return None;
+        }
+        let (rows_a, scope_a) = self.unit_shape(ra);
+        let (rows_b, scope_b) = self.unit_shape(rb);
+        boundary_ops(plan, scope_a.union(scope_b), &mut self.boundary);
+        let frontier = self.boundary.len() as u32;
+        Some((ra, rb, heap_key(frontier, rows_a.max(rows_b) as u64, e)))
+    }
+
     /// Contract the listed dataflow edges (indexes into `plan.edges()`) in
     /// Def-3 priority order: fewest boundary operators of the merged scope
     /// first (the pruned frontier `k^|boundary|` multiplies every later
@@ -493,32 +512,16 @@ impl Enumerator {
 
         self.heap.clear();
         for &e in edges {
-            let (u, v) = plan.edges()[e as usize];
-            let ra = self.find(u);
-            let rb = self.find(v);
-            if ra == rb {
-                continue;
+            if let Some((_, _, key)) = self.edge_key(plan, e) {
+                self.heap.push(key);
             }
-            let (rows_u, scope_u) = self.unit_shape(ra);
-            let (rows_v, scope_v) = self.unit_shape(rb);
-            let frontier = Self::boundary_count(plan, scope_u.union(scope_v));
-            self.heap
-                .push(heap_key(frontier, rows_u.max(rows_v) as u64, e));
         }
 
         while let Some(Reverse(entry)) = self.heap.pop() {
-            let edge = entry.2;
-            let (eu, ev) = plan.edges()[edge as usize];
-            let ra = self.find(eu);
-            let rb = self.find(ev);
-            if ra == rb {
+            let Some((ra, rb, fresh)) = self.edge_key(plan, entry.2) else {
                 continue;
-            }
-            let (rows_a, scope_a) = self.unit_shape(ra);
-            let (rows_b, scope_b) = self.unit_shape(rb);
-            let frontier = Self::boundary_count(plan, scope_a.union(scope_b));
+            };
             // Stale priority (an endpoint grew since the push): requeue.
-            let fresh = heap_key(frontier, rows_a.max(rows_b) as u64, edge);
             if fresh.0 != entry {
                 self.heap.push(fresh);
                 continue;
@@ -526,6 +529,7 @@ impl Enumerator {
 
             let a = self.take_unit(ra);
             let b = self.take_unit(rb);
+            let (rows_a, rows_b) = (a.mat.rows(), b.mat.rows());
             let merged_scope = a.scope.union(b.scope);
 
             // Dataflow edges crossing the two scopes (conversion sites).
@@ -537,24 +541,9 @@ impl Enumerator {
                     self.crossing.push((u, v));
                 }
             }
-            // Boundary operators of the merged scope, ascending op id
-            // (canonical footprint order).
-            self.boundary.clear();
-            for op in 0..n as u32 {
-                if merged_scope.contains(op) {
-                    let crosses = plan
-                        .succs(op)
-                        .iter()
-                        .chain(plan.preds(op))
-                        .any(|&o| !merged_scope.contains(o));
-                    if crosses {
-                        self.boundary.push(op);
-                    }
-                }
-            }
 
             // Merge, cost and prune one left row at a time: `merge_feats_many`
-            // fuses one `a` row against all of `b` in a SIMD-width block,
+            // fuses one `a` row against all of `b` in one block,
             // conversion features are patched per combination in place, the
             // block is costed with one batched oracle call, and every
             // feasible row is folded straight into the destination unit

@@ -63,7 +63,7 @@ impl ParallelEnumerator {
 
     /// Override the plan-splitting options.
     pub fn with_split(mut self, split: SplitOptions) -> Self {
-        self.split = split;
+        self.set_split(split);
         self
     }
 
@@ -71,7 +71,7 @@ impl ParallelEnumerator {
     /// force real scoped-thread scheduling even on a single-core host; the
     /// result is bit-identical either way.
     pub fn with_hardware_clamp(mut self, clamp: bool) -> Self {
-        self.hardware_clamp = clamp;
+        self.set_hardware_clamp(clamp);
         self
     }
 
@@ -117,17 +117,19 @@ impl ParallelEnumerator {
 
         // Phase 1: enumerate every part. Workers own disjoint part blocks
         // (forest-style tiling); `thread::scope` joins them all and
-        // propagates panics, so no thread outlives this call.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the worker count only tiles the part blocks; merge order and result bytes are identical for every thread count (asserted across 1..=4 workers by parallel_matches_serial)"
-        )]
-        let hw = if self.hardware_clamp {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            usize::MAX
-        };
-        let t = self.threads.min(kp).min(hw);
+        // propagates panics, so no thread outlives this call. The core
+        // count is read only when it can lower `t`: one worker — every
+        // caller's default — stays one whatever the host reports, and the
+        // read costs microseconds (cgroup files) on every cache miss.
+        let mut t = self.threads.min(kp);
+        if self.hardware_clamp && t > 1 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the worker count only tiles the part blocks; merge order and result bytes are identical for every thread count (asserted across 1..=4 workers by parallel_matches_serial)"
+            )]
+            let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+            t = t.min(hw);
+        }
         let mut part_stats = vec![EnumStats::default(); kp];
         if t <= 1 {
             for (i, (en, st)) in self.parts[..kp].iter_mut().zip(&mut part_stats).enumerate() {

@@ -7,11 +7,13 @@
 //! order-preserving by construction, so **outputs are byte-identical
 //! across worker counts**:
 //!
-//! * map-side operators process contiguous input chunks and concatenate
-//!   results in chunk order — identical to the sequential pass;
+//! * map-side operators process contiguous index ranges (`par_ranges`, the
+//!   one fan-out) and concatenate results in range order — identical to
+//!   the sequential pass;
 //! * every keyed operator is sort-based under the total order
-//!   [`record_cmp`]; parallel chunk-sort + k-way merge reproduces the full
-//!   sort byte-for-byte because equal elements are fully identical;
+//!   [`record_cmp`]; sorting chunks in parallel and then sorting the whole
+//!   reproduces the plain sort byte-for-byte because equal elements are
+//!   fully identical;
 //! * all floating-point accumulation happens sequentially in canonical
 //!   (sorted or stream) order — threads never race on a sum;
 //! * sources seed each record by row index, never by partition.
@@ -298,54 +300,55 @@ impl<'a> Engine<'a> {
             | OperatorKind::TableSource => {
                 let rows = clamp_rows(o.source_cardinality, self.max_source_rows);
                 let (kind, seed) = (o.kind, self.seed);
-                self.par_ranges(w, rows as usize, move |lo, hi, out| {
-                    for row in lo..hi {
+                par_ranges(w, rows as usize, move |range, out| {
+                    for row in range {
                         out.push(source_record(kind, seed, op, row as u64, rows));
                     }
                 })
             }
             OperatorKind::Map | OperatorKind::MapPartitions => {
                 let input = gather(preds, outputs);
-                self.par_records(w, &input, |r, out| out.push(map_record(r)))
+                par_ranges(w, input.len(), |range, out| {
+                    out.extend(input[range].iter().map(map_record));
+                })
             }
             OperatorKind::Cache | OperatorKind::Broadcast | OperatorKind::LocalCallbackSink => {
                 gather(preds, outputs)
             }
             OperatorKind::FlatMap => {
                 let input = gather(preds, outputs);
-                self.par_records(w, &input, flat_map_record)
-            }
-            OperatorKind::Filter => {
-                let input = gather(preds, outputs);
-                let sel = o.selectivity;
-                self.par_records(w, &input, move |r, out| {
-                    if keep_record(r, sel, FILTER_SALT) {
-                        out.push(r.clone());
+                par_ranges(w, input.len(), |range, out| {
+                    for r in &input[range] {
+                        flat_map_record(r, out);
                     }
                 })
             }
-            OperatorKind::Sample => {
+            OperatorKind::Filter | OperatorKind::Sample => {
                 let input = gather(preds, outputs);
+                let salt = if o.kind == OperatorKind::Filter {
+                    FILTER_SALT
+                } else {
+                    SAMPLE_SALT
+                };
                 let sel = o.selectivity;
-                self.par_records(w, &input, move |r, out| {
-                    if keep_record(r, sel, SAMPLE_SALT) {
-                        out.push(r.clone());
-                    }
+                par_ranges(w, input.len(), |range, out| {
+                    let kept = input[range].iter().filter(|r| keep_record(r, sel, salt));
+                    out.extend(kept.cloned());
                 })
             }
-            OperatorKind::Sort => self.par_sort(w, gather(preds, outputs)),
+            OperatorKind::Sort => par_sort(w, gather(preds, outputs)),
             OperatorKind::Distinct => {
-                let mut sorted = self.par_sort(w, gather(preds, outputs));
+                let mut sorted = par_sort(w, gather(preds, outputs));
                 sorted.dedup_by(|a, b| {
                     a.key == b.key && a.num.to_bits() == b.num.to_bits() && a.text == b.text
                 });
                 sorted
             }
             OperatorKind::ReduceByKey => {
-                fold_groups(self.par_sort(w, gather(preds, outputs)), GroupMode::Sum)
+                fold_groups(par_sort(w, gather(preds, outputs)), GroupMode::Sum)
             }
             OperatorKind::GroupByKey => {
-                fold_groups(self.par_sort(w, gather(preds, outputs)), GroupMode::Count)
+                fold_groups(par_sort(w, gather(preds, outputs)), GroupMode::Count)
             }
             OperatorKind::Aggregate => aggregate_sum(&gather(preds, outputs)),
             OperatorKind::GlobalReduce => global_max(&gather(preds, outputs)),
@@ -359,11 +362,11 @@ impl<'a> Engine<'a> {
             }
             OperatorKind::Join => {
                 let (a, b) = gather2(preds, outputs);
-                join_sorted(self.par_sort(w, a), self.par_sort(w, b))
+                join_sorted(par_sort(w, a), par_sort(w, b))
             }
             OperatorKind::Intersect => {
                 let (a, b) = gather2(preds, outputs);
-                intersect_sorted(self.par_sort(w, a), self.par_sort(w, b))
+                intersect_sorted(par_sort(w, a), par_sort(w, b))
             }
             OperatorKind::CartesianProduct => {
                 let (a, b) = gather2(preds, outputs);
@@ -372,12 +375,12 @@ impl<'a> Engine<'a> {
             OperatorKind::Union => gather(preds, outputs),
             OperatorKind::ZipWithId => {
                 let input = gather(preds, outputs);
-                self.par_ranges(w, input.len(), |lo, hi, out| {
-                    for (j, r) in input.get(lo..hi).unwrap_or(&[]).iter().enumerate() {
+                par_ranges(w, input.len(), |range, out| {
+                    for i in range {
                         out.push(Record {
-                            key: (lo + j) as u64,
-                            num: r.num,
-                            text: r.text.clone(),
+                            key: i as u64,
+                            num: input[i].num,
+                            text: input[i].text.clone(),
                         });
                     }
                 })
@@ -395,63 +398,6 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-    }
-
-    /// Run `f` over contiguous index ranges covering `0..n`, concatenating
-    /// outputs in range order (order-preserving by construction).
-    fn par_ranges(
-        &self,
-        w: usize,
-        n: usize,
-        f: impl Fn(usize, usize, &mut Vec<Record>) + Sync,
-    ) -> Vec<Record> {
-        let parts = w.max(1);
-        let chunks = par_map_chunks(w, parts, |c| {
-            let (lo, hi) = bounds(n, parts, c);
-            let mut out = Vec::new();
-            f(lo, hi, &mut out);
-            out
-        });
-        concat(chunks)
-    }
-
-    /// Per-record map-side parallelism over contiguous chunks.
-    fn par_records(
-        &self,
-        w: usize,
-        input: &[Record],
-        f: impl Fn(&Record, &mut Vec<Record>) + Sync,
-    ) -> Vec<Record> {
-        let parts = w.max(1);
-        let chunks = par_map_chunks(w, parts, |c| {
-            let (lo, hi) = bounds(input.len(), parts, c);
-            let mut out = Vec::new();
-            for r in input.get(lo..hi).unwrap_or(&[]) {
-                f(r, &mut out);
-            }
-            out
-        });
-        concat(chunks)
-    }
-
-    /// Parallel chunk-sort + k-way merge under [`record_cmp`]. Because the
-    /// comparator is total and equal elements are identical records, the
-    /// merged stream is byte-identical to a full sequential sort.
-    fn par_sort(&self, w: usize, mut input: Vec<Record>) -> Vec<Record> {
-        if w <= 1 || input.len() < 2 {
-            input.sort_by(record_cmp);
-            return input;
-        }
-        let parts = w;
-        let n = input.len();
-        let slice = input.as_slice();
-        let runs = par_map_chunks(w, parts, |c| {
-            let (lo, hi) = bounds(n, parts, c);
-            let mut run = slice.get(lo..hi).unwrap_or(&[]).to_vec();
-            run.sort_by(record_cmp);
-            run
-        });
-        kway_merge(runs)
     }
 
     /// PageRank kernel: the input stream is an edge list (one record per
@@ -498,20 +444,16 @@ impl<'a> Engine<'a> {
                 .zip(&outdeg)
                 .map(|(r, &d)| if d > 0 { r / f64::from(d) } else { 0.0 })
                 .collect();
-            let parts = w.max(1);
-            let next = par_map_chunks(w, parts, |c| {
-                let (lo, hi) = bounds(n, parts, c);
-                let mut seg = Vec::with_capacity(hi - lo);
-                for v in lo..hi {
+            rank = par_ranges(w, n, |range, seg| {
+                seg.reserve(range.len());
+                for v in range {
                     let mut s = 0.0f64;
                     for &u in srcs.get(start[v]..start[v + 1]).unwrap_or(&[]) {
                         s += contrib.get(u as usize).copied().unwrap_or(0.0);
                     }
                     seg.push(base + PAGERANK_DAMPING * s);
                 }
-                seg
             });
-            rank = next.concat();
         }
         rank.iter()
             .enumerate()
@@ -537,16 +479,10 @@ impl<'a> Engine<'a> {
             .collect();
         let mut assign: Vec<usize> = vec![0; n];
         for _ in 0..iters {
-            let parts = w.max(1);
-            let chunks = par_map_chunks(w, parts, |c| {
-                let (lo, hi) = bounds(n, parts, c);
-                pts.get(lo..hi)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|&(x, y)| assign_point(x, y, &centroids))
-                    .collect::<Vec<usize>>()
+            assign = par_ranges(w, n, |range, out| {
+                let nearest = |&(x, y): &(f64, f64)| assign_point(x, y, &centroids);
+                out.extend(pts[range].iter().map(nearest));
             });
-            assign = chunks.concat();
             let mut sums = vec![(0.0f64, 0.0f64, 0u64); k];
             for (i, &(x, y)) in pts.iter().enumerate() {
                 let a = assign.get(i).copied().unwrap_or(0);
@@ -614,91 +550,53 @@ fn gather2(preds: &[u32], outputs: &[Vec<Record>]) -> (Vec<Record>, Vec<Record>)
     (a, b)
 }
 
-/// Even contiguous chunk bounds: chunk `i` of `parts` over `0..n`.
-pub(crate) fn bounds(n: usize, parts: usize, i: usize) -> (usize, usize) {
-    (i * n / parts, (i + 1) * n / parts)
-}
-
-fn concat(chunks: Vec<Vec<Record>>) -> Vec<Record> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for c in chunks {
-        out.extend(c);
-    }
-    out
-}
-
-/// Run `f(0..n_chunks)` on up to `workers` scoped threads, each owning a
-/// contiguous group of result slots — no locks, no join handles, results
-/// land in chunk order regardless of scheduling.
-fn par_map_chunks<T: Send>(
-    workers: usize,
-    n_chunks: usize,
-    f: impl Fn(usize) -> T + Sync,
+/// The one fan-out: split `0..n` into `w` contiguous ranges, run `f` on
+/// each — on its own scoped thread when `w > 1` — and concatenate what the
+/// ranges pushed in range order, so the result is what `f(0..n)` alone
+/// would have produced whatever the scheduling.
+fn par_ranges<T: Send>(
+    w: usize,
+    n: usize,
+    f: impl Fn(std::ops::Range<usize>, &mut Vec<T>) + Sync,
 ) -> Vec<T> {
-    if n_chunks == 0 {
-        return Vec::new();
+    let mut out = Vec::new();
+    if w <= 1 {
+        f(0..n, &mut out);
+        // Every operator's output lives until the plan finishes: give back
+        // the slack `push` growth left, as the concatenation below does.
+        out.shrink_to_fit();
+        return out;
     }
-    let w = workers.clamp(1, n_chunks);
-    if w == 1 {
-        return (0..n_chunks).map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-    let per = n_chunks.div_ceil(w);
+    let mut parts: Vec<Vec<T>> = (0..w).map(|_| Vec::new()).collect();
     std::thread::scope(|s| {
-        for (g, group) in slots.chunks_mut(per).enumerate() {
+        for (c, part) in parts.iter_mut().enumerate() {
             let f = &f;
-            s.spawn(move || {
-                for (j, slot) in group.iter_mut().enumerate() {
-                    *slot = Some(f(g * per + j));
-                }
-            });
+            s.spawn(move || f(c * n / w..(c + 1) * n / w, part));
         }
     });
-    slots.into_iter().flatten().collect()
-}
-
-/// Sequential k-way merge of sorted runs under [`record_cmp`]; ties go to
-/// the lowest run index (tied elements are identical records, so any
-/// choice yields the same bytes).
-fn kway_merge(runs: Vec<Vec<Record>>) -> Vec<Record> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut cursor = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        let mut best: Option<usize> = None;
-        for (i, run) in runs.iter().enumerate() {
-            let at = cursor.get(i).copied().unwrap_or(run.len());
-            let Some(candidate) = run.get(at) else {
-                continue;
-            };
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    let b_at = cursor.get(b).copied().unwrap_or(0);
-                    let beats = runs
-                        .get(b)
-                        .and_then(|rb| rb.get(b_at))
-                        .map(|cur| record_cmp(candidate, cur) == std::cmp::Ordering::Less)
-                        .unwrap_or(true);
-                    if beats {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(b) = best else { break };
-        let at = cursor.get(b).copied().unwrap_or(0);
-        if let Some(r) = runs.get(b).and_then(|rb| rb.get(at)) {
-            out.push(r.clone());
-        }
-        if let Some(c) = cursor.get_mut(b) {
-            *c += 1;
-        }
+    out.reserve(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
     }
     out
+}
+
+/// Sort under [`record_cmp`]: up to `w` chunks in place on scoped threads,
+/// then one `sort_by` over the whole. std's stable sort detects presorted
+/// runs and merges them, so the second pass *is* the k-way merge; and
+/// because the comparator is total and equal elements are identical
+/// records, the result is byte-identical to sorting sequentially.
+fn par_sort(w: usize, mut input: Vec<Record>) -> Vec<Record> {
+    if w > 1 && input.len() > 1 {
+        let per = input.len().div_ceil(w);
+        std::thread::scope(|s| {
+            for chunk in input.chunks_mut(per) {
+                s.spawn(move || chunk.sort_by(record_cmp));
+            }
+        });
+    }
+    input.sort_by(record_cmp);
+    input
 }
 
 /// How [`fold_groups`] reduces each key group.
@@ -923,6 +821,43 @@ mod tests {
                 .collect();
             assert_eq!(digests.first(), digests.get(1));
             assert_eq!(digests.first(), digests.get(2));
+        }
+    }
+
+    #[test]
+    fn par_ranges_hands_out_every_index_once_and_in_order() {
+        for w in [1usize, 2, 3, 4, 7] {
+            for n in [0, 1, w - 1, w, w + 1] {
+                let seen = par_ranges(w, n, |range, out| out.extend(range));
+                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "w={w} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_sort_equals_the_plain_sort_record_for_record() {
+        let odd = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+        let mut rng = robopt_plan::rng::SplitMix64::new(0x50F7);
+        for w in [1usize, 2, 3, 4, 7] {
+            for len in [0, 1, 2, w - 1, w, w + 1, 1000] {
+                // Five keys and six payloads: most records tie on the key,
+                // many are equal outright.
+                let input: Vec<Record> = (0..len)
+                    .map(|_| Record {
+                        key: rng.next_u64() % 5,
+                        num: odd[rng.gen_range(odd.len())],
+                        text: ["", "a", "b"][rng.gen_range(3)].to_string(),
+                    })
+                    .collect();
+                let mut want = input.clone();
+                want.sort_by(record_cmp);
+                let got = par_sort(w, input);
+                assert_eq!(got.len(), want.len(), "w={w} len={len}");
+                // `record_cmp` compares bit patterns: equal means identical,
+                // where `==` would call every NaN payload different.
+                let same = |(g, x)| record_cmp(g, x).is_eq();
+                assert!(got.iter().zip(&want).all(same), "w={w} len={len}");
+            }
         }
     }
 

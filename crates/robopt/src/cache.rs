@@ -1,11 +1,9 @@
 //! Plan-signature memoization (DESIGN §10).
 //!
 //! [`PlanCache`] maps [`crate::api::OptimizeRequest::signature`] keys to
-//! finished [`OptimizeResponse`]s with the same open-addressing scheme as
-//! `robopt_vector::FootprintTable`: a power-of-two slot array of
-//! entry-index-plus-one handles over an insertion-ordered entry vector.
-//! Slots are sized at twice capacity up front, so the load factor never
-//! exceeds ½ and probes always terminate at an empty slot.
+//! finished [`OptimizeResponse`]s: a [`FootprintTable`] indexes signature →
+//! position in one entry vector, so the cache probes through the same
+//! open-addressing table Def-2 pruning does.
 //!
 //! # Eviction
 //!
@@ -22,7 +20,7 @@
 //! (ties break toward the oldest entry index). "Cheap and cold" falls out
 //! first; "expensive or hot" survives.
 
-use robopt_plan::rng::mix64;
+use robopt_vector::FootprintTable;
 
 use crate::api::OptimizeResponse;
 
@@ -68,8 +66,8 @@ struct Entry {
 /// Deterministic plan-signature → response cache. See the module docs.
 #[derive(Debug, Clone)]
 pub struct PlanCache {
-    /// `slots[i] == 0` means empty, else `entry index + 1`.
-    slots: Vec<u32>,
+    /// Signature → position in `entries`.
+    index: FootprintTable,
     entries: Vec<Entry>,
     capacity: usize,
     hits: u64,
@@ -86,7 +84,7 @@ impl PlanCache {
     /// (every lookup misses, inserts are dropped) while keeping counters.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            slots: vec![0; slot_len(capacity)],
+            index: FootprintTable::new(),
             entries: Vec::new(),
             capacity,
             hits: 0,
@@ -127,15 +125,15 @@ impl PlanCache {
     /// telemetry spans flushes.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.slots.fill(0);
+        self.index.clear();
     }
 
     /// Look up `key`, touching its recency to `tick` on a hit.
     pub fn lookup(&mut self, key: u64, tick: u64) -> Option<OptimizeResponse> {
-        match self.find(key) {
+        match self.index.get(key) {
             Some(i) => {
                 self.hits += 1;
-                let entry = self.entries.get_mut(i)?;
+                let entry = self.entries.get_mut(i as usize)?;
                 entry.last_tick = tick;
                 Some(entry.value.clone())
             }
@@ -153,8 +151,8 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
-        if let Some(i) = self.find(key) {
-            if let Some(entry) = self.entries.get_mut(i) {
+        if let Some(i) = self.index.get(key) {
+            if let Some(entry) = self.entries.get_mut(i as usize) {
                 entry.value = value;
                 entry.work = work;
                 entry.last_tick = tick;
@@ -164,50 +162,14 @@ impl PlanCache {
         if self.entries.len() >= self.capacity {
             self.evict_min();
         }
-        let idx = self.entries.len() as u32;
+        self.index.insert(key, self.entries.len() as u32);
         self.entries.push(Entry {
             key,
             value,
             work,
             last_tick: tick,
         });
-        self.seat(key, idx);
         self.insertions += 1;
-    }
-
-    /// Entry index for `key`, probing from its home slot.
-    fn find(&self, key: u64) -> Option<usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = mix64(key) as usize & mask;
-        loop {
-            let handle = *self.slots.get(slot)?;
-            if handle == 0 {
-                return None;
-            }
-            let i = handle as usize - 1;
-            if self.entries.get(i).map(|e| e.key) == Some(key) {
-                return Some(i);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Seat `entry index + 1` in the first free probe slot for `key`.
-    fn seat(&mut self, key: u64, idx: u32) {
-        let mask = self.slots.len() - 1;
-        let mut slot = mix64(key) as usize & mask;
-        loop {
-            match self.slots.get_mut(slot) {
-                Some(handle) if *handle == 0 => {
-                    *handle = idx + 1;
-                    return;
-                }
-                Some(_) => slot = (slot + 1) & mask,
-                // Unreachable — load factor ≤ ½ guarantees a free slot —
-                // but degrade to a dropped seat rather than spin.
-                None => return,
-            }
-        }
     }
 
     /// Evict the entry with the minimum benefit score (ties → lowest
@@ -224,27 +186,20 @@ impl PlanCache {
         }
         self.entries.swap_remove(victim);
         self.evictions += 1;
-        // swap_remove renumbered the moved tail entry; rebuild the slot
-        // array from scratch (rare: once per eviction, O(capacity)).
-        self.slots.fill(0);
-        for i in 0..self.entries.len() {
-            let key = self.entries.get(i).map(|e| e.key);
-            if let Some(key) = key {
-                self.seat(key, i as u32);
-            }
+        // swap_remove renumbered the moved tail entry and the table has no
+        // remove: rebuild the index (once per eviction, O(capacity)).
+        self.index.clear();
+        for (i, e) in self.entries.iter().enumerate() {
+            self.index.insert(e.key, i as u32);
         }
     }
-}
-
-/// Slot-array length: next power of two ≥ `2 × capacity`, floored at 16.
-fn slot_len(capacity: usize) -> usize {
-    capacity.saturating_mul(2).next_power_of_two().max(16)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use robopt_core::EnumStats;
+    use robopt_plan::rng::SplitMix64;
 
     fn resp(tag: &str, cost: f64) -> OptimizeResponse {
         OptimizeResponse {
@@ -276,21 +231,110 @@ mod tests {
 
     #[test]
     fn colliding_keys_in_one_bucket_stay_distinct() {
+        // Keys equal in their low 32 bits: the adversarial shape
+        // `FootprintTable`'s own growth test uses.
+        let mut cache = PlanCache::new(64);
+        for i in 0..64u64 {
+            cache.insert(i << 32, resp("k", i as f64), 1, i);
+        }
+        for i in 0..64u64 {
+            let hit = cache.lookup(i << 32, 64 + i).expect("every key present");
+            assert_eq!(hit.cost, i as f64, "key {i}");
+        }
+        assert!(cache.lookup(64 << 32, 200).is_none());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.len), (64, 1, 0, 64));
+    }
+
+    /// The documented eviction rule on a plain vector of
+    /// `(key, work, last_tick)`: minimum `work × (last_tick + 1)`, ties to
+    /// the lowest index, `swap_remove`.
+    struct Model {
+        capacity: usize,
+        entries: Vec<(u64, u64, u64)>,
+    }
+
+    impl Model {
+        fn lookup(&mut self, key: u64, tick: u64) -> Option<u64> {
+            let e = self.entries.iter_mut().find(|e| e.0 == key)?;
+            e.2 = tick;
+            Some(e.1)
+        }
+
+        fn insert(&mut self, key: u64, work: u64, tick: u64) {
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == key) {
+                (e.1, e.2) = (work, tick);
+                return;
+            }
+            if self.entries.len() >= self.capacity {
+                let score = |e: &(u64, u64, u64)| u128::from(e.1) * (u128::from(e.2) + 1);
+                // `min_by_key` returns the first of several equal minima.
+                let victim = (0..self.entries.len()).min_by_key(|&i| score(&self.entries[i]));
+                self.entries
+                    .swap_remove(victim.expect("capacity is not zero"));
+            }
+            self.entries.push((key, work, tick));
+        }
+    }
+
+    /// Drive `cache` and `model` through the same seeded mixed stream,
+    /// comparing every answer and, after every step, the survivor set.
+    fn churn(cache: &mut PlanCache, model: &mut Model, rng: &mut SplitMix64) {
+        const KEYS: u64 = 24;
+        // Entries an earlier `clear` dropped without evicting them.
+        let s = cache.stats();
+        let flushed = s.insertions - s.evictions - s.len as u64;
+        for step in 0..10_000 {
+            // A slow clock and tiny works make score ties common.
+            let (key, tick) = (rng.next_u64() % KEYS, step / 4);
+            if rng.next_u64().is_multiple_of(2) {
+                let work = 1 + rng.next_u64() % 4;
+                cache.insert(key, resp("v", work as f64), work, tick);
+                model.insert(key, work, tick);
+            } else {
+                let got = cache.lookup(key, tick).map(|r| r.cost);
+                let want = model.lookup(key, tick).map(|w| w as f64);
+                assert_eq!(got, want, "step {step}: lookup {key}");
+            }
+            let s = cache.stats();
+            assert_eq!(
+                s.insertions - s.evictions,
+                s.len as u64 + flushed,
+                "step {step}"
+            );
+            assert_eq!(s.len, model.entries.len(), "step {step}");
+            // Probe a copy, so looking does not touch recency or counters.
+            let mut probe = cache.clone();
+            for k in 0..KEYS {
+                let alive = model.entries.iter().any(|e| e.0 == k);
+                assert_eq!(probe.lookup(k, 0).is_some(), alive, "step {step}: key {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_churn_matches_the_documented_eviction_rule() {
         let mut cache = PlanCache::new(8);
-        let mask = cache.slots.len() - 1;
-        let home = mix64(11) as usize & mask;
-        // Find a second key that probes from the same home slot.
-        let other = (12..)
-            .find(|&k| (mix64(k) as usize & mask) == home)
-            .unwrap_or(11);
-        assert_ne!(other, 11);
-        cache.insert(11, resp("first", 1.0), 1, 1);
-        cache.insert(other, resp("second", 2.0), 1, 2);
-        let a = cache.lookup(11, 3).expect("first key present");
-        let b = cache.lookup(other, 4).expect("second key present");
-        assert_eq!(a.workload, "first");
-        assert_eq!(b.workload, "second");
-        assert_eq!(cache.stats().hits, 2);
+        let mut model = Model {
+            capacity: 8,
+            entries: Vec::new(),
+        };
+        let mut rng = SplitMix64::new(0xC4C4E);
+        churn(&mut cache, &mut model, &mut rng);
+        let before = cache.stats();
+        assert!(before.evictions > 100 && before.hits > 100 && before.misses > 100);
+
+        cache.clear();
+        model.entries.clear();
+        assert_eq!(
+            cache.stats(),
+            CacheStats { len: 0, ..before },
+            "clear keeps every counter"
+        );
+        // Every old key misses (the per-step survivor probe checks it),
+        // then the cache fills and evicts again as the model says.
+        churn(&mut cache, &mut model, &mut rng);
+        assert!(cache.stats().evictions > before.evictions);
     }
 
     #[test]
@@ -339,16 +383,5 @@ mod tests {
         cache.insert(1, resp("a", 1.0), 1, 1);
         assert!(cache.lookup(1, 2).is_none());
         assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn clear_drops_entries_but_keeps_counters() {
-        let mut cache = PlanCache::new(4);
-        cache.insert(1, resp("a", 1.0), 1, 1);
-        assert!(cache.lookup(1, 2).is_some());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().hits, 1);
-        assert!(cache.lookup(1, 3).is_none());
     }
 }

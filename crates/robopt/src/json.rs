@@ -135,6 +135,19 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// Append `items` to `out` as a JSON array, rendering each element with
+/// `push`.
+pub(crate) fn push_array<T>(out: &mut String, items: &[T], push: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(out, item);
+    }
+    out.push(']');
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

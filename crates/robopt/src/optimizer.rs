@@ -59,6 +59,12 @@ impl OracleKind {
     }
 }
 
+/// Most rows an unpruned search may leave in its final unit (≈ 440 MB at
+/// the named registry's width 211). Without Def-2 pruning that unit holds
+/// one row per platform combination, so a dozen operators would ask the
+/// allocator for tens of gigabytes and abort the process.
+const MAX_UNPRUNED_ROWS: u64 = 1 << 18;
+
 /// The optimizer-as-a-service facade. See the module docs.
 #[derive(Debug)]
 pub struct Optimizer {
@@ -72,8 +78,8 @@ pub struct Optimizer {
     /// (`robopt serve --risk`). Folded into the *effective* request before
     /// the signature is computed, so the cache stays policy-sound.
     default_risk: Option<RiskPolicy>,
-    /// Logical request clock: drives cache recency, never wall time.
-    tick: u64,
+    /// Requests served — also the logical clock that drives cache recency
+    /// (never wall time).
     requests: u64,
     total_micros: u64,
     /// Scratch feature row for the winner re-cost and single-platform
@@ -98,7 +104,6 @@ impl Optimizer {
             cache: PlanCache::new(PlanCache::DEFAULT_CAPACITY),
             cache_enabled: true,
             default_risk: None,
-            tick: 0,
             requests: 0,
             total_micros: 0,
             feats: Vec::new(),
@@ -212,14 +217,13 @@ impl Optimizer {
     pub fn optimize(&mut self, req: &OptimizeRequest) -> Result<OptimizeResponse, ServiceError> {
         let started = now();
         self.requests += 1;
-        self.tick += 1;
         let req = &self.effective(req);
         if let Some(risk) = req.risk {
             risk.validate().map_err(ServiceError::InvalidRequest)?;
         }
         let sig = req.signature();
         if self.cache_enabled {
-            if let Some(hit) = self.cache.lookup(sig, self.tick) {
+            if let Some(hit) = self.cache.lookup(sig, self.requests) {
                 self.total_micros += elapsed_micros(started);
                 return Ok(hit);
             }
@@ -227,7 +231,7 @@ impl Optimizer {
         let resp = self.optimize_cold(req, sig)?;
         if self.cache_enabled {
             let work = resp.stats.generated.max(1);
-            self.cache.insert(sig, resp.clone(), work, self.tick);
+            self.cache.insert(sig, resp.clone(), work, self.requests);
         }
         self.total_micros += elapsed_micros(started);
         Ok(resp)
@@ -353,7 +357,7 @@ impl Optimizer {
     pub fn compare(&mut self, req: &CompareRequest) -> Result<CompareResponse, ServiceError> {
         let plan = build_workload(&req.workload)?;
         let mixed = self.optimize(&OptimizeRequest::new(req.workload).with_policy(req.policy))?;
-        let mixed_raw = raw_assignments(&self.registry, &mixed)?;
+        let mixed_ids = self.resolve_platform_ids(&mixed.assignments)?;
         let Optimizer {
             registry,
             layout,
@@ -365,7 +369,7 @@ impl Optimizer {
         // simulator backend `seconds` is bit-identical to `simulate_raw`.
         let sim = RuntimeSimulator::new(registry, req.sim_seed);
         let backend: &dyn ExecutionBackend = &sim;
-        let mixed_sim_seconds = backend.execute_raw(&plan, &mixed_raw).seconds;
+        let mixed_sim_seconds = backend.execute(&plan, &mixed_ids).seconds;
 
         let mut singles = Vec::with_capacity(registry.len());
         let mut best_single_cost: Option<f64> = None;
@@ -414,6 +418,18 @@ impl Optimizer {
             dist,
             ..
         } = self;
+        if !req.policy.prune {
+            let rows = (0..plan.n_ops() as u32).fold(1u64, |rows, op| {
+                let k = registry.available_platforms(plan.op(op).kind).count();
+                rows.saturating_mul(k as u64)
+            });
+            if rows > MAX_UNPRUNED_ROWS {
+                return Err(ServiceError::InvalidRequest(format!(
+                    "unpruned search would hold {rows} plan rows, over the limit of \
+                     {MAX_UNPRUNED_ROWS}: leave pruning on for this plan"
+                )));
+            }
+        }
         let risk = req.risk.unwrap_or_default();
         parallel.set_threads(req.policy.workers);
         parallel.set_split(SplitOptions::new(req.policy.split_parts.max(1)));
@@ -514,22 +530,6 @@ fn render_execute_response(
         op_seconds: report.per_op.iter().map(|o| o.seconds).collect(),
         op_output_rows: report.per_op.iter().map(|o| o.output_rows).collect(),
     }
-}
-
-/// Resolve a response's platform names back to raw assignment bytes.
-fn raw_assignments(
-    registry: &PlatformRegistry,
-    resp: &OptimizeResponse,
-) -> Result<Vec<u8>, ServiceError> {
-    resp.assignments
-        .iter()
-        .map(|name| {
-            registry
-                .by_name(name)
-                .map(|id| id.raw())
-                .ok_or_else(|| ServiceError::UnknownPlatform(name.clone()))
-        })
-        .collect()
 }
 
 /// `flink:3+postgres:2`-style mix label, platforms in first-use order.

@@ -19,7 +19,7 @@
 use robopt_ml::tree::ModelImportError;
 use robopt_ml::{Model, RandomForest, RegressionTree};
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, push_array, JsonValue};
 
 /// Format tag stamped into every saved model.
 pub const FOREST_FORMAT: &str = "robopt-forest-v1";
@@ -61,6 +61,8 @@ impl From<ModelImportError> for PersistError {
 
 /// Render a fitted forest as a self-describing JSON document.
 pub fn forest_to_json(forest: &RandomForest) -> String {
+    let push_u32 = |out: &mut String, x: &u32| out.push_str(&x.to_string());
+    let push_bits = |out: &mut String, x: &f64| out.push_str(&x.to_bits().to_string());
     let mut out = String::with_capacity(4096);
     out.push_str("{\"format\":\"");
     out.push_str(FOREST_FORMAT);
@@ -75,15 +77,15 @@ pub fn forest_to_json(forest: &RandomForest) -> String {
         }
         let (split_col, threshold, left, right, value) = tree.parts();
         out.push_str("{\"split_col\":");
-        push_u32_array(&mut out, &split_col);
+        push_array(&mut out, &split_col, push_u32);
         out.push_str(",\"threshold_bits\":");
-        push_bits_array(&mut out, &threshold);
+        push_array(&mut out, &threshold, push_bits);
         out.push_str(",\"left\":");
-        push_u32_array(&mut out, &left);
+        push_array(&mut out, &left, push_u32);
         out.push_str(",\"right\":");
-        push_u32_array(&mut out, &right);
+        push_array(&mut out, &right, push_u32);
         out.push_str(",\"value_bits\":");
-        push_bits_array(&mut out, &value);
+        push_array(&mut out, &value, push_bits);
         out.push('}');
     }
     out.push_str("]}");
@@ -112,11 +114,13 @@ pub fn forest_from_json(text: &str) -> Result<RandomForest, PersistError> {
         .ok_or_else(|| PersistError::Schema("missing \"trees\" array".to_string()))?;
     let mut trees = Vec::with_capacity(tree_docs.len());
     for (t, td) in tree_docs.iter().enumerate() {
-        let split_col = u32_array(td, "split_col", t)?;
-        let threshold = f64_bits_array(td, "threshold_bits", t)?;
-        let left = u32_array(td, "left", t)?;
-        let right = u32_array(td, "right", t)?;
-        let value = f64_bits_array(td, "value_bits", t)?;
+        let u32s = |key| array(td, key, t, "u32 value", |x| u32::try_from(x).ok());
+        let bits = |key| array(td, key, t, "u64 bit pattern", |x| Some(f64::from_bits(x)));
+        let split_col = u32s("split_col")?;
+        let threshold = bits("threshold_bits")?;
+        let left = u32s("left")?;
+        let right = u32s("right")?;
+        let value = bits("value_bits")?;
         trees.push(RegressionTree::from_parts(
             width, split_col, threshold, left, right, value,
         )?);
@@ -124,29 +128,15 @@ pub fn forest_from_json(text: &str) -> Result<RandomForest, PersistError> {
     Ok(RandomForest::from_trees(width, trees)?)
 }
 
-fn push_u32_array(out: &mut String, xs: &[u32]) {
-    out.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&x.to_string());
-    }
-    out.push(']');
-}
-
-fn push_bits_array(out: &mut String, xs: &[f64]) {
-    out.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&x.to_bits().to_string());
-    }
-    out.push(']');
-}
-
-fn u32_array(tree: &JsonValue, key: &str, t: usize) -> Result<Vec<u32>, PersistError> {
+/// The `key` array of tree `t`, each integer decoded by `read`; `what`
+/// names the element type in the error.
+fn array<T>(
+    tree: &JsonValue,
+    key: &str,
+    t: usize,
+    what: &str,
+    read: impl Fn(u64) -> Option<T>,
+) -> Result<Vec<T>, PersistError> {
     let items = tree
         .get(key)
         .and_then(JsonValue::as_arr)
@@ -155,23 +145,8 @@ fn u32_array(tree: &JsonValue, key: &str, t: usize) -> Result<Vec<u32>, PersistE
         .iter()
         .map(|v| {
             v.as_u64()
-                .and_then(|x| u32::try_from(x).ok())
-                .ok_or_else(|| PersistError::Schema(format!("tree {t}: non-u32 value in {key:?}")))
-        })
-        .collect()
-}
-
-fn f64_bits_array(tree: &JsonValue, key: &str, t: usize) -> Result<Vec<f64>, PersistError> {
-    let items = tree
-        .get(key)
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| PersistError::Schema(format!("tree {t}: missing {key:?} array")))?;
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64().map(f64::from_bits).ok_or_else(|| {
-                PersistError::Schema(format!("tree {t}: non-u64 bit pattern in {key:?}"))
-            })
+                .and_then(&read)
+                .ok_or_else(|| PersistError::Schema(format!("tree {t}: non-{what} in {key:?}")))
         })
         .collect()
 }

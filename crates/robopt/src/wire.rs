@@ -19,7 +19,7 @@ use crate::api::{
     ENGINE_WORKERS, SIM_SEED, TRAIN_NOISE, TRAIN_SEED,
 };
 use crate::cache::CacheStats;
-use crate::json::{self, escape_into, JsonValue};
+use crate::json::{self, escape_into, push_array, JsonValue};
 use robopt_core::RiskPolicy;
 
 /// A parsed service request.
@@ -161,7 +161,7 @@ pub fn render_response(resp: &Response) -> String {
             s.push_str(",\"backend\":");
             push_str_value(&mut s, backend);
             s.push_str(",\"assignments\":");
-            push_str_array(&mut s, assignments);
+            push_array(&mut s, assignments, |s, name| push_str_value(s, name));
             s.push_str(&format!(
                 ",\"seconds\":{},\"compute_seconds\":{},\"overhead_seconds\":{},\
                  \"feasible\":{},\"measured\":{},\"output_rows\":{},\"output_digest\":{}",
@@ -174,9 +174,9 @@ pub fn render_response(resp: &Response) -> String {
                 output_digest
             ));
             s.push_str(",\"op_seconds\":");
-            push_num_array(&mut s, op_seconds);
+            push_array(&mut s, op_seconds, |s, x| s.push_str(&num(*x)));
             s.push_str(",\"op_output_rows\":");
-            push_u64_array(&mut s, op_output_rows);
+            push_array(&mut s, op_output_rows, |s, x| s.push_str(&x.to_string()));
             s.push('}');
             s
         }
@@ -281,7 +281,7 @@ fn push_optimize_fields(s: &mut String, r: &OptimizeResponse) {
     push_str_value(s, workload);
     s.push_str(&format!(",\"signature\":{signature}"));
     s.push_str(",\"assignments\":");
-    push_str_array(s, assignments);
+    push_array(s, assignments, |s, name| push_str_value(s, name));
     s.push_str(&format!(
         ",\"distinct_platforms\":{},\"cost\":{},\"cost_bits\":{},\
          \"cost_std\":{},\"cost_q10\":{},\"cost_q90\":{}",
@@ -322,39 +322,6 @@ fn push_str_value(s: &mut String, text: &str) {
     s.push('"');
     escape_into(s, text);
     s.push('"');
-}
-
-fn push_str_array(s: &mut String, items: &[String]) {
-    s.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_str_value(s, item);
-    }
-    s.push(']');
-}
-
-fn push_num_array(s: &mut String, items: &[f64]) {
-    s.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&num(*item));
-    }
-    s.push(']');
-}
-
-fn push_u64_array(s: &mut String, items: &[u64]) {
-    s.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&item.to_string());
-    }
-    s.push(']');
 }
 
 fn parse_workload(doc: &JsonValue) -> Result<WorkloadSpec, ServiceError> {

@@ -36,7 +36,6 @@ pub struct TdgenConfig {
     knots: usize,
     min_ops: usize,
     max_ops: usize,
-    assignments_per_skeleton: usize,
     rows_per_curve: usize,
 }
 
@@ -44,12 +43,14 @@ pub struct TdgenConfig {
 const BETA: usize = 3;
 /// Input-scale range `[lo, hi]` (tuples) every curve sweeps.
 const SCALE_RANGE: (f64, f64) = (1e4, 1e9);
+/// Candidate assignments drawn per skeleton (one curve each).
+const ASSIGNMENTS_PER_SKELETON: usize = 4;
 
 impl TdgenConfig {
     /// Paper-flavoured defaults: 11 knots, 4–14 operators (small
     /// skeletons resemble the subplans the enumerator costs mid-search),
-    /// 4 assignments per skeleton, 64 rows per curve (≈ 5.8 rows per
-    /// simulator call). β = 3, the `[1e4, 1e9]` scale range and the
+    /// 64 rows per curve (≈ 5.8 rows per simulator call). β = 3, the
+    /// `[1e4, 1e9]` scale range, 4 assignments per skeleton and the
     /// uniform draw over all five shapes are fixed.
     pub fn new() -> Self {
         TdgenConfig {
@@ -58,7 +59,6 @@ impl TdgenConfig {
             knots: 11,
             min_ops: 4,
             max_ops: 14,
-            assignments_per_skeleton: 4,
             rows_per_curve: 64,
         }
     }
@@ -96,13 +96,6 @@ impl TdgenConfig {
         assert!(min_ops >= 3 && max_ops >= min_ops, "need 3 <= min <= max");
         self.min_ops = min_ops;
         self.max_ops = max_ops;
-        self
-    }
-
-    /// Candidate assignments drawn per skeleton (one curve each).
-    pub fn with_assignments_per_skeleton(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one assignment per skeleton");
-        self.assignments_per_skeleton = n;
         self
     }
 
@@ -232,9 +225,8 @@ impl<'a> TdgenGenerator<'a> {
     /// β-bounded walk almost never lands there — without stratification
     /// the model never learns the region the optimizer queries hardest.
     fn pick_assignments(&mut self, skel: &crate::shapes::JobSkeleton) -> Vec<Vec<u8>> {
-        let want = self.cfg.assignments_per_skeleton;
-        let mut picked: Vec<Vec<u8>> = Vec::with_capacity(want);
-        for i in 0..want {
+        let mut picked: Vec<Vec<u8>> = Vec::with_capacity(ASSIGNMENTS_PER_SKELETON);
+        for i in 0..ASSIGNMENTS_PER_SKELETON {
             let budget = i % (BETA + 1);
             let drawn =
                 sample_assignment(skel, self.registry, budget, &mut self.rng, 64).or_else(|| {
@@ -360,7 +352,6 @@ mod tests {
         TdgenConfig::new()
             .with_knots(6)
             .with_rows_per_curve(24)
-            .with_assignments_per_skeleton(2)
             .with_ops_range(5, 8)
     }
 

@@ -6,20 +6,6 @@
 //! width). Assignment arrays combine by taking whichever side covers each
 //! operator; merged scopes are disjoint by construction.
 //!
-//! # SIMD-lane layout
-//!
-//! The fused add is written at explicit SIMD width instead of relying on
-//! the auto-vectorizer seeing through iterator adaptors:
-//!
-//! * an 8-lane main loop over `chunks_exact(8)` triples — each chunk is a
-//!   fixed-size window, so the `d[i] = x[i] + y[i]` body carries no bounds
-//!   checks and lowers to two 512-bit (or four 256-bit) vector adds;
-//! * one optional 4-lane step when `width % 8 >= 4`;
-//! * a scalar tail for the final `width % 4` cells.
-//!
-//! The Fig-5 width is `4 + 3·kinds + k·kinds + 3·k`, never a lane
-//! multiple, so the tail path is always exercised.
-//!
 //! [`merge_feats_many`] is the batched form the enumerator's cross-product
 //! inner loop uses: one left row against *every* row of the right matrix in
 //! a single call, so slice bounds are hoisted once per left row instead of
@@ -28,37 +14,13 @@
 use crate::layout::FeatureLayout;
 use crate::matrix::{RowsView, NO_PLATFORM};
 
-/// Main fused-add width: matches one AVX-512 register or two AVX2 ops.
-const LANES: usize = 8;
-/// Half-width step taken at most once before the scalar tail.
-const HALF: usize = 4;
-
-/// `dst = a + b` cell-wise: 8-lane unrolled main loop, optional 4-lane
-/// step, scalar tail. All three slices must have equal length.
+/// `dst = a + b` cell-wise. All three slices must have equal length.
 #[inline]
 fn fused_add(dst: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert_eq!(dst.len(), a.len());
     debug_assert_eq!(dst.len(), b.len());
-    let n = dst.len();
-    let wide = n - n % LANES;
-    for ((d, x), y) in dst[..wide]
-        .chunks_exact_mut(LANES)
-        .zip(a[..wide].chunks_exact(LANES))
-        .zip(b[..wide].chunks_exact(LANES))
-    {
-        for i in 0..LANES {
-            d[i] = x[i] + y[i];
-        }
-    }
-    let mut at = wide;
-    if n - at >= HALF {
-        for i in at..at + HALF {
-            dst[i] = a[i] + b[i];
-        }
-        at += HALF;
-    }
-    for i in at..n {
-        dst[i] = a[i] + b[i];
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d = x + y;
     }
 }
 
@@ -93,8 +55,7 @@ pub fn merge_feats_many(dst: &mut Vec<f64>, a: &[f64], b: RowsView<'_>) {
         .chunks_exact_mut(width)
         .zip(b.flat().chunks_exact(width))
     {
-        fused_add(drow, a, brow);
-        patch_max_cells(drow, a, brow);
+        merge_feats(drow, a, brow);
     }
 }
 
@@ -138,30 +99,6 @@ mod tests {
         let mut d = [0u8; 3];
         merge_assignments(&mut d, &a, &b);
         assert_eq!(d, [0, 1, NO_PLATFORM]);
-    }
-
-    /// Reference scalar kernel the lane-structured one must match bitwise.
-    fn scalar_merge(dst: &mut [f64], a: &[f64], b: &[f64]) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d = x + y;
-        }
-        patch_max_cells(dst, a, b);
-    }
-
-    #[test]
-    fn lane_structured_kernel_matches_scalar_bitwise_at_every_tail_width() {
-        // Widths covering every `% 8` residue, including sub-lane rows.
-        for width in 4..=27usize {
-            let a: Vec<f64> = (0..width).map(|i| (i as f64) * 1.25 + 0.1).collect();
-            let b: Vec<f64> = (0..width).map(|i| (i as f64) * -0.75 + 9.0).collect();
-            let mut fast = vec![0.0; width];
-            let mut slow = vec![0.0; width];
-            merge_feats(&mut fast, &a, &b);
-            scalar_merge(&mut slow, &a, &b);
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(f.to_bits(), s.to_bits(), "width {width}");
-            }
-        }
     }
 
     #[test]

@@ -146,8 +146,9 @@ fn cache_key_separates_policies_that_change_the_answer() {
     // prune on/off and split_parts are part of the plan signature (they can
     // change the search), so flipping them must MISS; worker count and the
     // hardware clamp only change scheduling, so they must HIT.
-    // 7 ops keeps the prune-off arm tractable (unpruned kept-rows grow
-    // exponentially in plan depth over the 5-platform named registry).
+    // 7 ops keeps the prune-off arm tractable and inside the facade's
+    // unpruned-row budget (unpruned kept-rows grow exponentially in plan
+    // depth over the 5-platform named registry).
     let mut opt = Optimizer::named();
     let spec = WorkloadSpec::Pipeline { ops: 7, scale: 1e6 };
     let base = OptimizeRequest::new(spec);
@@ -236,6 +237,27 @@ fn invalid_requests_error_instead_of_panicking() {
 
     let bad_rows = opt.train(&TrainRequest::new(2));
     assert!(matches!(bad_rows, Err(ServiceError::InvalidRequest(_))));
+
+    // An unpruned search is refused before it allocates: the 12-operator
+    // request used to abort the process asking for 95 GB. The budget falls
+    // between the 8- and 9-operator pipelines (72 000 and 360 000 rows), so
+    // the 7-operator prune-off arm of the cache-key test above still runs.
+    let unpruned = ExecutionPolicy::default().with_prune(false);
+    let dag = WorkloadSpec::RandomDag {
+        seed: 3,
+        ops: 12,
+        density: 0.5,
+    };
+    let pipeline = WorkloadSpec::Pipeline { ops: 9, scale: 1e6 };
+    for (spec, rows) in [(dag, "56250000"), (pipeline, "360000")] {
+        match opt.optimize(&OptimizeRequest::new(spec).with_policy(unpruned)) {
+            Err(ServiceError::InvalidRequest(msg)) => assert!(
+                msg.contains(rows) && msg.contains("262144"),
+                "message names the estimate and the limit: {msg}"
+            ),
+            other => panic!("over-budget unpruned request answered {other:?}"),
+        }
+    }
 
     // Errors must not poison the facade: a valid request still succeeds.
     opt.optimize(&OptimizeRequest::new(WorkloadSpec::WordCount {
