@@ -8,7 +8,9 @@
 //!    workload the multi-threaded engine's terminal output digest at 1, 2,
 //!    and 4 workers must equal the independent single-threaded reference
 //!    executor's digest — byte-identical outputs, or the timing below is
-//!    timing a wrong answer.
+//!    timing a wrong answer. The gate runs all-`spark`: java's modeled
+//!    parallelism is 1, so an all-`java` run takes the one-chunk path at
+//!    every worker count.
 //! 2. **Ranking agreement** — every pool workload runs on the engine
 //!    (median-of-3 measured seconds) and through the simulator (noiseless)
 //!    under the same all-`java` assignment; Spearman rank correlation over
@@ -77,13 +79,13 @@ fn correctness_gate(registry: &PlatformRegistry, entries: &[(String, LogicalPlan
     for (name, plan) in entries {
         let (_, want) =
             execute_reference(plan, ENGINE_SEED, robopt_engine::DEFAULT_MAX_SOURCE_ROWS);
-        let assign = uniform(registry, "java", plan.n_ops());
+        let assign = uniform(registry, "spark", plan.n_ops());
         for workers in [1usize, 2, 4] {
             let engine = Engine::new(registry)
                 .with_workers(workers)
                 .with_seed(ENGINE_SEED);
             let out = engine.execute_collect(plan, &assign);
-            assert!(out.report.feasible, "{name}: all-java must be feasible");
+            assert!(out.report.feasible, "{name}: all-spark must be feasible");
             assert_eq!(
                 out.report.output_digest, want,
                 "{name}: engine digest at {workers} workers diverged from the reference"

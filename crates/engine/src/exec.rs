@@ -7,13 +7,14 @@
 //! order-preserving by construction, so **outputs are byte-identical
 //! across worker counts**:
 //!
-//! * map-side operators process contiguous index ranges (`par_ranges`, the
-//!   one fan-out) and concatenate results in range order — identical to
-//!   the sequential pass;
+//! * operators that build a new stream process contiguous index ranges
+//!   (`par_ranges`) and concatenate results in range order, operators that
+//!   rewrite the stream they own process contiguous chunks of it in place
+//!   (`par_chunks`) — both identical to the sequential pass;
 //! * every keyed operator is sort-based under the total order
-//!   [`record_cmp`]; sorting chunks in parallel and then sorting the whole
-//!   reproduces the plain sort byte-for-byte because equal elements are
-//!   fully identical;
+//!   [`record_cmp`]; sorting chunks in parallel and then merging them
+//!   reproduces the plain sort byte-for-byte — stable or not — because
+//!   equal elements are fully identical;
 //! * all floating-point accumulation happens sequentially in canonical
 //!   (sorted or stream) order — threads never race on a sum;
 //! * sources seed each record by row index, never by partition.
@@ -24,6 +25,13 @@
 //! ([`C_FIXED`]) scaled by [`OVERHEAD_SCALE`] (one process stands in for a
 //! cluster). Timings land only in the [`ExecutionReport`] — they are
 //! **never** digested.
+//!
+//! Records are moved, not copied: an operator takes its producer's buffer
+//! when it is the last one to read it and borrows or clones it otherwise
+//! ([`Buffers::input`]), so a buffer lives from the operator that filled
+//! it to the last operator that reads it and no longer.
+
+use std::borrow::Cow;
 
 use robopt_plan::{rng::mix64, LogicalPlan, OperatorKind};
 use robopt_platforms::simulator::C_FIXED;
@@ -32,8 +40,9 @@ use robopt_platforms::{
 };
 
 use crate::data::{
-    assign_point, digest_terminals, flat_map_record, keep_record, map_record, point_of, record_cmp,
-    source_record, Record, FILTER_SALT, PAGERANK_DST_SALT, SAMPLE_SALT,
+    assign_point, digest_terminals, flat_map_len, flat_map_record, keep_record, point_of,
+    record_cmp, rekey_record, source_record, Record, Text, FILTER_SALT, PAGERANK_DST_SALT,
+    SAMPLE_SALT,
 };
 
 /// Default cap on generated source rows — bounds memory and wall time for
@@ -183,8 +192,14 @@ impl<'a> Engine<'a> {
         }
 
         // Execute in topological order, measuring wall time per operator.
-        let mut outputs: Vec<Vec<Record>> = vec![Vec::new(); n];
+        // An operator's window includes freeing the inputs it read last, and
+        // its row count is taken now: its buffer may be gone by the end.
+        let mut buffers = Buffers {
+            records: vec![Vec::new(); n],
+            consumers: (0..n as u32).map(|op| plan.succs(op).len()).collect(),
+        };
         let mut measured = vec![0.0f64; n];
+        let mut rows = vec![0u64; n];
         for op in plan.topo_order() {
             let i = op as usize;
             let p = assignments
@@ -193,9 +208,10 @@ impl<'a> Engine<'a> {
                 .unwrap_or(PlatformId::from_index(0));
             let w = self.op_workers(p);
             let started = clock_now();
-            let out = self.run_op(plan, op, &outputs, w);
+            let out = self.run_op(plan, op, &mut buffers, w);
             measured[i] = clock_elapsed(started);
-            outputs[i] = out;
+            rows[i] = out.len() as u64;
+            buffers.records[i] = out;
         }
 
         // Deterministically modeled overheads on the simulator calibration.
@@ -231,8 +247,9 @@ impl<'a> Engine<'a> {
                 _ => continue,
             };
             if pu != pv {
-                let rows = outputs.get(u as usize).map(Vec::len).unwrap_or(0);
-                let c = self.registry.conversion_cost(pu, pv, rows as f64);
+                let c = self
+                    .registry
+                    .conversion_cost(pu, pv, rows[u as usize] as f64);
                 if c.is_finite() {
                     overhead += c * C_FIXED * OVERHEAD_SCALE;
                 }
@@ -244,18 +261,15 @@ impl<'a> Engine<'a> {
             .map(|i| OperatorReport {
                 seconds: measured.get(i).copied().unwrap_or(0.0)
                     + per_op_overhead.get(i).copied().unwrap_or(0.0),
-                output_rows: outputs.get(i).map(Vec::len).unwrap_or(0) as u64,
+                output_rows: rows[i],
             })
             .collect();
 
+        // Nothing consumed a terminal's buffer, so it is still there.
         let mut terminals: Vec<(u32, Vec<Record>)> = Vec::new();
         for op in 0..n as u32 {
             if plan.succs(op).is_empty() {
-                let records = outputs
-                    .get_mut(op as usize)
-                    .map(std::mem::take)
-                    .unwrap_or_default();
-                terminals.push((op, records));
+                terminals.push((op, std::mem::take(&mut buffers.records[op as usize])));
             }
         }
         let output_rows: u64 = terminals.iter().map(|(_, r)| r.len() as u64).sum();
@@ -285,15 +299,11 @@ impl<'a> Engine<'a> {
         self.workers.min(par.max(1)).max(1)
     }
 
-    fn run_op(
-        &self,
-        plan: &LogicalPlan,
-        op: u32,
-        outputs: &[Vec<Record>],
-        w: usize,
-    ) -> Vec<Record> {
+    fn run_op(&self, plan: &LogicalPlan, op: u32, buffers: &mut Buffers, w: usize) -> Vec<Record> {
         let o = plan.op(op);
         let preds = plan.preds(op);
+        // Binary inputs: first predecessor vs everything after it.
+        let (first, rest) = preds.split_at(preds.len().min(1));
         match o.kind {
             OperatorKind::TextFileSource
             | OperatorKind::CollectionSource
@@ -301,94 +311,111 @@ impl<'a> Engine<'a> {
                 let rows = clamp_rows(o.source_cardinality, self.max_source_rows);
                 let (kind, seed) = (o.kind, self.seed);
                 par_ranges(w, rows as usize, move |range, out| {
+                    out.reserve(range.len());
                     for row in range {
                         out.push(source_record(kind, seed, op, row as u64, rows));
                     }
                 })
             }
             OperatorKind::Map | OperatorKind::MapPartitions => {
-                let input = gather(preds, outputs);
-                par_ranges(w, input.len(), |range, out| {
-                    out.extend(input[range].iter().map(map_record));
-                })
+                let mut records = buffers.input(preds).into_owned();
+                par_chunks(w, &mut records, |_, chunk| {
+                    chunk.iter_mut().for_each(rekey_record);
+                });
+                records
             }
-            OperatorKind::Cache | OperatorKind::Broadcast | OperatorKind::LocalCallbackSink => {
-                gather(preds, outputs)
-            }
+            OperatorKind::Cache
+            | OperatorKind::Broadcast
+            | OperatorKind::Union
+            | OperatorKind::LocalCallbackSink => buffers.input(preds).into_owned(),
             OperatorKind::FlatMap => {
-                let input = gather(preds, outputs);
+                let input = buffers.input(preds);
                 par_ranges(w, input.len(), |range, out| {
-                    for r in &input[range] {
+                    let part = &input[range];
+                    out.reserve(part.iter().map(flat_map_len).sum());
+                    for r in part {
                         flat_map_record(r, out);
                     }
                 })
             }
             OperatorKind::Filter | OperatorKind::Sample => {
-                let input = gather(preds, outputs);
                 let salt = if o.kind == OperatorKind::Filter {
                     FILTER_SALT
                 } else {
                     SAMPLE_SALT
                 };
                 let sel = o.selectivity;
-                par_ranges(w, input.len(), |range, out| {
-                    let kept = input[range].iter().filter(|r| keep_record(r, sel, salt));
-                    out.extend(kept.cloned());
-                })
+                let mut records = buffers.input(preds).into_owned();
+                par_retain(w, &mut records, |r| keep_record(r, sel, salt));
+                records
             }
-            OperatorKind::Sort => par_sort(w, gather(preds, outputs)),
+            OperatorKind::Sort => par_sort(w, buffers.input(preds).into_owned()),
             OperatorKind::Distinct => {
-                let mut sorted = par_sort(w, gather(preds, outputs));
+                let mut sorted = par_sort(w, buffers.input(preds).into_owned());
                 sorted.dedup_by(|a, b| {
                     a.key == b.key && a.num.to_bits() == b.num.to_bits() && a.text == b.text
                 });
-                sorted
+                // Usually few of many survive. Move them to a buffer their
+                // own size and free the sorted one whole: `shrink_to_fit`
+                // would hand the allocator back a tail, and glibc only
+                // starts recycling a large block once it has been freed at
+                // the size the next run asks for — until then every run
+                // maps, and page-faults, a fresh one.
+                let mut unique = Vec::with_capacity(sorted.len());
+                unique.append(&mut sorted);
+                unique
             }
-            OperatorKind::ReduceByKey => {
-                fold_groups(par_sort(w, gather(preds, outputs)), GroupMode::Sum)
+            OperatorKind::ReduceByKey | OperatorKind::GroupByKey => {
+                let mode = if o.kind == OperatorKind::ReduceByKey {
+                    GroupMode::Sum
+                } else {
+                    GroupMode::Count
+                };
+                fold_groups(par_sort(w, buffers.input(preds).into_owned()), mode)
             }
-            OperatorKind::GroupByKey => {
-                fold_groups(par_sort(w, gather(preds, outputs)), GroupMode::Count)
-            }
-            OperatorKind::Aggregate => aggregate_sum(&gather(preds, outputs)),
-            OperatorKind::GlobalReduce => global_max(&gather(preds, outputs)),
+            OperatorKind::Aggregate => aggregate_sum(&buffers.input(preds)),
+            OperatorKind::GlobalReduce => global_max(&buffers.input(preds)),
             OperatorKind::Count => {
-                let input = gather(preds, outputs);
                 vec![Record {
                     key: 0,
-                    num: input.len() as f64,
-                    text: String::new(),
+                    num: buffers.input(preds).len() as f64,
+                    text: Text::new(),
                 }]
             }
-            OperatorKind::Join => {
-                let (a, b) = gather2(preds, outputs);
-                join_sorted(par_sort(w, a), par_sort(w, b))
-            }
-            OperatorKind::Intersect => {
-                let (a, b) = gather2(preds, outputs);
-                intersect_sorted(par_sort(w, a), par_sort(w, b))
+            OperatorKind::Join | OperatorKind::Intersect => {
+                let a = buffers.input(first).into_owned();
+                let b = buffers.input(rest).into_owned();
+                let (a, b) = sort_sides(w, a, b);
+                if o.kind == OperatorKind::Join {
+                    join_sorted(a, b)
+                } else {
+                    intersect_sorted(a, b)
+                }
             }
             OperatorKind::CartesianProduct => {
-                let (a, b) = gather2(preds, outputs);
+                // Only the head of each side is read: copy it, so one side
+                // is not still lent out while the other is claimed (they
+                // may be the same buffer).
+                let head = |side: Cow<'_, [Record]>| -> Vec<Record> {
+                    side.iter().take(CARTESIAN_SIDE_CAP).cloned().collect()
+                };
+                let a = head(buffers.input(first));
+                let b = head(buffers.input(rest));
                 cartesian(&a, &b)
             }
-            OperatorKind::Union => gather(preds, outputs),
             OperatorKind::ZipWithId => {
-                let input = gather(preds, outputs);
-                par_ranges(w, input.len(), |range, out| {
-                    for i in range {
-                        out.push(Record {
-                            key: i as u64,
-                            num: input[i].num,
-                            text: input[i].text.clone(),
-                        });
+                let mut records = buffers.input(preds).into_owned();
+                par_chunks(w, &mut records, |at, chunk| {
+                    for (i, r) in chunk.iter_mut().enumerate() {
+                        r.key = (at + i) as u64;
                     }
-                })
+                });
+                records
             }
             OperatorKind::RepeatLoop => {
-                let input = gather(preds, outputs);
+                let input = buffers.input(preds);
                 if o.iterations == 0 {
-                    return input; // inert pass-through, matching the simulator
+                    return input.into_owned(); // inert pass-through, matching the simulator
                 }
                 let textual = input.first().map(|r| !r.text.is_empty()).unwrap_or(false);
                 if textual {
@@ -460,7 +487,7 @@ impl<'a> Engine<'a> {
             .map(|(v, r)| Record {
                 key: v as u64,
                 num: *r,
-                text: String::new(),
+                text: Text::new(),
             })
             .collect()
     }
@@ -480,6 +507,7 @@ impl<'a> Engine<'a> {
         let mut assign: Vec<usize> = vec![0; n];
         for _ in 0..iters {
             assign = par_ranges(w, n, |range, out| {
+                out.reserve(range.len());
                 let nearest = |&(x, y): &(f64, f64)| assign_point(x, y, &centroids);
                 out.extend(pts[range].iter().map(nearest));
             });
@@ -506,7 +534,7 @@ impl<'a> Engine<'a> {
             .map(|(r, &a)| Record {
                 key: a as u64,
                 num: r.num,
-                text: String::new(),
+                text: Text::new(),
             })
             .collect()
     }
@@ -528,32 +556,56 @@ pub(crate) fn clamp_rows(cardinality: f64, cap: u64) -> u64 {
     rows.min(cap)
 }
 
-/// Concatenate all predecessor outputs in `preds` order.
-fn gather(preds: &[u32], outputs: &[Vec<Record>]) -> Vec<Record> {
-    let total: usize = preds
-        .iter()
-        .map(|&p| outputs.get(p as usize).map(Vec::len).unwrap_or(0))
-        .sum();
-    let mut out = Vec::with_capacity(total);
-    for &p in preds {
-        if let Some(stream) = outputs.get(p as usize) {
-            out.extend(stream.iter().cloned());
+/// What the operators run so far have produced and not yet handed on: one
+/// buffer per operator, and how many consumers have still to read it
+/// (`plan.succs(op).len()` to start with, so a double edge counts twice).
+struct Buffers {
+    records: Vec<Vec<Record>>,
+    consumers: Vec<usize>,
+}
+
+impl Buffers {
+    /// The input of an operator fed by `preds`, in `preds` order. An
+    /// operator that needs ownership calls `into_owned` on it, one that
+    /// only reads derefs it; either way whatever was moved out is freed
+    /// when the operator is done with it.
+    fn input(&mut self, preds: &[u32]) -> Cow<'_, [Record]> {
+        match preds {
+            [p] => self.claim(*p),
+            _ => Cow::Owned(self.gather(preds)),
         }
     }
-    out
+
+    /// One consumer's read of `p`'s buffer: moved out if no other consumer
+    /// is left to read it, lent otherwise.
+    fn claim(&mut self, p: u32) -> Cow<'_, [Record]> {
+        let p = p as usize;
+        self.consumers[p] -= 1;
+        if self.consumers[p] == 0 {
+            Cow::Owned(std::mem::take(&mut self.records[p]))
+        } else {
+            Cow::Borrowed(&self.records[p])
+        }
+    }
+
+    /// Concatenate several producers' buffers in `preds` order.
+    fn gather(&mut self, preds: &[u32]) -> Vec<Record> {
+        let total = preds.iter().map(|&p| self.records[p as usize].len()).sum();
+        let mut out = Vec::with_capacity(total);
+        for &p in preds {
+            match self.claim(p) {
+                Cow::Owned(mut moved) => out.append(&mut moved),
+                Cow::Borrowed(lent) => out.extend_from_slice(lent),
+            }
+        }
+        out
+    }
 }
 
-/// Binary inputs: first predecessor vs everything after it.
-fn gather2(preds: &[u32], outputs: &[Vec<Record>]) -> (Vec<Record>, Vec<Record>) {
-    let a = gather(preds.get(..1).unwrap_or(&[]), outputs);
-    let b = gather(preds.get(1..).unwrap_or(&[]), outputs);
-    (a, b)
-}
-
-/// The one fan-out: split `0..n` into `w` contiguous ranges, run `f` on
-/// each — on its own scoped thread when `w > 1` — and concatenate what the
-/// ranges pushed in range order, so the result is what `f(0..n)` alone
-/// would have produced whatever the scheduling.
+/// The fan-out that builds a stream: split `0..n` into `w` contiguous
+/// ranges, run `f` on each — on its own scoped thread when `w > 1` — and
+/// concatenate what the ranges pushed in range order, so the result is
+/// what `f(0..n)` alone would have produced whatever the scheduling.
 fn par_ranges<T: Send>(
     w: usize,
     n: usize,
@@ -562,8 +614,8 @@ fn par_ranges<T: Send>(
     let mut out = Vec::new();
     if w <= 1 {
         f(0..n, &mut out);
-        // Every operator's output lives until the plan finishes: give back
-        // the slack `push` growth left, as the concatenation below does.
+        // An output lives until its last consumer has run: give back the
+        // slack `push` growth left, as the concatenation below does.
         out.shrink_to_fit();
         return out;
     }
@@ -581,22 +633,85 @@ fn par_ranges<T: Send>(
     out
 }
 
-/// Sort under [`record_cmp`]: up to `w` chunks in place on scoped threads,
-/// then one `sort_by` over the whole. std's stable sort detects presorted
-/// runs and merges them, so the second pass *is* the k-way merge; and
-/// because the comparator is total and equal elements are identical
-/// records, the result is byte-identical to sorting sequentially.
-fn par_sort(w: usize, mut input: Vec<Record>) -> Vec<Record> {
-    if w > 1 && input.len() > 1 {
-        let per = input.len().div_ceil(w);
-        std::thread::scope(|s| {
-            for chunk in input.chunks_mut(per) {
-                s.spawn(move || chunk.sort_by(record_cmp));
-            }
-        });
+/// The fan-out that rewrites a stream in place: split `records` into up to
+/// `w` contiguous chunks and run `f(offset, chunk)` on each — on its own
+/// scoped thread when there are several — returning what each call
+/// returned, in chunk order.
+fn par_chunks<R: Default + Send>(
+    w: usize,
+    records: &mut [Record],
+    f: impl Fn(usize, &mut [Record]) -> R + Sync,
+) -> Vec<R> {
+    let per = records.len().div_ceil(w).max(1);
+    let mut results = Vec::new();
+    results.resize_with(records.len().div_ceil(per), R::default);
+    if let [only] = results.as_mut_slice() {
+        *only = f(0, records);
+        return results;
     }
-    input.sort_by(record_cmp);
+    std::thread::scope(|s| {
+        for ((c, chunk), result) in records.chunks_mut(per).enumerate().zip(&mut results) {
+            let f = &f;
+            s.spawn(move || *result = f(c * per, chunk));
+        }
+    });
+    results
+}
+
+/// `Vec::retain` over [`par_chunks`]: each chunk moves the records it keeps
+/// to its front, then the kept prefixes close up in chunk order — the
+/// order a sequential pass keeps them in — and the slack is given back.
+fn par_retain(w: usize, records: &mut Vec<Record>, keep: impl Fn(&Record) -> bool + Sync) {
+    let kept = par_chunks(w, records, |at, chunk| {
+        // `chunk[..n]` is kept and `chunk[n..i]` rejected, so swapping
+        // unconditionally only ever moves a rejected record (or none) out
+        // of the way: no branch on a coin the predictor cannot call.
+        let mut n = 0;
+        for i in 0..chunk.len() {
+            let kept = keep(&chunk[i]);
+            chunk.swap(n, i);
+            n += usize::from(kept);
+        }
+        (at, n)
+    });
+    let mut len = 0;
+    for (at, n) in kept {
+        records[len..at + n].rotate_left(at - len);
+        len += n;
+    }
+    records.truncate(len);
+    records.shrink_to_fit();
+}
+
+/// Sort under [`record_cmp`]: up to `w` chunks in place, then — if there
+/// was more than one — one `sort_by` over the whole, which is the k-way
+/// merge (std's stable sort detects presorted runs and merges them). The
+/// comparator is total and equal elements are identical records, so an
+/// unstable chunk sort, which needs no scratch buffer, yields the same
+/// bytes as a stable one and as sorting sequentially.
+fn par_sort(w: usize, mut input: Vec<Record>) -> Vec<Record> {
+    let runs = par_chunks(w, &mut input, |_, chunk| {
+        chunk.sort_unstable_by(record_cmp);
+    });
+    if runs.len() > 1 {
+        input.sort_by(record_cmp);
+    }
     input
+}
+
+/// Both sides of a key-matching operator, sorted — the larger one only
+/// after dropping every record whose key the smaller side lacks: no match
+/// involves those, and sorting is the expensive part.
+fn sort_sides(w: usize, a: Vec<Record>, b: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
+    if a.len() > b.len() {
+        let (b, a) = sort_sides(w, b, a);
+        return (a, b);
+    }
+    let a = par_sort(w, a);
+    let keys: Vec<u64> = a.iter().map(|r| r.key).collect();
+    let mut b = b;
+    par_retain(w, &mut b, |r| keys.binary_search(&r.key).is_ok());
+    (a, par_sort(w, b))
 }
 
 /// How [`fold_groups`] reduces each key group.
@@ -621,7 +736,7 @@ pub(crate) fn fold_groups(sorted: Vec<Record>, mode: GroupMode) -> Vec<Record> {
     let mut acc = first.num;
     let mut count = 1u64;
     let mut text = first.text;
-    let emit = |key: u64, acc: f64, count: u64, text: String, out: &mut Vec<Record>| {
+    let emit = |key: u64, acc: f64, count: u64, text: Text, out: &mut Vec<Record>| {
         out.push(Record {
             key,
             num: match mode {
@@ -656,7 +771,7 @@ pub(crate) fn aggregate_sum(input: &[Record]) -> Vec<Record> {
     vec![Record {
         key: 0,
         num: acc,
-        text: String::new(),
+        text: Text::new(),
     }]
 }
 
@@ -674,7 +789,7 @@ pub(crate) fn global_max(input: &[Record]) -> Vec<Record> {
     vec![Record {
         key: 0,
         num: best,
-        text: String::new(),
+        text: Text::new(),
     }]
 }
 
@@ -776,8 +891,8 @@ mod tests {
         let mut expected = std::collections::BTreeMap::new();
         for row in 0..500u64 {
             let line = source_record(OperatorKind::TextFileSource, 7, 0, row, 500);
-            for w in line.text.split_ascii_whitespace() {
-                *expected.entry(w.to_string()).or_insert(0u64) += 1;
+            for w in line.text.words() {
+                *expected.entry(Text::from(w)).or_insert(0u64) += 1;
             }
         }
         assert_eq!(sink.len(), expected.len(), "one record per distinct word");
@@ -791,7 +906,7 @@ mod tests {
             assert_eq!(
                 Some(&(r.num as u64)),
                 expected.get(&r.text),
-                "count for {}",
+                "count for {:?}",
                 r.text
             );
         }
@@ -835,6 +950,63 @@ mod tests {
     }
 
     #[test]
+    fn par_chunks_tile_the_slice_in_order() {
+        for w in [1usize, 2, 3, 4, 7] {
+            for len in [0, 1, w - 1, w, w + 1, 50] {
+                let mut records = vec![
+                    Record {
+                        key: 0,
+                        num: 0.0,
+                        text: Text::new(),
+                    };
+                    len
+                ];
+                let spans = par_chunks(w, &mut records, |at, chunk| {
+                    for (i, r) in chunk.iter_mut().enumerate() {
+                        r.key = (at + i) as u64;
+                    }
+                    (at, chunk.len())
+                });
+                assert!(spans.len() <= w, "w={w} len={len}");
+                let mut next = 0;
+                for (at, n) in spans {
+                    assert_eq!(at, next, "w={w} len={len}");
+                    next += n;
+                }
+                assert_eq!(next, len, "w={w} len={len}");
+                let keys: Vec<u64> = records.iter().map(|r| r.key).collect();
+                assert_eq!(keys, (0..len as u64).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn par_retain_keeps_what_retain_keeps_in_order() {
+        let mut rng = robopt_plan::rng::SplitMix64::new(0x2E7A);
+        for w in [1usize, 2, 3, 4, 7] {
+            for len in [0, 1, 2, w - 1, w, w + 1, 1000] {
+                for cut in [0u64, 2, 4, 7] {
+                    let input: Vec<Record> = (0..len)
+                        .map(|i| Record {
+                            key: rng.next_u64() % 7,
+                            num: i as f64,
+                            text: ["", "a", "a text too long to be stored inline…"][i % 3].into(),
+                        })
+                        .collect();
+                    // Keys are 0..7: keep all, most, some, none.
+                    let keep = |r: &Record| r.key >= cut;
+                    let mut want = input.clone();
+                    want.retain(keep);
+                    let mut got = input;
+                    par_retain(w, &mut got, keep);
+                    assert_eq!(got, want, "w={w} len={len} cut={cut}");
+                    assert_eq!(got.capacity(), got.len(), "w={w} len={len}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn par_sort_equals_the_plain_sort_record_for_record() {
         let odd = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
         let mut rng = robopt_plan::rng::SplitMix64::new(0x50F7);
@@ -846,7 +1018,7 @@ mod tests {
                     .map(|_| Record {
                         key: rng.next_u64() % 5,
                         num: odd[rng.gen_range(odd.len())],
-                        text: ["", "a", "b"][rng.gen_range(3)].to_string(),
+                        text: ["", "a", "b"][rng.gen_range(3)].into(),
                     })
                     .collect();
                 let mut want = input.clone();

@@ -6,11 +6,12 @@
 //! words, GroupBy really groups, and `RepeatLoop` runs PageRank / k-means
 //! kernels with per-iteration loop overheads. Module map:
 //!
-//! * [`data`] — records, seeded per-row generators, canonical per-record
-//!   operator semantics, and the output digest;
+//! * [`data`] — records (text inline up to 30 bytes), seeded per-row
+//!   generators, canonical per-record operator semantics, and the output
+//!   digest;
 //! * [`exec`] — the partition-parallel executor (`std::thread::scope`,
-//!   order-preserving chunking, sort-based keyed operators) and the
-//!   iterative kernels;
+//!   order-preserving chunking, sort-based keyed operators, buffers moved
+//!   from producer to last consumer) and the iterative kernels;
 //! * [`reference`] — the independent single-threaded reference executor
 //!   the byte-identity tests compare against.
 //!
@@ -23,6 +24,6 @@ pub mod data;
 pub mod exec;
 pub mod reference;
 
-pub use data::{digest_records, digest_terminals, Record};
+pub use data::{digest_records, digest_terminals, Record, Text};
 pub use exec::{Engine, ExecutionOutput, DEFAULT_MAX_SOURCE_ROWS, OVERHEAD_SCALE};
 pub use reference::execute_reference;

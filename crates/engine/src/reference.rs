@@ -17,7 +17,7 @@ use robopt_plan::{rng::mix64, LogicalPlan, OperatorKind};
 
 use crate::data::{
     assign_point, digest_terminals, flat_map_record, keep_record, map_record, point_of, record_cmp,
-    source_record, Record, FILTER_SALT, PAGERANK_DST_SALT, SAMPLE_SALT,
+    source_record, Record, Text, FILTER_SALT, PAGERANK_DST_SALT, SAMPLE_SALT,
 };
 use crate::exec::{
     aggregate_sum, cartesian, clamp_rows, fold_groups, global_max, intersect_sorted, join_sorted,
@@ -137,7 +137,7 @@ fn run_op(
             vec![Record {
                 key: 0,
                 num: gather(preds).len() as f64,
-                text: String::new(),
+                text: Text::new(),
             }]
         }
         OperatorKind::Join => {
@@ -231,7 +231,7 @@ fn pagerank_scatter(input: &[Record], iters: u32) -> Vec<Record> {
         .map(|(v, r)| Record {
             key: v as u64,
             num: *r,
-            text: String::new(),
+            text: Text::new(),
         })
         .collect()
 }
@@ -277,7 +277,7 @@ fn kmeans_sequential(input: &[Record], iters: u32) -> Vec<Record> {
         .map(|(r, &a)| Record {
             key: a as u64,
             num: r.num,
-            text: String::new(),
+            text: Text::new(),
         })
         .collect()
 }
