@@ -4,7 +4,7 @@
 use robopt_core::vectorize::{vectorize_assignment, ExecutionPlan};
 use robopt_core::EnumOptions;
 use robopt_plan::LogicalPlan;
-use robopt_platforms::{PlatformId, PlatformRegistry};
+use robopt_platforms::PlatformId;
 use robopt_vector::{FeatureLayout, RowsView};
 
 /// Rows costed per batched oracle call during the exhaustive sweep.
@@ -14,25 +14,6 @@ const BATCH_ROWS: usize = 256;
 /// Table-I (20, 5) point, hence `u128`).
 pub fn exhaustive_count(n_ops: usize, n_platforms: usize) -> u128 {
     (n_platforms as u128).pow(n_ops as u32)
-}
-
-/// Is `assign` executable under `registry`? Every operator must be available
-/// on its platform and every dataflow edge's platform pair convertible.
-fn feasible(plan: &LogicalPlan, registry: &PlatformRegistry, assign: &[u8]) -> bool {
-    for op in 0..plan.n_ops() as u32 {
-        let p = PlatformId::from_index(assign[op as usize] as usize);
-        if !registry.is_available(plan.op(op).kind, p) {
-            return false;
-        }
-    }
-    plan.edges().iter().all(|&(u, v)| {
-        let (pu, pv) = (assign[u as usize], assign[v as usize]);
-        pu == pv
-            || registry.convertible(
-                PlatformId::from_index(pu as usize),
-                PlatformId::from_index(pv as usize),
-            )
-    })
 }
 
 /// Cost every feasible one of the `k^n` full assignments (availability and
@@ -83,7 +64,7 @@ pub fn exhaustive_best(
     };
 
     for _ in 0..total {
-        if feasible(plan, registry, &assign) {
+        if registry.feasible(plan, |i| PlatformId::from_index(assign[i] as usize)) {
             vectorize_assignment(plan, layout, &assign, &mut feats);
             batch.extend_from_slice(&feats);
             batch_assign.extend_from_slice(&assign);
@@ -124,6 +105,7 @@ mod tests {
     use super::*;
     use robopt_core::AnalyticOracle;
     use robopt_plan::{workloads, N_OPERATOR_KINDS};
+    use robopt_platforms::PlatformRegistry;
 
     #[test]
     fn counts_grow_as_k_to_the_n() {

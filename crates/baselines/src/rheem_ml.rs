@@ -13,7 +13,7 @@
 
 use std::rc::Rc;
 
-use robopt_core::vectorize::ExecutionPlan;
+use robopt_core::vectorize::{add_conversion_features, add_operator_cells, ExecutionPlan};
 use robopt_core::EnumOptions;
 use robopt_plan::LogicalPlan;
 use robopt_platforms::PlatformId;
@@ -48,26 +48,12 @@ impl ObjectEnumerator {
         }
         let mut feats = vec![0.0; layout.width];
         for &(op, p) in &placements {
-            let i = op as usize;
-            let kind = plan.op(op).kind.index();
-            let in_t = plan.in_tuples()[i];
-            let out_t = plan.out_card()[i];
-            feats[FeatureLayout::OP_COUNT] += 1.0;
-            feats[FeatureLayout::JUNCTURE_COUNT] += f64::from(u8::from(plan.is_juncture(op)));
-            feats[FeatureLayout::MAX_OUT_CARD] = feats[FeatureLayout::MAX_OUT_CARD].max(out_t);
-            feats[FeatureLayout::MAX_TUPLE_WIDTH] =
-                feats[FeatureLayout::MAX_TUPLE_WIDTH].max(plan.op(op).tuple_width);
-            feats[layout.kind_count(kind)] += 1.0;
-            feats[layout.kind_in_tuples(kind)] += in_t;
-            feats[layout.kind_out_tuples(kind)] += out_t;
-            feats[layout.kind_platform_count(kind, p as usize)] += 1.0;
-            feats[layout.platform_input_tuples(p as usize)] += in_t;
+            add_operator_cells(plan, layout, op, p, &mut feats);
         }
         for &(u, v) in plan.edges() {
             let (pu, pv) = (assign[u as usize], assign[v as usize]);
-            if pu != NO_PLATFORM && pv != NO_PLATFORM && pu != pv {
-                feats[layout.conversion_count(pv as usize)] += 1.0;
-                feats[layout.conversion_tuples(pv as usize)] += plan.out_card()[u as usize];
+            if pu != NO_PLATFORM && pv != NO_PLATFORM {
+                add_conversion_features(plan, layout, u, v, pu, pv, &mut feats);
             }
         }
         feats

@@ -24,13 +24,10 @@
 //!    per-operator overheads are orders of magnitude below spark/flink at
 //!    this input volume).
 //!
-//! Writes `EXPERIMENTS_OUTPUT/fig10_engine_validation.txt` and
+//! Writes `EXPERIMENTS_OUTPUT/engine_validation.txt` and
 //! `BENCH_engine.json` at the repository root.
 
-use std::fmt::Write as _;
-use std::fs;
-
-use robopt_bench::repo_root;
+use robopt_bench::{rounded, Report};
 use robopt_core::vectorize::vectorize_assignment;
 use robopt_engine::{execute_reference, Engine};
 use robopt_ml::{spearman, BackendSource, ForestConfig, Model, RandomForest, TrainingSource};
@@ -177,8 +174,7 @@ fn main() {
     let mut candidates: Vec<(String, f64, f64)> = Vec::new(); // (name, predicted, measured)
     let mut feats = Vec::new();
     for id in registry.ids().collect::<Vec<_>>() {
-        let feasible = (0..wc.n_ops() as u32).all(|op| registry.is_available(wc.op(op).kind, id));
-        if !feasible {
+        if !registry.feasible(&wc, |_| id) {
             continue;
         }
         let assign = vec![id; wc.n_ops()];
@@ -199,114 +195,80 @@ fn main() {
     let measured_best = argmin(|c| c.2);
 
     // Report.
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
+    let mut report = Report::new(format_args!(
         "Engine validation: real executor vs analytic simulator vs learned forest \
          ({} workloads)",
         entries.len()
-    );
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "all-java pool (engine = median-of-3 measured, simulator = noiseless model):"
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line("");
+    report.line("all-java pool (engine = median-of-3 measured, simulator = noiseless model):");
+    report.line(format_args!(
         "{:>18} {:>14} {:>14} {:>12}",
         "workload", "engine s", "simulator s", "output rows"
-    );
+    ));
     for r in &rows {
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "{:>18} {:>14.6} {:>14.6} {:>12}",
             r.name, r.engine_s, r.sim_s, r.output_rows
-        );
+        ));
     }
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
+    report.line("");
+    report.line(format_args!(
         "uniform WordCount candidates (forest trained on {} engine-measured rows):",
         set.len()
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "{:>10} {:>16} {:>14}",
         "platform", "predicted label", "measured s"
-    );
+    ));
     for (name, predicted, measured) in &candidates {
-        let _ = writeln!(report, "{name:>10} {predicted:>16.6} {measured:>14.6}");
+        report.line(format_args!(
+            "{name:>10} {predicted:>16.6} {measured:>14.6}"
+        ));
     }
 
-    let mut failed = false;
-    let mut check = |report: &mut String, line: String, ok: bool| {
-        let _ = writeln!(report, "CHECK {line}: {}", if ok { "PASS" } else { "FAIL" });
-        failed |= !ok;
-    };
-    let _ = writeln!(report);
-    check(
-        &mut report,
-        "engine output digests byte-identical to the reference at 1/2/4 workers".to_string(),
+    report.line("");
+    report.check(
+        "engine output digests byte-identical to the reference at 1/2/4 workers",
         true, // asserted in correctness_gate(); reaching this line means it held
     );
-    check(
-        &mut report,
-        format!("engine-vs-simulator Spearman >= 0.9 over the pool (measured {rho:.3})"),
+    report.check(
+        format_args!("engine-vs-simulator Spearman >= 0.9 over the pool (measured {rho:.3})"),
         rho >= 0.9,
     );
-    check(
-        &mut report,
-        format!(
+    report.check(
+        format_args!(
             "forest trained on engine rows picks the measured WordCount optimum \
              (predicted {predicted_best}, measured {measured_best})"
         ),
         !predicted_best.is_empty() && predicted_best == measured_best,
     );
-    print!("{report}");
 
-    let root = repo_root();
-    fs::create_dir_all(root.join("EXPERIMENTS_OUTPUT")).expect("create EXPERIMENTS_OUTPUT");
-    fs::write(
-        root.join("EXPERIMENTS_OUTPUT/fig10_engine_validation.txt"),
-        &report,
-    )
-    .expect("write fig10_engine_validation report");
-
-    // Hand-rendered JSON (offline environment: no serde_json).
-    let mut json = String::from("{\n  \"experiment\": \"fig10_engine_validation\",\n");
-    let _ = writeln!(json, "  \"engine_seed\": {ENGINE_SEED},");
-    let _ = writeln!(json, "  \"spearman\": {rho:.6},");
-    let _ = writeln!(json, "  \"train_rows\": {},", set.len());
-    let _ = writeln!(json, "  \"predicted_best\": \"{predicted_best}\",");
-    let _ = writeln!(json, "  \"measured_best\": \"{measured_best}\",");
-    json.push_str("  \"pool\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"workload\": \"{}\", \"engine_s\": {:.6}, \"sim_s\": {:.6}, \
-             \"output_rows\": {}}}",
-            r.name, r.engine_s, r.sim_s, r.output_rows
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"wordcount_candidates\": [\n");
-    for (i, (name, predicted, measured)) in candidates.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"platform\": \"{name}\", \"predicted_label\": {predicted:.6}, \
-             \"measured_s\": {measured:.6}}}"
-        );
-        json.push_str(if i + 1 < candidates.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
-    fs::write(root.join("BENCH_engine.json"), json).expect("write BENCH_engine.json");
-
-    if failed {
-        eprintln!("fig10_engine_validation acceptance checks FAILED");
-        std::process::exit(1);
-    }
+    report.finish(
+        "EXPERIMENTS_OUTPUT/engine_validation.txt",
+        "BENCH_engine.json",
+        |w| {
+            w.key("engine_seed").u64(ENGINE_SEED);
+            w.key("spearman").f64(rounded(rho, 6));
+            w.key("train_rows").u64(set.len() as u64);
+            w.key("predicted_best").str(&predicted_best);
+            w.key("measured_best").str(&measured_best);
+            w.key("pool").arr(&rows, |w, r| {
+                w.obj(|w| {
+                    w.key("workload").str(&r.name);
+                    w.key("engine_s").f64(rounded(r.engine_s, 6));
+                    w.key("sim_s").f64(rounded(r.sim_s, 6));
+                    w.key("output_rows").u64(r.output_rows);
+                });
+            });
+            w.key("wordcount_candidates")
+                .arr(&candidates, |w, (name, predicted, measured)| {
+                    w.obj(|w| {
+                        w.key("platform").str(name);
+                        w.key("predicted_label").f64(rounded(*predicted, 6));
+                        w.key("measured_s").f64(rounded(*measured, 6));
+                    });
+                });
+        },
+    );
 }

@@ -11,12 +11,9 @@
 //! escape hatch. Writes `EXPERIMENTS_OUTPUT/fig01_vector_benefit.txt`
 //! and `BENCH_enumeration.json` at the repository root.
 
-use std::fmt::Write as _;
-use std::fs;
-
 use robopt::{ExecutionPolicy, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_baselines::ObjectEnumerator;
-use robopt_bench::{bench, repo_root};
+use robopt_bench::{bench, rounded, Report};
 use robopt_platforms::PlatformRegistry;
 
 const PLATFORMS: usize = 2;
@@ -106,19 +103,15 @@ fn main() {
         ),
     ];
 
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
+    let mut report = Report::new(format_args!(
         "Fig 1: vector-based vs traditional (object-based) ML enumeration, {PLATFORMS} platforms"
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "{:<22} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "task", "vector ms", "vec p95", "object ms", "obj p95", "improvement"
-    );
+    ));
     for r in &rows {
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "{:<22} {:>12.4} {:>12.4} {:>12.4} {:>12.4} {:>11.1}x",
             r.task,
             r.vector_ms,
@@ -126,75 +119,45 @@ fn main() {
             r.object_ms,
             r.object_p95_ms,
             r.improvement()
-        );
+        ));
     }
 
-    let at_scale: Vec<&Row> = rows.iter().filter(|r| r.ops >= 17).collect();
-    let min_factor_at_scale = at_scale
-        .iter()
-        .map(|r| r.improvement())
-        .fold(f64::INFINITY, f64::min);
-    let grows = rows.last().unwrap().improvement() > rows.first().unwrap().improvement();
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "CHECK vector >= 2x at >= 17 operators: {} (min factor {:.2}x)",
-        if min_factor_at_scale >= 2.0 {
-            "PASS"
-        } else {
-            "FAIL"
+    let at_scale = rows.iter().filter(|r| r.ops >= 17);
+    let min_factor_at_scale = at_scale.map(Row::improvement).fold(f64::INFINITY, f64::min);
+    let (first, last) = (rows[0].improvement(), rows[rows.len() - 1].improvement());
+    report.line("");
+    report.check_noted(
+        "vector >= 2x at >= 17 operators",
+        min_factor_at_scale >= 2.0,
+        format_args!("min factor {min_factor_at_scale:.2}x"),
+    );
+    report.check(
+        format_args!(
+            "improvement grows with operator count ({first:.1}x @ 6 op -> {last:.1}x @ 40 op)"
+        ),
+        last > first,
+    );
+    report.line("paper shape: improvement factor grows with operator count (~2x -> ~8x)");
+
+    report.finish(
+        "EXPERIMENTS_OUTPUT/fig01_vector_benefit.txt",
+        "BENCH_enumeration.json",
+        |w| {
+            w.key("platforms").u64(PLATFORMS as u64);
+            w.key("iters").u64(ITERS as u64);
+            w.key("entries").arr(&rows, |w, r| {
+                w.obj(|w| {
+                    w.key("task").str(r.task);
+                    w.key("ops").u64(r.ops as u64);
+                    w.key("vector_ms").f64(rounded(r.vector_ms, 6));
+                    w.key("vector_p95_ms").f64(rounded(r.vector_p95_ms, 6));
+                    w.key("vector_per_s").f64(rounded(r.vector_per_s, 3));
+                    w.key("object_ms").f64(rounded(r.object_ms, 6));
+                    w.key("object_p95_ms").f64(rounded(r.object_p95_ms, 6));
+                    w.key("object_per_s").f64(rounded(r.object_per_s, 3));
+                    w.key("improvement").f64(rounded(r.improvement(), 3));
+                });
+            });
         },
-        min_factor_at_scale
     );
-    let _ = writeln!(
-        report,
-        "CHECK improvement grows with operator count ({:.1}x @ 6 op -> {:.1}x @ 40 op): {}",
-        rows.first().unwrap().improvement(),
-        rows.last().unwrap().improvement(),
-        if grows { "PASS" } else { "FAIL" }
-    );
-    let _ = writeln!(
-        report,
-        "paper shape: improvement factor grows with operator count (~2x -> ~8x)"
-    );
-    print!("{report}");
-
-    let root = repo_root();
-    fs::create_dir_all(root.join("EXPERIMENTS_OUTPUT")).expect("create EXPERIMENTS_OUTPUT");
-    fs::write(
-        root.join("EXPERIMENTS_OUTPUT/fig01_vector_benefit.txt"),
-        &report,
-    )
-    .expect("write fig01 report");
-
-    // Hand-rendered JSON (offline environment: no serde_json).
-    let mut json = String::from("{\n  \"experiment\": \"fig01_vector_benefit\",\n");
-    let _ = writeln!(json, "  \"platforms\": {PLATFORMS},");
-    let _ = writeln!(json, "  \"iters\": {ITERS},");
-    json.push_str("  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"task\": \"{}\", \"ops\": {}, \"vector_ms\": {:.6}, \"vector_p95_ms\": {:.6}, \
-             \"vector_per_s\": {:.3}, \"object_ms\": {:.6}, \"object_p95_ms\": {:.6}, \
-             \"object_per_s\": {:.3}, \"improvement\": {:.3}}}",
-            r.task,
-            r.ops,
-            r.vector_ms,
-            r.vector_p95_ms,
-            r.vector_per_s,
-            r.object_ms,
-            r.object_p95_ms,
-            r.object_per_s,
-            r.improvement()
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    fs::write(root.join("BENCH_enumeration.json"), json).expect("write BENCH_enumeration.json");
-
-    if min_factor_at_scale < 2.0 || !grows {
-        eprintln!("fig01 acceptance checks FAILED");
-        std::process::exit(1);
-    }
 }

@@ -21,12 +21,10 @@
 //! Writes `EXPERIMENTS_OUTPUT/fig08_tdgen.txt` and `BENCH_tdgen.json` at
 //! the repository root.
 
-use std::fmt::Write as _;
-use std::fs;
 use std::time::Instant;
 
 use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
-use robopt_bench::repo_root;
+use robopt_bench::{rounded, Report};
 use robopt_ml::{
     spearman, ForestConfig, Metrics, Model, RandomForest, SamplerConfig, SimulatorSource,
     TrainingSet, TrainingSource,
@@ -228,143 +226,107 @@ fn main() {
     let sim = RuntimeSimulator::new(&registry, SIM_SEED);
     let optimum_s = true_optimum(&plan, &registry, &sim);
 
-    let fidelity_ok = fid.spearman >= 0.95;
-    let reduction_ok = reduction >= 5.0;
-    let e2e_ok = picked_s <= optimum_s * (1.0 + 1e-9);
-
     // ---- Report ---------------------------------------------------------
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
+    let mut report = Report::new(format_args!(
         "Fig 8: TDGEN training-data generation ({} platforms, beta = {}, {} knots, scales [{:.0e}, {:.0e}])",
         registry.len(),
         cfg.beta(),
         cfg.knots(),
         cfg.scale_range().0,
         cfg.scale_range().1
-    );
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
+    ));
+    report.line("");
+    report.line(format_args!(
         "interpolation fidelity ({} curves x {} held-out scales, noiseless):",
         fid.curves,
         fid.probes / fid.curves.max(1)
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "  spearman(interpolated, simulated) = {:.4}   q-error mean = {:.3}  max = {:.3}",
         fid.spearman, fid.q_mean, fid.q_max
-    );
-    let _ = writeln!(report);
-    let _ = writeln!(report, "label generation:");
-    let _ = writeln!(
-        report,
+    ));
+    report.line("");
+    report.line("label generation:");
+    report.line(format_args!(
         "  {:<22} {:>8} {:>12} {:>14} {:>16}",
         "source", "rows", "rows/sec", "sim calls", "rows per call"
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "  {:<22} {:>8} {:>12.0} {:>14} {:>16.2}",
         "tdgen (interpolated)", tdgen_n, tdgen_rows_per_s, stats.sim_calls, reduction
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "  {:<22} {:>8} {:>12.0} {:>14} {:>16.2}",
         "direct (simulator)", direct_n, direct_rows_per_s, direct_n, 1.0
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "  ({} skeletons, {} curves; buffered rows kept across calls)",
         stats.skeletons, stats.curves
-    );
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
+    ));
+    report.line("");
+    report.line(format_args!(
         "forest ({n_trees} trees) on {heldout_n} held-out directly-labelled rows \
          (tdgen: {tdgen_n} rows / {} sim calls; direct: {direct_n} rows / {direct_n} calls):",
         stats.sim_calls
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "  {:<22} {:>10} {:>10} {:>10} {:>10}",
         "training source", "MSE", "spearman", "q(log)", "R^2"
-    );
+    ));
     for (name, m) in [("tdgen", &tdgen_m), ("direct", &direct_m)] {
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "  {:<22} {:>10.4} {:>10.4} {:>10.3} {:>10.4}",
             name, m.mse, m.spearman, m.q_mean, m.r2
-        );
+        ));
     }
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "end-to-end WordCount(1e7): tdgen-forest pick {picked_s:.2}s vs brute-force optimum {optimum_s:.2}s"
+    report.line("");
+    report.line(format_args!(
+        "end-to-end WordCount(1e7): tdgen-forest pick {picked_s:.2}s \
+         vs brute-force optimum {optimum_s:.2}s"
+    ));
+    report.check("interpolated-label spearman >= 0.95", fid.spearman >= 0.95);
+    report.check("simulator-call reduction >= 5x", reduction >= 5.0);
+    report.check(
+        "tdgen-forest picks the true optimum",
+        picked_s <= optimum_s * (1.0 + 1e-9),
     );
-    let _ = writeln!(
-        report,
-        "CHECK interpolated-label spearman >= 0.95: {}",
-        if fidelity_ok { "PASS" } else { "FAIL" }
-    );
-    let _ = writeln!(
-        report,
-        "CHECK simulator-call reduction >= 5x: {}",
-        if reduction_ok { "PASS" } else { "FAIL" }
-    );
-    let _ = writeln!(
-        report,
-        "CHECK tdgen-forest picks the true optimum: {}",
-        if e2e_ok { "PASS" } else { "FAIL" }
-    );
-    let _ = writeln!(
-        report,
+    report.line(
         "paper shape: interpolation preserves the runtime ranking while cutting \
-         label-collection cost; models trained on synthesized rows stay competitive"
+         label-collection cost; models trained on synthesized rows stay competitive",
     );
-    print!("{report}");
 
-    let root = repo_root();
-    fs::create_dir_all(root.join("EXPERIMENTS_OUTPUT")).expect("create EXPERIMENTS_OUTPUT");
-    fs::write(root.join("EXPERIMENTS_OUTPUT/fig08_tdgen.txt"), &report).expect("write fig08");
-
-    // Hand-rendered JSON (offline environment: no serde_json).
-    let mut json = String::from("{\n  \"experiment\": \"fig08_tdgen\",\n");
-    let _ = writeln!(json, "  \"beta\": {},", cfg.beta());
-    let _ = writeln!(json, "  \"knots\": {},", cfg.knots());
-    let _ = writeln!(json, "  \"tdgen_rows\": {tdgen_n},");
-    let _ = writeln!(json, "  \"direct_rows\": {direct_n},");
-    let _ = writeln!(json, "  \"sim_calls\": {},", stats.sim_calls);
-    let _ = writeln!(json, "  \"reduction\": {reduction:.4},");
-    let _ = writeln!(json, "  \"tdgen_rows_per_s\": {tdgen_rows_per_s:.1},");
-    let _ = writeln!(json, "  \"direct_rows_per_s\": {direct_rows_per_s:.1},");
-    let _ = writeln!(
-        json,
-        "  \"fidelity\": {{\"spearman\": {:.6}, \"q_mean\": {:.4}, \"q_max\": {:.4}, \"probes\": {}}},",
-        fid.spearman, fid.q_mean, fid.q_max, fid.probes
+    report.finish(
+        "EXPERIMENTS_OUTPUT/fig08_tdgen.txt",
+        "BENCH_tdgen.json",
+        |w| {
+            w.key("beta").u64(cfg.beta() as u64);
+            w.key("knots").u64(cfg.knots() as u64);
+            w.key("tdgen_rows").u64(tdgen_n as u64);
+            w.key("direct_rows").u64(direct_n as u64);
+            w.key("sim_calls").u64(stats.sim_calls);
+            w.key("reduction").f64(rounded(reduction, 4));
+            w.key("tdgen_rows_per_s").f64(rounded(tdgen_rows_per_s, 1));
+            w.key("direct_rows_per_s")
+                .f64(rounded(direct_rows_per_s, 1));
+            w.key("fidelity").obj(|w| {
+                w.key("spearman").f64(rounded(fid.spearman, 6));
+                w.key("q_mean").f64(rounded(fid.q_mean, 4));
+                w.key("q_max").f64(rounded(fid.q_max, 4));
+                w.key("probes").u64(fid.probes as u64);
+            });
+            w.key("forest_heldout").obj(|w| {
+                w.key("tdgen_mse").f64(rounded(tdgen_m.mse, 6));
+                w.key("tdgen_spearman").f64(rounded(tdgen_m.spearman, 4));
+                w.key("direct_mse").f64(rounded(direct_m.mse, 6));
+                w.key("direct_spearman").f64(rounded(direct_m.spearman, 4));
+            });
+            w.key("end_to_end").obj(|w| {
+                w.key("workload").str("wordcount_1e7");
+                w.key("picked_s").f64(rounded(picked_s, 4));
+                w.key("optimum_s").f64(rounded(optimum_s, 4));
+            });
+            w.key("shape_mix")
+                .arr(ShapeKind::ALL, |w, shape| w.str(shape.name()));
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"forest_heldout\": {{\"tdgen_mse\": {:.6}, \"tdgen_spearman\": {:.4}, \"direct_mse\": {:.6}, \"direct_spearman\": {:.4}}},",
-        tdgen_m.mse, tdgen_m.spearman, direct_m.mse, direct_m.spearman
-    );
-    let _ = writeln!(
-        json,
-        "  \"end_to_end\": {{\"workload\": \"wordcount_1e7\", \"picked_s\": {picked_s:.4}, \"optimum_s\": {optimum_s:.4}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"shape_mix\": [{}]",
-        ShapeKind::ALL
-            .iter()
-            .map(|s| format!("\"{}\"", s.name()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    json.push_str("}\n");
-    fs::write(root.join("BENCH_tdgen.json"), json).expect("write BENCH_tdgen.json");
-
-    if !fidelity_ok || !reduction_ok || !e2e_ok {
-        eprintln!("fig08 acceptance checks FAILED");
-        std::process::exit(1);
-    }
 }

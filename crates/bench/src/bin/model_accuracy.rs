@@ -1,6 +1,7 @@
-//! Fig 9: learned-cost-model accuracy — bagged random forest vs the
-//! closed-form linear baseline, over growing training-set sizes, plus the
-//! end-to-end check that the forest actually steers enumeration well.
+//! Model accuracy: the bagged random forest vs the closed-form linear
+//! baseline, over growing training-set sizes, plus the end-to-end check
+//! that the forest actually steers enumeration well. A repo-original
+//! experiment — not the paper's Fig 9.
 //!
 //! Training and held-out sets come from the direct-labelling
 //! `robopt_ml::SimulatorSource` (one simulator call per row; see
@@ -10,14 +11,11 @@
 //! MSE at **every** training size, and the plan it picks for
 //! WordCount(1e7) behind `&dyn CostOracle` must simulate no slower than
 //! the analytic oracle's pick. Writes
-//! `EXPERIMENTS_OUTPUT/fig09_model_accuracy.txt` and
+//! `EXPERIMENTS_OUTPUT/model_accuracy.txt` and
 //! `BENCH_model_accuracy.json` at the repository root.
 
-use std::fmt::Write as _;
-use std::fs;
-
 use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
-use robopt_bench::repo_root;
+use robopt_bench::{rounded, Report};
 use robopt_ml::{
     simulator_training_set, CostDistribution, DistModel, ForestConfig, LinearModel, Metrics, Model,
     RandomForest, SamplerConfig, TrainingSet,
@@ -145,29 +143,21 @@ fn main() {
         .expect("simulate the analytic-picked plan")
         .seconds;
 
-    let forest_always_wins = rows.iter().all(|r| r.forest.mse < r.linear.mse);
-    let e2e_ok = forest_sim_s <= analytic_sim_s * (1.0 + 1e-9);
-
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "Fig 9: cost-model accuracy on held-out simulator-labelled plans \
+    let mut report = Report::new(format_args!(
+        "Model accuracy: forest vs linear on held-out simulator-labelled plans \
          ({} rows, {} platforms)",
         heldout.len(),
         registry.len()
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "labels: ln(1+seconds); q-error on raw seconds; forest: {n_trees} trees"
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "{:>10} {:>12} {:>12} {:>8} {:>12} {:>10} {:>12}",
         "train", "linear MSE", "forest MSE", "ratio", "forest MAE", "q(log)", "q(seconds)"
-    );
+    ));
     for r in &rows {
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "{:>10} {:>12.4} {:>12.4} {:>8.3} {:>12.4} {:>10.3} {:>12.3}",
             r.train_size,
             r.linear.mse,
@@ -176,80 +166,60 @@ fn main() {
             r.forest.mae,
             r.forest.q_mean,
             r.forest_q_seconds
-        );
+        ));
     }
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
+    report.line("");
+    report.line(format_args!(
         "end-to-end WordCount(1e7): forest-picked plan {forest_sim_s:.2}s \
          vs analytic-picked {analytic_sim_s:.2}s (simulated ground truth)"
+    ));
+    report.check(
+        "forest MSE < linear MSE at every training size",
+        rows.iter().all(|r| r.forest.mse < r.linear.mse),
     );
-    let _ = writeln!(
-        report,
-        "CHECK forest MSE < linear MSE at every training size: {}",
-        if forest_always_wins { "PASS" } else { "FAIL" }
+    report.check(
+        "forest-driven enumeration <= analytic-driven (simulated)",
+        forest_sim_s <= analytic_sim_s * (1.0 + 1e-9),
     );
-    let _ = writeln!(
-        report,
-        "CHECK forest-driven enumeration <= analytic-driven (simulated): {}",
-        if e2e_ok { "PASS" } else { "FAIL" }
+    let dist_ok = dist_mean_parity && dist_bands_ordered;
+    report.check(
+        format_args!(
+            "predict_dist_batch mean bit-identical to predict_batch \
+             ({} held-out rows, mean per-row std {mean_heldout_std:.4} log-units)",
+            dist.mean.len()
+        ),
+        dist_ok,
     );
-    let _ = writeln!(
-        report,
-        "CHECK predict_dist_batch mean bit-identical to predict_batch \
-         ({} held-out rows, mean per-row std {:.4} log-units): {}",
-        dist.mean.len(),
-        mean_heldout_std,
-        if dist_mean_parity && dist_bands_ordered {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    let _ = writeln!(
-        report,
+    report.line(
         "paper shape: learned model accuracy improves with training size; \
-         linear baseline plateaus on the non-linear runtime surface"
+         linear baseline plateaus on the non-linear runtime surface",
     );
-    print!("{report}");
 
-    let root = repo_root();
-    fs::create_dir_all(root.join("EXPERIMENTS_OUTPUT")).expect("create EXPERIMENTS_OUTPUT");
-    fs::write(
-        root.join("EXPERIMENTS_OUTPUT/fig09_model_accuracy.txt"),
-        &report,
-    )
-    .expect("write fig09 report");
-
-    // Hand-rendered JSON (offline environment: no serde_json).
-    let mut json = String::from("{\n  \"experiment\": \"fig09_model_accuracy\",\n");
-    let _ = writeln!(json, "  \"n_trees\": {n_trees},");
-    let _ = writeln!(json, "  \"heldout_rows\": {},", heldout.len());
-    let _ = writeln!(
-        json,
-        "  \"dist_mean_parity\": {},",
-        dist_mean_parity && dist_bands_ordered
+    report.finish(
+        "EXPERIMENTS_OUTPUT/model_accuracy.txt",
+        "BENCH_model_accuracy.json",
+        |w| {
+            w.key("n_trees").u64(n_trees as u64);
+            w.key("heldout_rows").u64(heldout.len() as u64);
+            w.key("dist_mean_parity").bool(dist_ok);
+            w.key("heldout_mean_std_log")
+                .f64(rounded(mean_heldout_std, 6));
+            w.key("end_to_end").obj(|w| {
+                w.key("workload").str("wordcount_1e7");
+                w.key("forest_sim_s").f64(rounded(forest_sim_s, 4));
+                w.key("analytic_sim_s").f64(rounded(analytic_sim_s, 4));
+            });
+            w.key("entries").arr(&rows, |w, r| {
+                w.obj(|w| {
+                    w.key("train_size").u64(r.train_size as u64);
+                    w.key("linear_mse").f64(rounded(r.linear.mse, 6));
+                    w.key("forest_mse").f64(rounded(r.forest.mse, 6));
+                    w.key("forest_mae").f64(rounded(r.forest.mae, 6));
+                    w.key("forest_q_log").f64(rounded(r.forest.q_mean, 4));
+                    w.key("forest_q_seconds")
+                        .f64(rounded(r.forest_q_seconds, 4));
+                });
+            });
+        },
     );
-    let _ = writeln!(json, "  \"heldout_mean_std_log\": {mean_heldout_std:.6},");
-    let _ = writeln!(
-        json,
-        "  \"end_to_end\": {{\"workload\": \"wordcount_1e7\", \"forest_sim_s\": {forest_sim_s:.4}, \"analytic_sim_s\": {analytic_sim_s:.4}}},"
-    );
-    json.push_str("  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"train_size\": {}, \"linear_mse\": {:.6}, \"forest_mse\": {:.6}, \"forest_mae\": {:.6}, \"forest_q_log\": {:.4}, \"forest_q_seconds\": {:.4}}}",
-            r.train_size, r.linear.mse, r.forest.mse, r.forest.mae, r.forest.q_mean, r.forest_q_seconds
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    fs::write(root.join("BENCH_model_accuracy.json"), json)
-        .expect("write BENCH_model_accuracy.json");
-
-    if !forest_always_wins || !e2e_ok || !dist_mean_parity || !dist_bands_ordered {
-        eprintln!("fig09 acceptance checks FAILED");
-        std::process::exit(1);
-    }
 }

@@ -1,7 +1,9 @@
-//! Fig 2: genuine cross-platform plans over the named five-platform
-//! registry (Java streams, Spark, Flink, Postgres, Giraph).
+//! Platform mix: genuine cross-platform plans over the named five-platform
+//! registry (Java streams, Spark, Flink, Postgres, Giraph). A repo-original
+//! experiment in the spirit of the paper's cross-platform claim — not its
+//! Fig 2.
 //!
-//! Each workload goes through [`robopt::Optimizer::compare`] — the Fig-2
+//! Each workload goes through [`robopt::Optimizer::compare`] — the
 //! experiment as a service verb: optimize over [`robopt_platforms::PlatformRegistry::named`]
 //! (availability masking keeps operators off platforms that cannot execute
 //! them, the conversion graph prices every switch), then pit the mixed
@@ -9,14 +11,11 @@
 //! and the deterministic runtime simulator. The headline check is that on
 //! at least one workload the mixed plan strictly beats them all (the
 //! paper's core cross-platform claim).
-//! Writes `EXPERIMENTS_OUTPUT/fig02_platform_mix.txt` and
+//! Writes `EXPERIMENTS_OUTPUT/platform_mix.txt` and
 //! `BENCH_platform_mix.json` at the repository root.
 
-use std::fmt::Write as _;
-use std::fs;
-
 use robopt::{CompareRequest, CompareResponse, ExecutionPolicy, Optimizer, WorkloadSpec};
-use robopt_bench::repo_root;
+use robopt_bench::{rounded, Report};
 
 const SIM_SEED: u64 = 42;
 
@@ -78,29 +77,25 @@ fn main() {
         ),
     ];
 
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "Fig 2: cross-platform plans over the named registry ({} platforms)",
+    let mut report = Report::new(format_args!(
+        "Platform mix: cross-platform plans over the named registry ({} platforms)",
         opt.registry().len()
-    );
+    ));
     for r in &rows {
-        let _ = writeln!(report);
-        let _ = writeln!(
-            report,
+        report.line("");
+        report.line(format_args!(
             "{} [{} operators]  optimum: cost {:.3}, {} platform(s) ({}), simulated {:.2}s",
             r.task,
             r.ops(),
             r.cmp.mixed.cost,
             r.cmp.mixed.distinct_platforms,
             r.cmp.mix,
-            r.cmp.mixed_sim_seconds,
-        );
+            r.cmp.mixed_sim_seconds
+        ));
         for s in &r.cmp.singles {
             match (s.cost, s.sim_seconds) {
                 (Some(c), Some(t)) => {
-                    let _ = writeln!(
-                        report,
+                    report.line(format_args!(
                         "  all-{:<9} cost {:>12.3}  simulated {:>10.2}s{}",
                         s.platform,
                         c,
@@ -110,99 +105,71 @@ fn main() {
                         } else {
                             ""
                         }
-                    );
+                    ));
                 }
                 _ => {
-                    let _ = writeln!(
-                        report,
+                    report.line(format_args!(
                         "  all-{:<9} infeasible (availability matrix)",
                         s.platform
-                    );
+                    ));
                 }
             }
         }
     }
 
     let winners: Vec<&Row> = rows.iter().filter(|r| r.beats_every_single()).collect();
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "CHECK mixed plan strictly beats every feasible single platform on >= 1 workload: {} \
-         ({} of {} workloads)",
-        if winners.is_empty() { "FAIL" } else { "PASS" },
-        winners.len(),
-        rows.len()
+    report.line("");
+    report.check_noted(
+        "mixed plan strictly beats every feasible single platform on >= 1 workload",
+        !winners.is_empty(),
+        format_args!("{} of {} workloads", winners.len(), rows.len()),
     );
     for r in &winners {
         let best = r.cmp.best_single_cost.unwrap();
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "  {}: mixed {:.3} vs best single {:.3} ({:.1}% cheaper, mix {})",
             r.task,
             r.cmp.mixed.cost,
             best,
             100.0 * (1.0 - r.cmp.mixed.cost / best),
             r.cmp.mix
-        );
+        ));
     }
     let sane = rows.iter().all(|r| {
         r.cmp
             .best_single_cost
             .is_none_or(|best| r.cmp.mixed.cost <= best * (1.0 + 1e-9))
     });
-    let _ = writeln!(
-        report,
-        "CHECK enumerated optimum never worse than any single platform: {}",
-        if sane { "PASS" } else { "FAIL" }
+    report.check(
+        "enumerated optimum never worse than any single platform",
+        sane,
     );
-    print!("{report}");
 
-    let root = repo_root();
-    fs::create_dir_all(root.join("EXPERIMENTS_OUTPUT")).expect("create EXPERIMENTS_OUTPUT");
-    fs::write(
-        root.join("EXPERIMENTS_OUTPUT/fig02_platform_mix.txt"),
-        &report,
-    )
-    .expect("write fig02 report");
-
-    // Hand-rendered JSON (offline environment: no serde_json).
-    let mut json = String::from("{\n  \"experiment\": \"fig02_platform_mix\",\n");
-    let _ = writeln!(json, "  \"platforms\": {},", opt.registry().len());
-    let _ = writeln!(json, "  \"sim_seed\": {SIM_SEED},");
-    json.push_str("  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"task\": \"{}\", \"ops\": {}, \"mixed_cost\": {:.6}, \
-             \"distinct_platforms\": {}, \"mix\": \"{}\", \"mixed_sim_s\": {:.6}, \"singles\": {{",
-            r.task,
-            r.ops(),
-            r.cmp.mixed.cost,
-            r.cmp.mixed.distinct_platforms,
-            r.cmp.mix,
-            r.cmp.mixed_sim_seconds
-        );
-        for (j, s) in r.cmp.singles.iter().enumerate() {
-            match s.cost {
-                Some(c) => {
-                    let _ = write!(json, "\"{}\": {:.6}", s.platform, c);
-                }
-                None => {
-                    let _ = write!(json, "\"{}\": null", s.platform);
-                }
-            }
-            if j + 1 < r.cmp.singles.len() {
-                json.push_str(", ");
-            }
-        }
-        json.push_str("}}");
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    fs::write(root.join("BENCH_platform_mix.json"), json).expect("write BENCH_platform_mix.json");
-
-    if winners.is_empty() || !sane {
-        eprintln!("fig02 acceptance checks FAILED");
-        std::process::exit(1);
-    }
+    report.finish(
+        "EXPERIMENTS_OUTPUT/platform_mix.txt",
+        "BENCH_platform_mix.json",
+        |w| {
+            w.key("platforms").u64(opt.registry().len() as u64);
+            w.key("sim_seed").u64(SIM_SEED);
+            w.key("entries").arr(&rows, |w, r| {
+                w.obj(|w| {
+                    w.key("task").str(r.task);
+                    w.key("ops").u64(r.ops() as u64);
+                    w.key("mixed_cost").f64(rounded(r.cmp.mixed.cost, 6));
+                    w.key("distinct_platforms")
+                        .u64(r.cmp.mixed.distinct_platforms as u64);
+                    w.key("mix").str(&r.cmp.mix);
+                    w.key("mixed_sim_s")
+                        .f64(rounded(r.cmp.mixed_sim_seconds, 6));
+                    w.key("singles").obj(|w| {
+                        for s in &r.cmp.singles {
+                            // An infeasible single has no cost: `null`.
+                            let cost = s.cost.map_or(f64::NAN, |c| rounded(c, 6));
+                            w.key(&s.platform).f64(cost);
+                        }
+                    });
+                });
+            });
+        },
+    );
 }

@@ -33,14 +33,11 @@
 //! bit-identically on a cache-off facade, so the distributional seam
 //! costs nothing when risk is off.
 //!
-//! Writes `EXPERIMENTS_OUTPUT/fig11_robust_selection.txt` and
+//! Writes `EXPERIMENTS_OUTPUT/robust_selection.txt` and
 //! `BENCH_robust.json` at the repository root.
 
-use std::fmt::Write as _;
-use std::fs;
-
 use robopt::{OptimizeRequest, Optimizer, TrainRequest, TrainSource, WorkloadSpec};
-use robopt_bench::repo_root;
+use robopt_bench::{rounded, Report};
 use robopt_core::{CostDistribution, CostOracle, EnumOptions, Enumerator, RiskPolicy};
 use robopt_ml::{Model, RandomForest};
 use robopt_plan::SplitMix64;
@@ -378,49 +375,39 @@ fn main() {
     let sigma_p90 = at("sigma2", nu_max).p90_ms;
 
     // Report.
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
+    let mut report = Report::new(format_args!(
         "Robust plan selection: risk policies vs noise + cardinality misestimation \
          ({} grid workloads, {} seeds/noise)",
         specs.len(),
         seeds
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "forest: {train_rows} simulator rows (noise {TRAIN_NOISE}); ensemble: {MEMBERS} \
          cardinality hypotheses in [1/f, f], f = 1 + 8*noise; true scale = estimate * err, \
          err log-uniform in the same range"
-    );
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "service view (forest per-tree spread through the facade, sigma2 requests):"
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line("");
+    report.line("service view (forest per-tree spread through the facade, sigma2 requests):");
+    report.line(format_args!(
         "{:>18} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "workload", "cost", "std", "q10", "q90", "policy"
-    );
+    ));
     for resp in &service_view {
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "{:>18} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10}",
             resp.workload, resp.cost, resp.cost_std, resp.cost_q10, resp.cost_q90, resp.risk_policy
-        );
+        ));
     }
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
+    report.line("");
+    report.line(format_args!(
         "divergence scan at f = {:.2} (distinct platforms of each winner; * = differs \
          from expected):",
         err_factor(nu_max)
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "{:>22} {:>18} {:>20} {:>20}",
         "workload", "expected", "sigma2", "q0.9"
-    );
+    ));
     for (i, spec) in specs.iter().enumerate() {
         let exp_label = pick_label(registry, &scan_picks[i][0]);
         let mut cells = vec![exp_label];
@@ -432,100 +419,72 @@ fn main() {
                 label
             });
         }
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "{:>22} {:>18} {:>20} {:>20}",
             spec_name(spec),
             cells[0],
             cells[1],
             cells[2]
-        );
+        ));
     }
-    let _ = writeln!(report);
-    let _ = writeln!(
-        report,
+    report.line("");
+    report.line(format_args!(
         "per-policy regret vs the best pick of each draw (ms, {} divergent workloads):",
         divergent.len()
-    );
-    let _ = writeln!(
-        report,
+    ));
+    report.line(format_args!(
         "{:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "noise", "policy", "mean", "p50", "p90", "p95", "draws"
-    );
+    ));
     for r in &regret_rows {
-        let _ = writeln!(
-            report,
+        report.line(format_args!(
             "{:>8.2} {:>10} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>8}",
             r.noise, r.policy, r.mean_ms, r.p50_ms, r.p90_ms, r.p95_ms, r.draws
-        );
+        ));
     }
 
-    let mut failed = false;
-    let mut check = |report: &mut String, line: String, ok: bool| {
-        let _ = writeln!(report, "CHECK {line}: {}", if ok { "PASS" } else { "FAIL" });
-        failed |= !ok;
-    };
-    let _ = writeln!(report);
-    check(
-        &mut report,
-        format!(
+    report.line("");
+    report.check(
+        format_args!(
             "risk policies repick somewhere on the grid ({} of {} workloads diverge)",
             divergent.len(),
             specs.len()
         ),
         !divergent.is_empty(),
     );
-    check(
-        &mut report,
-        "unlabelled request bit-identical to explicit ExpectedCost (cache-off facade)".to_string(),
+    report.check(
+        "unlabelled request bit-identical to explicit ExpectedCost (cache-off facade)",
         parity_ok,
     );
-    check(
-        &mut report,
-        format!(
+    report.check(
+        format_args!(
             "sigma2 p90 regret strictly below expected at noise {nu_max} \
              ({sigma_p90:.1} ms < {expected_p90:.1} ms)"
         ),
         sigma_p90 < expected_p90,
     );
-    print!("{report}");
 
-    let root = repo_root();
-    fs::create_dir_all(root.join("EXPERIMENTS_OUTPUT")).expect("create EXPERIMENTS_OUTPUT");
-    fs::write(
-        root.join("EXPERIMENTS_OUTPUT/fig11_robust_selection.txt"),
-        &report,
-    )
-    .expect("write fig11_robust_selection report");
-
-    // Hand-rendered JSON (offline environment: no serde_json). Regret
-    // aggregates use the shared bench schema: `<prefix>_ms` is the median,
-    // `<prefix>_p95_ms` the 95th percentile.
-    let mut json = String::from("{\n  \"experiment\": \"fig11_robust_selection\",\n");
-    let _ = writeln!(json, "  \"train_rows\": {train_rows},");
-    let _ = writeln!(json, "  \"seeds_per_noise\": {seeds},");
-    let _ = writeln!(json, "  \"grid_workloads\": {},", specs.len());
-    let _ = writeln!(json, "  \"divergent_workloads\": {},", divergent.len());
-    json.push_str("  \"regret\": [\n");
-    for (i, r) in regret_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"policy\": \"{}\", \"noise\": {}, \"regret_ms\": {:.6}, \
-             \"regret_p90_ms\": {:.6}, \"regret_p95_ms\": {:.6}, \
-             \"regret_mean_ms\": {:.6}, \"draws\": {}}}",
-            r.policy, r.noise, r.p50_ms, r.p90_ms, r.p95_ms, r.mean_ms, r.draws
-        );
-        json.push_str(if i + 1 < regret_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
-    fs::write(root.join("BENCH_robust.json"), json).expect("write BENCH_robust.json");
-
-    if failed {
-        eprintln!("fig11_robust_selection acceptance checks FAILED");
-        std::process::exit(1);
-    }
+    // Regret aggregates use the shared bench schema: `<prefix>_ms` is the
+    // median, `<prefix>_p95_ms` the 95th percentile.
+    report.finish(
+        "EXPERIMENTS_OUTPUT/robust_selection.txt",
+        "BENCH_robust.json",
+        |w| {
+            w.key("train_rows").u64(train_rows as u64);
+            w.key("seeds_per_noise").u64(seeds as u64);
+            w.key("grid_workloads").u64(specs.len() as u64);
+            w.key("divergent_workloads").u64(divergent.len() as u64);
+            w.key("regret").arr(&regret_rows, |w, r| {
+                w.obj(|w| {
+                    w.key("policy").str(r.policy);
+                    w.key("noise").f64(r.noise);
+                    w.key("regret_ms").f64(rounded(r.p50_ms, 6));
+                    w.key("regret_p90_ms").f64(rounded(r.p90_ms, 6));
+                    w.key("regret_p95_ms").f64(rounded(r.p95_ms, 6));
+                    w.key("regret_mean_ms").f64(rounded(r.mean_ms, 6));
+                    w.key("draws").u64(r.draws as u64);
+                });
+            });
+        },
+    );
 }

@@ -15,12 +15,13 @@
 //!   JSON for later `--model` use).
 //!
 //! Everything is offline and dependency-free: flag parsing is hand-rolled,
-//! the wire format is the hand-rendered JSON from `robopt::wire`, and the
-//! TCP mode binds loopback only.
+//! request lines are written by the same `robopt::json::Writer` that
+//! renders the replies in `robopt::wire`, and the TCP mode binds loopback
+//! only.
 
 use std::io::{BufRead, BufReader, Write};
 
-use robopt::json::escape_into;
+use robopt::json::Writer;
 use robopt::{
     parse_request, render_response, Optimizer, Request, Response, RiskPolicy, ServiceError,
 };
@@ -129,11 +130,12 @@ type Flag<'a> = (&'static FlagRow, &'a str);
 const WORKLOAD: &[&str] = &["optimize", "execute", "compare"];
 const POLICY: &[&str] = &["optimize", "compare"];
 const MODEL: &[&str] = &["serve", "optimize", "execute", "compare"];
+const WORKLOAD_FLAG: FlagRow = ("--workload", WORKLOAD, "workload.kind", Kind::Str);
 
 /// Every flag of every subcommand — the one table both flag validation
 /// ([`parse_flags`]) and line building ([`request_line`]) read.
 const FLAGS: &[FlagRow] = &[
-    ("--workload", WORKLOAD, "workload.kind", Kind::Str),
+    WORKLOAD_FLAG,
     ("--scale", WORKLOAD, "workload.scale", Kind::Num),
     ("--ops", WORKLOAD, "workload.ops", Kind::Num),
     ("--dag-seed", WORKLOAD, "workload.seed", Kind::Num),
@@ -196,62 +198,60 @@ fn deployment<'a>(flags: &[Flag<'a>], name: &str) -> Option<&'a str> {
         .map(|&(_, value)| value)
 }
 
-/// `raw` as a JSON token of `kind`.
-fn json_value(flag: &str, kind: Kind, raw: &str) -> Result<String, String> {
-    let quoted = |text: &str| {
-        let mut s = String::from("\"");
-        escape_into(&mut s, text);
-        s.push('"');
-        s
-    };
+/// Write `raw` as a JSON value of `kind`.
+fn json_value(w: &mut Writer, flag: &str, kind: Kind, raw: &str) -> Result<(), String> {
     match kind {
         Kind::Num => match (raw.parse::<u64>(), raw.parse::<f64>()) {
-            (Ok(n), _) => Ok(n.to_string()),
-            (_, Ok(x)) if x.is_finite() => Ok(format!("{x:?}")),
-            _ => Err(format!("flag {flag} has invalid value {raw:?}")),
+            (Ok(n), _) => w.u64(n),
+            (_, Ok(x)) if x.is_finite() => w.f64(x),
+            _ => return Err(format!("flag {flag} has invalid value {raw:?}")),
         },
-        Kind::Str => Ok(quoted(raw)),
+        Kind::Str => w.str(raw),
         Kind::List => {
-            let items: Vec<String> = raw
-                .split(',')
-                .map(str::trim)
-                .filter(|item| !item.is_empty())
-                .map(quoted)
-                .collect();
-            Ok(format!("[{}]", items.join(",")))
+            let items = raw.split(',').map(str::trim);
+            w.arr(items.filter(|item| !item.is_empty()), |w, item| w.str(item))
         }
-        Kind::Off => Ok("false".to_string()),
+        Kind::Off => w.bool(false),
     }
+    Ok(())
 }
 
 /// The request line `robopt <verb> <flags>` stands for: each flag's value
-/// at its row's path, plus the one thing the wire requires that the
-/// command line lets you omit — the workload kind (default `wordcount`).
+/// at its row's path — the request's own members first, then one nested
+/// object per path prefix in first-use order — plus the one thing the wire
+/// requires that the command line lets you omit: the workload kind, as if
+/// `--workload wordcount` led the flags.
 fn request_line(verb: &str, flags: &[Flag<'_>]) -> Result<String, String> {
-    // Members per JSON object; "" is the request object itself.
-    let mut objects = vec![("", vec![format!("\"op\":\"{verb}\"")])];
-    if WORKLOAD.contains(&verb) && !flags.iter().any(|(row, _)| row.0 == "--workload") {
-        objects.push(("workload", vec!["\"kind\":\"wordcount\"".to_string()]));
-    }
-    for &(&(flag, _, path, kind), raw) in flags {
+    let given = flags.iter().any(|(row, _)| row.0 == WORKLOAD_FLAG.0);
+    let implied = (WORKLOAD.contains(&verb) && !given).then_some((&WORKLOAD_FLAG, "wordcount"));
+    // `(key, flag, kind, value)` members per object; "" is the request itself.
+    let mut objects = vec![("", Vec::new())];
+    for &(&(flag, _, path, kind), raw) in implied.iter().chain(flags) {
         if path.is_empty() {
             continue;
         }
         let (object, key) = path.split_once('.').unwrap_or(("", path));
-        let member = format!("\"{key}\":{}", json_value(flag, kind, raw)?);
         match objects.iter_mut().find(|(name, _)| *name == object) {
-            Some((_, members)) => members.push(member),
-            None => objects.push((object, vec![member])),
+            Some((_, members)) => members.push((key, flag, kind, raw)),
+            None => objects.push((object, vec![(key, flag, kind, raw)])),
         }
     }
-    let rendered: Vec<String> = objects
-        .iter()
-        .map(|(name, members)| match *name {
-            "" => members.join(","),
-            name => format!("\"{name}\":{{{}}}", members.join(",")),
+    let mut w = Writer::default();
+    w.obj(|w| {
+        w.key("op").str(verb);
+        objects.iter().try_for_each(|(object, members)| {
+            let write = |w: &mut Writer| {
+                let mut members = members.iter();
+                members
+                    .try_for_each(|&(key, flag, kind, raw)| json_value(w.key(key), flag, kind, raw))
+            };
+            match *object {
+                "" => write(w),
+                object => w.key(object).obj(write),
+            }
         })
-        .collect();
-    Ok(format!("{{{}}}", rendered.join(",")))
+    })?;
+    Ok(w.finish())
 }
 
 /// Build the facade from the deployment flags: `--model`,
@@ -399,7 +399,12 @@ fn dispatch(opt: &mut Optimizer, req: &Request) -> Response {
 }
 
 fn quit_ack() -> String {
-    "{\"ok\":true,\"kind\":\"quit\"}".to_string()
+    let mut w = Writer::default();
+    w.obj(|w| {
+        w.key("ok").bool(true);
+        w.key("kind").str("quit");
+    });
+    w.finish()
 }
 
 fn usage_error(msg: &str) -> i32 {
@@ -476,36 +481,38 @@ mod tests {
     /// decodes, or reaches the facade — and USAGE mentions it.
     #[test]
     fn every_flag_row_reaches_the_request_and_the_usage_text() {
-        // (flag, a non-default value, the flags that make it matter)
-        const SAMPLES: &[(&str, &str, &[&str])] = &[
-            ("--workload", "tpch_q3", &[]),
-            ("--scale", "3e3", &[]),
-            ("--ops", "9", &["--workload", "pipeline"]),
-            ("--dag-seed", "5", &["--workload", "random_dag"]),
-            ("--density", "0.7", &["--workload", "random_dag"]),
-            ("--iterations", "3", &["--workload", "pagerank"]),
-            ("--workers", "3", &[]),
-            ("--split-parts", "2", &[]),
-            ("--no-prune", "", &[]),
-            ("--no-clamp", "", &[]),
-            ("--risk", "q0.9", &[]),
-            ("--backend", "simulator", &[]),
-            ("--engine-workers", "3", &[]),
-            ("--assign", "java,spark", &[]),
-            ("--seed", "7", &["--backend", "simulator"]),
-            ("--noise", "0.25", &["--backend", "simulator"]),
-            ("--sim-seed", "7", &[]),
-            ("--rows", "64", &[]),
-            ("--trees", "4", &[]),
-            ("--source", "tdgen", &[]),
-            ("--forest-seed", "9", &[]),
+        // (flag, a non-default value, the flags that make it matter, the
+        // request line PR 18 built for the first verb that takes the flag)
+        #[rustfmt::skip]
+        const SAMPLES: &[(&str, &str, &[&str], &str)] = &[
+            ("--workload", "tpch_q3", &[], r#"{"op":"optimize","workload":{"kind":"tpch_q3"}}"#),
+            ("--scale", "3e3", &[], r#"{"op":"optimize","workload":{"kind":"wordcount","scale":3000.0}}"#),
+            ("--ops", "9", &["--workload", "pipeline"], r#"{"op":"optimize","workload":{"kind":"pipeline","ops":9}}"#),
+            ("--dag-seed", "5", &["--workload", "random_dag"], r#"{"op":"optimize","workload":{"kind":"random_dag","seed":5}}"#),
+            ("--density", "0.7", &["--workload", "random_dag"], r#"{"op":"optimize","workload":{"kind":"random_dag","density":0.7}}"#),
+            ("--iterations", "3", &["--workload", "pagerank"], r#"{"op":"optimize","workload":{"kind":"pagerank","iterations":3}}"#),
+            ("--workers", "3", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"workers":3}}"#),
+            ("--split-parts", "2", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"split_parts":2}}"#),
+            ("--no-prune", "", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"prune":false}}"#),
+            ("--no-clamp", "", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"hardware_clamp":false}}"#),
+            ("--risk", "q0.9", &[], r#"{"op":"optimize","risk":"q0.9","workload":{"kind":"wordcount"}}"#),
+            ("--backend", "simulator", &[], r#"{"op":"execute","backend":"simulator","workload":{"kind":"wordcount"}}"#),
+            ("--engine-workers", "3", &[], r#"{"op":"execute","workers":3,"workload":{"kind":"wordcount"}}"#),
+            ("--assign", "java,spark", &[], r#"{"op":"execute","assignments":["java","spark"],"workload":{"kind":"wordcount"}}"#),
+            ("--seed", "7", &["--backend", "simulator"], r#"{"op":"execute","backend":"simulator","seed":7,"workload":{"kind":"wordcount"}}"#),
+            ("--noise", "0.25", &["--backend", "simulator"], r#"{"op":"execute","backend":"simulator","noise":0.25,"workload":{"kind":"wordcount"}}"#),
+            ("--sim-seed", "7", &[], r#"{"op":"compare","sim_seed":7,"workload":{"kind":"wordcount"}}"#),
+            ("--rows", "64", &[], r#"{"op":"train","rows":64}"#),
+            ("--trees", "4", &[], r#"{"op":"train","n_trees":4}"#),
+            ("--source", "tdgen", &[], r#"{"op":"train","source":"tdgen"}"#),
+            ("--forest-seed", "9", &[], r#"{"op":"train","forest_seed":9}"#),
         ];
         for &(flag, verbs, path, kind) in FLAGS {
             assert!(USAGE.contains(flag), "USAGE omits {flag}");
             if path.is_empty() {
                 continue;
             }
-            let &(_, value, context) = SAMPLES
+            let &(_, value, context, line) = SAMPLES
                 .iter()
                 .find(|(sample, ..)| *sample == flag)
                 .unwrap_or_else(|| panic!("no sample value for {flag}"));
@@ -520,8 +527,28 @@ mod tests {
                 let bare = request(verb, context).expect("context alone is valid");
                 let set = request(verb, &with).expect("sample value is valid");
                 assert_ne!(bare, set, "{verb} {flag} is a dead flag");
+                if *verb == verbs[0] {
+                    let with = args(&with);
+                    let flags = parse_flags(verb, &with).expect("sample flags");
+                    assert_eq!(request_line(verb, &flags).as_deref(), Ok(line));
+                }
             }
         }
+        // Members keep flag order inside first-use object order, after the
+        // request's own; integers stay verbatim, other numbers shortest
+        // round-trip; a list drops blanks; no flags is the bare verb.
+        #[rustfmt::skip]
+        let lines = [
+            ("optimize", "--risk|sigma2|--scale|1e5|--no-prune|--workload|pipeline|--ops|24|--workers|2", r#"{"op":"optimize","risk":"sigma2","workload":{"scale":100000.0,"kind":"pipeline","ops":24},"policy":{"prune":false,"workers":2}}"#),
+            ("execute", "--assign| java , ,spark,|--scale|18446744073709551616|--seed|18446744073709551615", r#"{"op":"execute","assignments":["java","spark"],"seed":18446744073709551615,"workload":{"kind":"wordcount","scale":1.8446744073709552e19}}"#),
+            ("train", "", r#"{"op":"train"}"#),
+        ];
+        for (verb, flags, line) in lines {
+            let flags: Vec<String> = flags.split_terminator('|').map(str::to_string).collect();
+            let flags = parse_flags(verb, &flags).expect("golden flags");
+            assert_eq!(request_line(verb, &flags).as_deref(), Ok(line));
+        }
+        assert_eq!(quit_ack(), r#"{"ok":true,"kind":"quit"}"#);
         // Every op the wire accepts is documented, and only those.
         for op in [
             "optimize", "execute", "compare", "train", "stats", "quit", "simulate",

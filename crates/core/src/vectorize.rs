@@ -1,14 +1,16 @@
 //! `vectorize` and `unvectorize` (paper Section IV-C).
 //!
-//! Three encoders share one definition of the Fig-5 cells:
+//! The Fig-5 cells have one definition each — [`add_operator_cells`] for
+//! an operator on its platform, [`add_conversion_features`] for the
+//! data-movement cells of a dataflow edge whose endpoint platforms differ —
+//! and every encoder is built from the two:
 //!
 //! * [`fill_singleton`] — one operator on one platform (the enumeration
 //!   seeds);
 //! * [`vectorize_assignment`] — a whole plan under a full assignment (used
 //!   by the exhaustive baseline and the property tests);
-//! * [`add_conversion_features`] — the data-movement cells added when a
-//!   merge joins two scopes across dataflow edges whose endpoint platforms
-//!   differ.
+//! * the object-graph strawman's plan-to-vector walk
+//!   (`robopt_baselines::rheem_ml`).
 //!
 //! The incremental path (singletons + merges + conversion additions) and the
 //! whole-plan path produce identical vectors; a property test asserts this
@@ -60,6 +62,33 @@ impl ExecutionPlan {
     }
 }
 
+/// Add operator `op` running on `platform` to `feats`: counts and tuple
+/// totals accumulate, the two maxima widen. The one definition of the
+/// per-operator Fig-5 cells.
+#[inline]
+pub fn add_operator_cells(
+    plan: &LogicalPlan,
+    layout: &FeatureLayout,
+    op: u32,
+    platform: u8,
+    feats: &mut [f64],
+) {
+    let i = op as usize;
+    let kind = plan.op(op).kind.index();
+    let in_t = plan.in_tuples()[i];
+    let out_t = plan.out_card()[i];
+    feats[FeatureLayout::OP_COUNT] += 1.0;
+    feats[FeatureLayout::JUNCTURE_COUNT] += f64::from(u8::from(plan.is_juncture(op)));
+    feats[FeatureLayout::MAX_OUT_CARD] = feats[FeatureLayout::MAX_OUT_CARD].max(out_t);
+    feats[FeatureLayout::MAX_TUPLE_WIDTH] =
+        feats[FeatureLayout::MAX_TUPLE_WIDTH].max(plan.op(op).tuple_width);
+    feats[layout.kind_count(kind)] += 1.0;
+    feats[layout.kind_in_tuples(kind)] += in_t;
+    feats[layout.kind_out_tuples(kind)] += out_t;
+    feats[layout.kind_platform_count(kind, platform as usize)] += 1.0;
+    feats[layout.platform_input_tuples(platform as usize)] += in_t;
+}
+
 /// Encode a single operator running on `platform` into `feats`
 /// (which must be zeroed, `layout.width` long).
 pub fn fill_singleton(
@@ -70,19 +99,7 @@ pub fn fill_singleton(
     feats: &mut [f64],
 ) {
     debug_assert_eq!(feats.len(), layout.width);
-    let i = op as usize;
-    let kind = plan.op(op).kind.index();
-    let in_t = plan.in_tuples()[i];
-    let out_t = plan.out_card()[i];
-    feats[FeatureLayout::OP_COUNT] = 1.0;
-    feats[FeatureLayout::JUNCTURE_COUNT] = f64::from(u8::from(plan.is_juncture(op)));
-    feats[FeatureLayout::MAX_OUT_CARD] = out_t;
-    feats[FeatureLayout::MAX_TUPLE_WIDTH] = plan.op(op).tuple_width;
-    feats[layout.kind_count(kind)] = 1.0;
-    feats[layout.kind_in_tuples(kind)] = in_t;
-    feats[layout.kind_out_tuples(kind)] = out_t;
-    feats[layout.kind_platform_count(kind, platform as usize)] = 1.0;
-    feats[layout.platform_input_tuples(platform as usize)] = in_t;
+    add_operator_cells(plan, layout, op, platform, feats);
 }
 
 /// Add the conversion features of one dataflow edge `(u, v)` whose endpoint
@@ -117,21 +134,8 @@ pub fn vectorize_assignment(
     feats.clear();
     feats.resize(layout.width, 0.0);
     for op in 0..plan.n_ops() as u32 {
-        let i = op as usize;
-        debug_assert!(assign[i] != NO_PLATFORM);
-        let kind = plan.op(op).kind.index();
-        let in_t = plan.in_tuples()[i];
-        let out_t = plan.out_card()[i];
-        feats[FeatureLayout::OP_COUNT] += 1.0;
-        feats[FeatureLayout::JUNCTURE_COUNT] += f64::from(u8::from(plan.is_juncture(op)));
-        feats[FeatureLayout::MAX_OUT_CARD] = feats[FeatureLayout::MAX_OUT_CARD].max(out_t);
-        feats[FeatureLayout::MAX_TUPLE_WIDTH] =
-            feats[FeatureLayout::MAX_TUPLE_WIDTH].max(plan.op(op).tuple_width);
-        feats[layout.kind_count(kind)] += 1.0;
-        feats[layout.kind_in_tuples(kind)] += in_t;
-        feats[layout.kind_out_tuples(kind)] += out_t;
-        feats[layout.kind_platform_count(kind, assign[i] as usize)] += 1.0;
-        feats[layout.platform_input_tuples(assign[i] as usize)] += in_t;
+        debug_assert!(assign[op as usize] != NO_PLATFORM);
+        add_operator_cells(plan, layout, op, assign[op as usize], feats);
     }
     for &(u, v) in plan.edges() {
         add_conversion_features(

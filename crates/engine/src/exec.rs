@@ -34,7 +34,7 @@
 use std::borrow::Cow;
 
 use robopt_plan::{rng::mix64, LogicalPlan, OperatorKind};
-use robopt_platforms::simulator::C_FIXED;
+use robopt_platforms::simulator::{C_FIXED, LOOP_SYNC_FACTOR};
 use robopt_platforms::{
     ExecutionBackend, ExecutionReport, OperatorReport, PlatformId, PlatformRegistry,
 };
@@ -54,10 +54,6 @@ pub const DEFAULT_MAX_SOURCE_ROWS: u64 = 200_000;
 /// to stay commensurate with single-node measured compute while still
 /// dominating the platform ranking.
 pub const OVERHEAD_SCALE: f64 = 0.02;
-
-/// Per-iteration loop-synchronization surcharge on a `RepeatLoop`'s fixed
-/// cost (matches the simulator's iterate term).
-const LOOP_SYNC_FACTOR: f64 = 0.25;
 
 /// Caps keeping pair-producing operators polynomial: per-key join fanout
 /// and per-side cartesian fanout.
@@ -172,23 +168,8 @@ impl<'a> Engine<'a> {
             return infeasible();
         }
         // Feasibility first: operator availability and conversion paths.
-        for op in 0..n as u32 {
-            let p = match assignments.get(op as usize) {
-                Some(p) => *p,
-                None => return infeasible(),
-            };
-            if !self.registry.is_available(plan.op(op).kind, p) {
-                return infeasible();
-            }
-        }
-        for &(u, v) in plan.edges() {
-            let (pu, pv) = match (assignments.get(u as usize), assignments.get(v as usize)) {
-                (Some(a), Some(b)) => (*a, *b),
-                _ => return infeasible(),
-            };
-            if pu != pv && !self.registry.convertible(pu, pv) {
-                return infeasible();
-            }
+        if !self.registry.feasible(plan, |i| assignments[i]) {
+            return infeasible();
         }
 
         // Execute in topological order, measuring wall time per operator.
@@ -202,10 +183,7 @@ impl<'a> Engine<'a> {
         let mut rows = vec![0u64; n];
         for op in plan.topo_order() {
             let i = op as usize;
-            let p = assignments
-                .get(i)
-                .copied()
-                .unwrap_or(PlatformId::from_index(0));
+            let p = assignments[i];
             let w = self.op_workers(p);
             let started = clock_now();
             let out = self.run_op(plan, op, &mut buffers, w);
@@ -220,10 +198,7 @@ impl<'a> Engine<'a> {
         let mut used_mask = 0u8;
         for op in 0..n as u32 {
             let i = op as usize;
-            let p = assignments
-                .get(i)
-                .copied()
-                .unwrap_or(PlatformId::from_index(0));
+            let p = assignments[i];
             used_mask |= 1u8 << p.index();
             let o = plan.op(op);
             let loop_fixed = if o.kind == OperatorKind::RepeatLoop && o.iterations >= 1 {
@@ -242,10 +217,7 @@ impl<'a> Engine<'a> {
             }
         }
         for &(u, v) in plan.edges() {
-            let (pu, pv) = match (assignments.get(u as usize), assignments.get(v as usize)) {
-                (Some(a), Some(b)) => (*a, *b),
-                _ => continue,
-            };
+            let (pu, pv) = (assignments[u as usize], assignments[v as usize]);
             if pu != pv {
                 let c = self
                     .registry
@@ -259,8 +231,7 @@ impl<'a> Engine<'a> {
         let compute: f64 = measured.iter().sum();
         let per_op: Vec<OperatorReport> = (0..n)
             .map(|i| OperatorReport {
-                seconds: measured.get(i).copied().unwrap_or(0.0)
-                    + per_op_overhead.get(i).copied().unwrap_or(0.0),
+                seconds: measured[i] + per_op_overhead[i],
                 output_rows: rows[i],
             })
             .collect();

@@ -278,6 +278,13 @@ mod tests {
         }
         .build()
         .is_ok());
+        assert!(WorkloadSpec::RandomDag {
+            seed: 7,
+            ops: 24,
+            density: 0.3,
+        }
+        .build()
+        .is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! resolves platforms against the same registry instead of assuming dense
 //! ids `0..k`.
 
-use robopt_plan::{OperatorKind, N_OPERATOR_KINDS};
+use robopt_plan::{LogicalPlan, OperatorKind, N_OPERATOR_KINDS};
 
 use crate::availability::AvailabilityMatrix;
 use crate::channels::{ConversionGraph, ConversionPath};
@@ -364,6 +364,18 @@ impl PlatformRegistry {
     pub fn conversion_cost(&self, from: PlatformId, to: PlatformId, tuples: f64) -> f64 {
         self.conversions.cost(from, to, tuples)
     }
+
+    /// Is `plan` executable with operator `i` placed on `platform_of(i)`?
+    /// Every operator must be available on its platform and every dataflow
+    /// edge that crosses platforms convertible.
+    pub fn feasible(&self, plan: &LogicalPlan, platform_of: impl Fn(usize) -> PlatformId) -> bool {
+        let available = |op: u32| self.is_available(plan.op(op).kind, platform_of(op as usize));
+        (0..plan.n_ops() as u32).all(available)
+            && plan.edges().iter().all(|&(u, v)| {
+                let (pu, pv) = (platform_of(u as usize), platform_of(v as usize));
+                pu == pv || self.convertible(pu, pv)
+            })
+    }
 }
 
 /// Incremental [`PlatformRegistry`] construction.
@@ -524,6 +536,29 @@ mod tests {
         assert!(reg.is_available(OperatorKind::Join, postgres));
         assert!(!reg.is_available(OperatorKind::TextFileSource, postgres));
         assert!(!reg.is_available(OperatorKind::LocalCallbackSink, postgres));
+    }
+
+    #[test]
+    fn feasible_needs_every_operator_available_and_every_crossing_convertible() {
+        use robopt_plan::workloads::wordcount;
+        let mut b = PlatformRegistry::builder();
+        let (a, c, island) = (
+            b.add(Platform::new("a")),
+            b.add(Platform::new("c")),
+            b.add(Platform::new("island")),
+        );
+        b.connect_directed(a, c, 1.0, 0.0);
+        b.forbid(c, OperatorKind::ReduceByKey);
+        let reg = b.build();
+        let plan = wordcount(1e3);
+        let sink = plan.n_ops() - 1;
+        // One platform crosses no edge: only availability decides.
+        assert!(reg.feasible(&plan, |_| a) && reg.feasible(&plan, |_| island));
+        assert!(!reg.feasible(&plan, |_| c), "c cannot reduce");
+        // a -> c has a channel, c -> a and anything via the island do not.
+        assert!(reg.feasible(&plan, |i| if i == sink { c } else { a }));
+        assert!(!reg.feasible(&plan, |i| if i == 0 { c } else { a }));
+        assert!(!reg.feasible(&plan, |i| if i == sink { island } else { a }));
     }
 
     #[test]

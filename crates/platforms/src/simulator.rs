@@ -41,6 +41,10 @@ use crate::registry::{PlatformId, PlatformRegistry};
 /// the same calibration so simulator and engine rank assignments alike.
 pub const C_FIXED: f64 = 0.05;
 
+/// Per-iteration loop-synchronization surcharge on a `RepeatLoop`'s fixed
+/// cost; public for the same reason as [`C_FIXED`].
+pub const LOOP_SYNC_FACTOR: f64 = 0.25;
+
 /// Spill multiplier once an operator's working set exceeds platform memory.
 const SPILL_FACTOR: f64 = 4.0;
 
@@ -212,7 +216,7 @@ impl<'a> RuntimeSimulator<'a> {
             // plans keep bit-identical estimates.
             let iters = plan.op(op).iterations;
             let (loop_work, loop_fixed) = if kind == OperatorKind::RepeatLoop && iters >= 1 {
-                (f64::from(iters), 1.0 + 0.25 * f64::from(iters))
+                (f64::from(iters), 1.0 + LOOP_SYNC_FACTOR * f64::from(iters))
             } else {
                 (1.0, 1.0)
             };

@@ -550,36 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_specs_validate_before_building() {
-        assert!(WorkloadSpec::WordCount { scale: 1e7 }.build().is_ok());
-        assert!(WorkloadSpec::WordCount { scale: 0.0 }.build().is_err());
-        assert!(WorkloadSpec::WordCount { scale: f64::NAN }.build().is_err());
-        assert!(WorkloadSpec::Pipeline { ops: 1, scale: 1e5 }
-            .build()
-            .is_err());
-        assert!(WorkloadSpec::Pipeline {
-            ops: 999,
-            scale: 1e5
-        }
-        .build()
-        .is_err());
-        assert!(WorkloadSpec::RandomDag {
-            seed: 7,
-            ops: 24,
-            density: 1.5
-        }
-        .build()
-        .is_err());
-        assert!(WorkloadSpec::RandomDag {
-            seed: 7,
-            ops: 24,
-            density: 0.3
-        }
-        .build()
-        .is_ok());
-    }
-
-    #[test]
     fn optimize_response_equality_is_bitwise_on_cost() {
         let mk = |cost: f64, std: f64| OptimizeResponse {
             workload: "w".to_string(),

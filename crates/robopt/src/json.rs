@@ -1,4 +1,5 @@
-//! Minimal hand-rolled JSON for the wire protocol and model persistence.
+//! Minimal JSON for the wire protocol, model persistence and the
+//! experiment artifacts: one parser, one [`Writer`].
 //!
 //! The workspace is dependency-free by construction, so this is the whole
 //! stack: a recursive-descent parser with a hard depth cap (panic-free on
@@ -6,7 +7,11 @@
 //! numbers are kept as **raw source text** ([`JsonValue::Num`]). Parsing a
 //! number into `f64` or `u64` happens at the accessor, so `u64` bit
 //! patterns round-trip exactly — the property `persist` relies on to make
-//! a reloaded forest bit-identical.
+//! a reloaded forest bit-identical. [`Writer`] is the inverse: every JSON
+//! text the workspace emits is written through it, so commas, quoting and
+//! escaping are decided in one place.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Object fields keep their source order (rendering
 /// is deterministic) and duplicate keys resolve to the first occurrence.
@@ -119,33 +124,106 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 }
 
 /// Append `s` to `out` with JSON string escaping (no surrounding quotes).
+/// Everything escaped is ASCII, so the scan is over bytes and the stretches
+/// between escapes are copied whole.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        out.push_str(escape);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
         }
+        copied = i + 1;
     }
+    out.push_str(&s[copied..]);
 }
 
-/// Append `items` to `out` as a JSON array, rendering each element with
-/// `push`.
-pub(crate) fn push_array<T>(out: &mut String, items: &[T], push: impl Fn(&mut String, &T)) {
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push(out, item);
+/// Compact JSON writer into one `String`: the inverse of [`parse`]. It
+/// places the commas; keys and strings go through [`escape_into`]; a finite
+/// `f64` is its shortest-round-trip `{:?}` text (which [`parse`] reads back
+/// to the same bits) and a non-finite one is `null`.
+#[derive(Debug, Default)]
+pub struct Writer(String);
+
+impl Writer {
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.0
     }
-    out.push(']');
+
+    /// Start a key or a value: a comma first, unless it opens its container
+    /// or follows its key. The document's first byte reserves a reply
+    /// line's worth, so rendering one never regrows the buffer.
+    fn begin(&mut self) -> &mut String {
+        match self.0.as_bytes().last() {
+            None => self.0.reserve(512),
+            Some(b'{' | b'[' | b':') => {}
+            Some(_) => self.0.push(','),
+        }
+        &mut self.0
+    }
+
+    /// An object key; the member's value is the next thing written.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.str(key);
+        self.0.push(':');
+        self
+    }
+
+    /// A string value.
+    pub fn str(&mut self, text: &str) {
+        self.begin().push('"');
+        escape_into(&mut self.0, text);
+        self.0.push('"');
+    }
+
+    /// An integer value, verbatim (64-bit patterns survive).
+    pub fn u64(&mut self, v: u64) {
+        let _ = write!(self.begin(), "{v}");
+    }
+
+    /// A float value: shortest round-trip text, `null` when non-finite.
+    pub fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            let _ = write!(self.begin(), "{v:?}");
+        } else {
+            self.begin().push_str("null");
+        }
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.begin().push_str(if v { "true" } else { "false" });
+    }
+
+    /// An object whose members `body` writes; returns what `body` returns.
+    pub fn obj<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> R {
+        self.begin().push('{');
+        let result = body(self);
+        self.0.push('}');
+        result
+    }
+
+    /// An array with one element per item, each written by `element`.
+    pub fn arr<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut element: impl FnMut(&mut Self, T),
+    ) {
+        self.begin().push('[');
+        items.into_iter().for_each(|item| element(self, item));
+        self.0.push(']');
+    }
 }
 
 struct Parser<'a> {
@@ -372,6 +450,7 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use robopt_plan::SplitMix64;
 
     #[test]
     fn parses_the_usual_shapes() {
@@ -422,12 +501,109 @@ mod tests {
         assert!(parse(&bomb).is_err());
     }
 
+    fn random_string(rng: &mut SplitMix64) -> String {
+        const ALPHABET: [char; 16] = [
+            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', 'π',
+            '日', '😀',
+        ];
+        let len = rng.gen_range(9);
+        (0..len)
+            .map(|_| ALPHABET[rng.gen_range(ALPHABET.len())])
+            .collect()
+    }
+
+    /// Write one random value and return what [`parse`] must read back.
+    fn write_random(rng: &mut SplitMix64, w: &mut Writer, depth: usize) -> JsonValue {
+        const FLOATS: [f64; 12] = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.1 + 0.2,
+            1e21,
+            1.5e-7,
+        ];
+        // Containers only above a floor, so documents stay finite.
+        match rng.gen_range(if depth < 5 { 8 } else { 6 }) {
+            0 => {
+                let b = rng.gen_range(2) == 1;
+                w.bool(b);
+                JsonValue::Bool(b)
+            }
+            1 | 2 => {
+                let n = [0, 1, u64::MAX, rng.next_u64()][rng.gen_range(4)];
+                w.u64(n);
+                let read = JsonValue::Num(n.to_string());
+                assert_eq!(read.as_u64(), Some(n));
+                read
+            }
+            3 | 4 => {
+                let x =
+                    [FLOATS[rng.gen_range(12)], f64::from_bits(rng.next_u64())][rng.gen_range(2)];
+                w.f64(x);
+                if !x.is_finite() {
+                    return JsonValue::Null;
+                }
+                // The text `parse` keeps must decode to the same bits.
+                let read = JsonValue::Num(format!("{x:?}"));
+                assert_eq!(read.as_f64().map(f64::to_bits), Some(x.to_bits()));
+                read
+            }
+            5 => {
+                let s = random_string(rng);
+                w.str(&s);
+                JsonValue::Str(s)
+            }
+            6 => {
+                let mut items = Vec::new();
+                w.arr(0..rng.gen_range(5), |w, _| {
+                    items.push(write_random(rng, w, depth + 1));
+                });
+                JsonValue::Arr(items)
+            }
+            _ => JsonValue::Obj(w.obj(|w| {
+                let fields = (0..rng.gen_range(5)).map(|_| {
+                    let key = random_string(rng);
+                    let value = write_random(rng, w.key(&key), depth + 1);
+                    (key, value)
+                });
+                fields.collect()
+            })),
+        }
+    }
+
+    /// `depth` containers, arrays and objects by turns, around an empty array.
+    fn write_nest(w: &mut Writer, depth: usize) -> JsonValue {
+        if depth.is_multiple_of(2) {
+            let mut inner = Vec::new();
+            w.arr(0..depth.min(1), |w, _| inner.push(write_nest(w, depth - 1)));
+            JsonValue::Arr(inner)
+        } else {
+            JsonValue::Obj(w.obj(|w| vec![(String::new(), write_nest(w.key(""), depth - 1))]))
+        }
+    }
+
     #[test]
-    fn escape_round_trips_through_parse() {
-        let nasty = "a\"b\\c\nd\te\u{1}f — π";
-        let mut s = String::from("\"");
-        escape_into(&mut s, nasty);
-        s.push('"');
-        assert_eq!(parse(&s).unwrap().as_str(), Some(nasty));
+    fn written_documents_read_back_value_for_value() {
+        let read_back = |write: &mut dyn FnMut(&mut Writer) -> JsonValue| {
+            let mut w = Writer::default();
+            let wrote = write(&mut w);
+            let text = w.finish();
+            assert_eq!(parse(&text), Ok(wrote), "{text}");
+        };
+        let mut rng = SplitMix64::new(0x0019_d0c5);
+        for _ in 0..400 {
+            read_back(&mut |w| write_random(&mut rng, w, 0));
+        }
+        // The corners by hand: empty containers, and a nest as deep as the
+        // parser admits (root at depth 0, innermost at `MAX_DEPTH`).
+        read_back(&mut |w| write_nest(w, 0));
+        read_back(&mut |w| JsonValue::Obj(w.obj(|_| Vec::new())));
+        read_back(&mut |w| write_nest(w, MAX_DEPTH));
     }
 }

@@ -15,12 +15,13 @@
 //!   and the plan-signature cache;
 //! * [`cache`] — [`PlanCache`], deterministic open-addressed plan-signature
 //!   memoization with benefit-weighted eviction and hit/miss counters;
-//! * [`json`] — a dependency-free JSON value/parser pair for the wire
-//!   protocol and model persistence (numbers kept as raw text so `u64` bit
-//!   patterns survive exactly);
-//! * [`persist`] — hand-rendered JSON round-trip for the random forest
-//!   (`f64`s stored as bit-pattern integers: save → load → `predict_batch`
-//!   is bit-identical);
+//! * [`json`] — the dependency-free JSON parser and [`json::Writer`] every
+//!   JSON text of the workspace goes through: wire lines, model files,
+//!   experiment artifacts (numbers kept as raw text so `u64` bit patterns
+//!   survive exactly);
+//! * [`persist`] — JSON round-trip for the random forest (`f64`s stored as
+//!   bit-pattern integers: save → load → `predict_batch` is
+//!   bit-identical);
 //! * [`wire`] — line-delimited request parsing and response rendering for
 //!   `robopt serve` and the one-shot CLI subcommands.
 //!

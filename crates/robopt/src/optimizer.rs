@@ -491,8 +491,7 @@ fn single_platform_plan(
     backend: &dyn ExecutionBackend,
 ) -> SinglePlatformPlan {
     let name = registry.platform(id).name.clone();
-    let feasible = (0..plan.n_ops() as u32).all(|op| registry.is_available(plan.op(op).kind, id));
-    if !feasible {
+    if !registry.feasible(plan, |_| id) {
         return SinglePlatformPlan {
             platform: name,
             cost: None,

@@ -1,4 +1,5 @@
-//! Forest persistence: hand-rendered JSON round-trip (DESIGN §10).
+//! Forest persistence: a JSON round-trip through [`crate::json`]'s writer
+//! and parser (DESIGN §10).
 //!
 //! Every `f64` (split thresholds, leaf values) is stored as its `u64` bit
 //! pattern rendered as a JSON integer, and [`crate::json`] keeps numbers as
@@ -19,7 +20,7 @@
 use robopt_ml::tree::ModelImportError;
 use robopt_ml::{Model, RandomForest, RegressionTree};
 
-use crate::json::{self, push_array, JsonValue};
+use crate::json::{self, JsonValue, Writer};
 
 /// Format tag stamped into every saved model.
 pub const FOREST_FORMAT: &str = "robopt-forest-v1";
@@ -61,35 +62,25 @@ impl From<ModelImportError> for PersistError {
 
 /// Render a fitted forest as a self-describing JSON document.
 pub fn forest_to_json(forest: &RandomForest) -> String {
-    let push_u32 = |out: &mut String, x: &u32| out.push_str(&x.to_string());
-    let push_bits = |out: &mut String, x: &f64| out.push_str(&x.to_bits().to_string());
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"format\":\"");
-    out.push_str(FOREST_FORMAT);
-    out.push_str("\",\"width\":");
-    out.push_str(&forest.width().to_string());
-    out.push_str(",\"n_trees\":");
-    out.push_str(&forest.n_trees().to_string());
-    out.push_str(",\"trees\":[");
-    for (t, tree) in forest.trees().iter().enumerate() {
-        if t > 0 {
-            out.push(',');
-        }
-        let (split_col, threshold, left, right, value) = tree.parts();
-        out.push_str("{\"split_col\":");
-        push_array(&mut out, &split_col, push_u32);
-        out.push_str(",\"threshold_bits\":");
-        push_array(&mut out, &threshold, push_bits);
-        out.push_str(",\"left\":");
-        push_array(&mut out, &left, push_u32);
-        out.push_str(",\"right\":");
-        push_array(&mut out, &right, push_u32);
-        out.push_str(",\"value_bits\":");
-        push_array(&mut out, &value, push_bits);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    let u32s = |w: &mut Writer, x: &u32| w.u64(u64::from(*x));
+    let bits = |w: &mut Writer, x: &f64| w.u64(x.to_bits());
+    let mut w = Writer::default();
+    w.obj(|w| {
+        w.key("format").str(FOREST_FORMAT);
+        w.key("width").u64(forest.width() as u64);
+        w.key("n_trees").u64(forest.n_trees() as u64);
+        w.key("trees").arr(forest.trees(), |w, tree| {
+            let (split_col, threshold, left, right, value) = tree.parts();
+            w.obj(|w| {
+                w.key("split_col").arr(&split_col, u32s);
+                w.key("threshold_bits").arr(&threshold, bits);
+                w.key("left").arr(&left, u32s);
+                w.key("right").arr(&right, u32s);
+                w.key("value_bits").arr(&value, bits);
+            });
+        });
+    });
+    w.finish()
 }
 
 /// Parse and validate a forest saved by [`forest_to_json`].
@@ -219,6 +210,16 @@ mod tests {
             forest_from_json(&bad),
             Err(PersistError::Model(_))
         ));
+    }
+
+    /// A stump and a lone leaf, as PR 18's hand-assembled renderer saved
+    /// them: loading and re-saving reproduces the file byte for byte.
+    #[test]
+    fn a_fixed_two_tree_forest_renders_its_golden_text() {
+        let golden = r#"{"format":"robopt-forest-v1","width":3,"n_trees":2,"trees":[{"split_col":[1,4294967295,4294967295],"threshold_bits":[4602678819172646912,0,0],"left":[1,0,0],"right":[2,0,0],"value_bits":[4600427019358961664,13831680355561635840,4611686018427387904]},{"split_col":[4294967295],"threshold_bits":[0],"left":[0],"right":[0],"value_bits":[4591870180066957722]}]}"#;
+        let forest = forest_from_json(golden).expect("golden forest loads");
+        assert_eq!(forest.predict(&[0.0, 0.75, 0.0]), (2.0 + 0.1) / 2.0);
+        assert_eq!(forest_to_json(&forest), golden);
     }
 
     #[test]

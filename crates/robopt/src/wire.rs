@@ -2,11 +2,12 @@
 //!
 //! One JSON object per line in, one per line out. Requests name a verb via
 //! `"op"`; responses always carry `"ok"` plus `"kind"` echoing the verb.
-//! Rendering is hand-rolled and deterministic: fields appear in struct
-//! declaration order, `f64`s use Rust's shortest-round-trip formatting
-//! (which `crate::json` parses back to the same bits), and `cost` is
-//! additionally mirrored as a `cost_bits` integer so bit-identity survives
-//! any JSON intermediary.
+//! Rendering goes through [`crate::json::Writer`] and is deterministic:
+//! fields appear in struct declaration order, `f64`s use Rust's
+//! shortest-round-trip formatting (which `crate::json` parses back to the
+//! same bits; non-finite values are `null`), and `cost` is additionally
+//! mirrored as a `cost_bits` integer so bit-identity survives any JSON
+//! intermediary.
 //!
 //! Every renderer destructures its response type without `..`, so a field
 //! added to the API without deciding how it is rendered does not compile
@@ -19,7 +20,7 @@ use crate::api::{
     ENGINE_WORKERS, SIM_SEED, TRAIN_NOISE, TRAIN_SEED,
 };
 use crate::cache::CacheStats;
-use crate::json::{self, escape_into, push_array, JsonValue};
+use crate::json::{self, JsonValue, Writer};
 use robopt_core::RiskPolicy;
 
 /// A parsed service request.
@@ -122,149 +123,122 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
 
 /// Render one response as a single JSON line (no trailing newline).
 pub fn render_response(resp: &Response) -> String {
-    match resp {
-        Response::Optimize(r) => {
-            let mut s = String::from("{\"ok\":true,\"kind\":\"optimize\",");
-            push_optimize_fields(&mut s, r);
-            s.push('}');
-            s
-        }
-        Response::Train(TrainResponse {
-            rows,
-            n_trees,
-            width,
-            train_mse,
-        }) => format!(
-            "{{\"ok\":true,\"kind\":\"train\",\"rows\":{},\"n_trees\":{},\"width\":{},\
-             \"train_mse\":{}}}",
-            rows,
-            n_trees,
-            width,
-            num(*train_mse)
-        ),
-        Response::Execute(ExecuteResponse {
-            workload,
-            backend,
-            assignments,
-            seconds,
-            compute_seconds,
-            overhead_seconds,
-            feasible,
-            measured,
-            output_rows,
-            output_digest,
-            op_seconds,
-            op_output_rows,
-        }) => {
-            let mut s = String::from("{\"ok\":true,\"kind\":\"execute\",\"workload\":");
-            push_str_value(&mut s, workload);
-            s.push_str(",\"backend\":");
-            push_str_value(&mut s, backend);
-            s.push_str(",\"assignments\":");
-            push_array(&mut s, assignments, |s, name| push_str_value(s, name));
-            s.push_str(&format!(
-                ",\"seconds\":{},\"compute_seconds\":{},\"overhead_seconds\":{},\
-                 \"feasible\":{},\"measured\":{},\"output_rows\":{},\"output_digest\":{}",
-                num(*seconds),
-                num(*compute_seconds),
-                num(*overhead_seconds),
+    let mut w = Writer::default();
+    w.obj(|w| {
+        w.key("ok").bool(!matches!(resp, Response::Error(_)));
+        match resp {
+            Response::Optimize(r) => {
+                w.key("kind").str("optimize");
+                optimize_fields(w, r);
+            }
+            Response::Train(TrainResponse {
+                rows,
+                n_trees,
+                width,
+                train_mse,
+            }) => {
+                w.key("kind").str("train");
+                w.key("rows").u64(*rows as u64);
+                w.key("n_trees").u64(*n_trees as u64);
+                w.key("width").u64(*width as u64);
+                w.key("train_mse").f64(*train_mse);
+            }
+            Response::Execute(ExecuteResponse {
+                workload,
+                backend,
+                assignments,
+                seconds,
+                compute_seconds,
+                overhead_seconds,
                 feasible,
                 measured,
                 output_rows,
-                output_digest
-            ));
-            s.push_str(",\"op_seconds\":");
-            push_array(&mut s, op_seconds, |s, x| s.push_str(&num(*x)));
-            s.push_str(",\"op_output_rows\":");
-            push_array(&mut s, op_output_rows, |s, x| s.push_str(&x.to_string()));
-            s.push('}');
-            s
-        }
-        Response::Compare(CompareResponse {
-            workload,
-            mixed,
-            mix,
-            mixed_sim_seconds,
-            singles,
-            best_single_cost,
-            mixed_wins,
-        }) => {
-            let mut s = String::from("{\"ok\":true,\"kind\":\"compare\",\"workload\":");
-            push_str_value(&mut s, workload);
-            s.push_str(",\"mixed\":{");
-            push_optimize_fields(&mut s, mixed);
-            s.push_str("},\"mix\":");
-            push_str_value(&mut s, mix);
-            s.push_str(&format!(
-                ",\"mixed_sim_seconds\":{}",
-                num(*mixed_sim_seconds)
-            ));
-            s.push_str(",\"singles\":[");
-            for (i, single) in singles.iter().enumerate() {
-                let SinglePlatformPlan {
-                    platform,
-                    cost,
-                    sim_seconds,
-                } = single;
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str("{\"platform\":");
-                push_str_value(&mut s, platform);
-                s.push_str(&format!(
-                    ",\"cost\":{},\"sim_seconds\":{}}}",
-                    opt_num(*cost),
-                    opt_num(*sim_seconds)
-                ));
+                output_digest,
+                op_seconds,
+                op_output_rows,
+            }) => {
+                w.key("kind").str("execute");
+                w.key("workload").str(workload);
+                w.key("backend").str(backend);
+                w.key("assignments").arr(assignments, |w, name| w.str(name));
+                w.key("seconds").f64(*seconds);
+                w.key("compute_seconds").f64(*compute_seconds);
+                w.key("overhead_seconds").f64(*overhead_seconds);
+                w.key("feasible").bool(*feasible);
+                w.key("measured").bool(*measured);
+                w.key("output_rows").u64(*output_rows);
+                w.key("output_digest").u64(*output_digest);
+                w.key("op_seconds").arr(op_seconds, |w, x| w.f64(*x));
+                w.key("op_output_rows")
+                    .arr(op_output_rows, |w, x| w.u64(*x));
             }
-            s.push_str(&format!(
-                "],\"best_single_cost\":{},\"mixed_wins\":{}}}",
-                opt_num(*best_single_cost),
-                mixed_wins
-            ));
-            s
-        }
-        Response::Stats(StatsResponse {
-            requests,
-            cache,
-            total_micros,
-        }) => {
-            let CacheStats {
-                hits,
-                misses,
-                evictions,
-                insertions,
-                len,
-                capacity,
-            } = cache;
-            format!(
-                "{{\"ok\":true,\"kind\":\"stats\",\"requests\":{},\"cache\":{{\
-                 \"hits\":{},\"misses\":{},\"evictions\":{},\"insertions\":{},\
-                 \"len\":{},\"capacity\":{},\"hit_rate\":{}}},\"total_micros\":{}}}",
+            Response::Compare(CompareResponse {
+                workload,
+                mixed,
+                mix,
+                mixed_sim_seconds,
+                singles,
+                best_single_cost,
+                mixed_wins,
+            }) => {
+                w.key("kind").str("compare");
+                w.key("workload").str(workload);
+                w.key("mixed").obj(|w| optimize_fields(w, mixed));
+                w.key("mix").str(mix);
+                w.key("mixed_sim_seconds").f64(*mixed_sim_seconds);
+                w.key("singles").arr(singles, |w, single| {
+                    let SinglePlatformPlan {
+                        platform,
+                        cost,
+                        sim_seconds,
+                    } = single;
+                    // An absent number renders like a non-finite one: `null`.
+                    w.obj(|w| {
+                        w.key("platform").str(platform);
+                        w.key("cost").f64(cost.unwrap_or(f64::NAN));
+                        w.key("sim_seconds").f64(sim_seconds.unwrap_or(f64::NAN));
+                    });
+                });
+                w.key("best_single_cost")
+                    .f64(best_single_cost.unwrap_or(f64::NAN));
+                w.key("mixed_wins").bool(*mixed_wins);
+            }
+            Response::Stats(StatsResponse {
                 requests,
-                hits,
-                misses,
-                evictions,
-                insertions,
-                len,
-                capacity,
-                num(cache.hit_rate()),
-                total_micros
-            )
+                cache,
+                total_micros,
+            }) => {
+                let CacheStats {
+                    hits,
+                    misses,
+                    evictions,
+                    insertions,
+                    len,
+                    capacity,
+                } = cache;
+                w.key("kind").str("stats");
+                w.key("requests").u64(*requests);
+                w.key("cache").obj(|w| {
+                    w.key("hits").u64(*hits);
+                    w.key("misses").u64(*misses);
+                    w.key("evictions").u64(*evictions);
+                    w.key("insertions").u64(*insertions);
+                    w.key("len").u64(*len as u64);
+                    w.key("capacity").u64(*capacity as u64);
+                    w.key("hit_rate").f64(cache.hit_rate());
+                });
+                w.key("total_micros").u64(*total_micros);
+            }
+            Response::Error(e) => w.key("error").str(&e.to_string()),
         }
-        Response::Error(e) => {
-            let mut s = String::from("{\"ok\":false,\"error\":");
-            push_str_value(&mut s, &e.to_string());
-            s.push('}');
-            s
-        }
-    }
+    });
+    w.finish()
 }
 
 /// The shared body of an optimize response (also nested in `compare`).
 /// `cost` is mirrored as `cost_bits` so consumers that must preserve
 /// bit-identity never depend on decimal formatting.
-fn push_optimize_fields(s: &mut String, r: &OptimizeResponse) {
+fn optimize_fields(w: &mut Writer, r: &OptimizeResponse) {
     let OptimizeResponse {
         workload,
         signature,
@@ -277,51 +251,22 @@ fn push_optimize_fields(s: &mut String, r: &OptimizeResponse) {
         risk_policy,
         stats,
     } = r;
-    s.push_str("\"workload\":");
-    push_str_value(s, workload);
-    s.push_str(&format!(",\"signature\":{signature}"));
-    s.push_str(",\"assignments\":");
-    push_array(s, assignments, |s, name| push_str_value(s, name));
-    s.push_str(&format!(
-        ",\"distinct_platforms\":{},\"cost\":{},\"cost_bits\":{},\
-         \"cost_std\":{},\"cost_q10\":{},\"cost_q90\":{}",
-        distinct_platforms,
-        num(*cost),
-        cost.to_bits(),
-        num(*cost_std),
-        num(*cost_q10),
-        num(*cost_q90)
-    ));
-    s.push_str(",\"risk_policy\":");
-    push_str_value(s, risk_policy);
-    s.push_str(&format!(
-        ",\"stats\":{{\"generated\":{},\"kept\":{},\"merges\":{},\"peak_rows\":{}}}",
-        stats.generated, stats.kept, stats.merges, stats.peak_rows
-    ));
-}
-
-/// Shortest-round-trip JSON number for a finite `f64`, `null` otherwise.
-/// Rust's `{:?}` float formatting is guaranteed to re-parse to the same
-/// bits, so finite values survive the wire exactly.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn opt_num(v: Option<f64>) -> String {
-    match v {
-        Some(x) => num(x),
-        None => "null".to_string(),
-    }
-}
-
-fn push_str_value(s: &mut String, text: &str) {
-    s.push('"');
-    escape_into(s, text);
-    s.push('"');
+    w.key("workload").str(workload);
+    w.key("signature").u64(*signature);
+    w.key("assignments").arr(assignments, |w, name| w.str(name));
+    w.key("distinct_platforms").u64(*distinct_platforms as u64);
+    w.key("cost").f64(*cost);
+    w.key("cost_bits").u64(cost.to_bits());
+    w.key("cost_std").f64(*cost_std);
+    w.key("cost_q10").f64(*cost_q10);
+    w.key("cost_q90").f64(*cost_q90);
+    w.key("risk_policy").str(risk_policy);
+    w.key("stats").obj(|w| {
+        w.key("generated").u64(stats.generated);
+        w.key("kept").u64(stats.kept);
+        w.key("merges").u64(stats.merges);
+        w.key("peak_rows").u64(stats.peak_rows);
+    });
 }
 
 fn parse_workload(doc: &JsonValue) -> Result<WorkloadSpec, ServiceError> {
@@ -511,45 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn rendered_responses_are_valid_json_and_carry_cost_bits() {
-        let resp = Response::Optimize(OptimizeResponse {
-            workload: "wordcount(1e7)".to_string(),
-            signature: 123,
-            assignments: vec!["java".to_string(), "spark".to_string()],
-            distinct_platforms: 2,
-            cost: 0.1 + 0.2,
-            cost_std: 0.25,
-            cost_q10: 0.2,
-            cost_q90: 0.4,
-            risk_policy: "sigma1.5".to_string(),
-            stats: Default::default(),
-        });
-        let line = render_response(&resp);
-        let doc = crate::json::parse(&line).expect("renderer must emit valid JSON");
-        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(true));
-        let bits = doc
-            .get("cost_bits")
-            .and_then(JsonValue::as_u64)
-            .expect("cost_bits");
-        assert_eq!(bits, (0.1f64 + 0.2).to_bits(), "bit-exact cost transport");
-        let cost = doc.get("cost").and_then(JsonValue::as_f64).expect("cost");
-        assert_eq!(cost.to_bits(), bits, "shortest-round-trip decimal agrees");
-        // The uncertainty fields ride the same line (every public response
-        // field must be wire-rendered).
-        assert_eq!(
-            doc.get("cost_std").and_then(JsonValue::as_f64),
-            Some(0.25),
-            "cost_std on the wire"
-        );
-        assert_eq!(doc.get("cost_q10").and_then(JsonValue::as_f64), Some(0.2));
-        assert_eq!(doc.get("cost_q90").and_then(JsonValue::as_f64), Some(0.4));
-        assert_eq!(
-            doc.get("risk_policy").and_then(JsonValue::as_str),
-            Some("sigma1.5")
-        );
-    }
-
-    #[test]
     fn execute_request_parses_backends_and_iterative_workloads() {
         let engine = parse_request(
             r#"{"op":"execute","workload":{"kind":"pagerank","scale":2e4,"iterations":5},"workers":4}"#,
@@ -644,84 +550,118 @@ mod tests {
         );
     }
 
+    /// One response per wire shape against the exact line the hand-assembled
+    /// renderer of PR 18 wrote for it: escapes, `-0.0`, a subnormal,
+    /// exponent forms, full-width integers, non-finite and absent numbers.
     #[test]
-    fn execute_response_renders_every_field_exactly() {
-        let resp = Response::Execute(ExecuteResponse {
-            workload: "pagerank(1e5,iters=10)".to_string(),
-            backend: "engine".to_string(),
-            assignments: vec!["java".to_string()],
-            seconds: 1.25,
-            compute_seconds: 1.0,
-            overhead_seconds: 0.25,
-            feasible: true,
-            measured: true,
-            output_rows: 64,
-            output_digest: u64::MAX - 1,
-            op_seconds: vec![0.5, 0.75],
-            op_output_rows: vec![100, 64],
-        });
-        let line = render_response(&resp);
-        let doc = crate::json::parse(&line).expect("valid JSON");
-        assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some("execute"));
-        // The digest is a full-width u64 and must survive exactly.
-        assert_eq!(
-            doc.get("output_digest").and_then(JsonValue::as_u64),
-            Some(u64::MAX - 1)
-        );
-        assert_eq!(doc.get("measured").and_then(JsonValue::as_bool), Some(true));
-        for key in [
-            "workload",
-            "backend",
-            "assignments",
-            "seconds",
-            "compute_seconds",
-            "overhead_seconds",
-            "feasible",
-            "measured",
-            "output_rows",
-            "output_digest",
-            "op_seconds",
-            "op_output_rows",
-        ] {
-            assert!(doc.get(key).is_some(), "missing wire field {key:?}");
+    fn every_response_shape_renders_its_golden_line() {
+        let optimize = OptimizeResponse {
+            workload: "wordcount(1e7)".to_string(),
+            signature: u64::MAX - 2,
+            assignments: vec!["java".to_string(), "spark".to_string()],
+            distinct_platforms: 2,
+            cost: 0.1 + 0.2,
+            cost_std: 0.25,
+            cost_q10: -0.0,
+            cost_q90: 1e21,
+            risk_policy: "sigma1.5".to_string(),
+            stats: robopt_core::EnumStats {
+                generated: 40,
+                kept: 12,
+                merges: 5,
+                peak_rows: 9,
+            },
+        };
+        let optimize_fields = r#""workload":"wordcount(1e7)","signature":18446744073709551613,"assignments":["java","spark"],"distinct_platforms":2,"cost":0.30000000000000004,"cost_bits":4599075939470750516,"cost_std":0.25,"cost_q10":-0.0,"cost_q90":1e21,"risk_policy":"sigma1.5","stats":{"generated":40,"kept":12,"merges":5,"peak_rows":9}"#;
+        let golden = [
+            (
+                Response::Optimize(optimize.clone()),
+                format!(r#"{{"ok":true,"kind":"optimize",{optimize_fields}}}"#),
+            ),
+            (
+                Response::Train(TrainResponse {
+                    rows: 256,
+                    n_trees: 8,
+                    width: 91,
+                    train_mse: 1.5e-7,
+                }),
+                r#"{"ok":true,"kind":"train","rows":256,"n_trees":8,"width":91,"train_mse":1.5e-7}"#.to_string(),
+            ),
+            (
+                Response::Execute(ExecuteResponse {
+                    workload: "tab\there \"quoted\" back\\slash".to_string(),
+                    backend: "engine".to_string(),
+                    assignments: vec![],
+                    seconds: f64::INFINITY,
+                    compute_seconds: 5e-324,
+                    overhead_seconds: 0.25,
+                    feasible: false,
+                    measured: true,
+                    output_rows: 64,
+                    output_digest: u64::MAX,
+                    op_seconds: vec![0.5, f64::NAN, 123456789.125],
+                    op_output_rows: vec![100, 0, 64],
+                }),
+                r#"{"ok":true,"kind":"execute","workload":"tab\there \"quoted\" back\\slash","backend":"engine","assignments":[],"seconds":null,"compute_seconds":5e-324,"overhead_seconds":0.25,"feasible":false,"measured":true,"output_rows":64,"output_digest":18446744073709551615,"op_seconds":[0.5,null,123456789.125],"op_output_rows":[100,0,64]}"#.to_string(),
+            ),
+            (
+                Response::Compare(CompareResponse {
+                    workload: "tpch_q3(1e6)".to_string(),
+                    mixed: optimize,
+                    mix: "java+spark".to_string(),
+                    mixed_sim_seconds: 12.5,
+                    singles: vec![
+                        SinglePlatformPlan {
+                            platform: "java".to_string(),
+                            cost: Some(3.5),
+                            sim_seconds: Some(f64::INFINITY),
+                        },
+                        SinglePlatformPlan {
+                            platform: "giraph".to_string(),
+                            cost: None,
+                            sim_seconds: None,
+                        },
+                    ],
+                    best_single_cost: Some(3.5),
+                    mixed_wins: true,
+                }),
+                format!(
+                    r#"{{"ok":true,"kind":"compare","workload":"tpch_q3(1e6)","mixed":{{{optimize_fields}}},"mix":"java+spark","mixed_sim_seconds":12.5,"singles":[{{"platform":"java","cost":3.5,"sim_seconds":null}},{{"platform":"giraph","cost":null,"sim_seconds":null}}],"best_single_cost":3.5,"mixed_wins":true}}"#
+                ),
+            ),
+            (
+                Response::Stats(StatsResponse {
+                    requests: 7,
+                    cache: CacheStats {
+                        hits: 1,
+                        misses: 2,
+                        evictions: 3,
+                        insertions: 4,
+                        len: 5,
+                        capacity: 6,
+                    },
+                    total_micros: 1234,
+                }),
+                r#"{"ok":true,"kind":"stats","requests":7,"cache":{"hits":1,"misses":2,"evictions":3,"insertions":4,"len":5,"capacity":6,"hit_rate":0.3333333333333333},"total_micros":1234}"#.to_string(),
+            ),
+            (
+                Response::Error(ServiceError::Parse(
+                    "line\nbreak, bell \u{7}, \"quote\", π".to_string(),
+                )),
+                r#"{"ok":false,"error":"parse error: line\nbreak, bell \u0007, \"quote\", π"}"#.to_string(),
+            ),
+        ];
+        for (resp, line) in &golden {
+            assert_eq!(&render_response(resp), line);
+            // Valid JSON, and the decimal `cost` carries the `cost_bits`.
+            let doc = crate::json::parse(line).expect("renderer must emit valid JSON");
+            let body = doc.get("mixed").unwrap_or(&doc);
+            assert_eq!(
+                body.get("cost")
+                    .and_then(JsonValue::as_f64)
+                    .map(f64::to_bits),
+                body.get("cost_bits").and_then(JsonValue::as_u64),
+            );
         }
-    }
-
-    #[test]
-    fn error_rendering_escapes_the_message() {
-        let line = render_response(&Response::Error(ServiceError::Parse(
-            "quote \" and \\ backslash".to_string(),
-        )));
-        let doc = crate::json::parse(&line).expect("valid JSON");
-        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(false));
-        assert!(doc
-            .get("error")
-            .and_then(JsonValue::as_str)
-            .is_some_and(|s| s.contains('"')));
-    }
-
-    #[test]
-    fn non_finite_numbers_render_as_null() {
-        let resp = Response::Execute(ExecuteResponse {
-            workload: "w".to_string(),
-            backend: "simulator".to_string(),
-            assignments: vec![],
-            seconds: f64::INFINITY,
-            compute_seconds: f64::INFINITY,
-            overhead_seconds: 0.0,
-            feasible: false,
-            measured: false,
-            output_rows: 0,
-            output_digest: 0,
-            op_seconds: vec![f64::NAN],
-            op_output_rows: vec![0],
-        });
-        let line = render_response(&resp);
-        let doc = crate::json::parse(&line).expect("valid JSON");
-        assert_eq!(doc.get("seconds"), Some(&JsonValue::Null));
-        assert_eq!(
-            doc.get("feasible").and_then(JsonValue::as_bool),
-            Some(false)
-        );
     }
 }

@@ -246,8 +246,8 @@ fn both_backends_agree_an_unavailable_placement_is_infeasible() {
     let plan = WorkloadSpec::WordCount { scale: 1.0e3 }
         .build()
         .expect("workload spec builds");
-    // Postgres lacks WordCount's operators (Fig 10 excludes it from the
-    // candidate set for the same reason).
+    // Postgres lacks WordCount's operators (`engine_validation` excludes it
+    // from the candidate set for the same reason).
     let postgres = registry.by_name("postgres").unwrap();
     let all_pg = vec![postgres; plan.n_ops()];
     let sim = RuntimeSimulator::new(&registry, 0);
