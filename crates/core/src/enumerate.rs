@@ -19,15 +19,15 @@
 //! Zero-allocation hot path: the [`Enumerator`] owns matrix pools, scratch
 //! row buffers, the batch cost buffer, the priority heap and the footprint
 //! map, all reused across calls. After a warm-up run, enumerating performs
-//! no `EnumMatrix` buffer growth (asserted by `tests/buffer_reuse.rs` via
-//! [`robopt_vector::alloc_events`]).
+//! no `EnumMatrix` buffer growth (asserted by
+//! `crates/core/tests/buffer_reuse.rs` via [`robopt_vector::alloc_events`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use robopt_plan::LogicalPlan;
 use robopt_platforms::{PlatformId, PlatformRegistry};
-use robopt_vector::merge::{merge_assignments, merge_feats_many};
+use robopt_vector::merge::merge_feats_many;
 use robopt_vector::{
     footprint_hash, EnumMatrix, FeatureLayout, FootprintTable, RowsView, Scope, NO_PLATFORM,
 };
@@ -279,17 +279,22 @@ pub(crate) fn check_preconditions(
 /// op id (the canonical footprint order).
 fn boundary_ops(plan: &LogicalPlan, scope: Scope, out: &mut Vec<u32>) {
     out.clear();
-    for op in 0..plan.n_ops() as u32 {
-        if scope.contains(op) {
-            let crosses = plan
-                .succs(op)
-                .iter()
-                .chain(plan.preds(op))
-                .any(|&o| !scope.contains(o));
-            if crosses {
-                out.push(op);
-            }
-        }
+    out.extend(scope.ops().filter(|&op| {
+        plan.succs(op)
+            .iter()
+            .chain(plan.preds(op))
+            .any(|&o| !scope.contains(o))
+    }));
+}
+
+/// Write `src`'s platform for every operator of `ops` into `row` and leave
+/// the other slots alone: with `row` holding the outer unit's assignment
+/// and `src` a row of the inner unit (disjoint scopes), `row` becomes the
+/// candidate's full assignment at the cost of the inner scope, not the plan.
+#[inline]
+fn overlay_assignments(row: &mut [u8], ops: &[u32], src: &[u8]) {
+    for &op in ops {
+        row[op as usize] = src[op as usize];
     }
 }
 
@@ -334,14 +339,18 @@ impl Enumerator {
             .expect("live unit at union-find root")
     }
 
-    /// Take a pooled matrix, best-fit by the rows it will have to hold, so
-    /// warmed pools satisfy every demand without growing.
+    /// Take a pooled matrix, best-fit by the rows it will have to hold: the
+    /// smallest one that holds them, or a fresh one when none does. Never
+    /// growing a pooled matrix keeps small demands on small matrices, so
+    /// the pool a first run leaves behind serves every later run of the
+    /// same plan shape without growing (best fit never strands a demand
+    /// another choice could have served).
     pub(crate) fn take_mat(&mut self, width: usize, n_ops: usize, rows_hint: usize) -> EnumMatrix {
         let needed = rows_hint * width;
-        let mut m = match self.pool.iter().position(|m| m.feat_capacity() >= needed) {
-            Some(i) => self.pool.swap_remove(i),
-            None => self.pool.pop().unwrap_or_default(),
-        };
+        let fit = (0..self.pool.len())
+            .filter(|&i| self.pool[i].feat_capacity() >= needed)
+            .min_by_key(|&i| self.pool[i].feat_capacity());
+        let mut m = fit.map_or_else(EnumMatrix::new, |i| self.pool.swap_remove(i));
         m.reset(width, n_ops);
         m.reserve_rows(rows_hint);
         m
@@ -396,10 +405,7 @@ impl Enumerator {
         let oracle = opts.oracle();
         let n = plan.n_ops();
         let k = registry.len();
-        for op in 0..n as u32 {
-            if !scope.contains(op) {
-                continue;
-            }
+        for op in scope.ops() {
             let kind = plan.op(op).kind;
             let mut mat = self.take_mat(layout.width, n, k);
             let mut feats = std::mem::take(&mut self.scratch_feats);
@@ -440,10 +446,8 @@ impl Enumerator {
             reason = "installing an empty-scope unit is a caller bug"
         )]
         let root = scope.min_op().expect("non-empty unit scope");
-        for op in 0..self.parent.len() as u32 {
-            if scope.contains(op) {
-                self.parent[op as usize] = root;
-            }
+        for op in scope.ops() {
+            self.parent[op as usize] = root;
         }
         self.units[root as usize] = Some(Unit { scope, mat });
     }
@@ -460,12 +464,10 @@ impl Enumerator {
     /// roots; the seam phase exports each as its own unit.
     pub(crate) fn surviving_roots(&mut self, scope: Scope, out: &mut Vec<u32>) {
         out.clear();
-        for op in 0..self.parent.len() as u32 {
-            if scope.contains(op) {
-                let r = self.find(op);
-                if !out.contains(&r) {
-                    out.push(r);
-                }
+        for op in scope.ops() {
+            let r = self.find(op);
+            if !out.contains(&r) {
+                out.push(r);
             }
         }
     }
@@ -542,12 +544,25 @@ impl Enumerator {
                 }
             }
 
+            // The inner unit's operators, listed once per merge: the only
+            // slots of the scratch assignment row a candidate changes. A
+            // scope is a `u128` bitset, so the list fits on the stack.
+            let mut inner_ops = [0u32; u128::BITS as usize];
+            for (slot, op) in inner_ops.iter_mut().zip(b.scope.ops()) {
+                *slot = op;
+            }
+            let inner_ops = &inner_ops[..b.scope.len() as usize];
+
             // Merge, cost and prune one left row at a time: `merge_feats_many`
             // fuses one `a` row against all of `b` in one block,
             // conversion features are patched per combination in place, the
             // block is costed with one batched oracle call, and every
             // feasible row is folded straight into the destination unit
-            // (cheapest per Def-2 pruning footprint). The full
+            // (cheapest per Def-2 pruning footprint). Assignments are
+            // overlaid, not merged: the scratch row is `a`'s row, copied
+            // once per left row, and a candidate rewrites only `b`'s
+            // operators in it — it is a full assignment whenever it is read
+            // (crossing edges, footprint, the row kept in `dst`). The full
             // `rows_a × rows_b` cross-product is never materialized — the
             // working set stays one `rows_b`-row block regardless of how
             // large the merge is, so big seam merges cannot thrash the
@@ -566,10 +581,17 @@ impl Enumerator {
             self.fp_map.clear();
             for ia in 0..a.mat.rows() {
                 merge_feats_many(&mut block, a.mat.row(ia), b.mat.rows_view());
+                assign.copy_from_slice(a.mat.assignments(ia));
+                debug_assert!(
+                    inner_ops
+                        .iter()
+                        .all(|&op| assign[op as usize] == NO_PLATFORM),
+                    "overlapping scopes"
+                );
                 self.feas.clear();
                 self.feas.resize(b.mat.rows(), true);
                 for (ib, feats) in block.chunks_exact_mut(width).enumerate() {
-                    merge_assignments(&mut assign, a.mat.assignments(ia), b.mat.assignments(ib));
+                    overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
                     for &(u, v) in &self.crossing {
                         let (pu, pv) = (assign[u as usize], assign[v as usize]);
                         if pu != pv
@@ -591,7 +613,7 @@ impl Enumerator {
                     }
                     let cost = self.cost_buf[ib];
                     let feats = &block[ib * width..(ib + 1) * width];
-                    merge_assignments(&mut assign, a.mat.assignments(ia), b.mat.assignments(ib));
+                    overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
                     if opts.prune() {
                         let fp = footprint_hash(&self.boundary, &assign);
                         match self.fp_map.get(fp) {

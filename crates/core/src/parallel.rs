@@ -174,13 +174,7 @@ impl ParallelEnumerator {
             for &r in roots.iter() {
                 let unit = en.take_unit(r);
                 let mut mat = merger.take_mat(layout.width, n, unit.mat.rows());
-                for row in 0..unit.mat.rows() {
-                    mat.push_row(
-                        unit.mat.row(row),
-                        unit.mat.assignments(row),
-                        unit.mat.cost(row),
-                    );
-                }
+                mat.extend_from(&unit.mat);
                 merger.install_unit(unit.scope, mat);
                 en.recycle(unit.mat);
             }

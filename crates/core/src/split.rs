@@ -145,11 +145,9 @@ pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
     for region in loop_regions(plan) {
         let mut lo = u32::MAX;
         let mut hi = 0u32;
-        for op in 0..n as u32 {
-            if region.contains(op) {
-                lo = lo.min(pos[op as usize]);
-                hi = hi.max(pos[op as usize]);
-            }
+        for op in region.ops() {
+            lo = lo.min(pos[op as usize]);
+            hi = hi.max(pos[op as usize]);
         }
         for b in (lo + 1)..=hi {
             forbidden[b as usize] = true;

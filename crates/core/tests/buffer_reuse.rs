@@ -1,15 +1,42 @@
 //! Zero-allocation guarantee of the hot path (DESIGN §5, acceptance
-//! criterion): after a warm-up run, `merge`/`prune` perform **no**
+//! criterion): after **one** warm-up run, `merge`/`prune` perform no
 //! `EnumMatrix` buffer growth — every candidate subplan is written into
-//! pooled, pre-reserved flat buffers.
+//! pooled, pre-reserved flat buffers, and the pool that first run leaves
+//! behind is the pool every later run needs.
 //!
 //! Single test in its own binary: `robopt_vector::alloc_events` is a
 //! process-global counter, so it must not race with unrelated tests.
 
-use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ParallelEnumerator, SplitOptions};
+use robopt_core::{
+    AnalyticOracle, EnumOptions, Enumerator, ExecutionPlan, ParallelEnumerator, SplitOptions,
+};
 use robopt_plan::{workloads, N_OPERATOR_KINDS};
 use robopt_platforms::PlatformRegistry;
 use robopt_vector::FeatureLayout;
+
+/// One warm-up run of `enumerate`, then `runs` more that must not grow a
+/// matrix buffer and must keep answering what the cold run answered.
+fn settles_after_one_run(
+    what: &str,
+    runs: usize,
+    mut enumerate: impl FnMut() -> ExecutionPlan,
+) -> ExecutionPlan {
+    // Pool matrices are picked best-fit and a miss starts a fresh matrix
+    // instead of growing a pooled one, so one run is the whole warm-up.
+    let cold = enumerate();
+    for run in 2..=runs + 1 {
+        let before = robopt_vector::alloc_events();
+        let warm = enumerate();
+        let grown = robopt_vector::alloc_events() - before;
+        assert_eq!(
+            grown, 0,
+            "{what}: run {run} grew EnumMatrix buffers {grown} times — \
+             per-subplan allocation has crept back in"
+        );
+        assert_eq!(cold, warm, "{what}: reused buffers changed the optimum");
+    }
+    cold
+}
 
 #[test]
 fn warmed_enumerator_performs_no_matrix_allocation() {
@@ -18,34 +45,13 @@ fn warmed_enumerator_performs_no_matrix_allocation() {
     let layout = FeatureLayout::new(2, N_OPERATOR_KINDS);
     let oracle = AnalyticOracle::for_registry(&registry, &layout);
     let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+
     let mut enumerator = Enumerator::new();
-
-    // Warm-up: pools and scratch buffers grow to a fixpoint (pool matrices
-    // are picked best-fit, so this settles within a few runs).
-    let (cold, _) = enumerator.enumerate(&plan, &layout, opts);
-    for warmup in 0.. {
-        assert!(warmup < 16, "pool capacities failed to stabilize");
-        let before = robopt_vector::alloc_events();
-        enumerator.enumerate(&plan, &layout, opts);
-        if robopt_vector::alloc_events() == before {
-            break;
-        }
-    }
-
-    let before = robopt_vector::alloc_events();
-    let mut warm_cost = 0.0;
-    for _ in 0..5 {
+    let serial = settles_after_one_run("serial", 5, || {
         let (exec, stats) = enumerator.enumerate(&plan, &layout, opts);
-        warm_cost = exec.cost;
         assert!(stats.generated > 0);
-    }
-    let grown = robopt_vector::alloc_events() - before;
-    assert_eq!(
-        grown, 0,
-        "hot path grew EnumMatrix buffers {grown} times after warm-up — \
-         per-subplan allocation has crept back in"
-    );
-    assert_eq!(cold.cost, warm_cost, "reused buffers changed the optimum");
+        exec
+    });
 
     // Split-parallel path: each part enumerator and the seam merger own
     // their own pools, so the guarantee extends across threads — after
@@ -55,36 +61,35 @@ fn warmed_enumerator_performs_no_matrix_allocation() {
     let mut parallel = ParallelEnumerator::new(2)
         .with_split(SplitOptions::new(4))
         .with_hardware_clamp(false);
-    let (par_cold, _) = parallel.enumerate(&plan, &layout, opts);
-    for warmup in 0.. {
-        assert!(warmup < 32, "parallel pool capacities failed to stabilize");
-        let before = robopt_vector::alloc_events();
-        parallel.enumerate(&plan, &layout, opts);
-        if robopt_vector::alloc_events() == before {
-            break;
-        }
-    }
-    let before = robopt_vector::alloc_events();
-    let mut par_warm = 0.0;
-    for _ in 0..5 {
+    let split = settles_after_one_run("split", 5, || {
         let (exec, stats) = parallel.enumerate(&plan, &layout, opts);
-        par_warm = exec.cost;
         assert!(stats.generated > 0);
-    }
-    let grown = robopt_vector::alloc_events() - before;
+        exec
+    });
     assert_eq!(
-        grown, 0,
-        "parallel hot path grew EnumMatrix buffers {grown} times after warm-up"
-    );
-    assert_eq!(
-        par_cold.cost, par_warm,
-        "reused parallel buffers changed the optimum"
-    );
-    assert_eq!(
-        par_warm.to_bits(),
-        warm_cost.to_bits(),
+        split.cost.to_bits(),
+        serial.cost.to_bits(),
         "split-parallel and serial disagree on the canonical cost"
     );
+
+    // The benchmark's `scale_wide` shape: 128 operators, 8 platforms, the
+    // default 8-part split. A 16-operator part keeps 16 eight-row singleton
+    // matrices and two 64-row units alive at once; a pool that hands a
+    // seed the first matrix that fits, and grows a small one on a miss,
+    // grew 18 buffers on every run until every matrix held 64 rows.
+    let wide_plan = workloads::synthetic_pipeline(128, 1e5);
+    let registry = PlatformRegistry::uniform(8);
+    let layout = FeatureLayout::new(8, N_OPERATOR_KINDS);
+    let oracle = AnalyticOracle::for_registry(&registry, &layout);
+    let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+    let mut parallel = ParallelEnumerator::new(1).with_split(SplitOptions::new(8));
+    settles_after_one_run("wide split", 19, || {
+        parallel.enumerate(&wide_plan, &layout, opts).0
+    });
+    let mut enumerator = Enumerator::new();
+    settles_after_one_run("wide serial", 19, || {
+        enumerator.enumerate(&wide_plan, &layout, opts).0
+    });
 
     // Sanity: the counter does observe genuine growth.
     let mut m = robopt_vector::EnumMatrix::new();

@@ -55,6 +55,20 @@ impl Scope {
         self.0.count_ones()
     }
 
+    /// The operators of the scope in ascending id order: one step per
+    /// member (lowest set bit, then clear it), not one per plan operator.
+    #[inline]
+    pub fn ops(self) -> impl Iterator<Item = u32> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let op = bits.trailing_zeros();
+                bits &= bits - 1;
+                op
+            })
+        })
+    }
+
     #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
@@ -269,6 +283,9 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
         assert!(Scope::default().is_empty());
+        assert_eq!(s.ops().collect::<Vec<_>>(), [3, 100]);
+        assert_eq!(Scope::default().ops().next(), None);
+        assert!(Scope::full(128).ops().eq(0..128));
     }
 
     #[test]

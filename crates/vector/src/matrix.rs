@@ -57,14 +57,22 @@ impl EnumMatrix {
 
     /// Pre-reserve space for `rows` additional rows. Growth is counted.
     pub fn reserve_rows(&mut self, rows: usize) {
+        self.counting_growth(|m| {
+            m.feats.reserve(rows * m.width);
+            m.assign.reserve(rows * m.n_ops);
+            m.costs.reserve(rows);
+        });
+    }
+
+    /// Run `write` on the buffers and count each one whose capacity grew.
+    #[inline]
+    fn counting_growth(&mut self, write: impl FnOnce(&mut Self)) {
         let (bf, ba, bc) = (
             self.feats.capacity(),
             self.assign.capacity(),
             self.costs.capacity(),
         );
-        self.feats.reserve(rows * self.width);
-        self.assign.reserve(rows * self.n_ops);
-        self.costs.reserve(rows);
+        write(self);
         note_growth(bf, self.feats.capacity());
         note_growth(ba, self.assign.capacity());
         note_growth(bc, self.costs.capacity());
@@ -111,20 +119,30 @@ impl EnumMatrix {
     pub fn push_row(&mut self, feats: &[f64], assign: &[u8], cost: f64) -> usize {
         debug_assert_eq!(feats.len(), self.width);
         debug_assert_eq!(assign.len(), self.n_ops);
-        let (bf, ba, bc) = (
-            self.feats.capacity(),
-            self.assign.capacity(),
-            self.costs.capacity(),
-        );
-        self.feats.extend_from_slice(feats);
-        self.assign.extend_from_slice(assign);
-        self.costs.push(cost);
-        note_growth(bf, self.feats.capacity());
-        note_growth(ba, self.assign.capacity());
-        note_growth(bc, self.costs.capacity());
+        self.counting_growth(|m| {
+            m.feats.extend_from_slice(feats);
+            m.assign.extend_from_slice(assign);
+            m.costs.push(cost);
+        });
         let r = self.rows;
         self.rows += 1;
         r
+    }
+
+    /// Append every row of `other` (same width and operator count) in three
+    /// bulk copies. Growth is counted as [`EnumMatrix::push_row`] counts it.
+    pub fn extend_from(&mut self, other: &EnumMatrix) {
+        assert_eq!(
+            (self.width, self.n_ops),
+            (other.width, other.n_ops),
+            "matrix shapes differ"
+        );
+        self.counting_growth(|m| {
+            m.feats.extend_from_slice(&other.feats);
+            m.assign.extend_from_slice(&other.assign);
+            m.costs.extend_from_slice(&other.costs);
+        });
+        self.rows += other.rows;
     }
 
     /// Set the cost of row `r` (used after a batched oracle call costs the
@@ -249,6 +267,29 @@ mod tests {
         m.overwrite_row(1, &[7.0, 8.0, 9.0], &[NO_PLATFORM, 0], 1.0);
         assert_eq!(m.row(1), &[7.0, 8.0, 9.0]);
         assert_eq!(m.cost(1), 1.0);
+    }
+
+    #[test]
+    fn extend_from_appends_what_push_row_would() {
+        let mut src = EnumMatrix::new();
+        src.reset(2, 2);
+        src.push_row(&[1.0, 2.0], &[0, NO_PLATFORM], 5.0);
+        src.push_row(&[3.0, 4.0], &[NO_PLATFORM, 1], 6.0);
+        let (mut bulk, mut by_row) = (EnumMatrix::new(), EnumMatrix::new());
+        for m in [&mut bulk, &mut by_row] {
+            m.reset(2, 2);
+            m.push_row(&[9.0, 9.0], &[1, 1], 1.0);
+        }
+        bulk.extend_from(&src);
+        for r in 0..src.rows() {
+            by_row.push_row(src.row(r), src.assignments(r), src.cost(r));
+        }
+        assert_eq!(bulk.rows(), 3);
+        assert_eq!(bulk.rows_view().flat(), by_row.rows_view().flat());
+        for r in 0..3 {
+            assert_eq!(bulk.assignments(r), by_row.assignments(r));
+            assert_eq!(bulk.cost(r), by_row.cost(r));
+        }
     }
 
     #[test]

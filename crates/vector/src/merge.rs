@@ -3,8 +3,9 @@
 //! Merging two subplan vectors is one fused loop of `f64` adds over the
 //! whole row followed by patching the two exception cells, which combine by
 //! `max` instead of `+` (maximum output cardinality and maximum tuple
-//! width). Assignment arrays combine by taking whichever side covers each
-//! operator; merged scopes are disjoint by construction.
+//! width). Assignment arrays are not this module's business: merged scopes
+//! are disjoint, so the enumerator overlays the inner unit's operators on a
+//! copy of the outer row (DESIGN §5) instead of selecting per operator.
 //!
 //! [`merge_feats_many`] is the batched form the enumerator's cross-product
 //! inner loop uses: one left row against *every* row of the right matrix in
@@ -12,7 +13,7 @@
 //! re-checked per candidate pair.
 
 use crate::layout::FeatureLayout;
-use crate::matrix::{RowsView, NO_PLATFORM};
+use crate::matrix::RowsView;
 
 /// `dst = a + b` cell-wise. All three slices must have equal length.
 #[inline]
@@ -41,33 +42,22 @@ pub fn merge_feats(dst: &mut [f64], a: &[f64], b: &[f64]) {
     patch_max_cells(dst, a, b);
 }
 
-/// Batched merge: `a` against every row of `b`, written to `dst` (cleared
-/// and resized to `b.rows() × b.width()` row-major cells). Row `r` of the
-/// output is bit-identical to `merge_feats(out_r, a, b.row(r))` — the
-/// batching only amortizes bounds checks and keeps the destination block
-/// contiguous for the staged oracle call that follows.
+/// Batched merge: `a` against every row of `b`, written to `dst` (resized
+/// to `b.rows() × b.width()` row-major cells). Row `r` of the output is
+/// bit-identical to `merge_feats(out_r, a, b.row(r))` — the batching only
+/// amortizes bounds checks and keeps the destination block contiguous for
+/// the staged oracle call that follows. `dst` is not cleared first: whatever
+/// a previous, longer or shorter block left in it is harmless, because
+/// `merge_feats` writes every cell of every row.
 pub fn merge_feats_many(dst: &mut Vec<f64>, a: &[f64], b: RowsView<'_>) {
     let width = b.width();
     debug_assert_eq!(a.len(), width);
-    dst.clear();
     dst.resize(b.rows() * width, 0.0);
     for (drow, brow) in dst
         .chunks_exact_mut(width)
         .zip(b.flat().chunks_exact(width))
     {
         merge_feats(drow, a, brow);
-    }
-}
-
-/// Combine disjoint assignment arrays: each operator is covered by at most
-/// one side.
-#[inline]
-pub fn merge_assignments(dst: &mut [u8], a: &[u8], b: &[u8]) {
-    debug_assert_eq!(dst.len(), a.len());
-    debug_assert_eq!(dst.len(), b.len());
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        debug_assert!(x == NO_PLATFORM || y == NO_PLATFORM, "overlapping scopes");
-        *d = if x != NO_PLATFORM { x } else { y };
     }
 }
 
@@ -92,17 +82,10 @@ mod tests {
         assert!(d[4..].iter().all(|&c| c == 3.0));
     }
 
+    /// `dst` arrives empty, dirty and too long, dirty and too short: the
+    /// block is the per-row merge bit for bit every time.
     #[test]
-    fn assignments_take_the_covering_side() {
-        let a = [0, NO_PLATFORM, NO_PLATFORM];
-        let b = [NO_PLATFORM, 1, NO_PLATFORM];
-        let mut d = [0u8; 3];
-        merge_assignments(&mut d, &a, &b);
-        assert_eq!(d, [0, 1, NO_PLATFORM]);
-    }
-
-    #[test]
-    fn batched_merge_matches_per_row_merge_bitwise() {
+    fn batched_merge_matches_per_row_merge_bitwise_whatever_dst_held() {
         let width = 13;
         let rows = 5;
         let a: Vec<f64> = (0..width).map(|i| i as f64 * 0.5).collect();
@@ -111,18 +94,20 @@ mod tests {
             *cell = ((i * 7919) % 97) as f64 * 0.25;
         }
         let view = RowsView::new(&flat, width);
-        let mut batched = Vec::new();
-        merge_feats_many(&mut batched, &a, view);
-        assert_eq!(batched.len(), rows * width);
-        let mut single = vec![0.0; width];
-        for r in 0..rows {
-            merge_feats(&mut single, &a, view.row(r));
-            for (c, (x, y)) in batched[r * width..(r + 1) * width]
-                .iter()
-                .zip(&single)
-                .enumerate()
-            {
-                assert_eq!(x.to_bits(), y.to_bits(), "row {r} cell {c}");
+        for stale in [0, rows * width + 29, 2 * width + 3] {
+            let mut batched = vec![f64::NAN; stale];
+            merge_feats_many(&mut batched, &a, view);
+            assert_eq!(batched.len(), rows * width, "stale {stale}");
+            let mut single = vec![0.0; width];
+            for r in 0..rows {
+                merge_feats(&mut single, &a, view.row(r));
+                for (c, (x, y)) in batched[r * width..(r + 1) * width]
+                    .iter()
+                    .zip(&single)
+                    .enumerate()
+                {
+                    assert_eq!(x.to_bits(), y.to_bits(), "stale {stale} row {r} cell {c}");
+                }
             }
         }
     }

@@ -5,11 +5,74 @@
 //! connected DAGs, random platform counts, random assignments, and a random
 //! merge order (including merges of not-yet-adjacent units — the kernel must
 //! be correct for any contraction order).
+//!
+//! Assignments: [`merge_assignments`] — the per-operator select the
+//! enumerator ran per candidate until PR 21 — lives here as the reference
+//! the overlay rule that replaced it (DESIGN §5: copy the outer row, write
+//! the inner scope's operators over it) is tested against.
 
 use robopt_core::vectorize::{add_conversion_features, fill_singleton, vectorize_assignment};
 use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
-use robopt_vector::merge::{merge_assignments, merge_feats};
+use robopt_vector::merge::merge_feats;
 use robopt_vector::{FeatureLayout, Scope, NO_PLATFORM};
+
+/// Combine disjoint assignment arrays: each operator is covered by at most
+/// one side.
+fn merge_assignments(dst: &mut [u8], a: &[u8], b: &[u8]) {
+    assert_eq!(dst.len(), a.len());
+    assert_eq!(dst.len(), b.len());
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        assert!(x == NO_PLATFORM || y == NO_PLATFORM, "overlapping scopes");
+        *d = if x != NO_PLATFORM { x } else { y };
+    }
+}
+
+#[test]
+fn overlaying_the_inner_scope_equals_merging_the_assignments() {
+    let mut rng = SplitMix64::new(0xF16_0021);
+    for case in 0..256 {
+        // Random disjoint scopes over up to 128 operators; `share` skews
+        // which side is the larger, from a lone inner operator to a lone
+        // outer one, and some operators stay uncovered by both.
+        let n = 2 + rng.gen_range(127);
+        let share = rng.next_f64();
+        let (mut outer, mut inner) = (Scope::default(), Scope::default());
+        for op in 0..n as u32 {
+            let draw = rng.next_f64();
+            if draw < 0.8 * share {
+                inner = inner.union(Scope::singleton(op));
+            } else if draw < 0.8 {
+                outer = outer.union(Scope::singleton(op));
+            }
+        }
+        let row_of = |scope: Scope, rng: &mut SplitMix64| {
+            let mut row = vec![NO_PLATFORM; n];
+            for op in scope.ops() {
+                row[op as usize] = rng.gen_range(8) as u8;
+            }
+            row
+        };
+        let outer_row = row_of(outer, &mut rng);
+        let mut expected = vec![0u8; n];
+        let mut scratch = outer_row.clone();
+        // One outer row against several inner rows, as one left row of a
+        // merge step meets every right row: the scratch row is never reset.
+        for _ in 0..3 {
+            let inner_row = row_of(inner, &mut rng);
+            for op in inner.ops() {
+                scratch[op as usize] = inner_row[op as usize];
+            }
+            merge_assignments(&mut expected, &outer_row, &inner_row);
+            assert_eq!(
+                scratch,
+                expected,
+                "case {case}: n={n}, |outer|={}, |inner|={}",
+                outer.len(),
+                inner.len()
+            );
+        }
+    }
+}
 
 #[test]
 fn incremental_merge_equals_whole_plan_vectorize() {
