@@ -11,10 +11,11 @@
 //! added for every dataflow edge crossing the two scopes (combinations
 //! whose crossing edges have no conversion path in the registry's COT are
 //! excluded, DESIGN §6.3), each block is costed in **one batched oracle
-//! call**, and Def-2 boundary pruning keeps the cheapest row per pruning
-//! footprint. When one unit covers the whole plan its empty footprint
-//! leaves exactly the optimal row, which `unvectorize` turns into an
-//! [`ExecutionPlan`].
+//! call** (which is told the columns this plan can make non-zero,
+//! [`crate::vectorize::live_runs`]), and Def-2 boundary pruning keeps the
+//! cheapest row per pruning footprint. When one unit covers the whole plan
+//! its empty footprint leaves exactly the optimal row, which `unvectorize`
+//! turns into an [`ExecutionPlan`].
 //!
 //! Zero-allocation hot path: the [`Enumerator`] owns matrix pools, scratch
 //! row buffers, the batch cost buffer, the priority heap and the footprint
@@ -35,7 +36,7 @@ use robopt_vector::{
 use crate::dist::{CostDistribution, RiskPolicy};
 use crate::oracle::CostOracle;
 use crate::vectorize::{
-    add_conversion_features, fill_singleton, vectorize_assignment, ExecutionPlan,
+    add_conversion_features, fill_singleton, live_runs, vectorize_assignment, ExecutionPlan,
 };
 
 /// Enumeration options: a borrowed [`PlatformRegistry`], the cost oracle
@@ -391,8 +392,10 @@ impl Enumerator {
     }
 
     /// vectorize: one unit per operator of `scope`, one singleton row per
-    /// platform the availability matrix permits for the operator's kind;
-    /// each unit's rows are costed with one batched oracle call.
+    /// platform the availability matrix permits for the operator's kind.
+    /// The rows are scored (one batched oracle call per unit) only for a
+    /// one-operator plan, where [`Enumerator::finish`] picks among them:
+    /// a merge reads the costs of the unit it builds, never of its inputs.
     pub(crate) fn seed_singletons(
         &mut self,
         plan: &LogicalPlan,
@@ -423,9 +426,11 @@ impl Enumerator {
                 mat.rows() > 0,
                 "operator {op} ({kind:?}) is unavailable on every registry platform"
             );
-            self.score_rows(oracle, opts.risk(), mat.rows_view());
-            for r in 0..mat.rows() {
-                mat.set_cost(r, self.cost_buf[r]);
+            if n == 1 {
+                self.score_rows(oracle, opts.risk(), mat.rows_view());
+                for r in 0..mat.rows() {
+                    mat.set_cost(r, self.cost_buf[r]);
+                }
             }
             stats.generated += mat.rows() as u64;
             stats.kept += mat.rows() as u64;
@@ -511,6 +516,10 @@ impl Enumerator {
         let oracle = opts.oracle();
         let n = plan.n_ops();
         let k = registry.len();
+        // Every row staged below is zero outside these columns; the oracle
+        // is told so with each block.
+        let (live, n_live) = live_runs(plan, layout);
+        let live = &live[..n_live];
 
         self.heap.clear();
         for &e in edges {
@@ -606,7 +615,8 @@ impl Enumerator {
                         add_conversion_features(plan, layout, u, v, pu, pv, feats);
                     }
                 }
-                self.score_rows(oracle, opts.risk(), RowsView::new(&block, width));
+                let staged = RowsView::new(&block, width).with_live(live);
+                self.score_rows(oracle, opts.risk(), staged);
                 for ib in 0..b.mat.rows() {
                     if !self.feas[ib] {
                         continue;
@@ -831,6 +841,46 @@ mod tests {
             1,
             "disconnected COT must force a single-platform plan"
         );
+    }
+
+    /// The one reader of a seeded unit's scores: with a single operator the
+    /// final unit *is* the seed, and `finish` picks its cheapest row.
+    #[test]
+    fn one_operator_plan_returns_its_cheapest_platform() {
+        use robopt_plan::{Operator, OperatorKind};
+        use robopt_platforms::Platform;
+        let mut plan = LogicalPlan::new();
+        plan.add_op(Operator::source(OperatorKind::TextFileSource, 1e6));
+        plan.seal();
+        // The cheapest platform is not the first row of the seed, which is
+        // what an unscored unit (every cost 0.0) would return.
+        let mut b = PlatformRegistry::builder();
+        b.add(Platform::new("dear").with_fixed_cost(3.0));
+        b.add(Platform::new("cheap").with_fixed_cost(0.5));
+        b.add(Platform::new("middling").with_fixed_cost(1.0));
+        let registry = b.build();
+        let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+        let oracle = AnalyticOracle::for_registry(&registry, &layout);
+        let mut feats = vec![0.0; layout.width];
+        let cheapest = registry
+            .available_platforms(OperatorKind::TextFileSource)
+            .map(|p| {
+                feats.fill(0.0);
+                fill_singleton(&plan, &layout, 0, p.raw(), &mut feats);
+                (p, oracle.cost_row(&feats))
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
+        assert_eq!(cheapest.0.index(), 1);
+        for risk in [RiskPolicy::ExpectedCost, RiskPolicy::MeanPlusKSigma(2.0)] {
+            let opts = EnumOptions::new(&registry)
+                .with_oracle(&oracle)
+                .with_risk(risk);
+            let (exec, stats) = Enumerator::new().enumerate(&plan, &layout, opts);
+            assert_eq!(exec.assignments, [cheapest.0]);
+            assert_eq!(exec.cost.to_bits(), cheapest.1.to_bits());
+            assert_eq!(stats.merges, 0);
+        }
     }
 
     #[test]

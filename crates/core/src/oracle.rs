@@ -13,7 +13,12 @@
 //! a linear functional over the plan vector with weights derived from a
 //! [`PlatformRegistry`] — per-platform cost scales from the platform
 //! descriptors and conversion weights aggregated from the COT, instead of
-//! the hard-coded per-platform factor table of PR 1.
+//! the hard-coded per-platform factor table of PR 1. Its batch path is not
+//! one flat pass: it walks four rows' sums in lock-step and, when the view
+//! carries the enumerator's live-column hint ([`RowsView::live`]), over the
+//! columns the plan can make non-zero only — each row's sum still adds its
+//! terms in ascending column order, so it equals `cost_row` bit for bit
+//! (DESIGN §5). Any linear cost model behind this trait can do the same.
 
 use robopt_plan::N_OPERATOR_KINDS;
 use robopt_platforms::PlatformRegistry;
@@ -46,9 +51,9 @@ pub trait CostOracle: Sync {
     /// Cost every row of `rows` into `out` (cleared first; `out[r]` is the
     /// cost of `rows.row(r)`). The default implementation loops
     /// [`CostOracle::cost_row`]; batch-capable models (the random forest,
-    /// the SIMD-friendly linear oracle) override it with one flat pass.
-    /// Overrides must keep the width check (`debug_assert_eq!` against
-    /// [`CostOracle::width`]).
+    /// the linear oracle) override it with a lock-step walk over several
+    /// rows. Overrides must keep the width check (`debug_assert_eq!` against
+    /// [`CostOracle::width`]) and may use or ignore [`RowsView::live`].
     fn cost_batch(&self, rows: RowsView<'_>, out: &mut Vec<f64>) {
         debug_assert_eq!(
             rows.width(),
@@ -142,17 +147,32 @@ impl AnalyticOracle {
             let p = id.index();
             debug_assert!(p < layout.n_platforms, "{id} outside the layout");
             let desc = registry.platform(id);
+            // Every weight below is derived from descriptor data; a NaN or
+            // infinite one would yield NaN costs that `total_cmp` silently
+            // ranks, and `cost_batch` skips zero cells on the strength of
+            // `w · 0.0` being a zero.
+            let mut set = |cell: usize, weight: f64| {
+                assert!(
+                    weight.is_finite(),
+                    "non-finite oracle weight {weight} for platform {:?} at cell {cell}",
+                    desc.name
+                );
+                w[cell] = weight;
+            };
             for kind in 0..layout.n_kinds {
                 // Fixed per-instance cost of running this kind on platform p.
-                w[layout.kind_platform_count(kind, p)] = kind_base(kind) * desc.fixed_cost;
+                set(
+                    layout.kind_platform_count(kind, p),
+                    kind_base(kind) * desc.fixed_cost,
+                );
             }
             // Conversions carry a fixed setup cost plus a per-tuple cost
             // (COT aggregates), so platform switches only pay off on large
             // enough subplans.
             let cot = registry.conversions();
-            w[layout.conversion_count(p)] = cot.mean_inbound_fixed(id);
-            w[layout.conversion_tuples(p)] = cot.mean_inbound_per_tuple(id);
-            w[layout.platform_input_tuples(p)] = desc.tuple_rate;
+            set(layout.conversion_count(p), cot.mean_inbound_fixed(id));
+            set(layout.conversion_tuples(p), cot.mean_inbound_per_tuple(id));
+            set(layout.platform_input_tuples(p), desc.tuple_rate);
         }
         AnalyticOracle { weights: w }
     }
@@ -178,8 +198,16 @@ impl CostOracle for AnalyticOracle {
         acc
     }
 
-    /// One flat pass over the whole batch buffer — the linear-model analogue
-    /// of batched forest inference.
+    /// The linear-model analogue of batched forest inference: rows go four
+    /// at a time, one pass over the weights feeding four accumulators, so
+    /// the four `acc += w·x` chains — each strictly serial, which is what
+    /// keeps a row's sum the sum [`CostOracle::cost_row`] computes, bit for
+    /// bit — overlap instead of queueing one row after another. Only the
+    /// columns of the view's live runs are visited ([`RowsView::live`]; the
+    /// whole width without a hint): a skipped term is `w · 0.0 = ±0.0` for
+    /// the finite weights [`AnalyticOracle::for_registry`] admits, and
+    /// `acc + ±0.0` is `acc` for every value the chain can hold — it starts
+    /// at `+0.0` and a sum is `−0.0` only when both operands are.
     fn cost_batch(&self, rows: RowsView<'_>, out: &mut Vec<f64>) {
         debug_assert_eq!(
             rows.width(),
@@ -188,12 +216,39 @@ impl CostOracle for AnalyticOracle {
             rows.width(),
             self.width()
         );
+        let width = self.weights.len();
+        let whole = 0..width;
+        let runs = rows.live().unwrap_or(std::slice::from_ref(&whole));
         out.clear();
         out.reserve(rows.rows());
-        for row in rows.flat().chunks_exact(self.weights.len()) {
+        let mut blocks = rows.flat().chunks_exact(4 * width);
+        for block in &mut blocks {
+            let (r0, rest) = block.split_at(width);
+            let (r1, rest) = rest.split_at(width);
+            let (r2, r3) = rest.split_at(width);
+            let mut acc = [0.0; 4];
+            for run in runs {
+                let lanes = self.weights[run.clone()]
+                    .iter()
+                    .zip(&r0[run.clone()])
+                    .zip(&r1[run.clone()])
+                    .zip(&r2[run.clone()])
+                    .zip(&r3[run.clone()]);
+                for ((((&w, &x0), &x1), &x2), &x3) in lanes {
+                    acc[0] += w * x0;
+                    acc[1] += w * x1;
+                    acc[2] += w * x2;
+                    acc[3] += w * x3;
+                }
+            }
+            out.extend_from_slice(&acc);
+        }
+        for row in blocks.remainder().chunks_exact(width) {
             let mut acc = 0.0;
-            for (&w, &x) in self.weights.iter().zip(row) {
-                acc += w * x;
+            for run in runs {
+                for (&w, &x) in self.weights[run.clone()].iter().zip(&row[run.clone()]) {
+                    acc += w * x;
+                }
             }
             out.push(acc);
         }
@@ -211,6 +266,7 @@ pub fn uniform_oracle(layout: &FeatureLayout) -> (PlatformRegistry, AnalyticOrac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use robopt_plan::SplitMix64;
 
     #[test]
     fn oracle_is_linear_and_deterministic() {
@@ -282,32 +338,77 @@ mod tests {
         AnalyticOracle::for_registry(&registry, &layout);
     }
 
+    /// The lock-step kernel against its reference, `cost_row`: same bits for
+    /// every tail length, with the live-column hint, without it, and with
+    /// the hint naming the whole row.
     #[test]
-    fn default_and_overridden_cost_batch_agree() {
-        struct RowOnly(AnalyticOracle);
-        impl CostOracle for RowOnly {
-            fn width(&self) -> usize {
-                self.0.width()
-            }
-            fn cost_row(&self, feats: &[f64]) -> f64 {
-                self.0.cost_row(feats)
+    fn cost_batch_equals_cost_row_bitwise_with_and_without_the_live_hint() {
+        let mut rng = SplitMix64::new(0x0022_11FE);
+        for k in [1, 5, 8] {
+            let width = FeatureLayout::new(k, N_OPERATOR_KINDS).width;
+            assert!([103, 211, 292].contains(&width));
+            // Signed weights: a skipped `w · (+0.0)` is `−0.0` for `w < 0`.
+            let oracle = AnalyticOracle {
+                weights: (0..width).map(|_| rng.next_f64() * 4.0 - 2.0).collect(),
+            };
+            for n_rows in 0..=9 {
+                // Random ascending, disjoint runs; cells outside stay `+0.0`.
+                let mut runs = Vec::new();
+                let mut col = rng.gen_range(6);
+                while col < width {
+                    let end = (col + 1 + rng.gen_range(12)).min(width);
+                    runs.push(col..end);
+                    col = end + rng.gen_range(20);
+                }
+                let mut buf = vec![0.0; n_rows * width];
+                for row in buf.chunks_exact_mut(width) {
+                    for run in &runs {
+                        for cell in &mut row[run.clone()] {
+                            *cell = (rng.next_f64() - 0.3) * 1e6;
+                        }
+                    }
+                }
+                let plain = RowsView::new(&buf, width);
+                let whole = 0..width;
+                let whole = std::slice::from_ref(&whole);
+                let want: Vec<u64> = (0..n_rows)
+                    .map(|r| oracle.cost_row(plain.row(r)).to_bits())
+                    .collect();
+                let mut got = Vec::new();
+                for view in [plain, plain.with_live(&runs), plain.with_live(whole)] {
+                    oracle.cost_batch(view, &mut got);
+                    let got: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
+                    assert_eq!(
+                        got,
+                        want,
+                        "k={k} rows={n_rows} hint={:?}",
+                        view.live().map(<[_]>::len)
+                    );
+                }
             }
         }
-        let layout = FeatureLayout::new(2, N_OPERATOR_KINDS);
-        let (_, oracle) = uniform_oracle(&layout);
-        let rows = 7;
-        let mut buf = vec![0.0; rows * layout.width];
-        for (i, cell) in buf.iter_mut().enumerate() {
-            *cell = (i % 13) as f64 * 0.5;
-        }
-        let view = RowsView::new(&buf, layout.width);
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        oracle.cost_batch(view, &mut fast);
-        RowOnly(oracle.clone()).cost_batch(view, &mut slow);
-        assert_eq!(fast.len(), rows);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite oracle weight NaN for platform \"broken\"")]
+    fn non_finite_weight_is_refused_at_construction() {
+        use robopt_platforms::Platform;
+        let mut b = PlatformRegistry::builder();
+        b.add(Platform::new("fine"));
+        b.add(Platform::new("broken").with_fixed_cost(f64::NAN));
+        let registry = b.build();
+        let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+        AnalyticOracle::for_registry(&registry, &layout);
+    }
+
+    #[test]
+    fn shipped_registries_derive_finite_weights() {
+        let named = PlatformRegistry::named();
+        let registries = (1..=8).map(PlatformRegistry::uniform).chain([named]);
+        for registry in registries {
+            let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+            let oracle = AnalyticOracle::for_registry(&registry, &layout);
+            assert!(oracle.weights().iter().all(|w| w.is_finite()));
         }
     }
 

@@ -15,8 +15,16 @@
 //! The incremental path (singletons + merges + conversion additions) and the
 //! whole-plan path produce identical vectors; a property test asserts this
 //! on random DAGs.
+//!
+//! Because those two functions are the only writers, the cells a plan can
+//! make non-zero are known before any row exists: [`live_runs`] lists them
+//! from the operator kinds the plan holds, and the enumerator hands that
+//! list to the cost oracle with every staged block
+//! (`robopt_vector::RowsView::with_live`).
 
-use robopt_plan::LogicalPlan;
+use std::ops::Range;
+
+use robopt_plan::{LogicalPlan, N_OPERATOR_KINDS};
 use robopt_platforms::PlatformId;
 use robopt_vector::{FeatureLayout, NO_PLATFORM};
 
@@ -119,6 +127,49 @@ pub fn add_conversion_features(
         feats[layout.conversion_count(pv as usize)] += 1.0;
         feats[layout.conversion_tuples(pv as usize)] += plan.out_card()[u as usize];
     }
+}
+
+/// The columns any (sub)plan vector of `plan` can make non-zero, as
+/// ascending, disjoint runs (adjacent ones coalesced) in the first `len`
+/// slots of the returned array: the cells [`add_operator_cells`] writes for
+/// an operator of a kind the plan holds, on any platform — the globals, the
+/// kind's 3-cell block and its `k`-cell platform row — and the `3k`-cell
+/// conversion / platform-input tail [`add_conversion_features`] and the
+/// per-platform input cell share. Every other cell is `0.0` in every row
+/// enumeration builds for this plan, whatever the assignment; at 24 kinds a
+/// plan that holds a handful of them leaves most of the row dead. The array
+/// is sized for the worst case (every kind present, nothing adjacent) so it
+/// lives on the caller's stack.
+pub fn live_runs(
+    plan: &LogicalPlan,
+    layout: &FeatureLayout,
+) -> ([Range<usize>; 2 * N_OPERATOR_KINDS + 2], usize) {
+    assert_eq!(layout.n_kinds, N_OPERATOR_KINDS);
+    let mut present = [false; N_OPERATOR_KINDS];
+    for op in plan.ops() {
+        present[op.kind.index()] = true;
+    }
+    let mut runs = std::array::from_fn(|_| 0..0);
+    let mut len = 0;
+    let mut push = |run: Range<usize>| {
+        if len > 0 && runs[len - 1].end == run.start {
+            runs[len - 1].end = run.end;
+        } else {
+            runs[len] = run;
+            len += 1;
+        }
+    };
+    push(0..layout.kind_count(0));
+    let kinds = || (0..N_OPERATOR_KINDS).filter(|&kind| present[kind]);
+    for kind in kinds() {
+        push(layout.kind_count(kind)..layout.kind_out_tuples(kind) + 1);
+    }
+    for kind in kinds() {
+        let row = layout.kind_platform_count(kind, 0);
+        push(row..row + layout.n_platforms);
+    }
+    push(layout.conversion_count(0)..layout.width);
+    (runs, len)
 }
 
 /// Encode a whole plan under a full platform assignment. `feats` is

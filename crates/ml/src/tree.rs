@@ -231,6 +231,13 @@ impl RegressionTree {
             for &col in candidates {
                 sorted.clear();
                 sorted.extend(span.iter().map(|&r| (rows.value(r as usize, col), r)));
+                // A constant column (most candidates: all-zero plan-vector
+                // cells) separates nothing — the scan below would skip every
+                // position on its equal-values test — so it is not sorted.
+                let first = sorted[0].0;
+                if sorted.iter().all(|&(v, _)| v == first) {
+                    continue;
+                }
                 // Sort by (value, row index): total order ⇒ deterministic
                 // prefix scan and threshold choice under ties.
                 sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

@@ -10,6 +10,7 @@
 //! ([`alloc_events`]) so tests can assert that a warmed-up enumeration
 //! performs **no** per-subplan heap allocation on the merge/prune hot path.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel for "operator not in this subplan's scope".
@@ -179,10 +180,17 @@ impl EnumMatrix {
 /// `&[f64]` whose length is a multiple of `width` can be costed in one
 /// batch (the object-graph baseline builds such buffers from scratch on
 /// every merge; the ML forest will consume whole batches per inference).
+///
+/// A view may carry a **live-column hint** ([`RowsView::with_live`]): a
+/// promise by whoever built the rows that every cell outside the given
+/// column runs is `0.0` in every row. A consumer is free to ignore it — the
+/// rows are complete either way — and a linear model may sum over the runs
+/// only, because the terms it skips are zeros.
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
     feats: &'a [f64],
     width: usize,
+    live: Option<&'a [Range<usize>]>,
 }
 
 impl<'a> RowsView<'a> {
@@ -192,7 +200,54 @@ impl<'a> RowsView<'a> {
     pub fn new(feats: &'a [f64], width: usize) -> Self {
         assert!(width > 0, "zero-width rows");
         debug_assert_eq!(feats.len() % width, 0, "ragged row buffer");
-        RowsView { feats, width }
+        RowsView {
+            feats,
+            width,
+            live: None,
+        }
+    }
+
+    /// Attach the live-column hint: `runs` are ascending, disjoint column
+    /// ranges inside the row, and every cell outside them is `0.0` (either
+    /// sign) in every row of this view. Debug builds check the promise.
+    #[inline]
+    pub fn with_live(mut self, runs: &'a [Range<usize>]) -> Self {
+        #[cfg(debug_assertions)]
+        {
+            let mut dead_from = 0;
+            for run in runs {
+                assert!(
+                    dead_from <= run.start && run.start <= run.end && run.end <= self.width,
+                    "live runs must ascend, stay disjoint and fit the row: {runs:?}"
+                );
+                self.assert_dead(dead_from..run.start);
+                dead_from = run.end;
+            }
+            self.assert_dead(dead_from..self.width);
+        }
+        self.live = Some(runs);
+        self
+    }
+
+    /// The live-column hint, when the builder of the rows attached one.
+    #[inline]
+    pub fn live(&self) -> Option<&'a [Range<usize>]> {
+        self.live
+    }
+
+    /// Debug half of [`RowsView::with_live`]: columns `cols` hold `0.0` in
+    /// every row.
+    #[cfg(debug_assertions)]
+    fn assert_dead(&self, cols: Range<usize>) {
+        for r in 0..self.rows() {
+            for col in cols.clone() {
+                assert!(
+                    self.value(r, col) == 0.0,
+                    "row {r} holds {} at column {col}, outside its live runs",
+                    self.value(r, col)
+                );
+            }
+        }
     }
 
     #[inline]
@@ -251,6 +306,27 @@ mod tests {
         let v = RowsView::new(&buf, 3);
         assert_eq!(v.value(0, 2), 3.0);
         assert_eq!(v.value(1, 0), 4.0);
+    }
+
+    #[test]
+    fn live_hint_rides_on_the_view_and_changes_no_row() {
+        let buf = [1.0, 0.0, 2.0, 3.0, -0.0, 4.0, 0.0, 0.0, 5.0, 0.0];
+        let plain = RowsView::new(&buf, 5);
+        assert!(plain.live().is_none());
+        let runs = [0..1, 2..4];
+        let hinted = plain.with_live(&runs);
+        assert_eq!(hinted.live(), Some(&runs[..]));
+        assert_eq!(hinted.flat(), plain.flat());
+        assert_eq!((hinted.rows(), hinted.width()), (2, 5));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "outside its live runs"))]
+    fn a_broken_live_promise_is_caught_in_debug() {
+        let buf = [1.0, 0.0, 2.0, 0.0, 7.0, 0.0];
+        let runs = [0..1, 2..3];
+        // Row 1 holds 7.0 at column 1. Release builds trust the caller.
+        RowsView::new(&buf, 3).with_live(&runs);
     }
 
     #[test]

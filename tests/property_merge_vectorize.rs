@@ -10,9 +10,15 @@
 //! enumerator ran per candidate until PR 21 — lives here as the reference
 //! the overlay rule that replaced it (DESIGN §5: copy the outer row, write
 //! the inner scope's operators over it) is tested against.
+//!
+//! Live columns: `live_runs` promises the cost oracle that a plan's vectors
+//! are zero outside the runs it lists; the last test holds the encoder to it.
 
-use robopt_core::vectorize::{add_conversion_features, fill_singleton, vectorize_assignment};
+use robopt_core::vectorize::{
+    add_conversion_features, fill_singleton, live_runs, vectorize_assignment,
+};
 use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
+use robopt_platforms::{PlatformId, PlatformRegistry};
 use robopt_vector::merge::merge_feats;
 use robopt_vector::{FeatureLayout, Scope, NO_PLATFORM};
 
@@ -150,6 +156,73 @@ fn incremental_merge_equals_whole_plan_vectorize() {
                 (g - e).abs() <= tol,
                 "case {case} (n={n}, k={k}): cell {cell} differs: incremental {g} vs whole-plan {e}"
             );
+        }
+    }
+}
+
+#[test]
+fn a_plan_vector_is_zero_outside_the_plans_live_runs() {
+    let mut rng = SplitMix64::new(0xF16_0022);
+    let registries = [
+        PlatformRegistry::named(),
+        PlatformRegistry::uniform(2),
+        PlatformRegistry::uniform(5),
+        PlatformRegistry::uniform(8),
+    ];
+    let mut feats = Vec::new();
+    for case in 0..128 {
+        let registry = &registries[case % registries.len()];
+        let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+        let n = 4 + rng.gen_range(37);
+        let plan = workloads::random_connected_dag(&mut rng, n, 0.2);
+
+        let (runs, len) = live_runs(&plan, &layout);
+        let runs = &runs[..len];
+        let mut end = 0;
+        for (i, run) in runs.iter().enumerate() {
+            // Adjacent runs are coalesced, so later ones start past a gap.
+            assert!(
+                run.start < run.end && (i == 0 || run.start > end),
+                "case {case}: {runs:?}"
+            );
+            end = run.end;
+        }
+        assert!(end <= layout.width, "case {case}: {runs:?}");
+        let live: usize = runs.iter().map(|run| run.len()).sum();
+        let mut kinds: Vec<usize> = plan.ops().iter().map(|op| op.kind.index()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(
+            live,
+            4 + kinds.len() * (3 + registry.len()) + 3 * registry.len(),
+            "case {case}: globals + a block and a platform row per kind present + the tail"
+        );
+        assert!(kinds.len() == N_OPERATOR_KINDS || live < layout.width);
+
+        for _ in 0..4 {
+            // A random feasible assignment: every operator on a platform
+            // that runs its kind, every crossing edge convertible.
+            let assign: Vec<u8> = loop {
+                let draw: Vec<u8> = plan
+                    .ops()
+                    .iter()
+                    .map(|op| {
+                        let choices: Vec<PlatformId> =
+                            registry.available_platforms(op.kind).collect();
+                        choices[rng.gen_range(choices.len())].raw()
+                    })
+                    .collect();
+                if registry.feasible(&plan, |i| PlatformId::from_index(draw[i] as usize)) {
+                    break draw;
+                }
+            };
+            vectorize_assignment(&plan, &layout, &assign, &mut feats);
+            for (cell, &x) in feats.iter().enumerate() {
+                assert!(
+                    x == 0.0 || runs.iter().any(|run| run.contains(&cell)),
+                    "case {case}: cell {cell} = {x} outside {runs:?}"
+                );
+            }
         }
     }
 }
