@@ -121,7 +121,8 @@ impl CostOracle for CardSensitivityOracle<'_> {
             rows.width(),
             self.width()
         );
-        self.forest.predict_batch(rows, out);
+        let mut unpacked = Vec::new();
+        self.forest.predict_batch(rows.full(&mut unpacked), out);
     }
 
     fn cost_batch_dist(&self, rows: RowsView<'_>, out: &mut CostDistribution) {
@@ -132,6 +133,9 @@ impl CostOracle for CardSensitivityOracle<'_> {
             rows.width(),
             self.width()
         );
+        // The hypotheses scale cells by full-layout index.
+        let mut unpacked = Vec::new();
+        let rows = rows.full(&mut unpacked);
         let n = rows.rows();
         let m = self.factors.len();
         let mut scaled = vec![0.0; self.width()];

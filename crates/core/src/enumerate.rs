@@ -11,11 +11,17 @@
 //! added for every dataflow edge crossing the two scopes (combinations
 //! whose crossing edges have no conversion path in the registry's COT are
 //! excluded, DESIGN §6.3), each block is costed in **one batched oracle
-//! call** (which is told the columns this plan can make non-zero,
-//! [`crate::vectorize::live_runs`]), and Def-2 boundary pruning keeps the
-//! cheapest row per pruning footprint. When one unit covers the whole plan
-//! its empty footprint leaves exactly the optimal row, which `unvectorize`
-//! turns into an [`ExecutionPlan`].
+//! call**, and Def-2 boundary pruning keeps the cheapest row per pruning
+//! footprint. When one unit covers the whole plan its empty footprint leaves
+//! exactly the optimal row, which `unvectorize` turns into an
+//! [`ExecutionPlan`].
+//!
+//! Rows are **plan-local**: every matrix, the scratch row and the staging
+//! block are laid out by the plan's own [`PlanLayout`] — the Fig-5 cells of
+//! the operator kinds the plan holds, 105 of 292 at 7 kinds × 8 platforms —
+//! built once per run from the caller's full layout. The oracle receives
+//! them as packed views of full-layout rows ([`PlanLayout::packed`]); only
+//! [`Enumerator::finish`] encodes a full-layout row, for the winner.
 //!
 //! Zero-allocation hot path: the [`Enumerator`] owns matrix pools, scratch
 //! row buffers, the batch cost buffer, the priority heap and the footprint
@@ -35,9 +41,7 @@ use robopt_vector::{
 
 use crate::dist::{CostDistribution, RiskPolicy};
 use crate::oracle::CostOracle;
-use crate::vectorize::{
-    add_conversion_features, fill_singleton, live_runs, vectorize_assignment, ExecutionPlan,
-};
+use crate::vectorize::{add_conversion_features, vectorize_assignment, ExecutionPlan, PlanLayout};
 
 /// Enumeration options: a borrowed [`PlatformRegistry`], the cost oracle
 /// driving the search, and tuning flags, assembled builder-style.
@@ -378,15 +382,16 @@ impl Enumerator {
     }
 
     /// Reset per-run state for an `n`-operator plan: no live units yet,
-    /// identity union-find, scratch rows sized to the layout. Phase entry
-    /// point for `crate::parallel`; [`Enumerator::enumerate`] uses it too.
-    pub(crate) fn begin(&mut self, n: usize, layout: &FeatureLayout) {
+    /// identity union-find, scratch rows sized to the plan's own layout.
+    /// Phase entry point for `crate::parallel`; [`Enumerator::enumerate`]
+    /// uses it too.
+    pub(crate) fn begin(&mut self, n: usize, layout: &PlanLayout) {
         self.units.clear();
         self.units.resize_with(n, || None);
         self.parent.clear();
         self.parent.extend(0..n as u32);
         self.scratch_feats.clear();
-        self.scratch_feats.resize(layout.width, 0.0);
+        self.scratch_feats.resize(layout.local().width, 0.0);
         self.scratch_assign.clear();
         self.scratch_assign.resize(n, NO_PLATFORM);
     }
@@ -399,7 +404,7 @@ impl Enumerator {
     pub(crate) fn seed_singletons(
         &mut self,
         plan: &LogicalPlan,
-        layout: &FeatureLayout,
+        layout: &PlanLayout,
         opts: EnumOptions<'_>,
         scope: Scope,
         stats: &mut EnumStats,
@@ -410,13 +415,13 @@ impl Enumerator {
         let k = registry.len();
         for op in scope.ops() {
             let kind = plan.op(op).kind;
-            let mut mat = self.take_mat(layout.width, n, k);
+            let mut mat = self.take_mat(layout.local().width, n, k);
             let mut feats = std::mem::take(&mut self.scratch_feats);
             let mut assign = std::mem::take(&mut self.scratch_assign);
             for p in registry.available_platforms(kind) {
                 feats.fill(0.0);
                 assign.fill(NO_PLATFORM);
-                fill_singleton(plan, layout, op, p.raw(), &mut feats);
+                layout.fill_singleton(plan, op, p.raw(), &mut feats);
                 assign[op as usize] = p.raw();
                 mat.push_row(&feats, &assign, 0.0);
             }
@@ -427,7 +432,8 @@ impl Enumerator {
                 "operator {op} ({kind:?}) is unavailable on every registry platform"
             );
             if n == 1 {
-                self.score_rows(oracle, opts.risk(), mat.rows_view());
+                let seeded = layout.packed(mat.rows_view().flat());
+                self.score_rows(oracle, opts.risk(), seeded);
                 for r in 0..mat.rows() {
                     mat.set_cost(r, self.cost_buf[r]);
                 }
@@ -507,7 +513,7 @@ impl Enumerator {
     pub(crate) fn contract_edges(
         &mut self,
         plan: &LogicalPlan,
-        layout: &FeatureLayout,
+        layout: &PlanLayout,
         opts: EnumOptions<'_>,
         edges: &[u32],
         stats: &mut EnumStats,
@@ -516,10 +522,8 @@ impl Enumerator {
         let oracle = opts.oracle();
         let n = plan.n_ops();
         let k = registry.len();
-        // Every row staged below is zero outside these columns; the oracle
-        // is told so with each block.
-        let (live, n_live) = live_runs(plan, layout);
-        let live = &live[..n_live];
+        let local = layout.local();
+        let width = local.width;
 
         self.heap.clear();
         for &e in edges {
@@ -583,10 +587,9 @@ impl Enumerator {
             } else {
                 rows_a * rows_b
             };
-            let mut dst = self.take_mat(layout.width, n, cap);
+            let mut dst = self.take_mat(width, n, cap);
             let mut block = std::mem::take(&mut self.stage_block);
             let mut assign = std::mem::take(&mut self.scratch_assign);
-            let width = layout.width;
             self.fp_map.clear();
             for ia in 0..a.mat.rows() {
                 merge_feats_many(&mut block, a.mat.row(ia), b.mat.rows_view());
@@ -612,11 +615,10 @@ impl Enumerator {
                             self.feas[ib] = false;
                             break;
                         }
-                        add_conversion_features(plan, layout, u, v, pu, pv, feats);
+                        add_conversion_features(plan, local, u, v, pu, pv, feats);
                     }
                 }
-                let staged = RowsView::new(&block, width).with_live(live);
-                self.score_rows(oracle, opts.risk(), staged);
+                self.score_rows(oracle, opts.risk(), layout.packed(&block));
                 for ib in 0..b.mat.rows() {
                     if !self.feas[ib] {
                         continue;
@@ -668,8 +670,9 @@ impl Enumerator {
 
     /// unvectorize: detach the single surviving unit (it must cover the
     /// whole plan), take its cheapest row, and re-cost that assignment
-    /// **canonically** — one whole-plan `vectorize_assignment` encode plus
-    /// one `cost_row` call. Selection uses the merge-tree costs, but the
+    /// **canonically** — one whole-plan `vectorize_assignment` encode in the
+    /// full layout (the only full-width row of a run) plus one `cost_row`
+    /// call. Selection uses the merge-tree costs, but the
     /// *reported* cost is a pure function of (plan, assignment, oracle),
     /// independent of the order floating-point additions happened in — so
     /// serial and split-parallel enumeration agree on cost bits. Under a
@@ -680,7 +683,7 @@ impl Enumerator {
     pub(crate) fn finish(
         &mut self,
         plan: &LogicalPlan,
-        layout: &FeatureLayout,
+        layout: &PlanLayout,
         opts: EnumOptions<'_>,
     ) -> ExecutionPlan {
         let n = plan.n_ops();
@@ -697,7 +700,7 @@ impl Enumerator {
         )]
         let best = unit.mat.min_cost_row().expect("non-empty enumeration");
         let mut feats = std::mem::take(&mut self.scratch_feats);
-        vectorize_assignment(plan, layout, unit.mat.assignments(best), &mut feats);
+        vectorize_assignment(plan, layout.full(), unit.mat.assignments(best), &mut feats);
         let cost = opts.oracle().cost_row(&feats);
         self.scratch_feats = feats;
         let result = ExecutionPlan::from_raw(unit.mat.assignments(best), cost);
@@ -717,6 +720,7 @@ impl Enumerator {
         check_preconditions(plan, layout, opts);
         let n = plan.n_ops();
         let mut stats = EnumStats::default();
+        let layout = &PlanLayout::of(plan, layout);
 
         self.begin(n, layout);
         self.seed_singletons(plan, layout, opts, Scope::full(n), &mut stats);
@@ -733,6 +737,7 @@ impl Enumerator {
 mod tests {
     use super::*;
     use crate::oracle::AnalyticOracle;
+    use crate::vectorize::fill_singleton;
     use robopt_plan::{workloads, N_OPERATOR_KINDS};
 
     fn run(plan: &LogicalPlan, k: usize, prune: bool) -> (ExecutionPlan, EnumStats) {
@@ -883,6 +888,93 @@ mod tests {
         }
     }
 
+    /// Every row every unit keeps, read the way the oracle reads it — as a
+    /// packed view of full-layout rows — is the full-layout vector of the
+    /// (partial) assignment stored beside it. Edges are contracted one at a
+    /// time so each unit can be inspected when it is built.
+    #[test]
+    fn every_kept_row_unpacks_to_the_full_layout_vector_of_its_assignment() {
+        use crate::vectorize::add_operator_cells;
+        use robopt_plan::{Operator, OperatorKind, SplitMix64};
+        let registries = [
+            PlatformRegistry::named(),
+            PlatformRegistry::uniform(2),
+            PlatformRegistry::uniform(5),
+            PlatformRegistry::uniform(8),
+        ];
+        let mut rng = SplitMix64::new(0x0023_0001);
+        let (mut unpacked, mut want) = (Vec::new(), Vec::new());
+        for case in 0..24 {
+            let registry = &registries[case % registries.len()];
+            let full = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+            // A banded DAG (every operator reads one of the three before it,
+            // one in four a second) over kinds drawn from all 20 inner ones,
+            // so the set of kinds present — the local layout — varies.
+            let n = 4 + rng.gen_range(37);
+            let mut plan = LogicalPlan::new();
+            plan.add_op(Operator::source(OperatorKind::TextFileSource, 1e5));
+            for i in 1..n {
+                let kind = if i == n - 1 {
+                    OperatorKind::LocalCallbackSink
+                } else {
+                    OperatorKind::ALL[3 + rng.gen_range(20)]
+                };
+                let id = plan.add_op(Operator::new(kind).with_selectivity(0.9));
+                let first = i - 1 - rng.gen_range(i.min(3));
+                let second = i - 1 - rng.gen_range(i.min(3));
+                plan.connect(first as u32, id);
+                if second != first && rng.next_f64() < 0.25 {
+                    plan.connect(second as u32, id);
+                }
+            }
+            plan.seal();
+
+            let oracle = AnalyticOracle::for_registry(registry, &full);
+            let opts = EnumOptions::new(registry).with_oracle(&oracle);
+            let layout = PlanLayout::of(&plan, &full);
+            let mut check = |unit: &Unit| {
+                assert_eq!(unit.mat.width(), layout.local().width);
+                layout
+                    .packed(unit.mat.rows_view().flat())
+                    .unpack_into(&mut unpacked);
+                for (r, got) in unpacked.chunks_exact(full.width).enumerate() {
+                    let assign = unit.mat.assignments(r);
+                    want.clear();
+                    want.resize(full.width, 0.0);
+                    for op in unit.scope.ops() {
+                        add_operator_cells(&plan, &full, op, assign[op as usize], &mut want);
+                    }
+                    for &(u, v) in plan.edges() {
+                        if unit.scope.contains(u) && unit.scope.contains(v) {
+                            let (pu, pv) = (assign[u as usize], assign[v as usize]);
+                            add_conversion_features(&plan, &full, u, v, pu, pv, &mut want);
+                        }
+                    }
+                    for (cell, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            (g - w).abs() <= 1e-12 * w.abs().max(1.0),
+                            "case {case} row {r} cell {cell}: kept {g}, assignment encodes {w}"
+                        );
+                    }
+                }
+            };
+
+            let mut en = Enumerator::new();
+            let mut stats = EnumStats::default();
+            en.begin(n, &layout);
+            en.seed_singletons(&plan, &layout, opts, Scope::full(n), &mut stats);
+            en.units.iter().flatten().for_each(&mut check);
+            for e in 0..plan.edges().len() as u32 {
+                en.contract_edges(&plan, &layout, opts, &[e], &mut stats);
+                let root = en.find(plan.edges()[e as usize].0);
+                check(en.units[root as usize].as_ref().unwrap());
+            }
+            assert_eq!(stats.merges, n as u64 - 1);
+            let exec = en.finish(&plan, &layout, opts);
+            assert_eq!(exec.assignments.len(), n);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "requires a cost oracle")]
     fn enumeration_without_an_oracle_is_rejected() {
@@ -911,7 +1003,7 @@ mod tests {
             self.inner.cost_batch(rows, &mut out.mean);
             out.fill_point_from_mean();
             for r in 0..rows.rows() {
-                out.std[r] = rows.row(r)[self.risky_cell] * 1e3;
+                out.std[r] = rows.value(r, self.risky_cell) * 1e3;
             }
         }
     }

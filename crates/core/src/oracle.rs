@@ -14,11 +14,13 @@
 //! [`PlatformRegistry`] — per-platform cost scales from the platform
 //! descriptors and conversion weights aggregated from the COT, instead of
 //! the hard-coded per-platform factor table of PR 1. Its batch path is not
-//! one flat pass: it walks four rows' sums in lock-step and, when the view
-//! carries the enumerator's live-column hint ([`RowsView::live`]), over the
-//! columns the plan can make non-zero only — each row's sum still adds its
-//! terms in ascending column order, so it equals `cost_row` bit for bit
-//! (DESIGN §5). Any linear cost model behind this trait can do the same.
+//! one flat pass: it walks four rows' sums in lock-step, and it reads the
+//! enumerator's packed rows as they are stored — `weights[run]` against the
+//! consecutive cells of the row, run after run ([`RowsView::runs`]) — so each
+//! row's sum still adds its terms in ascending column order and equals
+//! `cost_row` on the unpacked row bit for bit (DESIGN §5). Any linear cost
+//! model behind this trait can do the same; a model that indexes a row by
+//! full-layout cell calls [`RowsView::full`] first, as the default methods do.
 
 use robopt_plan::N_OPERATOR_KINDS;
 use robopt_platforms::PlatformRegistry;
@@ -49,11 +51,13 @@ pub trait CostOracle: Sync {
     fn cost_row(&self, feats: &[f64]) -> f64;
 
     /// Cost every row of `rows` into `out` (cleared first; `out[r]` is the
-    /// cost of `rows.row(r)`). The default implementation loops
+    /// cost of full-layout row `r`). The default implementation loops
     /// [`CostOracle::cost_row`]; batch-capable models (the random forest,
     /// the linear oracle) override it with a lock-step walk over several
     /// rows. Overrides must keep the width check (`debug_assert_eq!` against
-    /// [`CostOracle::width`]) and may use or ignore [`RowsView::live`].
+    /// [`CostOracle::width`]) and must take a packed view: the enumerator
+    /// sends nothing else. [`RowsView::full`] unpacks one (and is free on a
+    /// full view), which is all the default does about it.
     fn cost_batch(&self, rows: RowsView<'_>, out: &mut Vec<f64>) {
         debug_assert_eq!(
             rows.width(),
@@ -62,6 +66,8 @@ pub trait CostOracle: Sync {
             rows.width(),
             self.width()
         );
+        let mut unpacked = Vec::new();
+        let rows = rows.full(&mut unpacked);
         out.clear();
         out.reserve(rows.rows());
         for r in 0..rows.rows() {
@@ -202,11 +208,13 @@ impl CostOracle for AnalyticOracle {
     /// at a time, one pass over the weights feeding four accumulators, so
     /// the four `acc += w·x` chains — each strictly serial, which is what
     /// keeps a row's sum the sum [`CostOracle::cost_row`] computes, bit for
-    /// bit — overlap instead of queueing one row after another. Only the
-    /// columns of the view's live runs are visited ([`RowsView::live`]; the
-    /// whole width without a hint): a skipped term is `w · 0.0 = ±0.0` for
-    /// the finite weights [`AnalyticOracle::for_registry`] admits, and
-    /// `acc + ±0.0` is `acc` for every value the chain can hold — it starts
+    /// bit — overlap instead of queueing one row after another. A packed
+    /// view is walked as stored: run by run, `weights[run]` against the next
+    /// `run.len()` cells of the row (a full view is the one run `0..width`).
+    /// Those are `cost_row`'s terms on the unpacked row, in its order, minus
+    /// the ones for columns the view does not store — each `w · 0.0 = ±0.0`
+    /// for the finite weights [`AnalyticOracle::for_registry`] admits, and
+    /// `acc + ±0.0` is `acc` for every value the chain can hold: it starts
     /// at `+0.0` and a sum is `−0.0` only when both operands are.
     fn cost_batch(&self, rows: RowsView<'_>, out: &mut Vec<f64>) {
         debug_assert_eq!(
@@ -216,24 +224,27 @@ impl CostOracle for AnalyticOracle {
             rows.width(),
             self.width()
         );
-        let width = self.weights.len();
-        let whole = 0..width;
-        let runs = rows.live().unwrap_or(std::slice::from_ref(&whole));
+        let whole = 0..self.weights.len();
+        let runs = rows.runs().unwrap_or(std::slice::from_ref(&whole));
+        let stride = rows.stride();
         out.clear();
         out.reserve(rows.rows());
-        let mut blocks = rows.flat().chunks_exact(4 * width);
+        let mut blocks = rows.cells().chunks_exact(4 * stride);
         for block in &mut blocks {
-            let (r0, rest) = block.split_at(width);
-            let (r1, rest) = rest.split_at(width);
-            let (r2, r3) = rest.split_at(width);
+            let (r0, rest) = block.split_at(stride);
+            let (r1, rest) = rest.split_at(stride);
+            let (r2, r3) = rest.split_at(stride);
             let mut acc = [0.0; 4];
+            let mut at = 0;
             for run in runs {
+                let stored = at..at + run.len();
+                at = stored.end;
                 let lanes = self.weights[run.clone()]
                     .iter()
-                    .zip(&r0[run.clone()])
-                    .zip(&r1[run.clone()])
-                    .zip(&r2[run.clone()])
-                    .zip(&r3[run.clone()]);
+                    .zip(&r0[stored.clone()])
+                    .zip(&r1[stored.clone()])
+                    .zip(&r2[stored.clone()])
+                    .zip(&r3[stored]);
                 for ((((&w, &x0), &x1), &x2), &x3) in lanes {
                     acc[0] += w * x0;
                     acc[1] += w * x1;
@@ -243,10 +254,13 @@ impl CostOracle for AnalyticOracle {
             }
             out.extend_from_slice(&acc);
         }
-        for row in blocks.remainder().chunks_exact(width) {
+        for row in blocks.remainder().chunks_exact(stride) {
             let mut acc = 0.0;
+            let mut at = 0;
             for run in runs {
-                for (&w, &x) in self.weights[run.clone()].iter().zip(&row[run.clone()]) {
+                let stored = at..at + run.len();
+                at = stored.end;
+                for (&w, &x) in self.weights[run.clone()].iter().zip(&row[stored]) {
                     acc += w * x;
                 }
             }
@@ -338,21 +352,21 @@ mod tests {
         AnalyticOracle::for_registry(&registry, &layout);
     }
 
-    /// The lock-step kernel against its reference, `cost_row`: same bits for
-    /// every tail length, with the live-column hint, without it, and with
-    /// the hint naming the whole row.
+    /// The lock-step kernel against its reference, `cost_row` on the full
+    /// row: same bits for every tail length, on packed rows, on the same
+    /// rows unpacked, and on a packed view whose one run is the whole row.
     #[test]
-    fn cost_batch_equals_cost_row_bitwise_with_and_without_the_live_hint() {
-        let mut rng = SplitMix64::new(0x0022_11FE);
+    fn cost_batch_on_packed_rows_equals_cost_row_on_the_unpacked_rows_bitwise() {
+        let mut rng = SplitMix64::new(0x0023_11FE);
         for k in [1, 5, 8] {
             let width = FeatureLayout::new(k, N_OPERATOR_KINDS).width;
             assert!([103, 211, 292].contains(&width));
-            // Signed weights: a skipped `w · (+0.0)` is `−0.0` for `w < 0`.
+            // Signed weights: an unstored `w · (+0.0)` is `−0.0` for `w < 0`.
             let oracle = AnalyticOracle {
                 weights: (0..width).map(|_| rng.next_f64() * 4.0 - 2.0).collect(),
             };
             for n_rows in 0..=9 {
-                // Random ascending, disjoint runs; cells outside stay `+0.0`.
+                // Random ascending, disjoint runs.
                 let mut runs = Vec::new();
                 let mut col = rng.gen_range(6);
                 while col < width {
@@ -360,33 +374,56 @@ mod tests {
                     runs.push(col..end);
                     col = end + rng.gen_range(20);
                 }
-                let mut buf = vec![0.0; n_rows * width];
-                for row in buf.chunks_exact_mut(width) {
-                    for run in &runs {
-                        for cell in &mut row[run.clone()] {
-                            *cell = (rng.next_f64() - 0.3) * 1e6;
-                        }
-                    }
-                }
-                let plain = RowsView::new(&buf, width);
+                let stride: usize = runs.iter().map(|run| run.len()).sum();
+                let cells: Vec<f64> = (0..n_rows * stride)
+                    .map(|_| (rng.next_f64() - 0.3) * 1e6)
+                    .collect();
+                let packed = RowsView::new(&cells, stride).packed(&runs, width);
+                let mut full = Vec::new();
+                let unpacked = packed.full(&mut full);
                 let whole = 0..width;
                 let whole = std::slice::from_ref(&whole);
                 let want: Vec<u64> = (0..n_rows)
-                    .map(|r| oracle.cost_row(plain.row(r)).to_bits())
+                    .map(|r| oracle.cost_row(unpacked.row(r)).to_bits())
                     .collect();
-                let mut got = Vec::new();
-                for view in [plain, plain.with_live(&runs), plain.with_live(whole)] {
+                let views = [packed, unpacked, unpacked.packed(whole, width)];
+                let (mut got, mut dist) = (Vec::new(), CostDistribution::new());
+                for (form, view) in views.into_iter().enumerate() {
                     oracle.cost_batch(view, &mut got);
-                    let got: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
-                    assert_eq!(
-                        got,
-                        want,
-                        "k={k} rows={n_rows} hint={:?}",
-                        view.live().map(<[_]>::len)
-                    );
+                    oracle.cost_batch_dist(view, &mut dist);
+                    for column in [&got, &dist.mean, &dist.q10, &dist.q50, &dist.q90] {
+                        let column: Vec<u64> = column.iter().map(|c| c.to_bits()).collect();
+                        assert_eq!(column, want, "k={k} rows={n_rows} form={form}");
+                    }
+                    assert!(dist.std.iter().all(|&s| s == 0.0));
                 }
             }
         }
+    }
+
+    /// A `CostOracle` that overrides nothing reads a packed view through the
+    /// default methods' unpack.
+    #[test]
+    fn default_batch_methods_unpack_a_packed_view() {
+        struct FirstAndLast;
+        impl CostOracle for FirstAndLast {
+            fn width(&self) -> usize {
+                5
+            }
+            fn cost_row(&self, feats: &[f64]) -> f64 {
+                assert_eq!(feats.len(), 5);
+                feats[0] + 10.0 * feats[4] + 100.0 * feats[1]
+            }
+        }
+        let runs = [0..1, 3..5];
+        let cells = [1.0, 7.0, 2.0, 3.0, 8.0, 4.0];
+        let packed = RowsView::new(&cells, 3).packed(&runs, 5);
+        let mut out = Vec::new();
+        FirstAndLast.cost_batch(packed, &mut out);
+        assert_eq!(out, [21.0, 43.0]);
+        let mut dist = CostDistribution::new();
+        FirstAndLast.cost_batch_dist(packed, &mut dist);
+        assert_eq!(dist.mean, [21.0, 43.0]);
     }
 
     #[test]

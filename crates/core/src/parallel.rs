@@ -30,7 +30,7 @@ use robopt_vector::FeatureLayout;
 
 use crate::enumerate::{check_preconditions, EnumOptions, EnumStats, Enumerator};
 use crate::split::{split_plan, PlanSplit, SplitOptions};
-use crate::vectorize::ExecutionPlan;
+use crate::vectorize::{ExecutionPlan, PlanLayout};
 
 /// Parallel split-enumerate-merge driver over per-part [`Enumerator`]s.
 #[derive(Debug, Default)]
@@ -114,6 +114,9 @@ impl ParallelEnumerator {
         if self.parts.len() < kp {
             self.parts.resize_with(kp, Enumerator::default);
         }
+        // One row layout for the whole run: parts and merger store the same
+        // plan-local rows, so part units are copied across as they are.
+        let layout = &PlanLayout::of(plan, layout);
 
         // Phase 1: enumerate every part. Workers own disjoint part blocks
         // (forest-style tiling); `thread::scope` joins them all and
@@ -173,7 +176,7 @@ impl ParallelEnumerator {
             en.surviving_roots(split.parts[i], &mut roots);
             for &r in roots.iter() {
                 let unit = en.take_unit(r);
-                let mut mat = merger.take_mat(layout.width, n, unit.mat.rows());
+                let mut mat = merger.take_mat(layout.local().width, n, unit.mat.rows());
                 mat.extend_from(&unit.mat);
                 merger.install_unit(unit.scope, mat);
                 en.recycle(unit.mat);
@@ -191,7 +194,7 @@ impl ParallelEnumerator {
 fn run_part(
     en: &mut Enumerator,
     plan: &LogicalPlan,
-    layout: &FeatureLayout,
+    layout: &PlanLayout,
     opts: EnumOptions<'_>,
     split: &PlanSplit,
     i: usize,

@@ -8,6 +8,14 @@
 //! oracle, the linear baseline and the random forest are interchangeable
 //! at every enumeration call site with no monomorphized duplicates of the
 //! enumeration loop.
+//!
+//! `Model`s read full rows ([`RowsView::row`]); the enumerator sends packed
+//! ones (DESIGN §3). `ModelOracle` is where the two meet: both batch methods
+//! unpack a packed view into a per-thread scratch ([`RowsView::full`], the
+//! identity on a full view) and hand the model the rows it has always read,
+//! so no model — the forest walk included — knows packed rows exist.
+
+use std::cell::RefCell;
 
 use robopt_core::{CostDistribution, CostOracle};
 use robopt_vector::RowsView;
@@ -134,7 +142,7 @@ impl<M: DistModel + Sync> CostOracle for ModelOracle<M> {
             rows.width(),
             self.width()
         );
-        self.model.predict_batch(rows, out);
+        with_full(rows, |rows| self.model.predict_batch(rows, out));
     }
 
     fn cost_batch_dist(&self, rows: RowsView<'_>, out: &mut CostDistribution) {
@@ -145,8 +153,22 @@ impl<M: DistModel + Sync> CostOracle for ModelOracle<M> {
             rows.width(),
             self.width()
         );
-        self.model.predict_dist_batch(rows, out);
+        with_full(rows, |rows| self.model.predict_dist_batch(rows, out));
     }
+}
+
+thread_local! {
+    /// Where [`with_full`] unpacks a packed batch. Per thread and reused,
+    /// not a `Vec` per call: a cold request makes dozens of oracle calls of
+    /// 10–20 KB each, and allocating and freeing that at the top of the heap
+    /// every call costs more than the unpack itself.
+    static UNPACKED: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `predict` on `rows` as a full view ([`RowsView::full`]): models index
+/// a row by full-layout cell, the enumerator sends packed rows.
+fn with_full<R>(rows: RowsView<'_>, predict: impl FnOnce(RowsView<'_>) -> R) -> R {
+    UNPACKED.with_borrow_mut(|unpacked| predict(rows.full(unpacked)))
 }
 
 #[cfg(test)]
@@ -231,6 +253,68 @@ mod tests {
     #[cfg_attr(debug_assertions, should_panic(expected = "oracle expecting"))]
     fn forest_oracle_rejects_a_wrong_width_dist_batch_in_debug() {
         forest_oracle().cost_batch_dist(RowsView::new(&[0.0; 6], 3), &mut CostDistribution::new());
+    }
+
+    /// The adapter unpacks: a packed batch costs what the same rows cost
+    /// unpacked, and what `cost_row` quotes for each — every column, every
+    /// tail length of the forest's 4-row blocks, at the three layout widths.
+    #[test]
+    fn forest_oracle_costs_a_packed_batch_as_its_unpacked_rows_bitwise() {
+        use robopt_plan::SplitMix64;
+        let mut rng = SplitMix64::new(0x0023_4D4C);
+        for width in [103, 211, 292] {
+            // Splits land on any column, so stored and unstored cells both
+            // decide leaves.
+            let train: Vec<f64> = (0..96 * width).map(|_| rng.next_f64()).collect();
+            let labels: Vec<f64> = train.chunks_exact(width).map(|r| r[7] + r[90]).collect();
+            let config = ForestConfig {
+                n_trees: 9,
+                ..ForestConfig::default()
+            };
+            let forest = RandomForest::fit(&config, RowsView::new(&train, width), &labels);
+            let oracle = ModelOracle::new(forest);
+            for n_rows in 0..=9 {
+                let mut runs = Vec::new();
+                let mut col = rng.gen_range(6);
+                while col < width {
+                    let end = (col + 1 + rng.gen_range(12)).min(width);
+                    runs.push(col..end);
+                    col = end + rng.gen_range(20);
+                }
+                let stride: usize = runs.iter().map(|run| run.len()).sum();
+                let cells: Vec<f64> = (0..n_rows * stride).map(|_| rng.next_f64()).collect();
+                let packed = RowsView::new(&cells, stride).packed(&runs, width);
+                let mut full = Vec::new();
+                let unpacked = packed.full(&mut full);
+
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                oracle.cost_batch(packed, &mut got);
+                oracle.cost_batch(unpacked, &mut want);
+                assert_eq!(bits(&got), bits(&want), "width {width} rows {n_rows}");
+                let by_row: Vec<f64> = (0..n_rows)
+                    .map(|r| oracle.cost_row(unpacked.row(r)))
+                    .collect();
+                assert_eq!(bits(&got), bits(&by_row), "width {width} rows {n_rows}");
+
+                let (mut got, mut want) = (CostDistribution::new(), CostDistribution::new());
+                oracle.cost_batch_dist(packed, &mut got);
+                oracle.cost_batch_dist(unpacked, &mut want);
+                assert_eq!(bits(&got.mean), bits(&by_row));
+                for (g, w) in [
+                    (&got.mean, &want.mean),
+                    (&got.std, &want.std),
+                    (&got.q10, &want.q10),
+                    (&got.q50, &want.q50),
+                    (&got.q90, &want.q90),
+                ] {
+                    assert_eq!(bits(g), bits(w), "width {width} rows {n_rows}");
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! `Vec<u8>` of per-operator platform assignments (the part `unvectorize`
 //! reads; never fed to the ML model), and per-row costs.
 //!
+//! The matrix does not know what its columns mean: `width` is whatever
+//! layout its owner resets it to. The enumerator's is the plan's own layout
+//! (`robopt_core::vectorize::PlanLayout`), so a row holds only the cells the
+//! plan's operator kinds can touch, and [`RowsView::packed`] is how such rows
+//! reach a cost oracle as rows of the full layout without being copied.
+//!
 //! Zero-allocation discipline: matrices are pooled and reused by the
 //! enumerator; every capacity growth bumps a global counter
 //! ([`alloc_events`]) so tests can assert that a warmed-up enumeration
@@ -179,106 +185,183 @@ impl EnumMatrix {
 /// cost-oracle input. Decouples oracles from [`EnumMatrix`]: any flat
 /// `&[f64]` whose length is a multiple of `width` can be costed in one
 /// batch (the object-graph baseline builds such buffers from scratch on
-/// every merge; the ML forest will consume whole batches per inference).
+/// every merge; the ML forest consumes whole batches per inference).
 ///
-/// A view may carry a **live-column hint** ([`RowsView::with_live`]): a
-/// promise by whoever built the rows that every cell outside the given
-/// column runs is `0.0` in every row. A consumer is free to ignore it — the
-/// rows are complete either way — and a linear model may sum over the runs
-/// only, because the terms it skips are zeros.
+/// A view has one of two forms. A **full** view ([`RowsView::new`]) stores
+/// every cell of every row. A **packed** view ([`RowsView::packed`]) stores
+/// only the cells of some ascending, disjoint column runs, back to back, and
+/// every cell outside the runs *is* `0.0`: the enumerator builds its rows in
+/// the plan's own layout and hands them over as they are. Both forms report
+/// the same [`RowsView::width`] — the full layout's — so an adapter that
+/// forwards a view by value needs to know nothing. A consumer that indexes
+/// rows by full-layout cell calls [`RowsView::full`] first (the identity on a
+/// full view); [`RowsView::row`] and [`RowsView::flat`] refuse a packed view
+/// in every build profile, so it can never silently read the wrong cell. A
+/// linear model walks [`RowsView::runs`] over [`RowsView::cells`] directly.
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
-    feats: &'a [f64],
+    cells: &'a [f64],
+    /// Cells one row occupies in `cells`: `width` for a full view, the
+    /// summed run lengths for a packed one.
+    stride: usize,
     width: usize,
-    live: Option<&'a [Range<usize>]>,
+    runs: Option<&'a [Range<usize>]>,
 }
 
 impl<'a> RowsView<'a> {
-    /// View over `feats` as rows of `width` cells. `feats.len()` must be a
-    /// multiple of `width`.
+    /// Full view over `feats` as rows of `width` cells. `feats.len()` must
+    /// be a multiple of `width`.
     #[inline]
     pub fn new(feats: &'a [f64], width: usize) -> Self {
         assert!(width > 0, "zero-width rows");
         debug_assert_eq!(feats.len() % width, 0, "ragged row buffer");
         RowsView {
-            feats,
+            cells: feats,
+            stride: width,
             width,
-            live: None,
+            runs: None,
         }
     }
 
-    /// Attach the live-column hint: `runs` are ascending, disjoint column
-    /// ranges inside the row, and every cell outside them is `0.0` (either
-    /// sign) in every row of this view. Debug builds check the promise.
+    /// Reinterpret this view's rows as packed rows of a `width`-cell layout:
+    /// stored cell `i` of a row is the `i`-th column of `runs` (ascending,
+    /// disjoint column ranges inside `width` whose lengths sum to the stored
+    /// row length), and every column outside `runs` is `0.0`.
     #[inline]
-    pub fn with_live(mut self, runs: &'a [Range<usize>]) -> Self {
+    pub fn packed(self, runs: &'a [Range<usize>], width: usize) -> Self {
+        assert!(self.runs.is_none(), "view is already packed");
         #[cfg(debug_assertions)]
         {
-            let mut dead_from = 0;
+            let (mut end, mut live) = (0, 0);
             for run in runs {
                 assert!(
-                    dead_from <= run.start && run.start <= run.end && run.end <= self.width,
-                    "live runs must ascend, stay disjoint and fit the row: {runs:?}"
+                    end <= run.start && run.start <= run.end && run.end <= width,
+                    "packed runs must ascend, stay disjoint and fit the row: {runs:?}"
                 );
-                self.assert_dead(dead_from..run.start);
-                dead_from = run.end;
+                end = run.end;
+                live += run.len();
             }
-            self.assert_dead(dead_from..self.width);
+            assert_eq!(
+                live, self.stride,
+                "packed rows hold one cell per run column"
+            );
         }
-        self.live = Some(runs);
-        self
-    }
-
-    /// The live-column hint, when the builder of the rows attached one.
-    #[inline]
-    pub fn live(&self) -> Option<&'a [Range<usize>]> {
-        self.live
-    }
-
-    /// Debug half of [`RowsView::with_live`]: columns `cols` hold `0.0` in
-    /// every row.
-    #[cfg(debug_assertions)]
-    fn assert_dead(&self, cols: Range<usize>) {
-        for r in 0..self.rows() {
-            for col in cols.clone() {
-                assert!(
-                    self.value(r, col) == 0.0,
-                    "row {r} holds {} at column {col}, outside its live runs",
-                    self.value(r, col)
-                );
-            }
+        RowsView {
+            runs: Some(runs),
+            width,
+            ..self
         }
     }
 
     #[inline]
     pub fn rows(&self) -> usize {
-        self.feats.len() / self.width
+        self.cells.len() / self.stride
     }
 
+    /// Width of a row in the full layout, whatever the form of the view.
     #[inline]
     pub fn width(&self) -> usize {
         self.width
     }
 
+    /// The column runs a packed view stores; `None` for a full view.
+    #[inline]
+    pub fn runs(&self) -> Option<&'a [Range<usize>]> {
+        self.runs
+    }
+
+    /// Cells one row occupies in [`RowsView::cells`].
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The backing buffer as stored (`rows() * stride()` cells, row-major):
+    /// [`RowsView::flat`] for a full view, the run columns back to back for
+    /// a packed one.
+    #[inline]
+    pub fn cells(&self) -> &'a [f64] {
+        self.cells
+    }
+
+    /// Row `r` of a full view. Panics on a packed view.
     #[inline]
     pub fn row(&self, r: usize) -> &'a [f64] {
-        &self.feats[r * self.width..(r + 1) * self.width]
+        &self.flat()[r * self.width..(r + 1) * self.width]
     }
 
-    /// The whole backing buffer (`rows() * width()` cells, row-major) —
-    /// lets batched oracles run one flat pass instead of `rows()` slices.
+    /// The whole backing buffer of a full view (`rows() * width()` cells,
+    /// row-major) — lets batched oracles run one flat pass instead of
+    /// `rows()` slices. Panics on a packed view.
     #[inline]
     pub fn flat(&self) -> &'a [f64] {
-        self.feats
+        assert!(
+            self.runs.is_none(),
+            "packed view indexed by full-layout cell: call RowsView::full first"
+        );
+        self.cells
     }
 
-    /// Value of cell `(row, col)` — strided single-cell access for
-    /// column-wise consumers (the CART split search in `robopt_ml` reads one
-    /// feature across a node's rows without materializing a column buffer).
+    /// Value of full-layout cell `(row, col)` in either form: the stored
+    /// cell, or `0.0` for a column a packed view does not store. Strided
+    /// single-cell access for column-wise consumers (the CART split search
+    /// in `robopt_ml` reads one feature across a node's rows without
+    /// materializing a column buffer).
     #[inline]
     pub fn value(&self, row: usize, col: usize) -> f64 {
         debug_assert!(col < self.width, "column {col} out of range");
-        self.feats[row * self.width + col]
+        let Some(runs) = self.runs else {
+            return self.cells[row * self.stride + col];
+        };
+        let mut at = row * self.stride;
+        for run in runs {
+            if col < run.end {
+                return if col < run.start {
+                    0.0
+                } else {
+                    self.cells[at + col - run.start]
+                };
+            }
+            at += run.len();
+        }
+        0.0
+    }
+
+    /// Write every row into `out` in the full layout (`rows() * width()`
+    /// cells, whatever `out` held): the stored cells at their columns,
+    /// `0.0` everywhere else.
+    pub fn unpack_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        let Some(runs) = self.runs else {
+            out.extend_from_slice(self.cells);
+            return;
+        };
+        out.resize(self.rows() * self.width, 0.0);
+        for (dst, src) in out
+            .chunks_exact_mut(self.width)
+            .zip(self.cells.chunks_exact(self.stride))
+        {
+            let mut at = 0;
+            for run in runs {
+                dst[run.clone()].copy_from_slice(&src[at..at + run.len()]);
+                at += run.len();
+            }
+        }
+    }
+
+    /// This view as a full view: itself when it already is one (`scratch`
+    /// is not touched), otherwise its rows unpacked into `scratch`. What a
+    /// consumer that reads rows by full-layout cell calls first.
+    #[inline]
+    pub fn full<'s>(self, scratch: &'s mut Vec<f64>) -> RowsView<'s>
+    where
+        'a: 's,
+    {
+        if self.runs.is_none() {
+            return self;
+        }
+        self.unpack_into(scratch);
+        RowsView::new(scratch, self.width)
     }
 }
 
@@ -308,25 +391,62 @@ mod tests {
         assert_eq!(v.value(1, 0), 4.0);
     }
 
+    /// Two packed rows of a 5-cell layout that stores columns 0 and 2..4.
+    const PACKED: [f64; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+    const RUNS: [Range<usize>; 2] = [0..1, 2..4];
+
     #[test]
-    fn live_hint_rides_on_the_view_and_changes_no_row() {
-        let buf = [1.0, 0.0, 2.0, 3.0, -0.0, 4.0, 0.0, 0.0, 5.0, 0.0];
-        let plain = RowsView::new(&buf, 5);
-        assert!(plain.live().is_none());
-        let runs = [0..1, 2..4];
-        let hinted = plain.with_live(&runs);
-        assert_eq!(hinted.live(), Some(&runs[..]));
-        assert_eq!(hinted.flat(), plain.flat());
-        assert_eq!((hinted.rows(), hinted.width()), (2, 5));
+    fn packed_view_resolves_full_layout_columns_through_its_runs() {
+        let packed = RowsView::new(&PACKED, 3).packed(&RUNS, 5);
+        assert_eq!((packed.rows(), packed.width(), packed.stride()), (2, 5, 3));
+        assert_eq!(packed.runs(), Some(&RUNS[..]));
+        assert_eq!(packed.cells(), &PACKED);
+        let want = [1.0, 0.0, 2.0, 3.0, 0.0, 4.0, 0.0, 5.0, 6.0, 0.0];
+        for (i, &cell) in want.iter().enumerate() {
+            assert_eq!(packed.value(i / 5, i % 5), cell, "cell {i}");
+        }
+        // Whatever the destination held, it ends up holding the full rows.
+        let mut out = vec![f64::NAN; 13];
+        packed.unpack_into(&mut out);
+        assert_eq!(out, want);
+        let mut scratch = vec![f64::NAN; 2];
+        let full = packed.full(&mut scratch);
+        assert!(full.runs().is_none());
+        assert_eq!(full.flat(), &want);
+        assert_eq!(full.row(1), &want[5..]);
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "outside its live runs"))]
-    fn a_broken_live_promise_is_caught_in_debug() {
-        let buf = [1.0, 0.0, 2.0, 0.0, 7.0, 0.0];
-        let runs = [0..1, 2..3];
-        // Row 1 holds 7.0 at column 1. Release builds trust the caller.
-        RowsView::new(&buf, 3).with_live(&runs);
+    fn full_is_the_identity_on_a_full_view() {
+        let buf = [1.0, 2.0, 3.0, 4.0];
+        let view = RowsView::new(&buf, 2);
+        assert_eq!((view.stride(), view.runs()), (2, None));
+        let mut scratch = Vec::new();
+        assert_eq!(view.full(&mut scratch).flat().as_ptr(), buf.as_ptr());
+        assert_eq!(scratch.capacity(), 0, "a full view is not copied");
+        view.unpack_into(&mut scratch);
+        assert_eq!(scratch, buf);
+    }
+
+    // Not `debug_assertions`-gated: a consumer indexing a packed view by
+    // full-layout cell must stop in release builds too.
+    #[test]
+    #[should_panic(expected = "packed view indexed by full-layout cell")]
+    fn row_refuses_a_packed_view_in_every_profile() {
+        RowsView::new(&PACKED, 3).packed(&RUNS, 5).row(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "packed view indexed by full-layout cell")]
+    fn flat_refuses_a_packed_view_in_every_profile() {
+        RowsView::new(&PACKED, 3).packed(&RUNS, 5).flat();
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "one cell per run column"))]
+    fn runs_that_do_not_cover_the_stored_row_are_caught_in_debug() {
+        // Release builds trust the caller.
+        let _ = RowsView::new(&PACKED, 2).packed(&RUNS, 5);
     }
 
     #[test]
