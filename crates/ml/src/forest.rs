@@ -5,8 +5,13 @@
 //! * **Deterministic under threading**: tree `t` derives its RNG solely
 //!   from `mix64(seed ^ t)`, and trees are stored in index order, so the
 //!   fitted forest is identical whether training ran on 1 thread or 16.
-//! * **Parallel training**: tree indices are dealt round-robin across
-//!   `std::thread::scope` workers (no work queue, no locks).
+//! * **Parallel training**: each `std::thread::scope` worker fits one
+//!   contiguous block of tree indices (no work queue, no locks). The
+//!   training set's columns are sorted once, before the workers start
+//!   ([`crate::tree::ColumnOrder`], shared read-only); a worker expands
+//!   that order per bootstrap sample into one
+//!   [`crate::tree::FitScratch`] it reuses across its trees — `4 · rows ·
+//!   live columns` bytes shared plus as much again per worker.
 //! * **Lock-step inference**: every prediction entry point is a sink over
 //!   one descent, [`walk`], which advances a block of up to
 //!   [`ROW_BLOCK`] rows × [`TREE_BLOCK`] trees one level at a time. The
@@ -25,7 +30,7 @@ use robopt_plan::rng::{mix64, SplitMix64};
 use robopt_vector::RowsView;
 
 use crate::model::{DistModel, Model};
-use crate::tree::{Node, RegressionTree, TreeConfig};
+use crate::tree::{ColumnOrder, FitScratch, Node, RegressionTree, TreeConfig};
 
 /// Rows advanced together by one [`walk`] block. Enumeration sends
 /// batches of 4–5 rows, so a wider block would rarely fill.
@@ -68,11 +73,24 @@ impl RandomForest {
     /// Fit a forest on `rows`/`labels` under `config`. Training is
     /// parallel across trees yet bit-identical to the serial order because
     /// per-tree randomness never depends on scheduling.
+    pub fn fit(config: &ForestConfig, rows: RowsView<'_>, labels: &[f64]) -> RandomForest {
+        let n_threads = available_threads().min(config.n_trees);
+        RandomForest::fit_on_threads(config, rows, labels, n_threads)
+    }
+
+    /// [`RandomForest::fit`] on `n_threads` workers. The columns are sorted
+    /// here, once, and shared; each worker expands them per tree into one
+    /// [`FitScratch`] of its own.
     #[expect(
         clippy::expect_used,
         reason = "the spawn blocks tile 0..n_trees exactly, so every slot is filled once the scope joins"
     )]
-    pub fn fit(config: &ForestConfig, rows: RowsView<'_>, labels: &[f64]) -> RandomForest {
+    fn fit_on_threads(
+        config: &ForestConfig,
+        rows: RowsView<'_>,
+        labels: &[f64],
+        n_threads: usize,
+    ) -> RandomForest {
         assert!(config.n_trees >= 1, "forest needs at least one tree");
         assert_eq!(rows.rows(), labels.len(), "one label per feature row");
         assert!(rows.rows() >= 1, "cannot fit a forest on zero samples");
@@ -86,12 +104,26 @@ impl RandomForest {
             ..config.tree
         };
         let n_trees = config.n_trees;
-        let n_threads = available_threads().min(n_trees);
+        let columns = ColumnOrder::new(rows);
         let mut trees: Vec<Option<RegressionTree>> = vec![None; n_trees];
-        if n_threads <= 1 {
-            for (t, slot) in trees.iter_mut().enumerate() {
-                *slot = Some(fit_one(&tree_cfg, rows, labels, config.seed, t));
+        // Fit trees `lo..lo + mine.len()` into `mine`.
+        let fit_block = |lo: usize, mine: &mut [Option<RegressionTree>]| {
+            let mut scratch = FitScratch::default();
+            for (offset, slot) in mine.iter_mut().enumerate() {
+                let t = lo + offset;
+                *slot = Some(fit_one(
+                    &tree_cfg,
+                    rows,
+                    labels,
+                    config.seed,
+                    t,
+                    &columns,
+                    &mut scratch,
+                ));
             }
+        };
+        if n_threads <= 1 {
+            fit_block(0, &mut trees);
         } else {
             std::thread::scope(|scope| {
                 let mut rest: &mut [Option<RegressionTree>] = &mut trees;
@@ -102,12 +134,7 @@ impl RandomForest {
                     let hi = (worker + 1) * n_trees / n_threads;
                     let (mine, tail) = rest.split_at_mut(hi - lo);
                     rest = tail;
-                    scope.spawn(move || {
-                        for (offset, slot) in mine.iter_mut().enumerate() {
-                            *slot =
-                                Some(fit_one(&tree_cfg, rows, labels, config.seed, lo + offset));
-                        }
-                    });
+                    scope.spawn(move || fit_block(lo, mine));
                 }
             });
         }
@@ -307,11 +334,13 @@ fn fit_one(
     labels: &[f64],
     seed: u64,
     t: usize,
+    columns: &ColumnOrder,
+    scratch: &mut FitScratch,
 ) -> RegressionTree {
     let mut rng = SplitMix64::new(mix64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
     let n = rows.rows();
     let idx: Vec<u32> = (0..n).map(|_| rng.gen_range(n) as u32).collect();
-    RegressionTree::fit_on_indices(config, rows, labels, &idx, &mut rng)
+    RegressionTree::fit_sorted(config, rows, labels, &idx, &mut rng, columns, scratch)
 }
 
 #[expect(
@@ -388,6 +417,32 @@ mod tests {
         a.predict_batch(probe_rows, &mut pa);
         b.predict_batch(probe_rows, &mut pb);
         assert_eq!(pa, pb, "same seed must reproduce bit-identical predictions");
+    }
+
+    #[test]
+    fn one_worker_and_several_fit_the_same_forest() {
+        let (feats, labels) = noisy_quadratic(300, 5, 71);
+        let rows = RowsView::new(&feats, 5);
+        // Seven trees over three workers: uneven blocks, and every worker
+        // reuses one scratch across trees of different bootstrap samples.
+        let cfg = ForestConfig {
+            n_trees: 7,
+            ..ForestConfig::default()
+        };
+        let fit = |n_threads| -> Vec<TreeParts> {
+            RandomForest::fit_on_threads(&cfg, rows, &labels, n_threads)
+                .trees()
+                .iter()
+                .map(RegressionTree::parts)
+                .collect()
+        };
+        let serial = fit(1);
+        assert!(
+            serial.iter().all(|tree| tree.0.len() > 1),
+            "every tree split"
+        );
+        assert_eq!(serial, fit(3));
+        assert_eq!(serial, fit(7));
     }
 
     #[test]
@@ -479,6 +534,8 @@ mod tests {
             .collect();
         let labels: Vec<f64> = (0..n).map(|_| rng.next_f64() * 10.0).collect();
         let rows = RowsView::new(&feats, width);
+        let columns = ColumnOrder::new(rows);
+        let mut scratch = FitScratch::default();
         let trees = (0..n_trees)
             .map(|t| {
                 let config = TreeConfig {
@@ -486,7 +543,7 @@ mod tests {
                     feature_candidates: Some(width.div_ceil(3)),
                     ..TreeConfig::default()
                 };
-                fit_one(&config, rows, &labels, seed, t)
+                fit_one(&config, rows, &labels, seed, t, &columns, &mut scratch)
             })
             .collect();
         RandomForest::from_trees(width, trees).unwrap()

@@ -100,6 +100,25 @@ impl TrainingSet {
         }
     }
 
+    /// Keep the first `n` rows and return the rest as a set of its own —
+    /// `Vec::split_off` on all three columns: the kept rows stay where they
+    /// are, only the tail is copied.
+    pub fn split_off(&mut self, n: usize) -> TrainingSet {
+        TrainingSet {
+            layout: self.layout,
+            rows: self.rows.split_off(n * self.layout.width),
+            labels: self.labels.split_off(n),
+            seconds: self.seconds.split_off(n),
+        }
+    }
+
+    /// Drop every row after the first `n`.
+    pub fn truncate(&mut self, n: usize) {
+        self.rows.truncate(n * self.layout.width);
+        self.labels.truncate(n);
+        self.seconds.truncate(n);
+    }
+
     /// Convert a log-space prediction back to seconds (inverse of the
     /// label transform, clamped at zero).
     pub fn label_to_seconds(label: f64) -> f64 {

@@ -10,12 +10,17 @@
 //! loop with no data-dependent branch; [`crate::forest`] owns that loop
 //! (the one descent implementation in this crate).
 //!
-//! The tree is the forest's base learner. Fitting works on an explicit
-//! node stack over a reusable index buffer — no recursion, no per-node
-//! allocation beyond the shared scratch. Split search is deterministic:
-//! candidate columns are visited in ascending order and rows are sorted by
-//! `(feature value, row index)`, so equal-gain ties always resolve the
-//! same way regardless of prior calls.
+//! The tree is the forest's base learner. Fitting is presorted CART: a
+//! [`ColumnOrder`] sorts every feature column of the training set once, by
+//! `(feature value, row index)`; a tree expands that order by its sample's
+//! multiplicities into `FitScratch`, and from then on every node owns the
+//! same `[start, end)` span of the sample and of each column's block, kept
+//! sorted by a stable partition at every split — no node gathers or sorts
+//! anything. The explicit node stack, the ascending visit of candidate
+//! columns and the `(value, row)` order make equal-gain ties resolve the
+//! same way regardless of prior calls, and the fitted tree is, bit for bit,
+//! the one a per-node sort of each candidate column produces (the `tests`
+//! module keeps that fitter as the reference).
 
 use robopt_plan::rng::SplitMix64;
 use robopt_vector::RowsView;
@@ -172,12 +177,131 @@ pub struct RegressionTree {
 /// children `0`.
 pub type TreeParts = (Vec<u32>, Vec<f64>, Vec<u32>, Vec<u32>, Vec<f64>);
 
-/// One pending node during fitting: its slice of the shared index buffer.
+/// One pending node during fitting: its span of the sample, which is also
+/// its span of every column block in [`FitScratch`].
 struct PendingNode {
     node: usize,
     start: usize,
     end: usize,
     depth: usize,
+}
+
+/// `ColumnOrder::block` of a column that holds one value over the whole set.
+const CONSTANT: u32 = u32::MAX;
+
+/// Every feature column of one training set, sorted once: what all trees
+/// fitted on that set share. Costs `4 · rows · live` bytes, `live` being the
+/// columns that are not constant over the set.
+#[derive(Debug)]
+pub(crate) struct ColumnOrder {
+    /// Per column, the block of `sorted` holding it, or [`CONSTANT`]: a
+    /// column with one value over the set cannot split any sample of it.
+    block: Vec<u32>,
+    /// One block of `rows` row ids per live column, ascending by
+    /// `(value.total_cmp, row id)`.
+    sorted: Vec<u32>,
+    rows: usize,
+}
+
+impl ColumnOrder {
+    pub(crate) fn new(rows: RowsView<'_>) -> ColumnOrder {
+        let n = rows.rows();
+        let mut block = vec![CONSTANT; rows.width()];
+        let mut sorted = Vec::new();
+        let mut live = 0;
+        let mut column: Vec<(f64, u32)> = Vec::with_capacity(n);
+        for (col, slot) in block.iter_mut().enumerate() {
+            column.clear();
+            column.extend((0..n).map(|r| (rows.value(r, col), r as u32)));
+            if column.iter().all(|&(v, _)| v == column[0].0) {
+                continue;
+            }
+            // Sort by (value, row index): a total order, so the order of a
+            // node's rows — hence the prefix scan and the threshold chosen
+            // under ties — is a function of the rows alone.
+            column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            sorted.extend(column.iter().map(|&(_, r)| r));
+            *slot = live;
+            live += 1;
+        }
+        ColumnOrder {
+            block,
+            sorted,
+            rows: n,
+        }
+    }
+
+    /// Columns that are not constant over the set: the blocks of `sorted`.
+    fn live(&self) -> usize {
+        self.sorted.len() / self.rows.max(1)
+    }
+}
+
+/// The buffers one tree fit works in; a forest worker reuses one across its
+/// trees. Beyond a few words per row this is `4 · sample · live` bytes.
+#[derive(Debug, Default)]
+pub(crate) struct FitScratch {
+    /// How often the sample holds each row of the set.
+    count: Vec<u32>,
+    /// The sample in the caller's order (label sums and means read this).
+    order: Vec<u32>,
+    /// One block of `sample` row ids per live column: the sample in that
+    /// column's order, every node's span of it sorted.
+    cols: Vec<u32>,
+    /// Which side of the split being applied each row of the set falls on.
+    goes_left: Vec<bool>,
+    /// The rows a partition moves right, until it has compacted the left.
+    spill: Vec<u32>,
+}
+
+impl FitScratch {
+    /// Load the sample `idx`: a linear pass per column block repeats each
+    /// row as often as the sample holds it. Repeats of a row are adjacent
+    /// and identical, so the result is the `(value, row)` sort of the sample.
+    fn load(&mut self, columns: &ColumnOrder, idx: &[u32]) {
+        self.count.clear();
+        self.count.resize(columns.rows, 0);
+        for &r in idx {
+            self.count[r as usize] += 1;
+        }
+        self.order.clear();
+        self.order.extend_from_slice(idx);
+        self.goes_left.resize(columns.rows, false);
+        self.spill.resize(idx.len(), 0);
+        // Four copies of every row, then step by its count: the next row
+        // overwrites the surplus, and no branch depends on a count unless it
+        // exceeds four (0.4 % of a bootstrap's rows).
+        let total = columns.live() * idx.len();
+        self.cols.resize(total + 4, 0);
+        let mut at = 0;
+        for &r in &columns.sorted {
+            let repeats = self.count[r as usize] as usize;
+            self.cols[at..at + 4].fill(r);
+            if repeats > 4 {
+                self.cols[at + 4..at + repeats].fill(r);
+            }
+            at += repeats;
+        }
+        self.cols.truncate(total);
+    }
+}
+
+/// Stable partition of `span` by `goes_left`: the left rows first, the right
+/// rows after them, both in the order they had. Returns the left count.
+#[inline]
+fn partition(span: &mut [u32], goes_left: &[bool], spill: &mut [u32]) -> usize {
+    let (mut left, mut right) = (0, 0);
+    for i in 0..span.len() {
+        // `left <= i`: the slot written was already read.
+        let r = span[i];
+        let to_left = usize::from(goes_left[r as usize]);
+        span[left] = r;
+        spill[right] = r;
+        left += to_left;
+        right += 1 - to_left;
+    }
+    span[left..].copy_from_slice(&spill[..right]);
+    left
 }
 
 impl RegressionTree {
@@ -192,67 +316,95 @@ impl RegressionTree {
         idx: &[u32],
         rng: &mut SplitMix64,
     ) -> RegressionTree {
+        let columns = ColumnOrder::new(rows);
+        let mut scratch = FitScratch::default();
+        RegressionTree::fit_sorted(config, rows, labels, idx, rng, &columns, &mut scratch)
+    }
+
+    /// [`RegressionTree::fit_on_indices`] given the `rows`' [`ColumnOrder`]
+    /// and buffers to work in: what a forest calls once per tree.
+    pub(crate) fn fit_sorted(
+        config: &TreeConfig,
+        rows: RowsView<'_>,
+        labels: &[f64],
+        idx: &[u32],
+        rng: &mut SplitMix64,
+        columns: &ColumnOrder,
+        scratch: &mut FitScratch,
+    ) -> RegressionTree {
         assert_eq!(rows.rows(), labels.len(), "one label per feature row");
         assert!(!idx.is_empty(), "cannot fit a tree on zero samples");
         assert!(
             config.min_samples_leaf >= 1,
             "leaves need at least one sample"
         );
+        assert_eq!(
+            (columns.rows, columns.block.len()),
+            (rows.rows(), rows.width()),
+            "column order of another training set"
+        );
         let width = rows.width();
         let mut tree = RegressionTree {
             width,
             ..RegressionTree::default()
         };
-        let mut order: Vec<u32> = idx.to_vec();
-        // Scratch reused by every split search: (feature value, row id).
-        let mut sorted: Vec<(f64, u32)> = Vec::with_capacity(order.len());
-        // Scratch reused by every partition (right-child spill buffer).
-        let mut spill: Vec<u32> = Vec::with_capacity(order.len());
+        scratch.load(columns, idx);
+        let FitScratch {
+            order,
+            cols: sorted_cols,
+            goes_left,
+            spill,
+            ..
+        } = scratch;
+        let sample = order.len();
         let mut cols: Vec<usize> = (0..width).collect();
-        let root = tree.push_leaf(mean_label(labels, &order));
+        let root = tree.push_leaf(mean_label(labels, order));
         let mut stack = vec![PendingNode {
             node: root,
             start: 0,
-            end: order.len(),
+            end: sample,
             depth: 0,
         }];
         while let Some(pending) = stack.pop() {
-            let span = &order[pending.start..pending.end];
+            let span = pending.start..pending.end;
             let n = span.len();
             if pending.depth >= config.max_depth || n < config.min_samples_split {
                 continue; // stays the leaf it was pushed as
             }
-            let (total_sum, total_sse) = sum_and_sse(labels, span);
+            let (total_sum, total_sse) = sum_and_sse(labels, &order[span.clone()]);
             if total_sse <= 1e-12 {
                 continue; // pure node: nothing to reduce
             }
             let candidates = Self::pick_candidates(config, &mut cols, rng);
             let mut best: Option<Split> = None;
             for &col in candidates {
-                sorted.clear();
-                sorted.extend(span.iter().map(|&r| (rows.value(r as usize, col), r)));
-                // A constant column (most candidates: all-zero plan-vector
-                // cells) separates nothing — the scan below would skip every
-                // position on its equal-values test — so it is not sorted.
-                let first = sorted[0].0;
-                if sorted.iter().all(|&(v, _)| v == first) {
+                let block = columns.block[col];
+                if block == CONSTANT {
                     continue;
                 }
-                // Sort by (value, row index): total order ⇒ deterministic
-                // prefix scan and threshold choice under ties.
-                sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let sorted = &sorted_cols[block as usize * sample..][span.clone()];
+                // A column constant over this node (most candidates: all-zero
+                // plan-vector cells) separates nothing — the scan below would
+                // skip every position on its equal-values test. In a sorted
+                // span that is the two ends comparing equal.
+                let mut hi = rows.value(sorted[0] as usize, col);
+                if hi == rows.value(sorted[n - 1] as usize, col) {
+                    continue;
+                }
                 let mut left_sum = 0.0;
                 let mut left_sq = 0.0;
                 for i in 0..n - 1 {
-                    let y = labels[sorted[i].1 as usize];
+                    let y = labels[sorted[i] as usize];
                     left_sum += y;
                     left_sq += y * y;
+                    let lo = hi;
+                    hi = rows.value(sorted[i + 1] as usize, col);
                     let n_left = i + 1;
                     let n_right = n - n_left;
                     if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
                         continue;
                     }
-                    if sorted[i].0 == sorted[i + 1].0 {
+                    if lo == hi {
                         continue; // cannot separate equal feature values
                     }
                     let right_sum = total_sum - left_sum;
@@ -267,27 +419,25 @@ impl RegressionTree {
                         best = Some(Split {
                             gain,
                             col,
-                            threshold: midpoint(sorted[i].0, sorted[i + 1].0),
+                            threshold: midpoint(lo, hi),
                         });
                     }
                 }
             }
             let Some(split) = best else { continue };
-            // Stable partition of the node's index span around the split:
-            // compact left rows forward, spill right rows to scratch.
-            spill.clear();
-            let mut write = pending.start;
-            for i in pending.start..pending.end {
-                let r = order[i];
-                if rows.value(r as usize, split.col) <= split.threshold {
-                    order[write] = r;
-                    write += 1;
-                } else {
-                    spill.push(r);
+            for &r in &order[span.clone()] {
+                goes_left[r as usize] = rows.value(r as usize, split.col) <= split.threshold;
+            }
+            let mid = pending.start + partition(&mut order[span.clone()], goes_left, spill);
+            // A child that cannot split never reads its column spans; when
+            // neither can, they are left as they lie.
+            let depth = pending.depth + 1;
+            let larger_child = (mid - pending.start).max(pending.end - mid);
+            if depth < config.max_depth && larger_child >= config.min_samples_split {
+                for block in sorted_cols.chunks_exact_mut(sample) {
+                    partition(&mut block[span.clone()], goes_left, spill);
                 }
             }
-            let mid = write;
-            order[mid..pending.end].copy_from_slice(&spill);
             let left_node = tree.push_leaf(mean_label(labels, &order[pending.start..mid]));
             let right_node = tree.push_leaf(mean_label(labels, &order[mid..pending.end]));
             debug_assert_eq!(right_node, left_node + 1, "siblings are adjacent");
@@ -296,18 +446,18 @@ impl RegressionTree {
                 col: split.col as u32,
                 right: right_node as u32,
             };
-            tree.depth = tree.depth.max(pending.depth + 1);
+            tree.depth = tree.depth.max(depth);
             stack.push(PendingNode {
                 node: right_node,
                 start: mid,
                 end: pending.end,
-                depth: pending.depth + 1,
+                depth,
             });
             stack.push(PendingNode {
                 node: left_node,
                 start: pending.start,
                 end: mid,
-                depth: pending.depth + 1,
+                depth,
             });
         }
         tree
@@ -565,6 +715,279 @@ mod tests {
         RegressionTree::fit_on_indices(config, rows, labels, &idx, &mut rng)
     }
 
+    /// The fitter this crate shipped before columns were sorted once per
+    /// training set, kept as the independent reference: at every node it
+    /// gathers each candidate column, tests it for a constant and sorts it.
+    fn fit_by_node_sort(
+        config: &TreeConfig,
+        rows: RowsView<'_>,
+        labels: &[f64],
+        idx: &[u32],
+        rng: &mut SplitMix64,
+    ) -> RegressionTree {
+        assert_eq!(rows.rows(), labels.len(), "one label per feature row");
+        assert!(!idx.is_empty(), "cannot fit a tree on zero samples");
+        assert!(
+            config.min_samples_leaf >= 1,
+            "leaves need at least one sample"
+        );
+        let width = rows.width();
+        let mut tree = RegressionTree {
+            width,
+            ..RegressionTree::default()
+        };
+        let mut order: Vec<u32> = idx.to_vec();
+        // Scratch reused by every split search: (feature value, row id).
+        let mut sorted: Vec<(f64, u32)> = Vec::with_capacity(order.len());
+        // Scratch reused by every partition (right-child spill buffer).
+        let mut spill: Vec<u32> = Vec::with_capacity(order.len());
+        let mut cols: Vec<usize> = (0..width).collect();
+        let root = tree.push_leaf(mean_label(labels, &order));
+        let mut stack = vec![PendingNode {
+            node: root,
+            start: 0,
+            end: order.len(),
+            depth: 0,
+        }];
+        while let Some(pending) = stack.pop() {
+            let span = &order[pending.start..pending.end];
+            let n = span.len();
+            if pending.depth >= config.max_depth || n < config.min_samples_split {
+                continue; // stays the leaf it was pushed as
+            }
+            let (total_sum, total_sse) = sum_and_sse(labels, span);
+            if total_sse <= 1e-12 {
+                continue; // pure node: nothing to reduce
+            }
+            let candidates = RegressionTree::pick_candidates(config, &mut cols, rng);
+            let mut best: Option<Split> = None;
+            for &col in candidates {
+                sorted.clear();
+                sorted.extend(span.iter().map(|&r| (rows.value(r as usize, col), r)));
+                // A constant column (most candidates: all-zero plan-vector
+                // cells) separates nothing — the scan below would skip every
+                // position on its equal-values test — so it is not sorted.
+                let first = sorted[0].0;
+                if sorted.iter().all(|&(v, _)| v == first) {
+                    continue;
+                }
+                // Sort by (value, row index): total order ⇒ deterministic
+                // prefix scan and threshold choice under ties.
+                sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let mut left_sum = 0.0;
+                let mut left_sq = 0.0;
+                for i in 0..n - 1 {
+                    let y = labels[sorted[i].1 as usize];
+                    left_sum += y;
+                    left_sq += y * y;
+                    let n_left = i + 1;
+                    let n_right = n - n_left;
+                    if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
+                        continue;
+                    }
+                    if sorted[i].0 == sorted[i + 1].0 {
+                        continue; // cannot separate equal feature values
+                    }
+                    let right_sum = total_sum - left_sum;
+                    let left_sse = left_sq - left_sum * left_sum / n_left as f64;
+                    // SSE(right) via the parent identity saves a second pass.
+                    let right_sse = (total_sse + total_sum * total_sum / n as f64 - left_sq)
+                        - right_sum * right_sum / n_right as f64;
+                    let gain = total_sse - left_sse - right_sse;
+                    // Strict `>` keeps the first (lowest column, lowest
+                    // threshold) of any equal-gain candidates.
+                    if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
+                        best = Some(Split {
+                            gain,
+                            col,
+                            threshold: midpoint(sorted[i].0, sorted[i + 1].0),
+                        });
+                    }
+                }
+            }
+            let Some(split) = best else { continue };
+            // Stable partition of the node's index span around the split:
+            // compact left rows forward, spill right rows to scratch.
+            spill.clear();
+            let mut write = pending.start;
+            for i in pending.start..pending.end {
+                let r = order[i];
+                if rows.value(r as usize, split.col) <= split.threshold {
+                    order[write] = r;
+                    write += 1;
+                } else {
+                    spill.push(r);
+                }
+            }
+            let mid = write;
+            order[mid..pending.end].copy_from_slice(&spill);
+            let left_node = tree.push_leaf(mean_label(labels, &order[pending.start..mid]));
+            let right_node = tree.push_leaf(mean_label(labels, &order[mid..pending.end]));
+            debug_assert_eq!(right_node, left_node + 1, "siblings are adjacent");
+            tree.nodes[pending.node] = Node {
+                payload: split.threshold,
+                col: split.col as u32,
+                right: right_node as u32,
+            };
+            tree.depth = tree.depth.max(pending.depth + 1);
+            stack.push(PendingNode {
+                node: right_node,
+                start: mid,
+                end: pending.end,
+                depth: pending.depth + 1,
+            });
+            stack.push(PendingNode {
+                node: left_node,
+                start: pending.start,
+                end: mid,
+                depth: pending.depth + 1,
+            });
+        }
+        tree
+    }
+
+    /// [`TreeParts`] with the floats as bit patterns.
+    type PartBits = (Vec<u32>, Vec<u64>, Vec<u32>, Vec<u32>, Vec<u64>);
+
+    fn bits(parts: TreeParts) -> PartBits {
+        let (split_col, threshold, left, right, value) = parts;
+        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect();
+        (split_col, bits(threshold), left, right, bits(value))
+    }
+
+    /// Both fitters from equal seeds: equal trees, bit for bit, and equal
+    /// RNG states afterwards.
+    fn assert_fitters_agree(
+        config: &TreeConfig,
+        feats: &[f64],
+        width: usize,
+        labels: &[f64],
+        idx: &[u32],
+        case: &str,
+    ) -> RegressionTree {
+        let rows = RowsView::new(feats, width);
+        let (mut rng, mut ref_rng) = (SplitMix64::new(17), SplitMix64::new(17));
+        let tree = RegressionTree::fit_on_indices(config, rows, labels, idx, &mut rng);
+        let reference = fit_by_node_sort(config, rows, labels, idx, &mut ref_rng);
+        assert_eq!(bits(tree.parts()), bits(reference.parts()), "{case}");
+        assert_eq!(tree.depth, reference.depth, "{case}");
+        assert_eq!(rng.next_u64(), ref_rng.next_u64(), "rng state: {case}");
+        tree
+    }
+
+    /// One generated column value: constant, few-valued, signed zeros or
+    /// continuous, by the column's `kind`.
+    fn cell(kind: usize, rng: &mut SplitMix64) -> f64 {
+        match kind {
+            0 => 42.0,
+            1 => rng.gen_range(3) as f64,
+            2 => [0.0, -0.0, 1.0][rng.gen_range(3)],
+            _ => rng.next_f64() * 8.0 - 4.0,
+        }
+    }
+
+    #[test]
+    fn presorted_fit_equals_the_per_node_sort_fit_on_generated_inputs() {
+        let mut rng = SplitMix64::new(0x5eed_cafe);
+        let (mut grown, mut nodes) = (0, 0);
+        for case in 0..480 {
+            let n = 1 + rng.gen_range(if case % 4 == 0 { 300 } else { 48 });
+            let width = 1 + rng.gen_range(12);
+            let kinds: Vec<usize> = (0..width).map(|_| rng.gen_range(5)).collect();
+            let feats: Vec<f64> = (0..n * width)
+                .map(|cell_at| cell(kinds[cell_at % width], &mut rng))
+                .collect();
+            // Few-valued labels every third case: equal gains must tie-break alike.
+            let labels: Vec<f64> = (0..n)
+                .map(|_| match case % 3 {
+                    0 => rng.gen_range(4) as f64,
+                    _ => rng.next_f64() * 10.0,
+                })
+                .collect();
+            let idx: Vec<u32> = match case % 5 {
+                0 => (0..n as u32).collect(),
+                // A sample smaller or larger than the set.
+                1 => (0..1 + rng.gen_range(2 * n))
+                    .map(|_| rng.gen_range(n) as u32)
+                    .collect(),
+                _ => (0..n).map(|_| rng.gen_range(n) as u32).collect(),
+            };
+            let config = TreeConfig {
+                max_depth: rng.gen_range(10),
+                min_samples_split: 1 + rng.gen_range(6),
+                min_samples_leaf: 1 + rng.gen_range(4),
+                feature_candidates: match rng.gen_range(3) {
+                    0 => None,
+                    _ => Some(1 + rng.gen_range(width)),
+                },
+            };
+            let case = format!("case {case}: {n} rows x {width} {kinds:?}, {config:?}");
+            let tree = assert_fitters_agree(&config, &feats, width, &labels, &idx, &case);
+            grown += usize::from(tree.depth >= 3);
+            nodes += tree.n_nodes();
+        }
+        assert!(
+            grown >= 100 && nodes >= 5000,
+            "{grown} grown, {nodes} nodes"
+        );
+    }
+
+    #[test]
+    fn presorted_fit_equals_the_per_node_sort_fit_at_the_edges() {
+        let deep = TreeConfig {
+            min_samples_split: 2,
+            min_samples_leaf: 1,
+            ..TreeConfig::default()
+        };
+        let one_candidate = TreeConfig {
+            feature_candidates: Some(1),
+            ..deep
+        };
+        let mut rng = SplitMix64::new(77);
+        let n = 40;
+        let feats: Vec<f64> = (0..n * 3).map(|_| rng.next_f64()).collect();
+        let labels: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+        let all: Vec<u32> = (0..n as u32).collect();
+        for config in [&TreeConfig::default(), &deep, &one_candidate] {
+            assert_fitters_agree(config, &[3.0, 1.0], 2, &[5.0], &[0], "one-row set");
+            assert_fitters_agree(
+                config,
+                &[3.0, 1.0],
+                2,
+                &[5.0],
+                &[0; 9],
+                "one row, nine times",
+            );
+            let same = [1.5, -2.0].repeat(n);
+            assert_fitters_agree(config, &same, 2, &labels, &all, "all rows identical");
+            assert_fitters_agree(config, &feats, 3, &labels, &[7; 25], "one row repeated");
+            let mut idx = all.clone();
+            idx.extend_from_slice(&[11; 13]);
+            assert_fitters_agree(
+                config,
+                &feats,
+                3,
+                &labels,
+                &idx,
+                "one row 14 times among all",
+            );
+            // Column 0 varies over the set but is 2.0 on every sampled (even) row.
+            let mut half_constant = feats.clone();
+            for (r, row) in half_constant.chunks_exact_mut(3).enumerate() {
+                row[0] = if r % 2 == 0 { 2.0 } else { r as f64 };
+            }
+            let evens: Vec<u32> = (0..n as u32).step_by(2).collect();
+            assert_fitters_agree(
+                config,
+                &half_constant,
+                3,
+                &labels,
+                &evens,
+                "constant in the sample, not in the set",
+            );
+        }
+    }
+
     #[test]
     fn learns_a_step_function_exactly() {
         // y = 0 for x < 5, y = 10 for x >= 5: one split suffices.
@@ -640,10 +1063,6 @@ mod tests {
         let (sc, th, l, r, v) = tree.parts();
         let rebuilt = RegressionTree::from_parts(1, sc, th, l, r, v).unwrap();
         assert_eq!(rebuilt.depth, tree.depth, "depth is derived, not stored");
-        let bits = |(sc, th, l, r, v): TreeParts| {
-            let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-            (sc, bits(th), l, r, bits(v))
-        };
         assert_eq!(bits(rebuilt.parts()), bits(tree.parts()));
         for x in &feats {
             assert_eq!(

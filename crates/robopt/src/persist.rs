@@ -222,6 +222,31 @@ mod tests {
         assert_eq!(forest_to_json(&forest), golden);
     }
 
+    /// The text was pinned at the last commit whose fitter sorted every
+    /// candidate column at every node: whatever fits trees since then has to
+    /// fit these eight, to the bit.
+    #[test]
+    fn a_forest_fit_on_a_tdgen_set_renders_its_pinned_text() {
+        let registry = robopt_platforms::PlatformRegistry::named();
+        let layout =
+            robopt_vector::FeatureLayout::new(registry.len(), robopt_plan::N_OPERATOR_KINDS);
+        let tdgen = robopt_tdgen::TdgenConfig::new().with_seed(41);
+        let set = robopt_tdgen::tdgen_training_set(&registry, &layout, &tdgen, 512);
+        let cfg = ForestConfig {
+            n_trees: 8,
+            ..ForestConfig::default()
+        };
+        let text = forest_to_json(&RandomForest::fit_on(&cfg, &set));
+        let mut digest = robopt_vector::SigHasher::new();
+        for byte in text.bytes() {
+            digest.write_u64(u64::from(byte));
+        }
+        assert_eq!(
+            (text.len(), digest.finish()),
+            (123_715, 0x5ee9_e1c0_8017_754b)
+        );
+    }
+
     #[test]
     fn tampered_arrays_cannot_smuggle_in_nonsense() {
         let (forest, _) = fitted_forest();

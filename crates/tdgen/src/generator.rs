@@ -8,6 +8,11 @@
 //! (11 knots, 64 rows per curve) each simulator call yields ~5.8 training
 //! rows — the Fig-8 reduction — and [`TdgenStats`] reports the exact
 //! ratio achieved.
+//!
+//! Rows are buffered flat, in a [`TrainingSet`]: every row is vectorized
+//! into one reused scratch row and appended, and `generate(n)` splits the
+//! buffer at row `n` — the head *is* the returned set, only the leftover
+//! tail (under one skeleton's rows) is copied. The matrix exists once.
 
 use robopt_core::vectorize::vectorize_assignment;
 use robopt_ml::{TrainingSet, TrainingSource};
@@ -160,14 +165,6 @@ impl TdgenStats {
     }
 }
 
-/// One buffered training row awaiting emission.
-#[derive(Debug, Clone)]
-struct PendingRow {
-    feats: Vec<f64>,
-    label: f64,
-    seconds: f64,
-}
-
 /// The TDGEN [`TrainingSource`]: labels most rows by interpolation.
 ///
 /// Deterministic for a fixed `(registry, layout, cfg)` and call sequence;
@@ -182,7 +179,11 @@ pub struct TdgenGenerator<'a> {
     rng: SplitMix64,
     sim_seed: u64,
     stats: TdgenStats,
-    pending: Vec<PendingRow>,
+    /// Rows produced and not yet handed out, flat: what `generate` returns
+    /// is the head of this set itself, never a copy of it.
+    pending: TrainingSet,
+    /// The row being vectorized, reused for every row.
+    row: Vec<f64>,
 }
 
 impl<'a> TdgenGenerator<'a> {
@@ -208,7 +209,8 @@ impl<'a> TdgenGenerator<'a> {
             rng,
             sim_seed,
             stats: TdgenStats::default(),
-            pending: Vec::new(),
+            pending: TrainingSet::empty(layout),
+            row: Vec::with_capacity(layout.width),
         }
     }
 
@@ -255,39 +257,30 @@ impl<'a> TdgenGenerator<'a> {
     ) -> bool {
         let mut ln_xs = Vec::with_capacity(knot_scales.len());
         let mut ys = Vec::with_capacity(knot_scales.len());
-        let mut knot_rows = Vec::with_capacity(knot_scales.len());
+        let buffered = self.pending.len();
         for &scale in knot_scales {
             let plan = skel.instantiate(scale);
             let seconds = sim.simulate_raw(&plan, assign);
             self.stats.sim_calls += 1;
             if !seconds.is_finite() {
+                self.pending.truncate(buffered);
                 return false;
             }
-            let mut feats = Vec::with_capacity(self.layout.width);
-            vectorize_assignment(&plan, &self.layout, assign, &mut feats);
+            vectorize_assignment(&plan, &self.layout, assign, &mut self.row);
             ln_xs.push(scale.ln());
             ys.push(seconds.ln_1p());
-            knot_rows.push(PendingRow {
-                feats,
-                label: seconds.ln_1p(),
-                seconds,
-            });
+            self.pending
+                .push_labelled(&self.row, seconds.ln_1p(), seconds);
         }
         let poly = PiecewisePoly::fit(&ln_xs, &ys);
-        self.pending.extend(knot_rows);
         let (lln, hln) = (ln_xs[0], ln_xs[ln_xs.len() - 1]);
         for _ in 0..self.cfg.rows_per_curve - knot_scales.len() {
             let ln_s = lln + (hln - lln) * self.rng.next_f64();
             let label = poly.eval(ln_s);
             let seconds = TrainingSet::label_to_seconds(label);
             let plan = skel.instantiate(ln_s.exp());
-            let mut feats = Vec::with_capacity(self.layout.width);
-            vectorize_assignment(&plan, &self.layout, assign, &mut feats);
-            self.pending.push(PendingRow {
-                feats,
-                label,
-                seconds,
-            });
+            vectorize_assignment(&plan, &self.layout, assign, &mut self.row);
+            self.pending.push_labelled(&self.row, label, seconds);
         }
         self.stats.curves += 1;
         self.stats.rows += self.cfg.rows_per_curve as u64;
@@ -318,11 +311,8 @@ impl TrainingSource for TdgenGenerator<'_> {
 
     fn generate(&mut self, n: usize) -> TrainingSet {
         self.refill(n);
-        let mut set = TrainingSet::with_capacity(self.layout, n);
-        for row in self.pending.drain(..n) {
-            set.push_labelled(&row.feats, row.label, row.seconds);
-        }
-        set
+        let leftover = self.pending.split_off(n);
+        std::mem::replace(&mut self.pending, leftover)
     }
 }
 
@@ -393,6 +383,38 @@ mod tests {
         let both = TdgenGenerator::new(&registry, layout, cfg).generate(80);
         assert_eq!(&both.labels[..40], &first.labels[..]);
         assert_eq!(&both.labels[40..], &second.labels[..]);
+    }
+
+    /// Pinned at the last commit that buffered one `Vec` per pending row:
+    /// the rows handed out, the rows left over for the next call and the
+    /// counters are the same whatever the buffer looks like.
+    #[test]
+    fn successive_calls_hand_out_the_pinned_rows_labels_and_seconds() {
+        let (registry, layout) = named_setup();
+        let mut g = TdgenGenerator::new(&registry, layout, TdgenConfig::new().with_seed(41));
+        // The third call refills on top of what the first two left over.
+        let sets = [g.generate(300), g.generate(100), g.generate(150)];
+        let mut digest = robopt_vector::SigHasher::new();
+        for set in &sets {
+            assert_eq!(set.rows.len(), set.len() * layout.width);
+            assert_eq!(set.seconds.len(), set.len());
+            for column in [&set.rows, &set.labels, &set.seconds] {
+                digest.write_u64(column.len() as u64);
+                for &x in column {
+                    digest.write_f64_bits(x);
+                }
+            }
+        }
+        assert_eq!(digest.finish(), 0xf60f_b6c0_c7ad_07fe);
+        assert_eq!(
+            g.stats(),
+            TdgenStats {
+                sim_calls: 132,
+                rows: 768,
+                curves: 12,
+                skeletons: 3,
+            }
+        );
     }
 
     #[test]
