@@ -11,20 +11,40 @@
 //!   (`par_ranges`) and concatenate results in range order, operators that
 //!   rewrite the stream they own process contiguous chunks of it in place
 //!   (`par_chunks`) — both identical to the sequential pass;
-//! * every keyed operator is sort-based under the total order
+//! * Sort and the two sides of Join / Intersect sort under the total order
 //!   [`record_cmp`]; sorting chunks in parallel and then merging them
 //!   reproduces the plain sort byte-for-byte — stable or not — because
 //!   equal elements are fully identical;
-//! * all floating-point accumulation happens sequentially in canonical
-//!   (sorted or stream) order — threads never race on a sum;
+//! * Distinct, ReduceByKey and GroupByKey fold their stream into a hash
+//!   table ([`Accumulator`]) per contiguous range, merge the tables in
+//!   range order and emit them sorted: what the table keeps per entry (the
+//!   least record of its class and how many fell into it) does not depend
+//!   on arrival order, and the one float sum is taken only then, in sorted
+//!   order — threads never race on a sum;
 //! * sources seed each record by row index, never by partition.
+//!
+//! Narrow chains are fused into the keyed operator they feed, the way Java
+//! streams run stateless stages lazily into the next stateful one: a
+//! source or a Map / MapPartitions / Filter / Sample / FlatMap whose one
+//! consumer is another such operator or a one-input keyed operator never
+//! materializes its output. The keyed operator streams the chain's head —
+//! the source's rows, or the buffer the chain's first operator would have
+//! read — record by record through the per-record functions of
+//! [`crate::data`] into its accumulators, counting each fused operator's
+//! output as it passes. A source read only by a Filter or Sample that
+//! materializes is fused the same way: the Filter generates the rows and
+//! stores only those its coin keeps, so the source's stream is never
+//! built.
 //!
 //! Timings are the one non-deterministic output: `compute_seconds` is
 //! measured wall clock, while startup/fixed/conversion/loop-sync overheads
 //! are deterministically modeled on the simulator's calibration
 //! ([`C_FIXED`]) scaled by [`OVERHEAD_SCALE`] (one process stands in for a
-//! cluster). Timings land only in the [`ExecutionReport`] — they are
-//! **never** digested.
+//! cluster). A fused chain's wall time is measured once, on the operator
+//! it is fused into; the fused operators report their modeled overhead
+//! only, and `compute_seconds` is still the sum of everything measured.
+//! Timings land only in the [`ExecutionReport`] — they are **never**
+//! digested.
 //!
 //! Records are moved, not copied: an operator takes its producer's buffer
 //! when it is the last one to read it and borrows or clones it otherwise
@@ -33,7 +53,7 @@
 
 use std::borrow::Cow;
 
-use robopt_plan::{rng::mix64, LogicalPlan, OperatorKind};
+use robopt_plan::{rng::mix64, LogicalPlan, Operator, OperatorKind};
 use robopt_platforms::simulator::{C_FIXED, LOOP_SYNC_FACTOR};
 use robopt_platforms::{
     ExecutionBackend, ExecutionReport, OperatorReport, PlatformId, PlatformRegistry,
@@ -174,19 +194,25 @@ impl<'a> Engine<'a> {
 
         // Execute in topological order, measuring wall time per operator.
         // An operator's window includes freeing the inputs it read last, and
-        // its row count is taken now: its buffer may be gone by the end.
+        // its row count is taken now: its buffer may be gone by the end. A
+        // fused operator runs inside its consumer's window, which also
+        // fills in its row count.
         let mut buffers = Buffers {
             records: vec![Vec::new(); n],
             consumers: (0..n as u32).map(|op| plan.succs(op).len()).collect(),
+            fused: fused_ops(plan),
         };
         let mut measured = vec![0.0f64; n];
         let mut rows = vec![0u64; n];
         for op in plan.topo_order() {
             let i = op as usize;
+            if buffers.fused[i] {
+                continue;
+            }
             let p = assignments[i];
             let w = self.op_workers(p);
             let started = clock_now();
-            let out = self.run_op(plan, op, &mut buffers, w);
+            let out = self.run_op(plan, op, &mut buffers, &mut rows, w);
             measured[i] = clock_elapsed(started);
             rows[i] = out.len() as u64;
             buffers.records[i] = out;
@@ -270,7 +296,14 @@ impl<'a> Engine<'a> {
         self.workers.min(par.max(1)).max(1)
     }
 
-    fn run_op(&self, plan: &LogicalPlan, op: u32, buffers: &mut Buffers, w: usize) -> Vec<Record> {
+    fn run_op(
+        &self,
+        plan: &LogicalPlan,
+        op: u32,
+        buffers: &mut Buffers,
+        rows: &mut [u64],
+        w: usize,
+    ) -> Vec<Record> {
         let o = plan.op(op);
         let preds = plan.preds(op);
         // Binary inputs: first predecessor vs everything after it.
@@ -316,33 +349,46 @@ impl<'a> Engine<'a> {
                     SAMPLE_SALT
                 };
                 let sel = o.selectivity;
+                if let [src] = *preds {
+                    if buffers.fused[src as usize] {
+                        // The source streams through the coin a block at
+                        // a time: only what it keeps is ever stored. The
+                        // whole range is reserved, but only the kept rows'
+                        // pages (and one block past them) are touched, and
+                        // `par_ranges` gives the rest back; growing by
+                        // doubling instead cost more in copies than the
+                        // fusion saved.
+                        let s = plan.op(src);
+                        let n = clamp_rows(s.source_cardinality, self.max_source_rows);
+                        rows[src as usize] = n;
+                        let (kind, seed) = (s.kind, self.seed);
+                        let keep = move |r: &Record| keep_record(r, sel, salt);
+                        return par_ranges(w, n as usize, move |mut left, out| {
+                            out.reserve(left.len());
+                            while !left.is_empty() {
+                                let block = left.start..left.end.min(left.start + KEEP_BLOCK);
+                                left.start = block.end;
+                                let at = out.len();
+                                out.extend(
+                                    block.map(|row| source_record(kind, seed, src, row as u64, n)),
+                                );
+                                let kept = keep_to_front(&mut out[at..], keep);
+                                out.truncate(at + kept);
+                            }
+                        });
+                    }
+                }
                 let mut records = buffers.input(preds).into_owned();
                 par_retain(w, &mut records, |r| keep_record(r, sel, salt));
                 records
             }
             OperatorKind::Sort => par_sort(w, buffers.input(preds).into_owned()),
-            OperatorKind::Distinct => {
-                let mut sorted = par_sort(w, buffers.input(preds).into_owned());
-                sorted.dedup_by(|a, b| {
-                    a.key == b.key && a.num.to_bits() == b.num.to_bits() && a.text == b.text
-                });
-                // Usually few of many survive. Move them to a buffer their
-                // own size and free the sorted one whole: `shrink_to_fit`
-                // would hand the allocator back a tail, and glibc only
-                // starts recycling a large block once it has been freed at
-                // the size the next run asks for — until then every run
-                // maps, and page-faults, a fresh one.
-                let mut unique = Vec::with_capacity(sorted.len());
-                unique.append(&mut sorted);
-                unique
+            OperatorKind::Distinct => self.run_keyed(plan, op, Keyed::Distinct, buffers, rows, w),
+            OperatorKind::ReduceByKey => {
+                self.run_keyed(plan, op, Keyed::ReduceByKey, buffers, rows, w)
             }
-            OperatorKind::ReduceByKey | OperatorKind::GroupByKey => {
-                let mode = if o.kind == OperatorKind::ReduceByKey {
-                    GroupMode::Sum
-                } else {
-                    GroupMode::Count
-                };
-                fold_groups(par_sort(w, buffers.input(preds).into_owned()), mode)
+            OperatorKind::GroupByKey => {
+                self.run_keyed(plan, op, Keyed::GroupByKey, buffers, rows, w)
             }
             OperatorKind::Aggregate => aggregate_sum(&buffers.input(preds)),
             OperatorKind::GlobalReduce => global_max(&buffers.input(preds)),
@@ -396,6 +442,81 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+    }
+
+    /// A keyed operator and the fused chain feeding it, as one loop: the
+    /// chain's head is cut into `w` contiguous ranges, each streams through
+    /// the chain's stages into its own accumulator, and the accumulators
+    /// merge in range order before `finish`. Fills in the fused operators'
+    /// row counts.
+    fn run_keyed(
+        &self,
+        plan: &LogicalPlan,
+        op: u32,
+        keyed: Keyed,
+        buffers: &mut Buffers,
+        rows: &mut [u64],
+        w: usize,
+    ) -> Vec<Record> {
+        // Walk the chain back from the consumer: narrow operators become
+        // stages, a source ends the walk as the head.
+        let mut chain: Vec<(u32, Stage)> = Vec::new();
+        let mut source = None;
+        let mut first = op;
+        while let [p] = *plan.preds(first) {
+            if !buffers.fused[p as usize] {
+                break;
+            }
+            first = p;
+            match Stage::of(plan.op(p)) {
+                Some(stage) => chain.push((p, stage)),
+                None => {
+                    source = Some(p);
+                    break;
+                }
+            }
+        }
+        chain.reverse();
+        let stages: Vec<Stage> = chain.iter().map(|&(_, stage)| stage).collect();
+        let head = match source {
+            Some(src) => {
+                let o = plan.op(src);
+                let n = clamp_rows(o.source_cardinality, self.max_source_rows);
+                rows[src as usize] = n;
+                Head::Source(o.kind, src, n)
+            }
+            None => Head::Buffer(buffers.input(plan.preds(first))),
+        };
+
+        let seed = self.seed;
+        let passes = par_ranges(w, head.len(), |range, out| {
+            let mut pass = Pass::new(keyed, &stages);
+            match &head {
+                Head::Source(kind, src, n) => {
+                    for row in range {
+                        let r = source_record(*kind, seed, *src, row as u64, *n);
+                        pass.push(0, Cow::Owned(r));
+                    }
+                }
+                Head::Buffer(records) => {
+                    for r in &records[range] {
+                        pass.push(0, Cow::Borrowed(r));
+                    }
+                }
+            }
+            out.push(pass);
+        });
+        let merged = passes.into_iter().reduce(|mut total, pass| {
+            total.merge(pass);
+            total
+        });
+        let Some(total) = merged else {
+            return Vec::new();
+        };
+        for (&(fused, _), &passed) in chain.iter().zip(&total.passed) {
+            rows[fused as usize] = passed;
+        }
+        total.acc.finish()
     }
 
     /// PageRank kernel: the input stream is an edge list (one record per
@@ -527,12 +648,42 @@ pub(crate) fn clamp_rows(cardinality: f64, cap: u64) -> u64 {
     rows.min(cap)
 }
 
+/// Whether `op` is fused into the operator downstream of it: it is a
+/// source or a narrow operator, and its one consumer — not a terminal, no
+/// second consumer, no double edge — reads nothing else and is either a
+/// fused narrow operator itself or Distinct / ReduceByKey / GroupByKey; or
+/// `op` is a source and that consumer a Filter / Sample, which then
+/// generates the rows itself and stores only those its coin keeps. Fusing
+/// longer chains into other consumers measured slower (DESIGN §11).
+fn fused_ops(plan: &LogicalPlan) -> Vec<bool> {
+    let mut fused = vec![false; plan.n_ops()];
+    for op in plan.topo_order().into_iter().rev() {
+        let o = plan.op(op);
+        let streams = o.kind.is_source() || Stage::of(o).is_some();
+        fused[op as usize] = streams
+            && match *plan.succs(op) {
+                [next] => {
+                    let n = plan.op(next);
+                    let coin = matches!(n.kind, OperatorKind::Filter | OperatorKind::Sample);
+                    plan.preds(next).len() == 1
+                        && ((fused[next as usize] && Stage::of(n).is_some())
+                            || Keyed::of(n.kind).is_some()
+                            || (o.kind.is_source() && coin))
+                }
+                _ => false,
+            };
+    }
+    fused
+}
+
 /// What the operators run so far have produced and not yet handed on: one
 /// buffer per operator, and how many consumers have still to read it
 /// (`plan.succs(op).len()` to start with, so a double edge counts twice).
+/// A fused operator never fills its buffer: its consumer streams it.
 struct Buffers {
     records: Vec<Vec<Record>>,
     consumers: Vec<usize>,
+    fused: Vec<bool>,
 }
 
 impl Buffers {
@@ -633,18 +784,7 @@ fn par_chunks<R: Default + Send>(
 /// to its front, then the kept prefixes close up in chunk order — the
 /// order a sequential pass keeps them in — and the slack is given back.
 fn par_retain(w: usize, records: &mut Vec<Record>, keep: impl Fn(&Record) -> bool + Sync) {
-    let kept = par_chunks(w, records, |at, chunk| {
-        // `chunk[..n]` is kept and `chunk[n..i]` rejected, so swapping
-        // unconditionally only ever moves a rejected record (or none) out
-        // of the way: no branch on a coin the predictor cannot call.
-        let mut n = 0;
-        for i in 0..chunk.len() {
-            let kept = keep(&chunk[i]);
-            chunk.swap(n, i);
-            n += usize::from(kept);
-        }
-        (at, n)
-    });
+    let kept = par_chunks(w, records, |at, chunk| (at, keep_to_front(chunk, &keep)));
     let mut len = 0;
     for (at, n) in kept {
         records[len..at + n].rotate_left(at - len);
@@ -652,6 +792,27 @@ fn par_retain(w: usize, records: &mut Vec<Record>, keep: impl Fn(&Record) -> boo
     }
     records.truncate(len);
     records.shrink_to_fit();
+}
+
+/// Records a source fused into its Filter / Sample generates before the
+/// coin closes them up: 48 KiB, so a block is still in cache when it is
+/// closed up, and what the coin rejects never reaches further than this
+/// past what it kept.
+const KEEP_BLOCK: usize = 1024;
+
+/// Move the records of `chunk` that `keep` accepts to its front, in order,
+/// and return how many there are.
+fn keep_to_front(chunk: &mut [Record], keep: impl Fn(&Record) -> bool) -> usize {
+    // `chunk[..n]` is kept and `chunk[n..i]` rejected, so swapping
+    // unconditionally only ever moves a rejected record (or none) out of
+    // the way: no branch on a coin the predictor cannot call.
+    let mut n = 0;
+    for i in 0..chunk.len() {
+        let kept = keep(&chunk[i]);
+        chunk.swap(n, i);
+        n += usize::from(kept);
+    }
+    n
 }
 
 /// Sort under [`record_cmp`]: up to `w` chunks in place, then — if there
@@ -671,66 +832,378 @@ fn par_sort(w: usize, mut input: Vec<Record>) -> Vec<Record> {
 }
 
 /// Both sides of a key-matching operator, sorted — the larger one only
-/// after dropping every record whose key the smaller side lacks: no match
-/// involves those, and sorting is the expensive part.
+/// after dropping every record whose key the smaller side lacks (probed in
+/// a hash set of the smaller side's keys): no match involves those, and
+/// sorting is the expensive part.
 fn sort_sides(w: usize, a: Vec<Record>, b: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
     if a.len() > b.len() {
         let (b, a) = sort_sides(w, b, a);
         return (a, b);
     }
-    let a = par_sort(w, a);
-    let keys: Vec<u64> = a.iter().map(|r| r.key).collect();
+    let keys = KeySet::of(&a);
     let mut b = b;
-    par_retain(w, &mut b, |r| keys.binary_search(&r.key).is_ok());
-    (a, par_sort(w, b))
+    par_retain(w, &mut b, |r| keys.contains(r.key));
+    (par_sort(w, a), par_sort(w, b))
 }
 
-/// How [`fold_groups`] reduces each key group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GroupMode {
-    /// `ReduceByKey`: sum numeric payloads in sorted order.
-    Sum,
-    /// `GroupByKey`: count group members.
-    Count,
+/// A narrow operator fused into the stream feeding a keyed operator.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Map / MapPartitions: [`rekey_record`].
+    Map,
+    /// Filter / Sample: [`keep_record`] with the operator's coin.
+    Keep { selectivity: f64, salt: u64 },
+    /// FlatMap: [`flat_map_record`].
+    FlatMap,
 }
 
-/// Fold a sorted stream into one record per key: `(key, sum-or-count,
-/// first text of the group)`. Sorted-order accumulation keeps float sums
-/// canonical.
-pub(crate) fn fold_groups(sorted: Vec<Record>, mode: GroupMode) -> Vec<Record> {
-    let mut out = Vec::new();
-    let mut iter = sorted.into_iter();
-    let Some(first) = iter.next() else {
-        return out;
-    };
-    let mut key = first.key;
-    let mut acc = first.num;
-    let mut count = 1u64;
-    let mut text = first.text;
-    let emit = |key: u64, acc: f64, count: u64, text: Text, out: &mut Vec<Record>| {
-        out.push(Record {
-            key,
-            num: match mode {
-                GroupMode::Sum => acc,
-                GroupMode::Count => count as f64,
-            },
-            text,
-        });
-    };
-    for r in iter {
-        if r.key == key {
-            acc += r.num;
-            count += 1;
-        } else {
-            emit(key, acc, count, text, &mut out);
-            key = r.key;
-            acc = r.num;
-            count = 1;
-            text = r.text;
+impl Stage {
+    /// The stage `o` runs as, if it is a narrow operator.
+    fn of(o: &Operator) -> Option<Stage> {
+        match o.kind {
+            OperatorKind::Map | OperatorKind::MapPartitions => Some(Stage::Map),
+            OperatorKind::Filter => Some(Stage::Keep {
+                selectivity: o.selectivity,
+                salt: FILTER_SALT,
+            }),
+            OperatorKind::Sample => Some(Stage::Keep {
+                selectivity: o.selectivity,
+                salt: SAMPLE_SALT,
+            }),
+            OperatorKind::FlatMap => Some(Stage::FlatMap),
+            _ => None,
         }
     }
-    emit(key, acc, count, text, &mut out);
-    out
+}
+
+/// Where a keyed operator's stream starts.
+enum Head<'b> {
+    /// A fused source: `(kind, op, rows)`, generated row by row.
+    Source(OperatorKind, u32, u64),
+    /// The buffer the chain's first operator — or, with no chain, the
+    /// keyed operator itself — reads through [`Buffers::input`].
+    Buffer(Cow<'b, [Record]>),
+}
+
+impl Head<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Head::Source(_, _, rows) => *rows as usize,
+            Head::Buffer(records) => records.len(),
+        }
+    }
+}
+
+/// One contiguous range of a keyed operator's stream: its records pass
+/// through the fused stages into an accumulator, and every stage counts
+/// what it passes on.
+struct Pass<'s> {
+    stages: &'s [Stage],
+    /// Records each stage passed on, stage for stage.
+    passed: Vec<u64>,
+    /// One reused output buffer per FlatMap stage.
+    scratch: Vec<Vec<Record>>,
+    acc: Accumulator,
+}
+
+impl<'s> Pass<'s> {
+    fn new(keyed: Keyed, stages: &'s [Stage]) -> Self {
+        Pass {
+            stages,
+            passed: vec![0; stages.len()],
+            scratch: vec![Vec::new(); stages.len()],
+            acc: Accumulator::new(keyed),
+        }
+    }
+
+    /// Feed `r` to stage `at` and on (the accumulator past the last one).
+    /// A Map clones a borrowed record once and re-keys an owned one in
+    /// place.
+    fn push(&mut self, mut at: usize, mut r: Cow<'_, Record>) {
+        while let Some(&stage) = self.stages.get(at) {
+            match stage {
+                Stage::Map => rekey_record(r.to_mut()),
+                Stage::Keep { selectivity, salt } => {
+                    if !keep_record(&r, selectivity, salt) {
+                        return;
+                    }
+                }
+                Stage::FlatMap => {
+                    let mut out = std::mem::take(&mut self.scratch[at]);
+                    flat_map_record(&r, &mut out);
+                    self.passed[at] += out.len() as u64;
+                    for x in out.drain(..) {
+                        self.push(at + 1, Cow::Owned(x));
+                    }
+                    self.scratch[at] = out;
+                    return;
+                }
+            }
+            self.passed[at] += 1;
+            at += 1;
+        }
+        self.acc.add(&r);
+    }
+
+    /// Fold the next range's pass into this one.
+    fn merge(&mut self, next: Pass<'_>) {
+        for (mine, theirs) in self.passed.iter_mut().zip(next.passed) {
+            *mine += theirs;
+        }
+        self.acc.merge(next.acc);
+    }
+}
+
+/// The three keyed operators, told apart by what makes two records the
+/// same entry of their [`Accumulator`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Keyed {
+    /// One entry per distinct record.
+    Distinct,
+    /// One entry per (key, num bits).
+    ReduceByKey,
+    /// One entry per key.
+    GroupByKey,
+}
+
+impl Keyed {
+    fn of(kind: OperatorKind) -> Option<Keyed> {
+        match kind {
+            OperatorKind::Distinct => Some(Keyed::Distinct),
+            OperatorKind::ReduceByKey => Some(Keyed::ReduceByKey),
+            OperatorKind::GroupByKey => Some(Keyed::GroupByKey),
+            _ => None,
+        }
+    }
+
+    /// A hash of the part of `r` that decides its entry. Text bytes are
+    /// folded in one at a time and mixed once: the words keyed operators
+    /// see are a few bytes long.
+    fn hash(self, r: &Record) -> u64 {
+        let mut h = mix64(r.key);
+        if self != Keyed::GroupByKey {
+            h ^= r.num.to_bits();
+            if self == Keyed::Distinct {
+                for &b in r.text.as_bytes() {
+                    h = h.rotate_left(8) ^ u64::from(b);
+                }
+            }
+            h = mix64(h);
+        }
+        h
+    }
+
+    /// Whether `a` and `b` fall into the same entry.
+    fn same(self, a: &Record, b: &Record) -> bool {
+        a.key == b.key
+            && (self == Keyed::GroupByKey
+                || (a.num.to_bits() == b.num.to_bits()
+                    && (self == Keyed::ReduceByKey || same_text(&a.text, &b.text))))
+    }
+}
+
+/// Byte equality of two texts as a loop the compiler keeps inline: a
+/// keyed operator compares a few bytes per record, too few to pay for the
+/// `bcmp` call `==` makes.
+fn same_text(a: &Text, b: &Text) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+}
+
+/// One entry of an [`Accumulator`]: the least record of its class under
+/// [`record_cmp`], and how many records fell into the class.
+struct Entry {
+    hash: u64,
+    count: u64,
+    least: Record,
+}
+
+/// A keyed operator's state: a small open-addressing hash table with one
+/// [`Entry`] per class of records the operator does not tell apart. What
+/// an entry holds does not depend on the order records arrive in, so
+/// accumulators over contiguous ranges merge into the accumulator of the
+/// whole stream, and [`Accumulator::finish`] emits exactly what sorting
+/// the stream under [`record_cmp`] and folding it did.
+struct Accumulator {
+    keyed: Keyed,
+    entries: Vec<Entry>,
+    index: HashIndex,
+}
+
+impl Accumulator {
+    fn new(keyed: Keyed) -> Self {
+        Accumulator {
+            keyed,
+            entries: Vec::new(),
+            index: HashIndex::with_capacity(0),
+        }
+    }
+
+    fn add(&mut self, r: &Record) {
+        self.absorb(self.keyed.hash(r), 1, r);
+    }
+
+    /// Union `other`'s entries into this one's: counts add, the least
+    /// record is kept.
+    fn merge(&mut self, other: Accumulator) {
+        for e in other.entries {
+            self.absorb(e.hash, e.count, &e.least);
+        }
+    }
+
+    fn absorb(&mut self, hash: u64, count: u64, r: &Record) {
+        let (keyed, entries) = (self.keyed, &mut self.entries);
+        let found = self.index.probe(hash, |i| keyed.same(&entries[i].least, r));
+        match found {
+            Ok(i) => {
+                let e = &mut entries[i];
+                e.count += count;
+                // Under Distinct, and mostly otherwise, `r` is the least
+                // record already.
+                let identical = keyed == Keyed::Distinct
+                    || (r.num.to_bits() == e.least.num.to_bits()
+                        && same_text(&r.text, &e.least.text));
+                if !identical && record_cmp(r, &e.least).is_lt() {
+                    e.least = r.clone();
+                }
+            }
+            Err(slot) => {
+                entries.push(Entry {
+                    hash,
+                    count,
+                    least: r.clone(),
+                });
+                self.index
+                    .fill(slot, hash, entries.len(), |i| entries[i].hash);
+            }
+        }
+    }
+
+    /// The operator's output, in [`record_cmp`] order: the distinct
+    /// records; per key its count and least (num bits, text)'s text; or per
+    /// key the sum of every record's payload, added one by one in ascending
+    /// bit order — the additions sort-then-fold made, in its order.
+    fn finish(self) -> Vec<Record> {
+        let mut entries = self.entries;
+        entries.sort_unstable_by(|a, b| record_cmp(&a.least, &b.least));
+        match self.keyed {
+            Keyed::Distinct => entries.into_iter().map(|e| e.least).collect(),
+            Keyed::GroupByKey => entries
+                .into_iter()
+                .map(|e| Record {
+                    num: e.count as f64,
+                    ..e.least
+                })
+                .collect(),
+            Keyed::ReduceByKey => {
+                let mut out: Vec<Record> = Vec::new();
+                for Entry { count, least, .. } in entries {
+                    let num = least.num;
+                    let mut adds = count;
+                    if out.last().map(|group| group.key) != Some(least.key) {
+                        out.push(least);
+                        adds -= 1;
+                    }
+                    if let Some(group) = out.last_mut() {
+                        for _ in 0..adds {
+                            group.num += num;
+                        }
+                    }
+                }
+                out
+            }
+        }
+    }
+}
+
+/// Open addressing over entries kept in a `Vec` elsewhere. A slot holds
+/// the upper half of the entry's hash over its position plus one (0 is
+/// free), so a probe reads an entry only when that tag matches; probing is
+/// linear from the hash's low bits, and the table doubles before it is
+/// half full. Positions fit the lower half: 2³² entries of a record each
+/// would be hundreds of gigabytes.
+struct HashIndex {
+    slots: Vec<u64>,
+}
+
+/// The bits of a slot that hold the hash tag.
+const TAG: u64 = !0 << 32;
+
+impl HashIndex {
+    fn with_capacity(entries: usize) -> Self {
+        HashIndex {
+            slots: vec![0; (2 * entries).next_power_of_two().max(16)],
+        }
+    }
+
+    /// The entry hashed to `hash` that `is` accepts, or the free slot where
+    /// it would go.
+    fn probe(&self, hash: u64, mut is: impl FnMut(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let held = self.slots[slot];
+            if held == 0 {
+                return Err(slot);
+            }
+            let entry = (held & !TAG) as usize - 1;
+            if (held ^ hash) & TAG == 0 && is(entry) {
+                return Ok(entry);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Put the `len`-th entry, hashed to `hash`, into the free `slot` that
+    /// [`HashIndex::probe`] named, re-placing all of them in a table twice
+    /// the size when this one is half full.
+    fn fill(&mut self, slot: usize, hash: u64, len: usize, hash_of: impl Fn(usize) -> u64) {
+        self.slots[slot] = hash & TAG | len as u64;
+        if 2 * len < self.slots.len() {
+            return;
+        }
+        let mut slots = vec![0; 2 * self.slots.len()];
+        let mask = slots.len() - 1;
+        for entry in 0..len {
+            let hash = hash_of(entry);
+            let mut at = hash as usize & mask;
+            while slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            slots[at] = hash & TAG | (entry + 1) as u64;
+        }
+        self.slots = slots;
+    }
+}
+
+/// The distinct keys of a stream, for membership probes.
+struct KeySet {
+    keys: Vec<u64>,
+    index: HashIndex,
+}
+
+impl KeySet {
+    fn of(records: &[Record]) -> Self {
+        let mut set = KeySet {
+            keys: Vec::new(),
+            index: HashIndex::with_capacity(records.len()),
+        };
+        for r in records {
+            let keys = &mut set.keys;
+            let hash = mix64(r.key);
+            if let Err(slot) = set.index.probe(hash, |i| keys[i] == r.key) {
+                keys.push(r.key);
+                set.index.fill(slot, hash, keys.len(), |i| mix64(keys[i]));
+            }
+        }
+        set
+    }
+
+    fn contains(&self, key: u64) -> bool {
+        self.index
+            .probe(mix64(key), |i| self.keys[i] == key)
+            .is_ok()
+    }
 }
 
 /// `Aggregate`: one record holding the stream-order sum.
@@ -1000,6 +1473,186 @@ mod tests {
                 // where `==` would call every NaN payload different.
                 let same = |(g, x)| record_cmp(g, x).is_eq();
                 assert!(got.iter().zip(&want).all(same), "w={w} len={len}");
+            }
+        }
+    }
+
+    /// What the keyed operators computed before they hashed: sort the
+    /// whole stream, then dedup or fold it.
+    fn sort_then_fold(keyed: Keyed, stream: &[Record]) -> Vec<Record> {
+        use crate::reference::{fold_groups, GroupMode};
+        let mut sorted = stream.to_vec();
+        sorted.sort_by(record_cmp);
+        match keyed {
+            Keyed::Distinct => {
+                sorted.dedup_by(|a, b| record_cmp(a, b).is_eq());
+                sorted
+            }
+            Keyed::ReduceByKey => fold_groups(sorted, GroupMode::Sum),
+            Keyed::GroupByKey => fold_groups(sorted, GroupMode::Count),
+        }
+    }
+
+    /// Record for record under [`record_cmp`], i.e. under `to_bits`: `==`
+    /// would call every NaN payload different.
+    fn same_records(a: &[Record], b: &[Record]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| record_cmp(x, y).is_eq())
+    }
+
+    /// Cut `stream` into `ranges` contiguous ranges, run one [`Pass`] over
+    /// each and merge them in range order, as `run_keyed` does.
+    fn passes<'s>(keyed: Keyed, stages: &'s [Stage], stream: &[Record], ranges: usize) -> Pass<'s> {
+        let len = stream.len();
+        let mut total = Pass::new(keyed, stages);
+        for c in 0..ranges {
+            let mut pass = Pass::new(keyed, stages);
+            for r in &stream[c * len / ranges..(c + 1) * len / ranges] {
+                pass.push(0, Cow::Borrowed(r));
+            }
+            total.merge(pass);
+        }
+        total
+    }
+
+    const KEYED: [Keyed; 3] = [Keyed::Distinct, Keyed::ReduceByKey, Keyed::GroupByKey];
+
+    #[test]
+    fn merged_accumulators_finish_as_sort_then_fold_did() {
+        // Sums that depend on their order (1e16 + 1.0 − 1e16), both zeros,
+        // NaNs with different payloads, and texts that tie on key and num.
+        let nums = [
+            1e16,
+            1.0,
+            -1e16,
+            0.0,
+            -0.0,
+            0.1,
+            f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0xFFF8_0000_0000_0000),
+        ];
+        let texts = ["", "a", "b", "w00", "a text too long to be stored inline…"];
+        let mut rng = robopt_plan::rng::SplitMix64::new(0xACC0);
+        for stream in 0..512 {
+            // Few keys (deep groups) to many (nearly every record its own).
+            let keys = [1u64, 3, 17, 1 << 40][stream % 4];
+            let len = rng.gen_range(if stream % 8 == 0 { 3_000 } else { 300 });
+            let input: Vec<Record> = (0..len)
+                .map(|_| Record {
+                    key: rng.next_u64() % keys,
+                    num: nums[rng.gen_range(nums.len())],
+                    text: texts[rng.gen_range(texts.len())].into(),
+                })
+                .collect();
+            for keyed in KEYED {
+                let want = sort_then_fold(keyed, &input);
+                for ranges in 1..=4 {
+                    let got = passes(keyed, &[], &input, ranges).acc.finish();
+                    assert!(
+                        same_records(&got, &want),
+                        "stream {stream} {keyed:?} over {ranges} ranges"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_stages_pass_on_what_the_materialized_operators_would() {
+        use crate::data::map_record;
+        // Lines of no words at all, which no generated source emits but a
+        // stage must still count (FlatMap makes nothing of them).
+        let texts = [
+            "",
+            "   ",
+            " \t\n",
+            "w00",
+            "w00 w1f  w00",
+            "w01 w02 w03 w04 w05 w06 w07 w08",
+        ];
+        let pool = [
+            Stage::Map,
+            Stage::Keep {
+                selectivity: 0.5,
+                salt: FILTER_SALT,
+            },
+            Stage::Keep {
+                selectivity: 0.3,
+                salt: SAMPLE_SALT,
+            },
+            Stage::FlatMap,
+        ];
+        let mut rng = robopt_plan::rng::SplitMix64::new(0x57A6);
+        for case in 0..300 {
+            let stages: Vec<Stage> = (0..rng.gen_range(6))
+                .map(|_| pool[rng.gen_range(pool.len())])
+                .collect();
+            let input: Vec<Record> = (0..rng.gen_range(400))
+                .map(|_| Record {
+                    key: rng.next_u64() % 50,
+                    num: (rng.gen_range(7) as f64) - 3.0,
+                    text: texts[rng.gen_range(texts.len())].into(),
+                })
+                .collect();
+            // Materialize every stage, one whole stream after another.
+            let mut stream = input.clone();
+            let mut counts = Vec::new();
+            for stage in &stages {
+                stream = match *stage {
+                    Stage::Map => stream.iter().map(map_record).collect(),
+                    Stage::Keep { selectivity, salt } => stream
+                        .into_iter()
+                        .filter(|r| keep_record(r, selectivity, salt))
+                        .collect(),
+                    Stage::FlatMap => {
+                        let mut out = Vec::new();
+                        stream.iter().for_each(|r| flat_map_record(r, &mut out));
+                        out
+                    }
+                };
+                counts.push(stream.len() as u64);
+            }
+            for keyed in KEYED {
+                let want = sort_then_fold(keyed, &stream);
+                for ranges in 1..=4 {
+                    let total = passes(keyed, &stages, &input, ranges);
+                    assert_eq!(total.passed, counts, "case {case} {stages:?}");
+                    let got = total.acc.finish();
+                    assert!(
+                        same_records(&got, &want),
+                        "case {case} {stages:?} {keyed:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_sets_hold_exactly_the_keys_they_were_built_from() {
+        let mut rng = robopt_plan::rng::SplitMix64::new(0x5E7);
+        for len in [0usize, 1, 7, 8, 9, 100, 5_000] {
+            let records: Vec<Record> = (0..len)
+                .map(|i| Record {
+                    key: [0, u64::MAX, rng.next_u64() % 64, rng.next_u64()][i % 4],
+                    num: 0.0,
+                    text: Text::new(),
+                })
+                .collect();
+            let set = KeySet::of(&records);
+            let mut keys: Vec<u64> = records.iter().map(|r| r.key).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(set.keys.len(), keys.len(), "len {len}");
+            for probe in keys
+                .iter()
+                .copied()
+                .chain((0..200).map(|_| rng.next_u64() % 128))
+            {
+                assert_eq!(
+                    set.contains(probe),
+                    keys.binary_search(&probe).is_ok(),
+                    "len {len} key {probe}"
+                );
             }
         }
     }

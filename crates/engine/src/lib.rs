@@ -10,10 +10,11 @@
 //!   generators, canonical per-record operator semantics, and the output
 //!   digest;
 //! * [`exec`] — the partition-parallel executor (`std::thread::scope`,
-//!   order-preserving chunking, sort-based keyed operators, buffers moved
-//!   from producer to last consumer) and the iterative kernels;
-//! * [`reference`] — the independent single-threaded reference executor
-//!   the byte-identity tests compare against.
+//!   order-preserving chunking, narrow chains fused into hash-aggregating
+//!   keyed operators, buffers moved from producer to last consumer) and
+//!   the iterative kernels;
+//! * [`reference`] — the independent single-threaded, materializing,
+//!   sorting reference executor the byte-identity tests compare against.
 //!
 //! Determinism contract (DESIGN §11): output records and digests are pure
 //! functions of `(plan, seed, row cap)` — invariant across worker counts,
@@ -26,4 +27,4 @@ pub mod reference;
 
 pub use data::{digest_records, digest_terminals, Record, Text};
 pub use exec::{Engine, ExecutionOutput, DEFAULT_MAX_SOURCE_ROWS, OVERHEAD_SCALE};
-pub use reference::execute_reference;
+pub use reference::{execute_reference, reference_outputs};

@@ -1,13 +1,15 @@
 //! Independent single-threaded reference executor.
 //!
 //! Applies the canonical operator semantics of [`crate::data`] with the
-//! most naive execution strategy available: sequential loops, full
-//! `sort_by` instead of parallel chunk-sort + merge, scatter-based
-//! PageRank instead of CSR gather. No threads, no chunking, no
-//! partitioning. The engine correctness tests assert the multi-threaded
-//! [`crate::Engine`] reproduces these outputs **byte-for-byte** at every
-//! worker count — any divergence means the parallel execution machinery
-//! (not the semantics) is wrong.
+//! most naive execution strategy available: every operator materializes
+//! its whole output, sequential loops, keyed operators as a full `sort_by`
+//! and a fold over the sorted stream (where the engine fuses narrow chains
+//! into hash-table accumulators), scatter-based PageRank instead of CSR
+//! gather. No threads, no chunking, no partitioning, no fusion. The engine
+//! correctness tests assert the multi-threaded [`crate::Engine`]
+//! reproduces these outputs **byte-for-byte** at every worker count — any
+//! divergence means the engine's execution machinery (not the semantics)
+//! is wrong.
 //!
 //! Platform assignments are irrelevant here: availability is an engine
 //! concern; the reference defines what the data looks like when a plan is
@@ -20,8 +22,7 @@ use crate::data::{
     source_record, Record, Text, FILTER_SALT, PAGERANK_DST_SALT, SAMPLE_SALT,
 };
 use crate::exec::{
-    aggregate_sum, cartesian, clamp_rows, fold_groups, global_max, intersect_sorted, join_sorted,
-    GroupMode,
+    aggregate_sum, cartesian, clamp_rows, global_max, intersect_sorted, join_sorted,
 };
 
 /// Execute `plan` sequentially; returns the terminal streams (op-id
@@ -32,13 +33,7 @@ pub fn execute_reference(
     max_source_rows: u64,
 ) -> (Vec<(u32, Vec<Record>)>, u64) {
     let n = plan.n_ops();
-    let mut outputs: Vec<Vec<Record>> = vec![Vec::new(); n];
-    for op in plan.topo_order() {
-        let out = run_op(plan, op, seed, max_source_rows, &outputs);
-        if let Some(slot) = outputs.get_mut(op as usize) {
-            *slot = out;
-        }
-    }
+    let mut outputs = reference_outputs(plan, seed, max_source_rows);
     let mut terminals = Vec::new();
     for op in 0..n as u32 {
         if plan.succs(op).is_empty() {
@@ -51,6 +46,67 @@ pub fn execute_reference(
     }
     let digest = digest_terminals(&terminals);
     (terminals, digest)
+}
+
+/// Every operator's whole output stream, in op-id order — what the
+/// engine's per-operator `output_rows` count.
+pub fn reference_outputs(plan: &LogicalPlan, seed: u64, max_source_rows: u64) -> Vec<Vec<Record>> {
+    let mut outputs: Vec<Vec<Record>> = vec![Vec::new(); plan.n_ops()];
+    for op in plan.topo_order() {
+        let out = run_op(plan, op, seed, max_source_rows, &outputs);
+        if let Some(slot) = outputs.get_mut(op as usize) {
+            *slot = out;
+        }
+    }
+    outputs
+}
+
+/// How [`fold_groups`] reduces each key group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GroupMode {
+    /// `ReduceByKey`: sum numeric payloads in sorted order.
+    Sum,
+    /// `GroupByKey`: count group members.
+    Count,
+}
+
+/// Fold a sorted stream into one record per key: `(key, sum-or-count,
+/// first text of the group)`. Sorted-order accumulation keeps float sums
+/// canonical.
+pub(crate) fn fold_groups(sorted: Vec<Record>, mode: GroupMode) -> Vec<Record> {
+    let mut out = Vec::new();
+    let mut iter = sorted.into_iter();
+    let Some(first) = iter.next() else {
+        return out;
+    };
+    let mut key = first.key;
+    let mut acc = first.num;
+    let mut count = 1u64;
+    let mut text = first.text;
+    let emit = |key: u64, acc: f64, count: u64, text: Text, out: &mut Vec<Record>| {
+        out.push(Record {
+            key,
+            num: match mode {
+                GroupMode::Sum => acc,
+                GroupMode::Count => count as f64,
+            },
+            text,
+        });
+    };
+    for r in iter {
+        if r.key == key {
+            acc += r.num;
+            count += 1;
+        } else {
+            emit(key, acc, count, text, &mut out);
+            key = r.key;
+            acc = r.num;
+            count = 1;
+            text = r.text;
+        }
+    }
+    emit(key, acc, count, text, &mut out);
+    out
 }
 
 fn run_op(

@@ -30,6 +30,12 @@ use crate::simulator::RuntimeSimulator;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorReport {
     /// Seconds attributed to this operator (work plus its fixed overhead).
+    /// The engine measures a chain of operators fused into the operator
+    /// they feed (a keyed operator, or the Filter / Sample a source feeds)
+    /// as one: the chain's wall time lands on that operator, and each fused
+    /// operator reports its modeled overhead only.
+    /// `ExecutionReport::compute_seconds` is still the sum of all measured
+    /// time.
     pub seconds: f64,
     /// Records this operator emitted (modeled or counted).
     pub output_rows: u64,

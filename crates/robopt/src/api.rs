@@ -421,7 +421,11 @@ pub struct ExecuteResponse {
     /// Deterministic digest of the terminal output records; `0` for
     /// backends that move no data.
     pub output_digest: u64,
-    /// Per-operator seconds, in op-id order.
+    /// Per-operator seconds, in op-id order. On the engine an operator
+    /// fused into the one it feeds (a keyed operator, or the Filter /
+    /// Sample a source feeds) reports its modeled overhead only; the fused
+    /// chain's measured time is on that operator, and `compute_seconds`
+    /// still sums all measured time.
     pub op_seconds: Vec<f64>,
     /// Per-operator output cardinalities, in op-id order.
     pub op_output_rows: Vec<u64>,

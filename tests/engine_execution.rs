@@ -1,10 +1,12 @@
 //! Engine-subsystem integration tests (DESIGN §11):
 //!
 //! * byte-identity — the multi-threaded engine's terminal record streams
-//!   equal the independent single-threaded reference executor's, for every
-//!   workload family, for seeded random DAGs and for the hand-built shapes
-//!   the take-or-borrow rule could get wrong, across 1/2/4 workers that
-//!   really fan out (all-`spark`);
+//!   and per-operator row counts equal the independent single-threaded
+//!   reference executor's, for every workload family, for seeded random
+//!   DAGs, for seeded DAGs of narrow chains fused into keyed operators and
+//!   for the hand-built shapes the take-or-borrow rule could get wrong,
+//!   across 1/2/4 workers, all-`java` and all-`spark` (whose workers
+//!   really fan out);
 //! * the `ExecutionBackend` seam — the simulator answers bit-identically
 //!   through the trait object and through its direct API, and both
 //!   backends agree on infeasibility;
@@ -12,9 +14,13 @@
 //!   directly-constructed engine, and the engine escape hatch matches the
 //!   service path.
 
+use std::collections::BTreeMap;
+
 use robopt::{BackendChoice, ExecuteRequest, Optimizer, WorkloadSpec};
-use robopt_engine::{digest_terminals, execute_reference, Engine, DEFAULT_MAX_SOURCE_ROWS};
-use robopt_plan::{LogicalPlan, Operator, OperatorKind};
+use robopt_engine::{
+    digest_terminals, execute_reference, reference_outputs, Engine, DEFAULT_MAX_SOURCE_ROWS,
+};
+use robopt_plan::{LogicalPlan, Operator, OperatorKind, SplitMix64};
 use robopt_platforms::{ExecutionBackend, PlatformRegistry, RuntimeSimulator};
 
 const SEED: u64 = 0x0E6E_7E57;
@@ -48,54 +54,43 @@ fn workloads() -> Vec<(&'static str, WorkloadSpec)> {
 }
 
 /// Run `plan` on the reference executor and on the engine at 1, 2 and 4
-/// workers, all-`spark` — java's modeled parallelism is 1, which would make
-/// every worker count take the single-chunk path — and require the same
+/// workers, all-`java` and all-`spark` — java's modeled parallelism is 1,
+/// so only spark makes the worker counts fan out — and require the same
 /// terminal records, digest and per-operator row counts everywhere.
 /// Returns the per-operator row counts.
 fn assert_engine_matches_reference(name: &str, plan: &LogicalPlan, max_rows: u64) -> Vec<u64> {
     let registry = PlatformRegistry::named();
-    let spark = registry.by_name("spark");
-    let all_spark: Vec<_> = spark.into_iter().cycle().take(plan.n_ops()).collect();
-    assert_eq!(all_spark.len(), plan.n_ops(), "named registry has spark");
     let (ref_terminals, ref_digest) = execute_reference(plan, SEED, max_rows);
     assert_eq!(
         digest_terminals(&ref_terminals),
         ref_digest,
         "{name}: reference digest disagrees with its own terminals"
     );
-    let mut rows_at_one: Vec<u64> = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let engine = Engine::new(&registry)
-            .with_workers(workers)
-            .with_seed(SEED)
-            .with_max_source_rows(max_rows);
-        let out = engine.execute_collect(plan, &all_spark);
-        assert!(out.report.feasible, "{name}: all-spark must be feasible");
-        assert_eq!(
-            out.terminals, ref_terminals,
-            "{name}: engine terminals @ {workers} workers != reference"
-        );
-        assert_eq!(
-            out.report.output_digest, ref_digest,
-            "{name}: engine digest @ {workers} workers != reference"
-        );
-        let terminal_rows: u64 = ref_terminals.iter().map(|(_, r)| r.len() as u64).sum();
-        assert_eq!(out.report.output_rows, terminal_rows, "{name}: output_rows");
-        let rows: Vec<u64> = out.report.per_op.iter().map(|r| r.output_rows).collect();
-        for (op, records) in &ref_terminals {
-            assert_eq!(
-                rows[*op as usize],
-                records.len() as u64,
-                "{name}: terminal {op}"
-            );
-        }
-        if workers == 1 {
-            rows_at_one = rows;
-        } else {
-            assert_eq!(rows, rows_at_one, "{name}: per-op rows @ {workers} workers");
+    let ref_rows: Vec<u64> = reference_outputs(plan, SEED, max_rows)
+        .iter()
+        .map(|records| records.len() as u64)
+        .collect();
+    for platform in ["java", "spark"] {
+        let id = registry.by_name(platform);
+        let assign: Vec<_> = id.into_iter().cycle().take(plan.n_ops()).collect();
+        assert_eq!(assign.len(), plan.n_ops(), "named registry has {platform}");
+        for workers in [1usize, 2, 4] {
+            let at = format!("{name}: all-{platform} @ {workers} workers");
+            let engine = Engine::new(&registry)
+                .with_workers(workers)
+                .with_seed(SEED)
+                .with_max_source_rows(max_rows);
+            let out = engine.execute_collect(plan, &assign);
+            assert!(out.report.feasible, "{at}: must be feasible");
+            assert_eq!(out.terminals, ref_terminals, "{at}: terminals");
+            assert_eq!(out.report.output_digest, ref_digest, "{at}: digest");
+            let terminal_rows: u64 = ref_terminals.iter().map(|(_, r)| r.len() as u64).sum();
+            assert_eq!(out.report.output_rows, terminal_rows, "{at}: output_rows");
+            let rows: Vec<u64> = out.report.per_op.iter().map(|r| r.output_rows).collect();
+            assert_eq!(rows, ref_rows, "{at}: per-operator rows");
         }
     }
-    rows_at_one
+    ref_rows
 }
 
 #[test]
@@ -132,6 +127,127 @@ fn random_dags_match_the_reference_at_every_worker_count() {
     assert!(shared >= 56, "only {shared} shared outputs in 56 plans");
 }
 
+/// What [`chain_dag`] built, for the coverage asserts.
+#[derive(Debug, Default)]
+struct Shapes {
+    /// Chains of at least one narrow operator, by what heads them.
+    heads: BTreeMap<String, usize>,
+    /// Chains started by a second consumer of an already-read producer.
+    borrowed: usize,
+    empty_sources: usize,
+}
+
+/// A seeded plan of narrow chains (Map, MapPartitions, Filter, Sample,
+/// FlatMap) ending in keyed operators (Distinct, ReduceByKey,
+/// GroupByKey): each chain starts on a source of any kind (some empty), on
+/// a Sort or RepeatLoop over an earlier output, or on a producer another
+/// chain already reads; now and then a binary operator joins two open
+/// ends, and sinks cap some of them. Generated lines always hold words, so
+/// zero-word lines are exercised by `exec.rs`'s stage tests instead.
+fn chain_dag(rng: &mut SplitMix64, shapes: &mut Shapes) -> LogicalPlan {
+    use OperatorKind::*;
+    const SOURCES: [OperatorKind; 3] = [TextFileSource, CollectionSource, TableSource];
+    const NARROW: [OperatorKind; 5] = [Map, MapPartitions, Filter, Sample, FlatMap];
+    const KEYED: [OperatorKind; 3] = [Distinct, ReduceByKey, GroupByKey];
+    const BINARY: [OperatorKind; 3] = [Join, Union, Intersect];
+    let mut plan = LogicalPlan::new();
+    let mut tips: Vec<u32> = Vec::new();
+    for _ in 0..1 + rng.gen_range(3) {
+        let rows = [0.0, 1.0, 37.0, 2_000.0, 2_000.0][rng.gen_range(5)];
+        shapes.empty_sources += usize::from(rows == 0.0);
+        let source = Operator::source(SOURCES[rng.gen_range(SOURCES.len())], rows);
+        tips.push(plan.add_op(source));
+    }
+    // Numeric FlatMaps double the stream: a few per plan keep it small.
+    let mut flat_maps = 3;
+    for _ in 0..2 + rng.gen_range(4) {
+        let mut at = tips[rng.gen_range(tips.len())];
+        let head = match rng.gen_range(5) {
+            0 => Some(Operator::new(Sort)),
+            1 => Some(Operator::new(RepeatLoop).with_iterations(rng.gen_range(3) as u32)),
+            _ => None,
+        };
+        let borrowed = head.is_none() && !plan.succs(at).is_empty();
+        if let Some(op) = head {
+            let id = plan.add_op(op);
+            plan.connect(at, id);
+            at = id;
+        }
+        let head_kind = plan.op(at).kind;
+        let narrow = usize::from(borrowed) + rng.gen_range(6);
+        for _ in 0..narrow {
+            let mut kind = NARROW[rng.gen_range(NARROW.len())];
+            if kind == FlatMap {
+                if flat_maps == 0 {
+                    kind = Map;
+                } else {
+                    flat_maps -= 1;
+                }
+            }
+            let op = match kind {
+                Filter | Sample => Operator::new(kind).with_selectivity(0.2 + 0.6 * rng.next_f64()),
+                _ => Operator::new(kind),
+            };
+            let id = plan.add_op(op);
+            plan.connect(at, id);
+            at = id;
+            // A later chain may branch off here, unfusing this operator.
+            if rng.gen_range(4) == 0 {
+                tips.push(id);
+            }
+        }
+        let keyed = plan.add_op(Operator::new(KEYED[rng.gen_range(KEYED.len())]));
+        plan.connect(at, keyed);
+        tips.push(keyed);
+        if narrow > 0 {
+            *shapes.heads.entry(format!("{head_kind:?}")).or_default() += 1;
+            shapes.borrowed += usize::from(borrowed);
+        }
+    }
+    if rng.gen_range(3) == 0 {
+        let (a, b) = (
+            tips[rng.gen_range(tips.len())],
+            tips[rng.gen_range(tips.len())],
+        );
+        if a != b {
+            let id = plan.add_op(Operator::new(BINARY[rng.gen_range(BINARY.len())]));
+            plan.connect(a, id);
+            plan.connect(b, id);
+            tips.push(id);
+        }
+    }
+    for tip in tips {
+        if plan.succs(tip).is_empty() && rng.gen_range(2) == 0 {
+            let sink = plan.add_op(Operator::new(LocalCallbackSink));
+            plan.connect(tip, sink);
+        }
+    }
+    plan.seal();
+    plan
+}
+
+#[test]
+fn chains_fused_into_keyed_operators_match_the_reference() {
+    let mut rng = SplitMix64::new(0xF05E);
+    let mut shapes = Shapes::default();
+    for case in 0..48 {
+        let plan = chain_dag(&mut rng, &mut shapes);
+        assert_engine_matches_reference(&format!("chain dag {case}"), &plan, 2_000);
+    }
+    for head in [
+        "TextFileSource",
+        "CollectionSource",
+        "TableSource",
+        "Sort",
+        "RepeatLoop",
+    ] {
+        let chains = shapes.heads.get(head).copied().unwrap_or(0);
+        assert!(chains >= 10, "{chains} chains headed by {head}: {shapes:?}");
+    }
+    assert!(shapes.borrowed >= 20, "{shapes:?}");
+    assert!(shapes.empty_sources >= 10, "{shapes:?}");
+}
+
 /// A text source of `rows` lines, then `kinds` wired by `edges` (indices
 /// into `[source, kinds…]`).
 fn hand_built(rows: f64, kinds: &[Operator], edges: &[(u32, u32)]) -> LogicalPlan {
@@ -149,7 +265,9 @@ fn hand_built(rows: f64, kinds: &[Operator], edges: &[(u32, u32)]) -> LogicalPla
 
 #[test]
 fn shared_doubled_and_unconsumed_outputs_match_the_reference() {
-    use OperatorKind::{FlatMap, Join, LocalCallbackSink, Map, RepeatLoop, Sort, Union, ZipWithId};
+    use OperatorKind::{
+        Filter, FlatMap, Join, LocalCallbackSink, Map, RepeatLoop, Sample, Sort, Union, ZipWithId,
+    };
     let op = Operator::new;
     let rows = |name: &str, plan: &LogicalPlan| assert_engine_matches_reference(name, plan, 2_000);
 
@@ -219,6 +337,37 @@ fn shared_doubled_and_unconsumed_outputs_match_the_reference() {
     // Terminals that are not sinks: nobody consumes the Sort or the Map.
     let open_ended = hand_built(1_500.0, &[op(Sort), op(Map)], &[(0, 1), (0, 2)]);
     assert_eq!(rows("terminals without sinks", &open_ended), [1_500; 3]);
+
+    // A source read only by a Filter or Sample is generated through its
+    // coin, a block at a time; here the kept rows go on to two consumers,
+    // so nothing further is fused. A coin that keeps every row keeps whole
+    // blocks.
+    let coin = |kind, selectivity| op(kind).with_selectivity(selectivity);
+    for (name, kind, selectivity) in [
+        ("through a filter", Filter, 0.4),
+        ("through a sample", Sample, 0.4),
+        ("through a filter that keeps every row", Filter, 1.0),
+    ] {
+        let through = hand_built(
+            1_500.0,
+            &[
+                coin(kind, selectivity),
+                op(Sort),
+                op(Map),
+                op(LocalCallbackSink),
+            ],
+            &[(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)],
+        );
+        let r = rows(name, &through);
+        assert_eq!(r[0], 1_500, "{name}: {r:?}");
+        assert!(0 < r[1] && r[1] <= 1_500, "{name}: {r:?}");
+    }
+    let empty = hand_built(
+        0.0,
+        &[coin(Filter, 0.4), op(LocalCallbackSink)],
+        &[(0, 1), (1, 2)],
+    );
+    assert_eq!(rows("empty source through a filter", &empty), [0; 3]);
 }
 
 #[test]
