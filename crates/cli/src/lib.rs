@@ -318,18 +318,76 @@ fn cmd_serve(opt: &mut Optimizer, flags: &[Flag<'_>]) -> Result<i32, String> {
     Ok(serve_tcp(opt, port))
 }
 
-/// The serve loop: one request line in, one response line out, until
-/// `quit` or EOF. Shared by stdin and per-connection TCP serving.
-/// Returns `true` if the session ended with an explicit `quit`.
-fn serve_lines<R: BufRead, W: Write>(opt: &mut Optimizer, reader: R, writer: &mut W) -> bool {
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            return false;
+/// The longest request line the serve loop reads. The longest valid
+/// request, an `execute` pinning 128 operators, is about 1.5 KB.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Read one line into `line`, without its `\n` or `\r\n` (as
+/// `BufRead::lines` strips them). At most [`MAX_LINE_BYTES`] + 1 bytes of
+/// it are kept, so `line.len() > MAX_LINE_BYTES` means it was longer,
+/// however much longer; the rest is read and dropped. `Ok(false)` at end of
+/// input.
+fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    line.clear();
+    let (mut ended, mut dropped) = (false, false);
+    while !ended {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        if line.trim().is_empty() {
-            continue;
+        if buf.is_empty() {
+            break;
         }
-        let (mut reply, quit) = match parse_request(&line) {
+        let (chunk, used) = match buf.iter().position(|&b| b == b'\n') {
+            Some(at) => {
+                ended = true;
+                (&buf[..at], at + 1)
+            }
+            None => (buf, buf.len()),
+        };
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
+        dropped |= chunk.len() > room;
+        line.extend_from_slice(&chunk[..chunk.len().min(room)]);
+        reader.consume(used);
+    }
+    if ended && !dropped && line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    // Every byte read is the newline or kept: the cap keeps at least one.
+    Ok(ended || !line.is_empty())
+}
+
+/// The text of a line, or why the serve loop refuses it before parsing.
+fn line_text(line: &[u8]) -> Result<&str, ServiceError> {
+    if line.len() > MAX_LINE_BYTES {
+        return Err(ServiceError::Parse(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    std::str::from_utf8(line).map_err(|e| {
+        ServiceError::Parse(format!(
+            "request line is not UTF-8 (invalid byte at {})",
+            e.valid_up_to()
+        ))
+    })
+}
+
+/// The serve loop: one request line in, one response line out, until
+/// `quit` or EOF. Shared by stdin and per-connection TCP serving. Lines are
+/// read as bytes into one reused buffer ([`read_line_capped`]), so a line
+/// that is too long or not UTF-8 gets one parse-error reply and the session
+/// goes on with the next line.
+/// Returns `true` if the session ended with an explicit `quit`.
+fn serve_lines<R: BufRead, W: Write>(opt: &mut Optimizer, mut reader: R, writer: &mut W) -> bool {
+    let mut line = Vec::new();
+    while let Ok(true) = read_line_capped(&mut reader, &mut line) {
+        let request = match line_text(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => parse_request(text),
+            Err(e) => Err(e),
+        };
+        let (mut reply, quit) = match request {
             Ok(Request::Quit) => (quit_ack(), true),
             Ok(req) => (render_response(&dispatch(opt, &req)), false),
             Err(e) => (render_response(&Response::Error(e)), false),
@@ -609,6 +667,72 @@ mod tests {
         }
     }
 
+    /// The replies a serve session over `input` writes, one per line.
+    fn serve_replies(input: &[u8]) -> Vec<String> {
+        let mut opt = Optimizer::named();
+        let mut out = Vec::new();
+        serve_lines(&mut opt, input, &mut out);
+        let text = String::from_utf8(out).expect("utf-8 output");
+        text.lines().map(str::to_string).collect()
+    }
+
+    /// Regression test: a non-UTF-8 byte used to end the session without a
+    /// reply (`BufRead::lines` yields `Err(InvalidData)`), dropping every
+    /// later request too.
+    #[test]
+    fn serve_loop_answers_a_non_utf8_line_and_goes_on() {
+        for input in [
+            &b"\xff\n{\"op\":\"stats\"}\n"[..],
+            b"{\"op\":\"stats\"}\n\xff\n{\"op\":\"stats\"}\n",
+        ] {
+            let replies = serve_replies(input);
+            assert_eq!(replies.len(), input.split(|&b| b == b'\n').count() - 1);
+            let refused = replies.iter().find(|r| r.contains("\"ok\":false"));
+            let refused = refused.expect("the \\xff line is answered");
+            assert!(
+                refused.contains("not UTF-8 (invalid byte at 0)"),
+                "{refused}"
+            );
+            assert!(replies
+                .last()
+                .is_some_and(|r| r.contains("\"kind\":\"stats\"")));
+        }
+        // Valid UTF-8 that is not ASCII is parsed as before.
+        let replies = serve_replies("{\"op\":\"é\"}\n".as_bytes());
+        assert!(
+            replies[0].contains("unknown op \\\"é\\\""),
+            "{}",
+            replies[0]
+        );
+    }
+
+    #[test]
+    fn serve_loop_refuses_an_overlong_line_and_goes_on() {
+        let mut input = vec![b'x'; 1 << 20];
+        input.extend_from_slice(b"\n{\"op\":\"stats\"}\r\n");
+        let replies = serve_replies(&input);
+        assert_eq!(replies.len(), 2);
+        assert!(
+            replies[0].contains("longer than 65536 bytes"),
+            "{}",
+            replies[0]
+        );
+        assert!(replies[1].contains("\"kind\":\"stats\""), "{}", replies[1]);
+        // The buffer keeps the cap plus one byte, however long the line;
+        // a line at the cap is whole, and `\r\n` ends a line like `\n`.
+        let mut line = Vec::new();
+        let mut reader = &input[..];
+        assert!(read_line_capped(&mut reader, &mut line).expect("read"));
+        assert_eq!(line.len(), MAX_LINE_BYTES + 1);
+        assert!(read_line_capped(&mut reader, &mut line).expect("read"));
+        assert_eq!(line, b"{\"op\":\"stats\"}");
+        assert!(!read_line_capped(&mut reader, &mut line).expect("read"));
+        let at_cap = [vec![b' '; MAX_LINE_BYTES], b"\r\n".to_vec()].concat();
+        assert!(read_line_capped(&mut &at_cap[..], &mut line).expect("read"));
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        assert!(line_text(&line).is_ok());
+    }
+
     #[test]
     fn serve_loop_answers_an_execute_request() {
         let script = concat!(
@@ -640,18 +764,22 @@ mod tests {
             serve_on_listener(&mut opt, &listener)
         });
 
-        // Client 1: one optimize, then drop the socket (no quit).
+        // Client 1: a line that is not UTF-8, one optimize, then drop the
+        // socket (no quit).
         {
             let mut c1 = TcpStream::connect(addr).expect("client 1 connect");
+            let mut reader = BufReader::new(c1.try_clone().expect("clone"));
+            let mut line = String::new();
+            c1.write_all(b"\xff\n").expect("client 1 write garbage");
+            reader.read_line(&mut line).expect("client 1 read error");
+            assert!(line.contains("not UTF-8"), "{line}");
             writeln!(
                 c1,
                 r#"{{"op":"optimize","workload":{{"kind":"wordcount","scale":1e7}}}}"#
             )
             .expect("client 1 write");
-            let mut line = String::new();
-            BufReader::new(c1.try_clone().expect("clone"))
-                .read_line(&mut line)
-                .expect("client 1 read");
+            line.clear();
+            reader.read_line(&mut line).expect("client 1 read");
             assert!(line.contains("\"ok\":true"), "{line}");
         }
 

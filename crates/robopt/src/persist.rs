@@ -85,7 +85,7 @@ pub fn forest_to_json(forest: &RandomForest) -> String {
 
 /// Parse and validate a forest saved by [`forest_to_json`].
 pub fn forest_from_json(text: &str) -> Result<RandomForest, PersistError> {
-    let doc = json::parse(text)?;
+    let doc = json::parse_borrowed(text)?;
     let format = doc
         .get("format")
         .and_then(JsonValue::as_str)
@@ -122,7 +122,7 @@ pub fn forest_from_json(text: &str) -> Result<RandomForest, PersistError> {
 /// The `key` array of tree `t`, each integer decoded by `read`; `what`
 /// names the element type in the error.
 fn array<T>(
-    tree: &JsonValue,
+    tree: &JsonValue<'_>,
     key: &str,
     t: usize,
     what: &str,
@@ -143,7 +143,7 @@ fn array<T>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use robopt_ml::ForestConfig;
     use robopt_plan::SplitMix64;
@@ -213,13 +213,16 @@ mod tests {
     }
 
     /// A stump and a lone leaf, as PR 18's hand-assembled renderer saved
-    /// them: loading and re-saving reproduces the file byte for byte.
+    /// them.
+    pub(crate) const TWO_TREE_FOREST: &str = r#"{"format":"robopt-forest-v1","width":3,"n_trees":2,"trees":[{"split_col":[1,4294967295,4294967295],"threshold_bits":[4602678819172646912,0,0],"left":[1,0,0],"right":[2,0,0],"value_bits":[4600427019358961664,13831680355561635840,4611686018427387904]},{"split_col":[4294967295],"threshold_bits":[0],"left":[0],"right":[0],"value_bits":[4591870180066957722]}]}"#;
+
+    /// Loading [`TWO_TREE_FOREST`] and re-saving it reproduces the file byte
+    /// for byte.
     #[test]
     fn a_fixed_two_tree_forest_renders_its_golden_text() {
-        let golden = r#"{"format":"robopt-forest-v1","width":3,"n_trees":2,"trees":[{"split_col":[1,4294967295,4294967295],"threshold_bits":[4602678819172646912,0,0],"left":[1,0,0],"right":[2,0,0],"value_bits":[4600427019358961664,13831680355561635840,4611686018427387904]},{"split_col":[4294967295],"threshold_bits":[0],"left":[0],"right":[0],"value_bits":[4591870180066957722]}]}"#;
-        let forest = forest_from_json(golden).expect("golden forest loads");
+        let forest = forest_from_json(TWO_TREE_FOREST).expect("golden forest loads");
         assert_eq!(forest.predict(&[0.0, 0.75, 0.0]), (2.0 + 0.1) / 2.0);
-        assert_eq!(forest_to_json(&forest), golden);
+        assert_eq!(forest_to_json(&forest), TWO_TREE_FOREST);
     }
 
     /// The text was pinned at the last commit whose fitter sorted every

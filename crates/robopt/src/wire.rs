@@ -59,7 +59,7 @@ pub enum Response {
 
 /// Parse one request line.
 pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
-    let doc = json::parse(line).map_err(|e| ServiceError::Parse(e.to_string()))?;
+    let doc = json::parse_borrowed(line).map_err(|e| ServiceError::Parse(e.to_string()))?;
     let op = doc
         .get("op")
         .and_then(JsonValue::as_str)
@@ -269,7 +269,7 @@ fn optimize_fields(w: &mut Writer, r: &OptimizeResponse) {
     });
 }
 
-fn parse_workload(doc: &JsonValue) -> Result<WorkloadSpec, ServiceError> {
+fn parse_workload(doc: &JsonValue<'_>) -> Result<WorkloadSpec, ServiceError> {
     let w = doc
         .get("workload")
         .ok_or_else(|| ServiceError::Parse("missing \"workload\" object".to_string()))?;
@@ -287,7 +287,7 @@ fn parse_workload(doc: &JsonValue) -> Result<WorkloadSpec, ServiceError> {
     WorkloadSpec::named(kind, params).map_err(|e| ServiceError::Parse(e.to_string()))
 }
 
-fn parse_policy(doc: &JsonValue) -> Result<ExecutionPolicy, ServiceError> {
+fn parse_policy(doc: &JsonValue<'_>) -> Result<ExecutionPolicy, ServiceError> {
     let mut policy = ExecutionPolicy::default();
     if let Some(p) = field(doc, "policy", "an object", |v| {
         matches!(v, JsonValue::Obj(_)).then_some(v)
@@ -312,11 +312,11 @@ fn parse_policy(doc: &JsonValue) -> Result<ExecutionPolicy, ServiceError> {
 /// but a field that is present and does not decode (wrong JSON type, or a
 /// number outside the target integer type) is a parse error naming it —
 /// never a silent fall-back to the default.
-fn field<'a, T>(
-    v: &'a JsonValue,
+fn field<'a, 'j, T>(
+    v: &'a JsonValue<'j>,
     key: &str,
     want: &str,
-    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    read: impl FnOnce(&'a JsonValue<'j>) -> Option<T>,
 ) -> Result<Option<T>, ServiceError> {
     v.get(key)
         .map(|raw| {
@@ -325,29 +325,29 @@ fn field<'a, T>(
         .transpose()
 }
 
-fn field_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, ServiceError> {
+fn field_f64(v: &JsonValue<'_>, key: &str) -> Result<Option<f64>, ServiceError> {
     field(v, key, "a number", JsonValue::as_f64)
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ServiceError> {
+fn field_u64(v: &JsonValue<'_>, key: &str) -> Result<Option<u64>, ServiceError> {
     field(v, key, "an integer that fits u64", JsonValue::as_u64)
 }
 
-fn field_usize(v: &JsonValue, key: &str) -> Result<Option<usize>, ServiceError> {
+fn field_usize(v: &JsonValue<'_>, key: &str) -> Result<Option<usize>, ServiceError> {
     field(v, key, "an integer that fits usize", JsonValue::as_usize)
 }
 
-fn field_bool(v: &JsonValue, key: &str) -> Result<Option<bool>, ServiceError> {
+fn field_bool(v: &JsonValue<'_>, key: &str) -> Result<Option<bool>, ServiceError> {
     field(v, key, "a boolean", JsonValue::as_bool)
 }
 
-fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<Option<&'a str>, ServiceError> {
+fn field_str<'a>(v: &'a JsonValue<'_>, key: &str) -> Result<Option<&'a str>, ServiceError> {
     field(v, key, "a string", JsonValue::as_str)
 }
 
 /// The optional `"assignments"` array of platform names; absent or empty
 /// means "optimize first".
-fn parse_assignments(doc: &JsonValue) -> Result<Vec<String>, ServiceError> {
+fn parse_assignments(doc: &JsonValue<'_>) -> Result<Vec<String>, ServiceError> {
     let names = field(doc, "assignments", "an array of strings", |v| {
         v.as_arr()?
             .iter()
@@ -358,7 +358,7 @@ fn parse_assignments(doc: &JsonValue) -> Result<Vec<String>, ServiceError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -550,11 +550,10 @@ mod tests {
         );
     }
 
-    /// One response per wire shape against the exact line the hand-assembled
+    /// One response per wire shape and the exact line the hand-assembled
     /// renderer of PR 18 wrote for it: escapes, `-0.0`, a subnormal,
     /// exponent forms, full-width integers, non-finite and absent numbers.
-    #[test]
-    fn every_response_shape_renders_its_golden_line() {
+    pub(crate) fn golden_responses() -> Vec<(Response, String)> {
         let optimize = OptimizeResponse {
             workload: "wordcount(1e7)".to_string(),
             signature: u64::MAX - 2,
@@ -573,7 +572,7 @@ mod tests {
             },
         };
         let optimize_fields = r#""workload":"wordcount(1e7)","signature":18446744073709551613,"assignments":["java","spark"],"distinct_platforms":2,"cost":0.30000000000000004,"cost_bits":4599075939470750516,"cost_std":0.25,"cost_q10":-0.0,"cost_q90":1e21,"risk_policy":"sigma1.5","stats":{"generated":40,"kept":12,"merges":5,"peak_rows":9}"#;
-        let golden = [
+        [
             (
                 Response::Optimize(optimize.clone()),
                 format!(r#"{{"ok":true,"kind":"optimize",{optimize_fields}}}"#),
@@ -650,8 +649,13 @@ mod tests {
                 )),
                 r#"{"ok":false,"error":"parse error: line\nbreak, bell \u0007, \"quote\", π"}"#.to_string(),
             ),
-        ];
-        for (resp, line) in &golden {
+        ]
+        .into()
+    }
+
+    #[test]
+    fn every_response_shape_renders_its_golden_line() {
+        for (resp, line) in &golden_responses() {
             assert_eq!(&render_response(resp), line);
             // Valid JSON, and the decimal `cost` carries the `cost_bits`.
             let doc = crate::json::parse(line).expect("renderer must emit valid JSON");
