@@ -8,37 +8,39 @@
 //! array arithmetic. See `DESIGN.md` for the full architecture and
 //! `EXPERIMENTS.md` for the figure-by-figure reproduction status.
 //!
-//! Crate map (re-exported below):
+//! Crate map (DESIGN §3; re-exported below):
 //!
-//! * [`robopt_plan`] — logical operators, dataflow DAGs with cardinality
-//!   propagation, the seeded RNG, `WorkloadSpec` and the workload builders;
-//! * [`robopt_vector`] — Fig-5 layout, `EnumMatrix`, merge kernel,
-//!   pruning footprints;
-//! * [`robopt_core`] — vectorize / enumerate / unvectorize (Algorithm 1);
-//! * [`robopt_baselines`] — object-graph "Rheem-ML" foil, exhaustive search;
-//! * [`robopt_platforms`] — the platform registry: descriptors,
-//!   operator-availability matrix, conversion graph (COT), and the
-//!   deterministic runtime simulator;
-//! * [`robopt_ml`] — the learned cost model: CART regression trees, the
-//!   bagged random forest, the ridge linear baseline, accuracy metrics,
-//!   the `TrainingSource` / `TrainingSet` contract every label provider
-//!   implements, and the one plan/assignment sampler behind both
-//!   `SimulatorSource` and `BackendSource` — all pluggable into
-//!   enumeration through `ModelOracle` behind `&dyn CostOracle`;
-//! * [`robopt_tdgen`] — TDGEN, the scalable training-data generator:
-//!   seeded job-shape templates, β-bounded platform-switch pruning, and
-//!   piecewise degree-5 log-log runtime interpolation so most labels are
-//!   synthesized rather than simulated;
-//! * [`robopt`] (re-exported as [`service`]) — the optimizer-as-a-service
-//!   facade: request/response API, plan-signature cache, forest
-//!   persistence, and the wire protocol the `robopt` binary speaks;
-//! * [`robopt_cli`] — the `robopt` binary: `serve` daemon plus one-shot
-//!   `optimize` / `execute` / `compare` / `train` subcommands, each a
-//!   table-driven translation of flags into the wire request line;
-//! * [`robopt_engine`] — the real multi-threaded in-memory dataflow
-//!   executor behind the `ExecutionBackend` seam: seeded data
-//!   generators, partition-parallel operators, iterative PageRank /
-//!   k-means kernels, byte-identical outputs across worker counts.
+//! * [`robopt_plan`] — 24 logical operator kinds, dataflow DAGs with
+//!   cardinality propagation and juncture flags, the seeded RNG,
+//!   `WorkloadSpec` and the workload builders;
+//! * [`robopt_platforms`] — the platform registry, availability matrix,
+//!   channels and conversion graph (COT), the deterministic runtime
+//!   simulator, and the `ExecutionBackend` seam;
+//! * [`robopt_engine`] — the in-memory dataflow executor behind
+//!   `ExecutionBackend`: seeded data generators, byte-identical outputs
+//!   across worker counts, and the independent reference executor;
+//! * [`robopt_vector`] — the Fig-5 `FeatureLayout`, `EnumMatrix` and
+//!   `RowsView` (full or packed), the fused-add merge kernel, scope
+//!   bitsets, pruning footprints and `FootprintTable`;
+//! * [`robopt_ml`] — CART trees, the bagged random forest, the ridge
+//!   linear baseline, metrics, the `TrainingSet` / `TrainingSource`
+//!   contract, the one plan sampler behind `SimulatorSource` and
+//!   `BackendSource`, and `Model` / `DistModel` behind `ModelOracle`;
+//! * [`robopt_core`] — vectorize, Algorithm-1 enumeration with Def-2
+//!   pruning, `CostOracle` and `AnalyticOracle`, `CostDistribution` /
+//!   `RiskPolicy`, the plan splitter and parallel driver, `EnumStats`;
+//! * [`robopt_baselines`] — the object-graph "Rheem-ML" enumerator and
+//!   exhaustive search;
+//! * [`robopt_tdgen`] — TDGEN: shape templates, β-bounded switch pruning,
+//!   piecewise log-log interpolation, and the generator;
+//! * [`robopt`] (re-exported as [`service`]) — the service facade:
+//!   `Optimizer`, request / response types, plan cache, JSON parser and
+//!   `Writer`, wire protocol, forest persistence;
+//! * [`robopt_cli`] — the `robopt` binary: `serve` (stdin or loopback TCP)
+//!   plus `optimize` / `execute` / `compare` / `train`.
+//!
+//! `robopt-bench` (the timing harness, `Report` and the experiment
+//! binaries) is not re-exported.
 
 pub use robopt as service;
 pub use robopt_baselines as baselines;

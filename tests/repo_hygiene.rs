@@ -1,11 +1,13 @@
 //! Repo-shaped invariants no compiler or clippy lint can see (DESIGN §8):
-//! the build is offline, every package opts into the lint tables, and
-//! EXPERIMENTS.md names no artifact without a binary that writes it. Each
-//! check is a pure function over text that returns its findings.
+//! the build is offline, every package opts into the lint tables, the docs
+//! name no artifact without a binary that writes it, and EXPERIMENTS.md
+//! quotes its artifacts instead of copying them — one table, whose rows
+//! hold only numbers their binary's `.txt` holds. Each check is a pure
+//! function over text that returns its findings.
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "this test reads the repository it checks: the manifests, the lock files, EXPERIMENTS.md and the experiment binaries"
+    reason = "this test reads the repository it checks: the manifests, the lock files, the docs, the experiment binaries and their artifacts"
 )]
 
 use std::path::Path;
@@ -54,12 +56,97 @@ fn artifact_tokens(line: &str) -> impl Iterator<Item = &str> {
 /// A doc-referenced artifact needs a producer: its name on a code line (not
 /// a `//` comment line) of an experiment binary's source. A file nothing
 /// writes is a placeholder, not a result.
-fn artifact_findings(doc: &str, producers: &str) -> Vec<String> {
+fn artifact_findings(rel: &str, doc: &str, producers: &str) -> Vec<String> {
     let code: Vec<&str> = producers.lines().map(str::trim_start).collect();
     let written = |t: &str| code.iter().any(|l| !l.starts_with("//") && l.contains(t));
     let tokens = doc.lines().flat_map(artifact_tokens);
     let orphans = tokens.filter(|t| !written(t));
-    orphans.map(|t| format!("no binary writes {t}")).collect()
+    orphans
+        .map(|t| format!("{rel}: no binary writes {t}"))
+        .collect()
+}
+
+fn is_table_line(line: &str) -> bool {
+    line.trim_start().starts_with('|')
+}
+
+/// The summary table is the doc's first run of table lines; `(its lines,
+/// the index of the first line after it)`.
+fn summary_table(doc: &str) -> (Vec<&str>, usize) {
+    let lines: Vec<&str> = doc.lines().collect();
+    let start = lines
+        .iter()
+        .position(|l| is_table_line(l))
+        .unwrap_or(lines.len());
+    let len = lines[start..]
+        .iter()
+        .take_while(|l| is_table_line(l))
+        .count();
+    (lines[start..start + len].to_vec(), start + len)
+}
+
+/// EXPERIMENTS.md points to its artifacts instead of copying their tables,
+/// so the summary is its only table.
+fn table_findings(doc: &str) -> Vec<String> {
+    let (_, end) = summary_table(doc);
+    let below = doc.lines().enumerate().skip(end);
+    let tables = below.filter(|(_, l)| is_table_line(l));
+    let found =
+        tables.map(|(i, _)| format!("EXPERIMENTS.md:{}: table line below the summary", i + 1));
+    found.collect()
+}
+
+/// `(binary, last cell)` of every summary row whose first cell names a
+/// binary in backticks.
+fn summary_rows(doc: &str) -> Vec<(&str, &str)> {
+    let (table, _) = summary_table(doc);
+    let rows = table.into_iter().filter_map(|row| {
+        let cells: Vec<&str> = row.trim().trim_matches('|').split('|').collect();
+        let binary = cells.first()?.split('`').nth(1)?;
+        Some((binary, *cells.last()?))
+    });
+    rows.collect()
+}
+
+/// Number tokens (`\d+(\.\d+)?`) of a text, scanned by hand.
+fn numbers(text: &str) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let digits_from = |i: usize| bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut found = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let int = digits_from(i);
+        if int == 0 {
+            i += 1;
+            continue;
+        }
+        let mut end = i + int;
+        if bytes.get(end) == Some(&b'.') && bytes.get(end + 1).is_some_and(u8::is_ascii_digit) {
+            end += 1 + digits_from(end + 1);
+        }
+        found.push(&text[i..end]);
+        i = end;
+    }
+    found
+}
+
+/// A summary row quotes its binary's `.txt` digit for digit: every number
+/// of its last cell is a number of `EXPERIMENTS_OUTPUT/<binary>.txt`. Rows
+/// naming no binary, or one with no `.txt`, are not checked.
+fn quote_findings(doc: &str, outputs: &[(String, String)]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (binary, measured) in summary_rows(doc) {
+        let Some((_, txt)) = outputs.iter().find(|(name, _)| name == binary) else {
+            continue;
+        };
+        let held = numbers(txt);
+        for n in numbers(measured).into_iter().filter(|n| !held.contains(n)) {
+            found.push(format!(
+                "`{binary}` row quotes {n}, which EXPERIMENTS_OUTPUT/{binary}.txt does not hold"
+            ));
+        }
+    }
+    found
 }
 
 fn read(rel: &str) -> io::Result<String> {
@@ -75,6 +162,18 @@ fn read_each(dir: &str, leaf: &str) -> io::Result<Vec<(String, String)>> {
         out.push((rel, text));
     }
     Ok(out)
+}
+
+/// `(binary, text)` of every `EXPERIMENTS_OUTPUT/<binary>.txt`.
+fn experiment_outputs() -> io::Result<Vec<(String, String)>> {
+    let files = read_each("EXPERIMENTS_OUTPUT", "")?.into_iter();
+    let txts = files.filter_map(|(rel, text)| {
+        let name = rel
+            .strip_prefix("EXPERIMENTS_OUTPUT/")?
+            .strip_suffix(".txt")?;
+        Some((name.to_string(), text))
+    });
+    Ok(txts.collect())
 }
 
 #[test]
@@ -103,17 +202,73 @@ fn every_documented_artifact_has_a_producer() {
     let doc = read("EXPERIMENTS.md").expect("EXPERIMENTS.md");
     let referenced = doc.lines().flat_map(artifact_tokens).count();
     assert!(referenced >= 12, "saw only {referenced} references");
-    assert_eq!(artifact_findings(&doc, &producers), Vec::<String>::new());
+    let mut found = artifact_findings("EXPERIMENTS.md", &doc, &producers);
+    for rel in ["DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        found.extend(artifact_findings(rel, &read(rel).expect(rel), &producers));
+    }
+    assert_eq!(found, Vec::<String>::new());
+}
+
+#[test]
+fn experiments_md_has_one_table() {
+    let doc = read("EXPERIMENTS.md").expect("EXPERIMENTS.md");
+    assert!(summary_table(&doc).0.len() > 10, "no summary table");
+    assert_eq!(table_findings(&doc), Vec::<String>::new());
+}
+
+#[test]
+fn summary_rows_quote_their_artifacts_digit_for_digit() {
+    let doc = read("EXPERIMENTS.md").expect("EXPERIMENTS.md");
+    let outputs = experiment_outputs().expect("EXPERIMENTS_OUTPUT");
+    let has_txt = |binary: &str| outputs.iter().any(|(name, _)| name == binary);
+    let checked = summary_rows(&doc)
+        .into_iter()
+        .filter(|(b, _)| has_txt(b))
+        .count();
+    assert!(
+        checked >= 6,
+        "only {checked} summary rows name a binary with a .txt"
+    );
+    assert_eq!(quote_findings(&doc, &outputs), Vec::<String>::new());
+}
+
+#[test]
+fn numbers_are_scanned_as_the_pattern_reads() {
+    let found = numbers("q0.9 of 1e7: 2.4x, 7745.5 ms, 3. 12");
+    assert_eq!(found, ["0.9", "1", "7", "2.4", "7745.5", "3", "12"]);
 }
 
 #[test]
 fn bad_inputs_are_reported() {
+    let txt = [(
+        "model_accuracy".to_string(),
+        "250  0.3685  0.156".to_string(),
+    )];
+    let header = "| Experiment | Verdict | Paper | Measured |\n|---|---|---|---|\n";
+    let misquoted = "| Model accuracy (`model_accuracy`) | ✅ | RF wins | MSE 0.307 at 250 |\n";
+    let unnamed = "| Fig 2 cost-model tuning | ❌ | ~10× | 0.307 |\n";
     let cases = [
         lock_findings("Cargo.lock", "source = \"registry+https://x\"\n"),
         lints_findings("crates/ml/Cargo.toml", "[package]\nname = \"x\"\n"),
         lints_findings("crates/ml/Cargo.toml", "[lints.clippy]\ntodo = \"deny\"\n"),
-        artifact_findings("EXPERIMENTS_OUTPUT/placeholder.txt.", "fn main() {}"),
-        artifact_findings("`BENCH_x.json`", "//! Writes `BENCH_x.json`."),
+        artifact_findings(
+            "EXPERIMENTS.md",
+            "EXPERIMENTS_OUTPUT/placeholder.txt.",
+            "fn main() {}",
+        ),
+        artifact_findings(
+            "EXPERIMENTS.md",
+            "`BENCH_x.json`",
+            "//! Writes `BENCH_x.json`.",
+        ),
+        artifact_findings(
+            "DESIGN.md",
+            "see `EXPERIMENTS_OUTPUT/placeholder.txt`",
+            "fn main() {}",
+        ),
+        quote_findings(&format!("{header}{misquoted}"), &txt),
+        quote_findings(&format!("{header}{unnamed}{misquoted}"), &txt),
+        table_findings(&format!("{header}{unnamed}\n### Fig 2\n\n| rows | MSE |\n")),
     ];
     for (i, findings) in cases.iter().enumerate() {
         assert_eq!(findings.len(), 1, "case {i}: {findings:?}");
