@@ -3,7 +3,7 @@
 //! Identical search to `robopt_core::Enumerator` — same Def-3 priority
 //! order, same registry-driven availability masking and conversion
 //! feasibility, same Def-2 lossless boundary pruning, same batched
-//! [`CostOracle`] entry point — but subplans are object graphs
+//! [`robopt_core::CostOracle`] entry point — but subplans are object graphs
 //! ([`ObjNode`]), and the ML cost model is treated as an external black
 //! box: every batch is assembled by walking the object graphs and
 //! materializing **fresh** feature vectors (plan-to-vector transformation

@@ -26,15 +26,15 @@ use std::time::Instant;
 use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_bench::{rounded, Report};
 use robopt_ml::{
-    spearman, ForestConfig, Metrics, Model, RandomForest, SamplerConfig, SimulatorSource,
-    TrainingSet, TrainingSource,
+    spearman, ForestConfig, Metrics, Model, RandomForest, SimulatorSource, TrainingSet,
+    TrainingSource,
 };
 use robopt_plan::rng::SplitMix64;
 use robopt_plan::{workloads, N_OPERATOR_KINDS};
 use robopt_platforms::{PlatformRegistry, RuntimeSimulator};
 use robopt_tdgen::{
     log_knots, sample_assignment, sample_skeleton, PiecewisePoly, ShapeKind, TdgenConfig,
-    TdgenGenerator,
+    TdgenGenerator, BETA, KNOTS, OPS_RANGE, SCALE_RANGE,
 };
 use robopt_vector::FeatureLayout;
 
@@ -54,25 +54,24 @@ struct Fidelity {
 
 fn measure_fidelity(
     registry: &PlatformRegistry,
-    cfg: &TdgenConfig,
     curves: usize,
     probes_per_curve: usize,
 ) -> Fidelity {
-    let mut rng = SplitMix64::new(cfg.seed() ^ 0xf1de);
+    let mut rng = SplitMix64::new(TDGEN_SEED ^ 0xf1de);
     // Noiseless simulator: fidelity must be judged against clean curves.
     let sim = RuntimeSimulator::new(registry, SIM_SEED).with_noise(0.0);
-    let (lo, hi) = cfg.scale_range();
-    let knot_scales = log_knots(lo, hi, cfg.knots());
+    let (lo, hi) = SCALE_RANGE;
+    let knot_scales = log_knots(lo, hi, KNOTS);
     let (lln, hln) = (lo.ln(), hi.ln());
     let mut interp = Vec::new();
     let mut truth = Vec::new();
     let mut done = 0;
     while done < curves {
-        let shape = cfg.shape_mix()[rng.gen_range(cfg.shape_mix().len())];
-        let (min_ops, max_ops) = cfg.ops_range();
+        let shape = ShapeKind::ALL[rng.gen_range(ShapeKind::ALL.len())];
+        let (min_ops, max_ops) = OPS_RANGE;
         let n_ops = min_ops + rng.gen_range(max_ops - min_ops + 1);
         let skel = sample_skeleton(&mut rng, registry, shape, n_ops);
-        let Some(assign) = sample_assignment(&skel, registry, cfg.beta(), &mut rng, 64) else {
+        let Some(assign) = sample_assignment(&skel, registry, BETA, &mut rng, 64) else {
             continue;
         };
         let mut ln_xs = Vec::with_capacity(knot_scales.len());
@@ -156,18 +155,13 @@ fn main() {
 
     let registry = PlatformRegistry::named();
     let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
-    let cfg = TdgenConfig::new().with_seed(TDGEN_SEED);
 
     // ---- 1. Interpolation fidelity --------------------------------------
-    let fid = measure_fidelity(
-        &registry,
-        &cfg.clone().with_noise(0.0),
-        fid_curves,
-        fid_probes,
-    );
+    let fid = measure_fidelity(&registry, fid_curves, fid_probes);
 
     // ---- 2. Throughput + reduction --------------------------------------
-    let mut tdgen = TdgenGenerator::new(&registry, layout, cfg.clone());
+    let cfg = TdgenConfig::new().with_seed(TDGEN_SEED);
+    let mut tdgen = TdgenGenerator::new(&registry, layout, cfg);
     let t0 = Instant::now();
     let tdgen_train = tdgen.generate(tdgen_n);
     let tdgen_secs = t0.elapsed().as_secs_f64();
@@ -175,23 +169,14 @@ fn main() {
     let reduction = stats.reduction();
     let tdgen_rows_per_s = tdgen_n as f64 / tdgen_secs;
 
-    let mut direct = SimulatorSource::new(
-        &registry,
-        layout,
-        SamplerConfig::new().with_seed(DIRECT_SEED).with_noise(0.05),
-    );
+    let mut direct = SimulatorSource::new(&registry, layout, DIRECT_SEED, 0.05);
     let t1 = Instant::now();
     let direct_train = direct.generate(direct_n);
     let direct_secs = t1.elapsed().as_secs_f64();
     let direct_rows_per_s = direct_n as f64 / direct_secs;
 
     // ---- 3. Forest on TDGEN vs forest on direct labels ------------------
-    let heldout = SimulatorSource::new(
-        &registry,
-        layout,
-        SamplerConfig::new().with_seed(HELDOUT_SEED).with_noise(0.0),
-    )
-    .generate(heldout_n);
+    let heldout = SimulatorSource::new(&registry, layout, HELDOUT_SEED, 0.0).generate(heldout_n);
     let forest_cfg = ForestConfig {
         n_trees,
         ..ForestConfig::default()
@@ -230,10 +215,10 @@ fn main() {
     let mut report = Report::new(format_args!(
         "Fig 8: TDGEN training-data generation ({} platforms, beta = {}, {} knots, scales [{:.0e}, {:.0e}])",
         registry.len(),
-        cfg.beta(),
-        cfg.knots(),
-        cfg.scale_range().0,
-        cfg.scale_range().1
+        BETA,
+        KNOTS,
+        SCALE_RANGE.0,
+        SCALE_RANGE.1
     ));
     report.line("");
     report.line(format_args!(
@@ -299,8 +284,8 @@ fn main() {
         "EXPERIMENTS_OUTPUT/fig08_tdgen.txt",
         "BENCH_tdgen.json",
         |w| {
-            w.key("beta").u64(cfg.beta() as u64);
-            w.key("knots").u64(cfg.knots() as u64);
+            w.key("beta").u64(BETA as u64);
+            w.key("knots").u64(KNOTS as u64);
             w.key("tdgen_rows").u64(tdgen_n as u64);
             w.key("direct_rows").u64(direct_n as u64);
             w.key("sim_calls").u64(stats.sim_calls);

@@ -16,9 +16,10 @@
 
 use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_bench::{rounded, Report};
+use robopt_core::CostDistribution;
 use robopt_ml::{
-    simulator_training_set, CostDistribution, DistModel, ForestConfig, LinearModel, Metrics, Model,
-    RandomForest, SamplerConfig, TrainingSet,
+    DistModel, ForestConfig, LinearModel, Metrics, Model, RandomForest, SimulatorSource,
+    TrainingSet, TrainingSource,
 };
 use robopt_plan::N_OPERATOR_KINDS;
 use robopt_platforms::PlatformRegistry;
@@ -57,19 +58,9 @@ fn main() {
     // One max-size training draw; each sweep point trains on a strict
     // prefix, so larger sizes extend rather than replace the data.
     let max_size = *sizes.last().unwrap();
-    let train = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(TRAIN_SEED).with_noise(0.05),
-        max_size,
-    );
+    let train = SimulatorSource::new(&registry, layout, TRAIN_SEED, 0.05).generate(max_size);
     // Held-out: independent seed, noiseless labels = clean ground truth.
-    let heldout = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(HELDOUT_SEED).with_noise(0.0),
-        heldout_n,
-    );
+    let heldout = SimulatorSource::new(&registry, layout, HELDOUT_SEED, 0.0).generate(heldout_n);
 
     let forest_cfg = ForestConfig {
         n_trees,
@@ -80,7 +71,7 @@ fn main() {
     for &n in sizes {
         let subset = train.truncated(n);
         let mut linear = LinearModel::new();
-        linear.fit_set(&subset);
+        linear.fit(subset.rows_view(), &subset.labels);
         let forest = RandomForest::fit_on(&forest_cfg, &subset);
         let (linear_m, _) = eval_model(&linear, &heldout);
         let (forest_m, forest_q) = eval_model(&forest, &heldout);

@@ -110,7 +110,7 @@ impl CostOracle for CardSensitivityOracle<'_> {
     }
 
     fn cost_row(&self, feats: &[f64]) -> f64 {
-        self.forest.predict(feats)
+        self.forest.predict_row(feats)
     }
 
     fn cost_batch(&self, rows: RowsView<'_>, out: &mut Vec<f64>) {
@@ -147,7 +147,7 @@ impl CostOracle for CardSensitivityOracle<'_> {
                 for &c in &self.tuple_cells {
                     scaled[c] *= s;
                 }
-                scratch[r * m + j] = self.forest.predict(&scaled);
+                scratch[r * m + j] = self.forest.predict_row(&scaled);
             }
         }
         out.finalize_samples(m);

@@ -634,12 +634,15 @@ mod tests {
 
     #[test]
     fn serve_loop_survives_garbage_and_over_budget_lines() {
-        // The third line used to abort the daemon in `handle_alloc_error`.
+        // The third line used to abort the daemon in `handle_alloc_error`;
+        // the fourth used to reserve 1.7 GB of training rows.
         let script = concat!(
             "this is not json\n",
             r#"{"op":"warp"}"#,
             "\n",
             r#"{"op":"optimize","workload":{"kind":"random_dag","ops":12,"seed":3,"density":0.5},"policy":{"prune":false}}"#,
+            "\n",
+            r#"{"op":"train","rows":1000000}"#,
             "\n",
             r#"{"op":"stats"}"#,
             "\n",
@@ -648,14 +651,21 @@ mod tests {
         let mut out = CountingWriter::default();
         let quit = serve_lines(&mut opt, script.as_bytes(), &mut out);
         assert!(!quit, "EOF, not quit");
-        assert_eq!(out.writes, 4, "an error reply is one write too");
+        assert_eq!(out.writes, 5, "an error reply is one write too");
         let text = String::from_utf8(out.bytes).expect("utf-8 output");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        for refused in &lines[..3] {
+        assert_eq!(lines.len(), 5);
+        for refused in &lines[..4] {
             assert!(refused.contains("\"ok\":false"), "{refused}");
         }
         assert!(lines[2].contains("invalid request"), "{}", lines[2]);
+        for named in ["invalid request", "211000000", "16777216"] {
+            assert!(lines[3].contains(named), "{named}: {}", lines[3]);
+        }
+        assert!(
+            opt.forest().is_none(),
+            "the refused train installed nothing"
+        );
         // The refused optimize was counted, missed, and cached nothing.
         for counter in [
             "\"ok\":true",
@@ -663,7 +673,7 @@ mod tests {
             "\"misses\":1",
             "\"insertions\":0",
         ] {
-            assert!(lines[3].contains(counter), "{counter}: {}", lines[3]);
+            assert!(lines[4].contains(counter), "{counter}: {}", lines[4]);
         }
     }
 

@@ -2,60 +2,158 @@
 //! priority enumeration with Def-2 pruning returns the same optimal cost as
 //! exhaustive enumeration under the analytic oracle, on random DAGs.
 //!
-//! Also cross-checks the object-graph baseline: all three enumerators must
-//! land on the same optimum, or the Fig-1 comparison would not be
-//! apples-to-apples.
+//! Also cross-checks the split driver and the object-graph baseline: every
+//! enumerator must land on the same optimum, or the Fig-1 comparison would
+//! not be apples-to-apples. The registries range from `uniform(k)`, where
+//! every kind runs everywhere and every conversion exists, to the named
+//! testbed and seeded registries with availability masks and missing
+//! one-way channels, where many candidates are infeasible.
 
 use robopt_baselines::{exhaustive_best, ObjectEnumerator};
-use robopt_core::{AnalyticOracle, EnumOptions, Enumerator};
-use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
-use robopt_platforms::PlatformRegistry;
+use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ParallelEnumerator, SplitOptions};
+use robopt_plan::{workloads, LogicalPlan, OperatorKind, SplitMix64, N_OPERATOR_KINDS};
+use robopt_platforms::{Platform, PlatformId, PlatformRegistry};
 use robopt_vector::FeatureLayout;
+
+/// The serial enumerator, a 3-part split driver and the object-graph
+/// baseline, reused across cases.
+struct Enumerators {
+    serial: Enumerator,
+    split: ParallelEnumerator,
+    object: ObjectEnumerator,
+}
+
+/// Assert that every enumerator reaches `exhaustive_best`'s cost on `plan`
+/// under `registry`, and that the serial winner costs what it claims.
+fn assert_lossless(
+    case: &str,
+    plan: &LogicalPlan,
+    registry: &PlatformRegistry,
+    e: &mut Enumerators,
+) {
+    let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+    let oracle = AnalyticOracle::for_registry(registry, &layout);
+    let opts = EnumOptions::new(registry).with_oracle(&oracle);
+
+    let brute = exhaustive_best(plan, &layout, opts);
+    let (pruned, stats) = e.serial.enumerate(plan, &layout, opts);
+    let (split, _) = e.split.enumerate(plan, &layout, opts);
+    let object = e.object.enumerate(plan, &layout, opts);
+
+    let tol = 1e-9 * brute.cost.abs().max(1.0);
+    for (name, cost) in [
+        ("pruned", pruned.cost),
+        ("split", split.cost),
+        ("object", object.cost),
+    ] {
+        assert!(
+            (cost - brute.cost).abs() <= tol,
+            "{case}: {name} {cost} != exhaustive {}",
+            brute.cost
+        );
+    }
+    assert_eq!(
+        stats.merges as usize,
+        plan.n_ops() - 1,
+        "{case}: merge count"
+    );
+    // The pruned assignment is feasible and costs exactly what the
+    // enumerator claims.
+    assert!(
+        registry.feasible(plan, |op| pruned.assignments[op]),
+        "{case}: infeasible winner"
+    );
+    let mut feats = Vec::new();
+    robopt_core::vectorize::vectorize_assignment(
+        plan,
+        &layout,
+        &pruned.raw_assignments(),
+        &mut feats,
+    );
+    let recost = robopt_core::CostOracle::cost_row(&oracle, &feats);
+    assert!(
+        (recost - pruned.cost).abs() <= tol,
+        "{case}: unvectorize cost drift"
+    );
+}
+
+/// `k` platforms with seeded costs: platform 0 runs every kind (so the plan
+/// always has a feasible assignment), every other platform loses about 30 %
+/// of the kinds, and about half of the one-way channels are missing.
+fn masked_registry(rng: &mut SplitMix64, k: usize) -> PlatformRegistry {
+    let mut b = PlatformRegistry::builder();
+    let ids: Vec<PlatformId> = (0..k)
+        .map(|i| {
+            let factor = 0.5 + rng.next_f64();
+            b.add(
+                Platform::new(&format!("p{i}"))
+                    .with_fixed_cost(factor)
+                    .with_tuple_rate(2e-6 * (0.5 + rng.next_f64())),
+            )
+        })
+        .collect();
+    for &platform in &ids[1..] {
+        for kind in OperatorKind::ALL {
+            if rng.next_f64() < 0.3 {
+                b.forbid(platform, kind);
+            }
+        }
+    }
+    for &from in &ids {
+        for &to in &ids {
+            if from != to && rng.next_f64() < 0.5 {
+                b.connect_directed(from, to, 5.0, 8e-6 * (0.5 + rng.next_f64()));
+            }
+        }
+    }
+    b.build()
+}
 
 #[test]
 fn pruned_priority_enumeration_matches_exhaustive_optimum() {
+    let mut e = Enumerators {
+        serial: Enumerator::new(),
+        split: ParallelEnumerator::new(1).with_split(SplitOptions::new(3)),
+        object: ObjectEnumerator::new(),
+    };
+
+    // Uniform registries: every kind everywhere, every conversion direct.
     let mut rng = SplitMix64::new(0x10551E55);
-    let mut vector_enum = Enumerator::new();
-    let mut object_enum = ObjectEnumerator::new();
     for case in 0..48 {
         let n = 3 + rng.gen_range(5); // 3..=7 operators
         let k = 2 + rng.gen_range(2); // 2..=3 platforms -> k^n <= 2187
         let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
         let registry = PlatformRegistry::uniform(k);
-        let layout = FeatureLayout::new(k, N_OPERATOR_KINDS);
-        let oracle = AnalyticOracle::for_registry(&registry, &layout);
-        let opts = EnumOptions::new(&registry).with_oracle(&oracle);
-
-        let brute = exhaustive_best(&plan, &layout, opts);
-        let (pruned, stats) = vector_enum.enumerate(&plan, &layout, opts);
-        let object = object_enum.enumerate(&plan, &layout, opts);
-
-        let tol = 1e-9 * brute.cost.abs().max(1.0);
-        assert!(
-            (pruned.cost - brute.cost).abs() <= tol,
-            "case {case} (n={n}, k={k}): pruned {} != exhaustive {}",
-            pruned.cost,
-            brute.cost
-        );
-        assert!(
-            (object.cost - brute.cost).abs() <= tol,
-            "case {case} (n={n}, k={k}): object {} != exhaustive {}",
-            object.cost,
-            brute.cost
-        );
-        assert_eq!(stats.merges as usize, n - 1, "case {case}: merge count");
-        // The pruned assignment must cost exactly what the enumerator claims.
-        let mut feats = Vec::new();
-        robopt_core::vectorize::vectorize_assignment(
+        assert_lossless(
+            &format!("uniform case {case} (n={n}, k={k})"),
             &plan,
-            &layout,
-            &pruned.raw_assignments(),
-            &mut feats,
+            &registry,
+            &mut e,
         );
-        let recost = robopt_core::CostOracle::cost_row(&oracle, &feats);
-        assert!(
-            (recost - pruned.cost).abs() <= tol,
-            "case {case}: unvectorize cost drift"
+    }
+
+    // The named testbed: Postgres and Giraph run a subset of the kinds,
+    // Postgres <-> Giraph converts only through a third platform.
+    let named = PlatformRegistry::named();
+    let mut rng = SplitMix64::new(0x0A3E_D5E7);
+    for case in 0..24 {
+        let n = 3 + rng.gen_range(5); // 3..=7 operators -> 5^n <= 78 125
+        let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
+        assert_lossless(&format!("named case {case} (n={n})"), &plan, &named, &mut e);
+    }
+
+    // Seeded masks: forbidden kinds and missing one-way channels.
+    let mut rng = SplitMix64::new(0x3A5C_ED00);
+    for case in 0..240 {
+        let n = 3 + rng.gen_range(7); // 3..=9 operators
+        let k = 2 + rng.gen_range(3); // 2..=4 platforms -> k^n <= 262 144
+        let registry = masked_registry(&mut rng, k);
+        let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
+        assert_lossless(
+            &format!("masked case {case} (n={n}, k={k})"),
+            &plan,
+            &registry,
+            &mut e,
         );
     }
 }

@@ -13,7 +13,7 @@
 //!   order-preserving chunking, narrow chains fused into hash-aggregating
 //!   keyed operators, buffers moved from producer to last consumer) and
 //!   the iterative kernels;
-//! * [`reference`] — the independent single-threaded, materializing,
+//! * [`mod@reference`] — the independent single-threaded, materializing,
 //!   sorting reference executor the byte-identity tests compare against.
 //!
 //! Determinism contract (DESIGN §11): output records and digests are pure

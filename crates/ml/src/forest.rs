@@ -147,9 +147,8 @@ impl RandomForest {
         }
     }
 
-    /// Fit a forest on a [`crate::source::TrainingSet`] under `config` —
-    /// the configured counterpart of [`crate::model::Model::fit_set`]
-    /// (which cannot carry a config through the object-safe trait).
+    /// [`RandomForest::fit`] on a [`crate::source::TrainingSet`]'s rows
+    /// and labels.
     pub fn fit_on(config: &ForestConfig, set: &crate::source::TrainingSet) -> RandomForest {
         RandomForest::fit(config, set.rows_view(), &set.labels)
     }
@@ -184,14 +183,6 @@ impl RandomForest {
     /// The fitted trees, in index order.
     pub fn trees(&self) -> &[RegressionTree] {
         &self.trees
-    }
-
-    /// Mean prediction of all trees for one row.
-    pub fn predict(&self, feats: &[f64]) -> f64 {
-        debug_assert_eq!(feats.len(), self.width);
-        let mut sum = 0.0;
-        self.walk_rows(&[feats], |_, _, value| sum += value);
-        sum / self.trees.len() as f64
     }
 
     /// Hand `(tree, row, leaf value)` to `sink` for every tree and every
@@ -275,12 +266,12 @@ impl Model for RandomForest {
         self.width
     }
 
-    fn fit(&mut self, rows: RowsView<'_>, labels: &[f64]) {
-        *self = RandomForest::fit(&ForestConfig::default(), rows, labels);
-    }
-
+    /// Mean prediction of all trees for one row.
     fn predict_row(&self, feats: &[f64]) -> f64 {
-        self.predict(feats)
+        debug_assert_eq!(feats.len(), self.width);
+        let mut sum = 0.0;
+        self.walk_rows(&[feats], |_, _, value| sum += value);
+        sum / self.trees.len() as f64
     }
 
     fn predict_batch(&self, rows: RowsView<'_>, out: &mut Vec<f64>) {
@@ -295,7 +286,7 @@ impl Model for RandomForest {
         out.resize(rows.rows(), 0.0);
         self.walk_batch(rows, |_, row, value| out[row] += value);
         // Divide (not multiply by a precomputed reciprocal) so the batch
-        // path is bit-identical to `predict`'s `sum / n`.
+        // path is bit-identical to `predict_row`'s `sum / n`.
         let n_trees = self.trees.len() as f64;
         for acc in out.iter_mut() {
             *acc /= n_trees;
@@ -397,7 +388,7 @@ mod tests {
         let mut batch = Vec::new();
         forest.predict_batch(rows, &mut batch);
         for (r, &batched) in batch.iter().enumerate() {
-            assert_eq!(batched, forest.predict(rows.row(r)), "row {r} diverges");
+            assert_eq!(batched, forest.predict_row(rows.row(r)), "row {r} diverges");
         }
     }
 
@@ -466,7 +457,7 @@ mod tests {
             &labels,
         );
         let probe: Vec<f64> = vec![0.3, -0.7, 1.1, 0.0];
-        assert_ne!(a.predict(&probe), b.predict(&probe));
+        assert_ne!(a.predict_row(&probe), b.predict_row(&probe));
     }
 
     #[test]

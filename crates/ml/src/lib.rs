@@ -1,12 +1,15 @@
 //! `robopt-ml`: the learned cost model (paper §IV-C, §V, Fig 9).
 //!
-//! * [`model`] — the [`Model`] estimator contract (fit / predict over flat
-//!   row-major matrices) and [`ModelOracle`], the adapter that puts any
-//!   fitted model behind `&dyn robopt_core::CostOracle` so it can drive
-//!   enumeration interchangeably with the analytic oracle;
-//! * [`tree`] — CART regression trees: variance-reduction splits over
-//!   [`robopt_vector::RowsView`] columns, packed 16-byte nodes whose
-//!   leaves map to themselves so a descent needs no branch;
+//! * [`model`] — the [`Model`] contract (a fitted predictor over flat
+//!   row-major matrices; each model fits through its own inherent `fit`),
+//!   [`DistModel`] for predictions as distributions, and [`ModelOracle`],
+//!   the adapter that puts any fitted model behind
+//!   `&dyn robopt_core::CostOracle` so it can drive enumeration
+//!   interchangeably with the analytic oracle;
+//! * [`tree`] — CART regression trees, the forest's base learner:
+//!   variance-reduction splits over [`robopt_vector::RowsView`] columns,
+//!   packed 16-byte nodes whose leaves map to themselves so a descent
+//!   needs no branch;
 //! * [`forest`] — bagged random forest: bootstrap sampling, per-split
 //!   feature subsampling, thread-parallel deterministic training, and the
 //!   crate's one descent — a lock-step walk of 4 rows × 8 trees that every
@@ -42,7 +45,6 @@ pub use forest::{ForestConfig, RandomForest};
 pub use linreg::LinearModel;
 pub use metrics::{mae, mse, q_error, r_squared, spearman, Metrics};
 pub use model::{DistModel, Model, ModelOracle};
-pub use robopt_core::{CostDistribution, RiskPolicy};
 pub use source::{TrainingSet, TrainingSource};
-pub use training::{simulator_training_set, BackendSource, SamplerConfig, SimulatorSource};
+pub use training::{BackendSource, SimulatorSource};
 pub use tree::{ModelImportError, RegressionTree, TreeConfig};

@@ -11,7 +11,7 @@
 
 use robopt_vector::RowsView;
 
-use crate::model::{DistModel, Model};
+use crate::model::Model;
 
 /// Ridge-regularized linear model with intercept.
 #[derive(Debug, Clone)]
@@ -36,21 +36,10 @@ impl LinearModel {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-}
 
-impl Default for LinearModel {
-    fn default() -> Self {
-        LinearModel::new()
-    }
-}
-
-impl Model for LinearModel {
-    fn width(&self) -> usize {
-        assert!(!self.weights.is_empty(), "LinearModel::fit not called");
-        self.weights.len() - 1
-    }
-
-    fn fit(&mut self, rows: RowsView<'_>, labels: &[f64]) {
+    /// Fit on `rows` (one feature row per label) under [`Self::ridge`].
+    /// Refitting replaces the previous weights entirely.
+    pub fn fit(&mut self, rows: RowsView<'_>, labels: &[f64]) {
         let n = rows.rows();
         assert_eq!(n, labels.len(), "one label per feature row");
         assert!(n >= 1, "cannot fit on zero samples");
@@ -88,6 +77,19 @@ impl Model for LinearModel {
         }
         self.weights = cholesky_solve(&mut xtx, &xty, d);
     }
+}
+
+impl Default for LinearModel {
+    fn default() -> Self {
+        LinearModel::new()
+    }
+}
+
+impl Model for LinearModel {
+    fn width(&self) -> usize {
+        assert!(!self.weights.is_empty(), "LinearModel::fit not called");
+        self.weights.len() - 1
+    }
 
     fn predict_row(&self, feats: &[f64]) -> f64 {
         let w = self.width();
@@ -99,10 +101,6 @@ impl Model for LinearModel {
         acc
     }
 }
-
-// A single closed-form estimator has no ensemble spread: the `DistModel`
-// default (zero std, quantiles at the mean) is its exact distribution.
-impl DistModel for LinearModel {}
 
 /// Solve `A·x = b` for symmetric positive-definite `A` (destroyed in
 /// place) via Cholesky `A = L·Lᵀ` and two triangular substitutions.

@@ -1,13 +1,16 @@
-//! The estimator contract: [`Model`] (fit / predict over flat row-major
-//! matrices) and [`ModelOracle`], the adapter that lets any fitted model
-//! drive enumeration behind `&dyn robopt_core::CostOracle` (DESIGN §3).
+//! The estimator contract: [`Model`] (a fitted predictor over flat
+//! row-major matrices) and [`ModelOracle`], the adapter that lets any
+//! fitted model drive enumeration behind `&dyn robopt_core::CostOracle`
+//! (DESIGN §3).
 //!
-//! The split into two traits is deliberate: `CostOracle` is what the
-//! enumerators consume — predict-only, object-safe, batched — while
-//! `Model` adds training. `ModelOracle` bridges them, so the analytic
-//! oracle, the linear baseline and the random forest are interchangeable
-//! at every enumeration call site with no monomorphized duplicates of the
-//! enumeration loop.
+//! Fitting is not part of the contract: each model fits through its own
+//! inherent constructor ([`crate::RandomForest::fit`] under a
+//! [`crate::ForestConfig`], [`crate::LinearModel::fit`]), because what a
+//! fit needs differs per model and no caller fits generically. What every
+//! caller shares is prediction, so that is the trait. `ModelOracle`
+//! bridges it to `CostOracle`, so the analytic oracle and any fitted model
+//! are interchangeable at every enumeration call site with no
+//! monomorphized duplicates of the enumeration loop.
 //!
 //! `Model`s read full rows ([`RowsView::row`]); the enumerator sends packed
 //! ones (DESIGN §3). `ModelOracle` is where the two meet: both batch methods
@@ -20,30 +23,15 @@ use std::cell::RefCell;
 use robopt_core::{CostDistribution, CostOracle};
 use robopt_vector::RowsView;
 
-use crate::source::TrainingSet;
-
-/// A trainable regression model over fixed-width feature rows.
+/// A fitted regression model over fixed-width feature rows.
 ///
-/// Implementations must be deterministic: fitting twice on the same rows,
-/// labels and configuration yields a model with identical predictions.
-/// The trait is object-safe; `&dyn Model` works where needed.
+/// Implementations must be deterministic: a model fitted twice on the same
+/// rows, labels and configuration predicts identically. The trait is
+/// object-safe; `&dyn Model` works where needed.
 pub trait Model {
-    /// Feature width this model was fitted for. Panics if called before
-    /// [`Model::fit`].
+    /// Feature width this model was fitted for. Panics on an unfitted
+    /// model.
     fn width(&self) -> usize;
-
-    /// Fit the model on `rows` (one feature row per label). Refitting
-    /// replaces the previous state entirely.
-    fn fit(&mut self, rows: RowsView<'_>, labels: &[f64]);
-
-    /// Fit on a [`TrainingSet`] produced by any
-    /// [`crate::source::TrainingSource`] — the call sites' entry point:
-    /// the set carries its matrix, labels and layout together, so no
-    /// ad-hoc `(Vec<f64>, Vec<f64>)` pairs travel between the generator
-    /// and the model.
-    fn fit_set(&mut self, set: &TrainingSet) {
-        self.fit(set.rows_view(), &set.labels);
-    }
 
     /// Predict a single row of exactly [`Model::width`] features.
     fn predict_row(&self, feats: &[f64]) -> f64;
@@ -70,27 +58,15 @@ pub trait Model {
 /// A [`Model`] that can report its predictions as *distributions*
 /// (DESIGN §12).
 ///
-/// Object-safe like its supertrait. The default implementation is the
-/// degenerate point distribution — mean from [`Model::predict_batch`],
-/// zero spread, quantiles equal to the mean — which is exactly right for
-/// single-estimator models ([`crate::LinearModel`], a lone
-/// [`crate::RegressionTree`]): they have no ensemble to disagree with
-/// itself. Ensemble models override it, filling mean *and* spread in one
-/// batched pass over the members (the forest contract forbids a second
-/// traversal), with the mean column bit-identical to `predict_batch`.
+/// Object-safe like its supertrait. An ensemble fills mean *and* spread in
+/// one batched pass over its members (the forest contract forbids a second
+/// traversal), with the mean column bit-identical to
+/// [`Model::predict_batch`]. A single estimator has no ensemble to disagree
+/// with itself: its distribution is the point one (zero spread, quantiles
+/// at the mean, [`CostDistribution::fill_point_from_mean`]).
 pub trait DistModel: Model {
     /// Predict every row of `rows` into `out` as a distribution.
-    fn predict_dist_batch(&self, rows: RowsView<'_>, out: &mut CostDistribution) {
-        debug_assert_eq!(
-            rows.width(),
-            self.width(),
-            "batch rows of width {} fed to a model expecting {}",
-            rows.width(),
-            self.width()
-        );
-        self.predict_batch(rows, &mut out.mean);
-        out.fill_point_from_mean();
-    }
+    fn predict_dist_batch(&self, rows: RowsView<'_>, out: &mut CostDistribution);
 }
 
 /// Adapter making any fitted [`Model`] a [`CostOracle`].
@@ -123,8 +99,7 @@ impl<M: Model> ModelOracle<M> {
 // is: fitted state is immutable weight/tree tables. The bound is
 // `DistModel` (not bare `Model`) so `cost_batch_dist` can forward to the
 // model's distributional pass — stable Rust has no specialization to do
-// that selectively, and the `DistModel` default makes the stricter bound
-// one empty `impl` per point-estimate model.
+// that selectively.
 impl<M: DistModel + Sync> CostOracle for ModelOracle<M> {
     fn width(&self) -> usize {
         self.model.width()
@@ -176,33 +151,33 @@ mod tests {
     use super::*;
     use crate::forest::{ForestConfig, RandomForest};
 
-    /// Minimal model: predicts the sum of the features.
+    /// Minimal model: predicts the sum of the features; `None` is unfitted.
     struct SumModel {
         width: Option<usize>,
     }
 
     impl Model for SumModel {
         fn width(&self) -> usize {
-            self.width.expect("SumModel::fit not called")
-        }
-        fn fit(&mut self, rows: RowsView<'_>, labels: &[f64]) {
-            assert_eq!(rows.rows(), labels.len());
-            self.width = Some(rows.width());
+            self.width.expect("SumModel not fitted")
         }
         fn predict_row(&self, feats: &[f64]) -> f64 {
             feats.iter().sum()
         }
     }
 
-    // Point estimator: the `DistModel` default (zero spread) is correct.
-    impl DistModel for SumModel {}
+    // A point estimator: zero spread, quantiles at the mean.
+    impl DistModel for SumModel {
+        fn predict_dist_batch(&self, rows: RowsView<'_>, out: &mut CostDistribution) {
+            self.predict_batch(rows, &mut out.mean);
+            out.fill_point_from_mean();
+        }
+    }
 
     #[test]
     fn default_batch_matches_per_row() {
         let feats = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let rows = RowsView::new(&feats, 2);
-        let mut m = SumModel { width: None };
-        m.fit(rows, &[0.0, 0.0, 0.0]);
+        let m = SumModel { width: Some(2) };
         let mut out = vec![99.0; 7]; // stale contents must be discarded
         m.predict_batch(rows, &mut out);
         assert_eq!(out, vec![3.0, 7.0, 11.0]);
@@ -212,9 +187,7 @@ mod tests {
     fn model_oracle_is_object_safe_and_forwards() {
         let feats = [1.0, 2.0, 3.0, 4.0];
         let rows = RowsView::new(&feats, 2);
-        let mut m = SumModel { width: None };
-        m.fit(rows, &[0.0, 0.0]);
-        let oracle = ModelOracle::new(m);
+        let oracle = ModelOracle::new(SumModel { width: Some(2) });
         let dyn_oracle: &dyn CostOracle = &oracle;
         assert_eq!(dyn_oracle.width(), 2);
         assert_eq!(dyn_oracle.cost_row(&[5.0, 6.0]), 11.0);
@@ -318,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fit not called")]
+    #[should_panic(expected = "not fitted")]
     fn wrapping_an_unfitted_model_panics() {
         let _ = ModelOracle::new(SumModel { width: None });
     }

@@ -3,7 +3,7 @@
 //! (anything that can produce one on demand).
 //!
 //! The trait is the seam between *model fitting* and *label provenance*:
-//! `Model::fit_set` and the experiment binaries consume a `TrainingSet`
+//! `RandomForest::fit_on` and the experiment binaries consume a `TrainingSet`
 //! and never care whether its labels came from direct simulator calls
 //! ([`crate::training::SimulatorSource`]) or from TDGEN's interpolated
 //! curves (`robopt_tdgen::TdgenGenerator`). Both implement
@@ -19,8 +19,8 @@ use robopt_vector::{FeatureLayout, RowsView};
 #[derive(Debug, Clone)]
 pub struct TrainingSet {
     /// The Fig-5 layout every row is encoded with. Carrying it here (not
-    /// as a side-channel argument) is what lets `fit_set` check width
-    /// agreement and lets sources be swapped without re-plumbing.
+    /// as a side-channel argument) is what lets [`TrainingSet::rows_view`]
+    /// know its width and lets sources be swapped without re-plumbing.
     pub layout: FeatureLayout,
     /// Row-major `len() * layout.width` feature matrix.
     pub rows: Vec<f64>,

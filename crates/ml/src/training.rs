@@ -29,63 +29,6 @@ use robopt_vector::FeatureLayout;
 
 use crate::source::{TrainingSet, TrainingSource};
 
-/// Knobs for [`SimulatorSource`], assembled builder-style like
-/// `robopt_core::EnumOptions` (and mirrored by `TdgenConfig` in
-/// `robopt_tdgen`, so the two sources stay drop-in interchangeable).
-///
-/// ```
-/// # use robopt_ml::SamplerConfig;
-/// let cfg = SamplerConfig::new().with_seed(7).with_noise(0.1);
-/// assert_eq!(cfg.seed(), 7);
-/// assert_eq!(cfg.noise(), 0.1);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SamplerConfig {
-    seed: u64,
-    noise: f64,
-}
-
-impl SamplerConfig {
-    /// The default configuration: fixed seed, 5% label noise.
-    pub fn new() -> Self {
-        SamplerConfig {
-            seed: 0x007d_6e11,
-            noise: 0.05,
-        }
-    }
-
-    /// Seed for plan choice, assignment sampling and simulator noise.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Simulator noise amplitude in `[0, 1)` (0 = noiseless labels).
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        assert!((0.0..1.0).contains(&noise), "noise amplitude in [0, 1)");
-        self.noise = noise;
-        self
-    }
-
-    /// The configured seed.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The configured noise amplitude.
-    #[inline]
-    pub fn noise(&self) -> f64 {
-        self.noise
-    }
-}
-
-impl Default for SamplerConfig {
-    fn default() -> Self {
-        SamplerConfig::new()
-    }
-}
-
 /// The fixed plan pool the sampler cycles through.
 fn plan_pool(rng: &mut SplitMix64) -> Vec<LogicalPlan> {
     let mut pool = vec![
@@ -201,10 +144,10 @@ impl<'a> Sampler<'a> {
 
 /// A [`TrainingSource`] labelling every row with a direct simulator call.
 ///
-/// Deterministic for a fixed `(registry, layout, cfg)` and call sequence;
-/// the same config with a different seed yields an independent draw
-/// (held-out sets). Successive [`TrainingSource::generate`] calls continue
-/// the random stream, so one source never repeats rows.
+/// Deterministic for a fixed `(registry, layout, seed, noise)` and call
+/// sequence; a different seed yields an independent draw (held-out sets).
+/// Successive [`TrainingSource::generate`] calls continue the random
+/// stream, so one source never repeats rows.
 #[derive(Debug, Clone)]
 pub struct SimulatorSource<'a> {
     sampler: Sampler<'a>,
@@ -212,13 +155,30 @@ pub struct SimulatorSource<'a> {
 }
 
 impl<'a> SimulatorSource<'a> {
-    /// A source over `registry`, encoding rows with `layout`. Plan and
-    /// assignment draws run on `cfg.seed()`; the simulator's noise stream
-    /// is keyed by `cfg.seed() ^ 0x5157` so the two never correlate.
-    pub fn new(registry: &'a PlatformRegistry, layout: FeatureLayout, cfg: SamplerConfig) -> Self {
+    /// A source over `registry`, encoding rows with `layout`, labelling
+    /// with simulator noise amplitude `noise` (0 = noiseless; panics
+    /// outside `[0, 1)`, as [`RuntimeSimulator::with_noise`] does).
+    /// Plan and assignment draws run on `seed`; the simulator's noise
+    /// stream is keyed by `seed ^ 0x5157` so the two never correlate.
+    ///
+    /// ```
+    /// # use robopt_ml::{SimulatorSource, TrainingSource};
+    /// # use robopt_platforms::PlatformRegistry;
+    /// # use robopt_vector::FeatureLayout;
+    /// let registry = PlatformRegistry::named();
+    /// let layout = FeatureLayout::new(registry.len(), robopt_plan::N_OPERATOR_KINDS);
+    /// let set = SimulatorSource::new(&registry, layout, 7, 0.05).generate(16);
+    /// assert_eq!((set.len(), set.width()), (16, layout.width));
+    /// ```
+    pub fn new(
+        registry: &'a PlatformRegistry,
+        layout: FeatureLayout,
+        seed: u64,
+        noise: f64,
+    ) -> Self {
         SimulatorSource {
-            sampler: Sampler::new(registry, layout, cfg.seed()),
-            sim: RuntimeSimulator::new(registry, cfg.seed() ^ 0x5157).with_noise(cfg.noise()),
+            sampler: Sampler::new(registry, layout, seed),
+            sim: RuntimeSimulator::new(registry, seed ^ 0x5157).with_noise(noise),
         }
     }
 }
@@ -283,17 +243,6 @@ impl TrainingSource for BackendSource<'_> {
     }
 }
 
-/// Sample `n` labelled plan vectors from a fresh [`SimulatorSource`] —
-/// convenience for call sites that need exactly one draw.
-pub fn simulator_training_set(
-    registry: &PlatformRegistry,
-    layout: &FeatureLayout,
-    cfg: &SamplerConfig,
-    n: usize,
-) -> TrainingSet {
-    SimulatorSource::new(registry, *layout, *cfg).generate(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,9 +257,8 @@ mod tests {
     #[test]
     fn sampler_is_deterministic_and_fills_the_request() {
         let (registry, layout) = named_setup();
-        let cfg = SamplerConfig::new();
-        let a = simulator_training_set(&registry, &layout, &cfg, 64);
-        let b = simulator_training_set(&registry, &layout, &cfg, 64);
+        let a = SimulatorSource::new(&registry, layout, 3, 0.05).generate(64);
+        let b = SimulatorSource::new(&registry, layout, 3, 0.05).generate(64);
         assert_eq!(a.len(), 64);
         assert_eq!(a.rows, b.rows);
         assert_eq!(a.labels, b.labels);
@@ -320,8 +268,7 @@ mod tests {
     #[test]
     fn successive_generate_calls_continue_the_stream() {
         let (registry, layout) = named_setup();
-        let cfg = SamplerConfig::new().with_seed(5).with_noise(0.0);
-        let mut source = SimulatorSource::new(&registry, layout, cfg);
+        let mut source = SimulatorSource::new(&registry, layout, 5, 0.0);
         let first = source.generate(32);
         let second = source.generate(32);
         assert_ne!(
@@ -329,33 +276,44 @@ mod tests {
             "one source must not repeat its draw"
         );
         // A fresh source reproduces the concatenation of both calls.
-        let both = SimulatorSource::new(&registry, layout, cfg).generate(64);
+        let both = SimulatorSource::new(&registry, layout, 5, 0.0).generate(64);
         assert_eq!(&both.labels[..32], &first.labels[..]);
         assert_eq!(&both.labels[32..], &second.labels[..]);
+    }
+
+    /// Pinned before `SimulatorSource::new` took its seed and noise
+    /// directly: the draw stream (seed) and the simulator's noise stream
+    /// (`seed ^ 0x5157`) are what they were, call after call.
+    #[test]
+    fn successive_calls_hand_out_the_pinned_rows_labels_and_seconds() {
+        let (registry, layout) = named_setup();
+        let mut source = SimulatorSource::new(&registry, layout, 41, 0.05);
+        let sets = [source.generate(60), source.generate(40)];
+        let mut digest = robopt_vector::SigHasher::new();
+        for set in &sets {
+            assert_eq!(set.rows.len(), set.len() * layout.width);
+            for column in [&set.rows, &set.labels, &set.seconds] {
+                digest.write_u64(column.len() as u64);
+                for &x in column {
+                    digest.write_f64_bits(x);
+                }
+            }
+        }
+        assert_eq!(digest.finish(), 0x2a8b_3fa4_b2cd_cd8a);
     }
 
     #[test]
     fn different_seeds_draw_different_sets() {
         let (registry, layout) = named_setup();
-        let a = simulator_training_set(
-            &registry,
-            &layout,
-            &SamplerConfig::new().with_seed(1).with_noise(0.0),
-            32,
-        );
-        let b = simulator_training_set(
-            &registry,
-            &layout,
-            &SamplerConfig::new().with_seed(2).with_noise(0.0),
-            32,
-        );
+        let a = SimulatorSource::new(&registry, layout, 1, 0.0).generate(32);
+        let b = SimulatorSource::new(&registry, layout, 2, 0.0).generate(32);
         assert_ne!(a.labels, b.labels);
     }
 
     #[test]
     fn truncation_is_a_strict_prefix() {
         let (registry, layout) = named_setup();
-        let full = simulator_training_set(&registry, &layout, &SamplerConfig::new(), 48);
+        let full = SimulatorSource::new(&registry, layout, 3, 0.05).generate(48);
         let half = full.truncated(24);
         assert_eq!(half.len(), 24);
         assert_eq!(half.rows, full.rows[..24 * full.width()]);
@@ -365,12 +323,7 @@ mod tests {
     #[test]
     fn labels_are_log_transformed_seconds() {
         let (registry, layout) = named_setup();
-        let set = simulator_training_set(
-            &registry,
-            &layout,
-            &SamplerConfig::new().with_seed(9).with_noise(0.0),
-            16,
-        );
+        let set = SimulatorSource::new(&registry, layout, 9, 0.0).generate(16);
         for (label, seconds) in set.labels.iter().zip(&set.seconds) {
             assert!((label - seconds.ln_1p()).abs() < 1e-12);
             assert!((TrainingSet::label_to_seconds(*label) - seconds).abs() < 1e-9 * seconds);
@@ -380,12 +333,12 @@ mod tests {
     #[test]
     fn backend_source_over_simulator_reproduces_simulator_source() {
         let (registry, layout) = named_setup();
-        let cfg = SamplerConfig::new().with_seed(11).with_noise(0.0);
-        let direct = simulator_training_set(&registry, &layout, &cfg, 32);
+        let (seed, noise) = (11, 0.1);
+        let direct = SimulatorSource::new(&registry, layout, seed, noise).generate(32);
         // Same seed split as SimulatorSource::new: pool/assignment rng
-        // from cfg.seed, simulator noise stream from cfg.seed ^ 0x5157.
-        let sim = RuntimeSimulator::new(&registry, cfg.seed() ^ 0x5157).with_noise(cfg.noise());
-        let via_seam = BackendSource::new(&sim, &registry, layout, cfg.seed()).generate(32);
+        // from seed, simulator noise stream from seed ^ 0x5157.
+        let sim = RuntimeSimulator::new(&registry, seed ^ 0x5157).with_noise(noise);
+        let via_seam = BackendSource::new(&sim, &registry, layout, seed).generate(32);
         assert_eq!(direct.rows, via_seam.rows);
         assert_eq!(direct.labels, via_seam.labels);
     }
@@ -404,7 +357,7 @@ mod tests {
     #[test]
     fn source_is_object_safe() {
         let (registry, layout) = named_setup();
-        let mut source = SimulatorSource::new(&registry, layout, SamplerConfig::new());
+        let mut source = SimulatorSource::new(&registry, layout, 3, 0.05);
         let dyn_source: &mut dyn TrainingSource = &mut source;
         assert_eq!(dyn_source.layout().width, layout.width);
         assert_eq!(dyn_source.generate(8).len(), 8);

@@ -25,8 +25,6 @@
 use robopt_plan::rng::SplitMix64;
 use robopt_vector::RowsView;
 
-use crate::model::Model;
-
 /// Sentinel column id marking a leaf node in the persisted
 /// ([`RegressionTree::parts`]) form.
 const LEAF: u32 = u32::MAX;
@@ -586,8 +584,8 @@ impl RegressionTree {
 
     /// The persisted node arrays `(split_col, threshold, left, right,
     /// value)` — the tree's full persistent state alongside
-    /// [`Model::width`], rendered from the packed nodes with every leaf
-    /// written canonically.
+    /// [`RegressionTree::width`], rendered from the packed nodes with every
+    /// leaf written canonically.
     pub fn parts(&self) -> TreeParts {
         let n = self.nodes.len();
         let mut split_col = vec![LEAF; n];
@@ -608,6 +606,11 @@ impl RegressionTree {
     /// Only a leaf's `right` is its own index: children sit after parents.
     fn is_leaf(&self, node: usize) -> bool {
         self.nodes[node].right as usize == node
+    }
+
+    /// Feature width the tree was fitted for.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// Number of nodes (internal + leaves).
@@ -647,28 +650,6 @@ impl RegressionTree {
         leaf_value
     }
 }
-
-impl Model for RegressionTree {
-    fn width(&self) -> usize {
-        assert!(!self.nodes.is_empty(), "RegressionTree::fit not called");
-        self.width
-    }
-
-    fn fit(&mut self, rows: RowsView<'_>, labels: &[f64]) {
-        let idx: Vec<u32> = (0..rows.rows() as u32).collect();
-        let mut rng = SplitMix64::new(0);
-        *self =
-            RegressionTree::fit_on_indices(&TreeConfig::default(), rows, labels, &idx, &mut rng);
-    }
-
-    fn predict_row(&self, feats: &[f64]) -> f64 {
-        self.predict(feats)
-    }
-}
-
-// One tree is one estimator: the degenerate point distribution from the
-// `DistModel` default is exact. The *forest* is where spread comes from.
-impl crate::model::DistModel for RegressionTree {}
 
 struct Split {
     gain: f64,

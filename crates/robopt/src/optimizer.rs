@@ -25,13 +25,13 @@ use robopt_core::{
 };
 use robopt_engine::Engine;
 use robopt_ml::{
-    mse, simulator_training_set, ForestConfig, Model, ModelOracle, RandomForest, SamplerConfig,
+    mse, ForestConfig, Model, ModelOracle, RandomForest, SimulatorSource, TrainingSource,
 };
 use robopt_plan::{LogicalPlan, N_OPERATOR_KINDS};
 use robopt_platforms::{
     ExecutionBackend, ExecutionReport, PlatformId, PlatformRegistry, RuntimeSimulator,
 };
-use robopt_tdgen::{tdgen_training_set, TdgenConfig};
+use robopt_tdgen::{TdgenConfig, TdgenGenerator};
 use robopt_vector::{FeatureLayout, RowsView};
 
 use crate::api::{
@@ -64,6 +64,15 @@ impl OracleKind {
 /// one row per platform combination, so a dozen operators would ask the
 /// allocator for tens of gigabytes and abort the process.
 const MAX_UNPRUNED_ROWS: u64 = 1 << 18;
+
+/// Most feature cells a `train` request may generate: 128 MiB of `f64`,
+/// 79 512 rows at the named registry's width 211.
+const MAX_TRAIN_CELLS: u64 = 1 << 24;
+
+/// Most rows × trees a `train` request may fit: 16× the benchmark's 4 000
+/// rows × 64 trees, where a million rows under 1 024 trees would hold the
+/// one-request-at-a-time daemon for hours.
+const MAX_TRAIN_ROW_TREES: u64 = 1 << 22;
 
 /// The optimizer-as-a-service facade. See the module docs.
 #[derive(Debug)]
@@ -238,10 +247,12 @@ impl Optimizer {
     }
 
     /// Train a forest per `req` and install it as the active oracle.
+    /// A request whose training set would exceed 2^24 feature cells, or
+    /// whose fit 2^22 rows × trees, is refused before a row is generated.
     pub fn train(&mut self, req: &TrainRequest) -> Result<TrainResponse, ServiceError> {
-        if req.rows < 8 || req.rows > 1_000_000 {
+        if req.rows < 8 {
             return Err(ServiceError::InvalidRequest(format!(
-                "training rows {} outside [8, 1000000]",
+                "training rows {} below the minimum of 8",
                 req.rows
             )));
         }
@@ -251,15 +262,30 @@ impl Optimizer {
                 req.n_trees
             )));
         }
+        let (rows, width) = (req.rows as u64, self.layout.width as u64);
+        let cells = rows.saturating_mul(width);
+        if cells > MAX_TRAIN_CELLS {
+            return Err(ServiceError::InvalidRequest(format!(
+                "training set would hold {cells} feature cells ({rows} rows of width {width}), \
+                 over the limit of {MAX_TRAIN_CELLS}: ask for fewer rows"
+            )));
+        }
+        let row_trees = rows.saturating_mul(req.n_trees as u64);
+        if row_trees > MAX_TRAIN_ROW_TREES {
+            return Err(ServiceError::InvalidRequest(format!(
+                "fitting would take {row_trees} row-trees ({rows} rows x {} trees), \
+                 over the limit of {MAX_TRAIN_ROW_TREES}: ask for fewer rows or trees",
+                req.n_trees
+            )));
+        }
         let set = match req.source {
             TrainSource::Simulator { seed, noise } => {
                 check_noise(noise)?;
-                let cfg = SamplerConfig::new().with_seed(seed).with_noise(noise);
-                simulator_training_set(&self.registry, &self.layout, &cfg, req.rows)
+                SimulatorSource::new(&self.registry, self.layout, seed, noise).generate(req.rows)
             }
             TrainSource::Tdgen { seed } => {
                 let cfg = TdgenConfig::new().with_seed(seed);
-                tdgen_training_set(&self.registry, &self.layout, &cfg, req.rows)
+                TdgenGenerator::new(&self.registry, self.layout, cfg).generate(req.rows)
             }
         };
         let cfg = ForestConfig {
@@ -792,5 +818,31 @@ mod tests {
             }),
             Err(ServiceError::InvalidRequest(_))
         ));
+        // Over the work budget: refused before a row is generated, with
+        // the estimate and the limit named. A million rows would reserve
+        // 1.7 GB; 20 000 rows x 1 024 trees would fit for many minutes.
+        for (req, estimate, limit) in [
+            (TrainRequest::new(1_000_000), "211000000", MAX_TRAIN_CELLS),
+            (
+                TrainRequest {
+                    n_trees: 1024,
+                    ..TrainRequest::new(20_000)
+                },
+                "20480000",
+                MAX_TRAIN_ROW_TREES,
+            ),
+        ] {
+            match opt.train(&req) {
+                Err(ServiceError::InvalidRequest(msg)) => {
+                    assert!(msg.contains(estimate), "{msg}");
+                    assert!(msg.contains(&limit.to_string()), "{msg}");
+                }
+                other => panic!("{} rows x {} trees: {other:?}", req.rows, req.n_trees),
+            }
+        }
+        assert!(
+            opt.forest().is_none(),
+            "no refused request installs a model"
+        );
     }
 }

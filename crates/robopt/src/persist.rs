@@ -145,7 +145,7 @@ fn array<T>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use robopt_ml::ForestConfig;
+    use robopt_ml::{ForestConfig, TrainingSource};
     use robopt_plan::SplitMix64;
     use robopt_vector::RowsView;
 
@@ -221,7 +221,7 @@ pub(crate) mod tests {
     #[test]
     fn a_fixed_two_tree_forest_renders_its_golden_text() {
         let forest = forest_from_json(TWO_TREE_FOREST).expect("golden forest loads");
-        assert_eq!(forest.predict(&[0.0, 0.75, 0.0]), (2.0 + 0.1) / 2.0);
+        assert_eq!(forest.predict_row(&[0.0, 0.75, 0.0]), (2.0 + 0.1) / 2.0);
         assert_eq!(forest_to_json(&forest), TWO_TREE_FOREST);
     }
 
@@ -234,7 +234,7 @@ pub(crate) mod tests {
         let layout =
             robopt_vector::FeatureLayout::new(registry.len(), robopt_plan::N_OPERATOR_KINDS);
         let tdgen = robopt_tdgen::TdgenConfig::new().with_seed(41);
-        let set = robopt_tdgen::tdgen_training_set(&registry, &layout, &tdgen, 512);
+        let set = robopt_tdgen::TdgenGenerator::new(&registry, layout, tdgen).generate(512);
         let cfg = ForestConfig {
             n_trees: 8,
             ..ForestConfig::default()

@@ -4,8 +4,8 @@
 //! One *curve* is a (skeleton, assignment) pair swept over input scales.
 //! The simulator runs only at the log-spaced knot scales; every other row
 //! of the curve carries a label synthesized from the piecewise degree-5
-//! log-log fit ([`crate::interpolate::PiecewisePoly`]). With the defaults
-//! (11 knots, 64 rows per curve) each simulator call yields ~5.8 training
+//! log-log fit ([`crate::interpolate::PiecewisePoly`]). With [`KNOTS`] = 11
+//! and [`ROWS_PER_CURVE`] = 64 each simulator call yields ~5.8 training
 //! rows — the Fig-8 reduction — and [`TdgenStats`] reports the exact
 //! ratio achieved.
 //!
@@ -24,113 +24,49 @@ use crate::interpolate::{log_knots, PiecewisePoly, WINDOW};
 use crate::shapes::{sample_skeleton, ShapeKind};
 use crate::switches::sample_assignment;
 
-/// Knobs for [`TdgenGenerator`], assembled builder-style like
-/// `robopt_ml::SamplerConfig` and `robopt_core::EnumOptions` — the two
-/// training sources keep an identical configuration surface.
-///
-/// ```
-/// # use robopt_tdgen::TdgenConfig;
-/// let cfg = TdgenConfig::new().with_seed(7).with_knots(16);
-/// assert_eq!(cfg.seed(), 7);
-/// assert_eq!(cfg.knots(), 16);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TdgenConfig {
-    seed: u64,
-    noise: f64,
-    knots: usize,
-    min_ops: usize,
-    max_ops: usize,
-    rows_per_curve: usize,
-}
-
 /// Maximum platform switches along any source→sink path: the paper's β.
-const BETA: usize = 3;
+pub const BETA: usize = 3;
 /// Input-scale range `[lo, hi]` (tuples) every curve sweeps.
-const SCALE_RANGE: (f64, f64) = (1e4, 1e9);
+pub const SCALE_RANGE: (f64, f64) = (1e4, 1e9);
+/// Simulator noise amplitude. Noise is keyed per (operator, platform), not
+/// per scale, so curves stay smooth and interpolable.
+pub const NOISE: f64 = 0.05;
+/// Knots per curve: the scales actually simulated, log-spaced over
+/// [`SCALE_RANGE`].
+pub const KNOTS: usize = 11;
+/// Operator-count range `(min, max)` per skeleton, inclusive (shapes raise
+/// the lower end to their structural minimum): small skeletons resemble
+/// the subplans the enumerator costs mid-search.
+pub const OPS_RANGE: (usize, usize) = (4, 14);
+/// Rows emitted per curve, [`KNOTS`] simulated and the rest interpolated:
+/// ≈ 5.8 rows per simulator call.
+pub const ROWS_PER_CURVE: usize = 64;
 /// Candidate assignments drawn per skeleton (one curve each).
 const ASSIGNMENTS_PER_SKELETON: usize = 4;
 
+// Windows of `WINDOW` knots share their boundary knots, and every knot is
+// also a row of its curve.
+const _: () =
+    assert!(KNOTS >= WINDOW && (KNOTS - 1).is_multiple_of(WINDOW - 1) && ROWS_PER_CURVE >= KNOTS);
+
+/// The one setting of a [`TdgenGenerator`]: the seed for skeleton
+/// sampling, assignment choice, scale placement and simulator noise. Every
+/// other parameter is one of this module's consts.
+#[derive(Debug, Clone)]
+pub struct TdgenConfig {
+    seed: u64,
+}
+
 impl TdgenConfig {
-    /// Paper-flavoured defaults: 11 knots, 4–14 operators (small
-    /// skeletons resemble the subplans the enumerator costs mid-search),
-    /// 64 rows per curve (≈ 5.8 rows per simulator call). β = 3, the
-    /// `[1e4, 1e9]` scale range, 4 assignments per skeleton and the
-    /// uniform draw over all five shapes are fixed.
+    /// The default seed.
     pub fn new() -> Self {
-        TdgenConfig {
-            seed: 0x7d9e_0001,
-            noise: 0.05,
-            knots: 11,
-            min_ops: 4,
-            max_ops: 14,
-            rows_per_curve: 64,
-        }
+        TdgenConfig { seed: 0x7d9e_0001 }
     }
 
-    /// Seed for skeleton sampling, assignment choice, scale placement and
-    /// simulator noise.
+    /// Draw from `seed` instead.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Simulator noise amplitude in `[0, 1)`. Noise is keyed per
-    /// (operator, platform), not per scale, so curves stay smooth and
-    /// interpolable.
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        assert!((0.0..1.0).contains(&noise), "noise amplitude in [0, 1)");
-        self.noise = noise;
-        self
-    }
-
-    /// Knot count per curve: the number of scales actually simulated.
-    /// Must be window-compatible (6, 11, 16, …).
-    pub fn with_knots(mut self, knots: usize) -> Self {
-        assert!(
-            knots >= WINDOW && (knots - 1).is_multiple_of(WINDOW - 1),
-            "knot count must be 6, 11, 16, … (got {knots})"
-        );
-        self.knots = knots;
-        self
-    }
-
-    /// Operator-count range per skeleton (inclusive; shapes raise the
-    /// lower end to their structural minimum).
-    pub fn with_ops_range(mut self, min_ops: usize, max_ops: usize) -> Self {
-        assert!(min_ops >= 3 && max_ops >= min_ops, "need 3 <= min <= max");
-        self.min_ops = min_ops;
-        self.max_ops = max_ops;
-        self
-    }
-
-    /// Total rows emitted per curve: `knots` simulated + the rest
-    /// interpolated. Must be at least the knot count.
-    pub fn with_rows_per_curve(mut self, n: usize) -> Self {
-        self.rows_per_curve = n;
-        self
-    }
-
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-    pub fn beta(&self) -> usize {
-        BETA
-    }
-    pub fn knots(&self) -> usize {
-        self.knots
-    }
-    /// The swept scale range `(lo, hi)`.
-    pub fn scale_range(&self) -> (f64, f64) {
-        SCALE_RANGE
-    }
-    /// The shape families drawn from (uniformly).
-    pub fn shape_mix(&self) -> &[ShapeKind] {
-        &ShapeKind::ALL
-    }
-    /// The operator-count range `(min, max)`.
-    pub fn ops_range(&self) -> (usize, usize) {
-        (self.min_ops, self.max_ops)
     }
 }
 
@@ -167,7 +103,7 @@ impl TdgenStats {
 
 /// The TDGEN [`TrainingSource`]: labels most rows by interpolation.
 ///
-/// Deterministic for a fixed `(registry, layout, cfg)` and call sequence;
+/// Deterministic for a fixed `(registry, layout, seed)` and call sequence;
 /// successive [`TrainingSource::generate`] calls continue the stream
 /// (rows left over from a partially-consumed curve are buffered, never
 /// dropped, so the reduction statistic reflects all simulated work).
@@ -175,7 +111,6 @@ impl TdgenStats {
 pub struct TdgenGenerator<'a> {
     registry: &'a PlatformRegistry,
     layout: FeatureLayout,
-    cfg: TdgenConfig,
     rng: SplitMix64,
     sim_seed: u64,
     stats: TdgenStats,
@@ -194,18 +129,11 @@ impl<'a> TdgenGenerator<'a> {
             registry.len(),
             "layout platform count must match the registry"
         );
-        assert!(
-            cfg.rows_per_curve >= cfg.knots,
-            "rows per curve ({}) must cover the {} knots",
-            cfg.rows_per_curve,
-            cfg.knots
-        );
         let rng = SplitMix64::new(cfg.seed);
         let sim_seed = cfg.seed ^ 0x51d7;
         TdgenGenerator {
             registry,
             layout,
-            cfg,
             rng,
             sim_seed,
             stats: TdgenStats::default(),
@@ -274,7 +202,7 @@ impl<'a> TdgenGenerator<'a> {
         }
         let poly = PiecewisePoly::fit(&ln_xs, &ys);
         let (lln, hln) = (ln_xs[0], ln_xs[ln_xs.len() - 1]);
-        for _ in 0..self.cfg.rows_per_curve - knot_scales.len() {
+        for _ in 0..ROWS_PER_CURVE - knot_scales.len() {
             let ln_s = lln + (hln - lln) * self.rng.next_f64();
             let label = poly.eval(ln_s);
             let seconds = TrainingSet::label_to_seconds(label);
@@ -283,18 +211,18 @@ impl<'a> TdgenGenerator<'a> {
             self.pending.push_labelled(&self.row, label, seconds);
         }
         self.stats.curves += 1;
-        self.stats.rows += self.cfg.rows_per_curve as u64;
+        self.stats.rows += ROWS_PER_CURVE as u64;
         true
     }
 
     /// Produce curves until at least `n` rows are buffered.
     fn refill(&mut self, n: usize) {
-        let sim = RuntimeSimulator::new(self.registry, self.sim_seed).with_noise(self.cfg.noise);
-        let knot_scales = log_knots(SCALE_RANGE.0, SCALE_RANGE.1, self.cfg.knots);
+        let sim = RuntimeSimulator::new(self.registry, self.sim_seed).with_noise(NOISE);
+        let knot_scales = log_knots(SCALE_RANGE.0, SCALE_RANGE.1, KNOTS);
         while self.pending.len() < n {
             let shape = ShapeKind::ALL[self.rng.gen_range(ShapeKind::ALL.len())];
-            let span = self.cfg.max_ops - self.cfg.min_ops + 1;
-            let n_ops = self.cfg.min_ops + self.rng.gen_range(span);
+            let (min_ops, max_ops) = OPS_RANGE;
+            let n_ops = min_ops + self.rng.gen_range(max_ops - min_ops + 1);
             let skel = sample_skeleton(&mut self.rng, self.registry, shape, n_ops);
             self.stats.skeletons += 1;
             for assign in self.pick_assignments(&skel) {
@@ -316,17 +244,6 @@ impl TrainingSource for TdgenGenerator<'_> {
     }
 }
 
-/// Generate `n` labelled plan vectors from a fresh [`TdgenGenerator`] —
-/// convenience mirroring `robopt_ml::simulator_training_set`.
-pub fn tdgen_training_set(
-    registry: &PlatformRegistry,
-    layout: &FeatureLayout,
-    cfg: &TdgenConfig,
-    n: usize,
-) -> TrainingSet {
-    TdgenGenerator::new(registry, *layout, cfg.clone()).generate(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,17 +255,10 @@ mod tests {
         (registry, layout)
     }
 
-    fn quick_cfg() -> TdgenConfig {
-        TdgenConfig::new()
-            .with_knots(6)
-            .with_rows_per_curve(24)
-            .with_ops_range(5, 8)
-    }
-
     #[test]
     fn generates_the_requested_row_count() {
         let (registry, layout) = named_setup();
-        let set = tdgen_training_set(&registry, &layout, &quick_cfg(), 100);
+        let set = TdgenGenerator::new(&registry, layout, TdgenConfig::new()).generate(100);
         assert_eq!(set.len(), 100);
         assert_eq!(set.width(), layout.width);
         assert!(set.seconds.iter().all(|s| s.is_finite() && *s >= 0.0));
@@ -358,15 +268,14 @@ mod tests {
     #[test]
     fn reduction_beats_direct_labelling() {
         let (registry, layout) = named_setup();
-        let mut g = TdgenGenerator::new(&registry, layout, quick_cfg());
+        let mut g = TdgenGenerator::new(&registry, layout, TdgenConfig::new());
         let _ = g.generate(200);
         let stats = g.stats();
         assert!(stats.sim_calls > 0 && stats.curves > 0 && stats.skeletons > 0);
-        // 24 rows per 6-knot curve: exactly 4 rows per sim call once
-        // buffered rows are accounted; emitted-row reduction is below
-        // that only by the still-buffered remainder.
+        // 64 rows per 11-knot curve: 5.8 rows per sim call, less only for
+        // curves dropped on a non-finite knot.
         assert!(
-            stats.reduction() > 2.0,
+            stats.reduction() > 5.0,
             "reduction {} must beat direct labelling",
             stats.reduction()
         );
@@ -375,7 +284,7 @@ mod tests {
     #[test]
     fn successive_calls_continue_the_stream() {
         let (registry, layout) = named_setup();
-        let cfg = quick_cfg().with_seed(9);
+        let cfg = TdgenConfig::new().with_seed(9);
         let mut g = TdgenGenerator::new(&registry, layout, cfg.clone());
         let first = g.generate(40);
         let second = g.generate(40);
@@ -420,9 +329,8 @@ mod tests {
     #[test]
     fn source_is_object_safe_and_swappable() {
         let (registry, layout) = named_setup();
-        let mut tdgen = TdgenGenerator::new(&registry, layout, quick_cfg());
-        let mut direct =
-            robopt_ml::SimulatorSource::new(&registry, layout, robopt_ml::SamplerConfig::new());
+        let mut tdgen = TdgenGenerator::new(&registry, layout, TdgenConfig::new());
+        let mut direct = robopt_ml::SimulatorSource::new(&registry, layout, 7, 0.05);
         let sources: [&mut dyn TrainingSource; 2] = [&mut tdgen, &mut direct];
         for source in sources {
             let set = source.generate(16);

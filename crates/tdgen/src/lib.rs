@@ -18,16 +18,34 @@
 //!
 //! [`generator::TdgenGenerator`] composes the three behind
 //! `robopt_ml::TrainingSource`, so model-fitting code cannot tell (and
-//! does not care) whether labels were simulated or interpolated. The
-//! `fig08_tdgen` bench binary measures the resulting simulator-call
-//! reduction and label fidelity.
+//! does not care) whether labels were simulated or interpolated. Its one
+//! setting is the seed ([`TdgenConfig`]); β, the scale range, the noise,
+//! the knot count, the operator range and the rows per curve are the
+//! [`generator`] consts. The `fig08_tdgen` bench binary measures the
+//! resulting simulator-call reduction and label fidelity.
+//!
+//! ```
+//! use robopt_ml::TrainingSource;
+//! use robopt_platforms::PlatformRegistry;
+//! use robopt_tdgen::{TdgenConfig, TdgenGenerator};
+//! use robopt_vector::FeatureLayout;
+//!
+//! let registry = PlatformRegistry::named();
+//! let layout = FeatureLayout::new(registry.len(), robopt_plan::N_OPERATOR_KINDS);
+//! let mut tdgen = TdgenGenerator::new(&registry, layout, TdgenConfig::new().with_seed(7));
+//! assert_eq!(tdgen.generate(100).len(), 100);
+//! assert!(tdgen.stats().reduction() > 5.0);
+//! ```
 
 pub mod generator;
 pub mod interpolate;
 pub mod shapes;
 pub mod switches;
 
-pub use generator::{tdgen_training_set, TdgenConfig, TdgenGenerator, TdgenStats};
+pub use generator::{
+    TdgenConfig, TdgenGenerator, TdgenStats, BETA, KNOTS, NOISE, OPS_RANGE, ROWS_PER_CURVE,
+    SCALE_RANGE,
+};
 pub use interpolate::{log_knots, PiecewisePoly, WINDOW};
 pub use shapes::{sample_skeleton, JobSkeleton, ShapeKind, SkeletonOp};
 pub use switches::{enumerate_assignments, max_switches, sample_assignment};

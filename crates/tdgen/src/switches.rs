@@ -4,9 +4,9 @@
 //! every switch pays a conversion, so an optimizer output with many
 //! switches along one dataflow path is almost never optimal. TDGEN
 //! therefore discards candidate assignments whose **maximum number of
-//! platform switches along any source→sink path** exceeds β (default 3),
-//! concentrating the label budget on the region of assignment space the
-//! optimizer will actually query.
+//! platform switches along any source→sink path** exceeds β
+//! ([`crate::BETA`] = 3), concentrating the label budget on the region of
+//! assignment space the optimizer will actually query.
 //!
 //! The bound composes along paths, so it prunes *prefixes*: once a partial
 //! assignment already carries more than β switches on some path, no

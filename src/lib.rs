@@ -22,17 +22,20 @@
 //! * [`robopt_vector`] — the Fig-5 `FeatureLayout`, `EnumMatrix` and
 //!   `RowsView` (full or packed), the fused-add merge kernel, scope
 //!   bitsets, pruning footprints and `FootprintTable`;
-//! * [`robopt_ml`] — CART trees, the bagged random forest, the ridge
-//!   linear baseline, metrics, the `TrainingSet` / `TrainingSource`
-//!   contract, the one plan sampler behind `SimulatorSource` and
-//!   `BackendSource`, and `Model` / `DistModel` behind `ModelOracle`;
+//! * [`robopt_ml`] — CART trees (the forest's base learner), the bagged
+//!   random forest, the ridge linear baseline, metrics, the `TrainingSet` /
+//!   `TrainingSource` contract, the one plan sampler behind
+//!   `SimulatorSource` and `BackendSource`, and the fitted predictors
+//!   `Model` / `DistModel` behind `ModelOracle` (each model fits through its
+//!   own inherent `fit`);
 //! * [`robopt_core`] — vectorize, Algorithm-1 enumeration with Def-2
 //!   pruning, `CostOracle` and `AnalyticOracle`, `CostDistribution` /
 //!   `RiskPolicy`, the plan splitter and parallel driver, `EnumStats`;
 //! * [`robopt_baselines`] — the object-graph "Rheem-ML" enumerator and
 //!   exhaustive search;
 //! * [`robopt_tdgen`] — TDGEN: shape templates, β-bounded switch pruning,
-//!   piecewise log-log interpolation, and the generator;
+//!   piecewise log-log interpolation, and the generator, whose one setting
+//!   is its seed;
 //! * [`robopt`] (re-exported as [`service`]) — the service facade:
 //!   `Optimizer`, request / response types, plan cache, JSON parser and
 //!   `Writer`, wire protocol, forest persistence;

@@ -26,7 +26,7 @@ use std::process::Command;
 use robopt::{ExecutionPolicy, OptimizeRequest, Optimizer, RiskPolicy, WorkloadSpec};
 use robopt_baselines::ObjectEnumerator;
 use robopt_engine::Engine;
-use robopt_ml::{simulator_training_set, ForestConfig, RandomForest, SamplerConfig};
+use robopt_ml::{ForestConfig, Model, RandomForest, SimulatorSource, TrainingSource};
 use robopt_plan::{SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::{ExecutionBackend, PlatformRegistry};
 use robopt_vector::FeatureLayout;
@@ -122,8 +122,7 @@ fn seeded_run_digest() -> u64 {
     // Seeded forest training (thread-parallel bagging) + inference.
     let registry = PlatformRegistry::named();
     let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
-    let cfg = SamplerConfig::new().with_seed(41).with_noise(0.05);
-    let train = simulator_training_set(&registry, &layout, &cfg, 120);
+    let train = SimulatorSource::new(&registry, layout, 41, 0.05).generate(120);
     let forest = RandomForest::fit(
         &ForestConfig {
             n_trees: 8,
@@ -132,15 +131,10 @@ fn seeded_run_digest() -> u64 {
         train.rows_view(),
         &train.labels,
     );
-    let probe = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(42).with_noise(0.0),
-        24,
-    );
+    let probe = SimulatorSource::new(&registry, layout, 42, 0.0).generate(24);
     let rows = probe.rows_view();
     for r in 0..rows.rows() {
-        mix(&mut h, forest.predict(rows.row(r)).to_bits());
+        mix(&mut h, forest.predict_row(rows.row(r)).to_bits());
     }
 
     // Real engine runs (ISSUE 8): output digests and cardinalities are

@@ -12,7 +12,7 @@
 
 use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_ml::{
-    mse, simulator_training_set, ForestConfig, LinearModel, Model, RandomForest, SamplerConfig,
+    mse, ForestConfig, LinearModel, Model, RandomForest, SimulatorSource, TrainingSource,
 };
 use robopt_plan::N_OPERATOR_KINDS;
 use robopt_platforms::PlatformRegistry;
@@ -27,8 +27,7 @@ fn setup() -> (PlatformRegistry, FeatureLayout) {
 #[test]
 fn forest_batch_prediction_matches_per_row_on_plan_vectors() {
     let (registry, layout) = setup();
-    let cfg = SamplerConfig::new().with_seed(11).with_noise(0.05);
-    let train = simulator_training_set(&registry, &layout, &cfg, 300);
+    let train = SimulatorSource::new(&registry, layout, 11, 0.05).generate(300);
     let forest = RandomForest::fit(
         &ForestConfig {
             n_trees: 12,
@@ -37,12 +36,7 @@ fn forest_batch_prediction_matches_per_row_on_plan_vectors() {
         train.rows_view(),
         &train.labels,
     );
-    let probe = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(12).with_noise(0.0),
-        80,
-    );
+    let probe = SimulatorSource::new(&registry, layout, 12, 0.0).generate(80);
     let rows = probe.rows_view();
     let mut batch = Vec::new();
     forest.predict_batch(rows, &mut batch);
@@ -59,12 +53,7 @@ fn forest_batch_prediction_matches_per_row_on_plan_vectors() {
 #[test]
 fn forest_training_is_deterministic_under_a_fixed_seed() {
     let (registry, layout) = setup();
-    let train = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(21).with_noise(0.05),
-        250,
-    );
+    let train = SimulatorSource::new(&registry, layout, 21, 0.05).generate(250);
     let cfg = ForestConfig {
         n_trees: 10,
         seed: 777,
@@ -72,12 +61,7 @@ fn forest_training_is_deterministic_under_a_fixed_seed() {
     };
     let a = RandomForest::fit(&cfg, train.rows_view(), &train.labels);
     let b = RandomForest::fit(&cfg, train.rows_view(), &train.labels);
-    let probe = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(22).with_noise(0.0),
-        60,
-    );
+    let probe = SimulatorSource::new(&registry, layout, 22, 0.0).generate(60);
     let (mut pa, mut pb) = (Vec::new(), Vec::new());
     a.predict_batch(probe.rows_view(), &mut pa);
     b.predict_batch(probe.rows_view(), &mut pb);
@@ -87,20 +71,10 @@ fn forest_training_is_deterministic_under_a_fixed_seed() {
 #[test]
 fn forest_beats_linear_baseline_on_held_out_plans() {
     let (registry, layout) = setup();
-    let train = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(31).with_noise(0.05),
-        600,
-    );
-    let heldout = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(32).with_noise(0.0),
-        200,
-    );
+    let train = SimulatorSource::new(&registry, layout, 31, 0.05).generate(600);
+    let heldout = SimulatorSource::new(&registry, layout, 32, 0.0).generate(200);
     let mut linear = LinearModel::new();
-    linear.fit_set(&train);
+    linear.fit(train.rows_view(), &train.labels);
     let forest = RandomForest::fit(
         &ForestConfig {
             n_trees: 24,
@@ -122,12 +96,7 @@ fn forest_beats_linear_baseline_on_held_out_plans() {
 #[test]
 fn trained_forest_behind_dyn_oracle_drives_enumeration_end_to_end() {
     let (registry, layout) = setup();
-    let train = simulator_training_set(
-        &registry,
-        &layout,
-        &SamplerConfig::new().with_seed(41).with_noise(0.05),
-        600,
-    );
+    let train = SimulatorSource::new(&registry, layout, 41, 0.05).generate(600);
     let forest = RandomForest::fit(
         &ForestConfig {
             n_trees: 24,

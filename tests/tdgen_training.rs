@@ -10,12 +10,12 @@
 //! (c) both [`TrainingSource`] implementations are **deterministic**:
 //!     the same seed reproduces a bit-identical [`TrainingSet`].
 
-use robopt_ml::{q_error, simulator_training_set, SamplerConfig, TrainingSet, TrainingSource};
+use robopt_ml::{q_error, SimulatorSource, TrainingSet, TrainingSource};
 use robopt_plan::{SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::{PlatformId, PlatformRegistry, RuntimeSimulator};
 use robopt_tdgen::{
     enumerate_assignments, log_knots, max_switches, sample_assignment, sample_skeleton,
-    tdgen_training_set, JobSkeleton, PiecewisePoly, ShapeKind, TdgenConfig, TdgenGenerator,
+    JobSkeleton, PiecewisePoly, ShapeKind, TdgenConfig, TdgenGenerator,
 };
 use robopt_vector::FeatureLayout;
 
@@ -187,28 +187,24 @@ fn assert_bit_identical(a: &TrainingSet, b: &TrainingSet) {
 fn equal_seeds_reproduce_bit_identical_training_sets() {
     let (registry, layout) = named_setup();
 
-    let cfg = TdgenConfig::new()
-        .with_seed(0x000d_5eed)
-        .with_knots(6)
-        .with_rows_per_curve(24)
-        .with_ops_range(5, 8);
-    let once = tdgen_training_set(&registry, &layout, &cfg, 120);
-    let again = tdgen_training_set(&registry, &layout, &cfg, 120);
+    let tdgen = |seed| TdgenGenerator::new(&registry, layout, TdgenConfig::new().with_seed(seed));
+    let once = tdgen(0x000d_5eed).generate(120);
+    let again = tdgen(0x000d_5eed).generate(120);
     assert_eq!(once.len(), 120);
     assert_bit_identical(&once, &again);
 
-    let mut split = TdgenGenerator::new(&registry, layout, cfg.clone());
+    let mut split = tdgen(0x000d_5eed);
     let first = split.generate(60);
     let second = split.generate(60);
     assert_eq!(&once.labels[..60], &first.labels[..]);
     assert_eq!(&once.labels[60..], &second.labels[..]);
 
-    let reseeded = tdgen_training_set(&registry, &layout, &cfg.with_seed(0x000d_5eee), 120);
+    let reseeded = tdgen(0x000d_5eee).generate(120);
     assert_ne!(once.labels, reseeded.labels, "the seed must matter");
 
-    let sampler = SamplerConfig::new().with_seed(0x5eed).with_noise(0.05);
-    let direct_a = simulator_training_set(&registry, &layout, &sampler, 80);
-    let direct_b = simulator_training_set(&registry, &layout, &sampler, 80);
+    let direct = || SimulatorSource::new(&registry, layout, 0x5eed, 0.05);
+    let direct_a = direct().generate(80);
+    let direct_b = direct().generate(80);
     assert_bit_identical(&direct_a, &direct_b);
 }
 
@@ -217,12 +213,8 @@ fn equal_seeds_reproduce_bit_identical_training_sets() {
 #[test]
 fn dyn_sources_agree_on_the_layout_contract() {
     let (registry, layout) = named_setup();
-    let mut tdgen = TdgenGenerator::new(
-        &registry,
-        layout,
-        TdgenConfig::new().with_knots(6).with_rows_per_curve(24),
-    );
-    let mut direct = robopt_ml::SimulatorSource::new(&registry, layout, SamplerConfig::new());
+    let mut tdgen = TdgenGenerator::new(&registry, layout, TdgenConfig::new());
+    let mut direct = SimulatorSource::new(&registry, layout, 7, 0.05);
     let sources: [&mut dyn TrainingSource; 2] = [&mut tdgen, &mut direct];
     for source in sources {
         assert_eq!(source.layout(), layout);
