@@ -39,18 +39,6 @@ impl ObjNode {
             }
         }
     }
-
-    /// Number of operators covered (walks the graph).
-    pub fn len(&self) -> usize {
-        match self {
-            ObjNode::Leaf { .. } => 1,
-            ObjNode::Merge { left, right } => left.len() + right.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -67,6 +55,5 @@ mod tests {
         t.collect_into(&mut out);
         out.sort_unstable();
         assert_eq!(out, vec![(0, 1), (1, 0), (2, 1)]);
-        assert_eq!(t.len(), 3);
     }
 }

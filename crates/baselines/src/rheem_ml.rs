@@ -1,20 +1,22 @@
 //! The "Rheem-ML" strawman enumerator (paper Figs 1, 9a).
 //!
-//! Identical search to `robopt_core::Enumerator` — same Def-3 priority
-//! order, same registry-driven availability masking and conversion
-//! feasibility, same Def-2 lossless boundary pruning, same batched
-//! [`robopt_core::CostOracle`] entry point — but subplans are object graphs
-//! ([`ObjNode`]), and the ML cost model is treated as an external black
-//! box: every batch is assembled by walking the object graphs and
-//! materializing **fresh** feature vectors (plan-to-vector transformation
-//! at call time, fresh allocations per merge step). Comparing this against
-//! the vector-based enumerator isolates precisely the representation
-//! benefit the paper claims.
+//! Identical search to `robopt_core::Enumerator` — the same merge order
+//! ([`robopt_core::merge_key`], found by a scan instead of a heap), the same
+//! registry-driven availability masking and conversion feasibility, the
+//! same Def-2 lossless boundary pruning, the same batched
+//! [`robopt_core::CostOracle`] entry point, and therefore the same
+//! [`EnumStats`] — but subplans are object graphs ([`ObjNode`]), and the ML
+//! cost model is treated as an external black box: every batch is
+//! assembled by walking the object graphs and materializing **fresh**
+//! feature vectors (plan-to-vector transformation at call time, fresh
+//! allocations per merge step). Comparing this against the vector-based
+//! enumerator isolates precisely the representation benefit the paper
+//! claims.
 
 use std::rc::Rc;
 
 use robopt_core::vectorize::{add_conversion_features, add_operator_cells, ExecutionPlan};
-use robopt_core::EnumOptions;
+use robopt_core::{merge_key, EnumOptions, EnumStats, MergeKey};
 use robopt_plan::LogicalPlan;
 use robopt_platforms::PlatformId;
 use robopt_vector::{footprint_hash, FeatureLayout, FootprintTable, RowsView, Scope, NO_PLATFORM};
@@ -30,6 +32,15 @@ struct ObjUnit {
 /// Object-graph enumerator with per-batch plan-to-vector transformation.
 #[derive(Debug, Default)]
 pub struct ObjectEnumerator;
+
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let gp = parent[parent[x as usize] as usize];
+        parent[x as usize] = gp;
+        x = gp;
+    }
+    x
+}
 
 impl ObjectEnumerator {
     pub fn new() -> Self {
@@ -72,25 +83,47 @@ impl ObjectEnumerator {
             .collect()
     }
 
+    /// The current merge key of dataflow edge `e` and the roots of the two
+    /// units it would merge; `None` once both endpoints share a unit.
+    fn edge_key(
+        plan: &LogicalPlan,
+        units: &[Option<ObjUnit>],
+        parent: &mut [u32],
+        e: usize,
+    ) -> Option<(u32, u32, MergeKey)> {
+        let (u, v) = plan.edges()[e];
+        let (ra, rb) = (find(parent, u), find(parent, v));
+        if ra == rb {
+            return None;
+        }
+        let (a, b) = (units[ra as usize].as_ref()?, units[rb as usize].as_ref()?);
+        let frontier = Self::boundary_of(plan, a.scope.union(b.scope)).len() as u32;
+        let larger = a.plans.len().max(b.plans.len()) as u64;
+        Some((ra, rb, merge_key(frontier, larger, e as u32)))
+    }
+
     /// Run the enumeration; result matches the vector enumerator's optimum
-    /// over the same registry and oracle (both carried by `opts`). The
-    /// strawman always prunes (Def-2); `opts.prune()` is ignored.
+    /// over the same registry and oracle (both carried by `opts`), and the
+    /// counters match its [`EnumStats`]. The strawman always prunes (Def-2)
+    /// and ranks by expected cost: `opts.prune()` and `opts.risk()` are
+    /// ignored.
     #[expect(
         clippy::expect_used,
-        reason = "whole-fn invariants: union-find roots always hold live units (contracted roots are never re-found), the plan is asserted connected so every contraction round finds a crossing edge, and every singleton keeps >= 1 availability-masked plan through merges"
+        reason = "whole-fn invariants: union-find roots always hold live units (contracted roots are never re-found), and every singleton keeps >= 1 availability-masked plan through merges"
     )]
     pub fn enumerate(
         &mut self,
         plan: &LogicalPlan,
         layout: &FeatureLayout,
         opts: EnumOptions<'_>,
-    ) -> ExecutionPlan {
+    ) -> (ExecutionPlan, EnumStats) {
         let n = plan.n_ops();
         let registry = opts.registry();
         let oracle = opts.oracle();
         assert!(plan.is_connected());
         assert_eq!(layout.n_platforms, registry.len());
         assert_eq!(oracle.width(), layout.width);
+        let mut stats = EnumStats::default();
         let mut units: Vec<Option<ObjUnit>> = (0..n as u32)
             .map(|op| {
                 // Availability masking: one singleton per permitted platform,
@@ -106,6 +139,10 @@ impl ObjectEnumerator {
                 }
                 let mut costs = Vec::new();
                 oracle.cost_batch(RowsView::new(&batch, layout.width), &mut costs);
+                let rows = nodes.len() as u64;
+                stats.generated += rows;
+                stats.kept += rows;
+                stats.peak_rows = stats.peak_rows.max(rows);
                 Some(ObjUnit {
                     scope: Scope::singleton(op),
                     plans: nodes.into_iter().zip(costs).collect(),
@@ -113,35 +150,29 @@ impl ObjectEnumerator {
             })
             .collect();
         let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let gp = parent[parent[x as usize] as usize];
-                parent[x as usize] = gp;
-                x = gp;
-            }
-            x
-        }
 
-        // Def-3 priority by scan: contract the remaining edge minimizing
-        // |V_a| x |V_b| (ties: fewer merged-boundary ops, then edge order).
-        for _ in 0..n.saturating_sub(1) {
-            let mut best: Option<(u64, u32, usize, u32, u32)> = None;
-            for (e, &(u, v)) in plan.edges().iter().enumerate() {
-                let ra = find(&mut parent, u);
-                let rb = find(&mut parent, v);
-                if ra == rb {
-                    continue;
-                }
-                let pa = units[ra as usize].as_ref().expect("live unit at root");
-                let pb = units[rb as usize].as_ref().expect("live unit at root");
-                let pri = (pa.plans.len() * pb.plans.len()) as u64;
-                let tie = Self::boundary_of(plan, pa.scope.union(pb.scope)).len() as u32;
-                let key = (pri, tie, e, ra, rb);
-                if best.is_none_or(|b| (b.0, b.1, b.2) > (pri, tie, e)) {
-                    best = Some(key);
-                }
+        // The enumerator's merge order by scan: every edge keeps the key it
+        // was last ranked by, the smallest kept key is re-ranked, and it is
+        // contracted only if it still holds — otherwise the fresh key is
+        // kept and the scan repeats. That is the heap's lazy re-ranking, so
+        // both enumerators contract the same edges in the same order.
+        let mut keys: Vec<Option<MergeKey>> = (0..plan.edges().len())
+            .map(|e| Self::edge_key(plan, &units, &mut parent, e).map(|(_, _, key)| key))
+            .collect();
+        while let Some((ranked, e)) = keys
+            .iter()
+            .enumerate()
+            .filter_map(|(e, key)| key.map(|key| (key, e)))
+            .min()
+        {
+            keys[e] = None;
+            let Some((ra, rb, fresh)) = Self::edge_key(plan, &units, &mut parent, e) else {
+                continue;
+            };
+            if fresh != ranked {
+                keys[e] = Some(fresh);
+                continue;
             }
-            let (_, _, _, ra, rb) = best.expect("connected plan has a crossing edge");
             let a = units[ra as usize].take().expect("live unit at root");
             let b = units[rb as usize].take().expect("live unit at root");
             let merged_scope = a.scope.union(b.scope);
@@ -207,6 +238,10 @@ impl ObjectEnumerator {
                     }
                 }
             }
+            stats.generated += (a.plans.len() * b.plans.len()) as u64;
+            stats.merges += 1;
+            stats.kept += merged.len() as u64;
+            stats.peak_rows = stats.peak_rows.max(merged.len() as u64);
             parent[rb as usize] = ra;
             units[ra as usize] = Some(ObjUnit {
                 scope: merged_scope,
@@ -227,7 +262,7 @@ impl ObjectEnumerator {
         for (op, p) in placements {
             raw[op as usize] = p;
         }
-        ExecutionPlan::from_raw(&raw, *best_cost)
+        (ExecutionPlan::from_raw(&raw, *best_cost), stats)
     }
 }
 
@@ -235,35 +270,73 @@ impl ObjectEnumerator {
 mod tests {
     use super::*;
     use robopt_core::{AnalyticOracle, EnumOptions, Enumerator};
-    use robopt_plan::{workloads, N_OPERATOR_KINDS};
+    use robopt_plan::{workloads, SplitMix64, WorkloadSpec, N_OPERATOR_KINDS};
+    use robopt_platforms::PlatformRegistry;
+
+    /// Both enumerators over `plan`: the strawman's counters equal the
+    /// serial enumerator's, and its cost agrees within 1e-9 relative.
+    fn assert_same_search(plan: &LogicalPlan, registry: &PlatformRegistry) -> ExecutionPlan {
+        let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+        let oracle = AnalyticOracle::for_registry(registry, &layout);
+        let opts = EnumOptions::new(registry).with_oracle(&oracle);
+        let (vec_exec, vec_stats) = Enumerator::new().enumerate(plan, &layout, opts);
+        let (obj_exec, obj_stats) = ObjectEnumerator::new().enumerate(plan, &layout, opts);
+        assert_eq!(obj_stats, vec_stats, "the strawman ran another search");
+        let tol = 1e-9 * vec_exec.cost.abs().max(1.0);
+        assert!(
+            (vec_exec.cost - obj_exec.cost).abs() <= tol,
+            "costs {} vs {}",
+            vec_exec.cost,
+            obj_exec.cost
+        );
+        obj_exec
+    }
 
     #[test]
     fn object_enumerator_matches_vector_enumerator() {
-        use robopt_platforms::PlatformRegistry;
-        for plan in [workloads::wordcount(1e5), workloads::tpch_q3(1e4)] {
-            let registry = PlatformRegistry::uniform(2);
-            let layout = FeatureLayout::new(2, N_OPERATOR_KINDS);
-            let oracle = AnalyticOracle::for_registry(&registry, &layout);
-            let opts = EnumOptions::new(&registry).with_oracle(&oracle);
-            let (vec_exec, _) = Enumerator::new().enumerate(&plan, &layout, opts);
-            let obj_exec = ObjectEnumerator::new().enumerate(&plan, &layout, opts);
-            let tol = 1e-9 * vec_exec.cost.abs().max(1.0);
-            assert!((vec_exec.cost - obj_exec.cost).abs() <= tol);
+        // Fig 1's four specs on its two-platform registry.
+        let fig01 = [
+            WorkloadSpec::WordCount { scale: 1e5 },
+            WorkloadSpec::TpchQ3 { scale: 1e5 },
+            WorkloadSpec::Pipeline {
+                ops: 25,
+                scale: 1e5,
+            },
+            WorkloadSpec::Pipeline {
+                ops: 40,
+                scale: 1e5,
+            },
+        ];
+        let uniform2 = PlatformRegistry::uniform(2);
+        for spec in fig01 {
+            assert_same_search(&spec.build().expect("valid spec"), &uniform2);
+        }
+        // Seeded DAGs on two to four uniform platforms and the named
+        // registry: the DAGs' branching is where a different merge order
+        // would show.
+        let named = PlatformRegistry::named();
+        let mut rng = SplitMix64::new(0x0B_1EC7);
+        for case in 0..24u64 {
+            let n = 2 + rng.gen_range(11);
+            let density = rng.next_f64();
+            let plan = workloads::random_connected_dag(&mut rng, n, density);
+            let uniform = PlatformRegistry::uniform(2 + (case % 3) as usize);
+            assert_same_search(&plan, &uniform);
+            assert_same_search(&plan, &named);
         }
     }
 
     #[test]
     fn object_enumerator_matches_vector_enumerator_on_named_registry() {
-        use robopt_platforms::PlatformRegistry;
         let plan = workloads::wordcount(1e6);
         let registry = PlatformRegistry::named();
         let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
         let oracle = AnalyticOracle::for_registry(&registry, &layout);
         let opts = EnumOptions::new(&registry).with_oracle(&oracle);
         let (vec_exec, _) = Enumerator::new().enumerate(&plan, &layout, opts);
-        let obj_exec = ObjectEnumerator::new().enumerate(&plan, &layout, opts);
-        let tol = 1e-9 * vec_exec.cost.abs().max(1.0);
-        assert!((vec_exec.cost - obj_exec.cost).abs() <= tol);
-        assert_eq!(vec_exec.assignments, obj_exec.assignments);
+        assert_eq!(
+            assert_same_search(&plan, &registry).assignments,
+            vec_exec.assignments
+        );
     }
 }

@@ -1,14 +1,14 @@
 //! Fig 1: improvement factor of vector-based over traditional
 //! (object-graph) enumeration with an ML-style cost model, 2 platforms.
 //!
-//! Both enumerators run the same algorithm (Def-3 priority, Def-2 lossless
-//! pruning) against the same analytic [`robopt_core::CostOracle`]; only the
-//! subplan representation differs, so the measured gap isolates the
-//! vectorization benefit. The vector side goes through the
-//! [`robopt::Optimizer`] facade (cache disabled, one split part — the
-//! serial path); the object-graph foil predates the request API and takes
-//! its raw options from [`robopt::Optimizer::enum_options`], the sanctioned
-//! escape hatch. Writes `EXPERIMENTS_OUTPUT/fig01_vector_benefit.txt`
+//! Both enumerators run the same search (one merge order,
+//! [`robopt_core::merge_key`], and Def-2 pruning) against the same analytic
+//! [`robopt_core::CostOracle`]; only the subplan representation differs,
+//! so the measured gap isolates the vectorization benefit. The vector side
+//! goes through the [`robopt::Optimizer`] facade (cache disabled, one split
+//! part — the serial path); the object-graph foil predates the request API
+//! and takes its raw options from [`robopt::Optimizer::enum_options`], the
+//! sanctioned escape hatch. Writes `EXPERIMENTS_OUTPUT/fig01_vector_benefit.txt`
 //! and `BENCH_enumeration.json` at the repository root.
 
 use robopt::{ExecutionPolicy, OptimizeRequest, Optimizer, WorkloadSpec};
@@ -58,9 +58,10 @@ fn measure(task: &'static str, spec: WorkloadSpec) -> Row {
     let mut object_enum = ObjectEnumerator::new();
     let object_cost = object_enum
         .enumerate(&plan, opt.layout(), opt.enum_options())
+        .0
         .cost;
     let object_t = bench(WARMUP, ITERS, || {
-        let exec = object_enum.enumerate(&plan, opt.layout(), opt.enum_options());
+        let (exec, _) = object_enum.enumerate(&plan, opt.layout(), opt.enum_options());
         std::hint::black_box(exec.cost);
     });
 

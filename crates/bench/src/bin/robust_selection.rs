@@ -38,6 +38,7 @@
 
 use robopt::{OptimizeRequest, Optimizer, TrainRequest, TrainSource, WorkloadSpec};
 use robopt_bench::{rounded, Report};
+use robopt_core::dist::nearest_rank;
 use robopt_core::{CostDistribution, CostOracle, EnumOptions, Enumerator, RiskPolicy};
 use robopt_ml::{Model, RandomForest};
 use robopt_plan::SplitMix64;
@@ -217,8 +218,7 @@ fn pick_label(registry: &PlatformRegistry, pick: &[PlatformId]) -> String {
 fn percentile(samples: &mut [f64], q: f64) -> f64 {
     assert!(!samples.is_empty());
     samples.sort_unstable_by(f64::total_cmp);
-    let rank = (q * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
+    samples[nearest_rank(q, samples.len())]
 }
 
 /// Per-(policy, noise) regret aggregates, in milliseconds.

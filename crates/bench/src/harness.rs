@@ -2,6 +2,8 @@
 
 use std::time::Instant;
 
+use robopt_core::dist::nearest_rank;
+
 /// Result of one benchmark: nanoseconds per iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct Timing {
@@ -52,11 +54,9 @@ pub fn bench<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Timing {
     } else {
         0.5 * (samples[iters / 2 - 1] + samples[iters / 2])
     };
-    // Nearest-rank p95: ceil(0.95 * iters) clamped into the sample range.
-    let p95_idx = ((iters as f64 * 0.95).ceil() as usize).clamp(1, iters) - 1;
     Timing {
         median_ns,
-        p95_ns: samples[p95_idx],
+        p95_ns: samples[nearest_rank(0.95, iters)],
         min_ns: samples[0],
         iters,
     }

@@ -658,8 +658,10 @@ mod tests {
         for refused in &lines[..4] {
             assert!(refused.contains("\"ok\":false"), "{refused}");
         }
-        assert!(lines[2].contains("invalid request"), "{}", lines[2]);
-        for named in ["invalid request", "211000000", "16777216"] {
+        for named in ["too large", "56250000", "262144"] {
+            assert!(lines[2].contains(named), "{named}: {}", lines[2]);
+        }
+        for named in ["too large", "211000000", "16777216"] {
             assert!(lines[3].contains(named), "{named}: {}", lines[3]);
         }
         assert!(

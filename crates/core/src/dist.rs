@@ -42,10 +42,12 @@ pub struct CostDistribution {
     scratch: Vec<f64>,
 }
 
-/// Nearest-rank index of quantile `q` among `n` sorted samples — the same
-/// convention the bench harness uses for p95 latencies.
+/// Nearest-rank index of quantile `q` among `n` sorted samples: `ceil(q·n)`
+/// clamped into `1..=n`, minus one. The workspace's one quantile
+/// convention — the forest's per-row quantiles, the bench harness's p95
+/// latencies and the experiment binaries' percentiles all index by it.
 #[inline]
-fn nearest_rank(q: f64, n: usize) -> usize {
+pub fn nearest_rank(q: f64, n: usize) -> usize {
     ((q * n as f64).ceil() as usize).clamp(1, n) - 1
 }
 

@@ -188,8 +188,10 @@ impl EnumStats {
     }
 }
 
-/// Def-3 priority of a candidate contraction, smallest first:
-/// `(frontier, u64::MAX - larger_rows, edge)`.
+/// Def-3 priority of contracting dataflow edge `edge`, smallest first:
+/// `(frontier, u64::MAX - larger_rows, edge)`. The one merge order of the
+/// workspace — [`Enumerator`] pops it from a heap, the Rheem-ML strawman
+/// (`robopt_baselines::ObjectEnumerator`) scans for it.
 ///
 /// * `frontier` — boundary operators of the merged scope. Primary key:
 ///   the pruned frontier is bounded by `k^frontier`, and that frontier
@@ -206,11 +208,18 @@ impl EnumStats {
 /// * `edge` — the dataflow edge index: FIFO among full ties, and (one
 ///   live entry per edge) what makes every key unique, so the pop order
 ///   is a function of the keys alone.
-type HeapKey = Reverse<(u32, u64, u32)>;
-
-fn heap_key(frontier: u32, larger_rows: u64, edge: u32) -> HeapKey {
-    Reverse((frontier, u64::MAX - larger_rows, edge))
+///
+/// A key goes stale when a merge grows one of the edge's units; both
+/// enumerators re-rank only the edge whose kept key is smallest, contract
+/// it if its key still holds, and otherwise keep the fresh key and look
+/// again.
+#[inline]
+pub fn merge_key(frontier: u32, larger_rows: u64, edge: u32) -> MergeKey {
+    (frontier, u64::MAX - larger_rows, edge)
 }
+
+/// What [`merge_key`] ranks by, smallest first.
+pub type MergeKey = (u32, u64, u32);
 
 /// One live node of the enumeration graph: the scope it covers and the
 /// matrix of surviving candidate rows for that scope.
@@ -232,7 +241,7 @@ pub struct Enumerator {
     pool: Vec<EnumMatrix>,
     units: Vec<Option<Unit>>,
     parent: Vec<u32>,
-    heap: BinaryHeap<HeapKey>,
+    heap: BinaryHeap<Reverse<MergeKey>>,
     fp_map: FootprintTable,
     scratch_feats: Vec<f64>,
     scratch_assign: Vec<u8>,
@@ -487,7 +496,7 @@ impl Enumerator {
     /// it would merge; `None` once both endpoints share a unit. Leaves the
     /// merged scope's boundary operators in `self.boundary`: their count
     /// ranks the edge, their list is the footprint every staged row hashes.
-    fn edge_key(&mut self, plan: &LogicalPlan, e: u32) -> Option<(u32, u32, HeapKey)> {
+    fn edge_key(&mut self, plan: &LogicalPlan, e: u32) -> Option<(u32, u32, MergeKey)> {
         let (u, v) = plan.edges()[e as usize];
         let (ra, rb) = (self.find(u), self.find(v));
         if ra == rb {
@@ -497,7 +506,7 @@ impl Enumerator {
         let (rows_b, scope_b) = self.unit_shape(rb);
         boundary_ops(plan, scope_a.union(scope_b), &mut self.boundary);
         let frontier = self.boundary.len() as u32;
-        Some((ra, rb, heap_key(frontier, rows_a.max(rows_b) as u64, e)))
+        Some((ra, rb, merge_key(frontier, rows_a.max(rows_b) as u64, e)))
     }
 
     /// Contract the listed dataflow edges (indexes into `plan.edges()`) in
@@ -528,7 +537,7 @@ impl Enumerator {
         self.heap.clear();
         for &e in edges {
             if let Some((_, _, key)) = self.edge_key(plan, e) {
-                self.heap.push(key);
+                self.heap.push(Reverse(key));
             }
         }
 
@@ -537,8 +546,8 @@ impl Enumerator {
                 continue;
             };
             // Stale priority (an endpoint grew since the push): requeue.
-            if fresh.0 != entry {
-                self.heap.push(fresh);
+            if fresh != entry {
+                self.heap.push(Reverse(fresh));
                 continue;
             }
 

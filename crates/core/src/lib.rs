@@ -20,8 +20,8 @@
 //!   paper's `split`): minimum-crossing-edge cut boundaries over the
 //!   topological order, never through a `RepeatLoop` region;
 //! * [`parallel`] — the split-enumerate-merge driver running one
-//!   enumerator per part on scoped std threads, bit-identical across
-//!   thread counts (DESIGN §9).
+//!   enumerator per part on `robopt_plan::par`'s scoped fan-out,
+//!   bit-identical across thread counts (DESIGN §9).
 
 pub mod dist;
 pub mod enumerate;
@@ -31,8 +31,8 @@ pub mod split;
 pub mod vectorize;
 
 pub use dist::{CostDistribution, RiskPolicy};
-pub use enumerate::{EnumOptions, EnumStats, Enumerator};
-pub use oracle::{uniform_oracle, AnalyticOracle, CostOracle};
+pub use enumerate::{merge_key, EnumOptions, EnumStats, Enumerator, MergeKey};
+pub use oracle::{AnalyticOracle, CostOracle};
 pub use parallel::ParallelEnumerator;
 pub use split::{loop_regions, split_plan, PlanSplit, SplitOptions};
 pub use vectorize::ExecutionPlan;

@@ -269,18 +269,18 @@ impl CostOracle for AnalyticOracle {
     }
 }
 
-/// Convenience: the uniform-registry oracle used by tests and benchmarks
-/// that do not care about availability or named platforms.
-pub fn uniform_oracle(layout: &FeatureLayout) -> (PlatformRegistry, AnalyticOracle) {
-    let registry = PlatformRegistry::uniform(layout.n_platforms);
-    let oracle = AnalyticOracle::for_registry(&registry, layout);
-    (registry, oracle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use robopt_plan::SplitMix64;
+
+    /// The uniform-registry oracle, for tests that do not care about
+    /// availability or named platforms.
+    fn uniform_oracle(layout: &FeatureLayout) -> (PlatformRegistry, AnalyticOracle) {
+        let registry = PlatformRegistry::uniform(layout.n_platforms);
+        let oracle = AnalyticOracle::for_registry(&registry, layout);
+        (registry, oracle)
+    }
 
     #[test]
     fn oracle_is_linear_and_deterministic() {

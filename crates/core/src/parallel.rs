@@ -25,6 +25,7 @@
 //! in `finish` — so best assignment and cost bits agree (also asserted in
 //! the test suites).
 
+use robopt_plan::par::{available_threads, par_chunks};
 use robopt_plan::LogicalPlan;
 use robopt_vector::FeatureLayout;
 
@@ -36,8 +37,8 @@ use crate::vectorize::{ExecutionPlan, PlanLayout};
 #[derive(Debug, Default)]
 pub struct ParallelEnumerator {
     threads: usize,
-    /// Cap workers at `std::thread::available_parallelism()` (on by
-    /// default): oversubscribing a host only adds spawn/context-switch
+    /// Cap workers at [`available_threads`] (on by default):
+    /// oversubscribing a host only adds spawn/context-switch
     /// latency, and the partition — hence the result — never depends on the
     /// worker count, so clamping is invisible except in wall-clock time.
     hardware_clamp: bool,
@@ -67,7 +68,7 @@ impl ParallelEnumerator {
         self
     }
 
-    /// Toggle the `available_parallelism` worker cap. Tests disable it to
+    /// Toggle the [`available_threads`] worker cap. Tests disable it to
     /// force real scoped-thread scheduling even on a single-core host; the
     /// result is bit-identical either way.
     pub fn with_hardware_clamp(mut self, clamp: bool) -> Self {
@@ -118,48 +119,27 @@ impl ParallelEnumerator {
         // plan-local rows, so part units are copied across as they are.
         let layout = &PlanLayout::of(plan, layout);
 
-        // Phase 1: enumerate every part. Workers own disjoint part blocks
-        // (forest-style tiling); `thread::scope` joins them all and
-        // propagates panics, so no thread outlives this call. The core
+        // Phase 1: enumerate every part, contiguous blocks of parts per
+        // worker on the workspace's one fan-out. Each block folds its
+        // parts' stats in part order and the blocks fold in block order,
+        // so the total is the part-order fold for every tiling. The core
         // count is read only when it can lower `t`: one worker — every
         // caller's default — stays one whatever the host reports, and the
         // read costs microseconds (cgroup files) on every cache miss.
         let mut t = self.threads.min(kp);
         if self.hardware_clamp && t > 1 {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the worker count only tiles the part blocks; merge order and result bytes are identical for every thread count (asserted across 1..=4 workers by parallel_matches_serial)"
-            )]
-            let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-            t = t.min(hw);
+            t = t.min(available_threads());
         }
-        let mut part_stats = vec![EnumStats::default(); kp];
-        if t <= 1 {
-            for (i, (en, st)) in self.parts[..kp].iter_mut().zip(&mut part_stats).enumerate() {
-                *st = run_part(en, plan, layout, opts, &split, i);
+        let split = &split;
+        let blocks = par_chunks(t, &mut self.parts[..kp], |lo, block| {
+            let mut stats = EnumStats::default();
+            for (j, en) in block.iter_mut().enumerate() {
+                stats.absorb(&run_part(en, plan, layout, opts, split, lo + j));
             }
-        } else {
-            let split_ref = &split;
-            std::thread::scope(|scope| {
-                let mut en_rest = &mut self.parts[..kp];
-                let mut st_rest = &mut part_stats[..];
-                for w in 0..t {
-                    let lo = w * kp / t;
-                    let hi = (w + 1) * kp / t;
-                    let (en_chunk, en_tail) = en_rest.split_at_mut(hi - lo);
-                    en_rest = en_tail;
-                    let (st_chunk, st_tail) = st_rest.split_at_mut(hi - lo);
-                    st_rest = st_tail;
-                    scope.spawn(move || {
-                        for (j, (en, st)) in en_chunk.iter_mut().zip(st_chunk).enumerate() {
-                            *st = run_part(en, plan, layout, opts, split_ref, lo + j);
-                        }
-                    });
-                }
-            });
-        }
+            stats
+        });
         let mut stats = EnumStats::default();
-        for st in &part_stats {
+        for st in &blocks {
             stats.absorb(st);
         }
 

@@ -38,7 +38,7 @@ fn assert_lossless(
     let brute = exhaustive_best(plan, &layout, opts);
     let (pruned, stats) = e.serial.enumerate(plan, &layout, opts);
     let (split, _) = e.split.enumerate(plan, &layout, opts);
-    let object = e.object.enumerate(plan, &layout, opts);
+    let object = e.object.enumerate(plan, &layout, opts).0;
 
     let tol = 1e-9 * brute.cost.abs().max(1.0);
     for (name, cost) in [

@@ -7,10 +7,11 @@
 //! order-preserving by construction, so **outputs are byte-identical
 //! across worker counts**:
 //!
-//! * operators that build a new stream process contiguous index ranges
-//!   (`par_ranges`) and concatenate results in range order, operators that
-//!   rewrite the stream they own process contiguous chunks of it in place
-//!   (`par_chunks`) — both identical to the sequential pass;
+//! * operators that rewrite the stream they own process contiguous chunks
+//!   of it in place on the workspace's one fan-out,
+//!   [`robopt_plan::par::par_chunks`]; operators that build a new stream
+//!   process contiguous index ranges over it (`par_ranges`) and concatenate
+//!   results in range order — both identical to the sequential pass;
 //! * Sort and the two sides of Join / Intersect sort under the total order
 //!   [`record_cmp`]; sorting chunks in parallel and then merging them
 //!   reproduces the plain sort byte-for-byte — stable or not — because
@@ -39,10 +40,12 @@
 //! Timings are the one non-deterministic output: `compute_seconds` is
 //! measured wall clock, while startup/fixed/conversion/loop-sync overheads
 //! are deterministically modeled on the simulator's calibration
-//! ([`C_FIXED`]) scaled by [`OVERHEAD_SCALE`] (one process stands in for a
-//! cluster). A fused chain's wall time is measured once, on the operator
-//! it is fused into; the fused operators report their modeled overhead
-//! only, and `compute_seconds` is still the sum of everything measured.
+//! ([`robopt_platforms::Platform::fixed_seconds`],
+//! [`PlatformRegistry::conversion_seconds`]) scaled by [`OVERHEAD_SCALE`]
+//! (one process stands in for a cluster). A fused chain's wall time is
+//! measured once, on the operator it is fused into; the fused operators
+//! report their modeled overhead only, and `compute_seconds` is still the
+//! sum of everything measured.
 //! Timings land only in the [`ExecutionReport`] — they are **never**
 //! digested.
 //!
@@ -53,8 +56,8 @@
 
 use std::borrow::Cow;
 
+use robopt_plan::par::par_chunks;
 use robopt_plan::{rng::mix64, LogicalPlan, Operator, OperatorKind};
-use robopt_platforms::simulator::{C_FIXED, LOOP_SYNC_FACTOR};
 use robopt_platforms::{
     ExecutionBackend, ExecutionReport, OperatorReport, PlatformId, PlatformRegistry,
 };
@@ -226,14 +229,7 @@ impl<'a> Engine<'a> {
             let i = op as usize;
             let p = assignments[i];
             used_mask |= 1u8 << p.index();
-            let o = plan.op(op);
-            let loop_fixed = if o.kind == OperatorKind::RepeatLoop && o.iterations >= 1 {
-                1.0 + LOOP_SYNC_FACTOR * f64::from(o.iterations)
-            } else {
-                1.0
-            };
-            let fixed =
-                self.registry.platform(p).fixed_cost * C_FIXED * loop_fixed * OVERHEAD_SCALE;
+            let fixed = self.registry.platform(p).fixed_seconds(plan.op(op)) * OVERHEAD_SCALE;
             per_op_overhead[i] = fixed;
             overhead += fixed;
         }
@@ -247,9 +243,9 @@ impl<'a> Engine<'a> {
             if pu != pv {
                 let c = self
                     .registry
-                    .conversion_cost(pu, pv, rows[u as usize] as f64);
+                    .conversion_seconds(pu, pv, rows[u as usize] as f64);
                 if c.is_finite() {
-                    overhead += c * C_FIXED * OVERHEAD_SCALE;
+                    overhead += c * OVERHEAD_SCALE;
                 }
             }
         }
@@ -725,9 +721,10 @@ impl Buffers {
 }
 
 /// The fan-out that builds a stream: split `0..n` into `w` contiguous
-/// ranges, run `f` on each — on its own scoped thread when `w > 1` — and
-/// concatenate what the ranges pushed in range order, so the result is
-/// what `f(0..n)` alone would have produced whatever the scheduling.
+/// ranges, run `f` on each — over [`par_chunks`], one output part per
+/// range — and concatenate what the ranges pushed in range order, so the
+/// result is what `f(0..n)` alone would have produced whatever the
+/// scheduling.
 fn par_ranges<T: Send>(
     w: usize,
     n: usize,
@@ -741,11 +738,12 @@ fn par_ranges<T: Send>(
         out.shrink_to_fit();
         return out;
     }
+    // `w` parts in `w` chunks: one part per chunk, so a chunk's offset is
+    // its range's index.
     let mut parts: Vec<Vec<T>> = (0..w).map(|_| Vec::new()).collect();
-    std::thread::scope(|s| {
-        for (c, part) in parts.iter_mut().enumerate() {
-            let f = &f;
-            s.spawn(move || f(c * n / w..(c + 1) * n / w, part));
+    par_chunks(w, &mut parts, |c, chunk| {
+        for part in chunk {
+            f(c * n / w..(c + 1) * n / w, part);
         }
     });
     out.reserve(parts.iter().map(Vec::len).sum());
@@ -753,31 +751,6 @@ fn par_ranges<T: Send>(
         out.extend(part);
     }
     out
-}
-
-/// The fan-out that rewrites a stream in place: split `records` into up to
-/// `w` contiguous chunks and run `f(offset, chunk)` on each — on its own
-/// scoped thread when there are several — returning what each call
-/// returned, in chunk order.
-fn par_chunks<R: Default + Send>(
-    w: usize,
-    records: &mut [Record],
-    f: impl Fn(usize, &mut [Record]) -> R + Sync,
-) -> Vec<R> {
-    let per = records.len().div_ceil(w).max(1);
-    let mut results = Vec::new();
-    results.resize_with(records.len().div_ceil(per), R::default);
-    if let [only] = results.as_mut_slice() {
-        *only = f(0, records);
-        return results;
-    }
-    std::thread::scope(|s| {
-        for ((c, chunk), result) in records.chunks_mut(per).enumerate().zip(&mut results) {
-            let f = &f;
-            s.spawn(move || *result = f(c * per, chunk));
-        }
-    });
-    results
 }
 
 /// `Vec::retain` over [`par_chunks`]: each chunk moves the records it keeps
@@ -1389,37 +1362,6 @@ mod tests {
             for n in [0, 1, w - 1, w, w + 1] {
                 let seen = par_ranges(w, n, |range, out| out.extend(range));
                 assert_eq!(seen, (0..n).collect::<Vec<_>>(), "w={w} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_chunks_tile_the_slice_in_order() {
-        for w in [1usize, 2, 3, 4, 7] {
-            for len in [0, 1, w - 1, w, w + 1, 50] {
-                let mut records = vec![
-                    Record {
-                        key: 0,
-                        num: 0.0,
-                        text: Text::new(),
-                    };
-                    len
-                ];
-                let spans = par_chunks(w, &mut records, |at, chunk| {
-                    for (i, r) in chunk.iter_mut().enumerate() {
-                        r.key = (at + i) as u64;
-                    }
-                    (at, chunk.len())
-                });
-                assert!(spans.len() <= w, "w={w} len={len}");
-                let mut next = 0;
-                for (at, n) in spans {
-                    assert_eq!(at, next, "w={w} len={len}");
-                    next += n;
-                }
-                assert_eq!(next, len, "w={w} len={len}");
-                let keys: Vec<u64> = records.iter().map(|r| r.key).collect();
-                assert_eq!(keys, (0..len as u64).collect::<Vec<_>>());
             }
         }
     }

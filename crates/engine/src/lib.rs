@@ -9,10 +9,11 @@
 //! * [`data`] — records (text inline up to 30 bytes), seeded per-row
 //!   generators, canonical per-record operator semantics, and the output
 //!   digest;
-//! * [`exec`] — the partition-parallel executor (`std::thread::scope`,
-//!   order-preserving chunking, narrow chains fused into hash-aggregating
-//!   keyed operators, buffers moved from producer to last consumer) and
-//!   the iterative kernels;
+//! * [`exec`] — the partition-parallel executor (order-preserving chunking
+//!   on [`robopt_plan::par::par_chunks`], narrow chains fused into
+//!   hash-aggregating keyed operators, buffers moved from producer to last
+//!   consumer, overheads modeled on the simulator's calibration) and the
+//!   iterative kernels;
 //! * [`mod@reference`] — the independent single-threaded, materializing,
 //!   sorting reference executor the byte-identity tests compare against.
 //!

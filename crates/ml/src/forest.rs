@@ -5,9 +5,10 @@
 //! * **Deterministic under threading**: tree `t` derives its RNG solely
 //!   from `mix64(seed ^ t)`, and trees are stored in index order, so the
 //!   fitted forest is identical whether training ran on 1 thread or 16.
-//! * **Parallel training**: each `std::thread::scope` worker fits one
-//!   contiguous block of tree indices (no work queue, no locks). The
-//!   training set's columns are sorted once, before the workers start
+//! * **Parallel training**: each worker of the workspace's one fan-out
+//!   ([`robopt_plan::par::par_chunks`]) fits one contiguous block of tree
+//!   indices (no work queue, no locks). The training set's columns are
+//!   sorted once, before the workers start
 //!   ([`crate::tree::ColumnOrder`], shared read-only); a worker expands
 //!   that order per bootstrap sample into one
 //!   [`crate::tree::FitScratch`] it reuses across its trees — `4 · rows ·
@@ -23,9 +24,8 @@
 //!   tree-at-a-time walk. No allocation, single-threaded: enumeration
 //!   batches are a handful of rows.
 
-use std::num::NonZeroUsize;
-
 use robopt_core::CostDistribution;
+use robopt_plan::par::{available_threads, par_chunks};
 use robopt_plan::rng::{mix64, SplitMix64};
 use robopt_vector::RowsView;
 
@@ -83,7 +83,7 @@ impl RandomForest {
     /// [`FitScratch`] of its own.
     #[expect(
         clippy::expect_used,
-        reason = "the spawn blocks tile 0..n_trees exactly, so every slot is filled once the scope joins"
+        reason = "par_chunks' blocks tile 0..n_trees exactly, so every slot is filled once it returns"
     )]
     fn fit_on_threads(
         config: &ForestConfig,
@@ -103,11 +103,10 @@ impl RandomForest {
             ),
             ..config.tree
         };
-        let n_trees = config.n_trees;
         let columns = ColumnOrder::new(rows);
-        let mut trees: Vec<Option<RegressionTree>> = vec![None; n_trees];
+        let mut trees: Vec<Option<RegressionTree>> = vec![None; config.n_trees];
         // Fit trees `lo..lo + mine.len()` into `mine`.
-        let fit_block = |lo: usize, mine: &mut [Option<RegressionTree>]| {
+        par_chunks(n_threads, &mut trees, |lo, mine| {
             let mut scratch = FitScratch::default();
             for (offset, slot) in mine.iter_mut().enumerate() {
                 let t = lo + offset;
@@ -121,23 +120,7 @@ impl RandomForest {
                     &mut scratch,
                 ));
             }
-        };
-        if n_threads <= 1 {
-            fit_block(0, &mut trees);
-        } else {
-            std::thread::scope(|scope| {
-                let mut rest: &mut [Option<RegressionTree>] = &mut trees;
-                for worker in 0..n_threads {
-                    // Worker w owns the contiguous block of tree indices
-                    // [lo, hi); blocks tile 0..n_trees exactly.
-                    let lo = worker * n_trees / n_threads;
-                    let hi = (worker + 1) * n_trees / n_threads;
-                    let (mine, tail) = rest.split_at_mut(hi - lo);
-                    rest = tail;
-                    scope.spawn(move || fit_block(lo, mine));
-                }
-            });
-        }
+        });
         RandomForest {
             width: rows.width(),
             trees: trees
@@ -332,16 +315,6 @@ fn fit_one(
     let n = rows.rows();
     let idx: Vec<u32> = (0..n).map(|_| rng.gen_range(n) as u32).collect();
     RegressionTree::fit_sorted(config, rows, labels, &idx, &mut rng, columns, scratch)
-}
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "thread count only sizes the tree-fitting tile blocks; every tree is seeded by its index, so forests are bit-identical across worker counts"
-)]
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -30,8 +30,9 @@
 //!   *measured* by the real engine.
 //!
 //! Everything is dependency-free: randomness comes from
-//! `robopt_plan::rng::SplitMix64`, parallelism from `std::thread::scope`,
-//! and linear algebra from the in-tree Cholesky solver.
+//! `robopt_plan::rng::SplitMix64`, parallelism from the workspace's one
+//! scoped fan-out (`robopt_plan::par`), and linear algebra from the
+//! in-tree Cholesky solver.
 
 pub mod forest;
 pub mod linreg;

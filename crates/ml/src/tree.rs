@@ -619,7 +619,8 @@ impl RegressionTree {
     }
 
     /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
+    #[cfg(test)]
+    fn n_leaves(&self) -> usize {
         (0..self.nodes.len()).filter(|&i| self.is_leaf(i)).count()
     }
 

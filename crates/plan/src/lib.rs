@@ -6,10 +6,12 @@
 //! the paper's plans (WordCount, TPC-H Q3, synthetic pipelines) plus random
 //! connected DAGs for property tests. [`WorkloadSpec`] is the validated,
 //! serializable recipe shared by the service facade, the fig binaries, and
-//! the execution engine.
+//! the execution engine. [`par`] is the workspace's one scoped fan-out
+//! (`par_chunks`) and its one read of the host's core count.
 
 pub mod dag;
 pub mod op;
+pub mod par;
 pub mod rng;
 pub mod spec;
 pub mod workloads;

@@ -87,8 +87,8 @@ impl AvailabilityMatrix {
     }
 
     /// Number of platforms that can execute `kind`.
-    #[inline]
-    pub fn support_count(&self, kind: OperatorKind) -> u32 {
+    #[cfg(test)]
+    fn support_count(&self, kind: OperatorKind) -> u32 {
         self.masks[kind.index()].count_ones()
     }
 }

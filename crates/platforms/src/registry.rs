@@ -8,7 +8,7 @@
 //! resolves platforms against the same registry instead of assuming dense
 //! ids `0..k`.
 
-use robopt_plan::{LogicalPlan, OperatorKind, N_OPERATOR_KINDS};
+use robopt_plan::{LogicalPlan, Operator, OperatorKind, N_OPERATOR_KINDS};
 
 use crate::availability::AvailabilityMatrix;
 use crate::channels::{ConversionGraph, ConversionPath};
@@ -17,6 +17,14 @@ use crate::channels::{ConversionGraph, ConversionPath};
 /// feature layout's platform-dimension bound and the `u8` bitmask width of
 /// the availability matrix.
 pub const MAX_PLATFORMS: usize = 8;
+
+/// Seconds per oracle cost unit on the simulated cluster: per unit of
+/// [`Platform::fixed_cost`], and per unit of conversion channel cost.
+const C_FIXED: f64 = 0.05;
+
+/// Per-iteration loop-synchronization surcharge on a `RepeatLoop`'s fixed
+/// cost.
+const LOOP_SYNC_FACTOR: f64 = 0.25;
 
 /// Opaque platform identifier: an index into one [`PlatformRegistry`].
 ///
@@ -116,6 +124,19 @@ impl Platform {
     pub fn with_mem_bytes(mut self, mem_bytes: f64) -> Self {
         self.mem_bytes = mem_bytes;
         self
+    }
+
+    /// Modeled fixed seconds of running `op` here: `fixed_cost · C_FIXED`,
+    /// times `1 + LOOP_SYNC_FACTOR · iterations` for a `RepeatLoop` with a
+    /// trip count (inert loops multiply by exactly 1.0).
+    #[inline]
+    pub fn fixed_seconds(&self, op: &Operator) -> f64 {
+        let loop_fixed = if op.kind == OperatorKind::RepeatLoop && op.iterations >= 1 {
+            1.0 + LOOP_SYNC_FACTOR * f64::from(op.iterations)
+        } else {
+            1.0
+        };
+        self.fixed_cost * C_FIXED * loop_fixed
     }
 }
 
@@ -358,11 +379,12 @@ impl PlatformRegistry {
         self.conversions.path(from, to).is_some()
     }
 
-    /// Cost of moving `tuples` tuples `from -> to` along the cheapest path
-    /// (`0.0` when `from == to`, `f64::INFINITY` when infeasible).
+    /// Modeled seconds of moving `tuples` tuples `from -> to` along the
+    /// cheapest path: its cost at `C_FIXED` seconds per unit (`0.0` when
+    /// `from == to`, `f64::INFINITY` when infeasible).
     #[inline]
-    pub fn conversion_cost(&self, from: PlatformId, to: PlatformId, tuples: f64) -> f64 {
-        self.conversions.cost(from, to, tuples)
+    pub fn conversion_seconds(&self, from: PlatformId, to: PlatformId, tuples: f64) -> f64 {
+        self.conversions.cost(from, to, tuples) * C_FIXED
     }
 
     /// Is `plan` executable with operator `i` placed on `platform_of(i)`?

@@ -21,29 +21,21 @@
 //!   (plan, assignment) reproduces the same draws bit-exactly and the
 //!   `amplitude = 0` path never computes the key at all.
 //! * **Cost curve** per operator on platform `p`:
-//!   `fixed_cost(p)·C_FIXED + in_tuples·tuple_rate(p)·shape(kind)·spill / parallelism(p)`
-//!   where `shape` is `log2(2 + in_tuples)` for shuffle-heavy kinds and `1`
-//!   otherwise, and `spill = 4` once the operator's working set exceeds the
-//!   platform's memory budget.
+//!   `fixed_seconds(p) + in_tuples·tuple_rate(p)·shape(kind)·spill / parallelism(p)`
+//!   where `fixed_seconds` is [`crate::Platform::fixed_seconds`] (the
+//!   calibration the engine shares), `shape` is `log2(2 + in_tuples)` for
+//!   shuffle-heavy kinds and `1` otherwise, and `spill = 4` once the
+//!   operator's working set exceeds the platform's memory budget.
 //! * **Startup** is charged once per *distinct platform* used by the plan.
 //! * **Conversions** are charged per dataflow edge whose endpoint platforms
-//!   differ, at the cheapest COT path cost for the producer's output
-//!   cardinality; an infeasible conversion yields `f64::INFINITY` (the
-//!   plan is unexecutable).
+//!   differ, at [`PlatformRegistry::conversion_seconds`] for the producer's
+//!   output cardinality; an infeasible conversion yields `f64::INFINITY`
+//!   (the plan is unexecutable).
 
 use robopt_plan::{rng::mix64, LogicalPlan, OperatorKind};
 
 use crate::backend::SimProfile;
 use crate::registry::{PlatformId, PlatformRegistry};
-
-/// Seconds of per-operator fixed overhead per unit of `Platform::fixed_cost`.
-/// Public since ISSUE 8: the engine models its deterministic overheads on
-/// the same calibration so simulator and engine rank assignments alike.
-pub const C_FIXED: f64 = 0.05;
-
-/// Per-iteration loop-synchronization surcharge on a `RepeatLoop`'s fixed
-/// cost; public for the same reason as [`C_FIXED`].
-pub const LOOP_SYNC_FACTOR: f64 = 0.25;
 
 /// Spill multiplier once an operator's working set exceeds platform memory.
 const SPILL_FACTOR: f64 = 4.0;
@@ -210,18 +202,18 @@ impl<'a> RuntimeSimulator<'a> {
                 1.0
             };
             // Iterative dataflow (`RepeatLoop` with a trip count) re-scans
-            // its input every iteration and pays a per-iteration loop
-            // synchronization surcharge on the fixed cost. Inert loops
+            // its input every iteration; its fixed cost carries the
+            // per-iteration synchronization surcharge. Inert loops
             // (`iterations == 0`) multiply by exactly 1.0, so pre-existing
             // plans keep bit-identical estimates.
             let iters = plan.op(op).iterations;
-            let (loop_work, loop_fixed) = if kind == OperatorKind::RepeatLoop && iters >= 1 {
-                (f64::from(iters), 1.0 + LOOP_SYNC_FACTOR * f64::from(iters))
+            let loop_work = if kind == OperatorKind::RepeatLoop && iters >= 1 {
+                f64::from(iters)
             } else {
-                (1.0, 1.0)
+                1.0
             };
             let work = in_t * desc.tuple_rate * shape * spill * loop_work / desc.parallelism;
-            let fixed = desc.fixed_cost * C_FIXED * loop_fixed;
+            let fixed = desc.fixed_seconds(plan.op(op));
             let noise = self.noise_factor(run_key, op, p);
             total += (fixed + work) * noise;
             if let Some(prof) = profile.as_deref_mut() {
@@ -243,15 +235,13 @@ impl<'a> RuntimeSimulator<'a> {
             if pu != pv {
                 let c = self
                     .registry
-                    .conversion_cost(pu, pv, plan.out_card()[u as usize]);
+                    .conversion_seconds(pu, pv, plan.out_card()[u as usize]);
                 if c.is_infinite() {
                     return f64::INFINITY;
                 }
-                // Conversion channel costs are calibrated in oracle cost
-                // units; one unit ≈ C_FIXED seconds on the simulated cluster.
-                total += c * C_FIXED;
+                total += c;
                 if let Some(prof) = profile.as_deref_mut() {
-                    prof.overhead += c * C_FIXED;
+                    prof.overhead += c;
                 }
             }
         }

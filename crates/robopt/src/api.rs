@@ -491,6 +491,16 @@ pub struct StatsResponse {
 pub enum ServiceError {
     /// Request parameters outside their documented domain.
     InvalidRequest(String),
+    /// A well-formed request over a work budget, refused before any of the
+    /// work starts: it would take `estimate` units of `what`, over `limit`.
+    TooLarge {
+        /// What the budget counts, e.g. `"unpruned plan rows"`.
+        what: &'static str,
+        /// Units the request would take.
+        estimate: u64,
+        /// Units the budget allows.
+        limit: u64,
+    },
     /// An assignment named a platform the registry does not have.
     UnknownPlatform(String),
     /// An explicit assignment's length does not match the plan.
@@ -510,6 +520,11 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
+            ServiceError::TooLarge {
+                what,
+                estimate,
+                limit,
+            } => write!(f, "too large: {estimate} {what}, over the limit of {limit}"),
             ServiceError::UnknownPlatform(name) => write!(f, "unknown platform: {name}"),
             ServiceError::AssignmentLength { expected, got } => {
                 write!(

@@ -262,21 +262,22 @@ impl Optimizer {
                 req.n_trees
             )));
         }
-        let (rows, width) = (req.rows as u64, self.layout.width as u64);
-        let cells = rows.saturating_mul(width);
+        let rows = req.rows as u64;
+        let cells = rows.saturating_mul(self.layout.width as u64);
         if cells > MAX_TRAIN_CELLS {
-            return Err(ServiceError::InvalidRequest(format!(
-                "training set would hold {cells} feature cells ({rows} rows of width {width}), \
-                 over the limit of {MAX_TRAIN_CELLS}: ask for fewer rows"
-            )));
+            return Err(ServiceError::TooLarge {
+                what: "training feature cells",
+                estimate: cells,
+                limit: MAX_TRAIN_CELLS,
+            });
         }
         let row_trees = rows.saturating_mul(req.n_trees as u64);
         if row_trees > MAX_TRAIN_ROW_TREES {
-            return Err(ServiceError::InvalidRequest(format!(
-                "fitting would take {row_trees} row-trees ({rows} rows x {} trees), \
-                 over the limit of {MAX_TRAIN_ROW_TREES}: ask for fewer rows or trees",
-                req.n_trees
-            )));
+            return Err(ServiceError::TooLarge {
+                what: "training rows x trees",
+                estimate: row_trees,
+                limit: MAX_TRAIN_ROW_TREES,
+            });
         }
         let set = match req.source {
             TrainSource::Simulator { seed, noise } => {
@@ -450,10 +451,11 @@ impl Optimizer {
                 rows.saturating_mul(k as u64)
             });
             if rows > MAX_UNPRUNED_ROWS {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "unpruned search would hold {rows} plan rows, over the limit of \
-                     {MAX_UNPRUNED_ROWS}: leave pruning on for this plan"
-                )));
+                return Err(ServiceError::TooLarge {
+                    what: "unpruned plan rows",
+                    estimate: rows,
+                    limit: MAX_UNPRUNED_ROWS,
+                });
             }
         }
         let risk = req.risk.unwrap_or_default();
@@ -818,25 +820,27 @@ mod tests {
             }),
             Err(ServiceError::InvalidRequest(_))
         ));
-        // Over the work budget: refused before a row is generated, with
-        // the estimate and the limit named. A million rows would reserve
-        // 1.7 GB; 20 000 rows x 1 024 trees would fit for many minutes.
+        // Over the work budget: refused before a row is generated, as a
+        // request too large rather than a malformed one, with the estimate
+        // and the limit named. A million rows would reserve 1.7 GB;
+        // 20 000 rows x 1 024 trees would fit for many minutes.
         for (req, estimate, limit) in [
-            (TrainRequest::new(1_000_000), "211000000", MAX_TRAIN_CELLS),
+            (TrainRequest::new(1_000_000), 211_000_000, MAX_TRAIN_CELLS),
             (
                 TrainRequest {
                     n_trees: 1024,
                     ..TrainRequest::new(20_000)
                 },
-                "20480000",
+                20_480_000,
                 MAX_TRAIN_ROW_TREES,
             ),
         ] {
             match opt.train(&req) {
-                Err(ServiceError::InvalidRequest(msg)) => {
-                    assert!(msg.contains(estimate), "{msg}");
-                    assert!(msg.contains(&limit.to_string()), "{msg}");
-                }
+                Err(ServiceError::TooLarge {
+                    estimate: e,
+                    limit: l,
+                    ..
+                }) => assert_eq!((e, l), (estimate, limit)),
                 other => panic!("{} rows x {} trees: {other:?}", req.rows, req.n_trees),
             }
         }

@@ -649,6 +649,14 @@ pub(crate) mod tests {
                 )),
                 r#"{"ok":false,"error":"parse error: line\nbreak, bell \u0007, \"quote\", π"}"#.to_string(),
             ),
+            (
+                Response::Error(ServiceError::TooLarge {
+                    what: "unpruned plan rows",
+                    estimate: 56_250_000,
+                    limit: 262_144,
+                }),
+                r#"{"ok":false,"error":"too large: 56250000 unpruned plan rows, over the limit of 262144"}"#.to_string(),
+            ),
         ]
         .into()
     }

@@ -5,8 +5,10 @@
 //! a dataflow edge to an operator outside the scope. Two subplans with equal
 //! footprints interact identically with the rest of the plan, so `prune`
 //! keeps only the cheapest row per footprint (lossless, Lemma 1). The
-//! footprint is hashed to a `u64` key with a SplitMix-style mixer; `prune`
-//! is then one hash-map pass.
+//! footprint is hashed to a `u64` key with the workspace's SplitMix64
+//! finalizer ([`mix64`]); `prune` is then one hash-map pass.
+
+use robopt_plan::rng::mix64;
 
 /// A subplan scope over at most 128 operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,13 +77,6 @@ impl Scope {
     }
 }
 
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Hash the footprint of a row: `boundary_ops` must be in ascending op-id
 /// order (canonical form — Def. 2's sorted pair list) and `assign` is the
 /// row's full per-operator assignment array.
@@ -91,7 +86,7 @@ pub fn footprint_hash(boundary_ops: &[u32], assign: &[u8]) -> u64 {
     for &op in boundary_ops {
         debug_assert!((op as usize) < assign.len());
         let pair = ((op as u64) << 8) | assign[op as usize] as u64;
-        h = mix(h ^ pair).rotate_left(17) ^ h;
+        h = mix64(h ^ pair).rotate_left(17) ^ h;
     }
     h
 }
@@ -128,7 +123,7 @@ impl SigHasher {
     /// Absorb one word. Same combine step as [`footprint_hash`].
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.h = mix(self.h ^ v).rotate_left(17) ^ self.h;
+        self.h = mix64(self.h ^ v).rotate_left(17) ^ self.h;
     }
 
     /// Absorb an `f64` by bit pattern (`-0.0` and `0.0` hash differently;
@@ -141,7 +136,7 @@ impl SigHasher {
     /// Finalized signature for everything written so far.
     #[inline]
     pub fn finish(&self) -> u64 {
-        mix(self.h)
+        mix64(self.h)
     }
 }
 
@@ -195,7 +190,7 @@ impl FootprintTable {
     /// Probe start for `key` in the current slot table.
     #[inline]
     fn start(&self, key: u64) -> usize {
-        mix(key) as usize & (self.slots.len() - 1)
+        mix64(key) as usize & (self.slots.len() - 1)
     }
 
     /// Value stored under `key`, if any.
@@ -253,7 +248,7 @@ impl FootprintTable {
         self.slots.resize(new_len, 0);
         let mask = new_len - 1;
         for (idx, &(key, _)) in self.entries.iter().enumerate() {
-            let mut i = mix(key) as usize & mask;
+            let mut i = mix64(key) as usize & mask;
             loop {
                 match self.slots.get(i).copied() {
                     None | Some(0) => break,

@@ -112,7 +112,9 @@ fn seeded_run_digest() -> u64 {
 
         // Object-graph baseline through the escape hatch.
         let plan = spec.build().expect("workload spec builds");
-        let object = object_enum.enumerate(&plan, warm.layout(), warm.enum_options());
+        let object = object_enum
+            .enumerate(&plan, warm.layout(), warm.enum_options())
+            .0;
         mix(&mut h, object.cost.to_bits());
         for &p in &object.raw_assignments() {
             mix(&mut h, p as u64);

@@ -2,8 +2,10 @@
 //!
 //! * byte-identity — the multi-threaded engine's terminal record streams
 //!   and per-operator row counts equal the independent single-threaded
-//!   reference executor's, for every workload family, for seeded random
-//!   DAGs, for seeded DAGs of narrow chains fused into keyed operators and
+//!   reference executor's, for every workload family (also at the spec
+//!   domain's edges: scale 1 and 2, one iteration, two operators), for
+//!   seeded random DAGs, for seeded DAGs of narrow chains fused into keyed
+//!   operators and
 //!   for the hand-built shapes the take-or-borrow rule could get wrong,
 //!   across 1/2/4 workers, all-`java` and all-`spark` (whose workers
 //!   really fan out);
@@ -25,32 +27,66 @@ use robopt_platforms::{ExecutionBackend, PlatformRegistry, RuntimeSimulator};
 
 const SEED: u64 = 0x0E6E_7E57;
 
-fn workloads() -> Vec<(&'static str, WorkloadSpec)> {
-    vec![
-        ("wordcount", WorkloadSpec::WordCount { scale: 2.0e4 }),
-        ("tpch_q3", WorkloadSpec::TpchQ3 { scale: 1.0e4 }),
-        (
-            "pagerank",
+fn workloads() -> Vec<WorkloadSpec> {
+    let mut specs = vec![
+        WorkloadSpec::WordCount { scale: 2.0e4 },
+        WorkloadSpec::TpchQ3 { scale: 1.0e4 },
+        WorkloadSpec::PageRank {
+            scale: 3.0e3,
+            iterations: 4,
+        },
+        WorkloadSpec::KMeans {
+            scale: 3.0e3,
+            iterations: 4,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 10,
+            scale: 1.0e4,
+        },
+    ];
+    // The spec domain's edges: sources shorter than the worker count,
+    // one-iteration loops, the shortest pipeline, and two-operator DAGs
+    // with no and with every extra edge.
+    for scale in [1.0, 2.0] {
+        specs.extend([
+            WorkloadSpec::WordCount { scale },
+            WorkloadSpec::TpchQ3 { scale },
             WorkloadSpec::PageRank {
-                scale: 3.0e3,
+                scale,
                 iterations: 4,
             },
-        ),
-        (
-            "kmeans",
             WorkloadSpec::KMeans {
-                scale: 3.0e3,
+                scale,
                 iterations: 4,
             },
-        ),
-        (
-            "pipeline",
-            WorkloadSpec::Pipeline {
-                ops: 10,
-                scale: 1.0e4,
-            },
-        ),
-    ]
+            WorkloadSpec::Pipeline { ops: 10, scale },
+        ]);
+    }
+    specs.extend([
+        WorkloadSpec::PageRank {
+            scale: 3.0e3,
+            iterations: 1,
+        },
+        WorkloadSpec::KMeans {
+            scale: 3.0e3,
+            iterations: 1,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 2,
+            scale: 1.0e4,
+        },
+        WorkloadSpec::RandomDag {
+            seed: SEED,
+            ops: 2,
+            density: 0.0,
+        },
+        WorkloadSpec::RandomDag {
+            seed: SEED,
+            ops: 2,
+            density: 1.0,
+        },
+    ]);
+    specs
 }
 
 /// Run `plan` on the reference executor and on the engine at 1, 2 and 4
@@ -95,12 +131,12 @@ fn assert_engine_matches_reference(name: &str, plan: &LogicalPlan, max_rows: u64
 
 #[test]
 fn engine_output_is_byte_identical_to_the_reference_across_worker_counts() {
-    for (name, spec) in workloads() {
-        let plan = spec.build().expect("workload spec builds");
-        let rows = assert_engine_matches_reference(name, &plan, DEFAULT_MAX_SOURCE_ROWS);
+    for spec in workloads() {
+        let (name, plan) = (spec.name(), spec.build().expect("workload spec builds"));
+        let rows = assert_engine_matches_reference(&name, &plan, DEFAULT_MAX_SOURCE_ROWS);
         // Row counts are taken when an output is produced: a producer whose
         // buffer its consumer took still reports what it made.
-        if name == "wordcount" {
+        if spec == (WorkloadSpec::WordCount { scale: 2.0e4 }) {
             assert_eq!(rows.first(), Some(&20_000), "{name}: source rows");
             assert!(rows.iter().all(|&r| r > 0), "{name}: rows {rows:?}");
         }

@@ -353,7 +353,7 @@ fn a_plan_of_all_24_kinds_enumerates_in_the_full_layout_with_the_same_answer() {
     let opts = EnumOptions::new(&registry).with_oracle(&oracle);
     // The object-graph baseline encodes every candidate in the full layout
     // from scratch: a reference that shares no row with the enumerator.
-    let reference = ObjectEnumerator::new().enumerate(&plan, &full, opts);
+    let reference = ObjectEnumerator::new().enumerate(&plan, &full, opts).0;
     let (serial, _) = Enumerator::new().enumerate(&plan, &full, opts);
     let (split, _) = ParallelEnumerator::new(2)
         .with_split(SplitOptions::new(4))

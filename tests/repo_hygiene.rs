@@ -1,5 +1,6 @@
 //! Repo-shaped invariants no compiler or clippy lint can see (DESIGN §8):
-//! the build is offline, every package opts into the lint tables, the docs
+//! the build is offline, every package opts into the lint tables, the
+//! product libraries fan out threads in one file only, the docs
 //! name no artifact without a binary that writes it, and EXPERIMENTS.md
 //! quotes its artifacts instead of copying them — one table, whose rows
 //! hold only numbers their binary's `.txt` holds. Each check is a pure
@@ -149,6 +150,30 @@ fn quote_findings(doc: &str, outputs: &[(String, String)]) -> Vec<String> {
     found
 }
 
+/// The one file that may fan out or read the host's core count.
+const FAN_OUT_HOME: &str = "crates/plan/src/par.rs";
+
+/// The workspace has one scoped fan-out and one read of the host's core
+/// count, both in [`FAN_OUT_HOME`]: a code line calling `thread::scope(` or
+/// `available_parallelism(` anywhere else is a second home. A file's test
+/// module — `#[cfg(test)]` over `mod`, which clippy keeps last — is exempt.
+fn fan_out_findings(rel: &str, source: &str) -> Vec<String> {
+    if rel == FAN_OUT_HOME {
+        return Vec::new();
+    }
+    let lines: Vec<&str> = source.lines().map(str::trim_start).collect();
+    let product = lines
+        .windows(2)
+        .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod "))
+        .unwrap_or(lines.len());
+    let calls = ["thread::scope(", "available_parallelism("];
+    let code = lines[..product].iter().enumerate();
+    let found = code.filter(|(_, l)| !l.starts_with("//") && calls.iter().any(|c| l.contains(c)));
+    found
+        .map(|(i, _)| format!("{rel}:{}: fans out outside {FAN_OUT_HOME}", i + 1))
+        .collect()
+}
+
 fn read(rel: &str) -> io::Result<String> {
     fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(rel))
 }
@@ -160,6 +185,22 @@ fn read_each(dir: &str, leaf: &str) -> io::Result<Vec<(String, String)>> {
         let rel = format!("{dir}/{}{leaf}", entry?.file_name().to_string_lossy());
         let text = read(&rel)?;
         out.push((rel, text));
+    }
+    Ok(out)
+}
+
+/// `(repo-relative path, text)` of every `.rs` file under `dir`.
+fn read_rs_tree(dir: &str) -> io::Result<Vec<(String, String)>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join(dir))? {
+        let entry = entry?;
+        let rel = format!("{dir}/{}", entry.file_name().to_string_lossy());
+        if entry.file_type()?.is_dir() {
+            out.extend(read_rs_tree(&rel)?);
+        } else if rel.ends_with(".rs") {
+            let text = read(&rel)?;
+            out.push((rel, text));
+        }
     }
     Ok(out)
 }
@@ -233,6 +274,23 @@ fn summary_rows_quote_their_artifacts_digit_for_digit() {
 }
 
 #[test]
+fn the_fan_out_has_one_home() {
+    let mut sources = read_rs_tree("crates").expect("crate sources");
+    // Library sources only; the front ends time and fan out however their
+    // job needs.
+    let front_ends = ["crates/bench/", "crates/cli/"];
+    sources
+        .retain(|(rel, _)| rel.contains("/src/") && !front_ends.iter().any(|f| rel.starts_with(f)));
+    sources.extend(read_rs_tree("src").expect("root sources"));
+    assert!(
+        sources.iter().any(|(rel, _)| rel == FAN_OUT_HOME),
+        "{FAN_OUT_HOME} is missing"
+    );
+    let found = sources.iter().flat_map(|(rel, s)| fan_out_findings(rel, s));
+    assert_eq!(found.collect::<Vec<_>>(), Vec::<String>::new());
+}
+
+#[test]
 fn numbers_are_scanned_as_the_pattern_reads() {
     let found = numbers("q0.9 of 1e7: 2.4x, 7745.5 ms, 3. 12");
     assert_eq!(found, ["0.9", "1", "7", "2.4", "7745.5", "3", "12"]);
@@ -269,6 +327,11 @@ fn bad_inputs_are_reported() {
         quote_findings(&format!("{header}{misquoted}"), &txt),
         quote_findings(&format!("{header}{unnamed}{misquoted}"), &txt),
         table_findings(&format!("{header}{unnamed}\n### Fig 2\n\n| rows | MSE |\n")),
+        fan_out_findings(
+            "crates/engine/src/exec.rs",
+            "// one thread::scope( per pass\nfn pass() {\n    std::thread::scope(|s| {});\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { std::thread::available_parallelism(); }\n}\n",
+        ),
     ];
     for (i, findings) in cases.iter().enumerate() {
         assert_eq!(findings.len(), 1, "case {i}: {findings:?}");

@@ -249,12 +249,11 @@ fn invalid_requests_error_instead_of_panicking() {
         density: 0.5,
     };
     let pipeline = WorkloadSpec::Pipeline { ops: 9, scale: 1e6 };
-    for (spec, rows) in [(dag, "56250000"), (pipeline, "360000")] {
+    for (spec, rows) in [(dag, 56_250_000), (pipeline, 360_000)] {
         match opt.optimize(&OptimizeRequest::new(spec).with_policy(unpruned)) {
-            Err(ServiceError::InvalidRequest(msg)) => assert!(
-                msg.contains(rows) && msg.contains("262144"),
-                "message names the estimate and the limit: {msg}"
-            ),
+            Err(ServiceError::TooLarge {
+                estimate, limit, ..
+            }) => assert_eq!((estimate, limit), (rows, 262_144)),
             other => panic!("over-budget unpruned request answered {other:?}"),
         }
     }
