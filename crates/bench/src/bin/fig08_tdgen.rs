@@ -2,11 +2,12 @@
 //!
 //! Four measurements back the paper's §V claims:
 //!
-//! 1. **Interpolation fidelity** — on noiseless curves, labels synthesized
-//!    by the piecewise degree-5 log-log fit at held-out scales are compared
-//!    against direct simulation: pooled Spearman must stay ≥ 0.95 (ranking
-//!    is what enumeration consumes) and the q-error distribution is
-//!    reported.
+//! 1. **Interpolation fidelity** — on the curves the generator draws (its
+//!    skeletons and stratified assignments, swept without noise), labels
+//!    synthesized by the piecewise degree-5 log-log fit at held-out scales
+//!    are compared against direct simulation: pooled Spearman must stay
+//!    ≥ 0.95 (ranking is what enumeration consumes) and the q-error
+//!    distribution is reported.
 //! 2. **Throughput and simulator-call reduction** — rows/second for TDGEN
 //!    vs the direct-labelling `SimulatorSource` on the same row budget;
 //!    TDGEN must spend ≥ 5× fewer simulator invocations per row.
@@ -32,10 +33,7 @@ use robopt_ml::{
 use robopt_plan::rng::SplitMix64;
 use robopt_plan::{workloads, N_OPERATOR_KINDS};
 use robopt_platforms::{PlatformRegistry, RuntimeSimulator};
-use robopt_tdgen::{
-    log_knots, sample_assignment, sample_skeleton, PiecewisePoly, ShapeKind, TdgenConfig,
-    TdgenGenerator, BETA, KNOTS, OPS_RANGE, SCALE_RANGE,
-};
+use robopt_tdgen::{Curve, ShapeKind, TdgenConfig, TdgenGenerator, BETA, KNOTS, SCALE_RANGE};
 use robopt_vector::FeatureLayout;
 
 const TDGEN_SEED: u64 = 0x0008_7d9e;
@@ -52,52 +50,38 @@ struct Fidelity {
     q_max: f64,
 }
 
+/// Interpolated against simulated labels at `probes_per_curve` held-out
+/// scales of each of the first `curves` curves a generator draws: the
+/// generator's own skeletons and stratified assignments, each swept under
+/// a noiseless simulator so fidelity is judged against clean curves.
 fn measure_fidelity(
     registry: &PlatformRegistry,
+    layout: FeatureLayout,
     curves: usize,
     probes_per_curve: usize,
 ) -> Fidelity {
-    let mut rng = SplitMix64::new(TDGEN_SEED ^ 0xf1de);
-    // Noiseless simulator: fidelity must be judged against clean curves.
+    let cfg = TdgenConfig::new().with_seed(TDGEN_SEED ^ 0xf1de);
+    let mut draws = TdgenGenerator::new(registry, layout, cfg);
+    // The probe scales draw from a stream of their own.
+    let mut rng = SplitMix64::new(TDGEN_SEED ^ 0x9b0e);
     let sim = RuntimeSimulator::new(registry, SIM_SEED).with_noise(0.0);
-    let (lo, hi) = SCALE_RANGE;
-    let knot_scales = log_knots(lo, hi, KNOTS);
-    let (lln, hln) = (lo.ln(), hi.ln());
     let mut interp = Vec::new();
     let mut truth = Vec::new();
     let mut done = 0;
     while done < curves {
-        let shape = ShapeKind::ALL[rng.gen_range(ShapeKind::ALL.len())];
-        let (min_ops, max_ops) = OPS_RANGE;
-        let n_ops = min_ops + rng.gen_range(max_ops - min_ops + 1);
-        let skel = sample_skeleton(&mut rng, registry, shape, n_ops);
-        let Some(assign) = sample_assignment(&skel, registry, BETA, &mut rng, 64) else {
-            continue;
-        };
-        let mut ln_xs = Vec::with_capacity(knot_scales.len());
-        let mut ys = Vec::with_capacity(knot_scales.len());
-        let mut finite = true;
-        for &scale in &knot_scales {
-            let seconds = sim.simulate_raw(&skel.instantiate(scale), &assign);
-            if !seconds.is_finite() {
-                finite = false;
-                break;
+        let (skel, assigns) = draws.next_skeleton();
+        for assign in assigns.iter().take(curves - done) {
+            let Ok(curve) = Curve::sweep(&skel, assign, &sim) else {
+                continue;
+            };
+            let (lln, hln) = (curve.scales[0].ln(), curve.scales[KNOTS - 1].ln());
+            for _ in 0..probes_per_curve {
+                let ln_s = lln + (hln - lln) * rng.next_f64();
+                interp.push(TrainingSet::label_to_seconds(curve.label_at(ln_s)));
+                truth.push(sim.simulate_raw(&skel.instantiate(ln_s.exp()), assign));
             }
-            ln_xs.push(scale.ln());
-            ys.push(seconds.ln_1p());
+            done += 1;
         }
-        if !finite {
-            continue;
-        }
-        let poly = PiecewisePoly::fit(&ln_xs, &ys);
-        for _ in 0..probes_per_curve {
-            let ln_s = lln + (hln - lln) * rng.next_f64();
-            let predicted = TrainingSet::label_to_seconds(poly.eval(ln_s));
-            let actual = sim.simulate_raw(&skel.instantiate(ln_s.exp()), &assign);
-            interp.push(predicted);
-            truth.push(actual);
-        }
-        done += 1;
     }
     let mut q_sum = 0.0;
     let mut q_max = 0.0_f64;
@@ -157,7 +141,7 @@ fn main() {
     let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
 
     // ---- 1. Interpolation fidelity --------------------------------------
-    let fid = measure_fidelity(&registry, fid_curves, fid_probes);
+    let fid = measure_fidelity(&registry, layout, fid_curves, fid_probes);
 
     // ---- 2. Throughput + reduction --------------------------------------
     let cfg = TdgenConfig::new().with_seed(TDGEN_SEED);

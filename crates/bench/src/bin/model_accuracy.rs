@@ -70,8 +70,7 @@ fn main() {
     let mut final_forest: Option<RandomForest> = None;
     for &n in sizes {
         let subset = train.truncated(n);
-        let mut linear = LinearModel::new();
-        linear.fit(subset.rows_view(), &subset.labels);
+        let linear = LinearModel::fit(subset.rows_view(), &subset.labels);
         let forest = RandomForest::fit_on(&forest_cfg, &subset);
         let (linear_m, _) = eval_model(&linear, &heldout);
         let (forest_m, forest_q) = eval_model(&forest, &heldout);

@@ -22,9 +22,7 @@
 use std::io::{BufRead, BufReader, Write};
 
 use robopt::json::Writer;
-use robopt::{
-    parse_request, render_response, Optimizer, Request, Response, RiskPolicy, ServiceError,
-};
+use robopt::{parse_request, render_response, Optimizer, Request, Response, ServiceError};
 
 /// Successful run.
 pub const EXIT_OK: i32 = 0;
@@ -69,11 +67,10 @@ const USAGE: &str = "robopt — optimizer-as-a-service for cross-platform query 
 
 USAGE:
   robopt serve [--tcp PORT] [--cache-capacity N] [--no-cache] [--model FILE]
-               [--risk POLICY]
       Line-delimited JSON request loop ({\"op\":\"optimize\"|\"execute\"|
       \"compare\"|\"train\"|\"stats\"|\"quit\"}) over stdin or a
-      loopback TCP socket. --risk sets the session default policy for
-      optimize requests that don't carry their own.
+      loopback TCP socket. An optimize request carries its own risk
+      policy (\"risk\", default expected).
 
   robopt optimize [workload flags] [--workers N] [--split-parts N]
                   [--no-prune] [--no-clamp] [--risk POLICY] [--model FILE]
@@ -158,7 +155,6 @@ const FLAGS: &[FlagRow] = &[
     ("--forest-seed", &["train"], "forest_seed", Kind::Num),
     ("--model", MODEL, "", Kind::Str),
     ("--model-out", &["train"], "", Kind::Str),
-    ("--risk", &["serve"], "", Kind::Str),
     ("--cache-capacity", &["serve"], "", Kind::Num),
     ("--no-cache", &["serve"], "", Kind::Off),
     ("--tcp", &["serve"], "", Kind::Num),
@@ -255,7 +251,7 @@ fn request_line(verb: &str, flags: &[Flag<'_>]) -> Result<String, String> {
 }
 
 /// Build the facade from the deployment flags: `--model`,
-/// `--cache-capacity`, `--no-cache`, and `serve --risk`.
+/// `--cache-capacity` and `--no-cache`.
 fn optimizer_from_flags(flags: &[Flag<'_>]) -> Result<Optimizer, String> {
     let mut opt = Optimizer::named();
     if let Some(capacity) = deployment(flags, "--cache-capacity") {
@@ -273,13 +269,6 @@ fn optimizer_from_flags(flags: &[Flag<'_>]) -> Result<Optimizer, String> {
         let forest = robopt::forest_from_json(&text).map_err(|e| e.to_string())?;
         opt.install_forest(forest).map_err(|e| e.to_string())?;
     }
-    // Session-wide default; `robopt serve --risk` applies it to every
-    // optimize request that doesn't carry its own policy.
-    opt.set_default_risk(
-        deployment(flags, "--risk")
-            .map(RiskPolicy::parse)
-            .transpose()?,
-    );
     Ok(opt)
 }
 
@@ -635,7 +624,9 @@ mod tests {
     #[test]
     fn serve_loop_survives_garbage_and_over_budget_lines() {
         // The third line used to abort the daemon in `handle_alloc_error`;
-        // the fourth used to reserve 1.7 GB of training rows.
+        // the fourth used to reserve 1.7 GB of training rows. Of the last
+        // three optimize lines, the first asked one merge for 9.6 GB and the
+        // other two staged 22–31 million rows each.
         let script = concat!(
             "this is not json\n",
             r#"{"op":"warp"}"#,
@@ -644,6 +635,12 @@ mod tests {
             "\n",
             r#"{"op":"train","rows":1000000}"#,
             "\n",
+            r#"{"op":"optimize","workload":{"kind":"random_dag","ops":48}}"#,
+            "\n",
+            r#"{"op":"optimize","workload":{"kind":"random_dag","ops":32}}"#,
+            "\n",
+            r#"{"op":"optimize","workload":{"kind":"random_dag","ops":24,"density":1.0}}"#,
+            "\n",
             r#"{"op":"stats"}"#,
             "\n",
         );
@@ -651,15 +648,22 @@ mod tests {
         let mut out = CountingWriter::default();
         let quit = serve_lines(&mut opt, script.as_bytes(), &mut out);
         assert!(!quit, "EOF, not quit");
-        assert_eq!(out.writes, 5, "an error reply is one write too");
+        assert_eq!(out.writes, 8, "an error reply is one write too");
         let text = String::from_utf8(out.bytes).expect("utf-8 output");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        for refused in &lines[..4] {
+        assert_eq!(lines.len(), 8);
+        for refused in &lines[..7] {
             assert!(refused.contains("\"ok\":false"), "{refused}");
         }
-        for named in ["too large", "56250000", "262144"] {
-            assert!(lines[2].contains(named), "{named}: {}", lines[2]);
+        for (line, estimate) in [
+            (2, "2954279"),
+            (4, "2360023"),
+            (5, "299354"),
+            (6, "1104508"),
+        ] {
+            for named in ["too large", estimate, "enumeration rows", "262144"] {
+                assert!(lines[line].contains(named), "{named}: {}", lines[line]);
+            }
         }
         for named in ["too large", "211000000", "16777216"] {
             assert!(lines[3].contains(named), "{named}: {}", lines[3]);
@@ -668,14 +672,14 @@ mod tests {
             opt.forest().is_none(),
             "the refused train installed nothing"
         );
-        // The refused optimize was counted, missed, and cached nothing.
+        // The refused optimizes were counted, missed, and cached nothing.
         for counter in [
             "\"ok\":true",
-            "\"requests\":1",
-            "\"misses\":1",
+            "\"requests\":4",
+            "\"misses\":4",
             "\"insertions\":0",
         ] {
-            assert!(lines[4].contains(counter), "{counter}: {}", lines[4]);
+            assert!(lines[7].contains(counter), "{counter}: {}", lines[7]);
         }
     }
 
@@ -816,7 +820,7 @@ mod tests {
         let Ok(Request::Optimize(req)) = request("optimize", &["--risk", "sigma1.5"]) else {
             panic!("optimize line parsed as another verb");
         };
-        assert_eq!(req.risk, Some(RiskPolicy::MeanPlusKSigma(1.5)));
+        assert_eq!(req.risk, Some(robopt::RiskPolicy::MeanPlusKSigma(1.5)));
         let Ok(Request::Optimize(req)) = request("optimize", &[]) else {
             panic!("optimize line parsed as another verb");
         };
@@ -825,9 +829,6 @@ mod tests {
             request("optimize", &["--risk", "wild"]).is_err(),
             "unknown policy is a usage error"
         );
-        let wild = args(&["--risk", "wild"]);
-        let serve_flags = parse_flags("serve", &wild).expect("serve takes --risk");
-        assert!(optimizer_from_flags(&serve_flags).is_err());
         // End to end: the policy rides the wire into the response.
         let script = concat!(
             r#"{"op":"optimize","workload":{"kind":"wordcount","scale":1e6},"risk":"q0.9"}"#,
@@ -851,6 +852,7 @@ mod tests {
             ("optimize", &["--scael", "1e9"], "--scael"),
             ("optimize", &["--rows", "64"], "--rows"),
             ("compare", &["--risk", "sigma2"], "--risk"),
+            ("serve", &["--risk", "sigma2"], "--risk"),
             ("train", &["--no-cache"], "--no-cache"),
         ] {
             let err = parse_flags(verb, &args(bad)).expect_err("bad command line");

@@ -188,6 +188,28 @@ impl EnumStats {
     }
 }
 
+/// A search refused because its next merge would take the candidate rows
+/// staged so far ([`EnumStats::generated`]) past its budget. A merge stages
+/// at most its two units' row product, so the budget bounds every
+/// reservation too: the refusal comes before the merge allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OverBudget {
+    /// Rows staged so far plus the refused merge's row product.
+    pub estimate: u64,
+    /// The budget.
+    pub limit: u64,
+}
+
+/// The result of a search under the `u64::MAX` budget, which no search
+/// exceeds: staged rows are counted with saturating adds.
+#[expect(
+    clippy::expect_used,
+    reason = "an estimate saturates at u64::MAX, so it is never over a u64::MAX budget"
+)]
+pub(crate) fn unbudgeted<T>(search: Result<T, OverBudget>) -> T {
+    search.expect("no search exceeds the u64::MAX budget")
+}
+
 /// Def-3 priority of contracting dataflow edge `edge`, smallest first:
 /// `(frontier, u64::MAX - larger_rows, edge)`. The one merge order of the
 /// workspace — [`Enumerator`] pops it from a heap, the Rheem-ML strawman
@@ -519,14 +541,18 @@ impl Enumerator {
     /// stored key no longer matches current unit state is re-pushed with the
     /// current value. Every listed edge's endpoints must already be covered
     /// by live units (seeded singletons or installed part results).
+    ///
+    /// Refuses, before taking the units apart, the first merge that would
+    /// take `stats.generated` past `max_rows`.
     pub(crate) fn contract_edges(
         &mut self,
         plan: &LogicalPlan,
         layout: &PlanLayout,
         opts: EnumOptions<'_>,
         edges: &[u32],
+        max_rows: u64,
         stats: &mut EnumStats,
-    ) {
+    ) -> Result<(), OverBudget> {
         let registry = opts.registry();
         let oracle = opts.oracle();
         let n = plan.n_ops();
@@ -551,9 +577,18 @@ impl Enumerator {
                 continue;
             }
 
+            let (rows_a, rows_b) = (self.unit_shape(ra).0, self.unit_shape(rb).0);
+            let estimate = (rows_a as u64)
+                .saturating_mul(rows_b as u64)
+                .saturating_add(stats.generated);
+            if estimate > max_rows {
+                return Err(OverBudget {
+                    estimate,
+                    limit: max_rows,
+                });
+            }
             let a = self.take_unit(ra);
             let b = self.take_unit(rb);
-            let (rows_a, rows_b) = (a.mat.rows(), b.mat.rows());
             let merged_scope = a.scope.union(b.scope);
 
             // Dataflow edges crossing the two scopes (conversion sites).
@@ -675,6 +710,7 @@ impl Enumerator {
                 mat: dst,
             });
         }
+        Ok(())
     }
 
     /// unvectorize: detach the single surviving unit (it must cover the
@@ -726,6 +762,19 @@ impl Enumerator {
         layout: &FeatureLayout,
         opts: EnumOptions<'_>,
     ) -> (ExecutionPlan, EnumStats) {
+        unbudgeted(self.enumerate_within(plan, layout, opts, u64::MAX))
+    }
+
+    /// [`Enumerator::enumerate`], refused with [`OverBudget`] before the
+    /// first merge that would stage more than `max_rows` candidate rows in
+    /// all ([`EnumStats::generated`]).
+    pub fn enumerate_within(
+        &mut self,
+        plan: &LogicalPlan,
+        layout: &FeatureLayout,
+        opts: EnumOptions<'_>,
+        max_rows: u64,
+    ) -> Result<(ExecutionPlan, EnumStats), OverBudget> {
         check_preconditions(plan, layout, opts);
         let n = plan.n_ops();
         let mut stats = EnumStats::default();
@@ -736,9 +785,10 @@ impl Enumerator {
         let mut edges = std::mem::take(&mut self.edge_idx);
         edges.clear();
         edges.extend(0..plan.edges().len() as u32);
-        self.contract_edges(plan, layout, opts, &edges, &mut stats);
+        let contracted = self.contract_edges(plan, layout, opts, &edges, max_rows, &mut stats);
         self.edge_idx = edges;
-        (self.finish(plan, layout, opts), stats)
+        contracted?;
+        Ok((self.finish(plan, layout, opts), stats))
     }
 }
 
@@ -770,6 +820,48 @@ mod tests {
         assert!(exec.assignments.iter().all(|&p| p.index() < 2));
         assert!(exec.cost.is_finite() && exec.cost > 0.0);
         assert_eq!(stats.merges, 5);
+    }
+
+    /// The budget refuses the first merge whose staged total would pass it,
+    /// answers as the unbudgeted search at exactly its total, and leaves the
+    /// enumerator reusable.
+    #[test]
+    fn a_budget_refuses_the_first_merge_past_it() {
+        let registry = PlatformRegistry::uniform(4);
+        let layout = FeatureLayout::new(4, N_OPERATOR_KINDS);
+        let oracle = AnalyticOracle::for_registry(&registry, &layout);
+        for (ops, prune) in [(12, true), (6, false)] {
+            let plan = workloads::synthetic_pipeline(ops, 1e5);
+            let opts = EnumOptions::new(&registry)
+                .with_oracle(&oracle)
+                .with_prune(prune);
+            let mut en = Enumerator::new();
+            let free = en.enumerate(&plan, &layout, opts);
+            let total = free.1.generated;
+            let limit = total - 1;
+            assert_eq!(
+                en.enumerate_within(&plan, &layout, opts, limit),
+                Err(OverBudget {
+                    estimate: total,
+                    limit
+                }),
+                "prune {prune}: the last merge stages the total"
+            );
+            // Every singleton row, then the first merge's 4 × 4.
+            assert_eq!(
+                en.enumerate_within(&plan, &layout, opts, 0),
+                Err(OverBudget {
+                    estimate: 4 * ops as u64 + 16,
+                    limit: 0
+                }),
+                "prune {prune}"
+            );
+            assert_eq!(
+                en.enumerate_within(&plan, &layout, opts, total),
+                Ok(free),
+                "prune {prune}"
+            );
+        }
     }
 
     #[test]
@@ -974,7 +1066,7 @@ mod tests {
             en.seed_singletons(&plan, &layout, opts, Scope::full(n), &mut stats);
             en.units.iter().flatten().for_each(&mut check);
             for e in 0..plan.edges().len() as u32 {
-                en.contract_edges(&plan, &layout, opts, &[e], &mut stats);
+                unbudgeted(en.contract_edges(&plan, &layout, opts, &[e], u64::MAX, &mut stats));
                 let root = en.find(plan.edges()[e as usize].0);
                 check(en.units[root as usize].as_ref().unwrap());
             }

@@ -15,7 +15,8 @@
 //!   [`robopt_vector::EnumMatrix`] units with lossless boundary pruning
 //!   (Def. 2), availability masking and conversion-feasibility exclusion
 //!   from the [`robopt_platforms::PlatformRegistry`] carried by
-//!   [`enumerate::EnumOptions`], and enumeration statistics;
+//!   [`enumerate::EnumOptions`], enumeration statistics, and the budget on
+//!   staged rows a search can run under ([`enumerate::OverBudget`]);
 //! * [`split`] — deterministic low-connectivity plan partitioning (the
 //!   paper's `split`): minimum-crossing-edge cut boundaries over the
 //!   topological order, never through a `RepeatLoop` region;
@@ -31,7 +32,7 @@ pub mod split;
 pub mod vectorize;
 
 pub use dist::{CostDistribution, RiskPolicy};
-pub use enumerate::{merge_key, EnumOptions, EnumStats, Enumerator, MergeKey};
+pub use enumerate::{merge_key, EnumOptions, EnumStats, Enumerator, MergeKey, OverBudget};
 pub use oracle::{AnalyticOracle, CostOracle};
 pub use parallel::ParallelEnumerator;
 pub use split::{loop_regions, split_plan, PlanSplit, SplitOptions};

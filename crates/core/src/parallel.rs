@@ -29,7 +29,9 @@ use robopt_plan::par::{available_threads, par_chunks};
 use robopt_plan::LogicalPlan;
 use robopt_vector::FeatureLayout;
 
-use crate::enumerate::{check_preconditions, EnumOptions, EnumStats, Enumerator};
+use crate::enumerate::{
+    check_preconditions, unbudgeted, EnumOptions, EnumStats, Enumerator, OverBudget,
+};
 use crate::split::{split_plan, PlanSplit, SplitOptions};
 use crate::vectorize::{ExecutionPlan, PlanLayout};
 
@@ -103,6 +105,21 @@ impl ParallelEnumerator {
         layout: &FeatureLayout,
         opts: EnumOptions<'_>,
     ) -> (ExecutionPlan, EnumStats) {
+        unbudgeted(self.enumerate_within(plan, layout, opts, u64::MAX))
+    }
+
+    /// [`ParallelEnumerator::enumerate`] under the budget of
+    /// [`Enumerator::enumerate_within`]: each part is refused past
+    /// `max_rows` staged rows of its own, and the seam merge past
+    /// `max_rows` of the parts' total and its own. The lowest refused part
+    /// answers, so the refusal too is the same for every thread count.
+    pub fn enumerate_within(
+        &mut self,
+        plan: &LogicalPlan,
+        layout: &FeatureLayout,
+        opts: EnumOptions<'_>,
+        max_rows: u64,
+    ) -> Result<(ExecutionPlan, EnumStats), OverBudget> {
         check_preconditions(plan, layout, opts);
         let n = plan.n_ops();
 
@@ -110,7 +127,7 @@ impl ParallelEnumerator {
         let kp = split.len();
         if kp <= 1 {
             // No admissible cut: plain serial enumeration on the merger.
-            return self.merger.enumerate(plan, layout, opts);
+            return self.merger.enumerate_within(plan, layout, opts, max_rows);
         }
         if self.parts.len() < kp {
             self.parts.resize_with(kp, Enumerator::default);
@@ -134,12 +151,18 @@ impl ParallelEnumerator {
         let blocks = par_chunks(t, &mut self.parts[..kp], |lo, block| {
             let mut stats = EnumStats::default();
             for (j, en) in block.iter_mut().enumerate() {
-                stats.absorb(&run_part(en, plan, layout, opts, split, lo + j));
+                match run_part(en, plan, layout, opts, split, lo + j, max_rows) {
+                    Ok(part) => stats.absorb(&part),
+                    Err(over) => return (stats, Some(over)),
+                }
             }
-            stats
+            (stats, None)
         });
         let mut stats = EnumStats::default();
-        for st in &blocks {
+        for (st, over) in &blocks {
+            if let Some(over) = over {
+                return Err(*over);
+            }
             stats.absorb(st);
         }
 
@@ -163,8 +186,8 @@ impl ParallelEnumerator {
             }
         }
         self.roots = roots;
-        merger.contract_edges(plan, layout, opts, &split.seam_edges, &mut stats);
-        (merger.finish(plan, layout, opts), stats)
+        merger.contract_edges(plan, layout, opts, &split.seam_edges, max_rows, &mut stats)?;
+        Ok((merger.finish(plan, layout, opts), stats))
     }
 }
 
@@ -178,12 +201,13 @@ fn run_part(
     opts: EnumOptions<'_>,
     split: &PlanSplit,
     i: usize,
-) -> EnumStats {
+    max_rows: u64,
+) -> Result<EnumStats, OverBudget> {
     let mut st = EnumStats::default();
     en.begin(plan.n_ops(), layout);
     en.seed_singletons(plan, layout, opts, split.parts[i], &mut st);
-    en.contract_edges(plan, layout, opts, &split.part_edges[i], &mut st);
-    st
+    en.contract_edges(plan, layout, opts, &split.part_edges[i], max_rows, &mut st)?;
+    Ok(st)
 }
 
 #[cfg(test)]
@@ -237,6 +261,40 @@ mod tests {
                 .enumerate(&plan, &layout, opts);
             assert_eq!(par, base, "threads={threads}");
             assert_eq!(stats, base_stats, "threads={threads}");
+        }
+    }
+
+    /// Parts and seam merge are refused on their own and the folded
+    /// counters, the same way at every thread count; the full total is
+    /// enough for the unbudgeted answer.
+    #[test]
+    fn thread_count_does_not_change_a_budget_refusal() {
+        let plan = workloads::synthetic_pipeline(30, 1e5);
+        let (registry, layout, oracle) = setup(4);
+        let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+        let split_enumerator = |threads| {
+            ParallelEnumerator::new(threads)
+                .with_split(SplitOptions::new(5))
+                .with_hardware_clamp(false)
+        };
+        let free = split_enumerator(1).enumerate(&plan, &layout, opts);
+        let total = free.1.generated;
+        for threads in [1, 2, 3] {
+            let mut en = split_enumerator(threads);
+            for max_rows in [0, 100, total / 2, total - 1] {
+                let refused = en.enumerate_within(&plan, &layout, opts, max_rows);
+                assert_eq!(
+                    refused,
+                    split_enumerator(1).enumerate_within(&plan, &layout, opts, max_rows),
+                    "threads={threads} max_rows={max_rows}"
+                );
+                assert!(refused.is_err_and(|over| over.estimate > max_rows));
+            }
+            assert_eq!(
+                en.enumerate_within(&plan, &layout, opts, total),
+                Ok(free.clone()),
+                "threads={threads}"
+            );
         }
     }
 

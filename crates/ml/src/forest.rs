@@ -62,8 +62,8 @@ impl Default for ForestConfig {
     }
 }
 
-/// A fitted bagged random forest.
-#[derive(Debug, Clone, Default)]
+/// A fitted bagged random forest of at least one tree.
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     width: usize,
     trees: Vec<RegressionTree>,
@@ -245,7 +245,6 @@ pub(crate) fn walk<const G: usize, const T: usize>(
 
 impl Model for RandomForest {
     fn width(&self) -> usize {
-        assert!(!self.trees.is_empty(), "RandomForest::fit not called");
         self.width
     }
 

@@ -1,7 +1,8 @@
 //! `robopt-ml`: the learned cost model (paper §IV-C, §V, Fig 9).
 //!
 //! * [`model`] — the [`Model`] contract (a fitted predictor over flat
-//!   row-major matrices; each model fits through its own inherent `fit`),
+//!   row-major matrices; each model exists only as what its own inherent
+//!   `fit` returns, so none has an unfitted state),
 //!   [`DistModel`] for predictions as distributions, and [`ModelOracle`],
 //!   the adapter that puts any fitted model behind
 //!   `&dyn robopt_core::CostOracle` so it can drive enumeration
@@ -24,7 +25,8 @@
 //!   implements;
 //! * [`training`] — [`SimulatorSource`], the direct-labelling source (one
 //!   simulator call per row) that TDGEN's interpolated generation is
-//!   measured against, with `ln(1 + seconds)` fit targets; and
+//!   measured against, with [`TrainingSet::seconds_to_label`] fit targets;
+//!   and
 //!   [`BackendSource`], the same sampler generalized over any
 //!   `robopt_platforms::ExecutionBackend` so forests can train on runtimes
 //!   *measured* by the real engine.

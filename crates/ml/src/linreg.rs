@@ -13,33 +13,26 @@ use robopt_vector::RowsView;
 
 use crate::model::Model;
 
-/// Ridge-regularized linear model with intercept.
+/// Relative ridge factor λ: large enough to keep constant and all-zero
+/// columns from making `XᵀX` singular, small enough to leave a well-posed
+/// fit within a few λ of where least squares puts it.
+const RIDGE: f64 = 1e-6;
+
+/// A fitted ridge-regularized linear model with intercept.
 #[derive(Debug, Clone)]
 pub struct LinearModel {
-    /// Relative ridge factor λ (0 disables regularization; the default
-    /// `1e-6` merely guards rank deficiency from constant columns).
-    pub ridge: f64,
-    /// `width + 1` coefficients after fitting; last entry is the bias.
+    /// `width + 1` coefficients; the last entry is the bias.
     weights: Vec<f64>,
 }
 
 impl LinearModel {
-    /// An unfitted model with the default ridge.
-    pub fn new() -> Self {
-        LinearModel {
-            ridge: 1e-6,
-            weights: Vec::new(),
-        }
-    }
-
-    /// Fitted coefficients (feature weights, then bias). Empty before fit.
+    /// Fitted coefficients (feature weights, then bias).
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
 
-    /// Fit on `rows` (one feature row per label) under [`Self::ridge`].
-    /// Refitting replaces the previous weights entirely.
-    pub fn fit(&mut self, rows: RowsView<'_>, labels: &[f64]) {
+    /// Fit on `rows` (one feature row per label).
+    pub fn fit(rows: RowsView<'_>, labels: &[f64]) -> LinearModel {
         let n = rows.rows();
         assert_eq!(n, labels.len(), "one label per feature row");
         assert!(n >= 1, "cannot fit on zero samples");
@@ -73,21 +66,16 @@ impl LinearModel {
             let diag = xtx[i * d + i];
             // The floor keeps all-zero columns (unused layout cells)
             // invertible instead of producing NaN weights.
-            xtx[i * d + i] = diag + self.ridge * diag.max(1.0);
+            xtx[i * d + i] = diag + RIDGE * diag.max(1.0);
         }
-        self.weights = cholesky_solve(&mut xtx, &xty, d);
-    }
-}
-
-impl Default for LinearModel {
-    fn default() -> Self {
-        LinearModel::new()
+        LinearModel {
+            weights: cholesky_solve(&mut xtx, &xty, d),
+        }
     }
 }
 
 impl Model for LinearModel {
     fn width(&self) -> usize {
-        assert!(!self.weights.is_empty(), "LinearModel::fit not called");
         self.weights.len() - 1
     }
 
@@ -113,10 +101,7 @@ fn cholesky_solve(a: &mut [f64], b: &[f64], d: usize) -> Vec<f64> {
                 sum -= a[i * d + k] * a[j * d + k];
             }
             if i == j {
-                assert!(
-                    sum > 0.0,
-                    "XtX not positive definite (column {i}); raise the ridge"
-                );
+                assert!(sum > 0.0, "XtX not positive definite (column {i})");
                 a[i * d + i] = sum.sqrt();
             } else {
                 a[i * d + j] = sum / a[j * d + j];
@@ -148,7 +133,10 @@ mod tests {
 
     #[test]
     fn recovers_an_exact_linear_relationship() {
-        // y = 3·x0 - 2·x1 + 5, noise-free: ridge ~0 recovers it.
+        // y = 3·x0 - 2·x1 + 5, noise-free. The relative ridge pulls each
+        // weight off its exact value by a few RIDGE of itself (3–6× here:
+        // the bias column correlates with both features), so every weight
+        // and the prediction are recovered within 10 RIDGE of themselves.
         let mut rng = SplitMix64::new(3);
         let n = 50;
         let mut feats = Vec::new();
@@ -158,14 +146,13 @@ mod tests {
             feats.extend_from_slice(&[x0, x1]);
             labels.push(3.0 * x0 - 2.0 * x1 + 5.0);
         }
-        let mut model = LinearModel::new();
-        model.ridge = 1e-12;
-        model.fit(RowsView::new(&feats, 2), &labels);
+        let model = LinearModel::fit(RowsView::new(&feats, 2), &labels);
         let w = model.weights();
-        assert!((w[0] - 3.0).abs() < 1e-6, "slope x0: {}", w[0]);
-        assert!((w[1] + 2.0).abs() < 1e-6, "slope x1: {}", w[1]);
-        assert!((w[2] - 5.0).abs() < 1e-5, "bias: {}", w[2]);
-        assert!((model.predict_row(&[1.0, 1.0]) - 6.0).abs() < 1e-6);
+        let tol = 10.0 * RIDGE;
+        assert!((w[0] - 3.0).abs() < tol * 3.0, "slope x0: {}", w[0]);
+        assert!((w[1] + 2.0).abs() < tol * 2.0, "slope x1: {}", w[1]);
+        assert!((w[2] - 5.0).abs() < tol * 5.0, "bias: {}", w[2]);
+        assert!((model.predict_row(&[1.0, 1.0]) - 6.0).abs() < tol * 6.0);
     }
 
     #[test]
@@ -179,8 +166,7 @@ mod tests {
             4.0, 0.0, 7.0,
         ];
         let labels = [2.0, 4.0, 6.0, 8.0];
-        let mut model = LinearModel::new();
-        model.fit(RowsView::new(&feats, 3), &labels);
+        let model = LinearModel::fit(RowsView::new(&feats, 3), &labels);
         let pred = model.predict_row(&[2.5, 0.0, 7.0]);
         assert!(pred.is_finite());
         assert!((pred - 5.0).abs() < 1e-3, "interpolation off: {pred}");

@@ -26,11 +26,13 @@ use robopt_vector::RowsView;
 /// A fitted regression model over fixed-width feature rows.
 ///
 /// Implementations must be deterministic: a model fitted twice on the same
-/// rows, labels and configuration predicts identically. The trait is
-/// object-safe; `&dyn Model` works where needed.
+/// rows, labels and configuration predicts identically. A value of an
+/// implementing type is always fitted — each model's only constructors are
+/// its fit and, for the forest, the validated import — so no method has an
+/// unfitted case. The trait is object-safe; `&dyn Model` works where
+/// needed.
 pub trait Model {
-    /// Feature width this model was fitted for. Panics on an unfitted
-    /// model.
+    /// Feature width this model was fitted for.
     fn width(&self) -> usize;
 
     /// Predict a single row of exactly [`Model::width`] features.
@@ -81,10 +83,8 @@ pub struct ModelOracle<M> {
 }
 
 impl<M: Model> ModelOracle<M> {
-    /// Wrap a fitted model. Panics (via [`Model::width`]) if the model has
-    /// not been fitted yet — an unfitted oracle can only mislead.
+    /// Wrap a fitted model.
     pub fn new(model: M) -> Self {
-        let _ = model.width();
         ModelOracle { model }
     }
 
@@ -151,14 +151,14 @@ mod tests {
     use super::*;
     use crate::forest::{ForestConfig, RandomForest};
 
-    /// Minimal model: predicts the sum of the features; `None` is unfitted.
+    /// Minimal model: predicts the sum of the features.
     struct SumModel {
-        width: Option<usize>,
+        width: usize,
     }
 
     impl Model for SumModel {
         fn width(&self) -> usize {
-            self.width.expect("SumModel not fitted")
+            self.width
         }
         fn predict_row(&self, feats: &[f64]) -> f64 {
             feats.iter().sum()
@@ -177,7 +177,7 @@ mod tests {
     fn default_batch_matches_per_row() {
         let feats = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let rows = RowsView::new(&feats, 2);
-        let m = SumModel { width: Some(2) };
+        let m = SumModel { width: 2 };
         let mut out = vec![99.0; 7]; // stale contents must be discarded
         m.predict_batch(rows, &mut out);
         assert_eq!(out, vec![3.0, 7.0, 11.0]);
@@ -187,7 +187,7 @@ mod tests {
     fn model_oracle_is_object_safe_and_forwards() {
         let feats = [1.0, 2.0, 3.0, 4.0];
         let rows = RowsView::new(&feats, 2);
-        let oracle = ModelOracle::new(SumModel { width: Some(2) });
+        let oracle = ModelOracle::new(SumModel { width: 2 });
         let dyn_oracle: &dyn CostOracle = &oracle;
         assert_eq!(dyn_oracle.width(), 2);
         assert_eq!(dyn_oracle.cost_row(&[5.0, 6.0]), 11.0);
@@ -288,11 +288,5 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    #[should_panic(expected = "not fitted")]
-    fn wrapping_an_unfitted_model_panics() {
-        let _ = ModelOracle::new(SumModel { width: None });
     }
 }

@@ -24,7 +24,7 @@ pub struct TrainingSet {
     pub layout: FeatureLayout,
     /// Row-major `len() * layout.width` feature matrix.
     pub rows: Vec<f64>,
-    /// Fit targets: `ln(1 + seconds)` per row.
+    /// Fit targets: [`TrainingSet::seconds_to_label`] per row.
     pub labels: Vec<f64>,
     /// Runtime in seconds per row (simulated or interpolated).
     pub seconds: Vec<f64>,
@@ -63,9 +63,9 @@ impl TrainingSet {
     }
 
     /// Append one row labelled with a *measured* runtime: the fit target
-    /// is derived as `ln(1 + seconds)`.
+    /// is [`TrainingSet::seconds_to_label`] of it.
     pub fn push_simulated(&mut self, feats: &[f64], seconds: f64) {
-        self.push_labelled(feats, seconds.ln_1p(), seconds);
+        self.push_labelled(feats, TrainingSet::seconds_to_label(seconds), seconds);
     }
 
     /// Append one row with an explicit log-space label (TDGEN's
@@ -112,15 +112,13 @@ impl TrainingSet {
         }
     }
 
-    /// Drop every row after the first `n`.
-    pub fn truncate(&mut self, n: usize) {
-        self.rows.truncate(n * self.layout.width);
-        self.labels.truncate(n);
-        self.seconds.truncate(n);
+    /// The label transform: the fit target `ln(1 + seconds)` of a runtime.
+    pub fn seconds_to_label(seconds: f64) -> f64 {
+        seconds.ln_1p()
     }
 
-    /// Convert a log-space prediction back to seconds (inverse of the
-    /// label transform, clamped at zero).
+    /// Convert a log-space prediction back to seconds (inverse of
+    /// [`TrainingSet::seconds_to_label`], clamped at zero).
     pub fn label_to_seconds(label: f64) -> f64 {
         (label.exp() - 1.0).max(0.0)
     }

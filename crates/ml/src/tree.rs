@@ -157,8 +157,9 @@ impl Node {
 }
 
 /// A fitted CART regression tree: packed [`Node`]s in fit order (children
-/// after parents, siblings adjacent) plus each node's mean label.
-#[derive(Debug, Clone, Default)]
+/// after parents, siblings adjacent) plus each node's mean label. Every tree
+/// has a root.
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
     width: usize,
     /// Edges on the longest root → leaf path: the iteration count after
@@ -344,7 +345,9 @@ impl RegressionTree {
         let width = rows.width();
         let mut tree = RegressionTree {
             width,
-            ..RegressionTree::default()
+            depth: 0,
+            nodes: Vec::new(),
+            value: Vec::new(),
         };
         scratch.load(columns, idx);
         let FitScratch {
@@ -716,7 +719,9 @@ mod tests {
         let width = rows.width();
         let mut tree = RegressionTree {
             width,
-            ..RegressionTree::default()
+            depth: 0,
+            nodes: Vec::new(),
+            value: Vec::new(),
         };
         let mut order: Vec<u32> = idx.to_vec();
         // Scratch reused by every split search: (feature value, row id).

@@ -142,9 +142,8 @@ pub struct OptimizeRequest {
     /// How to run the enumeration.
     pub policy: ExecutionPolicy,
     /// [`RiskPolicy`] ranking candidate plans (DESIGN §12). `None` means
-    /// "use the facade's default" (itself `ExpectedCost` unless `robopt
-    /// serve --risk` overrode it); the effective policy is part of the
-    /// cache key via [`OptimizeRequest::signature`].
+    /// `ExpectedCost`; the policy is part of the cache key via
+    /// [`OptimizeRequest::signature`].
     pub risk: Option<RiskPolicy>,
 }
 
@@ -494,7 +493,7 @@ pub enum ServiceError {
     /// A well-formed request over a work budget, refused before any of the
     /// work starts: it would take `estimate` units of `what`, over `limit`.
     TooLarge {
-        /// What the budget counts, e.g. `"unpruned plan rows"`.
+        /// What the budget counts, e.g. `"enumeration rows"`.
         what: &'static str,
         /// Units the request would take.
         estimate: u64,

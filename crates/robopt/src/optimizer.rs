@@ -20,8 +20,7 @@
 
 use robopt_core::vectorize::vectorize_assignment;
 use robopt_core::{
-    AnalyticOracle, CostDistribution, CostOracle, EnumOptions, ParallelEnumerator, RiskPolicy,
-    SplitOptions,
+    AnalyticOracle, CostDistribution, CostOracle, EnumOptions, ParallelEnumerator, SplitOptions,
 };
 use robopt_engine::Engine;
 use robopt_ml::{
@@ -59,11 +58,16 @@ impl OracleKind {
     }
 }
 
-/// Most rows an unpruned search may leave in its final unit (≈ 440 MB at
-/// the named registry's width 211). Without Def-2 pruning that unit holds
-/// one row per platform combination, so a dozen operators would ask the
-/// allocator for tens of gigabytes and abort the process.
-const MAX_UNPRUNED_ROWS: u64 = 1 << 18;
+/// Most candidate rows one `optimize` may stage ([`EnumStats::generated`]),
+/// pruned or not: one merge never reserves more than this many rows (≈ 440
+/// MB at the named registry's width 211), and the forest costs them in
+/// about 0.6 s. The largest benchmark request, Pipeline-128 on eight
+/// uniform platforms, stages 55 296; a 48-operator random DAG at the wire
+/// defaults would ask one merge for 9.6 GB, and an unpruned dozen
+/// operators for tens of gigabytes.
+///
+/// [`EnumStats::generated`]: robopt_core::EnumStats::generated
+const MAX_ENUMERATION_ROWS: u64 = 1 << 18;
 
 /// Most feature cells a `train` request may generate: 128 MiB of `f64`,
 /// 79 512 rows at the named registry's width 211.
@@ -83,10 +87,6 @@ pub struct Optimizer {
     parallel: ParallelEnumerator,
     cache: PlanCache,
     cache_enabled: bool,
-    /// Session-wide risk policy applied to requests that don't carry one
-    /// (`robopt serve --risk`). Folded into the *effective* request before
-    /// the signature is computed, so the cache stays policy-sound.
-    default_risk: Option<RiskPolicy>,
     /// Requests served — also the logical clock that drives cache recency
     /// (never wall time).
     requests: u64,
@@ -112,7 +112,6 @@ impl Optimizer {
             parallel: ParallelEnumerator::new(1),
             cache: PlanCache::new(PlanCache::DEFAULT_CAPACITY),
             cache_enabled: true,
-            default_risk: None,
             requests: 0,
             total_micros: 0,
             feats: Vec::new(),
@@ -178,32 +177,9 @@ impl Optimizer {
         self.cache_enabled = enabled;
     }
 
-    /// Session-wide default risk policy for requests that don't carry one
-    /// (`robopt serve --risk`). `None` restores [`RiskPolicy::ExpectedCost`]
-    /// behavior. The default is folded into the effective request *before*
-    /// its signature is computed, so a sigma-default session and an
-    /// expected-cost session never share cache entries.
-    pub fn set_default_risk(&mut self, risk: Option<RiskPolicy>) {
-        self.default_risk = risk;
-    }
-
-    /// The request as actually optimized: an explicit per-request risk
-    /// policy wins, otherwise the session default fills in.
-    fn effective(&self, req: &OptimizeRequest) -> OptimizeRequest {
-        OptimizeRequest {
-            risk: req.risk.or(self.default_risk),
-            ..*req
-        }
-    }
-
     /// Replace the cache with an empty one of `capacity` entries.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache = PlanCache::new(capacity);
-    }
-
-    /// Drop every cached response (counters survive).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// Cache counter snapshot.
@@ -226,7 +202,6 @@ impl Optimizer {
     pub fn optimize(&mut self, req: &OptimizeRequest) -> Result<OptimizeResponse, ServiceError> {
         let started = now();
         self.requests += 1;
-        let req = &self.effective(req);
         if let Some(risk) = req.risk {
             risk.validate().map_err(ServiceError::InvalidRequest)?;
         }
@@ -445,19 +420,6 @@ impl Optimizer {
             dist,
             ..
         } = self;
-        if !req.policy.prune {
-            let rows = (0..plan.n_ops() as u32).fold(1u64, |rows, op| {
-                let k = registry.available_platforms(plan.op(op).kind).count();
-                rows.saturating_mul(k as u64)
-            });
-            if rows > MAX_UNPRUNED_ROWS {
-                return Err(ServiceError::TooLarge {
-                    what: "unpruned plan rows",
-                    estimate: rows,
-                    limit: MAX_UNPRUNED_ROWS,
-                });
-            }
-        }
         let risk = req.risk.unwrap_or_default();
         parallel.set_threads(req.policy.workers);
         parallel.set_split(SplitOptions::new(req.policy.split_parts.max(1)));
@@ -466,7 +428,13 @@ impl Optimizer {
             .with_oracle(oracle.as_dyn())
             .with_prune(req.policy.prune)
             .with_risk(risk);
-        let (exec, stats) = parallel.enumerate(plan, layout, opts);
+        let (exec, stats) = parallel
+            .enumerate_within(plan, layout, opts, MAX_ENUMERATION_ROWS)
+            .map_err(|over| ServiceError::TooLarge {
+                what: "enumeration rows",
+                estimate: over.estimate,
+                limit: over.limit,
+            })?;
         // One-row distribution over the winner fills the uncertainty
         // fields. The distribution's mean is bit-identical to the
         // canonical `cost_row` mean the enumerator reported (both sum the
@@ -605,6 +573,7 @@ fn elapsed_micros(started: std::time::Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::api::{ExecutionPolicy, WorkloadSpec};
+    use robopt_core::RiskPolicy;
 
     fn wc() -> WorkloadSpec {
         WorkloadSpec::WordCount { scale: 1e7 }
@@ -663,22 +632,18 @@ mod tests {
     }
 
     #[test]
-    fn default_risk_fills_unlabelled_requests_and_keys_the_cache() {
+    fn the_request_risk_policy_keys_the_cache() {
         let mut opt = Optimizer::named();
         let plain = opt.optimize(&OptimizeRequest::new(wc())).expect("expected");
         assert_eq!(plain.risk_policy, "expected");
         assert!(plain.cost_q10 <= plain.cost_q90);
-        opt.set_default_risk(Some(RiskPolicy::MeanPlusKSigma(2.0)));
         let robust = opt
-            .optimize(&OptimizeRequest::new(wc()))
-            .expect("sigma default");
+            .optimize(&OptimizeRequest::new(wc()).with_risk(RiskPolicy::MeanPlusKSigma(2.0)))
+            .expect("sigma");
         assert_eq!(robust.risk_policy, "sigma2");
-        // The sigma-default request missed: the default is folded into the
-        // effective request before the signature is computed, so it cannot
-        // replay the expected-cost entry.
+        // The sigma request missed: it cannot replay the expected-cost entry.
         assert_eq!(opt.cache_stats().misses, 2);
-        // An explicit per-request policy beats the session default — and
-        // explicit ExpectedCost shares the unlabelled request's cache line.
+        // Explicit ExpectedCost shares the unlabelled request's cache line.
         let explicit = opt
             .optimize(&OptimizeRequest::new(wc()).with_risk(RiskPolicy::ExpectedCost))
             .expect("explicit expected");

@@ -1,7 +1,7 @@
 //! The TDGEN generator: shape templates × β-bounded assignments ×
 //! interpolated runtime curves, behind the [`TrainingSource`] API.
 //!
-//! One *curve* is a (skeleton, assignment) pair swept over input scales.
+//! One [`Curve`] is a (skeleton, assignment) pair swept over input scales.
 //! The simulator runs only at the log-spaced knot scales; every other row
 //! of the curve carries a label synthesized from the piecewise degree-5
 //! log-log fit ([`crate::interpolate::PiecewisePoly`]). With [`KNOTS`] = 11
@@ -21,7 +21,7 @@ use robopt_platforms::{PlatformRegistry, RuntimeSimulator};
 use robopt_vector::FeatureLayout;
 
 use crate::interpolate::{log_knots, PiecewisePoly, WINDOW};
-use crate::shapes::{sample_skeleton, ShapeKind};
+use crate::shapes::{sample_skeleton, JobSkeleton, ShapeKind};
 use crate::switches::sample_assignment;
 
 /// Maximum platform switches along any source→sink path: the paper's β.
@@ -73,6 +73,55 @@ impl TdgenConfig {
 impl Default for TdgenConfig {
     fn default() -> Self {
         TdgenConfig::new()
+    }
+}
+
+/// One (skeleton, assignment) pair simulated at the [`KNOTS`] log-spaced
+/// scales of [`SCALE_RANGE`] and interpolated between them: the workspace's
+/// one knot sweep, which the generator, Fig 8 and the tests all run.
+#[derive(Debug, Clone)]
+pub struct Curve {
+    /// The knot scales, ascending ([`log_knots`] over [`SCALE_RANGE`]).
+    pub scales: Vec<f64>,
+    /// The label ([`TrainingSet::seconds_to_label`]) at each knot.
+    pub labels: Vec<f64>,
+    /// The simulated runtime at each knot.
+    pub seconds: Vec<f64>,
+    poly: PiecewisePoly,
+}
+
+impl Curve {
+    /// Simulate `assign` on `skel` at every knot scale under `sim` and fit
+    /// the interpolant. Stops at the first non-finite knot and returns the
+    /// simulator calls spent on it, that one included.
+    pub fn sweep(
+        skel: &JobSkeleton,
+        assign: &[u8],
+        sim: &RuntimeSimulator<'_>,
+    ) -> Result<Curve, u64> {
+        let scales = log_knots(SCALE_RANGE.0, SCALE_RANGE.1, KNOTS);
+        let (mut labels, mut seconds) = (Vec::with_capacity(KNOTS), Vec::with_capacity(KNOTS));
+        for (calls, &scale) in (1..).zip(&scales) {
+            let s = sim.simulate_raw(&skel.instantiate(scale), assign);
+            if !s.is_finite() {
+                return Err(calls);
+            }
+            labels.push(TrainingSet::seconds_to_label(s));
+            seconds.push(s);
+        }
+        let ln_scales: Vec<f64> = scales.iter().map(|s| s.ln()).collect();
+        let poly = PiecewisePoly::fit(&ln_scales, &labels);
+        Ok(Curve {
+            scales,
+            labels,
+            seconds,
+            poly,
+        })
+    }
+
+    /// The interpolated label at `ln_scale`.
+    pub fn label_at(&self, ln_scale: f64) -> f64 {
+        self.poly.eval(ln_scale)
     }
 }
 
@@ -147,6 +196,18 @@ impl<'a> TdgenGenerator<'a> {
         self.stats
     }
 
+    /// The next draw of the stream: a skeleton and the assignments that
+    /// become its curves, as [`TrainingSource::generate`] draws them.
+    pub fn next_skeleton(&mut self) -> (JobSkeleton, Vec<Vec<u8>>) {
+        let shape = ShapeKind::ALL[self.rng.gen_range(ShapeKind::ALL.len())];
+        let (min_ops, max_ops) = OPS_RANGE;
+        let n_ops = min_ops + self.rng.gen_range(max_ops - min_ops + 1);
+        let skel = sample_skeleton(&mut self.rng, self.registry, shape, n_ops);
+        self.stats.skeletons += 1;
+        let assigns = self.pick_assignments(&skel);
+        (skel, assigns)
+    }
+
     /// Candidate assignments for one skeleton, **stratified by switch
     /// budget**: the i-th candidate is drawn with β clamped to
     /// `i mod (β + 1)`, so every skeleton contributes homogeneous
@@ -154,7 +215,8 @@ impl<'a> TdgenGenerator<'a> {
     /// ones. Optimal plans live in the low-switch region, and a uniform
     /// β-bounded walk almost never lands there — without stratification
     /// the model never learns the region the optimizer queries hardest.
-    fn pick_assignments(&mut self, skel: &crate::shapes::JobSkeleton) -> Vec<Vec<u8>> {
+    /// Duplicate draws are dropped.
+    fn pick_assignments(&mut self, skel: &JobSkeleton) -> Vec<Vec<u8>> {
         let mut picked: Vec<Vec<u8>> = Vec::with_capacity(ASSIGNMENTS_PER_SKELETON);
         for i in 0..ASSIGNMENTS_PER_SKELETON {
             let budget = i % (BETA + 1);
@@ -173,38 +235,27 @@ impl<'a> TdgenGenerator<'a> {
         picked
     }
 
-    /// Generate one curve for (skeleton, assignment): simulate the knots,
-    /// fit the piecewise polynomial, synthesize the interpolated rows.
-    /// Returns `false` if any knot simulated to a non-finite runtime.
-    fn generate_curve(
-        &mut self,
-        skel: &crate::shapes::JobSkeleton,
-        assign: &[u8],
-        sim: &RuntimeSimulator<'_>,
-        knot_scales: &[f64],
-    ) -> bool {
-        let mut ln_xs = Vec::with_capacity(knot_scales.len());
-        let mut ys = Vec::with_capacity(knot_scales.len());
-        let buffered = self.pending.len();
-        for &scale in knot_scales {
-            let plan = skel.instantiate(scale);
-            let seconds = sim.simulate_raw(&plan, assign);
-            self.stats.sim_calls += 1;
-            if !seconds.is_finite() {
-                self.pending.truncate(buffered);
-                return false;
+    /// Buffer one curve's rows for (skeleton, assignment): its knots as
+    /// simulated, the rest at scales drawn over its span and labelled by
+    /// interpolation. A curve with a non-finite knot adds no row.
+    fn generate_curve(&mut self, skel: &JobSkeleton, assign: &[u8], sim: &RuntimeSimulator<'_>) {
+        let curve = match Curve::sweep(skel, assign, sim) {
+            Ok(curve) => curve,
+            Err(calls) => {
+                self.stats.sim_calls += calls;
+                return;
             }
+        };
+        self.stats.sim_calls += KNOTS as u64;
+        for (&scale, &seconds) in curve.scales.iter().zip(&curve.seconds) {
+            let plan = skel.instantiate(scale);
             vectorize_assignment(&plan, &self.layout, assign, &mut self.row);
-            ln_xs.push(scale.ln());
-            ys.push(seconds.ln_1p());
-            self.pending
-                .push_labelled(&self.row, seconds.ln_1p(), seconds);
+            self.pending.push_simulated(&self.row, seconds);
         }
-        let poly = PiecewisePoly::fit(&ln_xs, &ys);
-        let (lln, hln) = (ln_xs[0], ln_xs[ln_xs.len() - 1]);
-        for _ in 0..ROWS_PER_CURVE - knot_scales.len() {
+        let (lln, hln) = (curve.scales[0].ln(), curve.scales[KNOTS - 1].ln());
+        for _ in 0..ROWS_PER_CURVE - KNOTS {
             let ln_s = lln + (hln - lln) * self.rng.next_f64();
-            let label = poly.eval(ln_s);
+            let label = curve.label_at(ln_s);
             let seconds = TrainingSet::label_to_seconds(label);
             let plan = skel.instantiate(ln_s.exp());
             vectorize_assignment(&plan, &self.layout, assign, &mut self.row);
@@ -212,21 +263,15 @@ impl<'a> TdgenGenerator<'a> {
         }
         self.stats.curves += 1;
         self.stats.rows += ROWS_PER_CURVE as u64;
-        true
     }
 
     /// Produce curves until at least `n` rows are buffered.
     fn refill(&mut self, n: usize) {
         let sim = RuntimeSimulator::new(self.registry, self.sim_seed).with_noise(NOISE);
-        let knot_scales = log_knots(SCALE_RANGE.0, SCALE_RANGE.1, KNOTS);
         while self.pending.len() < n {
-            let shape = ShapeKind::ALL[self.rng.gen_range(ShapeKind::ALL.len())];
-            let (min_ops, max_ops) = OPS_RANGE;
-            let n_ops = min_ops + self.rng.gen_range(max_ops - min_ops + 1);
-            let skel = sample_skeleton(&mut self.rng, self.registry, shape, n_ops);
-            self.stats.skeletons += 1;
-            for assign in self.pick_assignments(&skel) {
-                self.generate_curve(&skel, &assign, &sim, &knot_scales);
+            let (skel, assigns) = self.next_skeleton();
+            for assign in assigns {
+                self.generate_curve(&skel, &assign, &sim);
             }
         }
     }

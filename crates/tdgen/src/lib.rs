@@ -8,9 +8,9 @@
 //!   fan-out, diamond, iterative) whose operator population is driven by
 //!   the `robopt_platforms::PlatformRegistry` availability matrix, and
 //!   which instantiate at any input scale;
-//! * [`switches`] — **platform-switch pruning**: candidate assignments
-//!   whose worst source→sink path exceeds β = 3 switches (the paper's
-//!   value, fixed) are discarded before any label is paid for;
+//! * [`switches`] — **platform-switch pruning**: the assignment walk never
+//!   takes a source→sink path past β = 3 switches (the paper's value,
+//!   fixed), so no label is paid for such a plan;
 //! * [`interpolate`] — **runtime interpolation**: the simulator runs only
 //!   at a log-spaced knot set of scales per (skeleton, assignment) curve;
 //!   a piecewise degree-5 polynomial in log-log space synthesizes labels
@@ -22,7 +22,8 @@
 //! setting is the seed ([`TdgenConfig`]); β, the scale range, the noise,
 //! the knot count, the operator range and the rows per curve are the
 //! [`generator`] consts. The `fig08_tdgen` bench binary measures the
-//! resulting simulator-call reduction and label fidelity.
+//! simulator-call reduction, and label fidelity on the generator's own
+//! draws ([`TdgenGenerator::next_skeleton`], [`Curve::sweep`]).
 //!
 //! ```
 //! use robopt_ml::TrainingSource;
@@ -43,9 +44,9 @@ pub mod shapes;
 pub mod switches;
 
 pub use generator::{
-    TdgenConfig, TdgenGenerator, TdgenStats, BETA, KNOTS, NOISE, OPS_RANGE, ROWS_PER_CURVE,
+    Curve, TdgenConfig, TdgenGenerator, TdgenStats, BETA, KNOTS, NOISE, OPS_RANGE, ROWS_PER_CURVE,
     SCALE_RANGE,
 };
 pub use interpolate::{log_knots, PiecewisePoly, WINDOW};
 pub use shapes::{sample_skeleton, JobSkeleton, ShapeKind, SkeletonOp};
-pub use switches::{enumerate_assignments, max_switches, sample_assignment};
+pub use switches::{max_switches, sample_assignment};

@@ -10,8 +10,9 @@
 //!
 //! The bound composes along paths, so it prunes *prefixes*: once a partial
 //! assignment already carries more than β switches on some path, no
-//! completion can repair it — the DFS in [`enumerate_assignments`] cuts
-//! whole subtrees, and the random walk in [`sample_assignment`] restarts.
+//! completion can repair it — the random walk in [`sample_assignment`],
+//! TDGEN's one assignment drawer, never picks a platform that would, and
+//! restarts when a walk strands itself.
 
 use robopt_plan::rng::SplitMix64;
 use robopt_platforms::{PlatformId, PlatformRegistry};
@@ -40,7 +41,7 @@ pub fn max_switches(skeleton: &JobSkeleton, assign: &[u8]) -> usize {
     overall
 }
 
-/// Incremental DFS state: `best[v]` = worst switch count on any path from
+/// Incremental walk state: `best[v]` = worst switch count on any path from
 /// a source to `v`, over the assigned prefix `0..=v`.
 fn prefix_switches(skeleton: &JobSkeleton, assign: &[u8], best: &mut [usize], v: usize) -> usize {
     let mut worst = 0;
@@ -74,64 +75,6 @@ fn placeable(
         })
         .map(|p| p.raw())
         .collect()
-}
-
-/// Enumerate feasible assignments of `skeleton` whose max source→sink
-/// switch count stays ≤ `beta`, stopping after `limit` results.
-///
-/// Feasible means: every operator on a platform that can execute its kind,
-/// every edge between convertible platforms. With `beta = usize::MAX` this
-/// is exactly the unpruned feasible set.
-pub fn enumerate_assignments(
-    skeleton: &JobSkeleton,
-    registry: &PlatformRegistry,
-    beta: usize,
-    limit: usize,
-) -> Vec<Vec<u8>> {
-    let n = skeleton.n_ops();
-    let mut out = Vec::new();
-    let mut assign = vec![0u8; n];
-    let mut best = vec![0usize; n];
-    dfs(
-        skeleton,
-        registry,
-        beta,
-        limit,
-        0,
-        &mut assign,
-        &mut best,
-        &mut out,
-    );
-    out
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "recursive search state: four read-only inputs, the cursor and three buffers reused across the recursion"
-)]
-fn dfs(
-    skeleton: &JobSkeleton,
-    registry: &PlatformRegistry,
-    beta: usize,
-    limit: usize,
-    op: usize,
-    assign: &mut [u8],
-    best: &mut [usize],
-    out: &mut Vec<Vec<u8>>,
-) {
-    if out.len() >= limit {
-        return;
-    }
-    if op == skeleton.n_ops() {
-        out.push(assign.to_vec());
-        return;
-    }
-    for p in placeable(skeleton, registry, assign, op) {
-        assign[op] = p;
-        if prefix_switches(skeleton, assign, best, op) <= beta {
-            dfs(skeleton, registry, beta, limit, op + 1, assign, best, out);
-        }
-    }
 }
 
 /// Draw one feasible β-bounded assignment by a random topological walk:
@@ -190,35 +133,6 @@ mod tests {
         assert_eq!(max_switches(&skel, &[0, 0, 0, 0, 0]), 0);
         assert_eq!(max_switches(&skel, &[0, 1, 0, 1, 0]), 4);
         assert_eq!(max_switches(&skel, &[0, 0, 1, 1, 1]), 1);
-    }
-
-    #[test]
-    fn enumerated_assignments_respect_beta() {
-        let (registry, skel) = setup(ShapeKind::FanIn, 6);
-        for beta in [0, 1, 2] {
-            for a in enumerate_assignments(&skel, &registry, beta, 10_000) {
-                assert!(max_switches(&skel, &a) <= beta);
-            }
-        }
-    }
-
-    #[test]
-    fn beta_counts_are_monotone_and_max_recovers_unpruned() {
-        let (registry, skel) = setup(ShapeKind::Diamond, 7);
-        let cap = 1_000_000;
-        let count = |beta| enumerate_assignments(&skel, &registry, beta, cap).len();
-        let unpruned = count(usize::MAX);
-        let mut prev = 0;
-        for beta in 0..6 {
-            let c = count(beta);
-            assert!(c >= prev, "count must grow with beta");
-            assert!(c <= unpruned);
-            prev = c;
-        }
-        // Longest path in a 7-op diamond is short enough that beta = 6
-        // can no longer prune anything.
-        assert_eq!(count(6), unpruned);
-        assert!(unpruned > 0, "the skeleton must be placeable at all");
     }
 
     #[test]

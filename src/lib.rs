@@ -26,16 +26,17 @@
 //!   random forest, the ridge linear baseline, metrics, the `TrainingSet` /
 //!   `TrainingSource` contract, the one plan sampler behind
 //!   `SimulatorSource` and `BackendSource`, and the fitted predictors
-//!   `Model` / `DistModel` behind `ModelOracle` (each model fits through its
-//!   own inherent `fit`);
+//!   `Model` / `DistModel` behind `ModelOracle` (each model exists only as
+//!   what its own inherent `fit` returns);
 //! * [`robopt_core`] — vectorize, Algorithm-1 enumeration with Def-2
-//!   pruning, `CostOracle` and `AnalyticOracle`, `CostDistribution` /
-//!   `RiskPolicy`, the plan splitter and parallel driver, `EnumStats`;
+//!   pruning and an optional budget on staged rows, `CostOracle` and
+//!   `AnalyticOracle`, `CostDistribution` / `RiskPolicy`, the plan splitter
+//!   and parallel enumerator, `EnumStats`;
 //! * [`robopt_baselines`] — the object-graph "Rheem-ML" enumerator and
 //!   exhaustive search;
-//! * [`robopt_tdgen`] — TDGEN: shape templates, β-bounded switch pruning,
-//!   piecewise log-log interpolation, and the generator, whose one setting
-//!   is its seed;
+//! * [`robopt_tdgen`] — TDGEN: shape templates, the β-bounded assignment
+//!   walk, piecewise log-log interpolation behind the one knot sweep
+//!   (`Curve`), and the generator, whose one setting is its seed;
 //! * [`robopt`] (re-exported as [`service`]) — the service facade:
 //!   `Optimizer`, request / response types, plan cache, JSON parser and
 //!   `Writer`, wire protocol, forest persistence;

@@ -73,8 +73,7 @@ fn forest_beats_linear_baseline_on_held_out_plans() {
     let (registry, layout) = setup();
     let train = SimulatorSource::new(&registry, layout, 31, 0.05).generate(600);
     let heldout = SimulatorSource::new(&registry, layout, 32, 0.0).generate(200);
-    let mut linear = LinearModel::new();
-    linear.fit(train.rows_view(), &train.labels);
+    let linear = LinearModel::fit(train.rows_view(), &train.labels);
     let forest = RandomForest::fit(
         &ForestConfig {
             n_trees: 24,

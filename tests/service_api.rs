@@ -8,12 +8,14 @@
 //!   stay mutually consistent and every post-eviction replay still matches
 //!   a cache-off recompute bit-for-bit;
 //! * request validation — malformed requests are rejected with
-//!   `ServiceError`, never a panic.
+//!   `ServiceError`, never a panic, and every generated `random_dag` spec
+//!   is answered or refused as too large by the enumeration budget.
 
 use robopt::{
-    forest_from_json, forest_to_json, ExecutionPolicy, OptimizeRequest, Optimizer, RiskPolicy,
-    ServiceError, TrainRequest, WorkloadSpec,
+    forest_from_json, forest_to_json, parse_request, ExecutionPolicy, OptimizeRequest, Optimizer,
+    Request, RiskPolicy, ServiceError, TrainRequest, WorkloadSpec,
 };
+use robopt_plan::SplitMix64;
 use robopt_platforms::PlatformRegistry;
 
 /// A spread of workload shapes that exercises every `WorkloadSpec` arm.
@@ -134,11 +136,22 @@ fn tiny_cache_evicts_consistently_and_never_changes_responses() {
         "counter consistency must survive the replay"
     );
 
-    // clear_cache drops entries but keeps lifetime counters monotonic.
-    opt.clear_cache();
+    // A model swap flushes the entries but keeps the lifetime counters.
+    let mut trainer = Optimizer::new(PlatformRegistry::uniform(3));
+    trainer
+        .train(&TrainRequest {
+            n_trees: 2,
+            ..TrainRequest::new(64)
+        })
+        .expect("train a small forest for the uniform(3) layout");
+    let forest = trainer.forest().expect("train installs a forest").clone();
+    opt.install_forest(forest).expect("same layout width");
     let s3 = opt.cache_stats();
     assert_eq!(s3.len, 0);
-    assert_eq!(s3.hits, s2.hits);
+    assert_eq!(
+        (s3.hits, s3.misses, s3.insertions, s3.evictions),
+        (s2.hits, s2.misses, s2.insertions, s2.evictions)
+    );
 }
 
 #[test]
@@ -147,8 +160,8 @@ fn cache_key_separates_policies_that_change_the_answer() {
     // change the search), so flipping them must MISS; worker count and the
     // hardware clamp only change scheduling, so they must HIT.
     // 7 ops keeps the prune-off arm tractable and inside the facade's
-    // unpruned-row budget (unpruned kept-rows grow exponentially in plan
-    // depth over the 5-platform named registry).
+    // enumeration budget (unpruned rows grow exponentially in plan depth
+    // over the 5-platform named registry).
     let mut opt = Optimizer::named();
     let spec = WorkloadSpec::Pipeline { ops: 7, scale: 1e6 };
     let base = OptimizeRequest::new(spec);
@@ -238,29 +251,84 @@ fn invalid_requests_error_instead_of_panicking() {
     let bad_rows = opt.train(&TrainRequest::new(2));
     assert!(matches!(bad_rows, Err(ServiceError::InvalidRequest(_))));
 
-    // An unpruned search is refused before it allocates: the 12-operator
-    // request used to abort the process asking for 95 GB. The budget falls
-    // between the 8- and 9-operator pipelines (72 000 and 360 000 rows), so
-    // the 7-operator prune-off arm of the cache-key test above still runs.
+    // A search is refused at the merge that would stage its rows past the
+    // budget, before that merge allocates: the unpruned 12-operator request
+    // used to abort the process asking for 95 GB. Unpruned, the budget falls
+    // between the 8- and 9-operator pipelines, so the 7-operator prune-off
+    // arm of the cache-key test above still runs.
     let unpruned = ExecutionPolicy::default().with_prune(false);
     let dag = WorkloadSpec::RandomDag {
         seed: 3,
         ops: 12,
         density: 0.5,
     };
-    let pipeline = WorkloadSpec::Pipeline { ops: 9, scale: 1e6 };
-    for (spec, rows) in [(dag, 56_250_000), (pipeline, 360_000)] {
+    let pipeline = |ops| WorkloadSpec::Pipeline { ops, scale: 1e6 };
+    for (spec, rows) in [(dag, 2_954_279), (pipeline(9), 362_018)] {
         match opt.optimize(&OptimizeRequest::new(spec).with_policy(unpruned)) {
             Err(ServiceError::TooLarge {
-                estimate, limit, ..
-            }) => assert_eq!((estimate, limit), (rows, 262_144)),
+                what,
+                estimate,
+                limit,
+            }) => assert_eq!((what, estimate, limit), ("enumeration rows", rows, 262_144)),
             other => panic!("over-budget unpruned request answered {other:?}"),
         }
     }
+    let eight = opt.optimize(&OptimizeRequest::new(pipeline(8)).with_policy(unpruned));
+    assert!(eight.is_ok_and(|resp| resp.stats.generated <= 262_144));
 
     // Errors must not poison the facade: a valid request still succeeds.
     opt.optimize(&OptimizeRequest::new(WorkloadSpec::WordCount {
         scale: 1e5,
     }))
     .expect("facade stays usable after rejected requests");
+}
+
+/// Every `random_dag` spec the wire accepts is answered — optimized, or
+/// refused as too large by the enumeration budget — and none aborts the
+/// process or holds the facade for minutes: 64 seeded specs over the whole
+/// domain (`ops` 2–128 with both ends, `density` in [0, 1] with both ends,
+/// any seed), each sent as a wire line under the analytic oracle.
+#[test]
+fn every_random_dag_the_wire_accepts_is_answered() {
+    let mut rng = SplitMix64::new(0x0da6_5eed);
+    let mut opt = Optimizer::named();
+    let (mut answered, mut refused) = (0, 0);
+    for case in 0..64 {
+        let ops = match case {
+            0 => 2,
+            1 => 128,
+            _ => 2 + rng.gen_range(127),
+        };
+        let density = match case % 8 {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.next_f64(),
+        };
+        let seed = rng.next_u64();
+        let line = format!(
+            r#"{{"op":"optimize","workload":{{"kind":"random_dag","ops":{ops},"seed":{seed},"density":{density:?}}}}}"#
+        );
+        let Ok(Request::Optimize(req)) = parse_request(&line) else {
+            panic!("{line}: not an optimize request");
+        };
+        match opt.optimize(&req) {
+            Ok(resp) => {
+                assert_eq!(resp.assignments.len(), ops, "{line}");
+                assert!(resp.stats.generated <= 262_144, "{line}");
+                answered += 1;
+            }
+            Err(ServiceError::TooLarge {
+                what: "enumeration rows",
+                estimate,
+                limit: 262_144,
+            }) => {
+                assert!(estimate > 262_144, "{line}");
+                refused += 1;
+            }
+            Err(other) => panic!("{line}: {other}"),
+        }
+    }
+    // Most of the domain is large: ops is uniform up to 128, and the
+    // budget answers default-density DAGs up to about 16 operators.
+    assert_eq!((answered, refused), (15, 49));
 }

@@ -1,12 +1,12 @@
 //! TDGEN acceptance properties (paper §V, Fig 8):
 //!
-//! (a) the piecewise degree-5 log-log interpolant is **exact at its
-//!     knots** and keeps a bounded q-error between them, on real
-//!     (skeleton, assignment) runtime curves from the simulator;
-//! (b) **β-pruning is sound and complete**: every sampled or enumerated
-//!     assignment stays within β switches, and `β = usize::MAX` recovers
-//!     exactly the unpruned feasible set (cross-checked against an
-//!     independent brute force over all `k^n` codes);
+//! (a) the piecewise degree-5 log-log interpolant of a [`Curve::sweep`] is
+//!     **exact at its knots** and keeps a bounded q-error between them, on
+//!     real (skeleton, assignment) runtime curves from the simulator;
+//! (b) **β-pruning is sound**: every draw of the assignment walk is
+//!     feasible (cross-checked against an independent brute force over all
+//!     `k^n` codes) and stays within β switches, and `β = usize::MAX` lifts
+//!     the bound;
 //! (c) both [`TrainingSource`] implementations are **deterministic**:
 //!     the same seed reproduces a bit-identical [`TrainingSet`].
 
@@ -14,8 +14,8 @@ use robopt_ml::{q_error, SimulatorSource, TrainingSet, TrainingSource};
 use robopt_plan::{SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::{PlatformId, PlatformRegistry, RuntimeSimulator};
 use robopt_tdgen::{
-    enumerate_assignments, log_knots, max_switches, sample_assignment, sample_skeleton,
-    JobSkeleton, PiecewisePoly, ShapeKind, TdgenConfig, TdgenGenerator,
+    log_knots, max_switches, sample_assignment, sample_skeleton, Curve, JobSkeleton, ShapeKind,
+    TdgenConfig, TdgenGenerator, BETA, KNOTS, SCALE_RANGE,
 };
 use robopt_vector::FeatureLayout;
 
@@ -33,8 +33,6 @@ fn interpolant_is_exact_at_knots_and_bounded_between_them() {
     let (registry, _) = named_setup();
     let sim = RuntimeSimulator::new(&registry, 42).with_noise(0.0);
     let mut rng = SplitMix64::new(0x07d9_ef17);
-    let (lo, hi) = (1e4, 1e9);
-    let knot_scales = log_knots(lo, hi, 11);
     let mut q_sum = 0.0;
     let mut probes = 0usize;
     let mut curves = 0usize;
@@ -42,42 +40,29 @@ fn interpolant_is_exact_at_knots_and_bounded_between_them() {
         let shape = ShapeKind::ALL[rng.gen_range(ShapeKind::ALL.len())];
         let n_ops = shape.min_ops() + rng.gen_range(6);
         let skel = sample_skeleton(&mut rng, &registry, shape, n_ops);
-        let Some(assign) = sample_assignment(&skel, &registry, 3, &mut rng, 64) else {
+        let Some(assign) = sample_assignment(&skel, &registry, BETA, &mut rng, 64) else {
             continue;
         };
-        let mut ln_xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut secs = Vec::new();
-        let mut finite = true;
-        for &scale in &knot_scales {
-            let s = sim.simulate_raw(&skel.instantiate(scale), &assign);
-            if !s.is_finite() {
-                finite = false;
-                break;
-            }
-            ln_xs.push(scale.ln());
-            ys.push(s.ln_1p());
-            secs.push(s);
-        }
-        if !finite {
+        let Ok(curve) = Curve::sweep(&skel, &assign, &sim) else {
             continue;
-        }
-        let poly = PiecewisePoly::fit(&ln_xs, &ys);
+        };
+        assert_eq!(curve.scales, log_knots(SCALE_RANGE.0, SCALE_RANGE.1, KNOTS));
 
         // Knot exactness: the Newton form must pass through its own data.
-        for ((&x, &y), &s) in ln_xs.iter().zip(&ys).zip(&secs) {
-            let at_knot = poly.eval(x);
+        for ((&scale, &y), &s) in curve.scales.iter().zip(&curve.labels).zip(&curve.seconds) {
+            let at_knot = curve.label_at(scale.ln());
             assert!(
                 (at_knot - y).abs() <= 1e-9 * (1.0 + y.abs()),
-                "curve {curves}: knot at ln-scale {x} drifted: {at_knot} vs {y}"
+                "curve {curves}: knot at scale {scale} drifted: {at_knot} vs {y}"
             );
             assert!(q_error(TrainingSet::label_to_seconds(at_knot), s) < 1.0 + 1e-6);
         }
 
         // Held-out scales: bounded q-error against direct simulation.
+        let (lln, hln) = (curve.scales[0].ln(), curve.scales[KNOTS - 1].ln());
         for _ in 0..16 {
-            let ln_s = ln_xs[0] + (ln_xs[ln_xs.len() - 1] - ln_xs[0]) * rng.next_f64();
-            let predicted = TrainingSet::label_to_seconds(poly.eval(ln_s));
+            let ln_s = lln + (hln - lln) * rng.next_f64();
+            let predicted = TrainingSet::label_to_seconds(curve.label_at(ln_s));
             let actual = sim.simulate_raw(&skel.instantiate(ln_s.exp()), &assign);
             let q = q_error(predicted, actual);
             assert!(
@@ -99,7 +84,7 @@ fn interpolant_is_exact_at_knots_and_bounded_between_them() {
 /// Independent brute force over all `k^n` platform codes: feasible means
 /// every operator's kind is available on its platform and every edge
 /// connects convertible platforms. Deliberately shares no code with
-/// `enumerate_assignments`.
+/// `sample_assignment`.
 fn brute_force_feasible(skel: &JobSkeleton, registry: &PlatformRegistry) -> Vec<Vec<u8>> {
     let k = registry.len();
     let n = skel.n_ops();
@@ -126,8 +111,10 @@ fn brute_force_feasible(skel: &JobSkeleton, registry: &PlatformRegistry) -> Vec<
     out
 }
 
-/// Property (b): β-pruning never lets a >β assignment through, and
-/// disabling it (`β = usize::MAX`) recovers the unpruned feasible set.
+/// Property (b): every draw of the β-bounded walk — TDGEN's one assignment
+/// drawer — lies in the brute-force feasible set within β switches, the
+/// walk draws whenever that set holds a β-bounded assignment, and with the
+/// bound off (`β = usize::MAX`) it draws feasible assignments past [`BETA`].
 #[test]
 fn beta_pruning_is_sound_and_max_beta_recovers_the_feasible_set() {
     let (registry, _) = named_setup();
@@ -136,38 +123,36 @@ fn beta_pruning_is_sound_and_max_beta_recovers_the_feasible_set() {
         // Keep n small: the cross-check enumerates all 5^n codes.
         let n_ops = shape.min_ops().max(5);
         let skel = sample_skeleton(&mut rng, &registry, shape, n_ops);
-
         let brute = brute_force_feasible(&skel, &registry);
-        let unpruned = enumerate_assignments(&skel, &registry, usize::MAX, usize::MAX);
-        assert_eq!(
-            unpruned.len(),
-            brute.len(),
-            "case {case} ({}): beta = MAX must recover the feasible set",
-            shape.name()
-        );
+        let name = shape.name();
 
-        for beta in [0usize, 1, 2, 3] {
-            let pruned = enumerate_assignments(&skel, &registry, beta, usize::MAX);
-            for a in &pruned {
-                assert!(
-                    max_switches(&skel, a) <= beta,
-                    "case {case}: enumerated assignment {a:?} exceeds beta = {beta}"
-                );
-            }
-            // The DFS must agree with filtering the brute-force set.
-            let expected = brute
-                .iter()
-                .filter(|a| max_switches(&skel, a) <= beta)
-                .count();
-            assert_eq!(pruned.len(), expected, "case {case} beta {beta}: count");
-
-            for draw in 0..8 {
-                if let Some(a) = sample_assignment(&skel, &registry, beta, &mut rng, 64) {
+        for beta in [0, 1, 2, BETA, usize::MAX] {
+            let bounded = brute.iter().any(|a| max_switches(&skel, a) <= beta);
+            let mut most = 0;
+            for draw in 0..32 {
+                let Some(a) = sample_assignment(&skel, &registry, beta, &mut rng, 64) else {
                     assert!(
-                        max_switches(&skel, &a) <= beta,
-                        "case {case} draw {draw}: sampled assignment exceeds beta = {beta}"
+                        !bounded,
+                        "case {case} ({name}) draw {draw}: beta = {beta} stranded"
                     );
-                }
+                    continue;
+                };
+                assert!(
+                    brute.contains(&a),
+                    "case {case} ({name}) draw {draw}: infeasible assignment {a:?}"
+                );
+                let switches = max_switches(&skel, &a);
+                assert!(
+                    switches <= beta,
+                    "case {case} ({name}) draw {draw}: {a:?} exceeds beta = {beta}"
+                );
+                most = most.max(switches);
+            }
+            if beta == usize::MAX && brute.iter().any(|a| max_switches(&skel, a) > BETA) {
+                assert!(
+                    most > BETA,
+                    "case {case} ({name}): the unbounded walk stays within BETA"
+                );
             }
         }
     }
