@@ -12,7 +12,7 @@
 //!    parallelism is 1, so an all-`java` run takes the one-chunk path at
 //!    every worker count.
 //! 2. **Ranking agreement** — every pool workload runs on the engine
-//!    (measured seconds, the median of three passes over the whole pool)
+//!    (measured seconds, the median of five passes over the whole pool)
 //!    and through the simulator (noiseless)
 //!    under the same all-`java` assignment; Spearman rank correlation over
 //!    the shared pool must reach ≥ 0.9. The pool is volume-separated on
@@ -106,19 +106,23 @@ struct PoolRow {
     output_rows: u64,
 }
 
-/// Three passes over `runs`, one after another, and per run the median
-/// pass: its seconds, the share of them that was measured rather than
-/// modeled (`compute_seconds / seconds`), and its output rows. A slow
-/// stretch of the shared host then lands on one pass, which the median
-/// drops, instead of on every sample of a few runs. Measured seconds
+/// Whole passes over the pool [`engine_seconds`] takes the median of.
+const PASSES: usize = 5;
+
+/// [`PASSES`] passes over `runs`, one after another, and per run the
+/// median pass: its seconds, the share of them that was measured rather
+/// than modeled (`compute_seconds / seconds`), and its output rows. A slow
+/// stretch of the shared host then lands on one or two passes, which the
+/// median drops, instead of on every sample of a few runs; pool entries
+/// run in 10–50 ms, where one such stretch moves a rank. Measured seconds
 /// jitter, digests don't.
 fn engine_seconds(
     engine: &Engine<'_>,
     runs: &[(&LogicalPlan, Vec<PlatformId>)],
 ) -> Vec<(f64, f64, u64)> {
-    let mut samples: Vec<Vec<(f64, f64)>> = vec![Vec::with_capacity(3); runs.len()];
+    let mut samples: Vec<Vec<(f64, f64)>> = vec![Vec::with_capacity(PASSES); runs.len()];
     let mut rows = vec![0; runs.len()];
-    for _ in 0..3 {
+    for _ in 0..PASSES {
         for ((plan, assign), (sample, out)) in runs.iter().zip(samples.iter_mut().zip(&mut rows)) {
             let report = engine.execute(plan, assign);
             assert!(report.feasible);
@@ -131,7 +135,7 @@ fn engine_seconds(
         .zip(rows)
         .map(|(mut sample, out)| {
             sample.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (seconds, compute) = sample[1];
+            let (seconds, compute) = sample[PASSES / 2];
             (seconds, compute / seconds, out)
         })
         .collect()
@@ -231,10 +235,10 @@ fn main() {
         entries.len()
     ));
     report.line("");
-    report.line(
-        "all-java pool (engine = median of 3 passes, compute share = its measured part, \
-         simulator = noiseless model):",
-    );
+    report.line(format_args!(
+        "all-java pool (engine = median of {PASSES} passes, compute share = its measured \
+             part, simulator = noiseless model):"
+    ));
     report.line(format_args!(
         "{:>18} {:>14} {:>14} {:>14} {:>12}",
         "workload", "engine s", "compute share", "simulator s", "output rows"

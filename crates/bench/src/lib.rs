@@ -78,7 +78,7 @@ impl Report {
 
     /// Print the report; write it to `txt` (`<dir>/<name>.txt`) and, to
     /// `json`, the object `artifact` fills after an `experiment` member
-    /// naming it, both under [`repo_root`]; exit 1 if any check failed.
+    /// naming it, both under `repo_root()`; exit 1 if any check failed.
     pub fn finish(self, txt: &str, json: &str, artifact: impl FnOnce(&mut Writer)) {
         print!("{}", self.text);
         let name = txt.rsplit(['/', '.']).nth(1).expect("<dir>/<name>.txt");

@@ -9,7 +9,7 @@
 //!   per line (stdin by default, a localhost TCP socket with `--tcp`), one
 //!   JSON response per line, until `{"op":"quit"}` or EOF;
 //! * `robopt optimize|execute|compare|train` — one-shot verbs: the flags
-//!   are translated, row by row of the [`FLAGS`] table, into the request
+//!   are translated, row by row of the `FLAGS` table, into the request
 //!   line a `serve` client would have sent, and the response line goes to
 //!   stdout (`train --model-out` also persists the forest as bit-exact
 //!   JSON for later `--model` use).

@@ -21,7 +21,7 @@
 //! the operator kinds the plan holds, 105 of 292 at 7 kinds × 8 platforms —
 //! built once per run from the caller's full layout. The oracle receives
 //! them as packed views of full-layout rows ([`PlanLayout::packed`]); only
-//! [`Enumerator::finish`] encodes a full-layout row, for the winner.
+//! `Enumerator::finish` encodes a full-layout row, for the winner.
 //!
 //! Zero-allocation hot path: the [`Enumerator`] owns matrix pools, scratch
 //! row buffers, the batch cost buffer, the priority heap and the footprint
@@ -117,7 +117,7 @@ impl<'a> EnumOptions<'a> {
     /// enumeration. Under any other policy, rows are scored through
     /// [`CostOracle::cost_batch_dist`]: pruning keeps the cheapest
     /// *risk-adjusted* row per footprint, while the reported plan cost
-    /// stays the canonical mean (see [`Enumerator::finish`]).
+    /// stays the canonical mean (see `Enumerator::finish`).
     pub fn with_risk(mut self, risk: RiskPolicy) -> Self {
         self.risk = risk;
         self

@@ -55,14 +55,9 @@ impl Text {
         self.as_bytes().is_empty()
     }
 
-    /// The maximal runs of non-whitespace bytes, split as
-    /// `str::split_ascii_whitespace` splits: ASCII whitespace bytes never
-    /// occur inside a multi-byte UTF-8 sequence, so words of valid UTF-8
-    /// are valid UTF-8.
+    /// The payload's words ([`words_of`]).
     pub fn words(&self) -> impl Iterator<Item = &[u8]> {
-        self.as_bytes()
-            .split(u8::is_ascii_whitespace)
-            .filter(|word| !word.is_empty())
+        words_of(self.as_bytes())
     }
 }
 
@@ -160,8 +155,43 @@ fn unit(v: u64) -> f64 {
     (v >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The `row`-th record of a seeded source operator. Seeding is per row
-/// index — never per partition — so chunking can never change the data.
+/// The seeded state row `row` of source operator `op` starts from.
+/// Seeding is per row index — never per partition — so chunking can never
+/// change the data.
+fn row_state(seed: u64, op: u32, row: u64) -> u64 {
+    mix64(seed ^ mix64((u64::from(op) << 32) ^ row))
+}
+
+/// Room for the longest generated line: 8 words of 3 bytes and the space
+/// after each.
+pub const LINE_CAP: usize = 32;
+
+/// Write the `row`-th line of text source `op` — 3–8 words of `wXX`,
+/// single spaces between, at most 31 bytes — to the front of `line`, and
+/// return its length. [`source_record`]'s text; an executor that may not
+/// read the line calls this only when it does.
+pub fn source_line(seed: u64, op: u32, row: u64, line: &mut [u8; LINE_CAP]) -> usize {
+    let mut s = row_state(seed, op, row);
+    let n_words = 3 + s % 6;
+    for w in 0..n_words {
+        s = mix64(s.wrapping_add(w));
+        let u = unit(s);
+        let idx = ((u * u) * VOCAB as f64) as u64;
+        let at = 4 * w as usize;
+        line[at] = b'w';
+        write_hex2(&mut line[at + 1..at + 3], idx.min(VOCAB - 1));
+        line[at + 3] = b' ';
+    }
+    4 * n_words as usize - 1
+}
+
+/// A text source's `row`-th record but for its line ([`source_line`]):
+/// keyed by its row, weighing 1.
+pub fn line_fields(row: u64) -> (u64, f64) {
+    (row, 1.0)
+}
+
+/// The `row`-th record of a seeded source operator.
 pub fn source_record(
     kind: robopt_plan::OperatorKind,
     seed: u64,
@@ -169,24 +199,16 @@ pub fn source_record(
     row: u64,
     n_rows: u64,
 ) -> Record {
-    let mut s = mix64(seed ^ mix64((u64::from(op) << 32) ^ row));
+    let s = row_state(seed, op, row);
     match kind {
         robopt_plan::OperatorKind::TextFileSource => {
-            // 3–8 words of `wXX`, single spaces between: at most 31 bytes.
-            let n_words = 3 + s % 6;
-            let mut line = [b' '; 32];
-            for w in 0..n_words {
-                s = mix64(s.wrapping_add(w));
-                let u = unit(s);
-                let idx = ((u * u) * VOCAB as f64) as u64;
-                let at = 4 * w as usize;
-                line[at] = b'w';
-                write_hex2(&mut line[at + 1..at + 3], idx.min(VOCAB - 1));
-            }
+            let mut line = [0; LINE_CAP];
+            let len = source_line(seed, op, row, &mut line);
+            let (key, num) = line_fields(row);
             Record {
-                key: row,
-                num: 1.0,
-                text: line[..4 * n_words as usize - 1].into(),
+                key,
+                num,
+                text: line[..len].into(),
             }
         }
         robopt_plan::OperatorKind::TableSource => Record {
@@ -210,10 +232,15 @@ fn write_hex2(text: &mut [u8], v: u64) {
 }
 
 /// `Map` / `MapPartitions` semantics: re-key injectively, keep payloads.
-/// In place, for an executor that owns the record.
+#[inline]
+pub fn rekey(key: u64) -> u64 {
+    mix64(key)
+}
+
+/// [`rekey`] in place, for an executor that owns the record.
 #[inline]
 pub fn rekey_record(r: &mut Record) {
-    r.key = mix64(r.key);
+    r.key = rekey(r.key);
 }
 
 /// [`rekey_record`] on a copy, for an executor that only borrows it.
@@ -223,26 +250,50 @@ pub fn map_record(r: &Record) -> Record {
     out
 }
 
+/// The maximal runs of non-whitespace bytes of `text`, split as
+/// `str::split_ascii_whitespace` splits: ASCII whitespace bytes never
+/// occur inside a multi-byte UTF-8 sequence, so words of valid UTF-8 are
+/// valid UTF-8.
+pub fn words_of(text: &[u8]) -> impl Iterator<Item = &[u8]> {
+    text.split(u8::is_ascii_whitespace)
+        .filter(|word| !word.is_empty())
+}
+
+/// The `(key, num)` of a word [`flat_map_record`] splits off a line: keyed
+/// by the word — this is what makes WordCount really count words — and
+/// weighing 1.
+#[inline]
+pub fn word_fields(word: &[u8]) -> (u64, f64) {
+    (fnv1a(word), 1.0)
+}
+
+/// The two `(key, num)` halves [`flat_map_record`] splits a record with
+/// no text into.
+#[inline]
+pub fn split_number(key: u64, num: f64) -> [(u64, f64); 2] {
+    [
+        (mix64(key ^ 1), num * 0.5),
+        (mix64(key ^ 2), num * 0.5 + 1.0),
+    ]
+}
+
 /// `FlatMap` semantics: text records split into one word record apiece
-/// (keyed by the word — this is what makes WordCount really count words);
-/// numeric records split in two.
+/// ([`word_fields`]); numeric records split in two ([`split_number`]).
 pub fn flat_map_record(r: &Record, out: &mut Vec<Record>) {
     if r.text.is_empty() {
-        out.push(Record {
-            key: mix64(r.key ^ 1),
-            num: r.num * 0.5,
-            text: Text::new(),
-        });
-        out.push(Record {
-            key: mix64(r.key ^ 2),
-            num: r.num * 0.5 + 1.0,
-            text: Text::new(),
-        });
+        for (key, num) in split_number(r.key, r.num) {
+            out.push(Record {
+                key,
+                num,
+                text: Text::new(),
+            });
+        }
     } else {
         for word in r.text.words() {
+            let (key, num) = word_fields(word);
             out.push(Record {
-                key: fnv1a(word),
-                num: 1.0,
+                key,
+                num,
                 text: word.into(),
             });
         }
@@ -255,14 +306,20 @@ pub fn flat_map_len(r: &Record) -> usize {
     if r.text.is_empty() {
         2
     } else {
-        r.text.words().count()
+        words_of(r.text.as_bytes()).count()
     }
 }
 
-/// `Filter` / `Sample` keep-decision: a seeded coin keyed on the record.
-pub fn keep_record(r: &Record, selectivity: f64, salt: u64) -> bool {
+/// `Filter` / `Sample` keep-decision on a record's key: a seeded coin.
+#[inline]
+pub fn keep_key(key: u64, selectivity: f64, salt: u64) -> bool {
     let threshold = (selectivity.clamp(0.0, 1.0) * (1u64 << 32) as f64) as u64;
-    mix64(r.key ^ salt) & 0xFFFF_FFFF < threshold
+    mix64(key ^ salt) & 0xFFFF_FFFF < threshold
+}
+
+/// [`keep_key`] on a record.
+pub fn keep_record(r: &Record, selectivity: f64, salt: u64) -> bool {
+    keep_key(r.key, selectivity, salt)
 }
 
 /// Salt for `Filter` coins.

@@ -17,7 +17,7 @@
 //!   reproduces the plain sort byte-for-byte — stable or not — because
 //!   equal elements are fully identical;
 //! * Distinct, ReduceByKey and GroupByKey fold their stream into a hash
-//!   table ([`Accumulator`]) per contiguous range, merge the tables in
+//!   table (an accumulator) per contiguous range, merge the tables in
 //!   range order and emit them sorted: what the table keeps per entry (the
 //!   least record of its class and how many fell into it) does not depend
 //!   on arrival order, and the one float sum is taken only then, in sorted
@@ -30,9 +30,14 @@
 //! consumer is another such operator or a one-input keyed operator never
 //! materializes its output. The keyed operator streams the chain's head —
 //! the source's rows, or the buffer the chain's first operator would have
-//! read — record by record through the per-record functions of
+//! read — record by record through the per-record rules of
 //! [`crate::data`] into its accumulators, counting each fused operator's
-//! output as it passes. A source read only by a Filter or Sample that
+//! output as it passes. What streams is a view of a record — its key, its
+//! payload and its text as bytes held elsewhere — not a [`Record`]: a Map
+//! rewrites the key, a coin reads it, a FlatMap hands each word on as a
+//! slice of its line, and a text source's line is generated only when a
+//! FlatMap or the accumulator reads it. A [`Record`] is built only where
+//! an accumulator keeps one. A source read only by a Filter or Sample that
 //! materializes is fused the same way: the Filter generates the rows and
 //! stores only those its coin keeps, so the source's stream is never
 //! built.
@@ -51,7 +56,7 @@
 //!
 //! Records are moved, not copied: an operator takes its producer's buffer
 //! when it is the last one to read it and borrows or clones it otherwise
-//! ([`Buffers::input`]), so a buffer lives from the operator that filled
+//! (`Buffers::input`), so a buffer lives from the operator that filled
 //! it to the last operator that reads it and no longer.
 
 use std::borrow::Cow;
@@ -63,8 +68,9 @@ use robopt_platforms::{
 };
 
 use crate::data::{
-    assign_point, digest_terminals, flat_map_len, flat_map_record, keep_record, point_of,
-    record_cmp, rekey_record, source_record, Record, Text, FILTER_SALT, PAGERANK_DST_SALT,
+    assign_point, digest_terminals, flat_map_len, flat_map_record, keep_key, keep_record,
+    line_fields, point_of, record_cmp, rekey, rekey_record, source_line, source_record,
+    split_number, word_fields, words_of, Record, Text, FILTER_SALT, LINE_CAP, PAGERANK_DST_SALT,
     SAMPLE_SALT,
 };
 
@@ -479,27 +485,19 @@ impl<'a> Engine<'a> {
                 let o = plan.op(src);
                 let n = clamp_rows(o.source_cardinality, self.max_source_rows);
                 rows[src as usize] = n;
-                Head::Source(o.kind, src, n)
+                Head::Source {
+                    kind: o.kind,
+                    seed: self.seed,
+                    op: src,
+                    rows: n,
+                }
             }
             None => Head::Buffer(buffers.input(plan.preds(first))),
         };
 
-        let seed = self.seed;
         let passes = par_ranges(w, head.len(), |range, out| {
             let mut pass = Pass::new(keyed, &stages);
-            match &head {
-                Head::Source(kind, src, n) => {
-                    for row in range {
-                        let r = source_record(*kind, seed, *src, row as u64, *n);
-                        pass.push(0, Cow::Owned(r));
-                    }
-                }
-                Head::Buffer(records) => {
-                    for r in &records[range] {
-                        pass.push(0, Cow::Borrowed(r));
-                    }
-                }
-            }
+            head.feed(range, &mut pass);
             out.push(pass);
         });
         let merged = passes.into_iter().reduce(|mut total, pass| {
@@ -822,11 +820,11 @@ fn sort_sides(w: usize, a: Vec<Record>, b: Vec<Record>) -> (Vec<Record>, Vec<Rec
 /// A narrow operator fused into the stream feeding a keyed operator.
 #[derive(Debug, Clone, Copy)]
 enum Stage {
-    /// Map / MapPartitions: [`rekey_record`].
+    /// Map / MapPartitions: [`rekey`].
     Map,
-    /// Filter / Sample: [`keep_record`] with the operator's coin.
+    /// Filter / Sample: [`keep_key`] with the operator's coin.
     Keep { selectivity: f64, salt: u64 },
-    /// FlatMap: [`flat_map_record`].
+    /// FlatMap: [`flat_map_record`], as [`words_of`] and [`split_number`].
     FlatMap,
 }
 
@@ -851,31 +849,97 @@ impl Stage {
 
 /// Where a keyed operator's stream starts.
 enum Head<'b> {
-    /// A fused source: `(kind, op, rows)`, generated row by row.
-    Source(OperatorKind, u32, u64),
+    /// A fused source, generated row by row.
+    Source {
+        kind: OperatorKind,
+        seed: u64,
+        op: u32,
+        rows: u64,
+    },
     /// The buffer the chain's first operator — or, with no chain, the
-    /// keyed operator itself — reads through [`Buffers::input`].
+    /// keyed operator itself — reads through `Buffers::input`.
     Buffer(Cow<'b, [Record]>),
 }
 
 impl Head<'_> {
     fn len(&self) -> usize {
         match self {
-            Head::Source(_, _, rows) => *rows as usize,
+            Head::Source { rows, .. } => *rows as usize,
             Head::Buffer(records) => records.len(),
+        }
+    }
+
+    /// Push the head's records `range` into `pass`, as views: a buffer's
+    /// records by reference, a text source's rows with their lines not yet
+    /// generated.
+    fn feed(&self, range: std::ops::Range<usize>, pass: &mut Pass<'_>) {
+        match *self {
+            Head::Source {
+                kind: OperatorKind::TextFileSource,
+                seed,
+                op,
+                ..
+            } => {
+                for row in range {
+                    let row = row as u64;
+                    let (key, num) = line_fields(row);
+                    pass.push(0, key, num, Body::Line { seed, op, row });
+                }
+            }
+            Head::Source {
+                kind,
+                seed,
+                op,
+                rows,
+            } => {
+                for row in range {
+                    let r = source_record(kind, seed, op, row as u64, rows);
+                    pass.push(0, r.key, r.num, Body::Bytes(r.text.as_bytes()));
+                }
+            }
+            Head::Buffer(ref records) => {
+                for r in &records[range] {
+                    pass.push(0, r.key, r.num, Body::Bytes(r.text.as_bytes()));
+                }
+            }
+        }
+    }
+}
+
+/// The text of a record in flight through a fused chain.
+#[derive(Clone, Copy)]
+enum Body<'t> {
+    /// Bytes held elsewhere: a buffered record's text, or a word of a line.
+    Bytes(&'t [u8]),
+    /// Row `row` of text source `op`, whose line ([`source_line`]) no stage
+    /// has read yet.
+    Line { seed: u64, op: u32, row: u64 },
+}
+
+impl<'t> Body<'t> {
+    /// The bytes, generating a line into `line` if it was not yet.
+    #[inline]
+    fn bytes<'l>(self, line: &'l mut [u8; LINE_CAP]) -> &'l [u8]
+    where
+        't: 'l,
+    {
+        match self {
+            Body::Bytes(bytes) => bytes,
+            Body::Line { seed, op, row } => {
+                let len = source_line(seed, op, row, line);
+                &line[..len]
+            }
         }
     }
 }
 
 /// One contiguous range of a keyed operator's stream: its records pass
-/// through the fused stages into an accumulator, and every stage counts
-/// what it passes on.
+/// through the fused stages into an accumulator as `(key, num, text)`
+/// views, and every stage counts what it passes on.
 struct Pass<'s> {
     stages: &'s [Stage],
     /// Records each stage passed on, stage for stage.
     passed: Vec<u64>,
-    /// One reused output buffer per FlatMap stage.
-    scratch: Vec<Vec<Record>>,
     acc: Accumulator,
 }
 
@@ -884,38 +948,47 @@ impl<'s> Pass<'s> {
         Pass {
             stages,
             passed: vec![0; stages.len()],
-            scratch: vec![Vec::new(); stages.len()],
             acc: Accumulator::new(keyed),
         }
     }
 
-    /// Feed `r` to stage `at` and on (the accumulator past the last one).
-    /// A Map clones a borrowed record once and re-keys an owned one in
-    /// place.
-    fn push(&mut self, mut at: usize, mut r: Cow<'_, Record>) {
+    /// Feed the record `(key, num, text)` to stage `at` and on (the
+    /// accumulator past the last one). A Map rewrites the key and a coin
+    /// reads it; a FlatMap — and the accumulator — read the text, so a
+    /// line is generated there or nowhere, and a FlatMap hands each word
+    /// on as a slice of its line.
+    fn push(&mut self, mut at: usize, mut key: u64, num: f64, text: Body<'_>) {
         while let Some(&stage) = self.stages.get(at) {
             match stage {
-                Stage::Map => rekey_record(r.to_mut()),
+                Stage::Map => key = rekey(key),
                 Stage::Keep { selectivity, salt } => {
-                    if !keep_record(&r, selectivity, salt) {
+                    if !keep_key(key, selectivity, salt) {
                         return;
                     }
                 }
                 Stage::FlatMap => {
-                    let mut out = std::mem::take(&mut self.scratch[at]);
-                    flat_map_record(&r, &mut out);
-                    self.passed[at] += out.len() as u64;
-                    for x in out.drain(..) {
-                        self.push(at + 1, Cow::Owned(x));
+                    let mut line = [0; LINE_CAP];
+                    let bytes = text.bytes(&mut line);
+                    if bytes.is_empty() {
+                        self.passed[at] += 2;
+                        for (key, num) in split_number(key, num) {
+                            self.push(at + 1, key, num, Body::Bytes(&[]));
+                        }
+                    } else {
+                        for word in words_of(bytes) {
+                            self.passed[at] += 1;
+                            let (key, num) = word_fields(word);
+                            self.push(at + 1, key, num, Body::Bytes(word));
+                        }
                     }
-                    self.scratch[at] = out;
                     return;
                 }
             }
             self.passed[at] += 1;
             at += 1;
         }
-        self.acc.add(&r);
+        let mut line = [0; LINE_CAP];
+        self.acc.add(key, num, text.bytes(&mut line));
     }
 
     /// Fold the next range's pass into this one.
@@ -949,15 +1022,15 @@ impl Keyed {
         }
     }
 
-    /// A hash of the part of `r` that decides its entry. Text bytes are
-    /// folded in one at a time and mixed once: the words keyed operators
-    /// see are a few bytes long.
-    fn hash(self, r: &Record) -> u64 {
-        let mut h = mix64(r.key);
+    /// A hash of the part of `(key, num, text)` that decides its entry.
+    /// Text bytes are folded in one at a time and mixed once: the words
+    /// keyed operators see are a few bytes long.
+    fn hash(self, key: u64, num: f64, text: &[u8]) -> u64 {
+        let mut h = mix64(key);
         if self != Keyed::GroupByKey {
-            h ^= r.num.to_bits();
+            h ^= num.to_bits();
             if self == Keyed::Distinct {
-                for &b in r.text.as_bytes() {
+                for &b in text {
                     h = h.rotate_left(8) ^ u64::from(b);
                 }
             }
@@ -966,20 +1039,19 @@ impl Keyed {
         h
     }
 
-    /// Whether `a` and `b` fall into the same entry.
-    fn same(self, a: &Record, b: &Record) -> bool {
-        a.key == b.key
+    /// Whether `(key, num, text)` falls into `least`'s entry.
+    fn same(self, least: &Record, key: u64, num: f64, text: &[u8]) -> bool {
+        least.key == key
             && (self == Keyed::GroupByKey
-                || (a.num.to_bits() == b.num.to_bits()
-                    && (self == Keyed::ReduceByKey || same_text(&a.text, &b.text))))
+                || (least.num.to_bits() == num.to_bits()
+                    && (self == Keyed::ReduceByKey || same_bytes(least.text.as_bytes(), text))))
     }
 }
 
-/// Byte equality of two texts as a loop the compiler keeps inline: a
-/// keyed operator compares a few bytes per record, too few to pay for the
-/// `bcmp` call `==` makes.
-fn same_text(a: &Text, b: &Text) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
+/// Byte equality as a loop the compiler keeps inline: a keyed operator
+/// compares a few bytes per record, too few to pay for the `bcmp` call
+/// `==` makes.
+fn same_bytes(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
 }
 
@@ -1012,39 +1084,54 @@ impl Accumulator {
         }
     }
 
-    fn add(&mut self, r: &Record) {
-        self.absorb(self.keyed.hash(r), 1, r);
+    fn add(&mut self, key: u64, num: f64, text: &[u8]) {
+        self.absorb(self.keyed.hash(key, num, text), 1, key, num, text);
     }
 
     /// Union `other`'s entries into this one's: counts add, the least
     /// record is kept.
     fn merge(&mut self, other: Accumulator) {
         for e in other.entries {
-            self.absorb(e.hash, e.count, &e.least);
+            let r = &e.least;
+            self.absorb(e.hash, e.count, r.key, r.num, r.text.as_bytes());
         }
     }
 
-    fn absorb(&mut self, hash: u64, count: u64, r: &Record) {
+    /// Count `count` records `(key, num, text)` into their entry. A
+    /// [`Record`] is built only for a new entry or a new least record, the
+    /// least under [`record_cmp`]'s `(key, num bits, bytes)`.
+    fn absorb(&mut self, hash: u64, count: u64, key: u64, num: f64, text: &[u8]) {
         let (keyed, entries) = (self.keyed, &mut self.entries);
-        let found = self.index.probe(hash, |i| keyed.same(&entries[i].least, r));
+        let found = self
+            .index
+            .probe(hash, |i| keyed.same(&entries[i].least, key, num, text));
+        let record = || Record {
+            key,
+            num,
+            text: text.into(),
+        };
         match found {
             Ok(i) => {
                 let e = &mut entries[i];
                 e.count += count;
-                // Under Distinct, and mostly otherwise, `r` is the least
-                // record already.
+                // Under Distinct, and mostly otherwise, the view is the
+                // least record already.
+                let least = &e.least;
                 let identical = keyed == Keyed::Distinct
-                    || (r.num.to_bits() == e.least.num.to_bits()
-                        && same_text(&r.text, &e.least.text));
-                if !identical && record_cmp(r, &e.least).is_lt() {
-                    e.least = r.clone();
+                    || (num.to_bits() == least.num.to_bits()
+                        && same_bytes(text, least.text.as_bytes()));
+                if !identical
+                    && (key, num.to_bits(), text)
+                        < (least.key, least.num.to_bits(), least.text.as_bytes())
+                {
+                    e.least = record();
                 }
             }
             Err(slot) => {
                 entries.push(Entry {
                     hash,
                     count,
-                    least: r.clone(),
+                    least: record(),
                 });
                 self.index
                     .fill(slot, hash, entries.len(), |i| entries[i].hash);
@@ -1441,19 +1528,49 @@ mod tests {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| record_cmp(x, y).is_eq())
     }
 
-    /// Cut `stream` into `ranges` contiguous ranges, run one [`Pass`] over
+    /// Cut `head` into `ranges` contiguous ranges, run one [`Pass`] over
     /// each and merge them in range order, as `run_keyed` does.
-    fn passes<'s>(keyed: Keyed, stages: &'s [Stage], stream: &[Record], ranges: usize) -> Pass<'s> {
-        let len = stream.len();
+    fn passes<'s>(keyed: Keyed, stages: &'s [Stage], head: &Head<'_>, ranges: usize) -> Pass<'s> {
+        let len = head.len();
         let mut total = Pass::new(keyed, stages);
         for c in 0..ranges {
             let mut pass = Pass::new(keyed, stages);
-            for r in &stream[c * len / ranges..(c + 1) * len / ranges] {
-                pass.push(0, Cow::Borrowed(r));
-            }
+            head.feed(c * len / ranges..(c + 1) * len / ranges, &mut pass);
             total.merge(pass);
         }
         total
+    }
+
+    fn buffer(records: &[Record]) -> Head<'_> {
+        Head::Buffer(Cow::Borrowed(records))
+    }
+
+    #[test]
+    fn the_view_rules_are_the_record_rules() {
+        for kind in [
+            OperatorKind::TextFileSource,
+            OperatorKind::TableSource,
+            OperatorKind::CollectionSource,
+        ] {
+            for row in 0..10_000u64 {
+                let r = source_record(kind, 0x5EED, 3, row, 10_000);
+                if kind == OperatorKind::TextFileSource {
+                    let mut line = [0; LINE_CAP];
+                    let len = source_line(0x5EED, 3, row, &mut line);
+                    assert_eq!(&line[..len], r.text.as_bytes(), "row {row}");
+                    assert_eq!(line_fields(row), (r.key, r.num), "row {row}");
+                }
+                for selectivity in [0.0, 0.37, 1.0] {
+                    for salt in [FILTER_SALT, SAMPLE_SALT] {
+                        assert_eq!(
+                            keep_key(r.key, selectivity, salt),
+                            keep_record(&r, selectivity, salt),
+                            "{kind:?} row {row} at {selectivity}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     const KEYED: [Keyed; 3] = [Keyed::Distinct, Keyed::ReduceByKey, Keyed::GroupByKey];
@@ -1489,7 +1606,7 @@ mod tests {
             for keyed in KEYED {
                 let want = sort_then_fold(keyed, &input);
                 for ranges in 1..=4 {
-                    let got = passes(keyed, &[], &input, ranges).acc.finish();
+                    let got = passes(keyed, &[], &buffer(&input), ranges).acc.finish();
                     assert!(
                         same_records(&got, &want),
                         "stream {stream} {keyed:?} over {ranges} ranges"
@@ -1536,34 +1653,49 @@ mod tests {
                     text: texts[rng.gen_range(texts.len())].into(),
                 })
                 .collect();
-            // Materialize every stage, one whole stream after another.
-            let mut stream = input.clone();
-            let mut counts = Vec::new();
-            for stage in &stages {
-                stream = match *stage {
-                    Stage::Map => stream.iter().map(map_record).collect(),
-                    Stage::Keep { selectivity, salt } => stream
-                        .into_iter()
-                        .filter(|r| keep_record(r, selectivity, salt))
-                        .collect(),
-                    Stage::FlatMap => {
-                        let mut out = Vec::new();
-                        stream.iter().for_each(|r| flat_map_record(r, &mut out));
-                        out
+            // The same chain from a generated text source, whose lines the
+            // fused pass generates only where a stage reads them.
+            let (kind, seed, op) = (OperatorKind::TextFileSource, rng.next_u64(), case);
+            let rows = rng.gen_range(400) as u64;
+            let lines: Vec<Record> = (0..rows)
+                .map(|row| source_record(kind, seed, op, row, rows))
+                .collect();
+            let source = Head::Source {
+                kind,
+                seed,
+                op,
+                rows,
+            };
+            for (head, start) in [(buffer(&input), &input), (source, &lines)] {
+                // Materialize every stage, one whole stream after another.
+                let mut stream = start.clone();
+                let mut counts = Vec::new();
+                for stage in &stages {
+                    stream = match *stage {
+                        Stage::Map => stream.iter().map(map_record).collect(),
+                        Stage::Keep { selectivity, salt } => stream
+                            .into_iter()
+                            .filter(|r| keep_record(r, selectivity, salt))
+                            .collect(),
+                        Stage::FlatMap => {
+                            let mut out = Vec::new();
+                            stream.iter().for_each(|r| flat_map_record(r, &mut out));
+                            out
+                        }
+                    };
+                    counts.push(stream.len() as u64);
+                }
+                for keyed in KEYED {
+                    let want = sort_then_fold(keyed, &stream);
+                    for ranges in 1..=4 {
+                        let total = passes(keyed, &stages, &head, ranges);
+                        assert_eq!(total.passed, counts, "case {case} {stages:?}");
+                        let got = total.acc.finish();
+                        assert!(
+                            same_records(&got, &want),
+                            "case {case} {stages:?} {keyed:?}"
+                        );
                     }
-                };
-                counts.push(stream.len() as u64);
-            }
-            for keyed in KEYED {
-                let want = sort_then_fold(keyed, &stream);
-                for ranges in 1..=4 {
-                    let total = passes(keyed, &stages, &input, ranges);
-                    assert_eq!(total.passed, counts, "case {case} {stages:?}");
-                    let got = total.acc.finish();
-                    assert!(
-                        same_records(&got, &want),
-                        "case {case} {stages:?} {keyed:?}"
-                    );
                 }
             }
         }

@@ -9,13 +9,13 @@
 //!   ([`robopt_plan::par::par_chunks`]) fits one contiguous block of tree
 //!   indices (no work queue, no locks). The training set's columns are
 //!   sorted once, before the workers start
-//!   ([`crate::tree::ColumnOrder`], shared read-only); a worker expands
+//!   (`tree::ColumnOrder`, shared read-only); a worker expands
 //!   that order per bootstrap sample into one
-//!   [`crate::tree::FitScratch`] it reuses across its trees — `4 · rows ·
+//!   `tree::FitScratch` it reuses across its trees — `4 · rows ·
 //!   live columns` bytes shared plus as much again per worker.
 //! * **Lock-step inference**: every prediction entry point is a sink over
-//!   one descent, [`walk`], which advances a block of up to
-//!   [`ROW_BLOCK`] rows × [`TREE_BLOCK`] trees one level at a time. The
+//!   one descent, `walk`, which advances a block of up to
+//!   `ROW_BLOCK` rows × `TREE_BLOCK` trees one level at a time. The
 //!   packed nodes ([`crate::tree`]) make a step branch-free and leaves map
 //!   to themselves, so the block runs a fixed number of iterations with
 //!   up to 32 independent load chains in flight instead of one serial

@@ -1,7 +1,7 @@
 //! CART regression tree: variance-reduction splits over [`RowsView`]
 //! columns, packed 16-byte nodes, deterministic fit.
 //!
-//! A fitted tree is one `Vec` of [`Node`]s — `{payload, col, right}`, so a
+//! A fitted tree is one `Vec` of `Node`s — `{payload, col, right}`, so a
 //! descent step touches one 16-byte record — beside the per-node mean
 //! labels. An internal node routes `x[col] <= payload` to `right - 1` and
 //! everything else (NaN included) to `right`: siblings are adjacent. A
@@ -11,7 +11,7 @@
 //! (the one descent implementation in this crate).
 //!
 //! The tree is the forest's base learner. Fitting is presorted CART: a
-//! [`ColumnOrder`] sorts every feature column of the training set once, by
+//! `ColumnOrder` sorts every feature column of the training set once, by
 //! `(feature value, row index)`; a tree expands that order by its sample's
 //! multiplicities into `FitScratch`, and from then on every node owns the
 //! same `[start, end)` span of the sample and of each column's block, kept
@@ -156,7 +156,7 @@ impl Node {
     }
 }
 
-/// A fitted CART regression tree: packed [`Node`]s in fit order (children
+/// A fitted CART regression tree: packed `Node`s in fit order (children
 /// after parents, siblings adjacent) plus each node's mean label. Every tree
 /// has a root.
 #[derive(Debug, Clone)]
@@ -643,7 +643,7 @@ impl RegressionTree {
     }
 
     /// Predict one row: the one-row, one-tree case of the forest's
-    /// lock-step [`walk`](crate::forest::walk).
+    /// lock-step `forest::walk`.
     #[inline]
     pub fn predict(&self, feats: &[f64]) -> f64 {
         debug_assert_eq!(feats.len(), self.width);

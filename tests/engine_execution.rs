@@ -4,11 +4,11 @@
 //!   and per-operator row counts equal the independent single-threaded
 //!   reference executor's, for every workload family (also at the spec
 //!   domain's edges: scale 1 and 2, one iteration, two operators), for
-//!   seeded random DAGs, for seeded DAGs of narrow chains fused into keyed
-//!   operators and
-//!   for the hand-built shapes the take-or-borrow rule could get wrong,
-//!   across 1/2/4 workers, all-`java` and all-`spark` (whose workers
-//!   really fan out);
+//!   generated specs of every kind (at 1/2 workers), for seeded random
+//!   DAGs, for seeded DAGs of narrow chains fused into keyed operators and
+//!   for the hand-built shapes the take-or-borrow rule could get wrong
+//!   (among them a join with an empty side), across 1/2/4 workers,
+//!   all-`java` and all-`spark` (whose workers really fan out);
 //! * the `ExecutionBackend` seam — the simulator answers bit-identically
 //!   through the trait object and through its direct API, and both
 //!   backends agree on infeasibility;
@@ -95,6 +95,16 @@ fn workloads() -> Vec<WorkloadSpec> {
 /// terminal records, digest and per-operator row counts everywhere.
 /// Returns the per-operator row counts.
 fn assert_engine_matches_reference(name: &str, plan: &LogicalPlan, max_rows: u64) -> Vec<u64> {
+    assert_engine_matches_reference_at(name, plan, max_rows, &[1, 2, 4])
+}
+
+/// [`assert_engine_matches_reference`] at the given worker counts.
+fn assert_engine_matches_reference_at(
+    name: &str,
+    plan: &LogicalPlan,
+    max_rows: u64,
+    worker_counts: &[usize],
+) -> Vec<u64> {
     let registry = PlatformRegistry::named();
     let (ref_terminals, ref_digest) = execute_reference(plan, SEED, max_rows);
     assert_eq!(
@@ -110,7 +120,7 @@ fn assert_engine_matches_reference(name: &str, plan: &LogicalPlan, max_rows: u64
         let id = registry.by_name(platform);
         let assign: Vec<_> = id.into_iter().cycle().take(plan.n_ops()).collect();
         assert_eq!(assign.len(), plan.n_ops(), "named registry has {platform}");
-        for workers in [1usize, 2, 4] {
+        for &workers in worker_counts {
             let at = format!("{name}: all-{platform} @ {workers} workers");
             let engine = Engine::new(&registry)
                 .with_workers(workers)
@@ -163,6 +173,42 @@ fn random_dags_match_the_reference_at_every_worker_count() {
     assert!(shared >= 56, "only {shared} shared outputs in 56 plans");
 }
 
+/// A spec of kind `kind` (0–5) drawn from `rng` across the spec domain:
+/// scales on both sides of `max_rows`, 2–32 operators, densities in
+/// [0, 1] and 1–20 iterations.
+fn generated_spec(rng: &mut SplitMix64, kind: usize, max_rows: u64) -> WorkloadSpec {
+    let cap = max_rows as f64;
+    let scale = match rng.gen_range(3) {
+        0 => [1.0, cap - 1.0, cap, cap + 1.0, 1e9][rng.gen_range(5)],
+        _ => 1.0 + (4.0 * cap * rng.next_f64()).round(),
+    };
+    let ops = 2 + rng.gen_range(31);
+    let iterations = 1 + rng.gen_range(20) as u32;
+    match kind {
+        0 => WorkloadSpec::WordCount { scale },
+        1 => WorkloadSpec::TpchQ3 { scale },
+        2 => WorkloadSpec::Pipeline { ops, scale },
+        3 => WorkloadSpec::RandomDag {
+            seed: rng.next_u64(),
+            ops,
+            density: [0.0, 1.0, rng.next_f64()][rng.gen_range(3)],
+        },
+        4 => WorkloadSpec::PageRank { scale, iterations },
+        _ => WorkloadSpec::KMeans { scale, iterations },
+    }
+}
+
+#[test]
+fn generated_specs_match_the_reference() {
+    const MAX_ROWS: u64 = 300;
+    let mut rng = SplitMix64::new(0x5BEC);
+    for case in 0..48 {
+        let spec = generated_spec(&mut rng, case % 6, MAX_ROWS);
+        let plan = spec.build().expect("generated spec builds");
+        assert_engine_matches_reference_at(&format!("{spec:?}"), &plan, MAX_ROWS, &[1, 2]);
+    }
+}
+
 /// What [`chain_dag`] built, for the coverage asserts.
 #[derive(Debug, Default)]
 struct Shapes {
@@ -170,6 +216,11 @@ struct Shapes {
     heads: BTreeMap<String, usize>,
     /// Chains started by a second consumer of an already-read producer.
     borrowed: usize,
+    /// Chains from a text source whose lines reach a Filter or Sample
+    /// before any FlatMap: the fused pass generates only the kept lines.
+    coin_before_words: usize,
+    /// Filters and Samples that keep none of the records they are fed.
+    coins_keeping_nothing: usize,
     empty_sources: usize,
 }
 
@@ -211,6 +262,9 @@ fn chain_dag(rng: &mut SplitMix64, shapes: &mut Shapes) -> LogicalPlan {
         }
         let head_kind = plan.op(at).kind;
         let narrow = usize::from(borrowed) + rng.gen_range(6);
+        // The chain's first coin (reads only the key) or FlatMap (reads
+        // the line), whichever comes first.
+        let mut first_reader = None;
         for _ in 0..narrow {
             let mut kind = NARROW[rng.gen_range(NARROW.len())];
             if kind == FlatMap {
@@ -224,6 +278,9 @@ fn chain_dag(rng: &mut SplitMix64, shapes: &mut Shapes) -> LogicalPlan {
                 Filter | Sample => Operator::new(kind).with_selectivity(0.2 + 0.6 * rng.next_f64()),
                 _ => Operator::new(kind),
             };
+            if matches!(kind, Filter | Sample | FlatMap) {
+                first_reader = first_reader.or(Some(kind));
+            }
             let id = plan.add_op(op);
             plan.connect(at, id);
             at = id;
@@ -238,6 +295,9 @@ fn chain_dag(rng: &mut SplitMix64, shapes: &mut Shapes) -> LogicalPlan {
         if narrow > 0 {
             *shapes.heads.entry(format!("{head_kind:?}")).or_default() += 1;
             shapes.borrowed += usize::from(borrowed);
+        }
+        if head_kind == TextFileSource && matches!(first_reader, Some(Filter | Sample)) {
+            shapes.coin_before_words += 1;
         }
     }
     if rng.gen_range(3) == 0 {
@@ -268,7 +328,17 @@ fn chains_fused_into_keyed_operators_match_the_reference() {
     let mut shapes = Shapes::default();
     for case in 0..48 {
         let plan = chain_dag(&mut rng, &mut shapes);
-        assert_engine_matches_reference(&format!("chain dag {case}"), &plan, 2_000);
+        let rows = assert_engine_matches_reference(&format!("chain dag {case}"), &plan, 2_000);
+        shapes.coins_keeping_nothing += (0..plan.n_ops() as u32)
+            .filter(|&op| {
+                let coin = matches!(
+                    plan.op(op).kind,
+                    OperatorKind::Filter | OperatorKind::Sample
+                );
+                let fed: u64 = plan.preds(op).iter().map(|&p| rows[p as usize]).sum();
+                coin && fed > 0 && rows[op as usize] == 0
+            })
+            .count();
     }
     for head in [
         "TextFileSource",
@@ -282,6 +352,8 @@ fn chains_fused_into_keyed_operators_match_the_reference() {
     }
     assert!(shapes.borrowed >= 20, "{shapes:?}");
     assert!(shapes.empty_sources >= 10, "{shapes:?}");
+    assert!(shapes.coin_before_words >= 10, "{shapes:?}");
+    assert!(shapes.coins_keeping_nothing >= 10, "{shapes:?}");
 }
 
 /// A text source of `rows` lines, then `kinds` wired by `edges` (indices
@@ -404,6 +476,24 @@ fn shared_doubled_and_unconsumed_outputs_match_the_reference() {
         &[(0, 1), (1, 2)],
     );
     assert_eq!(rows("empty source through a filter", &empty), [0; 3]);
+}
+
+#[test]
+fn a_join_with_an_empty_side_matches_the_reference() {
+    use OperatorKind::{Filter, Join, LocalCallbackSink, TableSource};
+    // The text source streams through a coin that keeps nothing, so one
+    // side of the join is empty — first or second.
+    let none = Operator::new(Filter).with_selectivity(0.0);
+    let table = Operator::source(TableSource, 1_500.0);
+    let sink = Operator::new(LocalCallbackSink);
+    for (name, edges) in [
+        ("empty first side", [(0, 1), (1, 3), (2, 3), (3, 4)]),
+        ("empty second side", [(0, 1), (2, 3), (1, 3), (3, 4)]),
+    ] {
+        let plan = hand_built(1_500.0, &[none, table, Operator::new(Join), sink], &edges);
+        let rows = assert_engine_matches_reference(name, &plan, 2_000);
+        assert_eq!(rows, [1_500, 0, 1_500, 0, 0], "{name}");
+    }
 }
 
 #[test]
