@@ -128,12 +128,29 @@ pub struct Record {
     pub text: Text,
 }
 
+impl Record {
+    /// The record's fields as the `(key, num, text)` view fused chains
+    /// move.
+    #[inline]
+    pub fn view(&self) -> (u64, f64, &[u8]) {
+        (self.key, self.num, self.text.as_bytes())
+    }
+}
+
 /// Total order over records: `(key, num bit pattern, text)`. Any total
 /// order works for canonicalization; bit-pattern comparison keeps it exact
 /// on floats. Equal elements are fully identical records, so merging
 /// sorted runs reproduces the full sort byte-for-byte.
+#[inline]
 pub fn record_cmp(a: &Record, b: &Record) -> std::cmp::Ordering {
-    (a.key, a.num.to_bits(), &a.text).cmp(&(b.key, b.num.to_bits(), &b.text))
+    view_cmp(a.view(), b.view())
+}
+
+/// [`record_cmp`]'s order over `(key, num, text)` views, so a record a
+/// fused chain has not built is ordered by the same rule.
+#[inline]
+pub fn view_cmp(a: (u64, f64, &[u8]), b: (u64, f64, &[u8])) -> std::cmp::Ordering {
+    (a.0, a.1.to_bits(), a.2).cmp(&(b.0, b.1.to_bits(), b.2))
 }
 
 /// FNV-1a 64-bit over a byte string — keys words and lines.

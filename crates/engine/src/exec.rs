@@ -70,8 +70,8 @@ use robopt_platforms::{
 use crate::data::{
     assign_point, digest_terminals, flat_map_len, flat_map_record, keep_key, keep_record,
     line_fields, point_of, record_cmp, rekey, rekey_record, source_line, source_record,
-    split_number, word_fields, words_of, Record, Text, FILTER_SALT, LINE_CAP, PAGERANK_DST_SALT,
-    SAMPLE_SALT,
+    split_number, view_cmp, word_fields, words_of, Record, Text, FILTER_SALT, LINE_CAP,
+    PAGERANK_DST_SALT, SAMPLE_SALT,
 };
 
 /// Default cap on generated source rows — bounds memory and wall time for
@@ -1099,7 +1099,7 @@ impl Accumulator {
 
     /// Count `count` records `(key, num, text)` into their entry. A
     /// [`Record`] is built only for a new entry or a new least record, the
-    /// least under [`record_cmp`]'s `(key, num bits, bytes)`.
+    /// least under [`view_cmp`], [`record_cmp`]'s order over views.
     fn absorb(&mut self, hash: u64, count: u64, key: u64, num: f64, text: &[u8]) {
         let (keyed, entries) = (self.keyed, &mut self.entries);
         let found = self
@@ -1120,10 +1120,7 @@ impl Accumulator {
                 let identical = keyed == Keyed::Distinct
                     || (num.to_bits() == least.num.to_bits()
                         && same_bytes(text, least.text.as_bytes()));
-                if !identical
-                    && (key, num.to_bits(), text)
-                        < (least.key, least.num.to_bits(), least.text.as_bytes())
-                {
+                if !identical && view_cmp((key, num, text), least.view()).is_lt() {
                     e.least = record();
                 }
             }
