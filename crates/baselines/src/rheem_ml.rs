@@ -224,16 +224,15 @@ impl ObjectEnumerator {
             let mut fp_map = FootprintTable::new();
             let mut merged: Vec<(Rc<ObjNode>, f64)> = Vec::new();
             for ((node, fp), cost) in staged.into_iter().zip(costs) {
-                match fp_map.get(fp) {
-                    Some(idx) => {
-                        if let Some(slot) = merged.get_mut(idx as usize) {
+                match fp_map.insert_or_get(fp, merged.len() as u32) {
+                    Some(row) => {
+                        if let Some(slot) = merged.get_mut(row as usize) {
                             if cost < slot.1 {
                                 *slot = (node, cost);
                             }
                         }
                     }
                     None => {
-                        fp_map.insert(fp, merged.len() as u32);
                         merged.push((node, cost));
                     }
                 }

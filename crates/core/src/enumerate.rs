@@ -672,15 +672,14 @@ impl Enumerator {
                     overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
                     if opts.prune() {
                         let fp = footprint_hash(&self.boundary, &assign);
-                        match self.fp_map.get(fp) {
+                        match self.fp_map.insert_or_get(fp, dst.rows() as u32) {
                             Some(row) => {
                                 if cost < dst.cost(row as usize) {
                                     dst.overwrite_row(row as usize, feats, &assign, cost);
                                 }
                             }
                             None => {
-                                let row = dst.push_row(feats, &assign, cost);
-                                self.fp_map.insert(fp, row as u32);
+                                dst.push_row(feats, &assign, cost);
                             }
                         }
                     } else {

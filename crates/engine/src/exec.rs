@@ -61,7 +61,8 @@
 
 use std::borrow::Cow;
 
-use robopt_plan::par::par_chunks;
+use robopt_plan::index::{HashIndex, KeyMap};
+use robopt_plan::par::{now, par_chunks};
 use robopt_plan::{rng::mix64, LogicalPlan, Operator, OperatorKind};
 use robopt_platforms::{
     ExecutionBackend, ExecutionReport, OperatorReport, PlatformId, PlatformRegistry,
@@ -94,24 +95,6 @@ pub(crate) const PAGERANK_DAMPING: f64 = 0.85;
 
 /// k-means cluster count.
 pub(crate) const KMEANS_K: usize = 8;
-
-// Wall-clock sampling for measured operator timings. Isolated here so the
-// rest of the crate stays free of clock reads.
-use std::time::Instant;
-
-#[inline]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "measured engine timings are reported-only telemetry (ExecutionReport), never digested or cached, and excluded from all determinism digests"
-)]
-fn clock_now() -> Instant {
-    Instant::now()
-}
-
-#[inline]
-fn clock_elapsed(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64()
-}
 
 /// The real in-memory execution backend.
 #[derive(Debug, Clone)]
@@ -220,9 +203,9 @@ impl<'a> Engine<'a> {
             }
             let p = assignments[i];
             let w = self.op_workers(p);
-            let started = clock_now();
+            let started = now();
             let out = self.run_op(plan, op, &mut buffers, &mut rows, w);
-            measured[i] = clock_elapsed(started);
+            measured[i] = started.elapsed().as_secs_f64();
             rows[i] = out.len() as u64;
             buffers.records[i] = out;
         }
@@ -314,13 +297,10 @@ impl<'a> Engine<'a> {
             OperatorKind::TextFileSource
             | OperatorKind::CollectionSource
             | OperatorKind::TableSource => {
-                let rows = clamp_rows(o.source_cardinality, self.max_source_rows);
-                let (kind, seed) = (o.kind, self.seed);
-                par_ranges(w, rows as usize, move |range, out| {
+                let source = self.source(plan, op, rows);
+                par_ranges(w, source.len(), |range, out| {
                     out.reserve(range.len());
-                    for row in range {
-                        out.push(source_record(kind, seed, op, row as u64, rows));
-                    }
+                    out.extend(range.map(|row| source.record(row)));
                 })
             }
             OperatorKind::Map | OperatorKind::MapPartitions => {
@@ -360,20 +340,15 @@ impl<'a> Engine<'a> {
                         // `par_ranges` gives the rest back; growing by
                         // doubling instead cost more in copies than the
                         // fusion saved.
-                        let s = plan.op(src);
-                        let n = clamp_rows(s.source_cardinality, self.max_source_rows);
-                        rows[src as usize] = n;
-                        let (kind, seed) = (s.kind, self.seed);
+                        let source = self.source(plan, src, rows);
                         let keep = move |r: &Record| keep_record(r, sel, salt);
-                        return par_ranges(w, n as usize, move |mut left, out| {
+                        return par_ranges(w, source.len(), move |mut left, out| {
                             out.reserve(left.len());
                             while !left.is_empty() {
                                 let block = left.start..left.end.min(left.start + KEEP_BLOCK);
                                 left.start = block.end;
                                 let at = out.len();
-                                out.extend(
-                                    block.map(|row| source_record(kind, seed, src, row as u64, n)),
-                                );
+                                out.extend(block.map(|row| source.record(row)));
                                 let kept = keep_to_front(&mut out[at..], keep);
                                 out.truncate(at + kept);
                             }
@@ -481,17 +456,7 @@ impl<'a> Engine<'a> {
         chain.reverse();
         let stages: Vec<Stage> = chain.iter().map(|&(_, stage)| stage).collect();
         let head = match source {
-            Some(src) => {
-                let o = plan.op(src);
-                let n = clamp_rows(o.source_cardinality, self.max_source_rows);
-                rows[src as usize] = n;
-                Head::Source {
-                    kind: o.kind,
-                    seed: self.seed,
-                    op: src,
-                    rows: n,
-                }
-            }
+            Some(src) => Head::Source(self.source(plan, src, rows)),
             None => Head::Buffer(buffers.input(plan.preds(first))),
         };
 
@@ -511,6 +476,19 @@ impl<'a> Engine<'a> {
             rows[fused as usize] = passed;
         }
         total.acc.finish()
+    }
+
+    /// Source `op`'s stream, with its row count written to `rows`.
+    fn source(&self, plan: &LogicalPlan, op: u32, rows: &mut [u64]) -> Source {
+        let o = plan.op(op);
+        let n = clamp_rows(o.source_cardinality, self.max_source_rows);
+        rows[op as usize] = n;
+        Source {
+            kind: o.kind,
+            seed: self.seed,
+            op,
+            rows: n,
+        }
     }
 
     /// PageRank kernel: the input stream is an edge list (one record per
@@ -640,6 +618,28 @@ impl ExecutionBackend for Engine<'_> {
 pub(crate) fn clamp_rows(cardinality: f64, cap: u64) -> u64 {
     let rows = cardinality.round().max(0.0) as u64;
     rows.min(cap)
+}
+
+/// What a source operator generates: `rows` rows (its cardinality clamped
+/// to the engine's cap), row `row` being [`source_record`]'s. The source
+/// arm, a Filter / Sample generating its source's rows, and a keyed
+/// operator's chain head all read a source through this one value.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    kind: OperatorKind,
+    seed: u64,
+    op: u32,
+    rows: u64,
+}
+
+impl Source {
+    fn len(&self) -> usize {
+        self.rows as usize
+    }
+
+    fn record(&self, row: usize) -> Record {
+        source_record(self.kind, self.seed, self.op, row as u64, self.rows)
+    }
 }
 
 /// Whether `op` is fused into the operator downstream of it: it is a
@@ -811,9 +811,12 @@ fn sort_sides(w: usize, a: Vec<Record>, b: Vec<Record>) -> (Vec<Record>, Vec<Rec
         let (b, a) = sort_sides(w, b, a);
         return (a, b);
     }
-    let keys = KeySet::of(&a);
+    let mut keys = KeyMap::with_capacity(a.len());
+    for r in &a {
+        keys.insert_or_get(r.key, ());
+    }
     let mut b = b;
-    par_retain(w, &mut b, |r| keys.contains(r.key));
+    par_retain(w, &mut b, |r| keys.get(r.key).is_some());
     (par_sort(w, a), par_sort(w, b))
 }
 
@@ -850,12 +853,7 @@ impl Stage {
 /// Where a keyed operator's stream starts.
 enum Head<'b> {
     /// A fused source, generated row by row.
-    Source {
-        kind: OperatorKind,
-        seed: u64,
-        op: u32,
-        rows: u64,
-    },
+    Source(Source),
     /// The buffer the chain's first operator — or, with no chain, the
     /// keyed operator itself — reads through `Buffers::input`.
     Buffer(Cow<'b, [Record]>),
@@ -864,7 +862,7 @@ enum Head<'b> {
 impl Head<'_> {
     fn len(&self) -> usize {
         match self {
-            Head::Source { rows, .. } => *rows as usize,
+            Head::Source(source) => source.len(),
             Head::Buffer(records) => records.len(),
         }
     }
@@ -874,26 +872,21 @@ impl Head<'_> {
     /// generated.
     fn feed(&self, range: std::ops::Range<usize>, pass: &mut Pass<'_>) {
         match *self {
-            Head::Source {
+            Head::Source(Source {
                 kind: OperatorKind::TextFileSource,
                 seed,
                 op,
                 ..
-            } => {
+            }) => {
                 for row in range {
                     let row = row as u64;
                     let (key, num) = line_fields(row);
                     pass.push(0, key, num, Body::Line { seed, op, row });
                 }
             }
-            Head::Source {
-                kind,
-                seed,
-                op,
-                rows,
-            } => {
+            Head::Source(source) => {
                 for row in range {
-                    let r = source_record(kind, seed, op, row as u64, rows);
+                    let r = source.record(row);
                     pass.push(0, r.key, r.num, Body::Bytes(r.text.as_bytes()));
                 }
             }
@@ -1063,12 +1056,12 @@ struct Entry {
     least: Record,
 }
 
-/// A keyed operator's state: a small open-addressing hash table with one
-/// [`Entry`] per class of records the operator does not tell apart. What
-/// an entry holds does not depend on the order records arrive in, so
-/// accumulators over contiguous ranges merge into the accumulator of the
-/// whole stream, and [`Accumulator::finish`] emits exactly what sorting
-/// the stream under [`record_cmp`] and folding it did.
+/// A keyed operator's state: one [`Entry`] per class of records the
+/// operator does not tell apart, found through the workspace's
+/// [`HashIndex`]. What an entry holds does not depend on the order records
+/// arrive in, so accumulators over contiguous ranges merge into the
+/// accumulator of the whole stream, and [`Accumulator::finish`] emits
+/// exactly what sorting the stream under [`record_cmp`] and folding it did.
 struct Accumulator {
     keyed: Keyed,
     entries: Vec<Entry>,
@@ -1080,7 +1073,7 @@ impl Accumulator {
         Accumulator {
             keyed,
             entries: Vec::new(),
-            index: HashIndex::with_capacity(0),
+            index: HashIndex::default(),
         }
     }
 
@@ -1170,96 +1163,6 @@ impl Accumulator {
                 out
             }
         }
-    }
-}
-
-/// Open addressing over entries kept in a `Vec` elsewhere. A slot holds
-/// the upper half of the entry's hash over its position plus one (0 is
-/// free), so a probe reads an entry only when that tag matches; probing is
-/// linear from the hash's low bits, and the table doubles before it is
-/// half full. Positions fit the lower half: 2³² entries of a record each
-/// would be hundreds of gigabytes.
-struct HashIndex {
-    slots: Vec<u64>,
-}
-
-/// The bits of a slot that hold the hash tag.
-const TAG: u64 = !0 << 32;
-
-impl HashIndex {
-    fn with_capacity(entries: usize) -> Self {
-        HashIndex {
-            slots: vec![0; (2 * entries).next_power_of_two().max(16)],
-        }
-    }
-
-    /// The entry hashed to `hash` that `is` accepts, or the free slot where
-    /// it would go.
-    fn probe(&self, hash: u64, mut is: impl FnMut(usize) -> bool) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            let held = self.slots[slot];
-            if held == 0 {
-                return Err(slot);
-            }
-            let entry = (held & !TAG) as usize - 1;
-            if (held ^ hash) & TAG == 0 && is(entry) {
-                return Ok(entry);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Put the `len`-th entry, hashed to `hash`, into the free `slot` that
-    /// [`HashIndex::probe`] named, re-placing all of them in a table twice
-    /// the size when this one is half full.
-    fn fill(&mut self, slot: usize, hash: u64, len: usize, hash_of: impl Fn(usize) -> u64) {
-        self.slots[slot] = hash & TAG | len as u64;
-        if 2 * len < self.slots.len() {
-            return;
-        }
-        let mut slots = vec![0; 2 * self.slots.len()];
-        let mask = slots.len() - 1;
-        for entry in 0..len {
-            let hash = hash_of(entry);
-            let mut at = hash as usize & mask;
-            while slots[at] != 0 {
-                at = (at + 1) & mask;
-            }
-            slots[at] = hash & TAG | (entry + 1) as u64;
-        }
-        self.slots = slots;
-    }
-}
-
-/// The distinct keys of a stream, for membership probes.
-struct KeySet {
-    keys: Vec<u64>,
-    index: HashIndex,
-}
-
-impl KeySet {
-    fn of(records: &[Record]) -> Self {
-        let mut set = KeySet {
-            keys: Vec::new(),
-            index: HashIndex::with_capacity(records.len()),
-        };
-        for r in records {
-            let keys = &mut set.keys;
-            let hash = mix64(r.key);
-            if let Err(slot) = set.index.probe(hash, |i| keys[i] == r.key) {
-                keys.push(r.key);
-                set.index.fill(slot, hash, keys.len(), |i| mix64(keys[i]));
-            }
-        }
-        set
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.index
-            .probe(mix64(key), |i| self.keys[i] == key)
-            .is_ok()
     }
 }
 
@@ -1654,15 +1557,14 @@ mod tests {
             // fused pass generates only where a stage reads them.
             let (kind, seed, op) = (OperatorKind::TextFileSource, rng.next_u64(), case);
             let rows = rng.gen_range(400) as u64;
-            let lines: Vec<Record> = (0..rows)
-                .map(|row| source_record(kind, seed, op, row, rows))
-                .collect();
-            let source = Head::Source {
+            let source = Source {
                 kind,
                 seed,
                 op,
                 rows,
             };
+            let lines: Vec<Record> = (0..source.len()).map(|row| source.record(row)).collect();
+            let source = Head::Source(source);
             for (head, start) in [(buffer(&input), &input), (source, &lines)] {
                 // Materialize every stage, one whole stream after another.
                 let mut stream = start.clone();
@@ -1699,32 +1601,28 @@ mod tests {
     }
 
     #[test]
-    fn key_sets_hold_exactly_the_keys_they_were_built_from() {
-        let mut rng = robopt_plan::rng::SplitMix64::new(0x5E7);
-        for len in [0usize, 1, 7, 8, 9, 100, 5_000] {
-            let records: Vec<Record> = (0..len)
-                .map(|i| Record {
-                    key: [0, u64::MAX, rng.next_u64() % 64, rng.next_u64()][i % 4],
-                    num: 0.0,
-                    text: Text::new(),
-                })
-                .collect();
-            let set = KeySet::of(&records);
-            let mut keys: Vec<u64> = records.iter().map(|r| r.key).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            assert_eq!(set.keys.len(), keys.len(), "len {len}");
-            for probe in keys
-                .iter()
-                .copied()
-                .chain((0..200).map(|_| rng.next_u64() % 128))
-            {
-                assert_eq!(
-                    set.contains(probe),
-                    keys.binary_search(&probe).is_ok(),
-                    "len {len} key {probe}"
-                );
+    fn records_under_one_hash_keep_their_own_entries() {
+        // One fixed hash for every record: only `Keyed::same` tells the
+        // classes apart, never the index's tag.
+        let record = |key, num, text: &str| Record {
+            key,
+            num,
+            text: text.into(),
+        };
+        let stream = [
+            record(9, 1.0, "b"),
+            record(2, 5.0, "a"),
+            record(9, 1.0, "b"),
+        ];
+        for keyed in KEYED {
+            let mut acc = Accumulator::new(keyed);
+            for r in &stream {
+                acc.absorb(0xC0_1115_10E5, 1, r.key, r.num, r.text.as_bytes());
             }
+            let got = acc.finish();
+            assert_eq!(got.len(), 2, "{keyed:?}");
+            let want = sort_then_fold(keyed, &stream);
+            assert!(same_records(&got, &want), "{keyed:?}: {got:?}");
         }
     }
 

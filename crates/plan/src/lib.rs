@@ -7,9 +7,12 @@
 //! connected DAGs for property tests. [`WorkloadSpec`] is the validated,
 //! serializable recipe shared by the service facade, the fig binaries, and
 //! the execution engine. [`par`] is the workspace's one scoped fan-out
-//! (`par_chunks`) and its one read of the host's core count.
+//! (`par_chunks`), its one read of the host's core count and its one wall
+//! clock (`now`); [`index`] is its one open-addressing hash table, which
+//! Def-2 pruning, the plan cache and the engine's keyed operators share.
 
 pub mod dag;
+pub mod index;
 pub mod op;
 pub mod par;
 pub mod rng;

@@ -1,8 +1,11 @@
-//! The workspace's one scoped fan-out and its one read of the host's core
-//! count. Engine operators, the split driver's parts and the forest's trees
-//! all tile a slice with [`par_chunks`], and each keeps its output
-//! invariant to the tiling, so the worker count changes wall time, never
-//! bytes. No worker outlives the call: `std::thread::scope` joins them all.
+//! The workspace's one scoped fan-out, its one read of the host's core
+//! count and its one wall clock. Engine operators, the split driver's parts
+//! and the forest's trees all tile a slice with [`par_chunks`], and each
+//! keeps its output invariant to the tiling, so the worker count changes
+//! wall time, never bytes. No worker outlives the call: `std::thread::scope`
+//! joins them all.
+
+use std::time::Instant;
 
 /// Split `items` into up to `w` contiguous chunks and run `f(offset,
 /// chunk)` on each — on its own scoped thread when there are several, inline
@@ -37,6 +40,17 @@ pub fn par_chunks<T: Send, R: Default + Send>(
 )]
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A wall-clock mark, for timings that are reported and nothing else: the
+/// engine's measured operator seconds and the service's `total_micros`.
+/// No digest, cache key, eviction or response equality reads one.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the mark only times work for reports (ExecutionReport, StatsResponse::total_micros), never a digest, a cache decision or a response field that equality compares"
+)]
+pub fn now() -> Instant {
+    Instant::now()
 }
 
 #[cfg(test)]

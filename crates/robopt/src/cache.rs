@@ -3,7 +3,8 @@
 //! [`PlanCache`] maps [`crate::api::OptimizeRequest::signature`] keys to
 //! finished [`OptimizeResponse`]s: a [`FootprintTable`] indexes signature →
 //! position in one entry vector, so the cache probes through the same
-//! open-addressing table Def-2 pruning does.
+//! open-addressing table Def-2 pruning does: a lookup is one probe, and so
+//! is an insert that evicts nothing.
 //!
 //! # Eviction
 //!
@@ -151,7 +152,7 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
-        if let Some(i) = self.index.get(key) {
+        if let Some(i) = self.index.insert_or_get(key, self.entries.len() as u32) {
             if let Some(entry) = self.entries.get_mut(i as usize) {
                 entry.value = value;
                 entry.work = work;
@@ -160,9 +161,11 @@ impl PlanCache {
             return;
         }
         if self.entries.len() >= self.capacity {
+            // The rebuild drops the key just indexed; index it again at
+            // the position it is about to be pushed to.
             self.evict_min();
+            self.index.insert(key, self.entries.len() as u32);
         }
-        self.index.insert(key, self.entries.len() as u32);
         self.entries.push(Entry {
             key,
             value,
@@ -231,8 +234,8 @@ mod tests {
 
     #[test]
     fn colliding_keys_in_one_bucket_stay_distinct() {
-        // Keys equal in their low 32 bits: the adversarial shape
-        // `FootprintTable`'s own growth test uses.
+        // Keys equal in their low 32 bits, which the table's own model
+        // test mixes in too.
         let mut cache = PlanCache::new(64);
         for i in 0..64u64 {
             cache.insert(i << 32, resp("k", i as f64), 1, i);

@@ -26,6 +26,7 @@ use robopt_engine::Engine;
 use robopt_ml::{
     mse, ForestConfig, Model, ModelOracle, RandomForest, SimulatorSource, TrainingSource,
 };
+use robopt_plan::par::now;
 use robopt_plan::{LogicalPlan, N_OPERATOR_KINDS};
 use robopt_platforms::{
     ExecutionBackend, ExecutionReport, PlatformId, PlatformRegistry, RuntimeSimulator,
@@ -553,18 +554,9 @@ fn check_noise(noise: f64) -> Result<(), ServiceError> {
     }
 }
 
-/// Wall-clock start mark for service telemetry. The reading feeds only
-/// `StatsResponse::total_micros` — never optimization, caching, eviction,
-/// or any deterministic response field.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "service telemetry only: values land in StatsResponse::total_micros and never influence optimization, cache decisions, or response payloads"
-)]
-fn now() -> std::time::Instant {
-    std::time::Instant::now()
-}
-
-/// Microseconds since `started`, saturated into `u64`.
+/// Microseconds since `started` ([`now`]), saturated into `u64`. The
+/// reading feeds only `StatsResponse::total_micros` — never optimization,
+/// caching, eviction, or any deterministic response field.
 fn elapsed_micros(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }

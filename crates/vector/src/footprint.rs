@@ -6,8 +6,10 @@
 //! footprints interact identically with the rest of the plan, so `prune`
 //! keeps only the cheapest row per footprint (lossless, Lemma 1). The
 //! footprint is hashed to a `u64` key with the workspace's SplitMix64
-//! finalizer ([`mix64`]); `prune` is then one hash-map pass.
+//! finalizer ([`mix64`]); `prune` is then one pass over a
+//! [`FootprintTable`], one probe per staged row.
 
+use robopt_plan::index::KeyMap;
 use robopt_plan::rng::mix64;
 
 /// A subplan scope over at most 128 operators.
@@ -140,132 +142,16 @@ impl SigHasher {
     }
 }
 
-/// A deterministic `u64 -> u32` map for pruning footprints.
-///
-/// Open addressing (linear probing) over a power-of-two slot table keyed by
-/// a SplitMix64-finalized hash, with entries kept in a side `Vec` in
-/// **insertion order** — iteration order is a pure function of the insert
-/// sequence, never of a per-process hasher seed. This replaces the
-/// `std::collections::HashMap<u64, _>` footprint tables the enumerators
-/// used: `std`'s map is seeded per process (`RandomState`), so any code
-/// path that ever iterates it is a latent cross-run nondeterminism bug
-/// `clippy::disallowed_types` (clippy.toml) now rejects outright in every
-/// product library.
-///
-/// `clear` keeps both allocations, so a warmed table serves the
-/// enumeration hot loop without growing (same pooling discipline as
-/// [`crate::EnumMatrix`]).
-#[derive(Debug, Clone, Default)]
-pub struct FootprintTable {
-    /// Slot table: 0 = empty, else entry index + 1. Length is a power of
-    /// two; `mask = slots.len() - 1`.
-    slots: Vec<u32>,
-    /// `(key, value)` pairs in insertion order.
-    entries: Vec<(u64, u32)>,
-}
-
-impl FootprintTable {
-    const MIN_SLOTS: usize = 16;
-
-    pub fn new() -> Self {
-        FootprintTable::default()
-    }
-
-    /// Remove every entry, keeping both allocations for reuse.
-    pub fn clear(&mut self) {
-        self.slots.fill(0);
-        self.entries.clear();
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Probe start for `key` in the current slot table.
-    #[inline]
-    fn start(&self, key: u64) -> usize {
-        mix64(key) as usize & (self.slots.len() - 1)
-    }
-
-    /// Value stored under `key`, if any.
-    pub fn get(&self, key: u64) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut i = self.start(key);
-        loop {
-            match self.slots.get(i).copied() {
-                None | Some(0) => return None,
-                Some(slot) => {
-                    if let Some(&(k, v)) = self.entries.get(slot as usize - 1) {
-                        if k == key {
-                            return Some(v);
-                        }
-                    }
-                }
-            }
-            i = (i + 1) & (self.slots.len() - 1);
-        }
-    }
-
-    /// Insert `key -> value`, replacing any previous value for `key`.
-    pub fn insert(&mut self, key: u64, value: u32) {
-        if self.entries.len() + 1 > self.slots.len() / 8 * 7 {
-            self.grow();
-        }
-        let mut i = self.start(key);
-        loop {
-            match self.slots.get(i).copied() {
-                None | Some(0) => break,
-                Some(slot) => {
-                    if let Some(e) = self.entries.get_mut(slot as usize - 1) {
-                        if e.0 == key {
-                            e.1 = value;
-                            return;
-                        }
-                    }
-                }
-            }
-            i = (i + 1) & (self.slots.len() - 1);
-        }
-        self.entries.push((key, value));
-        if let Some(s) = self.slots.get_mut(i) {
-            *s = self.entries.len() as u32;
-        }
-    }
-
-    /// Double the slot table and re-seat every entry (values untouched,
-    /// insertion order preserved by construction).
-    fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).max(Self::MIN_SLOTS);
-        self.slots.clear();
-        self.slots.resize(new_len, 0);
-        let mask = new_len - 1;
-        for (idx, &(key, _)) in self.entries.iter().enumerate() {
-            let mut i = mix64(key) as usize & mask;
-            loop {
-                match self.slots.get(i).copied() {
-                    None | Some(0) => break,
-                    Some(_) => i = (i + 1) & mask,
-                }
-            }
-            if let Some(s) = self.slots.get_mut(i) {
-                *s = idx as u32 + 1;
-            }
-        }
-    }
-
-    /// Entries in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.entries.iter().copied()
-    }
-}
+/// The `u64 -> u32` map the pruning pass keeps its cheapest row per
+/// footprint in (footprint → row), and the plan cache its entries (signature
+/// → position): the workspace's one open-addressing table,
+/// [`robopt_plan::index`], whose entries sit in **insertion order** — no
+/// per-process hasher seed, so nothing that reads it can vary run to run
+/// (`clippy::disallowed_types` rejects `std`'s seeded `HashMap` in every
+/// product library). `clear` keeps both allocations, so a warmed table
+/// serves the enumeration hot loop without growing (same pooling discipline
+/// as [`crate::EnumMatrix`]).
+pub type FootprintTable = KeyMap<u32>;
 
 #[cfg(test)]
 mod tests {
@@ -334,25 +220,18 @@ mod tests {
     }
 
     #[test]
-    fn footprint_table_iterates_in_insertion_order_and_clear_reuses() {
+    fn footprint_table_clear_reuses() {
         let mut t = FootprintTable::new();
         let keys = [99u64, 3, 500, 1, 77];
         for (v, &k) in keys.iter().enumerate() {
             t.insert(k, v as u32);
         }
-        let got: Vec<(u64, u32)> = t.iter().collect();
-        let want: Vec<(u64, u32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(v, &k)| (k, v as u32))
-            .collect();
-        assert_eq!(got, want, "iteration must follow insertion order");
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.get(99), None);
         t.insert(5, 1);
         assert_eq!(t.get(5), Some(1));
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(5, 1)]);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

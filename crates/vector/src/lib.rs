@@ -10,8 +10,9 @@
 //!   buffers and an allocation-event counter for the zero-alloc guarantee;
 //! * [`merge`] — the fused add-with-max-cells merge kernel;
 //! * [`footprint`] — scope bitsets, Def-2 pruning footprints hashed to
-//!   `u64`, and the deterministic insertion-ordered
-//!   [`footprint::FootprintTable`] the pruning pass keys on.
+//!   `u64`, and [`footprint::FootprintTable`], the pruning pass's
+//!   footprint → row map over the workspace's one hash table
+//!   ([`robopt_plan::index`]).
 
 pub mod footprint;
 pub mod layout;

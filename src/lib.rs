@@ -12,7 +12,10 @@
 //!
 //! * [`robopt_plan`] — 24 logical operator kinds, dataflow DAGs with
 //!   cardinality propagation and juncture flags, the seeded RNG,
-//!   `WorkloadSpec` and the workload builders;
+//!   `WorkloadSpec` and the workload builders, the one fan-out, core count
+//!   and wall clock (`par`), and the one open-addressing hash table
+//!   (`index`: `HashIndex` and `KeyMap`), which pruning, the plan cache and
+//!   the engine's keyed operators and join share;
 //! * [`robopt_platforms`] — the platform registry, availability matrix,
 //!   channels and conversion graph (COT), the deterministic runtime
 //!   simulator, and the `ExecutionBackend` seam;
@@ -21,7 +24,8 @@
 //!   across worker counts, and the independent reference executor;
 //! * [`robopt_vector`] — the Fig-5 `FeatureLayout`, `EnumMatrix` and
 //!   `RowsView` (full or packed), the fused-add merge kernel, scope
-//!   bitsets, pruning footprints and `FootprintTable`;
+//!   bitsets, pruning footprints and `FootprintTable` (footprint → row, a
+//!   `KeyMap`);
 //! * [`robopt_ml`] — CART trees (the forest's base learner), the bagged
 //!   random forest, the ridge linear baseline, metrics, the `TrainingSet` /
 //!   `TrainingSource` contract, the one plan sampler behind

@@ -1,6 +1,7 @@
 //! Repo-shaped invariants no compiler or clippy lint can see (DESIGN §8):
 //! the build is offline, every package opts into the lint tables, the
-//! product libraries fan out threads in one file only, the docs
+//! product libraries fan out threads, read the wall clock and keep an
+//! open-addressing hash table in one file each, the docs
 //! name no artifact without a binary that writes it, and EXPERIMENTS.md
 //! quotes its artifacts instead of copying them — one table, whose rows
 //! hold only numbers their binary's `.txt` holds. Each check is a pure
@@ -150,15 +151,42 @@ fn quote_findings(doc: &str, outputs: &[(String, String)]) -> Vec<String> {
     found
 }
 
-/// The one file that may fan out or read the host's core count.
-const FAN_OUT_HOME: &str = "crates/plan/src/par.rs";
+/// A mechanism the product libraries keep in one file: a code line
+/// holding one of `fragments` anywhere else is a second home.
+struct Home {
+    what: &'static str,
+    file: &'static str,
+    fragments: &'static [&'static str],
+}
 
-/// The workspace has one scoped fan-out and one read of the host's core
-/// count, both in [`FAN_OUT_HOME`]: a code line calling `thread::scope(` or
-/// `available_parallelism(` anywhere else is a second home. A file's test
-/// module — `#[cfg(test)]` over `mod`, which clippy keeps last — is exempt.
-fn fan_out_findings(rel: &str, source: &str) -> Vec<String> {
-    if rel == FAN_OUT_HOME {
+/// The workspace's one scoped fan-out and its one read of the host's core
+/// count.
+const FAN_OUT: Home = Home {
+    what: "fans out",
+    file: "crates/plan/src/par.rs",
+    fragments: &["thread::scope(", "available_parallelism("],
+};
+
+/// The one wall-clock read, whose marks only ever reach reports.
+const CLOCK: Home = Home {
+    what: "reads the wall clock",
+    file: "crates/plan/src/par.rs",
+    fragments: &["Instant::now("],
+};
+
+/// The one open-addressing table: its slot array, and the wrap-around step
+/// of a linear probe.
+const INDEX: Home = Home {
+    what: "keeps an open-addressing table",
+    file: "crates/plan/src/index.rs",
+    fragments: &["slots: Vec<", "& mask"],
+};
+
+/// Code lines of `source` outside `home.file` that hold one of its
+/// fragments. A file's test module — `#[cfg(test)]` over `mod`, which
+/// clippy keeps last — is exempt, and so is a `//` comment line.
+fn home_findings(home: &Home, rel: &str, source: &str) -> Vec<String> {
+    if rel == home.file {
         return Vec::new();
     }
     let lines: Vec<&str> = source.lines().map(str::trim_start).collect();
@@ -166,12 +194,38 @@ fn fan_out_findings(rel: &str, source: &str) -> Vec<String> {
         .windows(2)
         .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod "))
         .unwrap_or(lines.len());
-    let calls = ["thread::scope(", "available_parallelism("];
     let code = lines[..product].iter().enumerate();
-    let found = code.filter(|(_, l)| !l.starts_with("//") && calls.iter().any(|c| l.contains(c)));
+    let hit = |l: &&str| !l.starts_with("//") && home.fragments.iter().any(|f| l.contains(f));
+    let found = code.filter(|(_, l)| hit(l));
+    let (what, file) = (home.what, home.file);
     found
-        .map(|(i, _)| format!("{rel}:{}: fans out outside {FAN_OUT_HOME}", i + 1))
+        .map(|(i, _)| format!("{rel}:{}: {what} outside {file}", i + 1))
         .collect()
+}
+
+/// `(repo-relative path, text)` of every product-library source: the
+/// crates' `src/` trees but the front ends', which time and fan out however
+/// their job needs, and the root `src/`.
+fn product_sources() -> io::Result<Vec<(String, String)>> {
+    let mut sources = read_rs_tree("crates")?;
+    let front_ends = ["crates/bench/", "crates/cli/"];
+    sources
+        .retain(|(rel, _)| rel.contains("/src/") && !front_ends.iter().any(|f| rel.starts_with(f)));
+    sources.extend(read_rs_tree("src")?);
+    Ok(sources)
+}
+
+/// Every second home of `home` among `sources`, and `home.file` itself if
+/// it is not among them.
+fn second_homes(home: &Home, sources: &[(String, String)]) -> Vec<String> {
+    let found = sources
+        .iter()
+        .flat_map(|(rel, s)| home_findings(home, rel, s));
+    let mut found: Vec<String> = found.collect();
+    if !sources.iter().any(|(rel, _)| rel == home.file) {
+        found.push(format!("{} is missing", home.file));
+    }
+    found
 }
 
 fn read(rel: &str) -> io::Result<String> {
@@ -275,19 +329,20 @@ fn summary_rows_quote_their_artifacts_digit_for_digit() {
 
 #[test]
 fn the_fan_out_has_one_home() {
-    let mut sources = read_rs_tree("crates").expect("crate sources");
-    // Library sources only; the front ends time and fan out however their
-    // job needs.
-    let front_ends = ["crates/bench/", "crates/cli/"];
-    sources
-        .retain(|(rel, _)| rel.contains("/src/") && !front_ends.iter().any(|f| rel.starts_with(f)));
-    sources.extend(read_rs_tree("src").expect("root sources"));
-    assert!(
-        sources.iter().any(|(rel, _)| rel == FAN_OUT_HOME),
-        "{FAN_OUT_HOME} is missing"
-    );
-    let found = sources.iter().flat_map(|(rel, s)| fan_out_findings(rel, s));
-    assert_eq!(found.collect::<Vec<_>>(), Vec::<String>::new());
+    let sources = product_sources().expect("product sources");
+    assert_eq!(second_homes(&FAN_OUT, &sources), Vec::<String>::new());
+}
+
+#[test]
+fn the_clock_has_one_home() {
+    let sources = product_sources().expect("product sources");
+    assert_eq!(second_homes(&CLOCK, &sources), Vec::<String>::new());
+}
+
+#[test]
+fn the_hash_index_has_one_home() {
+    let sources = product_sources().expect("product sources");
+    assert_eq!(second_homes(&INDEX, &sources), Vec::<String>::new());
 }
 
 #[test]
@@ -327,10 +382,26 @@ fn bad_inputs_are_reported() {
         quote_findings(&format!("{header}{misquoted}"), &txt),
         quote_findings(&format!("{header}{unnamed}{misquoted}"), &txt),
         table_findings(&format!("{header}{unnamed}\n### Fig 2\n\n| rows | MSE |\n")),
-        fan_out_findings(
+        home_findings(
+            &FAN_OUT,
             "crates/engine/src/exec.rs",
             "// one thread::scope( per pass\nfn pass() {\n    std::thread::scope(|s| {});\n}\n\
              #[cfg(test)]\nmod tests {\n    fn t() { std::thread::available_parallelism(); }\n}\n",
+        ),
+        home_findings(
+            &CLOCK,
+            "crates/robopt/src/optimizer.rs",
+            "// Instant::now() is read in par.rs\nfn now() -> Instant {\n    std::time::Instant::now()\n}\n",
+        ),
+        home_findings(
+            &INDEX,
+            "crates/vector/src/footprint.rs",
+            "pub struct FootprintTable {\n    slots: Vec<u32>,\n    entries: Vec<(u64, u32)>,\n}\n",
+        ),
+        home_findings(
+            &INDEX,
+            "crates/engine/src/exec.rs",
+            "fn next(slot: usize, mask: usize) -> usize {\n    (slot + 1) & mask\n}\n",
         ),
     ];
     for (i, findings) in cases.iter().enumerate() {
