@@ -5,8 +5,10 @@
 //! engine's keyed operators and join all probe through this one table.
 //!
 //! Nothing here depends on a per-process seed: a `KeyMap` keeps its entries
-//! in insertion order, and where an entry lands is a pure function of the
-//! hashes inserted before it.
+//! in insertion order (a removal moves the last one into the hole), and
+//! where an entry lands is a pure function of the hashes inserted and
+//! removed before it. Removal is backward-shift deletion, so the table
+//! holds no tombstones and a probe still ends at the first free slot.
 
 use crate::rng::mix64;
 
@@ -86,12 +88,58 @@ impl HashIndex {
             self.slots[at] = hash & TAG | (entry + 1) as u64;
         }
     }
+
+    /// The slot that holds the `entry`-th entry, hashed to `hash`; the entry
+    /// must be indexed.
+    fn slot_of(&self, hash: u64, entry: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let held = hash & TAG | (entry + 1) as u64;
+        let mut slot = hash as usize & mask;
+        while self.slots[slot] != held && self.slots[slot] != 0 {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Unindex the `entry`-th entry, hashed to `hash`, by backward-shift
+    /// deletion: each later slot of its probe run whose entry may live
+    /// further back moves into the hole, so every remaining entry is still
+    /// found by [`HashIndex::probe`] without a tombstone. `hash_of` gives an
+    /// indexed entry's hash, as in [`HashIndex::fill`]. The caller keeps its
+    /// entries where they are, or renumbers them with
+    /// [`HashIndex::repoint`].
+    pub fn remove(&mut self, hash: u64, entry: usize, hash_of: impl Fn(usize) -> u64) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.slot_of(hash, entry);
+        let mut at = (hole + 1) & mask;
+        loop {
+            let held = self.slots[at];
+            if held == 0 {
+                break;
+            }
+            // It may move back unless its home lies in `(hole, at]`.
+            let home = hash_of((held & !TAG) as usize - 1) as usize & mask;
+            if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
+                self.slots[hole] = held;
+                hole = at;
+            }
+            at = (at + 1) & mask;
+        }
+        self.slots[hole] = 0;
+    }
+
+    /// Index the entry hashed to `hash` at position `to` instead of `from`:
+    /// the caller moved it, as `Vec::swap_remove` moves the last entry.
+    pub fn repoint(&mut self, hash: u64, from: usize, to: usize) {
+        let slot = self.slot_of(hash, from);
+        self.slots[slot] = hash & TAG | (to + 1) as u64;
+    }
 }
 
 /// A deterministic `u64 → V` map: `(key, value)` entries in insertion
-/// order, indexed by a [`HashIndex`] over the SplitMix64 finalizer
-/// ([`mix64`]) of the key. `clear` keeps both allocations, so a warmed map
-/// serves a hot loop without growing.
+/// order until a [`KeyMap::remove`], indexed by a [`HashIndex`] over the
+/// SplitMix64 finalizer ([`mix64`]) of the key. `clear` keeps both
+/// allocations, so a warmed map serves a hot loop without growing.
 #[derive(Debug, Clone, Default)]
 pub struct KeyMap<V> {
     index: HashIndex,
@@ -164,6 +212,21 @@ impl<V: Copy> KeyMap<V> {
         self.index.probe(hash, |i| entries[i].0 == key)
     }
 
+    /// Remove `key` and return its value. The last entry moves into the
+    /// removed one's place (`Vec::swap_remove`), so after a removal the
+    /// entries are no longer in insertion order.
+    pub fn remove(&mut self, key: u64) -> Option<V> {
+        let hash = mix64(key);
+        let at = self.find(hash, key).ok()?;
+        let entries = &self.entries;
+        self.index.remove(hash, at, |i| mix64(entries[i].0));
+        let (_, value) = self.entries.swap_remove(at);
+        if let Some(&(moved, _)) = self.entries.get(at) {
+            self.index.repoint(mix64(moved), self.entries.len(), at);
+        }
+        Some(value)
+    }
+
     /// Append `key → value`, hashed to `hash`, and index it in the free
     /// `slot` that `find` named.
     #[inline]
@@ -199,7 +262,7 @@ mod tests {
                     _ => raw,
                 };
                 let value = rng.next_u64() as u32;
-                match rng.gen_range(3) {
+                match rng.gen_range(5) {
                     0 => {
                         let held = model.get(&key).copied();
                         model.entry(key).or_insert(value);
@@ -208,6 +271,14 @@ mod tests {
                     1 => {
                         model.insert(key, value);
                         map.insert(key, value);
+                    }
+                    2 => {
+                        // Half the time the last entry, which nothing moves
+                        // into; otherwise the drawn key, present or not.
+                        let last = map.entries.last().map(|&(last, _)| last);
+                        let key = last.filter(|_| step % 2 == 0).unwrap_or(key);
+                        assert_eq!(map.remove(key), model.remove(&key), "{round}/{step}");
+                        assert_eq!(map.get(key), None, "{round}/{step}");
                     }
                     _ => assert_eq!(map.get(key), model.get(&key).copied(), "{round}/{step}"),
                 }
@@ -253,6 +324,28 @@ mod tests {
             }
             let (_, hash) = entries[0];
             assert!(index.probe(hash, |i| entries[i].0 == u64::MAX).is_err());
+            removals_keep_the_rest_findable(index, entries);
         }
+    }
+
+    /// Remove every entry in a seeded order as `KeyMap::remove` does (the
+    /// last entry moves into the hole), checking after each removal that
+    /// the removed key is gone and every other is found where it now is.
+    fn removals_keep_the_rest_findable(mut index: HashIndex, mut entries: Vec<(u64, u64)>) {
+        let mut rng = SplitMix64::new(0x0DE1);
+        while !entries.is_empty() {
+            let at = rng.gen_range(entries.len());
+            let (key, hash) = entries[at];
+            index.remove(hash, at, |i| entries[i].1);
+            entries.swap_remove(at);
+            if let Some(&(_, moved)) = entries.get(at) {
+                index.repoint(moved, entries.len(), at);
+            }
+            assert!(index.probe(hash, |i| entries[i].0 == key).is_err());
+            for (at, &(key, hash)) in entries.iter().enumerate() {
+                assert_eq!(index.probe(hash, |i| entries[i].0 == key), Ok(at));
+            }
+        }
+        assert!(index.slots.iter().all(|&slot| slot == 0));
     }
 }

@@ -479,8 +479,10 @@ pub struct StatsResponse {
     pub requests: u64,
     /// Plan-signature cache counters.
     pub cache: CacheStats,
-    /// Cumulative wall-clock telemetry in microseconds. Reported only —
-    /// never feeds optimization, caching, or any other response field.
+    /// Cumulative wall-clock time spent in `optimize`, in microseconds
+    /// (summed in nanoseconds, so sub-microsecond cache hits count).
+    /// Reported only — never feeds optimization, caching, or any other
+    /// response field.
     pub total_micros: u64,
 }
 

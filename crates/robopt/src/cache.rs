@@ -4,7 +4,8 @@
 //! finished [`OptimizeResponse`]s: a [`FootprintTable`] indexes signature →
 //! position in one entry vector, so the cache probes through the same
 //! open-addressing table Def-2 pruning does: a lookup is one probe, and so
-//! is an insert that evicts nothing.
+//! is an insert that evicts nothing; an eviction removes the victim's key
+//! and re-points the one entry `swap_remove` moved into its place.
 //!
 //! # Eviction
 //!
@@ -161,8 +162,8 @@ impl PlanCache {
             return;
         }
         if self.entries.len() >= self.capacity {
-            // The rebuild drops the key just indexed; index it again at
-            // the position it is about to be pushed to.
+            // The eviction shortens `entries` by one: re-point the key just
+            // indexed to the position it is about to be pushed to.
             self.evict_min();
             self.index.insert(key, self.entries.len() as u32);
         }
@@ -187,13 +188,11 @@ impl PlanCache {
                 victim = i;
             }
         }
-        self.entries.swap_remove(victim);
+        self.index.remove(self.entries.swap_remove(victim).key);
         self.evictions += 1;
-        // swap_remove renumbered the moved tail entry and the table has no
-        // remove: rebuild the index (once per eviction, O(capacity)).
-        self.index.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            self.index.insert(e.key, i as u32);
+        // swap_remove moved the last entry into the victim's place.
+        if let Some(moved) = self.entries.get(victim) {
+            self.index.insert(moved.key, victim as u32);
         }
     }
 }

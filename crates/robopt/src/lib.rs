@@ -36,6 +36,7 @@
 
 pub mod api;
 pub mod cache;
+mod grisu;
 pub mod json;
 pub mod optimizer;
 pub mod persist;

@@ -91,7 +91,7 @@ pub struct Optimizer {
     /// Requests served — also the logical clock that drives cache recency
     /// (never wall time).
     requests: u64,
-    total_micros: u64,
+    busy: BusyTime,
     /// Scratch feature row for the winner re-cost and single-platform
     /// costing (`compare`); reused across requests.
     feats: Vec<f64>,
@@ -114,7 +114,7 @@ impl Optimizer {
             cache: PlanCache::new(PlanCache::DEFAULT_CAPACITY),
             cache_enabled: true,
             requests: 0,
-            total_micros: 0,
+            busy: BusyTime::default(),
             feats: Vec::new(),
             dist: CostDistribution::new(),
         }
@@ -193,7 +193,7 @@ impl Optimizer {
         StatsResponse {
             requests: self.requests,
             cache: self.cache.stats(),
-            total_micros: self.total_micros,
+            total_micros: self.busy.micros(),
         }
     }
 
@@ -209,7 +209,7 @@ impl Optimizer {
         let sig = req.signature();
         if self.cache_enabled {
             if let Some(hit) = self.cache.lookup(sig, self.requests) {
-                self.total_micros += elapsed_micros(started);
+                self.busy.add(started.elapsed());
                 return Ok(hit);
             }
         }
@@ -218,7 +218,7 @@ impl Optimizer {
             let work = resp.stats.generated.max(1);
             self.cache.insert(sig, resp.clone(), work, self.requests);
         }
-        self.total_micros += elapsed_micros(started);
+        self.busy.add(started.elapsed());
         Ok(resp)
     }
 
@@ -554,11 +554,25 @@ fn check_noise(noise: f64) -> Result<(), ServiceError> {
     }
 }
 
-/// Microseconds since `started` ([`now`]), saturated into `u64`. The
-/// reading feeds only `StatsResponse::total_micros` — never optimization,
-/// caching, eviction, or any deterministic response field.
-fn elapsed_micros(started: std::time::Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+/// Wall time spent in [`Optimizer::optimize`], summed in nanoseconds and
+/// truncated to whole microseconds only when read, so a cache hit that
+/// takes under a microsecond still counts. It feeds only
+/// `StatsResponse::total_micros` — never optimization, caching, eviction,
+/// or any deterministic response field.
+#[derive(Debug, Clone, Copy, Default)]
+struct BusyTime {
+    nanos: u64,
+}
+
+impl BusyTime {
+    fn add(&mut self, elapsed: std::time::Duration) {
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.nanos = self.nanos.saturating_add(nanos);
+    }
+
+    fn micros(self) -> u64 {
+        self.nanos / 1000
+    }
 }
 
 #[cfg(test)]
@@ -575,6 +589,16 @@ mod tests {
         seed: 42,
         noise: 0.0,
     };
+
+    #[test]
+    fn sub_microsecond_requests_add_up() {
+        // Truncated to whole microseconds per request, each would add 0.
+        let mut busy = BusyTime::default();
+        for _ in 0..1000 {
+            busy.add(std::time::Duration::from_nanos(400));
+        }
+        assert_eq!(busy.micros(), 400);
+    }
 
     #[test]
     fn cached_response_is_bit_identical_to_cold() {

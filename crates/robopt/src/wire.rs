@@ -553,7 +553,28 @@ pub(crate) mod tests {
     /// One response per wire shape and the exact line the hand-assembled
     /// renderer of PR 18 wrote for it: escapes, `-0.0`, a subnormal,
     /// exponent forms, full-width integers, non-finite and absent numbers.
+    /// The first is the reply the service sends most, as the `fmt`-based
+    /// float writer rendered it: an analytic point estimate (WordCount at
+    /// 3e7 on the named registry), whose spread is `0.0` and whose
+    /// quantiles are the cost.
     pub(crate) fn golden_responses() -> Vec<(Response, String)> {
+        let point = OptimizeResponse {
+            workload: "wordcount(3e7)".to_string(),
+            signature: 12662749816398055170,
+            assignments: vec!["flink".to_string(); 6],
+            distinct_platforms: 1,
+            cost: 433.85999999999996,
+            cost_std: 0.0,
+            cost_q10: 433.85999999999996,
+            cost_q90: 433.85999999999996,
+            risk_policy: "expected".to_string(),
+            stats: robopt_core::EnumStats {
+                generated: 122,
+                kept: 45,
+                merges: 5,
+                peak_rows: 5,
+            },
+        };
         let optimize = OptimizeResponse {
             workload: "wordcount(1e7)".to_string(),
             signature: u64::MAX - 2,
@@ -573,6 +594,10 @@ pub(crate) mod tests {
         };
         let optimize_fields = r#""workload":"wordcount(1e7)","signature":18446744073709551613,"assignments":["java","spark"],"distinct_platforms":2,"cost":0.30000000000000004,"cost_bits":4599075939470750516,"cost_std":0.25,"cost_q10":-0.0,"cost_q90":1e21,"risk_policy":"sigma1.5","stats":{"generated":40,"kept":12,"merges":5,"peak_rows":9}"#;
         [
+            (
+                Response::Optimize(point),
+                r#"{"ok":true,"kind":"optimize","workload":"wordcount(3e7)","signature":12662749816398055170,"assignments":["flink","flink","flink","flink","flink","flink"],"distinct_platforms":1,"cost":433.85999999999996,"cost_bits":4646340162028841205,"cost_std":0.0,"cost_q10":433.85999999999996,"cost_q90":433.85999999999996,"risk_policy":"expected","stats":{"generated":122,"kept":45,"merges":5,"peak_rows":5}}"#.to_string(),
+            ),
             (
                 Response::Optimize(optimize.clone()),
                 format!(r#"{{"ok":true,"kind":"optimize",{optimize_fields}}}"#),
