@@ -10,7 +10,7 @@
 //!    tuple-count cells scaled by a log-spaced hypothesis factor, so the
 //!    [`robopt_core::CostOracle::cost_batch_dist`] spread measures how
 //!    hard the learned cost model reacts to cardinality misestimation —
-//!    the exact failure mode ROADMAP item 3 names. The mean column stays
+//!    the exact failure mode ROADMAP item 7 names. The mean column stays
 //!    the unscaled forest prediction, bit-identical to `cost_batch`.
 //! 2. **Divergence scan** — a log-spaced input-scale grid over the Fig-1
 //!    workloads is enumerated under every risk policy (`expected`,

@@ -159,7 +159,7 @@ impl CostDistribution {
 ///
 /// `ExpectedCost` is the classic point-estimate path and the default
 /// everywhere; the other two trade expected speed for stability under
-/// cardinality misestimation (ROADMAP item 3). The *reported* plan cost
+/// cardinality misestimation (ROADMAP item 7). The *reported* plan cost
 /// stays the canonical mean under every policy — risk changes which plan
 /// wins, never how its cost is quoted.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -183,23 +183,44 @@ fn row_state(seed: u64, op: u32, row: u64) -> u64 {
 /// after each.
 pub const LINE_CAP: usize = 32;
 
+/// Bytes of a generated word: `w` and two hex digits.
+pub const WORD_LEN: usize = 3;
+
+/// Where a generated word lies: word `w` of a line is
+/// `line[WORD_STRIDE * w..][..WORD_LEN]`, and a space follows every word,
+/// the last one's just past the line's length.
+pub const WORD_STRIDE: usize = WORD_LEN + 1;
+
 /// Write the `row`-th line of text source `op` — 3–8 words of `wXX`,
 /// single spaces between, at most 31 bytes — to the front of `line`, and
-/// return its length. [`source_record`]'s text; an executor that may not
-/// read the line calls this only when it does.
+/// return its length. The words lie at fixed offsets ([`WORD_STRIDE`]),
+/// so [`line_words`] reads them without a scan. [`source_record`]'s text;
+/// an executor that may not read the line calls this only when it does.
 pub fn source_line(seed: u64, op: u32, row: u64, line: &mut [u8; LINE_CAP]) -> usize {
     let mut s = row_state(seed, op, row);
     let n_words = 3 + s % 6;
     for w in 0..n_words {
         s = mix64(s.wrapping_add(w));
         let u = unit(s);
-        let idx = ((u * u) * VOCAB as f64) as u64;
-        let at = 4 * w as usize;
+        // In [0, 96), where a cast to `u32` truncates to the integer a
+        // cast to `u64` does, without that cast's fix-ups past 2⁶³.
+        let idx = u64::from(((u * u) * VOCAB as f64) as u32);
+        let at = WORD_STRIDE * w as usize;
         line[at] = b'w';
-        write_hex2(&mut line[at + 1..at + 3], idx.min(VOCAB - 1));
-        line[at + 3] = b' ';
+        write_hex2(&mut line[at + 1..at + WORD_LEN], idx.min(VOCAB - 1));
+        line[at + WORD_LEN] = b' ';
     }
-    4 * n_words as usize - 1
+    WORD_STRIDE * n_words as usize - 1
+}
+
+/// The words of a `len`-byte line [`source_line`] wrote into `line`, read
+/// at the offsets it wrote them to: what [`words_of`] finds in
+/// `&line[..len]`, without looking at a byte.
+#[inline]
+pub fn line_words(line: &[u8; LINE_CAP], len: usize) -> impl Iterator<Item = &[u8]> {
+    line[..len + 1]
+        .chunks_exact(WORD_STRIDE)
+        .map(|word| &word[..WORD_LEN])
 }
 
 /// A text source's `row`-th record but for its line ([`source_line`]):
@@ -541,6 +562,29 @@ mod tests {
             let c = source_record(kind, 7, 0, 43, 1000);
             assert_ne!(a, c, "{kind:?} rows must differ");
         }
+    }
+
+    #[test]
+    fn generated_words_lie_at_the_generators_offsets() {
+        let mut rng = robopt_plan::SplitMix64::new(0x00FF_5E75);
+        let mut lines = 0u64;
+        for _ in 0..100_000 {
+            let seed = rng.next_u64();
+            let op = rng.next_u64() as u32;
+            let row = rng.next_u64();
+            let mut line = [0; LINE_CAP];
+            let len = source_line(seed, op, row, &mut line);
+            let at: Vec<&[u8]> = line_words(&line, len).collect();
+            let scanned: Vec<&[u8]> = words_of(&line[..len]).collect();
+            assert_eq!(at, scanned, "seed {seed:#x}, op {op}, row {row}");
+            for b in &line[..len] {
+                lines = mix64(lines ^ u64::from(*b));
+            }
+            lines = mix64(lines ^ len as u64);
+        }
+        // Every generated byte is pinned: the engine's golden output
+        // digests are built from these lines.
+        assert_eq!(lines, 0x14ae_8083_c415_1e36);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use robopt_platforms::{
 
 use crate::data::{
     assign_point, digest_terminals, flat_map_len, flat_map_record, keep_key, keep_record,
-    line_fields, point_of, record_cmp, rekey, rekey_record, source_line, source_record,
+    line_fields, line_words, point_of, record_cmp, rekey, rekey_record, source_line, source_record,
     split_number, view_cmp, word_fields, words_of, Record, Text, FILTER_SALT, LINE_CAP,
     PAGERANK_DST_SALT, SAMPLE_SALT,
 };
@@ -805,7 +805,10 @@ fn par_sort(w: usize, mut input: Vec<Record>) -> Vec<Record> {
 /// Both sides of a key-matching operator, sorted — the larger one only
 /// after dropping every record whose key the smaller side lacks (probed in
 /// a hash set of the smaller side's keys): no match involves those, and
-/// sorting is the expensive part.
+/// sorting is the expensive part. The filter is `Vec::retain` on one
+/// thread, which moves only the records it keeps, and the slack goes back
+/// before the sorts; when it keeps none, no record of the smaller side has
+/// a match either, and both sides come back empty, unsorted.
 fn sort_sides(w: usize, a: Vec<Record>, b: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
     if a.len() > b.len() {
         let (b, a) = sort_sides(w, b, a);
@@ -816,7 +819,11 @@ fn sort_sides(w: usize, a: Vec<Record>, b: Vec<Record>) -> (Vec<Record>, Vec<Rec
         keys.insert_or_get(r.key, ());
     }
     let mut b = b;
-    par_retain(w, &mut b, |r| keys.get(r.key).is_some());
+    b.retain(|r| keys.get(r.key).is_some());
+    b.shrink_to_fit();
+    if b.is_empty() {
+        return (Vec::new(), b);
+    }
     (par_sort(w, a), par_sort(w, b))
 }
 
@@ -960,18 +967,24 @@ impl<'s> Pass<'s> {
                     }
                 }
                 Stage::FlatMap => {
-                    let mut line = [0; LINE_CAP];
-                    let bytes = text.bytes(&mut line);
-                    if bytes.is_empty() {
-                        self.passed[at] += 2;
-                        for (key, num) in split_number(key, num) {
-                            self.push(at + 1, key, num, Body::Bytes(&[]));
+                    match text {
+                        Body::Line { seed, op, row } => {
+                            let mut line = [0; LINE_CAP];
+                            let len = source_line(seed, op, row, &mut line);
+                            for word in line_words(&line, len) {
+                                self.push_word(at, word);
+                            }
                         }
-                    } else {
-                        for word in words_of(bytes) {
-                            self.passed[at] += 1;
-                            let (key, num) = word_fields(word);
-                            self.push(at + 1, key, num, Body::Bytes(word));
+                        Body::Bytes([]) => {
+                            self.passed[at] += 2;
+                            for (key, num) in split_number(key, num) {
+                                self.push(at + 1, key, num, Body::Bytes(&[]));
+                            }
+                        }
+                        Body::Bytes(bytes) => {
+                            for word in words_of(bytes) {
+                                self.push_word(at, word);
+                            }
                         }
                     }
                     return;
@@ -982,6 +995,14 @@ impl<'s> Pass<'s> {
         }
         let mut line = [0; LINE_CAP];
         self.acc.add(key, num, text.bytes(&mut line));
+    }
+
+    /// A word the FlatMap at stage `at` split off, on to the next stage.
+    #[inline]
+    fn push_word(&mut self, at: usize, word: &[u8]) {
+        self.passed[at] += 1;
+        let (key, num) = word_fields(word);
+        self.push(at + 1, key, num, Body::Bytes(word));
     }
 
     /// Fold the next range's pass into this one.
@@ -1015,21 +1036,22 @@ impl Keyed {
         }
     }
 
-    /// A hash of the part of `(key, num, text)` that decides its entry.
-    /// Text bytes are folded in one at a time and mixed once: the words
-    /// keyed operators see are a few bytes long.
+    /// A hash of the part of `(key, num, text)` that decides its entry,
+    /// under one finalizer: the key is spread by an odd multiply before the
+    /// payload's bits are folded in, text bytes one at a time after them
+    /// (the words keyed operators see are a few bytes long), and the whole
+    /// is mixed once.
     fn hash(self, key: u64, num: f64, text: &[u8]) -> u64 {
-        let mut h = mix64(key);
+        let mut h = key;
         if self != Keyed::GroupByKey {
-            h ^= num.to_bits();
+            h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ num.to_bits();
             if self == Keyed::Distinct {
                 for &b in text {
                     h = h.rotate_left(8) ^ u64::from(b);
                 }
             }
-            h = mix64(h);
         }
-        h
+        mix64(h)
     }
 
     /// Whether `(key, num, text)` falls into `least`'s entry.

@@ -1,5 +1,5 @@
 //! `robopt-engine`: the real multi-threaded in-memory dataflow executor —
-//! the "Java platform" made real (ISSUE 8, ROADMAP item 2).
+//! the "Java platform" made real.
 //!
 //! [`Engine`] implements the [`robopt_platforms::ExecutionBackend`] seam
 //! next to the analytic simulator: WordCount really counts generated

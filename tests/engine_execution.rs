@@ -7,7 +7,9 @@
 //!   generated specs of every kind (at 1/2 workers), for seeded random
 //!   DAGs, for seeded DAGs of narrow chains fused into keyed operators and
 //!   for the hand-built shapes the take-or-borrow rule could get wrong
-//!   (among them a join with an empty side), across 1/2/4 workers,
+//!   (among them a join with an empty side), for Joins and Intersects
+//!   whose larger-side key filter keeps none, all or a share of its
+//!   records (at 1/2 workers), across 1/2/4 workers,
 //!   all-`java` and all-`spark` (whose workers really fan out);
 //! * the `ExecutionBackend` seam — the simulator answers bit-identically
 //!   through the trait object and through its direct API, and both
@@ -493,6 +495,73 @@ fn a_join_with_an_empty_side_matches_the_reference() {
         let plan = hand_built(1_500.0, &[none, table, Operator::new(Join), sink], &edges);
         let rows = assert_engine_matches_reference(name, &plan, 2_000);
         assert_eq!(rows, [1_500, 0, 1_500, 0, 0], "{name}");
+    }
+}
+
+#[test]
+fn a_join_whose_key_filter_keeps_none_all_or_some_matches_the_reference() {
+    use OperatorKind::{
+        CollectionSource, Filter, FlatMap, Intersect, Join, LocalCallbackSink, TableSource,
+        TextFileSource,
+    };
+    // The larger side is 2 000 table rows keyed below 500. The smaller side
+    // is the words of 200 lines (keyed by their hashes: the larger side's
+    // filter keeps none), or 600 collection rows keyed 0..600 through a
+    // Filter keeping all or a seeded share of them.
+    let larger = Operator::source(TableSource, 2_000.0);
+    let rows = Operator::source(CollectionSource, 600.0);
+    let mut rng = SplitMix64::new(0x0101_F117);
+    let mut cases = vec![
+        (
+            "keeps none",
+            Operator::source(TextFileSource, 200.0),
+            Operator::new(FlatMap),
+        ),
+        (
+            "keeps all",
+            rows,
+            Operator::new(Filter).with_selectivity(1.0),
+        ),
+    ];
+    for _ in 0..3 {
+        let share = 0.05 + 0.9 * rng.next_f64();
+        let coin = Operator::new(Filter).with_selectivity(share);
+        cases.push(("keeps a share", rows, coin));
+    }
+    for (case, source, smaller) in cases {
+        for kind in [Join, Intersect] {
+            for (order, edges) in [
+                ("smaller first", [(0, 1), (1, 3), (2, 3), (3, 4)]),
+                ("smaller second", [(0, 1), (2, 3), (1, 3), (3, 4)]),
+            ] {
+                let mut plan = LogicalPlan::new();
+                let sink = Operator::new(LocalCallbackSink);
+                for op in [source, smaller, larger, Operator::new(kind), sink] {
+                    plan.add_op(op);
+                }
+                for (from, to) in edges {
+                    plan.connect(from, to);
+                }
+                plan.seal();
+                let name = format!("{kind:?} {case}, {order}");
+
+                // What the larger side's filter keeps, from the reference.
+                let outputs = reference_outputs(&plan, SEED, 2_000);
+                let keys: std::collections::BTreeSet<u64> =
+                    outputs[1].iter().map(|r| r.key).collect();
+                let kept = outputs[2].iter().filter(|r| keys.contains(&r.key)).count();
+                let all = outputs[2].len();
+                match case {
+                    "keeps none" => assert_eq!(kept, 0, "{name}"),
+                    "keeps all" => assert_eq!(kept, all, "{name}"),
+                    _ => assert!(0 < kept && kept < all, "{name}: {kept} of {all}"),
+                }
+                assert!(outputs[1].len() < all, "{name}: the table side is larger");
+
+                let rows = assert_engine_matches_reference_at(&name, &plan, 2_000, &[1, 2]);
+                assert_eq!(rows[3] == 0, kept == 0, "{name}: {rows:?}");
+            }
+        }
     }
 }
 
