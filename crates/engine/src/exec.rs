@@ -3,25 +3,22 @@
 //!
 //! [`Engine`] really moves [`Record`]s: WordCount counts actual generated
 //! words, GroupBy groups them, and `RepeatLoop` runs PageRank or k-means
-//! kernels with per-iteration loop overheads. Parallelism is
-//! order-preserving by construction, so **outputs are byte-identical
+//! kernels with per-iteration loop overheads. Outputs are **byte-identical
 //! across worker counts**:
 //!
-//! * operators that rewrite the stream they own process contiguous chunks
-//!   of it in place on the workspace's one fan-out,
-//!   [`robopt_plan::par::par_chunks`]; operators that build a new stream
-//!   process contiguous index ranges over it (`par_ranges`) and concatenate
-//!   results in range order — both identical to the sequential pass;
-//! * Sort and the two sides of Join / Intersect sort under the total order
-//!   [`record_cmp`]; sorting chunks in parallel and then merging them
-//!   reproduces the plain sort byte-for-byte — stable or not — because
-//!   equal elements are fully identical;
-//! * Distinct, ReduceByKey and GroupByKey fold their stream into a hash
-//!   table (an accumulator) per contiguous range, merge the tables in
-//!   range order and emit them sorted: what the table keeps per entry (the
-//!   least record of its class and how many fell into it) does not depend
-//!   on arrival order, and the one float sum is taken only then, in sorted
+//! * the keyed pass is the one operator that fans out, the only one whose
+//!   second worker measured faster (DESIGN §11): Distinct, ReduceByKey and
+//!   GroupByKey cut their stream into `w` contiguous ranges on the
+//!   workspace's one fan-out, [`robopt_plan::par::par_chunks`], fold each
+//!   range into a hash table (an accumulator), merge the tables in range
+//!   order and emit them sorted: what the table keeps per entry (the least
+//!   record of its class and how many fell into it) does not depend on
+//!   arrival order, and the one float sum is taken only then, in sorted
 //!   order — threads never race on a sum;
+//! * every other operator runs on the calling thread, as the reference
+//!   does; Sort and the two sides of Join / Intersect sort unstably under
+//!   the total order [`record_cmp`], which yields the reference's stable
+//!   sort byte-for-byte because equal elements are fully identical;
 //! * sources seed each record by row index, never by partition.
 //!
 //! Narrow chains are fused into the keyed operator they feed, the way Java
@@ -127,8 +124,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Worker threads for partition-parallel operators (≥ 1). Changes wall
-    /// time only — never output bytes.
+    /// Worker threads for the keyed pass, the one operator that fans out
+    /// (≥ 1). Changes wall time only — never output bytes.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -298,16 +295,11 @@ impl<'a> Engine<'a> {
             | OperatorKind::CollectionSource
             | OperatorKind::TableSource => {
                 let source = self.source(plan, op, rows);
-                par_ranges(w, source.len(), |range, out| {
-                    out.reserve(range.len());
-                    out.extend(range.map(|row| source.record(row)));
-                })
+                (0..source.len()).map(|row| source.record(row)).collect()
             }
             OperatorKind::Map | OperatorKind::MapPartitions => {
                 let mut records = buffers.input(preds).into_owned();
-                par_chunks(w, &mut records, |_, chunk| {
-                    chunk.iter_mut().for_each(rekey_record);
-                });
+                records.iter_mut().for_each(rekey_record);
                 records
             }
             OperatorKind::Cache
@@ -316,13 +308,12 @@ impl<'a> Engine<'a> {
             | OperatorKind::LocalCallbackSink => buffers.input(preds).into_owned(),
             OperatorKind::FlatMap => {
                 let input = buffers.input(preds);
-                par_ranges(w, input.len(), |range, out| {
-                    let part = &input[range];
-                    out.reserve(part.iter().map(flat_map_len).sum());
-                    for r in part {
-                        flat_map_record(r, out);
-                    }
-                })
+                // `flat_map_len` is exact: no slack is left to give back.
+                let mut out = Vec::with_capacity(input.iter().map(flat_map_len).sum());
+                for r in input.iter() {
+                    flat_map_record(r, &mut out);
+                }
+                out
             }
             OperatorKind::Filter | OperatorKind::Sample => {
                 let salt = if o.kind == OperatorKind::Filter {
@@ -337,29 +328,35 @@ impl<'a> Engine<'a> {
                         // a time: only what it keeps is ever stored. The
                         // whole range is reserved, but only the kept rows'
                         // pages (and one block past them) are touched, and
-                        // `par_ranges` gives the rest back; growing by
-                        // doubling instead cost more in copies than the
-                        // fusion saved.
+                        // the rest is given back; growing by doubling
+                        // instead cost more in copies than the fusion saved.
                         let source = self.source(plan, src, rows);
-                        let keep = move |r: &Record| keep_record(r, sel, salt);
-                        return par_ranges(w, source.len(), move |mut left, out| {
-                            out.reserve(left.len());
-                            while !left.is_empty() {
-                                let block = left.start..left.end.min(left.start + KEEP_BLOCK);
-                                left.start = block.end;
-                                let at = out.len();
-                                out.extend(block.map(|row| source.record(row)));
-                                let kept = keep_to_front(&mut out[at..], keep);
-                                out.truncate(at + kept);
-                            }
-                        });
+                        let n = source.len();
+                        let mut out = Vec::with_capacity(n);
+                        for start in (0..n).step_by(KEEP_BLOCK) {
+                            let at = out.len();
+                            let block = start..n.min(start + KEEP_BLOCK);
+                            out.extend(block.map(|row| source.record(row)));
+                            let kept = keep_to_front(&mut out[at..], |r| keep_record(r, sel, salt));
+                            out.truncate(at + kept);
+                        }
+                        out.shrink_to_fit();
+                        return out;
                     }
                 }
+                // A buffer's coin closes it up in place and gives the slack
+                // back: its output lives until its last consumer has run.
                 let mut records = buffers.input(preds).into_owned();
-                par_retain(w, &mut records, |r| keep_record(r, sel, salt));
+                let kept = keep_to_front(&mut records, |r| keep_record(r, sel, salt));
+                records.truncate(kept);
+                records.shrink_to_fit();
                 records
             }
-            OperatorKind::Sort => par_sort(w, buffers.input(preds).into_owned()),
+            OperatorKind::Sort => {
+                let mut records = buffers.input(preds).into_owned();
+                records.sort_unstable_by(record_cmp);
+                records
+            }
             OperatorKind::Distinct => self.run_keyed(plan, op, Keyed::Distinct, buffers, rows, w),
             OperatorKind::ReduceByKey => {
                 self.run_keyed(plan, op, Keyed::ReduceByKey, buffers, rows, w)
@@ -379,7 +376,7 @@ impl<'a> Engine<'a> {
             OperatorKind::Join | OperatorKind::Intersect => {
                 let a = buffers.input(first).into_owned();
                 let b = buffers.input(rest).into_owned();
-                let (a, b) = sort_sides(w, a, b);
+                let (a, b) = sort_sides(a, b);
                 if o.kind == OperatorKind::Join {
                     join_sorted(a, b)
                 } else {
@@ -399,11 +396,9 @@ impl<'a> Engine<'a> {
             }
             OperatorKind::ZipWithId => {
                 let mut records = buffers.input(preds).into_owned();
-                par_chunks(w, &mut records, |at, chunk| {
-                    for (i, r) in chunk.iter_mut().enumerate() {
-                        r.key = (at + i) as u64;
-                    }
-                });
+                for (i, r) in records.iter_mut().enumerate() {
+                    r.key = i as u64;
+                }
                 records
             }
             OperatorKind::RepeatLoop => {
@@ -413,9 +408,9 @@ impl<'a> Engine<'a> {
                 }
                 let textual = input.first().map(|r| !r.text.is_empty()).unwrap_or(false);
                 if textual {
-                    self.pagerank(w, &input, o.iterations)
+                    self.pagerank(&input, o.iterations)
                 } else {
-                    self.kmeans(w, &input, o.iterations)
+                    self.kmeans(&input, o.iterations)
                 }
             }
         }
@@ -423,9 +418,9 @@ impl<'a> Engine<'a> {
 
     /// A keyed operator and the fused chain feeding it, as one loop: the
     /// chain's head is cut into `w` contiguous ranges, each streams through
-    /// the chain's stages into its own accumulator, and the accumulators
-    /// merge in range order before `finish`. Fills in the fused operators'
-    /// row counts.
+    /// the chain's stages into its own accumulator on its own worker, and
+    /// the accumulators merge in range order before `finish`. Fills in the
+    /// fused operators' row counts.
     fn run_keyed(
         &self,
         plan: &LogicalPlan,
@@ -460,12 +455,19 @@ impl<'a> Engine<'a> {
             None => Head::Buffer(buffers.input(plan.preds(first))),
         };
 
-        let passes = par_ranges(w, head.len(), |range, out| {
+        // Each worker feeds its ranges into a pass of its own and hands it
+        // back when done: passes filled side by side in one vector would
+        // share cache lines on every insert.
+        let n = head.len();
+        let mut ranges: Vec<_> = (0..w).map(|c| c * n / w..(c + 1) * n / w).collect();
+        let passes = par_chunks(w, &mut ranges, |_, chunk| {
             let mut pass = Pass::new(keyed, &stages);
-            head.feed(range, &mut pass);
-            out.push(pass);
+            for range in chunk {
+                head.feed(range.clone(), &mut pass);
+            }
+            Some(pass)
         });
-        let merged = passes.into_iter().reduce(|mut total, pass| {
+        let merged = passes.into_iter().flatten().reduce(|mut total, pass| {
             total.merge(pass);
             total
         });
@@ -494,8 +496,9 @@ impl<'a> Engine<'a> {
     /// PageRank kernel: the input stream is an edge list (one record per
     /// edge), node count ≈ edges / 8. Per iteration, per-node rank sums
     /// accumulate in edge-stream order (CSR grouped stably by destination),
-    /// so parallel gather matches the reference's sequential scatter.
-    fn pagerank(&self, w: usize, input: &[Record], iters: u32) -> Vec<Record> {
+    /// so the gather matches the reference's sequential scatter. It runs on
+    /// the calling thread: a second worker measured slower (DESIGN §11).
+    fn pagerank(&self, input: &[Record], iters: u32) -> Vec<Record> {
         let n_e = input.len();
         if n_e == 0 {
             return Vec::new();
@@ -535,16 +538,13 @@ impl<'a> Engine<'a> {
                 .zip(&outdeg)
                 .map(|(r, &d)| if d > 0 { r / f64::from(d) } else { 0.0 })
                 .collect();
-            rank = par_ranges(w, n, |range, seg| {
-                seg.reserve(range.len());
-                for v in range {
-                    let mut s = 0.0f64;
-                    for &u in srcs.get(start[v]..start[v + 1]).unwrap_or(&[]) {
-                        s += contrib.get(u as usize).copied().unwrap_or(0.0);
-                    }
-                    seg.push(base + PAGERANK_DAMPING * s);
+            for (v, r) in rank.iter_mut().enumerate() {
+                let mut s = 0.0f64;
+                for &u in srcs.get(start[v]..start[v + 1]).unwrap_or(&[]) {
+                    s += contrib.get(u as usize).copied().unwrap_or(0.0);
                 }
-            });
+                *r = base + PAGERANK_DAMPING * s;
+            }
         }
         rank.iter()
             .enumerate()
@@ -556,9 +556,10 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// k-means kernel (Lloyd): parallel nearest-centroid assignment,
-    /// sequential canonical centroid update in stream order.
-    fn kmeans(&self, w: usize, input: &[Record], iters: u32) -> Vec<Record> {
+    /// k-means kernel (Lloyd): per iteration, each point's nearest centroid
+    /// is written in place and its coordinates added to that centroid's
+    /// sums in stream order — the canonical update.
+    fn kmeans(&self, input: &[Record], iters: u32) -> Vec<Record> {
         let n = input.len();
         if n == 0 {
             return Vec::new();
@@ -570,15 +571,10 @@ impl<'a> Engine<'a> {
             .collect();
         let mut assign: Vec<usize> = vec![0; n];
         for _ in 0..iters {
-            assign = par_ranges(w, n, |range, out| {
-                out.reserve(range.len());
-                let nearest = |&(x, y): &(f64, f64)| assign_point(x, y, &centroids);
-                out.extend(pts[range].iter().map(nearest));
-            });
             let mut sums = vec![(0.0f64, 0.0f64, 0u64); k];
-            for (i, &(x, y)) in pts.iter().enumerate() {
-                let a = assign.get(i).copied().unwrap_or(0);
-                if let Some(s) = sums.get_mut(a) {
+            for (a, &(x, y)) in assign.iter_mut().zip(&pts) {
+                *a = assign_point(x, y, &centroids);
+                if let Some(s) = sums.get_mut(*a) {
                     s.0 += x;
                     s.1 += y;
                     s.2 += 1;
@@ -718,53 +714,6 @@ impl Buffers {
     }
 }
 
-/// The fan-out that builds a stream: split `0..n` into `w` contiguous
-/// ranges, run `f` on each — over [`par_chunks`], one output part per
-/// range — and concatenate what the ranges pushed in range order, so the
-/// result is what `f(0..n)` alone would have produced whatever the
-/// scheduling.
-fn par_ranges<T: Send>(
-    w: usize,
-    n: usize,
-    f: impl Fn(std::ops::Range<usize>, &mut Vec<T>) + Sync,
-) -> Vec<T> {
-    let mut out = Vec::new();
-    if w <= 1 {
-        f(0..n, &mut out);
-        // An output lives until its last consumer has run: give back the
-        // slack `push` growth left, as the concatenation below does.
-        out.shrink_to_fit();
-        return out;
-    }
-    // `w` parts in `w` chunks: one part per chunk, so a chunk's offset is
-    // its range's index.
-    let mut parts: Vec<Vec<T>> = (0..w).map(|_| Vec::new()).collect();
-    par_chunks(w, &mut parts, |c, chunk| {
-        for part in chunk {
-            f(c * n / w..(c + 1) * n / w, part);
-        }
-    });
-    out.reserve(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
-/// `Vec::retain` over [`par_chunks`]: each chunk moves the records it keeps
-/// to its front, then the kept prefixes close up in chunk order — the
-/// order a sequential pass keeps them in — and the slack is given back.
-fn par_retain(w: usize, records: &mut Vec<Record>, keep: impl Fn(&Record) -> bool + Sync) {
-    let kept = par_chunks(w, records, |at, chunk| (at, keep_to_front(chunk, &keep)));
-    let mut len = 0;
-    for (at, n) in kept {
-        records[len..at + n].rotate_left(at - len);
-        len += n;
-    }
-    records.truncate(len);
-    records.shrink_to_fit();
-}
-
 /// Records a source fused into its Filter / Sample generates before the
 /// coin closes them up: 48 KiB, so a block is still in cache when it is
 /// closed up, and what the coin rejects never reaches further than this
@@ -786,45 +735,30 @@ fn keep_to_front(chunk: &mut [Record], keep: impl Fn(&Record) -> bool) -> usize 
     n
 }
 
-/// Sort under [`record_cmp`]: up to `w` chunks in place, then — if there
-/// was more than one — one `sort_by` over the whole, which is the k-way
-/// merge (std's stable sort detects presorted runs and merges them). The
-/// comparator is total and equal elements are identical records, so an
-/// unstable chunk sort, which needs no scratch buffer, yields the same
-/// bytes as a stable one and as sorting sequentially.
-fn par_sort(w: usize, mut input: Vec<Record>) -> Vec<Record> {
-    let runs = par_chunks(w, &mut input, |_, chunk| {
-        chunk.sort_unstable_by(record_cmp);
-    });
-    if runs.len() > 1 {
-        input.sort_by(record_cmp);
-    }
-    input
-}
-
 /// Both sides of a key-matching operator, sorted — the larger one only
 /// after dropping every record whose key the smaller side lacks (probed in
 /// a hash set of the smaller side's keys): no match involves those, and
-/// sorting is the expensive part. The filter is `Vec::retain` on one
-/// thread, which moves only the records it keeps, and the slack goes back
-/// before the sorts; when it keeps none, no record of the smaller side has
-/// a match either, and both sides come back empty, unsorted.
-fn sort_sides(w: usize, a: Vec<Record>, b: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
+/// sorting is the expensive part. The filter is `Vec::retain`, which
+/// moves only the records it keeps, and the slack goes back before the
+/// sorts; when it keeps none, no record of the smaller side has a match
+/// either, and both sides come back empty, unsorted.
+fn sort_sides(mut a: Vec<Record>, mut b: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
     if a.len() > b.len() {
-        let (b, a) = sort_sides(w, b, a);
+        let (b, a) = sort_sides(b, a);
         return (a, b);
     }
     let mut keys = KeyMap::with_capacity(a.len());
     for r in &a {
         keys.insert_or_get(r.key, ());
     }
-    let mut b = b;
     b.retain(|r| keys.get(r.key).is_some());
     b.shrink_to_fit();
     if b.is_empty() {
         return (Vec::new(), b);
     }
-    (par_sort(w, a), par_sort(w, b))
+    a.sort_unstable_by(record_cmp);
+    b.sort_unstable_by(record_cmp);
+    (a, b)
 }
 
 /// A narrow operator fused into the stream feeding a keyed operator.
@@ -1366,65 +1300,57 @@ mod tests {
     }
 
     #[test]
-    fn par_ranges_hands_out_every_index_once_and_in_order() {
-        for w in [1usize, 2, 3, 4, 7] {
-            for n in [0, 1, w - 1, w, w + 1] {
-                let seen = par_ranges(w, n, |range, out| out.extend(range));
-                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "w={w} n={n}");
+    fn a_coin_over_a_buffer_gives_its_slack_back() {
+        // Sort -> Filter or Sample -> sink: the sink takes the coin's buffer
+        // as it is, so what `execute_collect` returns shows the coin's slack.
+        use OperatorKind::{CollectionSource, Filter, LocalCallbackSink, Sample, Sort};
+        let reg = PlatformRegistry::named();
+        for coin in [Filter, Sample] {
+            let mut plan = LogicalPlan::new();
+            plan.add_op(Operator::source(CollectionSource, 5_000.0));
+            plan.add_op(Operator::new(Sort));
+            plan.add_op(Operator::new(coin).with_selectivity(0.4));
+            plan.add_op(Operator::new(LocalCallbackSink));
+            for (from, to) in [(0, 1), (1, 2), (2, 3)] {
+                plan.connect(from, to);
+            }
+            plan.seal();
+            let spark = vec![reg.by_name("spark").unwrap(); plan.n_ops()];
+            for w in [1, 2] {
+                let out = Engine::new(&reg)
+                    .with_workers(w)
+                    .execute_collect(&plan, &spark);
+                let (_, kept) = out.terminals.first().expect("one sink");
+                assert!(!kept.is_empty() && kept.len() < 5_000, "{coin:?} w={w}");
+                assert_eq!(kept.capacity(), kept.len(), "{coin:?} w={w}");
             }
         }
     }
 
     #[test]
-    fn par_retain_keeps_what_retain_keeps_in_order() {
-        let mut rng = robopt_plan::rng::SplitMix64::new(0x2E7A);
-        for w in [1usize, 2, 3, 4, 7] {
-            for len in [0, 1, 2, w - 1, w, w + 1, 1000] {
-                for cut in [0u64, 2, 4, 7] {
-                    let input: Vec<Record> = (0..len)
-                        .map(|i| Record {
-                            key: rng.next_u64() % 7,
-                            num: i as f64,
-                            text: ["", "a", "a text too long to be stored inline…"][i % 3].into(),
-                        })
-                        .collect();
-                    // Keys are 0..7: keep all, most, some, none.
-                    let keep = |r: &Record| r.key >= cut;
-                    let mut want = input.clone();
-                    want.retain(keep);
-                    let mut got = input;
-                    par_retain(w, &mut got, keep);
-                    assert_eq!(got, want, "w={w} len={len} cut={cut}");
-                    assert_eq!(got.capacity(), got.len(), "w={w} len={len}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn par_sort_equals_the_plain_sort_record_for_record() {
+    fn the_unstable_sort_equals_the_stable_sort_record_for_record() {
+        // The engine sorts unstably, the reference stably: the same bytes,
+        // because `record_cmp` is total and calls equal only identical
+        // records.
         let odd = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
         let mut rng = robopt_plan::rng::SplitMix64::new(0x50F7);
-        for w in [1usize, 2, 3, 4, 7] {
-            for len in [0, 1, 2, w - 1, w, w + 1, 1000] {
-                // Five keys and six payloads: most records tie on the key,
-                // many are equal outright.
-                let input: Vec<Record> = (0..len)
-                    .map(|_| Record {
-                        key: rng.next_u64() % 5,
-                        num: odd[rng.gen_range(odd.len())],
-                        text: ["", "a", "b"][rng.gen_range(3)].into(),
-                    })
-                    .collect();
-                let mut want = input.clone();
-                want.sort_by(record_cmp);
-                let got = par_sort(w, input);
-                assert_eq!(got.len(), want.len(), "w={w} len={len}");
-                // `record_cmp` compares bit patterns: equal means identical,
-                // where `==` would call every NaN payload different.
-                let same = |(g, x)| record_cmp(g, x).is_eq();
-                assert!(got.iter().zip(&want).all(same), "w={w} len={len}");
-            }
+        for len in [0, 1, 2, 3, 1000, 5000] {
+            // Five keys and six payloads: most records tie on the key, many
+            // are equal outright.
+            let input: Vec<Record> = (0..len)
+                .map(|_| Record {
+                    key: rng.next_u64() % 5,
+                    num: odd[rng.gen_range(odd.len())],
+                    text: ["", "a", "b"][rng.gen_range(3)].into(),
+                })
+                .collect();
+            let mut want = input.clone();
+            want.sort_by(record_cmp);
+            let mut got = input;
+            got.sort_unstable_by(record_cmp);
+            // `record_cmp` compares bit patterns: equal means identical,
+            // where `==` would call every NaN payload different.
+            assert!(same_records(&got, &want), "len={len}");
         }
     }
 

@@ -9,11 +9,12 @@
 //! * [`data`] — records (text inline up to 30 bytes), seeded per-row
 //!   generators, canonical per-record operator semantics, and the output
 //!   digest;
-//! * [`exec`] — the partition-parallel executor (order-preserving chunking
-//!   on [`robopt_plan::par::par_chunks`], narrow chains fused into
-//!   hash-aggregating keyed operators, buffers moved from producer to last
-//!   consumer, overheads modeled on the simulator's calibration) and the
-//!   iterative kernels;
+//! * [`exec`] — the executor (narrow chains fused into hash-aggregating
+//!   keyed operators, which fan out in order-preserving ranges on
+//!   [`robopt_plan::par::par_chunks`] while every other operator runs on
+//!   the calling thread, buffers moved from producer to last consumer,
+//!   overheads modeled on the simulator's calibration) and the iterative
+//!   kernels;
 //! * [`mod@reference`] — the independent single-threaded, materializing,
 //!   sorting reference executor the byte-identity tests compare against.
 //!

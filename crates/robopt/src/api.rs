@@ -330,7 +330,7 @@ pub enum BackendChoice {
     /// The real multi-threaded in-memory engine: measured wall-clock
     /// compute plus deterministically modeled overheads.
     Engine {
-        /// Worker threads for partition-parallel operators (≥ 1).
+        /// Worker threads for the engine's keyed pass (≥ 1).
         workers: usize,
     },
     /// The analytic runtime simulator (PR-2): fully deterministic.

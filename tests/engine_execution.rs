@@ -7,7 +7,10 @@
 //!   generated specs of every kind (at 1/2 workers), for seeded random
 //!   DAGs, for seeded DAGs of narrow chains fused into keyed operators and
 //!   for the hand-built shapes the take-or-borrow rule could get wrong
-//!   (among them a join with an empty side), for Joins and Intersects
+//!   (among them a join with an empty side) and those where each operator
+//!   that runs on one thread materializes its output (sources with two
+//!   consumers, a FlatMap into a Sort, coins over a sorted buffer, a Map
+//!   after a Join), for Joins and Intersects
 //!   whose larger-side key filter keeps none, all or a share of its
 //!   records (at 1/2 workers), across 1/2/4 workers,
 //!   all-`java` and all-`spark` (whose workers really fan out);
@@ -447,6 +450,51 @@ fn shared_doubled_and_unconsumed_outputs_match_the_reference() {
     // Terminals that are not sinks: nobody consumes the Sort or the Map.
     let open_ended = hand_built(1_500.0, &[op(Sort), op(Map)], &[(0, 1), (0, 2)]);
     assert_eq!(rows("terminals without sinks", &open_ended), [1_500; 3]);
+
+    // A sorted buffer read by a Filter (which is lent it and copies it)
+    // and by a Sample (which takes it): both coins close up a buffer.
+    let coins = hand_built(
+        1_500.0,
+        &[
+            op(Sort),
+            op(Filter).with_selectivity(0.4),
+            op(Sample).with_selectivity(0.4),
+            op(LocalCallbackSink),
+            op(LocalCallbackSink),
+        ],
+        &[(0, 1), (1, 2), (1, 3), (2, 4), (3, 5)],
+    );
+    let r = rows("coins over a sorted buffer", &coins);
+    assert!(
+        0 < r[2] && r[2] < 1_500 && 0 < r[3] && r[3] < 1_500,
+        "{r:?}"
+    );
+
+    // A Map re-keys what a self-join of the words made.
+    let joined = hand_built(
+        1_500.0,
+        &[op(FlatMap), op(Join), op(Map), op(LocalCallbackSink)],
+        &[(0, 1), (1, 2), (1, 2), (2, 3), (3, 4)],
+    );
+    let r = rows("map after a join", &joined);
+    assert!(r[3] > 0 && r[3] == r[2], "{r:?}");
+
+    // Table and collection sources with two consumers are built whole.
+    for kind in [OperatorKind::TableSource, OperatorKind::CollectionSource] {
+        let mut shared = LogicalPlan::new();
+        shared.add_op(Operator::source(kind, 1_500.0));
+        for o in [op(Sort), op(Map), op(LocalCallbackSink)] {
+            shared.add_op(o);
+        }
+        for (from, to) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            shared.connect(from, to);
+        }
+        shared.seal();
+        assert_eq!(
+            rows(&format!("{kind:?} with two consumers"), &shared),
+            [1_500, 1_500, 1_500, 3_000]
+        );
+    }
 
     // A source read only by a Filter or Sample is generated through its
     // coin, a block at a time; here the kept rows go on to two consumers,
