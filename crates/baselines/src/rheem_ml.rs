@@ -64,7 +64,7 @@ impl ObjectEnumerator {
         for &(u, v) in plan.edges() {
             let (pu, pv) = (assign[u as usize], assign[v as usize]);
             if pu != NO_PLATFORM && pv != NO_PLATFORM {
-                add_conversion_features(plan, layout, u, v, pu, pv, &mut feats);
+                add_conversion_features(plan, layout, u, pu, pv, &mut feats);
             }
         }
         feats

@@ -820,11 +820,11 @@ mod tests {
         let Ok(Request::Optimize(req)) = request("optimize", &["--risk", "sigma1.5"]) else {
             panic!("optimize line parsed as another verb");
         };
-        assert_eq!(req.risk, Some(robopt::RiskPolicy::MeanPlusKSigma(1.5)));
+        assert_eq!(req.risk, robopt::RiskPolicy::MeanPlusKSigma(1.5));
         let Ok(Request::Optimize(req)) = request("optimize", &[]) else {
             panic!("optimize line parsed as another verb");
         };
-        assert_eq!(req.risk, None);
+        assert_eq!(req.risk, robopt::RiskPolicy::ExpectedCost);
         assert!(
             request("optimize", &["--risk", "wild"]).is_err(),
             "unknown policy is a usage error"

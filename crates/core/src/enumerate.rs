@@ -659,7 +659,7 @@ impl Enumerator {
                             self.feas[ib] = false;
                             break;
                         }
-                        add_conversion_features(plan, local, u, v, pu, pv, feats);
+                        add_conversion_features(plan, local, u, pu, pv, feats);
                     }
                 }
                 self.score_rows(oracle, opts.risk(), layout.packed(&block));
@@ -795,7 +795,7 @@ impl Enumerator {
 mod tests {
     use super::*;
     use crate::oracle::AnalyticOracle;
-    use crate::vectorize::fill_singleton;
+    use crate::vectorize::add_operator_cells;
     use robopt_plan::{workloads, N_OPERATOR_KINDS};
 
     fn run(plan: &LogicalPlan, k: usize, prune: bool) -> (ExecutionPlan, EnumStats) {
@@ -971,7 +971,7 @@ mod tests {
             .available_platforms(OperatorKind::TextFileSource)
             .map(|p| {
                 feats.fill(0.0);
-                fill_singleton(&plan, &layout, 0, p.raw(), &mut feats);
+                add_operator_cells(&plan, &layout, 0, p.raw(), &mut feats);
                 (p, oracle.cost_row(&feats))
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
@@ -994,7 +994,6 @@ mod tests {
     /// time so each unit can be inspected when it is built.
     #[test]
     fn every_kept_row_unpacks_to_the_full_layout_vector_of_its_assignment() {
-        use crate::vectorize::add_operator_cells;
         use robopt_plan::{Operator, OperatorKind, SplitMix64};
         let registries = [
             PlatformRegistry::named(),
@@ -1047,7 +1046,7 @@ mod tests {
                     for &(u, v) in plan.edges() {
                         if unit.scope.contains(u) && unit.scope.contains(v) {
                             let (pu, pv) = (assign[u as usize], assign[v as usize]);
-                            add_conversion_features(&plan, &full, u, v, pu, pv, &mut want);
+                            add_conversion_features(&plan, &full, u, pu, pv, &mut want);
                         }
                     }
                     for (cell, (&g, &w)) in got.iter().zip(&want).enumerate() {

@@ -35,5 +35,5 @@ pub use dist::{CostDistribution, RiskPolicy};
 pub use enumerate::{merge_key, EnumOptions, EnumStats, Enumerator, MergeKey, OverBudget};
 pub use oracle::{AnalyticOracle, CostOracle};
 pub use parallel::ParallelEnumerator;
-pub use split::{loop_regions, split_plan, PlanSplit, SplitOptions};
+pub use split::{loop_regions, split_plan, PlanSplit, SplitOptions, MAX_CUT_EDGES};
 pub use vectorize::ExecutionPlan;

@@ -16,9 +16,9 @@
 //!   operator and everything downstream of it) — cutting through an
 //!   iteration body would put a loop seam on the hot path of every
 //!   round-trip;
-//! * boundaries whose crossing-edge count exceeds
-//!   [`SplitOptions::max_cut_edges`] — a wide seam makes the final merge
-//!   phase as expensive as the enumeration it was supposed to parallelize.
+//! * boundaries whose crossing-edge count exceeds [`MAX_CUT_EDGES`] — a
+//!   wide seam makes the final merge phase as expensive as the enumeration
+//!   it was supposed to parallelize.
 //!
 //! When a window contains no admissible boundary the cut is skipped and the
 //! split simply has fewer parts; a plan that admits no cuts at all comes
@@ -27,33 +27,28 @@
 use robopt_plan::{LogicalPlan, OperatorKind};
 use robopt_vector::Scope;
 
+/// Maximum dataflow edges a single cut may cross. Cuts wider than this
+/// are rejected (the seam cross-product would dominate the run).
+pub const MAX_CUT_EDGES: u32 = 4;
+
 /// Tuning knobs for [`split_plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitOptions {
     /// Target number of parts K (the split may produce fewer when cut
     /// windows contain no admissible boundary). Clamped to `1..=n`.
     pub parts: usize,
-    /// Maximum dataflow edges a single cut may cross. Cuts wider than this
-    /// are rejected (the seam cross-product would dominate the run).
-    pub max_cut_edges: u32,
 }
 
 impl SplitOptions {
-    /// Split into (up to) `parts` parts with the default seam-width cap.
+    /// Split into (up to) `parts` parts.
     pub fn new(parts: usize) -> Self {
-        SplitOptions {
-            parts,
-            ..SplitOptions::default()
-        }
+        SplitOptions { parts }
     }
 }
 
 impl Default for SplitOptions {
     fn default() -> Self {
-        SplitOptions {
-            parts: 4,
-            max_cut_edges: 4,
-        }
+        SplitOptions::new(4)
     }
 }
 
@@ -68,10 +63,9 @@ pub struct PlanSplit {
     pub part_edges: Vec<Vec<u32>>,
     /// Indexes of the seam edges — edges crossing parts. Contracting
     /// exactly these after the parts finish completes the enumeration.
+    /// Each cut between consecutive parts crosses at most
+    /// [`MAX_CUT_EDGES`] of them.
     pub seam_edges: Vec<u32>,
-    /// Crossing-edge count of each accepted cut (`parts.len() - 1`
-    /// entries), each `<=` the configured [`SplitOptions::max_cut_edges`].
-    pub cut_sizes: Vec<u32>,
 }
 
 impl PlanSplit {
@@ -158,7 +152,6 @@ pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
     let k = opts.parts.clamp(1, n);
     let window = (n / (2 * k)).max(1);
     let mut cuts: Vec<usize> = Vec::new();
-    let mut cut_sizes: Vec<u32> = Vec::new();
     let mut prev = 0usize;
     for i in 1..k {
         let target = i * n / k;
@@ -166,7 +159,7 @@ pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
         let hi = (target + window).min(n - 1);
         let mut best: Option<(u32, usize, usize)> = None;
         for b in lo..=hi {
-            if forbidden[b] || crossing[b] > opts.max_cut_edges {
+            if forbidden[b] || crossing[b] > MAX_CUT_EDGES {
                 continue;
             }
             let key = (crossing[b], target.abs_diff(b), b);
@@ -175,9 +168,8 @@ pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
                 _ => best = Some(key),
             }
         }
-        if let Some((size, _, b)) = best {
+        if let Some((_, _, b)) = best {
             cuts.push(b);
-            cut_sizes.push(size);
             prev = b;
         }
     }
@@ -212,7 +204,6 @@ pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
         parts,
         part_edges,
         seam_edges,
-        cut_sizes,
     }
 }
 
@@ -221,13 +212,27 @@ mod tests {
     use super::*;
     use robopt_plan::{workloads, Operator, SplitMix64};
 
+    /// Crossing-edge count of each cut, from `parts` and `seam_edges`: a
+    /// seam edge from part `a` to part `b` crosses cuts `a..b`.
+    fn cut_sizes(plan: &LogicalPlan, split: &PlanSplit) -> Vec<u32> {
+        let part_of = |op| split.parts.iter().position(|s| s.contains(op));
+        let mut sizes = vec![0u32; split.len().saturating_sub(1)];
+        for &e in &split.seam_edges {
+            let (u, v) = plan.edges()[e as usize];
+            if let (Some(a), Some(b)) = (part_of(u), part_of(v)) {
+                sizes[a..b].iter_mut().for_each(|size| *size += 1);
+            }
+        }
+        sizes
+    }
+
     #[test]
     fn chain_splits_into_contiguous_nonempty_parts() {
         let plan = workloads::synthetic_pipeline(32, 1e5);
         let split = split_plan(&plan, SplitOptions::new(4));
         assert_eq!(split.len(), 4);
         assert_eq!(split.seam_edges.len(), 3);
-        assert!(split.cut_sizes.iter().all(|&c| c == 1));
+        assert_eq!(cut_sizes(&plan, &split), [1, 1, 1]);
         let mut union = Scope::default();
         for (i, part) in split.parts.iter().enumerate() {
             assert!(!part.is_empty(), "part {i} empty");
@@ -251,15 +256,15 @@ mod tests {
             let b = split_plan(&plan, SplitOptions::new(4));
             assert_eq!(a.parts, b.parts);
             assert_eq!(a.seam_edges, b.seam_edges);
-            assert_eq!(a.cut_sizes, b.cut_sizes);
+            assert_eq!(cut_sizes(&plan, &a), cut_sizes(&plan, &b));
         }
     }
 
     #[test]
     fn wide_seams_are_rejected() {
         // A fan-out/fan-in diamond with 6 parallel branches: every interior
-        // boundary crosses >= 2 edges; with max_cut_edges = 1 the plan must
-        // come back whole.
+        // boundary crosses 6 edges, more than `MAX_CUT_EDGES`, so the plan
+        // must come back whole.
         let mut plan = LogicalPlan::new();
         let src = plan.add_op(Operator::source(OperatorKind::TableSource, 1e4));
         let sink = plan.add_op(Operator::new(OperatorKind::Union));
@@ -269,16 +274,10 @@ mod tests {
             plan.connect(m, sink);
         }
         plan.seal();
-        let split = split_plan(
-            &plan,
-            SplitOptions {
-                parts: 4,
-                max_cut_edges: 1,
-            },
-        );
+        let split = split_plan(&plan, SplitOptions::new(4));
         assert_eq!(split.len(), 1);
         assert!(split.seam_edges.is_empty());
-        assert!(split.cut_sizes.is_empty());
+        assert!(cut_sizes(&plan, &split).is_empty());
     }
 
     #[test]

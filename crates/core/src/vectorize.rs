@@ -5,8 +5,8 @@
 //! data-movement cells of a dataflow edge whose endpoint platforms differ —
 //! and every encoder is built from the two:
 //!
-//! * [`fill_singleton`] — one operator on one platform (the enumeration
-//!   seeds);
+//! * [`PlanLayout::fill_singleton`] — one operator on one platform, in a
+//!   plan's own row layout (the enumeration seeds);
 //! * [`vectorize_assignment`] — a whole plan under a full assignment (used
 //!   by the exhaustive baseline and the property tests);
 //! * the object-graph strawman's plan-to-vector walk
@@ -113,28 +113,14 @@ pub fn add_operator_cells(
     add_cells_at(plan, layout, plan.op(op).kind.index(), op, platform, feats);
 }
 
-/// Encode a single operator running on `platform` into `feats`
-/// (which must be zeroed, `layout.width` long).
-pub fn fill_singleton(
-    plan: &LogicalPlan,
-    layout: &FeatureLayout,
-    op: u32,
-    platform: u8,
-    feats: &mut [f64],
-) {
-    debug_assert_eq!(feats.len(), layout.width);
-    add_operator_cells(plan, layout, op, platform, feats);
-}
-
-/// Add the conversion features of one dataflow edge `(u, v)` whose endpoint
-/// platforms differ: one conversion *into* `v`'s platform, moving `u`'s
-/// output tuples. No-op when both endpoints share a platform.
+/// Add the conversion features of one dataflow edge out of `u`, from its
+/// producer's platform `pu` to its consumer's `pv`: one conversion *into*
+/// `pv`, moving `u`'s output tuples. No-op when `pu == pv`.
 #[inline]
 pub fn add_conversion_features(
     plan: &LogicalPlan,
     layout: &FeatureLayout,
     u: u32,
-    _v: u32,
     pu: u8,
     pv: u8,
     feats: &mut [f64],
@@ -268,8 +254,8 @@ impl PlanLayout {
         RowsView::new(cells, self.local.width).packed(self.runs(), self.full.width)
     }
 
-    /// [`fill_singleton`] in the local layout (`feats` zeroed,
-    /// `local().width` long).
+    /// Encode operator `op` running on `platform` into `feats`, a zeroed
+    /// row of the local layout (`local().width` long).
     pub fn fill_singleton(&self, plan: &LogicalPlan, op: u32, platform: u8, feats: &mut [f64]) {
         debug_assert_eq!(feats.len(), self.local.width);
         let slot = self.slots[plan.op(op).kind.index()] as usize;
@@ -298,7 +284,6 @@ pub fn vectorize_assignment(
             plan,
             layout,
             u,
-            v,
             assign[u as usize],
             assign[v as usize],
             feats,

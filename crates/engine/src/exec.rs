@@ -42,9 +42,10 @@
 //! Timings are the one non-deterministic output: `compute_seconds` is
 //! measured wall clock, while startup/fixed/conversion/loop-sync overheads
 //! are deterministically modeled on the simulator's calibration
-//! ([`robopt_platforms::Platform::fixed_seconds`],
-//! [`PlatformRegistry::conversion_seconds`]) scaled by [`OVERHEAD_SCALE`]
-//! (one process stands in for a cluster). A fused chain's wall time is
+//! ([`robopt_platforms::Platform::fixed_seconds`] per operator, then
+//! [`PlatformRegistry::charge_walk`]'s startups and conversions over the
+//! counted rows) scaled by [`OVERHEAD_SCALE`] (one process stands in for a
+//! cluster). A fused chain's wall time is
 //! measured once, on the operator it is fused into; the fused operators
 //! report their modeled overhead only, and `compute_seconds` is still the
 //! sum of everything measured.
@@ -207,34 +208,24 @@ impl<'a> Engine<'a> {
             buffers.records[i] = out;
         }
 
-        // Deterministically modeled overheads on the simulator calibration.
+        // Deterministically modeled overheads on the simulator calibration:
+        // each operator's fixed seconds, then the registry's startup and
+        // conversion charges over the counted rows.
         let mut overhead = 0.0f64;
         let mut per_op_overhead = vec![0.0f64; n];
-        let mut used_mask = 0u8;
         for op in 0..n as u32 {
             let i = op as usize;
             let p = assignments[i];
-            used_mask |= 1u8 << p.index();
             let fixed = self.registry.platform(p).fixed_seconds(plan.op(op)) * OVERHEAD_SCALE;
             per_op_overhead[i] = fixed;
             overhead += fixed;
         }
-        for p in self.registry.ids() {
-            if used_mask & (1u8 << p.index()) != 0 {
-                overhead += self.registry.platform(p).startup_s * OVERHEAD_SCALE;
-            }
-        }
-        for &(u, v) in plan.edges() {
-            let (pu, pv) = (assignments[u as usize], assignments[v as usize]);
-            if pu != pv {
-                let c = self
-                    .registry
-                    .conversion_seconds(pu, pv, rows[u as usize] as f64);
-                if c.is_finite() {
-                    overhead += c * OVERHEAD_SCALE;
-                }
-            }
-        }
+        self.registry.charge_walk(
+            plan,
+            |i| assignments[i],
+            |u| rows[u] as f64,
+            |c| overhead += c * OVERHEAD_SCALE,
+        );
 
         let compute: f64 = measured.iter().sum();
         let per_op: Vec<OperatorReport> = (0..n)

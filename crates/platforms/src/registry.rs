@@ -398,6 +398,31 @@ impl PlatformRegistry {
                 pu == pv || self.convertible(pu, pv)
             })
     }
+
+    /// Hand `charge` the plan-level charges of a [`Self::feasible`]
+    /// placement, one at a time, in the one order every backend adds them:
+    /// the `startup_s` of each platform the placement uses, in id order,
+    /// then the [`Self::conversion_seconds`] of each edge `(u, v)` whose
+    /// endpoints differ, in edge order, moving `tuples(u)` tuples. The
+    /// per-operator [`Platform::fixed_seconds`] are the caller's to add.
+    pub fn charge_walk(
+        &self,
+        plan: &LogicalPlan,
+        platform_of: impl Fn(usize) -> PlatformId,
+        tuples: impl Fn(usize) -> f64,
+        mut charge: impl FnMut(f64),
+    ) {
+        let used = (0..plan.n_ops()).fold(0u8, |mask, i| mask | 1 << platform_of(i).index());
+        for p in self.ids().filter(|p| used & 1 << p.index() != 0) {
+            charge(self.platform(p).startup_s);
+        }
+        for &(u, v) in plan.edges() {
+            let (pu, pv) = (platform_of(u as usize), platform_of(v as usize));
+            if pu != pv {
+                charge(self.conversion_seconds(pu, pv, tuples(u as usize)));
+            }
+        }
+    }
 }
 
 /// Incremental [`PlatformRegistry`] construction.

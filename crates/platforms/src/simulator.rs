@@ -26,11 +26,13 @@
 //!   calibration the engine shares), `shape` is `log2(2 + in_tuples)` for
 //!   shuffle-heavy kinds and `1` otherwise, and `spill = 4` once the
 //!   operator's working set exceeds the platform's memory budget.
-//! * **Startup** is charged once per *distinct platform* used by the plan.
-//! * **Conversions** are charged per dataflow edge whose endpoint platforms
-//!   differ, at [`PlatformRegistry::conversion_seconds`] for the producer's
-//!   output cardinality; an infeasible conversion yields `f64::INFINITY`
-//!   (the plan is unexecutable).
+//! * **Feasibility** is [`PlatformRegistry::feasible`]'s: an operator on a
+//!   platform lacking it, or a crossing edge with no conversion path,
+//!   yields `f64::INFINITY` (the plan is unexecutable).
+//! * **Startup and conversions** are [`PlatformRegistry::charge_walk`]'s,
+//!   the rule the engine charges by too: one startup per *distinct
+//!   platform* used, then one conversion per dataflow edge whose endpoint
+//!   platforms differ, for the producer's modeled output cardinality.
 
 use robopt_plan::{rng::mix64, LogicalPlan, OperatorKind};
 
@@ -170,6 +172,9 @@ impl<'a> RuntimeSimulator<'a> {
         assignment: impl Fn(usize) -> PlatformId,
         mut profile: Option<&mut SimProfile>,
     ) -> f64 {
+        if !self.registry.feasible(plan, &assignment) {
+            return f64::INFINITY;
+        }
         // The noiseless path must not even look at the plan for randomness:
         // `run_key` is skipped entirely, so enabling noise elsewhere can
         // never perturb the unnoised stream.
@@ -179,15 +184,10 @@ impl<'a> RuntimeSimulator<'a> {
             0
         };
         let mut total = 0.0;
-        let mut used_mask = 0u8;
         for op in 0..plan.n_ops() as u32 {
             let i = op as usize;
             let p = assignment(i);
             let kind = plan.op(op).kind;
-            if !self.registry.is_available(kind, p) {
-                return f64::INFINITY;
-            }
-            used_mask |= 1u8 << p.index();
             let desc = self.registry.platform(p);
             let in_t = plan.in_tuples()[i];
             let shape = if Self::is_shuffle_heavy(kind) {
@@ -222,29 +222,18 @@ impl<'a> RuntimeSimulator<'a> {
                 prof.overhead += fixed * noise;
             }
         }
-        for p in self.registry.ids() {
-            if used_mask & (1u8 << p.index()) != 0 {
-                total += self.registry.platform(p).startup_s;
-                if let Some(prof) = profile.as_deref_mut() {
-                    prof.overhead += self.registry.platform(p).startup_s;
-                }
-            }
-        }
-        for &(u, v) in plan.edges() {
-            let (pu, pv) = (assignment(u as usize), assignment(v as usize));
-            if pu != pv {
-                let c = self
-                    .registry
-                    .conversion_seconds(pu, pv, plan.out_card()[u as usize]);
-                if c.is_infinite() {
-                    return f64::INFINITY;
-                }
+        let out_card = plan.out_card();
+        self.registry.charge_walk(
+            plan,
+            &assignment,
+            |u| out_card[u],
+            |c| {
                 total += c;
                 if let Some(prof) = profile.as_deref_mut() {
                     prof.overhead += c;
                 }
-            }
-        }
+            },
+        );
         total
     }
 }

@@ -141,10 +141,10 @@ pub struct OptimizeRequest {
     pub workload: WorkloadSpec,
     /// How to run the enumeration.
     pub policy: ExecutionPolicy,
-    /// [`RiskPolicy`] ranking candidate plans (DESIGN §12). `None` means
+    /// [`RiskPolicy`] ranking candidate plans (DESIGN §12), by default
     /// `ExpectedCost`; the policy is part of the cache key via
     /// [`OptimizeRequest::signature`].
-    pub risk: Option<RiskPolicy>,
+    pub risk: RiskPolicy,
 }
 
 impl OptimizeRequest {
@@ -153,7 +153,7 @@ impl OptimizeRequest {
         OptimizeRequest {
             workload,
             policy: ExecutionPolicy::default(),
-            risk: None,
+            risk: RiskPolicy::ExpectedCost,
         }
     }
 
@@ -163,19 +163,17 @@ impl OptimizeRequest {
         self
     }
 
-    /// Pin a risk policy for this request (overrides the facade default).
+    /// Rank by `risk` instead of `ExpectedCost`.
     pub fn with_risk(mut self, risk: RiskPolicy) -> Self {
-        self.risk = Some(risk);
+        self.risk = risk;
         self
     }
 
     /// The plan-signature cache key: a pure function of the workload spec,
     /// the result-affecting policy fields, and the risk policy, built on
     /// the same mixing primitive as Def-2 footprint hashing
-    /// ([`SigHasher`]). `risk: None` hashes as `ExpectedCost` — they are
-    /// the same computation, so they *should* share a cache line — while
-    /// any other policy gets a distinct key: a `MeanPlusKSigma` hit must
-    /// never serve an `ExpectedCost` entry.
+    /// ([`SigHasher`]). Every policy gets a distinct key: a
+    /// `MeanPlusKSigma` hit must never serve an `ExpectedCost` entry.
     pub fn signature(&self) -> u64 {
         let OptimizeRequest {
             workload,
@@ -185,7 +183,7 @@ impl OptimizeRequest {
         let mut h = SigHasher::new();
         write_workload_sig(workload, &mut h);
         policy.write_sig(&mut h);
-        let (tag, param) = risk.unwrap_or(RiskPolicy::ExpectedCost).sig_parts();
+        let (tag, param) = risk.sig_parts();
         h.write_u64(tag);
         h.write_f64_bits(param);
         h.finish()
@@ -589,14 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn signature_separates_risk_policies_but_not_the_default_spelling() {
+    fn signature_separates_risk_policies() {
         let base = OptimizeRequest::new(WorkloadSpec::WordCount { scale: 1e7 });
-        // `None` and an explicit `ExpectedCost` are the same computation —
-        // one cache line.
-        assert_eq!(
-            base.signature(),
-            base.with_risk(RiskPolicy::ExpectedCost).signature()
-        );
+        assert_eq!(base.risk, RiskPolicy::ExpectedCost);
         // Every other policy (and parameter) is a distinct key.
         let sigma = base.with_risk(RiskPolicy::MeanPlusKSigma(1.5));
         let sigma2 = base.with_risk(RiskPolicy::MeanPlusKSigma(2.0));

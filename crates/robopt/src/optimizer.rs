@@ -203,9 +203,7 @@ impl Optimizer {
     pub fn optimize(&mut self, req: &OptimizeRequest) -> Result<OptimizeResponse, ServiceError> {
         let started = now();
         self.requests += 1;
-        if let Some(risk) = req.risk {
-            risk.validate().map_err(ServiceError::InvalidRequest)?;
-        }
+        req.risk.validate().map_err(ServiceError::InvalidRequest)?;
         let sig = req.signature();
         if self.cache_enabled {
             if let Some(hit) = self.cache.lookup(sig, self.requests) {
@@ -421,14 +419,13 @@ impl Optimizer {
             dist,
             ..
         } = self;
-        let risk = req.risk.unwrap_or_default();
         parallel.set_threads(req.policy.workers);
         parallel.set_split(SplitOptions::new(req.policy.split_parts.max(1)));
         parallel.set_hardware_clamp(req.policy.hardware_clamp);
         let opts = EnumOptions::new(registry)
             .with_oracle(oracle.as_dyn())
             .with_prune(req.policy.prune)
-            .with_risk(risk);
+            .with_risk(req.risk);
         let (exec, stats) = parallel
             .enumerate_within(plan, layout, opts, MAX_ENUMERATION_ROWS)
             .map_err(|over| ServiceError::TooLarge {
@@ -469,7 +466,7 @@ impl Optimizer {
             cost_std,
             cost_q10,
             cost_q90,
-            risk_policy: risk.label(),
+            risk_policy: req.risk.label(),
             stats,
         })
     }
@@ -659,7 +656,7 @@ mod tests {
         assert_eq!(robust.risk_policy, "sigma2");
         // The sigma request missed: it cannot replay the expected-cost entry.
         assert_eq!(opt.cache_stats().misses, 2);
-        // Explicit ExpectedCost shares the unlabelled request's cache line.
+        // Spelling out the default replays the expected-cost entry.
         let explicit = opt
             .optimize(&OptimizeRequest::new(wc()).with_risk(RiskPolicy::ExpectedCost))
             .expect("explicit expected");

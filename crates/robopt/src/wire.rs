@@ -69,8 +69,8 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
             workload: parse_workload(&doc)?,
             policy: parse_policy(&doc)?,
             risk: match field_str(&doc, "risk")? {
-                Some(text) => Some(RiskPolicy::parse(text).map_err(ServiceError::Parse)?),
-                None => None,
+                Some(text) => RiskPolicy::parse(text).map_err(ServiceError::Parse)?,
+                None => RiskPolicy::ExpectedCost,
             },
         })),
         "train" => {
@@ -374,7 +374,7 @@ pub(crate) mod tests {
                 policy: ExecutionPolicy::default()
                     .with_workers(4)
                     .with_split_parts(8),
-                risk: None,
+                risk: RiskPolicy::ExpectedCost,
             })
         );
     }
@@ -387,14 +387,11 @@ pub(crate) mod tests {
         .expect("parse risk");
         assert_eq!(
             req,
-            Request::Optimize(
-                OptimizeRequest {
-                    workload: WorkloadSpec::WordCount { scale: 1e6 },
-                    policy: ExecutionPolicy::default(),
-                    risk: None,
-                }
-                .with_risk(RiskPolicy::MeanPlusKSigma(1.5))
-            )
+            Request::Optimize(OptimizeRequest {
+                workload: WorkloadSpec::WordCount { scale: 1e6 },
+                policy: ExecutionPolicy::default(),
+                risk: RiskPolicy::MeanPlusKSigma(1.5),
+            })
         );
         for bad in [
             r#"{"op":"optimize","workload":{"kind":"wordcount"},"risk":"wild"}"#,

@@ -23,7 +23,10 @@
 
 use std::process::Command;
 
-use robopt::{ExecutionPolicy, OptimizeRequest, Optimizer, RiskPolicy, WorkloadSpec};
+use robopt::{
+    parse_request, render_response, ExecutionPolicy, OptimizeRequest, Optimizer, Request, Response,
+    WorkloadSpec,
+};
 use robopt_baselines::ObjectEnumerator;
 use robopt_engine::Engine;
 use robopt_ml::{ForestConfig, Model, RandomForest, SimulatorSource, TrainingSource};
@@ -70,8 +73,9 @@ fn seeded_run_digest() -> u64 {
     for _ in 0..12 {
         let n = 3 + rng.gen_range(6); // 3..=8 operators
         let k = 2 + rng.gen_range(3); // 2..=4 platforms
+        let seed = rng.next_u64();
         let spec = WorkloadSpec::RandomDag {
-            seed: rng.next_u64(),
+            seed,
             ops: n,
             density: 0.4,
         };
@@ -99,15 +103,32 @@ fn seeded_run_digest() -> u64 {
         assert_eq!(best, recomputed, "cache-off recompute diverged");
         mix_response(&mut h, &best);
 
-        // ISSUE 9 parity contract: spelling out ExpectedCost must be
-        // bit-identical to the unlabelled request — same cache line, same
-        // cost bits, same uncertainty fields (the distributional seam's
-        // degenerate point path is the classic path).
-        let explicit = cold
-            .optimize(&serial_req.with_risk(RiskPolicy::ExpectedCost))
-            .expect("explicit expected-cost optimize");
-        assert_eq!(best, explicit, "ExpectedCost diverged from the default");
-        assert_eq!(best.cost.to_bits(), explicit.cost.to_bits());
+        // The default risk policy is `ExpectedCost`: a line without
+        // `"risk"` and one spelling out `"expected"` are the same request
+        // and get the same reply, byte for byte.
+        let parse = |risk: &str| {
+            let line = format!(
+                r#"{{"op":"optimize","workload":{{"kind":"random_dag","seed":{seed},"ops":{n},"density":0.4}},"policy":{{"workers":1,"split_parts":1}}{risk}}}"#
+            );
+            match parse_request(&line) {
+                Ok(Request::Optimize(req)) => Some(req),
+                _ => None,
+            }
+        };
+        let unlabelled = parse("").expect("an optimize line");
+        let explicit = parse(r#","risk":"expected""#).expect("an optimize line");
+        assert_eq!(
+            unlabelled, explicit,
+            "a missing \"risk\" is not expected cost"
+        );
+        assert_eq!(unlabelled, serial_req);
+        let mut reply = |req: &OptimizeRequest| {
+            let resp = cold.optimize(req).expect("wire optimize");
+            render_response(&Response::Optimize(resp))
+        };
+        let (a, b) = (reply(&unlabelled), reply(&explicit));
+        assert_eq!(a, b, "the default risk policy replied differently");
+        assert_eq!(a, render_response(&Response::Optimize(best.clone())));
 
         // Split-parallel: same winner, same canonical cost bits as serial
         // (merge trees differ, so EnumStats legitimately may not).

@@ -17,6 +17,7 @@
 //! * the `ExecutionBackend` seam — the simulator answers bit-identically
 //!   through the trait object and through its direct API, and both
 //!   backends agree on infeasibility;
+//! * the engine's modeled `overhead_seconds`, pinned bit for bit;
 //! * the `execute` service verb — digests reported by the facade match a
 //!   directly-constructed engine, and the engine escape hatch matches the
 //!   service path.
@@ -677,4 +678,50 @@ fn execute_verb_digest_matches_a_directly_constructed_engine() {
     assert_eq!(resp.output_digest, report.output_digest);
     assert_eq!(resp.output_rows, report.output_rows);
     assert_eq!(resp.op_output_rows.len(), plan.n_ops());
+}
+
+/// The engine's modeled overhead, pinned: `overhead_seconds` of the five
+/// plans the `execute_engine` benchmark runs, all-`java`, all-`spark` and
+/// alternating the two (so conversions are charged over counted rows). The
+/// constant was recorded before the engine's startup and conversion
+/// charges moved onto the registry's charge walk; any change to what a
+/// placement costs, or to the order its charges are added in, moves it.
+#[test]
+fn engine_overhead_seconds_are_pinned_bit_for_bit() {
+    const PINNED: u64 = 0x932d_8e04_8444_44a2;
+    let registry = PlatformRegistry::named();
+    let (java, spark) = (
+        registry.by_name("java").unwrap(),
+        registry.by_name("spark").unwrap(),
+    );
+    let engine = Engine::new(&registry).with_seed(SEED);
+    let mut h = 0u64;
+    for spec in [
+        WorkloadSpec::WordCount { scale: 3e4 },
+        WorkloadSpec::TpchQ3 { scale: 1e5 },
+        WorkloadSpec::PageRank {
+            scale: 2e4,
+            iterations: 10,
+        },
+        WorkloadSpec::KMeans {
+            scale: 2e4,
+            iterations: 10,
+        },
+        WorkloadSpec::Pipeline {
+            ops: 16,
+            scale: 1e5,
+        },
+    ] {
+        let plan = spec.build().expect("workload spec builds");
+        let n = plan.n_ops();
+        let mixed = (0..n).map(|i| if i % 2 == 0 { java } else { spark });
+        for assign in [vec![java; n], vec![spark; n], mixed.collect()] {
+            let report = engine.execute(&plan, &assign);
+            assert!(report.feasible, "{}", spec.name());
+            h = (h ^ report.overhead_seconds.to_bits())
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(27);
+        }
+    }
+    assert_eq!(h, PINNED, "engine overhead bits moved: {h:#018x}");
 }

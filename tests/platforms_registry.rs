@@ -9,13 +9,18 @@
 //!   oracle weights reproduce the old hard-coded table closed-form and
 //!   enumeration over `uniform(k)` is the old dense-id behaviour for
 //!   `k <= 5`;
-//! * `cost_batch` == row-wise `cost_row` on random feature matrices.
+//! * `cost_batch` == row-wise `cost_row` on random feature matrices;
+//! * the simulator's seconds, pinned bit for bit over seeded plans and
+//!   placements, feasible and not.
 
 use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
 use robopt_baselines::exhaustive_best;
 use robopt_core::{AnalyticOracle, CostOracle};
-use robopt_plan::{SplitMix64, N_OPERATOR_KINDS};
-use robopt_platforms::{PlatformRegistry, REF_TUPLES};
+use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
+use robopt_platforms::{
+    ExecutionBackend, PlatformId, PlatformRegistry, RuntimeSimulator, REF_TUPLES,
+};
+use robopt_tdgen::{sample_skeleton, ShapeKind};
 use robopt_vector::{FeatureLayout, RowsView};
 
 #[test]
@@ -165,4 +170,63 @@ fn cost_batch_matches_row_wise_costing_on_random_matrices() {
             );
         }
     }
+}
+
+/// Fold `v` into the running digest `h`.
+fn mix(h: &mut u64, v: u64) {
+    *h = (*h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(27);
+}
+
+/// The simulator's bits, pinned: `simulate`, `simulate_raw` and the
+/// backend report's compute and overhead split, for seeded random DAGs and
+/// TDGEN skeletons under random placements (on the named registry many are
+/// infeasible, by availability or by a missing conversion path), on the
+/// named registry and on `uniform(2..=8)`, noiseless and at 5 % noise. The
+/// constant was recorded before the simulator's charges moved onto the
+/// registry's charge walk; any change to what a placement costs, or to the
+/// order its charges are added in, moves it.
+#[test]
+fn simulated_seconds_are_pinned_bit_for_bit() {
+    const PINNED: u64 = 0x3f67_9a96_af98_a33c;
+    let registries: Vec<PlatformRegistry> = std::iter::once(PlatformRegistry::named())
+        .chain((2..=8).map(PlatformRegistry::uniform))
+        .collect();
+    let mut rng = SplitMix64::new(0x5111_D16E);
+    let mut h = 0u64;
+    let (mut infeasible, mut pairs) = (0, 0);
+    for case in 0..320 {
+        let reg = &registries[case % registries.len()];
+        let plan = if case % 2 == 0 {
+            let n = 2 + rng.gen_range(19);
+            workloads::random_connected_dag(&mut rng, n, 0.3)
+        } else {
+            let shape = ShapeKind::ALL[rng.gen_range(ShapeKind::ALL.len())];
+            let n_ops = shape.min_ops() + rng.gen_range(12);
+            let scale = 10f64.powi(3 + rng.gen_range(7) as i32);
+            sample_skeleton(&mut rng, reg, shape, n_ops).instantiate(scale)
+        };
+        let raw: Vec<u8> = (0..plan.n_ops())
+            .map(|_| rng.gen_range(reg.len()) as u8)
+            .collect();
+        let ids: Vec<PlatformId> = raw
+            .iter()
+            .map(|&p| PlatformId::from_index(p as usize))
+            .collect();
+        for noise in [0.0, 0.05] {
+            let sim = RuntimeSimulator::new(reg, case as u64).with_noise(noise);
+            let seconds = sim.simulate(&plan, &ids);
+            assert_eq!(seconds.to_bits(), sim.simulate_raw(&plan, &raw).to_bits());
+            let report = sim.execute(&plan, &ids);
+            mix(&mut h, seconds.to_bits());
+            mix(&mut h, report.compute_seconds.to_bits());
+            mix(&mut h, report.overhead_seconds.to_bits());
+            infeasible += usize::from(seconds.is_infinite());
+            pairs += 1;
+        }
+    }
+    assert!(
+        infeasible > 0 && infeasible < pairs,
+        "{infeasible} of {pairs}"
+    );
+    assert_eq!(h, PINNED, "simulated bits moved: {h:#018x}");
 }

@@ -19,7 +19,7 @@
 
 use robopt_baselines::ObjectEnumerator;
 use robopt_core::vectorize::{
-    add_conversion_features, fill_singleton, live_runs, vectorize_assignment, PlanLayout,
+    add_conversion_features, add_operator_cells, live_runs, vectorize_assignment, PlanLayout,
 };
 use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ParallelEnumerator, SplitOptions};
 use robopt_plan::{workloads, LogicalPlan, Operator, OperatorKind, SplitMix64, N_OPERATOR_KINDS};
@@ -109,7 +109,7 @@ fn incremental_merge_equals_whole_plan_vectorize() {
         let mut units: Vec<Unit> = (0..n as u32)
             .map(|op| {
                 let mut feats = vec![0.0; layout.width];
-                fill_singleton(&plan, &layout, op, assign[op as usize], &mut feats);
+                add_operator_cells(&plan, &layout, op, assign[op as usize], &mut feats);
                 let mut a = vec![NO_PLATFORM; n];
                 a[op as usize] = assign[op as usize];
                 Unit {
@@ -140,7 +140,6 @@ fn incremental_merge_equals_whole_plan_vectorize() {
                         &plan,
                         &layout,
                         u,
-                        v,
                         merged_assign[u as usize],
                         merged_assign[v as usize],
                         &mut feats,
@@ -287,7 +286,7 @@ fn a_row_in_the_plans_own_layout_unpacks_to_the_whole_plan_vector() {
             }
             for &(u, v) in plan.edges() {
                 let (pu, pv) = (assign[u as usize], assign[v as usize]);
-                add_conversion_features(&plan, &local, u, v, pu, pv, &mut row);
+                add_conversion_features(&plan, &local, u, pu, pv, &mut row);
             }
             cells.extend_from_slice(&row);
             assigns.push(assign);
