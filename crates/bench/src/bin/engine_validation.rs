@@ -196,9 +196,8 @@ fn main() {
         workloads::synthetic_pipeline(8, 1e4),
         workloads::synthetic_pipeline(12, 3e3),
     ];
-    let engine_backend: &dyn ExecutionBackend = &engine;
     let mut source =
-        BackendSource::new(engine_backend, &registry, layout, TRAIN_SEED).with_pool(train_pool);
+        BackendSource::over(&engine, &registry, layout, TRAIN_SEED).with_pool(train_pool);
     let set = source.generate(train_rows);
     let forest_cfg = ForestConfig {
         n_trees: 24,

@@ -217,10 +217,19 @@ impl RiskPolicy {
         }
     }
 
+    /// The one spelling of this policy: `k = -0` is `k = +0`, which it
+    /// equals under `==`, so both label and hash alike.
+    fn canonical(self) -> Self {
+        match self {
+            RiskPolicy::MeanPlusKSigma(k) => RiskPolicy::MeanPlusKSigma(k + 0.0),
+            other => other,
+        }
+    }
+
     /// Stable wire label: `expected`, `sigma<k>`, `q<q>`. Round-trips
     /// through [`RiskPolicy::parse`].
     pub fn label(self) -> String {
-        match self {
+        match self.canonical() {
             RiskPolicy::ExpectedCost => "expected".to_string(),
             RiskPolicy::MeanPlusKSigma(k) => format!("sigma{k}"),
             RiskPolicy::Quantile(q) => format!("q{q}"),
@@ -245,14 +254,14 @@ impl RiskPolicy {
             ));
         };
         policy.validate()?;
-        Ok(policy)
+        Ok(policy.canonical())
     }
 
     /// Cache-key material: a discriminant tag plus the parameter bits.
     /// Distinct policies must hash differently — a `MeanPlusKSigma` cache
     /// hit serving an `ExpectedCost` entry would silently change answers.
     pub fn sig_parts(self) -> (u64, f64) {
-        match self {
+        match self.canonical() {
             RiskPolicy::ExpectedCost => (0, 0.0),
             RiskPolicy::MeanPlusKSigma(k) => (1, k),
             RiskPolicy::Quantile(q) => (2, q),
@@ -337,6 +346,10 @@ mod tests {
         assert!(RiskPolicy::parse("q1.5").is_err());
         assert!(RiskPolicy::parse("q0").is_err());
         assert!(RiskPolicy::MeanPlusKSigma(f64::NAN).validate().is_err());
+        // A built k = -0 labels and hashes as k = 0, which it equals.
+        let minus_zero = RiskPolicy::MeanPlusKSigma(-0.0);
+        assert_eq!(minus_zero.label(), "sigma0");
+        assert_eq!(minus_zero.sig_parts().1.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use robopt_baselines::{exhaustive_best, ObjectEnumerator};
 use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ParallelEnumerator, SplitOptions};
 use robopt_plan::{workloads, LogicalPlan, OperatorKind, SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::{Platform, PlatformId, PlatformRegistry};
-use robopt_vector::FeatureLayout;
+use robopt_vector::{FeatureLayout, SigHasher};
 
 /// The serial enumerator, a 3-part split driver and the object-graph
 /// baseline, reused across cases.
@@ -143,17 +143,41 @@ fn pruned_priority_enumeration_matches_exhaustive_optimum() {
     }
 
     // Seeded masks: forbidden kinds and missing one-way channels.
-    let mut rng = SplitMix64::new(0x3A5C_ED00);
-    for case in 0..240 {
-        let n = 3 + rng.gen_range(7); // 3..=9 operators
-        let k = 2 + rng.gen_range(3); // 2..=4 platforms -> k^n <= 262 144
-        let registry = masked_registry(&mut rng, k);
-        let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
-        assert_lossless(
-            &format!("masked case {case} (n={n}, k={k})"),
-            &plan,
-            &registry,
-            &mut e,
-        );
+    for (case, registry, plan) in masked_cases() {
+        assert_lossless(&case, &plan, &registry, &mut e);
     }
+}
+
+/// The 240 seeded (registry, plan) cases, drawn from one stream.
+fn masked_cases() -> Vec<(String, PlatformRegistry, LogicalPlan)> {
+    let mut rng = SplitMix64::new(0x3A5C_ED00);
+    (0..240)
+        .map(|case| {
+            let n = 3 + rng.gen_range(7); // 3..=9 operators
+            let k = 2 + rng.gen_range(3); // 2..=4 platforms -> k^n <= 262 144
+            let registry = masked_registry(&mut rng, k);
+            let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
+            (format!("masked case {case} (n={n}, k={k})"), registry, plan)
+        })
+        .collect()
+}
+
+/// Every `is_available(kind, p)` cell of the named testbed, `uniform(1..=8)`
+/// and the seeded registries above, pinned: how the builder writes its
+/// availability masks may not change which operators run where.
+#[test]
+fn availability_cells_are_pinned() {
+    let mut registries = vec![PlatformRegistry::named()];
+    registries.extend((1..=8).map(PlatformRegistry::uniform));
+    registries.extend(masked_cases().into_iter().map(|(_, registry, _)| registry));
+    let mut digest = SigHasher::new();
+    for registry in &registries {
+        digest.write_u64(registry.len() as u64);
+        for kind in OperatorKind::ALL {
+            for p in registry.ids() {
+                digest.write_u64(u64::from(registry.is_available(kind, p)));
+            }
+        }
+    }
+    assert_eq!(digest.finish(), 0xddc4_1490_da4b_788d);
 }

@@ -23,13 +23,12 @@
 //!   plan-vector matrix carrying its [`robopt_vector::FeatureLayout`]) and
 //!   the object-safe [`TrainingSource`] trait every label generator
 //!   implements;
-//! * [`training`] — [`SimulatorSource`], the direct-labelling source (one
-//!   simulator call per row) that TDGEN's interpolated generation is
-//!   measured against, with [`TrainingSet::seconds_to_label`] fit targets;
-//!   and
-//!   [`BackendSource`], the same sampler generalized over any
-//!   `robopt_platforms::ExecutionBackend` so forests can train on runtimes
-//!   *measured* by the real engine.
+//! * [`training`] — [`BackendSource`], the direct-labelling source (one
+//!   run of the `robopt_platforms::ExecutionBackend` it owns per row, with
+//!   [`TrainingSet::seconds_to_label`] fit targets). Over the simulator it
+//!   is [`SimulatorSource`], the baseline TDGEN's interpolated generation
+//!   is measured against; over the real engine, forests train on runtimes
+//!   *measured* by it.
 //!
 //! Everything is dependency-free: randomness comes from
 //! `robopt_plan::rng::SplitMix64`, parallelism from the workspace's one

@@ -1,12 +1,12 @@
 //! Simulator-labelled training data — the *direct labelling* baseline the
 //! paper's TDGEN is measured against (§V).
 //!
-//! [`SimulatorSource`] draws (plan, platform-assignment) pairs from a
-//! fixed pool of workload shapes, vectorizes each complete plan with the
-//! production Fig-5 encoder, and labels it with the
-//! [`RuntimeSimulator`]'s ground-truth seconds — **one simulator call per
-//! row**, which is exactly the label-collection cost TDGEN's interpolation
-//! amortizes away. Labels are stored as `ln(1 + seconds)`: the runtime
+//! [`SimulatorSource`] (the one [`BackendSource`] type over the simulator)
+//! draws (plan, platform-assignment) pairs from a fixed pool of workload
+//! shapes, vectorizes each complete plan with the production Fig-5
+//! encoder, and labels it with the [`RuntimeSimulator`]'s ground-truth
+//! seconds — **one simulator call per row**, which is exactly the
+//! label-collection cost TDGEN's interpolation amortizes away. Labels are stored as `ln(1 + seconds)`: the runtime
 //! surface spans five orders of magnitude, and fitting in log space keeps
 //! the squared-error objective from being dominated by the handful of
 //! slowest plans, while the monotone map preserves exactly the ranking the
@@ -29,7 +29,7 @@ use robopt_vector::FeatureLayout;
 
 use crate::source::{TrainingSet, TrainingSource};
 
-/// The fixed plan pool the sampler cycles through.
+/// The default plan pool a [`BackendSource`] cycles through.
 fn plan_pool(rng: &mut SplitMix64) -> Vec<LogicalPlan> {
     let mut pool = vec![
         workloads::wordcount(1e4),
@@ -92,11 +92,24 @@ fn sample_assignment(
     None
 }
 
-/// The one sampling loop behind both sources: a plan pool cycled
-/// round-robin, one random stream for assignment draws, and whatever
-/// [`ExecutionBackend`] the owning source hands in to label each draw.
+/// A [`TrainingSource`] labelling every row with one direct run of an
+/// [`ExecutionBackend`] it owns — **one backend call per row**, the
+/// label-collection cost TDGEN amortizes away. Over the simulator
+/// ([`SimulatorSource`]) every label is modeled and reproducible; over the
+/// real engine (`BackendSource::over(&engine, ..)`) every label is a
+/// *measured* runtime.
+///
+/// Plans come round-robin from a fixed pool and assignments from one
+/// random stream, so the draws are deterministic for a fixed
+/// `(registry, layout, seed, pool)` and call sequence; a different seed
+/// yields an independent draw (held-out sets). Successive
+/// [`TrainingSource::generate`] calls continue the stream, so one source
+/// never repeats rows. Use [`BackendSource::with_pool`] to swap in
+/// engine-scale workloads — the default pool's largest inputs are sized
+/// for the analytic simulator and would dominate measured generation time.
 #[derive(Debug, Clone)]
-struct Sampler<'a> {
+pub struct BackendSource<'a, B: ExecutionBackend> {
+    backend: B,
     registry: &'a PlatformRegistry,
     layout: FeatureLayout,
     rng: SplitMix64,
@@ -104,55 +117,9 @@ struct Sampler<'a> {
     cursor: usize,
 }
 
-impl<'a> Sampler<'a> {
-    fn new(registry: &'a PlatformRegistry, layout: FeatureLayout, seed: u64) -> Self {
-        assert_eq!(
-            layout.n_platforms,
-            registry.len(),
-            "layout platform count must match the registry"
-        );
-        let mut rng = SplitMix64::new(seed);
-        let pool = plan_pool(&mut rng);
-        Sampler {
-            registry,
-            layout,
-            rng,
-            pool,
-            cursor: 0,
-        }
-    }
-
-    fn generate(&mut self, backend: &dyn ExecutionBackend, n: usize) -> TrainingSet {
-        let mut set = TrainingSet::with_capacity(self.layout, n);
-        let mut feats_buf = Vec::new();
-        while set.len() < n {
-            // Round-robin over the pool keeps every workload shape equally
-            // represented at every truncation prefix.
-            let plan = &self.pool[self.cursor % self.pool.len()];
-            self.cursor += 1;
-            let Some((assign, seconds)) =
-                sample_assignment(plan, self.registry, backend, &mut self.rng, 16)
-            else {
-                continue;
-            };
-            vectorize_assignment(plan, &self.layout, &assign, &mut feats_buf);
-            set.push_simulated(&feats_buf, seconds);
-        }
-        set
-    }
-}
-
-/// A [`TrainingSource`] labelling every row with a direct simulator call.
-///
-/// Deterministic for a fixed `(registry, layout, seed, noise)` and call
-/// sequence; a different seed yields an independent draw (held-out sets).
-/// Successive [`TrainingSource::generate`] calls continue the random
-/// stream, so one source never repeats rows.
-#[derive(Debug, Clone)]
-pub struct SimulatorSource<'a> {
-    sampler: Sampler<'a>,
-    sim: RuntimeSimulator<'a>,
-}
+/// The direct-labelling baseline: a [`BackendSource`] over the analytic
+/// [`RuntimeSimulator`].
+pub type SimulatorSource<'a> = BackendSource<'a, RuntimeSimulator<'a>>;
 
 impl<'a> SimulatorSource<'a> {
     /// A source over `registry`, encoding rows with `layout`, labelling
@@ -176,51 +143,34 @@ impl<'a> SimulatorSource<'a> {
         seed: u64,
         noise: f64,
     ) -> Self {
-        SimulatorSource {
-            sampler: Sampler::new(registry, layout, seed),
-            sim: RuntimeSimulator::new(registry, seed ^ 0x5157).with_noise(noise),
-        }
+        let sim = RuntimeSimulator::new(registry, seed ^ 0x5157).with_noise(noise);
+        BackendSource::over(sim, registry, layout, seed)
     }
 }
 
-impl TrainingSource for SimulatorSource<'_> {
-    fn layout(&self) -> FeatureLayout {
-        self.sampler.layout
-    }
-
-    fn generate(&mut self, n: usize) -> TrainingSet {
-        self.sampler.generate(&self.sim, n)
-    }
-}
-
-/// A [`TrainingSource`] labelling rows through **any**
-/// [`ExecutionBackend`] — hand it the real engine and every row's label is
-/// a *measured* runtime; hand it the simulator and it reproduces
-/// [`SimulatorSource`] bit-for-bit (same seed, same pool, same stream).
-///
-/// Plan/assignment *choice* is deterministic for a fixed `(seed, pool)`;
-/// label *values* inherit the backend's contract (modeled = reproducible,
-/// measured = wall clock). Use [`BackendSource::with_pool`] to swap in
-/// engine-scale workloads — the default pool's largest inputs are sized
-/// for the analytic simulator and would dominate measured generation time.
-#[derive(Debug)]
-pub struct BackendSource<'a> {
-    backend: &'a dyn ExecutionBackend,
-    sampler: Sampler<'a>,
-}
-
-impl<'a> BackendSource<'a> {
+impl<'a, B: ExecutionBackend> BackendSource<'a, B> {
     /// A source labelling through `backend`, drawing plans/assignments
-    /// from the default [`SimulatorSource`] pool under `seed`.
-    pub fn new(
-        backend: &'a dyn ExecutionBackend,
+    /// from the default pool under `seed`.
+    pub fn over(
+        backend: B,
         registry: &'a PlatformRegistry,
         layout: FeatureLayout,
         seed: u64,
     ) -> Self {
+        assert_eq!(
+            layout.n_platforms,
+            registry.len(),
+            "layout platform count must match the registry"
+        );
+        let mut rng = SplitMix64::new(seed);
+        let pool = plan_pool(&mut rng);
         BackendSource {
             backend,
-            sampler: Sampler::new(registry, layout, seed),
+            registry,
+            layout,
+            rng,
+            pool,
+            cursor: 0,
         }
     }
 
@@ -228,18 +178,33 @@ impl<'a> BackendSource<'a> {
     /// empty pool — a source that can never produce a row is a caller bug.
     pub fn with_pool(mut self, pool: Vec<LogicalPlan>) -> Self {
         assert!(!pool.is_empty(), "BackendSource pool must be non-empty");
-        self.sampler.pool = pool;
+        self.pool = pool;
         self
     }
 }
 
-impl TrainingSource for BackendSource<'_> {
+impl<B: ExecutionBackend> TrainingSource for BackendSource<'_, B> {
     fn layout(&self) -> FeatureLayout {
-        self.sampler.layout
+        self.layout
     }
 
     fn generate(&mut self, n: usize) -> TrainingSet {
-        self.sampler.generate(self.backend, n)
+        let mut set = TrainingSet::with_capacity(self.layout, n);
+        let mut feats_buf = Vec::new();
+        while set.len() < n {
+            // Round-robin over the pool keeps every workload shape equally
+            // represented at every truncation prefix.
+            let plan = &self.pool[self.cursor % self.pool.len()];
+            self.cursor += 1;
+            let Some((assign, seconds)) =
+                sample_assignment(plan, self.registry, &self.backend, &mut self.rng, 16)
+            else {
+                continue;
+            };
+            vectorize_assignment(plan, &self.layout, &assign, &mut feats_buf);
+            set.push_simulated(&feats_buf, seconds);
+        }
+        set
     }
 }
 
@@ -338,7 +303,7 @@ mod tests {
         // Same seed split as SimulatorSource::new: pool/assignment rng
         // from seed, simulator noise stream from seed ^ 0x5157.
         let sim = RuntimeSimulator::new(&registry, seed ^ 0x5157).with_noise(noise);
-        let via_seam = BackendSource::new(&sim, &registry, layout, seed).generate(32);
+        let via_seam = BackendSource::over(&sim, &registry, layout, seed).generate(32);
         assert_eq!(direct.rows, via_seam.rows);
         assert_eq!(direct.labels, via_seam.labels);
     }
@@ -348,7 +313,7 @@ mod tests {
         let (registry, layout) = named_setup();
         let sim = RuntimeSimulator::new(&registry, 3);
         let pool = vec![workloads::wordcount(1e4), workloads::kmeans(1e4, 3)];
-        let mut source = BackendSource::new(&sim, &registry, layout, 9).with_pool(pool);
+        let mut source = BackendSource::over(sim, &registry, layout, 9).with_pool(pool);
         let set = source.generate(16);
         assert_eq!(set.len(), 16);
         assert!(set.seconds.iter().all(|s| s.is_finite() && *s > 0.0));

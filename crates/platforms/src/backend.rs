@@ -105,6 +105,19 @@ pub trait ExecutionBackend: std::fmt::Debug {
     }
 }
 
+/// A borrowed backend runs as the backend itself, so a caller that keeps
+/// its backend (an engine it also times directly) can lend it to a value
+/// that owns one, such as `robopt_ml::BackendSource`.
+impl<T: ExecutionBackend + ?Sized> ExecutionBackend for &T {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn execute(&self, plan: &LogicalPlan, assignments: &[PlatformId]) -> ExecutionReport {
+        (**self).execute(plan, assignments)
+    }
+}
+
 /// Compute/overhead/per-operator observation filled by
 /// [`RuntimeSimulator::simulate_profiled`].
 #[derive(Debug, Default)]

@@ -101,12 +101,6 @@ impl ConversionGraph {
         }
     }
 
-    /// Number of platforms the table covers.
-    #[inline]
-    pub fn n_platforms(&self) -> usize {
-        self.k
-    }
-
     /// Cheapest path `from -> to`; `None` when structurally infeasible.
     /// The identity path (`from == to`) is free.
     #[inline]

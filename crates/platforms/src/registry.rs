@@ -1,21 +1,20 @@
 //! Platform identifiers, descriptors, and the [`PlatformRegistry`].
 //!
 //! The registry is the single source of truth the optimizer consults for
-//! *which* platforms exist, *what* each one can execute (the availability
-//! matrix), and *how much* moving data between them costs (the conversion
-//! graph). `robopt_core::EnumOptions` carries a `&PlatformRegistry`, so
-//! every enumerator — vector-based, object-graph baseline, exhaustive —
-//! resolves platforms against the same registry instead of assuming dense
-//! ids `0..k`.
+//! *which* platforms exist, *what* each one can execute (one availability
+//! bitmask per operator kind), and *how much* moving data between them
+//! costs (the conversion graph). `robopt_core::EnumOptions` carries a
+//! `&PlatformRegistry`, so every enumerator — vector-based, object-graph
+//! baseline, exhaustive — resolves platforms against the same registry
+//! instead of assuming dense ids `0..k`.
 
 use robopt_plan::{LogicalPlan, Operator, OperatorKind, N_OPERATOR_KINDS};
 
-use crate::availability::AvailabilityMatrix;
-use crate::channels::{ConversionGraph, ConversionPath};
+use crate::channels::ConversionGraph;
 
 /// Maximum number of platforms a registry may hold. Matches the Fig-5
-/// feature layout's platform-dimension bound and the `u8` bitmask width of
-/// the availability matrix.
+/// feature layout's platform-dimension bound and the `u8` width of the
+/// per-kind availability masks.
 pub const MAX_PLATFORMS: usize = 8;
 
 /// Seconds per oracle cost unit on the simulated cluster: per unit of
@@ -140,19 +139,26 @@ impl Platform {
     }
 }
 
-/// The platform registry: descriptors + availability matrix + conversion
+/// The platform registry: descriptors + availability masks + conversion
 /// graph (COT), built once and borrowed by everything downstream.
 #[derive(Debug, Clone)]
 pub struct PlatformRegistry {
     platforms: Vec<Platform>,
-    availability: AvailabilityMatrix,
+    /// RHEEMix's execution-operator availability (Kruse et al.): bit `p` of
+    /// `available[kind]` is set iff `kind` can execute on platform `p`.
+    /// Enumeration never places an operator on a platform without it.
+    available: [u8; N_OPERATOR_KINDS],
     conversions: ConversionGraph,
 }
 
 impl PlatformRegistry {
     /// Start building a custom registry.
     pub fn builder() -> RegistryBuilder {
-        RegistryBuilder::default()
+        RegistryBuilder {
+            platforms: Vec::new(),
+            available: [u8::MAX; N_OPERATOR_KINDS],
+            channels: Vec::new(),
+        }
     }
 
     /// The five named platforms of the paper's testbed (DESIGN §2):
@@ -342,10 +348,15 @@ impl PlatformRegistry {
             .map(PlatformId::from_index)
     }
 
-    /// Can `kind` execute on `platform`? (The availability matrix.)
+    /// Can `kind` execute on `platform`?
     #[inline]
     pub fn is_available(&self, kind: OperatorKind, platform: PlatformId) -> bool {
-        self.availability.is_available(kind, platform)
+        debug_assert!(
+            platform.index() < self.platforms.len(),
+            "{platform} out of range for a registry of {} platforms",
+            self.platforms.len()
+        );
+        self.available[kind.index()] & 1 << platform.index() != 0
     }
 
     /// Platforms that can execute `kind`, in dense order.
@@ -353,24 +364,10 @@ impl PlatformRegistry {
         self.ids().filter(move |&p| self.is_available(kind, p))
     }
 
-    /// The availability matrix itself.
-    #[inline]
-    pub fn availability(&self) -> &AvailabilityMatrix {
-        &self.availability
-    }
-
     /// The conversion graph (COT) with precomputed all-pairs cheapest paths.
     #[inline]
     pub fn conversions(&self) -> &ConversionGraph {
         &self.conversions
-    }
-
-    /// Cheapest conversion path `from -> to`, if any (`None` = the pair is
-    /// structurally infeasible; candidate plans requiring it are excluded
-    /// during enumeration, DESIGN §6.3).
-    #[inline]
-    pub fn conversion(&self, from: PlatformId, to: PlatformId) -> Option<ConversionPath> {
-        self.conversions.path(from, to)
     }
 
     /// True if data produced on `from` can reach `to` (possibly multi-hop).
@@ -425,13 +422,13 @@ impl PlatformRegistry {
     }
 }
 
-/// Incremental [`PlatformRegistry`] construction.
-#[derive(Debug, Default)]
+/// Incremental [`PlatformRegistry`] construction. Every kind starts out
+/// available on every platform; `restrict`, `forbid` and `restrict_kind`
+/// rewrite those masks in the order they are called.
+#[derive(Debug)]
 pub struct RegistryBuilder {
     platforms: Vec<Platform>,
-    restrictions: Vec<(PlatformId, Vec<OperatorKind>)>,
-    forbidden: Vec<(PlatformId, OperatorKind)>,
-    kind_restrictions: Vec<(OperatorKind, Vec<PlatformId>)>,
+    available: [u8; N_OPERATOR_KINDS],
     channels: Vec<(PlatformId, PlatformId, f64, f64)>,
 }
 
@@ -455,19 +452,27 @@ impl RegistryBuilder {
 
     /// Restrict `platform` to exactly the listed operator kinds.
     pub fn restrict(&mut self, platform: PlatformId, kinds: &[OperatorKind]) -> &mut Self {
-        self.restrictions.push((platform, kinds.to_vec()));
+        let bit = 1 << platform.index();
+        for kind in OperatorKind::ALL {
+            let mask = &mut self.available[kind.index()];
+            *mask = if kinds.contains(&kind) {
+                *mask | bit
+            } else {
+                *mask & !bit
+            };
+        }
         self
     }
 
     /// Mark one operator kind unavailable on `platform`.
     pub fn forbid(&mut self, platform: PlatformId, kind: OperatorKind) -> &mut Self {
-        self.forbidden.push((platform, kind));
+        self.available[kind.index()] &= !(1 << platform.index());
         self
     }
 
     /// Restrict `kind` to exactly the listed platforms.
     pub fn restrict_kind(&mut self, kind: OperatorKind, platforms: &[PlatformId]) -> &mut Self {
-        self.kind_restrictions.push((kind, platforms.to_vec()));
+        self.available[kind.index()] = platforms.iter().fold(0, |m, p| m | 1 << p.index());
         self
     }
 
@@ -496,25 +501,17 @@ impl RegistryBuilder {
         self
     }
 
-    /// Finalize: builds the availability matrix, runs all-pairs cheapest
-    /// conversion paths, and checks every operator kind is executable on at
-    /// least one platform.
+    /// Finalize: drops mask bits past the last platform, runs all-pairs
+    /// cheapest conversion paths, and checks every operator kind is
+    /// executable on at least one platform.
     pub fn build(self) -> PlatformRegistry {
         let k = self.platforms.len();
         assert!(k >= 1, "a registry needs at least one platform");
-        let mut availability = AvailabilityMatrix::all_available(k);
-        for (platform, kinds) in &self.restrictions {
-            availability.restrict_platform(*platform, kinds);
-        }
-        for (kind, platforms) in &self.kind_restrictions {
-            availability.restrict_kind(*kind, platforms);
-        }
-        for (platform, kind) in &self.forbidden {
-            availability.set(*kind, *platform, false);
-        }
+        let every_platform = ((1u16 << k) - 1) as u8;
+        let available = self.available.map(|mask| mask & every_platform);
         for kind in OperatorKind::ALL {
             assert!(
-                (0..k).any(|p| availability.is_available(kind, PlatformId::from_index(p))),
+                available[kind.index()] != 0,
                 "operator kind {kind:?} is unavailable on every platform"
             );
         }
@@ -522,7 +519,7 @@ impl RegistryBuilder {
         let conversions = ConversionGraph::from_channels(k, &self.channels);
         PlatformRegistry {
             platforms: self.platforms,
-            availability,
+            available,
             conversions,
         }
     }
@@ -568,6 +565,76 @@ mod tests {
         let only = b.add(Platform::new("only"));
         b.restrict(only, &[OperatorKind::Map]);
         b.build();
+    }
+
+    /// `n` bare platforms `x0..`, handed to `configure` before `build`.
+    fn restricted(
+        n: usize,
+        configure: impl FnOnce(&mut RegistryBuilder, &[PlatformId]),
+    ) -> PlatformRegistry {
+        let mut b = PlatformRegistry::builder();
+        let ids: Vec<PlatformId> = (0..n)
+            .map(|i| b.add(Platform::new(&format!("x{i}"))))
+            .collect();
+        configure(&mut b, &ids);
+        b.build()
+    }
+
+    #[test]
+    fn restrict_clears_the_platforms_other_kinds() {
+        let reg = restricted(2, |b, ids| {
+            b.restrict(ids[1], &[OperatorKind::Map, OperatorKind::Filter]);
+        });
+        let (p0, p1) = (PlatformId::from_index(0), PlatformId::from_index(1));
+        assert!(reg.is_available(OperatorKind::Map, p1));
+        assert!(reg.is_available(OperatorKind::Filter, p1));
+        assert!(!reg.is_available(OperatorKind::Join, p1));
+        assert!(reg.is_available(OperatorKind::Join, p0));
+    }
+
+    #[test]
+    fn restrict_kind_clears_the_kinds_other_platforms() {
+        let reg = restricted(4, |b, ids| {
+            b.restrict_kind(OperatorKind::LocalCallbackSink, &[ids[2]]);
+        });
+        let sinks: Vec<PlatformId> = reg
+            .available_platforms(OperatorKind::LocalCallbackSink)
+            .collect();
+        assert_eq!(sinks, [PlatformId::from_index(2)]);
+        assert_eq!(reg.available_platforms(OperatorKind::Map).count(), 4);
+    }
+
+    #[test]
+    fn eight_platforms_do_not_overflow_the_mask() {
+        let reg = restricted(MAX_PLATFORMS, |_, _| {});
+        for kind in OperatorKind::ALL {
+            assert_eq!(reg.available_platforms(kind).count(), MAX_PLATFORMS);
+        }
+    }
+
+    #[test]
+    fn a_forbidden_kind_is_unavailable_on_that_platform_only() {
+        let reg = restricted(3, |b, ids| {
+            b.forbid(ids[1], OperatorKind::Join);
+        });
+        for p in reg.ids() {
+            assert_eq!(reg.is_available(OperatorKind::Join, p), p.index() != 1);
+            assert!(reg.is_available(OperatorKind::Map, p));
+        }
+    }
+
+    #[test]
+    fn restrictions_apply_in_call_order() {
+        let reg = restricted(2, |b, ids| {
+            b.forbid(ids[1], OperatorKind::Map);
+            b.restrict(ids[1], &[OperatorKind::Map]);
+        });
+        assert!(reg.is_available(OperatorKind::Map, PlatformId::from_index(1)));
+        let reg = restricted(2, |b, ids| {
+            b.restrict(ids[1], &[OperatorKind::Map]);
+            b.forbid(ids[1], OperatorKind::Map);
+        });
+        assert!(!reg.is_available(OperatorKind::Map, PlatformId::from_index(1)));
     }
 
     #[test]

@@ -473,7 +473,10 @@ pub struct CompareResponse {
 /// Service telemetry snapshot (the `stats` wire verb).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsResponse {
-    /// Requests served since construction.
+    /// `Optimizer::optimize` calls since construction, whether they hit,
+    /// miss or are refused: one per `optimize` request, one per `compare`,
+    /// and one per `execute` without assignments. `train`, `stats` and an
+    /// `execute` with assignments are not counted.
     pub requests: u64,
     /// Plan-signature cache counters.
     pub cache: CacheStats,

@@ -88,8 +88,9 @@ pub struct Optimizer {
     parallel: ParallelEnumerator,
     cache: PlanCache,
     cache_enabled: bool,
-    /// Requests served — also the logical clock that drives cache recency
-    /// (never wall time).
+    /// `optimize` calls, counting the ones `compare` and an unassigned
+    /// `execute` make (`StatsResponse::requests`) — also the logical clock
+    /// that drives cache recency (never wall time).
     requests: u64,
     busy: BusyTime,
     /// Scratch feature row for the winner re-cost and single-platform

@@ -393,6 +393,19 @@ pub(crate) mod tests {
                 risk: RiskPolicy::MeanPlusKSigma(1.5),
             })
         );
+        // k = -0 is k = 0: the same request, under the same cache key.
+        let zero = |risk: &str| {
+            let line =
+                format!(r#"{{"op":"optimize","workload":{{"kind":"wordcount"}},"risk":"{risk}"}}"#);
+            match parse_request(&line).expect("parse risk") {
+                Request::Optimize(req) => req,
+                other => panic!("{other:?}"),
+            }
+        };
+        let (plus, minus) = (zero("sigma0"), zero("sigma-0"));
+        assert_eq!(minus, plus);
+        assert_eq!(minus.signature(), plus.signature());
+        assert_eq!(minus.risk.label(), "sigma0");
         for bad in [
             r#"{"op":"optimize","workload":{"kind":"wordcount"},"risk":"wild"}"#,
             r#"{"op":"optimize","workload":{"kind":"wordcount"},"risk":"q1.5"}"#,

@@ -6,7 +6,7 @@
 //!
 //! * [`shapes`] — seeded **job-shape templates** (pipeline, fan-in,
 //!   fan-out, diamond, iterative) whose operator population is driven by
-//!   the `robopt_platforms::PlatformRegistry` availability matrix, and
+//!   `robopt_platforms::PlatformRegistry`'s operator availability, and
 //!   which instantiate at any input scale;
 //! * [`switches`] — **platform-switch pruning**: the assignment walk never
 //!   takes a source→sink path past β = 3 switches (the paper's value,

@@ -16,9 +16,9 @@
 //!   and wall clock (`par`), and the one open-addressing hash table
 //!   (`index`: `HashIndex` and `KeyMap`), which pruning, the plan cache and
 //!   the engine's keyed operators and join share;
-//! * [`robopt_platforms`] — the platform registry, availability matrix,
-//!   channels and conversion graph (COT), the deterministic runtime
-//!   simulator, and the `ExecutionBackend` seam;
+//! * [`robopt_platforms`] — the platform registry with its per-kind
+//!   availability masks, channels and conversion graph (COT), the
+//!   deterministic runtime simulator, and the `ExecutionBackend` seam;
 //! * [`robopt_engine`] — the in-memory dataflow executor behind
 //!   `ExecutionBackend`: seeded data generators, byte-identical outputs
 //!   across worker counts, and the independent reference executor;
@@ -28,10 +28,10 @@
 //!   `KeyMap`);
 //! * [`robopt_ml`] — CART trees (the forest's base learner), the bagged
 //!   random forest, the ridge linear baseline, metrics, the `TrainingSet` /
-//!   `TrainingSource` contract, the one plan sampler behind
-//!   `SimulatorSource` and `BackendSource`, and the fitted predictors
-//!   `Model` / `DistModel` behind `ModelOracle` (each model exists only as
-//!   what its own inherent `fit` returns);
+//!   `TrainingSource` contract, `BackendSource` (direct labelling, one
+//!   backend run per row; `SimulatorSource` is it over the simulator), and
+//!   the fitted predictors `Model` / `DistModel` behind `ModelOracle` (each
+//!   model exists only as what its own inherent `fit` returns);
 //! * [`robopt_core`] — vectorize, Algorithm-1 enumeration with Def-2
 //!   pruning and an optional budget on staged rows, `CostOracle` and
 //!   `AnalyticOracle`, `CostDistribution` / `RiskPolicy`, the plan splitter

@@ -60,7 +60,7 @@ fn named_cot_paths_are_symmetric_and_triangle_consistent() {
     // through a third platform.
     let pg = reg.by_name("postgres").unwrap();
     let gi = reg.by_name("giraph").unwrap();
-    assert!(reg.conversion(pg, gi).unwrap().hops >= 2);
+    assert!(cot.path(pg, gi).unwrap().hops >= 2);
 }
 
 #[test]

@@ -9,11 +9,14 @@
 //!   a cache-off recompute bit-for-bit;
 //! * request validation — malformed requests are rejected with
 //!   `ServiceError`, never a panic, and every generated `random_dag` spec
-//!   is answered or refused as too large by the enumeration budget.
+//!   is answered or refused as too large by the enumeration budget;
+//! * the `stats` counter — `requests` counts `optimize` calls over a mixed
+//!   session, not request lines.
 
 use robopt::{
-    forest_from_json, forest_to_json, parse_request, ExecutionPolicy, OptimizeRequest, Optimizer,
-    Request, RiskPolicy, ServiceError, TrainRequest, WorkloadSpec,
+    forest_from_json, forest_to_json, parse_request, BackendChoice, CompareRequest, ExecuteRequest,
+    ExecutionPolicy, OptimizeRequest, Optimizer, Request, RiskPolicy, ServiceError, TrainRequest,
+    WorkloadSpec,
 };
 use robopt_plan::SplitMix64;
 use robopt_platforms::PlatformRegistry;
@@ -230,6 +233,55 @@ fn risk_policies_get_their_own_cache_entries() {
     assert_eq!(reference.optimize(&robust).expect("cache-off"), r_cold);
     assert!(e_cold.cost_std >= 0.0);
     assert!(e_cold.cost_q10 <= e_cold.cost_q90, "quantiles are ordered");
+}
+
+/// `stats.requests` counts `Optimizer::optimize` calls, the plan cache's
+/// recency clock, not verbs: every optimize counts (hit, miss or refused),
+/// `compare` and an `execute` without assignments count the optimize they
+/// make, and `train`, `stats` and an assigned `execute` count nothing.
+#[test]
+fn stats_requests_count_optimize_calls_in_a_mixed_session() {
+    let mut opt = Optimizer::named();
+    let spec = WorkloadSpec::WordCount { scale: 1e5 };
+    let sim = BackendChoice::Simulator {
+        seed: 3,
+        noise: 0.0,
+    };
+    let requests = |opt: &Optimizer| opt.service_stats().requests;
+
+    let winner = opt.optimize(&OptimizeRequest::new(spec)).expect("miss");
+    opt.optimize(&OptimizeRequest::new(spec)).expect("hit");
+    let refused =
+        opt.optimize(&OptimizeRequest::new(spec).with_risk(RiskPolicy::MeanPlusKSigma(-1.0)));
+    assert!(matches!(refused, Err(ServiceError::InvalidRequest(_))));
+    assert_eq!(requests(&opt), 3, "three optimize calls");
+
+    opt.compare(&CompareRequest {
+        workload: spec,
+        policy: ExecutionPolicy::default(),
+        sim_seed: 5,
+    })
+    .expect("compare");
+    opt.execute(&ExecuteRequest::new(spec).with_backend(sim))
+        .expect("unassigned execute");
+    assert_eq!(
+        requests(&opt),
+        5,
+        "compare and unassigned execute optimize once each"
+    );
+
+    opt.execute(
+        &ExecuteRequest::new(spec)
+            .with_assignments(winner.assignments)
+            .with_backend(sim),
+    )
+    .expect("assigned execute");
+    opt.train(&TrainRequest::new(64)).expect("train");
+    assert_eq!(
+        requests(&opt),
+        5,
+        "train, stats and assigned execute do not count"
+    );
 }
 
 #[test]
