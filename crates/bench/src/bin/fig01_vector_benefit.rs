@@ -40,7 +40,7 @@ impl Row {
 fn measure(task: &'static str, spec: WorkloadSpec) -> Row {
     let mut opt = Optimizer::new(PlatformRegistry::uniform(PLATFORMS));
     // Timing a memoized replay would measure the cache, not enumeration.
-    opt.set_cache_enabled(false);
+    opt.set_cache_capacity(0);
     let req = OptimizeRequest::new(spec).with_policy(
         ExecutionPolicy::default()
             .with_workers(1)

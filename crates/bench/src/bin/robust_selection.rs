@@ -266,7 +266,7 @@ fn main() {
     // Parity on the service path: unlabelled ≡ explicit ExpectedCost,
     // checked on a cache-off facade so neither answer is a cache echo.
     let mut reference = Optimizer::named();
-    reference.set_cache_enabled(false);
+    reference.set_cache_capacity(0);
     let parity_spec = WorkloadSpec::WordCount { scale: 1e6 };
     let plain = reference
         .optimize(&OptimizeRequest::new(parity_spec))

@@ -66,11 +66,12 @@ pub fn run(args: Vec<String>) -> i32 {
 const USAGE: &str = "robopt — optimizer-as-a-service for cross-platform query plans
 
 USAGE:
-  robopt serve [--tcp PORT] [--cache-capacity N] [--no-cache] [--model FILE]
+  robopt serve [--tcp PORT] [--cache-capacity N] [--model FILE]
       Line-delimited JSON request loop ({\"op\":\"optimize\"|\"execute\"|
       \"compare\"|\"train\"|\"stats\"|\"quit\"}) over stdin or a
       loopback TCP socket. An optimize request carries its own risk
-      policy (\"risk\", default expected).
+      policy (\"risk\", default expected). The plan cache holds 256
+      responses; --cache-capacity 0 turns it off.
 
   robopt optimize [workload flags] [--workers N] [--split-parts N]
                   [--no-prune] [--no-clamp] [--risk POLICY] [--model FILE]
@@ -156,7 +157,6 @@ const FLAGS: &[FlagRow] = &[
     ("--model", MODEL, "", Kind::Str),
     ("--model-out", &["train"], "", Kind::Str),
     ("--cache-capacity", &["serve"], "", Kind::Num),
-    ("--no-cache", &["serve"], "", Kind::Off),
     ("--tcp", &["serve"], "", Kind::Num),
 ];
 
@@ -250,8 +250,8 @@ fn request_line(verb: &str, flags: &[Flag<'_>]) -> Result<String, String> {
     Ok(w.finish())
 }
 
-/// Build the facade from the deployment flags: `--model`,
-/// `--cache-capacity` and `--no-cache`.
+/// Build the facade from the deployment flags: `--model` and
+/// `--cache-capacity`.
 fn optimizer_from_flags(flags: &[Flag<'_>]) -> Result<Optimizer, String> {
     let mut opt = Optimizer::named();
     if let Some(capacity) = deployment(flags, "--cache-capacity") {
@@ -259,9 +259,6 @@ fn optimizer_from_flags(flags: &[Flag<'_>]) -> Result<Optimizer, String> {
             .parse()
             .map_err(|_| format!("--cache-capacity has invalid value {capacity:?}"))?;
         opt.set_cache_capacity(capacity);
-    }
-    if deployment(flags, "--no-cache").is_some() {
-        opt.set_cache_enabled(false);
     }
     if let Some(path) = deployment(flags, "--model") {
         let text = std::fs::read_to_string(path)
@@ -853,7 +850,8 @@ mod tests {
             ("optimize", &["--rows", "64"], "--rows"),
             ("compare", &["--risk", "sigma2"], "--risk"),
             ("serve", &["--risk", "sigma2"], "--risk"),
-            ("train", &["--no-cache"], "--no-cache"),
+            // Caching off is `--cache-capacity 0`; there is no second switch.
+            ("serve", &["--no-cache"], "--no-cache"),
         ] {
             let err = parse_flags(verb, &args(bad)).expect_err("bad command line");
             assert!(err.contains(names), "{verb} {bad:?}: {err:?}");

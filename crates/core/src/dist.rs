@@ -1,7 +1,7 @@
 //! Distributional cost estimates and risk-aware scoring (DESIGN §12).
 //!
-//! The bagged forest computes one prediction *per tree* and PR 3 threw the
-//! spread away; this module is the buffer that keeps it. A
+//! The bagged forest computes one prediction *per tree*; this module is
+//! the buffer that keeps their spread. A
 //! [`CostDistribution`] is the struct-of-arrays batch analogue of
 //! `Vec<f64>` costs: per row a mean (bit-identical to the point estimate),
 //! a population standard deviation, and three nearest-rank quantiles over
@@ -164,7 +164,7 @@ impl CostDistribution {
 /// wins, never how its cost is quoted.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RiskPolicy {
-    /// Rank by the mean — bit-identical to pre-distributional enumeration.
+    /// Rank by the mean — bit-identical to ranking by the point estimate.
     #[default]
     ExpectedCost,
     /// Rank by `mean + k·std` (k ≥ 0): penalize spread linearly.
@@ -175,8 +175,8 @@ pub enum RiskPolicy {
 }
 
 impl RiskPolicy {
-    /// True for the classic point-estimate path — enumerators take the
-    /// historical `cost_batch` branch exactly, so the bits cannot move.
+    /// True for the classic point-estimate path — enumerators rank by
+    /// `cost_batch`, so the bits are the point estimate's.
     pub fn is_expected(self) -> bool {
         self == RiskPolicy::ExpectedCost
     }

@@ -15,7 +15,8 @@
 //! enumeration is a pure function of (plan, part scope, options), per-part
 //! stats are folded in part order, and the seam phase installs part results
 //! in part order — so the result is bit-identical across thread counts,
-//! and `tests/parallel_enum.rs` + `tests/determinism.rs` assert it.
+//! and `crates/core/tests/parallel_enum.rs` and the workspace's
+//! `tests/determinism.rs` assert it.
 //!
 //! Agreement with the *serial* [`Enumerator`] is slightly weaker by
 //! construction: the two build different merge trees, so intermediate

@@ -138,15 +138,17 @@ impl HashIndex {
 
 /// A deterministic `u64 → V` map: `(key, value)` entries in insertion
 /// order until a [`KeyMap::remove`], indexed by a [`HashIndex`] over the
-/// SplitMix64 finalizer ([`mix64`]) of the key. `clear` keeps both
-/// allocations, so a warmed map serves a hot loop without growing.
+/// SplitMix64 finalizer ([`mix64`]) of the key. `V` is any value: a row
+/// position for pruning, a whole cached response for the plan cache.
+/// `clear` keeps both allocations, so a warmed map serves a hot loop
+/// without growing.
 #[derive(Debug, Clone, Default)]
 pub struct KeyMap<V> {
     index: HashIndex,
     entries: Vec<(u64, V)>,
 }
 
-impl<V: Copy> KeyMap<V> {
+impl<V> KeyMap<V> {
     pub fn new() -> Self {
         KeyMap::with_capacity(0)
     }
@@ -175,25 +177,17 @@ impl<V: Copy> KeyMap<V> {
         self.entries.is_empty()
     }
 
-    /// Value stored under `key`, if any.
+    /// The value stored under `key`, to change in place.
     #[inline]
-    pub fn get(&self, key: u64) -> Option<V> {
-        let found = self.find(mix64(key), key);
-        found.ok().map(|i| self.entries[i].1)
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        let at = self.find(mix64(key), key).ok()?;
+        Some(&mut self.entries[at].1)
     }
 
-    /// The value already stored under `key`, or — if there is none —
-    /// `None` after storing `value` under it: one probe either way.
-    #[inline]
-    pub fn insert_or_get(&mut self, key: u64, value: V) -> Option<V> {
-        let hash = mix64(key);
-        match self.find(hash, key) {
-            Ok(i) => Some(self.entries[i].1),
-            Err(slot) => {
-                self.push(slot, hash, key, value);
-                None
-            }
-        }
+    /// Every `(key, value)` in entry order: insertion order, as reordered
+    /// by each [`KeyMap::remove`].
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.entries.iter().map(|(key, value)| (*key, value))
     }
 
     /// Store `key → value`, replacing any previous value for `key`.
@@ -235,6 +229,31 @@ impl<V: Copy> KeyMap<V> {
         let entries = &self.entries;
         let hash_of = |i: usize| mix64(entries[i].0);
         self.index.fill(slot, hash, entries.len(), hash_of);
+    }
+}
+
+/// Lookups that answer with a copy of the value, as the pruning table's
+/// `u32` row positions and the engine's join-key set are read.
+impl<V: Copy> KeyMap<V> {
+    /// Value stored under `key`, if any.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<V> {
+        let found = self.find(mix64(key), key);
+        found.ok().map(|i| self.entries[i].1)
+    }
+
+    /// The value already stored under `key`, or — if there is none —
+    /// `None` after storing `value` under it: one probe either way.
+    #[inline]
+    pub fn insert_or_get(&mut self, key: u64, value: V) -> Option<V> {
+        let hash = mix64(key);
+        match self.find(hash, key) {
+            Ok(i) => Some(self.entries[i].1),
+            Err(slot) => {
+                self.push(slot, hash, key, value);
+                None
+            }
+        }
     }
 }
 
@@ -297,6 +316,53 @@ mod tests {
         }
         // A 16-slot table doubles at 8, 16 and 32 entries, and on.
         assert!(peak > 64, "peak {peak}");
+
+        // Values that are not `Copy`: changed in place, removed, and walked
+        // in entry order, which is insertion order with each removal moving
+        // the last entry into the hole.
+        let mut map: KeyMap<String> = KeyMap::new();
+        let mut model = BTreeMap::new();
+        let mut order: Vec<u64> = Vec::new();
+        for step in 0..20_000 {
+            let raw = rng.next_u64() % 300;
+            let key = if raw.is_multiple_of(2) {
+                raw << 32
+            } else {
+                raw
+            };
+            match rng.gen_range(4) {
+                0 => {
+                    let value = format!("v{step}");
+                    if model.insert(key, value.clone()).is_none() {
+                        order.push(key);
+                    }
+                    map.insert(key, value);
+                }
+                1 => {
+                    let held = model.remove(&key);
+                    if let Some(at) = order.iter().position(|&k| k == key) {
+                        order.swap_remove(at);
+                    }
+                    assert_eq!(map.remove(key), held, "{step}");
+                }
+                _ => {
+                    if let Some(value) = model.get_mut(&key) {
+                        value.push('+');
+                    }
+                    let got = map.get_mut(key).map(|value| {
+                        value.push('+');
+                        value.clone()
+                    });
+                    assert_eq!(got.as_ref(), model.get(&key), "{step}");
+                }
+            }
+            assert_eq!(map.len(), model.len(), "{step}");
+            if step % 1_000 == 0 || step == 19_999 {
+                let walked: Vec<(u64, &String)> = map.iter().collect();
+                let want: Vec<(u64, &String)> = order.iter().map(|k| (*k, &model[k])).collect();
+                assert_eq!(walked, want, "{step}");
+            }
+        }
     }
 
     /// Entries `(key, hash)` indexed under a hash the test picks.

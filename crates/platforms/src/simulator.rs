@@ -6,8 +6,8 @@
 //! cost curves are deliberately *non-linear* in cardinality (startup
 //! floors, `n·log n` shuffle terms, memory cliffs), so a linear cost model
 //! mis-ranks plans exactly as in the paper while a learned model can
-//! recover the true shape — this is what will generate TDGEN training
-//! labels. The contract (also documented in DESIGN §2):
+//! recover the true shape. It labels TDGEN's knots and the direct
+//! training sets. The contract (also documented in DESIGN §2):
 //!
 //! * **Deterministic**: two simulators with equal seeds produce identical
 //!   estimates for equal inputs, regardless of call order.

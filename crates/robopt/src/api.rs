@@ -10,9 +10,9 @@ use robopt_core::{EnumStats, RiskPolicy};
 use robopt_plan::LogicalPlan;
 use robopt_vector::SigHasher;
 
-// The workload recipe lives in `robopt_plan` since ISSUE 8 (one constructor
-// path for service, figs, and engine); re-exported here so service callers
-// keep their import path.
+// The workload recipe lives in `robopt_plan` (one constructor path for
+// service, figs, and engine); re-exported here so service callers import
+// it from the facade.
 pub use robopt_plan::{SpecError, WorkloadParams, WorkloadSpec};
 
 use crate::cache::CacheStats;

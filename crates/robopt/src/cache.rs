@@ -1,11 +1,10 @@
 //! Plan-signature memoization (DESIGN §10).
 //!
 //! [`PlanCache`] maps [`crate::api::OptimizeRequest::signature`] keys to
-//! finished [`OptimizeResponse`]s: a [`FootprintTable`] indexes signature →
-//! position in one entry vector, so the cache probes through the same
-//! open-addressing table Def-2 pruning does: a lookup is one probe, and so
-//! is an insert that evicts nothing; an eviction removes the victim's key
-//! and re-points the one entry `swap_remove` moved into its place.
+//! finished [`OptimizeResponse`]s in one [`KeyMap`], the open-addressing
+//! table Def-2 pruning probes too: a lookup is one probe, and an eviction
+//! is one [`KeyMap::remove`]. A capacity of 0 is caching off: every lookup
+//! misses and counts, and nothing is stored.
 //!
 //! # Eviction
 //!
@@ -19,10 +18,11 @@
 //! proxy for the cost a hit saves — and `last_tick` is the facade's logical
 //! request counter at the entry's last touch. Wall-clock time never enters
 //! the score, so eviction order is a pure function of the request stream
-//! (ties break toward the oldest entry index). "Cheap and cold" falls out
-//! first; "expensive or hot" survives.
+//! (ties break toward the lowest entry position of the map, the oldest
+//! insertion still alive until a removal moves the last entry into a hole).
+//! "Cheap and cold" falls out first; "expensive or hot" survives.
 
-use robopt_vector::FootprintTable;
+use robopt_plan::index::KeyMap;
 
 use crate::api::OptimizeResponse;
 
@@ -55,9 +55,9 @@ impl CacheStats {
     }
 }
 
+/// One cached response and what its eviction score reads.
 #[derive(Debug, Clone)]
-struct Entry {
-    key: u64,
+struct Slot {
     value: OptimizeResponse,
     /// Deterministic recompute-cost proxy (enumeration `generated`).
     work: u64,
@@ -68,9 +68,7 @@ struct Entry {
 /// Deterministic plan-signature → response cache. See the module docs.
 #[derive(Debug, Clone)]
 pub struct PlanCache {
-    /// Signature → position in `entries`.
-    index: FootprintTable,
-    entries: Vec<Entry>,
+    slots: KeyMap<Slot>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -82,12 +80,15 @@ impl PlanCache {
     /// Default entry capacity for the service facade.
     pub const DEFAULT_CAPACITY: usize = 256;
 
-    /// A cache holding at most `capacity` responses. `0` disables storage
-    /// (every lookup misses, inserts are dropped) while keeping counters.
+    /// A cache holding at most `capacity` responses. `0` is caching off:
+    /// every lookup misses, inserts are dropped, the counters still count.
+    ///
+    /// Room for up to [`PlanCache::DEFAULT_CAPACITY`] entries is reserved
+    /// here, so a cache filling up does not regrow its entries through
+    /// every doubling; a larger one grows past that on demand.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            index: FootprintTable::new(),
-            entries: Vec::new(),
+            slots: KeyMap::with_capacity(capacity.min(Self::DEFAULT_CAPACITY)),
             capacity,
             hits: 0,
             misses: 0,
@@ -103,12 +104,12 @@ impl PlanCache {
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Counter snapshot.
@@ -118,7 +119,7 @@ impl PlanCache {
             misses: self.misses,
             evictions: self.evictions,
             insertions: self.insertions,
-            len: self.entries.len(),
+            len: self.slots.len(),
             capacity: self.capacity,
         }
     }
@@ -126,24 +127,18 @@ impl PlanCache {
     /// Drop every entry (model swap, explicit flush); counters survive so
     /// telemetry spans flushes.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.index.clear();
+        self.slots.clear();
     }
 
     /// Look up `key`, touching its recency to `tick` on a hit.
     pub fn lookup(&mut self, key: u64, tick: u64) -> Option<OptimizeResponse> {
-        match self.index.get(key) {
-            Some(i) => {
-                self.hits += 1;
-                let entry = self.entries.get_mut(i as usize)?;
-                entry.last_tick = tick;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let Some(slot) = self.slots.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        slot.last_tick = tick;
+        Some(slot.value.clone())
     }
 
     /// Insert (or refresh) `key → value`. `work` is the deterministic
@@ -153,46 +148,30 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
-        if let Some(i) = self.index.insert_or_get(key, self.entries.len() as u32) {
-            if let Some(entry) = self.entries.get_mut(i as usize) {
-                entry.value = value;
-                entry.work = work;
-                entry.last_tick = tick;
-            }
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            // The eviction shortens `entries` by one: re-point the key just
-            // indexed to the position it is about to be pushed to.
-            self.evict_min();
-            self.index.insert(key, self.entries.len() as u32);
-        }
-        self.entries.push(Entry {
-            key,
+        let slot = Slot {
             value,
             work,
             last_tick: tick,
-        });
+        };
+        if let Some(held) = self.slots.get_mut(key) {
+            *held = slot;
+            return;
+        }
+        if self.slots.len() >= self.capacity {
+            self.evict_min();
+        }
+        self.slots.insert(key, slot);
         self.insertions += 1;
     }
 
     /// Evict the entry with the minimum benefit score (ties → lowest
-    /// entry index, i.e. the oldest insertion still alive).
+    /// entry position: `min_by_key` keeps the first of equal minima).
     fn evict_min(&mut self) {
-        let mut victim = 0usize;
-        let mut best = u128::MAX;
-        for (i, e) in self.entries.iter().enumerate() {
-            let score = u128::from(e.work) * (u128::from(e.last_tick) + 1);
-            if score < best {
-                best = score;
-                victim = i;
-            }
-        }
-        self.index.remove(self.entries.swap_remove(victim).key);
-        self.evictions += 1;
-        // swap_remove moved the last entry into the victim's place.
-        if let Some(moved) = self.entries.get(victim) {
-            self.index.insert(moved.key, victim as u32);
+        let score = |slot: &Slot| u128::from(slot.work) * (u128::from(slot.last_tick) + 1);
+        let victim = self.slots.iter().min_by_key(|(_, slot)| score(slot));
+        if let Some((key, _)) = victim {
+            self.slots.remove(key);
+            self.evictions += 1;
         }
     }
 }
@@ -377,6 +356,56 @@ mod tests {
             "replacement is not an insertion"
         );
         assert_eq!(cache.lookup(7, 3).map(|r| r.workload), Some("new".into()));
+    }
+
+    /// Pinned before the cache's entries moved into its `KeyMap`: a seeded
+    /// stream of lookups and inserts over keys equal in their low bits, at
+    /// four capacities, digesting each lookup's hit and cost bits and the
+    /// counters after each insert.
+    #[test]
+    fn a_seeded_stream_is_pinned() {
+        let mut digest = robopt_vector::SigHasher::new();
+        for capacity in [0usize, 1, 4, 256] {
+            let mut cache = PlanCache::new(capacity);
+            let mut rng = SplitMix64::new(0xCAC4_E5EE_D000 + capacity as u64);
+            // A domain past the capacity, so full caches evict.
+            let domain = 3 * capacity as u64 + 8;
+            for step in 0..6_000u64 {
+                let raw = rng.next_u64() % domain;
+                let key = if raw.is_multiple_of(2) {
+                    raw << 40
+                } else {
+                    raw
+                };
+                // A slow clock and small works make score ties common.
+                let tick = step / 3;
+                if rng.next_u64().is_multiple_of(3) {
+                    let work = 1 + rng.next_u64() % 8;
+                    let cost = rng.next_f64() * 1e3;
+                    cache.insert(key, resp("v", cost), work, tick);
+                    let s = cache.stats();
+                    for count in [s.hits, s.misses, s.evictions, s.insertions] {
+                        digest.write_u64(count);
+                    }
+                    digest.write_u64(s.len as u64);
+                    digest.write_u64(s.capacity as u64);
+                } else {
+                    match cache.lookup(key, tick) {
+                        Some(hit) => {
+                            digest.write_u64(1);
+                            digest.write_f64_bits(hit.cost);
+                        }
+                        None => digest.write_u64(0),
+                    }
+                }
+            }
+            let s = cache.stats();
+            assert_eq!(s.capacity, capacity);
+            if capacity > 0 {
+                assert!(s.hits > 100 && s.evictions > 100, "{capacity}: {s:?}");
+            }
+        }
+        assert_eq!(digest.finish(), 0x3172_a567_50f0_543d);
     }
 
     #[test]

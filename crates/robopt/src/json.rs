@@ -223,7 +223,7 @@ fn has_escape(bytes: &[u8]) -> bool {
 /// is copied whole after one `has_escape` check, and otherwise the
 /// stretches between escapes are.
 #[inline(always)]
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     if has_escape(s.as_bytes()) {
         escape_each(out, s);
     } else {
@@ -256,7 +256,7 @@ fn escape_each(out: &mut String, s: &str) {
 }
 
 /// Compact JSON writer into one `String`: the inverse of [`parse`]. It
-/// places the commas; keys and strings go through [`escape_into`]; a finite
+/// places the commas; keys and strings go through `escape_into`; a finite
 /// `f64` is its shortest-round-trip `{:?}` text (which [`parse`] reads back
 /// to the same bits), written without `fmt` (see module docs), and a
 /// non-finite one is `null`.

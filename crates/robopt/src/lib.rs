@@ -12,9 +12,9 @@
 //! * [`optimizer`] — the [`Optimizer`] facade: owns the registry, the cost
 //!   model (analytic or trained forest behind `&dyn CostOracle`), the
 //!   warmed per-part matrix pools of one [`robopt_core::ParallelEnumerator`],
-//!   and the plan-signature cache;
-//! * [`cache`] — [`PlanCache`], deterministic open-addressed plan-signature
-//!   memoization with benefit-weighted eviction and hit/miss counters;
+//!   and the plan-signature cache, whose capacity 0 is caching off;
+//! * [`cache`] — [`PlanCache`], deterministic plan-signature memoization in
+//!   one `KeyMap`, with benefit-weighted eviction and hit/miss counters;
 //! * [`json`] — the dependency-free JSON parser and [`json::Writer`] every
 //!   JSON text of the workspace goes through: wire lines, model files,
 //!   experiment artifacts (numbers kept as raw text so `u64` bit patterns

@@ -4,10 +4,10 @@
 //! cost model (analytic, or a trained forest behind the same
 //! `&dyn CostOracle` the enumerators already speak), the warmed per-part
 //! matrix pools of one [`ParallelEnumerator`], and the plan-signature
-//! [`PlanCache`]. Callers that used to wire `EnumOptions` + oracle +
-//! enumerator by hand now send [`OptimizeRequest`]s; the raw plumbing
-//! stays inside `robopt_core` (with [`Optimizer::enum_options`] as the
-//! escape hatch for baselines that genuinely need it).
+//! [`PlanCache`]. Service callers send [`OptimizeRequest`]s and never wire
+//! `EnumOptions`, an oracle and an enumerator themselves; the raw plumbing
+//! stays inside `robopt_core`, with [`Optimizer::enum_options`] as the
+//! escape hatch for baselines that need it.
 //!
 //! # Cache soundness
 //!
@@ -86,8 +86,8 @@ pub struct Optimizer {
     layout: FeatureLayout,
     oracle: OracleKind,
     parallel: ParallelEnumerator,
+    /// Capacity 0 is caching off.
     cache: PlanCache,
-    cache_enabled: bool,
     /// `optimize` calls, counting the ones `compare` and an unassigned
     /// `execute` make (`StatsResponse::requests`) — also the logical clock
     /// that drives cache recency (never wall time).
@@ -113,7 +113,6 @@ impl Optimizer {
             oracle,
             parallel: ParallelEnumerator::new(1),
             cache: PlanCache::new(PlanCache::DEFAULT_CAPACITY),
-            cache_enabled: true,
             requests: 0,
             busy: BusyTime::default(),
             feats: Vec::new(),
@@ -153,9 +152,15 @@ impl Optimizer {
                 self.layout.width
             )));
         }
+        self.set_forest(forest);
+        Ok(())
+    }
+
+    /// Make `forest` the active oracle. Every cached cost came from the
+    /// previous model, so the cache is flushed.
+    fn set_forest(&mut self, forest: RandomForest) {
         self.oracle = OracleKind::Forest(ModelOracle::new(forest));
         self.cache.clear();
-        Ok(())
     }
 
     /// Raw enumeration options over the facade's registry and active
@@ -174,12 +179,19 @@ impl Optimizer {
         Engine::new(&self.registry).with_workers(workers)
     }
 
-    /// Toggle plan-signature memoization (on by default).
+    /// [`Optimizer::set_cache_capacity`] at [`PlanCache::DEFAULT_CAPACITY`]
+    /// or at 0 (caching off). In-tree code sets the capacity itself; the
+    /// repo benchmark still switches caching with this.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
+        self.set_cache_capacity(if enabled {
+            PlanCache::DEFAULT_CAPACITY
+        } else {
+            0
+        });
     }
 
-    /// Replace the cache with an empty one of `capacity` entries.
+    /// Replace the cache with an empty one of `capacity` entries; 0 turns
+    /// caching off.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache = PlanCache::new(capacity);
     }
@@ -206,14 +218,12 @@ impl Optimizer {
         self.requests += 1;
         req.risk.validate().map_err(ServiceError::InvalidRequest)?;
         let sig = req.signature();
-        if self.cache_enabled {
-            if let Some(hit) = self.cache.lookup(sig, self.requests) {
-                self.busy.add(started.elapsed());
-                return Ok(hit);
-            }
+        if let Some(hit) = self.cache.lookup(sig, self.requests) {
+            self.busy.add(started.elapsed());
+            return Ok(hit);
         }
         let resp = self.optimize_cold(req, sig)?;
-        if self.cache_enabled {
+        if self.cache.capacity() > 0 {
             let work = resp.stats.generated.max(1);
             self.cache.insert(sig, resp.clone(), work, self.requests);
         }
@@ -274,9 +284,7 @@ impl Optimizer {
         forest.predict_batch(set.rows_view(), &mut preds);
         let train_mse = mse(&preds, &set.labels);
         let rows = set.len();
-        self.oracle = OracleKind::Forest(ModelOracle::new(forest));
-        // Every cached cost came from the previous model: flush.
-        self.cache.clear();
+        self.set_forest(forest);
         Ok(TrainResponse {
             rows,
             n_trees: req.n_trees,
@@ -304,7 +312,7 @@ impl Optimizer {
                         "engine workers {workers} outside [1, 256]"
                     )));
                 }
-                let engine = Engine::new(&self.registry).with_workers(workers);
+                let engine = self.engine(workers);
                 let backend: &dyn ExecutionBackend = &engine;
                 backend.execute(&plan, &ids)
             }
@@ -610,7 +618,7 @@ mod tests {
 
         // Cache off must reproduce the same bytes from scratch.
         let mut fresh = Optimizer::named();
-        fresh.set_cache_enabled(false);
+        fresh.set_cache_capacity(0);
         let recomputed = fresh.optimize(&req).expect("cache-off optimize");
         assert_eq!(cold, recomputed);
         assert_eq!(fresh.cache_stats().hits, 0);
@@ -632,7 +640,7 @@ mod tests {
         // driver's determinism contract makes it bit-identical, which is
         // exactly why `workers` is excluded from the signature.
         let mut fresh = Optimizer::named();
-        fresh.set_cache_enabled(false);
+        fresh.set_cache_capacity(0);
         let four = fresh
             .optimize(
                 &OptimizeRequest::new(wc()).with_policy(

@@ -6,8 +6,9 @@
 //!
 //! * [`shapes`] — seeded **job-shape templates** (pipeline, fan-in,
 //!   fan-out, diamond, iterative) whose operator population is driven by
-//!   `robopt_platforms::PlatformRegistry`'s operator availability, and
-//!   which instantiate at any input scale;
+//!   `robopt_platforms::PlatformRegistry`'s operator availability. A
+//!   [`JobSkeleton`] is an unsealed `LogicalPlan` whose sources hold their
+//!   share of the input scale, and instantiates at any scale;
 //! * [`switches`] — **platform-switch pruning**: the assignment walk never
 //!   takes a source→sink path past β = 3 switches (the paper's value,
 //!   fixed), so no label is paid for such a plan;
@@ -48,5 +49,5 @@ pub use generator::{
     SCALE_RANGE,
 };
 pub use interpolate::{log_knots, PiecewisePoly, WINDOW};
-pub use shapes::{sample_skeleton, JobSkeleton, ShapeKind, SkeletonOp};
+pub use shapes::{sample_skeleton, JobSkeleton, ShapeKind};
 pub use switches::{max_switches, sample_assignment};

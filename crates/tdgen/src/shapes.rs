@@ -1,10 +1,11 @@
 //! Job-shape templates (paper §V-A): seeded skeleton generators for the
 //! five DAG families TDGEN draws training plans from.
 //!
-//! A [`JobSkeleton`] is a *scale-free* plan: operator kinds, jittered
-//! selectivities/widths and edges are fixed, but source cardinalities are
-//! left symbolic. [`JobSkeleton::instantiate`] binds one input scale and
-//! seals a concrete [`LogicalPlan`] — the same skeleton instantiated at
+//! A [`JobSkeleton`] is a *scale-free* plan: an unsealed [`LogicalPlan`]
+//! whose operator kinds, jittered selectivities/widths and edges are
+//! fixed, and whose sources hold their share of the input scale as their
+//! `source_cardinality`. [`JobSkeleton::instantiate`] binds one input
+//! scale and seals a concrete plan — the same skeleton instantiated at
 //! many scales is what makes runtime interpolation possible, because the
 //! runtime of a fixed (skeleton, assignment) pair is a smooth function of
 //! scale.
@@ -70,55 +71,39 @@ impl ShapeKind {
     }
 }
 
-/// One operator slot of a skeleton: everything about the operator except
-/// the input scale.
-#[derive(Debug, Clone, Copy)]
-pub struct SkeletonOp {
-    pub kind: OperatorKind,
-    /// Jittered output/input ratio.
-    pub selectivity: f64,
-    /// Jittered output tuple width (bytes).
-    pub tuple_width: f64,
-    /// Fraction of the job's input scale this source contributes
-    /// (`0.0` for non-source operators).
-    pub source_share: f64,
-}
-
 /// A scale-free job skeleton: fixed kinds and topology, symbolic scale.
 ///
-/// Invariant (checked at construction): operators are stored in a
+/// Invariant (checked at construction): operators are added in a
 /// topological order, so every edge satisfies `from < to` — the
 /// switch-counting DP in [`crate::switches`] relies on it.
 #[derive(Debug, Clone)]
 pub struct JobSkeleton {
     pub shape: ShapeKind,
-    pub ops: Vec<SkeletonOp>,
-    pub edges: Vec<(u32, u32)>,
+    /// Unsealed. A source's `source_cardinality` is the fraction of the
+    /// job's input scale it contributes; every other operator's is 0.
+    pub plan: LogicalPlan,
 }
 
 impl JobSkeleton {
-    /// Number of operator slots.
+    /// Number of operators.
     #[inline]
     pub fn n_ops(&self) -> usize {
-        self.ops.len()
+        self.plan.n_ops()
     }
 
     /// Bind an input scale (tuples entering the job) and seal a concrete
-    /// plan. Each source receives `scale * source_share` tuples.
+    /// plan: the same operators and edges, each source receiving
+    /// `scale * share` tuples.
     pub fn instantiate(&self, scale: f64) -> LogicalPlan {
         assert!(scale > 0.0, "input scale must be positive");
         let mut plan = LogicalPlan::new();
-        for slot in &self.ops {
-            let op = if slot.kind.is_source() {
-                Operator::source(slot.kind, scale * slot.source_share)
-            } else {
-                Operator::new(slot.kind)
-            }
-            .with_selectivity(slot.selectivity)
-            .with_tuple_width(slot.tuple_width);
-            plan.add_op(op);
+        for op in self.plan.ops() {
+            plan.add_op(Operator {
+                source_cardinality: scale * op.source_cardinality,
+                ..*op
+            });
         }
-        for &(u, v) in &self.edges {
+        for &(u, v) in self.plan.edges() {
             plan.connect(u, v);
         }
         plan.seal();
@@ -185,29 +170,26 @@ fn weighted_kind(
     unreachable!("weighted draw exhausted the pool");
 }
 
-/// Jitter a kind into a [`SkeletonOp`]: selectivity and tuple width are
+/// Jitter a kind into an [`Operator`]: selectivity and tuple width are
 /// each scaled by an independent factor in `[0.5, 2)`, with selectivity
 /// capped at 8 so no single operator explodes cardinality unboundedly.
-fn jittered(rng: &mut SplitMix64, kind: OperatorKind) -> SkeletonOp {
+fn jittered(rng: &mut SplitMix64, kind: OperatorKind) -> Operator {
     let jit = |rng: &mut SplitMix64| -> f64 { (2.0_f64).powf(2.0 * rng.next_f64() - 1.0) };
     let selectivity = if kind.is_sink() {
         0.0
     } else {
         (kind.default_selectivity() * jit(rng)).min(8.0)
     };
-    SkeletonOp {
-        kind,
-        selectivity,
-        tuple_width: kind.default_tuple_width() * jit(rng),
-        source_share: 0.0,
-    }
+    Operator::new(kind)
+        .with_selectivity(selectivity)
+        .with_tuple_width(kind.default_tuple_width() * jit(rng))
 }
 
-/// A jittered source slot contributing `share` of the job scale.
-fn source_slot(rng: &mut SplitMix64, registry: &PlatformRegistry, share: f64) -> SkeletonOp {
+/// A jittered source contributing `share` of the job scale.
+fn source_slot(rng: &mut SplitMix64, registry: &PlatformRegistry, share: f64) -> Operator {
     let kind = weighted_kind(rng, registry, &SOURCE_POOL);
-    SkeletonOp {
-        source_share: share,
+    Operator {
+        source_cardinality: share,
         ..jittered(rng, kind)
     }
 }
@@ -217,28 +199,22 @@ fn source_slot(rng: &mut SplitMix64, registry: &PlatformRegistry, share: f64) ->
 fn grow_chain(
     rng: &mut SplitMix64,
     registry: &PlatformRegistry,
-    skel: &mut JobSkeleton,
+    plan: &mut LogicalPlan,
     mut prev: u32,
     n: usize,
 ) -> u32 {
     for _ in 0..n {
         let kind = weighted_kind(rng, registry, &UNARY_POOL);
-        let id = push_op(skel, jittered(rng, kind));
-        skel.edges.push((prev, id));
+        let id = plan.add_op(jittered(rng, kind));
+        plan.connect(prev, id);
         prev = id;
     }
     prev
 }
 
-fn push_op(skel: &mut JobSkeleton, op: SkeletonOp) -> u32 {
-    let id = skel.ops.len() as u32;
-    skel.ops.push(op);
-    id
-}
-
-fn push_sink(skel: &mut JobSkeleton, rng: &mut SplitMix64, prev: u32) {
-    let id = push_op(skel, jittered(rng, OperatorKind::LocalCallbackSink));
-    skel.edges.push((prev, id));
+fn push_sink(plan: &mut LogicalPlan, rng: &mut SplitMix64, prev: u32) {
+    let id = plan.add_op(jittered(rng, OperatorKind::LocalCallbackSink));
+    plan.connect(prev, id);
 }
 
 /// Sample one skeleton of `shape` with exactly `n_ops` operators
@@ -251,76 +227,72 @@ pub fn sample_skeleton(
     n_ops: usize,
 ) -> JobSkeleton {
     let n = n_ops.max(shape.min_ops());
-    let mut skel = JobSkeleton {
-        shape,
-        ops: Vec::with_capacity(n),
-        edges: Vec::with_capacity(n + 1),
-    };
+    let mut plan = LogicalPlan::new();
     match shape {
         ShapeKind::Pipeline => {
             // source → (n-2) unaries → sink.
-            let src = push_op(&mut skel, source_slot(rng, registry, 1.0));
-            let tail = grow_chain(rng, registry, &mut skel, src, n - 2);
-            push_sink(&mut skel, rng, tail);
+            let src = plan.add_op(source_slot(rng, registry, 1.0));
+            let tail = grow_chain(rng, registry, &mut plan, src, n - 2);
+            push_sink(&mut plan, rng, tail);
         }
         ShapeKind::FanIn => {
             // Two source branches → merge → tail → sink. The second source
             // contributes a minority share so branch scales differ.
             let spare = n - 5; // 2 sources + merge + 1 guaranteed branch op + sink
             let left_extra = rng.gen_range(spare + 1);
-            let a = push_op(&mut skel, source_slot(rng, registry, 1.0));
-            let left = grow_chain(rng, registry, &mut skel, a, 1 + left_extra);
+            let a = plan.add_op(source_slot(rng, registry, 1.0));
+            let left = grow_chain(rng, registry, &mut plan, a, 1 + left_extra);
             let minority_share = 0.1 + 0.4 * rng.next_f64();
-            let b = push_op(&mut skel, source_slot(rng, registry, minority_share));
-            let right = grow_chain(rng, registry, &mut skel, b, 0);
+            let b = plan.add_op(source_slot(rng, registry, minority_share));
+            let right = grow_chain(rng, registry, &mut plan, b, 0);
             let merge_kind = weighted_kind(rng, registry, &MERGE_POOL);
-            let merge = push_op(&mut skel, jittered(rng, merge_kind));
-            skel.edges.push((left, merge));
-            skel.edges.push((right, merge));
-            let tail = grow_chain(rng, registry, &mut skel, merge, spare - left_extra);
-            push_sink(&mut skel, rng, tail);
+            let merge = plan.add_op(jittered(rng, merge_kind));
+            plan.connect(left, merge);
+            plan.connect(right, merge);
+            let tail = grow_chain(rng, registry, &mut plan, merge, spare - left_extra);
+            push_sink(&mut plan, rng, tail);
         }
         ShapeKind::FanOut => {
             // source → two branches → two sinks.
             let spare = n - 5; // source + 1 op per branch + 2 sinks
             let upper_extra = rng.gen_range(spare + 1);
-            let src = push_op(&mut skel, source_slot(rng, registry, 1.0));
-            let up = grow_chain(rng, registry, &mut skel, src, 1 + upper_extra);
-            push_sink(&mut skel, rng, up);
-            let down = grow_chain(rng, registry, &mut skel, src, 1 + spare - upper_extra);
-            push_sink(&mut skel, rng, down);
+            let src = plan.add_op(source_slot(rng, registry, 1.0));
+            let up = grow_chain(rng, registry, &mut plan, src, 1 + upper_extra);
+            push_sink(&mut plan, rng, up);
+            let down = grow_chain(rng, registry, &mut plan, src, 1 + spare - upper_extra);
+            push_sink(&mut plan, rng, down);
         }
         ShapeKind::Diamond => {
             // source → two branches → merge → tail → sink.
             let spare = n - 6; // source + 2 branch ops + merge + 1 tail op + sink
             let upper_extra = rng.gen_range(spare + 1);
-            let src = push_op(&mut skel, source_slot(rng, registry, 1.0));
-            let up = grow_chain(rng, registry, &mut skel, src, 1 + upper_extra);
-            let down = grow_chain(rng, registry, &mut skel, src, 1);
+            let src = plan.add_op(source_slot(rng, registry, 1.0));
+            let up = grow_chain(rng, registry, &mut plan, src, 1 + upper_extra);
+            let down = grow_chain(rng, registry, &mut plan, src, 1);
             let merge_kind = weighted_kind(rng, registry, &MERGE_POOL);
-            let merge = push_op(&mut skel, jittered(rng, merge_kind));
-            skel.edges.push((up, merge));
-            skel.edges.push((down, merge));
-            let tail = grow_chain(rng, registry, &mut skel, merge, 1 + spare - upper_extra);
-            push_sink(&mut skel, rng, tail);
+            let merge = plan.add_op(jittered(rng, merge_kind));
+            plan.connect(up, merge);
+            plan.connect(down, merge);
+            let tail = grow_chain(rng, registry, &mut plan, merge, 1 + spare - upper_extra);
+            push_sink(&mut plan, rng, tail);
         }
         ShapeKind::Iterative => {
             // source → Cache → RepeatLoop → body → sink (unrolled loop).
-            let src = push_op(&mut skel, source_slot(rng, registry, 1.0));
-            let cache = push_op(&mut skel, jittered(rng, OperatorKind::Cache));
-            skel.edges.push((src, cache));
-            let repeat = push_op(&mut skel, jittered(rng, OperatorKind::RepeatLoop));
-            skel.edges.push((cache, repeat));
-            let tail = grow_chain(rng, registry, &mut skel, repeat, n - 4);
-            push_sink(&mut skel, rng, tail);
+            let src = plan.add_op(source_slot(rng, registry, 1.0));
+            let cache = plan.add_op(jittered(rng, OperatorKind::Cache));
+            plan.connect(src, cache);
+            let repeat = plan.add_op(jittered(rng, OperatorKind::RepeatLoop));
+            plan.connect(cache, repeat);
+            let tail = grow_chain(rng, registry, &mut plan, repeat, n - 4);
+            push_sink(&mut plan, rng, tail);
         }
     }
-    debug_assert_eq!(skel.n_ops(), n, "shape builder dropped an operator");
+    debug_assert_eq!(plan.n_ops(), n, "shape builder dropped an operator");
     debug_assert!(
-        skel.edges.iter().all(|&(u, v)| u < v),
+        plan.edges().iter().all(|&(u, v)| u < v),
         "skeleton edges must be topologically ordered"
     );
-    skel
+    JobSkeleton { shape, plan }
 }
 
 #[cfg(test)]
@@ -339,7 +311,7 @@ mod tests {
             for n in [shape.min_ops(), shape.min_ops() + 3, 14] {
                 let skel = sample_skeleton(&mut rng, &registry, shape, n);
                 assert_eq!(skel.n_ops(), n.max(shape.min_ops()));
-                assert!(skel.edges.iter().all(|&(u, v)| u < v));
+                assert!(skel.plan.edges().iter().all(|&(u, v)| u < v));
                 let plan = skel.instantiate(1e6);
                 assert!(plan.is_connected(), "{shape:?} plan must be connected");
                 assert!(plan.in_tuples().iter().all(|t| t.is_finite()));
@@ -364,6 +336,40 @@ mod tests {
         }
     }
 
+    /// Pinned before skeletons became plans: every operator field, edge and
+    /// cardinality of 5 shapes x 40 draws, each instantiated at three scales.
+    #[test]
+    fn instantiated_skeletons_are_pinned() {
+        let registry = PlatformRegistry::named();
+        let mut rng = SplitMix64::new(0x5EED_5CA1E);
+        let mut digest = robopt_vector::SigHasher::new();
+        for shape in ShapeKind::ALL {
+            for _ in 0..40 {
+                let n_ops = shape.min_ops() + rng.gen_range(10);
+                let skel = sample_skeleton(&mut rng, &registry, shape, n_ops);
+                for scale in [1e4, 3.7e6, 1e9] {
+                    let plan = skel.instantiate(scale);
+                    for op in plan.ops() {
+                        digest.write_u64(op.kind.index() as u64);
+                        digest.write_f64_bits(op.selectivity);
+                        digest.write_f64_bits(op.tuple_width);
+                        digest.write_f64_bits(op.source_cardinality);
+                        digest.write_u64(u64::from(op.iterations));
+                    }
+                    for &(u, v) in plan.edges() {
+                        digest.write_u64(u64::from(u) << 32 | u64::from(v));
+                    }
+                    for column in [plan.in_tuples(), plan.out_card()] {
+                        for &x in column {
+                            digest.write_f64_bits(x);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest.finish(), 0x271a_0959_9167_563a);
+    }
+
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let registry = PlatformRegistry::named();
@@ -371,8 +377,8 @@ mod tests {
         let mut b = SplitMix64::new(11);
         let x = sample_skeleton(&mut a, &registry, ShapeKind::Diamond, 9);
         let y = sample_skeleton(&mut b, &registry, ShapeKind::Diamond, 9);
-        assert_eq!(x.edges, y.edges);
-        for (p, q) in x.ops.iter().zip(&y.ops) {
+        assert_eq!(x.plan.edges(), y.plan.edges());
+        for (p, q) in x.plan.ops().iter().zip(y.plan.ops()) {
             assert_eq!(p.kind, q.kind);
             assert_eq!(p.selectivity.to_bits(), q.selectivity.to_bits());
             assert_eq!(p.tuple_width.to_bits(), q.tuple_width.to_bits());

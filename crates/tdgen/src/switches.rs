@@ -29,7 +29,7 @@ pub fn max_switches(skeleton: &JobSkeleton, assign: &[u8]) -> usize {
     assert_eq!(assign.len(), skeleton.n_ops(), "one platform per operator");
     let mut best = vec![0usize; skeleton.n_ops()];
     let mut overall = 0;
-    for &(u, v) in &skeleton.edges {
+    for &(u, v) in skeleton.plan.edges() {
         debug_assert!(u < v, "skeleton edges must be topologically ordered");
         let (u, v) = (u as usize, v as usize);
         let hop = best[u] + usize::from(assign[u] != assign[v]);
@@ -44,14 +44,11 @@ pub fn max_switches(skeleton: &JobSkeleton, assign: &[u8]) -> usize {
 /// Incremental walk state: `best[v]` = worst switch count on any path from
 /// a source to `v`, over the assigned prefix `0..=v`.
 fn prefix_switches(skeleton: &JobSkeleton, assign: &[u8], best: &mut [usize], v: usize) -> usize {
-    let mut worst = 0;
-    for &(a, b) in &skeleton.edges {
-        if b as usize != v {
-            continue;
-        }
-        let hop = best[a as usize] + usize::from(assign[a as usize] != assign[v]);
-        worst = worst.max(hop);
-    }
+    let preds = skeleton.plan.preds(v as u32).iter().map(|&u| u as usize);
+    let worst = preds
+        .map(|u| best[u] + usize::from(assign[u] != assign[v]))
+        .max()
+        .unwrap_or(0);
     best[v] = worst;
     worst
 }
@@ -65,12 +62,12 @@ fn placeable(
     assign: &[u8],
     op: usize,
 ) -> Vec<u8> {
+    let preds = skeleton.plan.preds(op as u32);
     registry
-        .available_platforms(skeleton.ops[op].kind)
+        .available_platforms(skeleton.plan.op(op as u32).kind)
         .filter(|&p| {
-            skeleton.edges.iter().all(|&(a, b)| {
-                b as usize != op
-                    || registry.convertible(PlatformId::from_index(assign[a as usize] as usize), p)
+            preds.iter().all(|&u| {
+                registry.convertible(PlatformId::from_index(assign[u as usize] as usize), p)
             })
         })
         .map(|p| p.raw())
@@ -144,9 +141,10 @@ mod tests {
                 .expect("named registry always admits a 2-switch assignment");
             assert!(max_switches(&skel, &a) <= 2);
             for (op, &p) in a.iter().enumerate() {
-                assert!(
-                    registry.is_available(skel.ops[op].kind, PlatformId::from_index(p as usize))
-                );
+                assert!(registry.is_available(
+                    skel.plan.op(op as u32).kind,
+                    PlatformId::from_index(p as usize)
+                ));
             }
         }
     }

@@ -196,8 +196,9 @@ impl EnumMatrix {
 /// forwards a view by value needs to know nothing. A consumer that indexes
 /// rows by full-layout cell calls [`RowsView::full`] first (the identity on a
 /// full view); [`RowsView::row`] and [`RowsView::flat`] refuse a packed view
-/// in every build profile, so it can never silently read the wrong cell. A
-/// linear model walks [`RowsView::runs`] over [`RowsView::cells`] directly.
+/// in every build profile, so it can never silently read the wrong cell.
+/// The analytic oracle (`robopt_core::AnalyticOracle`) walks
+/// [`RowsView::runs`] over [`RowsView::cells`] directly.
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
     cells: &'a [f64],

@@ -14,8 +14,9 @@
 //!   cardinality propagation and juncture flags, the seeded RNG,
 //!   `WorkloadSpec` and the workload builders, the one fan-out, core count
 //!   and wall clock (`par`), and the one open-addressing hash table
-//!   (`index`: `HashIndex` and `KeyMap`), which pruning, the plan cache and
-//!   the engine's keyed operators and join share;
+//!   (`index`: `HashIndex` and `KeyMap`, a map to any value), which
+//!   pruning, the plan cache (a `KeyMap` of responses) and the engine's
+//!   keyed operators and join share;
 //! * [`robopt_platforms`] — the platform registry with its per-kind
 //!   availability masks, channels and conversion graph (COT), the
 //!   deterministic runtime simulator, and the `ExecutionBackend` seam;
@@ -38,7 +39,8 @@
 //!   and parallel enumerator, `EnumStats`;
 //! * [`robopt_baselines`] — the object-graph "Rheem-ML" enumerator and
 //!   exhaustive search;
-//! * [`robopt_tdgen`] — TDGEN: shape templates, the β-bounded assignment
+//! * [`robopt_tdgen`] — TDGEN: shape templates (a skeleton is an unsealed
+//!   `LogicalPlan` with its sources' scale shares), the β-bounded assignment
 //!   walk, piecewise log-log interpolation behind the one knot sweep
 //!   (`Curve`), and the generator, whose one setting is its seed;
 //! * [`robopt`] (re-exported as [`service`]) — the service facade:

@@ -95,7 +95,7 @@ fn seeded_run_digest() -> u64 {
         // the cache disabled — must be bit-identical before digesting.
         let mut warm = Optimizer::new(PlatformRegistry::uniform(k));
         let mut cold = Optimizer::new(PlatformRegistry::uniform(k));
-        cold.set_cache_enabled(false);
+        cold.set_cache_capacity(0);
         let best = warm.optimize(&serial_req).expect("serial optimize");
         let hit = warm.optimize(&serial_req).expect("memoized optimize");
         let recomputed = cold.optimize(&serial_req).expect("cache-off optimize");

@@ -84,7 +84,7 @@ fn tiny_cache_evicts_consistently_and_never_changes_responses() {
     let mut opt = Optimizer::new(PlatformRegistry::uniform(3));
     opt.set_cache_capacity(4);
     let mut reference = Optimizer::new(PlatformRegistry::uniform(3));
-    reference.set_cache_enabled(false);
+    reference.set_cache_capacity(0);
 
     // 12 distinct signatures through a 4-slot table: evictions guaranteed.
     let specs: Vec<WorkloadSpec> = (0..12)
@@ -225,7 +225,7 @@ fn risk_policies_get_their_own_cache_entries() {
     // Cache-off recompute per policy stays bit-identical too, and the
     // forest-backed response carries a real (ordered) uncertainty band.
     let mut reference = Optimizer::named();
-    reference.set_cache_enabled(false);
+    reference.set_cache_capacity(0);
     reference
         .train(&TrainRequest::new(200))
         .expect("same training request, same forest");
@@ -383,4 +383,34 @@ fn every_random_dag_the_wire_accepts_is_answered() {
     // Most of the domain is large: ops is uniform up to 128, and the
     // budget answers default-density DAGs up to about 16 operators.
     assert_eq!((answered, refused), (15, 49));
+}
+
+/// Caching off is one state, however it is asked for: a facade switched
+/// off with `set_cache_enabled(false)` and one given capacity 0 answer the
+/// same requests with the same responses and report the same counters,
+/// capacity 0 and one miss per `optimize` call, repeats included.
+#[test]
+fn a_cache_off_facade_counts_every_lookup_as_a_miss() {
+    let mut switched_off = Optimizer::named();
+    switched_off.set_cache_enabled(false);
+    let mut zero = Optimizer::named();
+    zero.set_cache_capacity(0);
+    let requests = [
+        OptimizeRequest::new(WorkloadSpec::WordCount { scale: 1e5 }),
+        OptimizeRequest::new(WorkloadSpec::WordCount { scale: 1e5 }),
+        OptimizeRequest::new(WorkloadSpec::TpchQ3 { scale: 1e6 }),
+        OptimizeRequest::new(WorkloadSpec::WordCount { scale: 1e5 })
+            .with_risk(RiskPolicy::MeanPlusKSigma(1.0)),
+        OptimizeRequest::new(WorkloadSpec::TpchQ3 { scale: 1e6 }),
+    ];
+    for req in &requests {
+        let a = switched_off.optimize(req).expect("cache-off optimize");
+        let b = zero.optimize(req).expect("capacity-0 optimize");
+        assert_eq!(a, b);
+    }
+    let stats = zero.cache_stats();
+    assert_eq!(switched_off.cache_stats(), stats);
+    assert_eq!((stats.capacity, stats.len), (0, 0));
+    assert_eq!((stats.hits, stats.misses), (0, requests.len() as u64));
+    assert_eq!((stats.insertions, stats.evictions), (0, 0));
 }

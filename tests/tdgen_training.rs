@@ -96,9 +96,9 @@ fn brute_force_feasible(skel: &JobSkeleton, registry: &PlatformRegistry) -> Vec<
             code /= k as u64;
         }
         let kinds_ok = assign.iter().enumerate().all(|(op, &p)| {
-            registry.is_available(skel.ops[op].kind, PlatformId::from_index(p as usize))
+            registry.is_available(skel.plan.ops()[op].kind, PlatformId::from_index(p as usize))
         });
-        let edges_ok = skel.edges.iter().all(|&(u, v)| {
+        let edges_ok = skel.plan.edges().iter().all(|&(u, v)| {
             registry.convertible(
                 PlatformId::from_index(assign[u as usize] as usize),
                 PlatformId::from_index(assign[v as usize] as usize),
