@@ -11,9 +11,10 @@ use robopt_vector::{FeatureLayout, RowsView};
 const BATCH_ROWS: usize = 256;
 
 /// Size of the unpruned search space: `k^n` (may far exceed `u64` for the
-/// Table-I (20, 5) point, hence `u128`).
+/// Table-I (20, 5) point, hence `u128`), saturating at `u128::MAX` once
+/// `n · log₂ k` reaches 128 (Pipeline-128 on eight platforms).
 pub fn exhaustive_count(n_ops: usize, n_platforms: usize) -> u128 {
-    (n_platforms as u128).pow(n_ops as u32)
+    (n_platforms as u128).saturating_pow(n_ops as u32)
 }
 
 /// Cost every feasible one of the `k^n` full assignments (availability and
@@ -111,6 +112,9 @@ mod tests {
     fn counts_grow_as_k_to_the_n() {
         assert_eq!(exhaustive_count(5, 2), 32);
         assert_eq!(exhaustive_count(20, 5), 95_367_431_640_625);
+        assert_eq!(exhaustive_count(127, 2), 1 << 127);
+        assert_eq!(exhaustive_count(128, 2), u128::MAX);
+        assert_eq!(exhaustive_count(128, 8), u128::MAX);
     }
 
     #[test]

@@ -41,11 +41,8 @@ fn measure(task: &'static str, spec: WorkloadSpec) -> Row {
     let mut opt = Optimizer::new(PlatformRegistry::uniform(PLATFORMS));
     // Timing a memoized replay would measure the cache, not enumeration.
     opt.set_cache_capacity(0);
-    let req = OptimizeRequest::new(spec).with_policy(
-        ExecutionPolicy::default()
-            .with_workers(1)
-            .with_split_parts(1),
-    );
+    let req =
+        OptimizeRequest::new(spec).with_policy(ExecutionPolicy::default().with_split_parts(1));
 
     let cold = opt.optimize(&req).expect("vector optimize");
     let (vector_cost, ops) = (cold.cost, cold.assignments.len());

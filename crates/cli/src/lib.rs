@@ -73,16 +73,16 @@ USAGE:
       policy (\"risk\", default expected). The plan cache holds 256
       responses; --cache-capacity 0 turns it off.
 
-  robopt optimize [workload flags] [--workers N] [--split-parts N]
-                  [--no-prune] [--no-clamp] [--risk POLICY] [--model FILE]
+  robopt optimize [workload flags] [--split-parts N] [--no-prune]
+                  [--risk POLICY] [--model FILE]
   robopt execute  [workload flags] [--backend engine|simulator]
                   [--engine-workers N] [--assign p1,p2,...] [--seed N]
                   [--noise X] [--model FILE]
       Actually run the workload (engine: measured runtimes, real output
       rows and digest; simulator: modeled, --seed/--noise apply). Empty
       --assign optimizes first and executes the winner.
-  robopt compare  [workload flags] [--workers N] [--split-parts N]
-                  [--no-prune] [--no-clamp] [--sim-seed N] [--model FILE]
+  robopt compare  [workload flags] [--split-parts N] [--no-prune]
+                  [--sim-seed N] [--model FILE]
   robopt train    [--rows N] [--trees N] [--source simulator|tdgen]
                   [--seed N] [--noise X] [--forest-seed N] [--model-out FILE]
       One-shot verbs: the flags become the request line a serve client
@@ -139,10 +139,8 @@ const FLAGS: &[FlagRow] = &[
     ("--dag-seed", WORKLOAD, "workload.seed", Kind::Num),
     ("--density", WORKLOAD, "workload.density", Kind::Num),
     ("--iterations", WORKLOAD, "workload.iterations", Kind::Num),
-    ("--workers", POLICY, "policy.workers", Kind::Num),
     ("--split-parts", POLICY, "policy.split_parts", Kind::Num),
     ("--no-prune", POLICY, "policy.prune", Kind::Off),
-    ("--no-clamp", POLICY, "policy.hardware_clamp", Kind::Off),
     ("--risk", &["optimize"], "risk", Kind::Str),
     ("--backend", &["execute"], "backend", Kind::Str),
     ("--engine-workers", &["execute"], "workers", Kind::Num),
@@ -535,10 +533,8 @@ mod tests {
             ("--dag-seed", "5", &["--workload", "random_dag"], r#"{"op":"optimize","workload":{"kind":"random_dag","seed":5}}"#),
             ("--density", "0.7", &["--workload", "random_dag"], r#"{"op":"optimize","workload":{"kind":"random_dag","density":0.7}}"#),
             ("--iterations", "3", &["--workload", "pagerank"], r#"{"op":"optimize","workload":{"kind":"pagerank","iterations":3}}"#),
-            ("--workers", "3", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"workers":3}}"#),
             ("--split-parts", "2", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"split_parts":2}}"#),
             ("--no-prune", "", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"prune":false}}"#),
-            ("--no-clamp", "", &[], r#"{"op":"optimize","workload":{"kind":"wordcount"},"policy":{"hardware_clamp":false}}"#),
             ("--risk", "q0.9", &[], r#"{"op":"optimize","risk":"q0.9","workload":{"kind":"wordcount"}}"#),
             ("--backend", "simulator", &[], r#"{"op":"execute","backend":"simulator","workload":{"kind":"wordcount"}}"#),
             ("--engine-workers", "3", &[], r#"{"op":"execute","workers":3,"workload":{"kind":"wordcount"}}"#),
@@ -583,7 +579,7 @@ mod tests {
         // round-trip; a list drops blanks; no flags is the bare verb.
         #[rustfmt::skip]
         let lines = [
-            ("optimize", "--risk|sigma2|--scale|1e5|--no-prune|--workload|pipeline|--ops|24|--workers|2", r#"{"op":"optimize","risk":"sigma2","workload":{"scale":100000.0,"kind":"pipeline","ops":24},"policy":{"prune":false,"workers":2}}"#),
+            ("optimize", "--risk|sigma2|--scale|1e5|--no-prune|--workload|pipeline|--ops|24|--split-parts|2", r#"{"op":"optimize","risk":"sigma2","workload":{"scale":100000.0,"kind":"pipeline","ops":24},"policy":{"prune":false,"split_parts":2}}"#),
             ("execute", "--assign| java , ,spark,|--scale|18446744073709551616|--seed|18446744073709551615", r#"{"op":"execute","assignments":["java","spark"],"seed":18446744073709551615,"workload":{"kind":"wordcount","scale":1.8446744073709552e19}}"#),
             ("train", "", r#"{"op":"train"}"#),
         ];
@@ -852,6 +848,11 @@ mod tests {
             ("serve", &["--risk", "sigma2"], "--risk"),
             // Caching off is `--cache-capacity 0`; there is no second switch.
             ("serve", &["--no-cache"], "--no-cache"),
+            // Enumeration runs on one thread: no worker count, no clamp.
+            ("optimize", &["--workers", "2"], "--workers"),
+            ("compare", &["--workers", "2"], "--workers"),
+            ("optimize", &["--no-clamp"], "--no-clamp"),
+            ("compare", &["--no-clamp"], "--no-clamp"),
         ] {
             let err = parse_flags(verb, &args(bad)).expect_err("bad command line");
             assert!(err.contains(names), "{verb} {bad:?}: {err:?}");
@@ -869,14 +870,14 @@ mod tests {
         assert_eq!(
             request(
                 "optimize",
-                &["--no-clamp", "--workload", "pipeline", "--ops", "24"]
+                &["--no-prune", "--workload", "pipeline", "--ops", "24"]
             ),
             Ok(Request::Optimize(
                 robopt::OptimizeRequest::new(robopt::WorkloadSpec::Pipeline {
                     ops: 24,
                     scale: 1e5
                 })
-                .with_policy(robopt::ExecutionPolicy::default().with_hardware_clamp(false))
+                .with_policy(robopt::ExecutionPolicy::default().with_prune(false))
             ))
         );
     }

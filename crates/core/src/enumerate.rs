@@ -178,8 +178,8 @@ pub struct EnumStats {
 
 impl EnumStats {
     /// Fold another run's counters into this one: totals add, the peak
-    /// takes the max. The parallel enumerator folds per-part stats in part
-    /// order, so the combined counters are scheduling-independent.
+    /// takes the max. A split search folds each part's counters, in part
+    /// order, into the total its seam merge is budgeted against.
     pub fn absorb(&mut self, other: &EnumStats) {
         self.generated += other.generated;
         self.kept += other.kept;
@@ -246,18 +246,16 @@ pub type MergeKey = (u32, u64, u32);
 /// One live node of the enumeration graph: the scope it covers and the
 /// matrix of surviving candidate rows for that scope.
 #[derive(Debug)]
-pub(crate) struct Unit {
-    pub(crate) scope: Scope,
-    pub(crate) mat: EnumMatrix,
+struct Unit {
+    scope: Scope,
+    mat: EnumMatrix,
 }
 
 /// The vector-based enumerator with pooled, reusable buffers.
 ///
-/// [`Enumerator::enumerate`] is the one-call serial entry point. The
-/// `pub(crate)` phase methods (`begin` / `seed_singletons` /
-/// `contract_edges` / `install_unit` / `finish`) expose the same machinery
-/// piecewise so `crate::parallel` can run one `Enumerator` per plan part
-/// and a final seam-merge pass without duplicating the hot loop.
+/// [`Enumerator::enumerate`] is the one-call serial entry point; the split
+/// driver (`crate::parallel`) runs the same contract loop,
+/// `Enumerator::enumerate_parts`, over the parts and seams of a plan split.
 #[derive(Debug, Default)]
 pub struct Enumerator {
     pool: Vec<EnumMatrix>,
@@ -286,12 +284,8 @@ pub struct Enumerator {
 
 /// The contract every enumeration entry point ([`Enumerator::enumerate`],
 /// `ParallelEnumerator::enumerate`) holds its caller to, checked before any
-/// work (or any worker thread) starts.
-pub(crate) fn check_preconditions(
-    plan: &LogicalPlan,
-    layout: &FeatureLayout,
-    opts: EnumOptions<'_>,
-) {
+/// work starts.
+fn check_preconditions(plan: &LogicalPlan, layout: &FeatureLayout, opts: EnumOptions<'_>) {
     let k = opts.n_platforms();
     let oracle = opts.oracle();
     assert!(plan.n_ops() >= 1, "empty plan");
@@ -368,7 +362,7 @@ impl Enumerator {
         clippy::expect_used,
         reason = "union-find root always holds a live unit (contracted roots are never re-found)"
     )]
-    pub(crate) fn take_unit(&mut self, r: u32) -> Unit {
+    fn take_unit(&mut self, r: u32) -> Unit {
         self.units
             .get_mut(r as usize)
             .and_then(Option::take)
@@ -381,7 +375,7 @@ impl Enumerator {
     /// the pool a first run leaves behind serves every later run of the
     /// same plan shape without growing (best fit never strands a demand
     /// another choice could have served).
-    pub(crate) fn take_mat(&mut self, width: usize, n_ops: usize, rows_hint: usize) -> EnumMatrix {
+    fn take_mat(&mut self, width: usize, n_ops: usize, rows_hint: usize) -> EnumMatrix {
         let needed = rows_hint * width;
         let fit = (0..self.pool.len())
             .filter(|&i| self.pool[i].feat_capacity() >= needed)
@@ -414,9 +408,7 @@ impl Enumerator {
 
     /// Reset per-run state for an `n`-operator plan: no live units yet,
     /// identity union-find, scratch rows sized to the plan's own layout.
-    /// Phase entry point for `crate::parallel`; [`Enumerator::enumerate`]
-    /// uses it too.
-    pub(crate) fn begin(&mut self, n: usize, layout: &PlanLayout) {
+    fn begin(&mut self, n: usize, layout: &PlanLayout) {
         self.units.clear();
         self.units.resize_with(n, || None);
         self.parent.clear();
@@ -432,7 +424,7 @@ impl Enumerator {
     /// The rows are scored (one batched oracle call per unit) only for a
     /// one-operator plan, where [`Enumerator::finish`] picks among them:
     /// a merge reads the costs of the unit it builds, never of its inputs.
-    pub(crate) fn seed_singletons(
+    fn seed_singletons(
         &mut self,
         plan: &LogicalPlan,
         layout: &PlanLayout,
@@ -479,41 +471,6 @@ impl Enumerator {
         }
     }
 
-    /// Install a pre-built unit (a finished part's surviving rows), anchored
-    /// at the scope's lowest op id so later [`Enumerator::find`] calls from
-    /// any covered operator land on it.
-    pub(crate) fn install_unit(&mut self, scope: Scope, mat: EnumMatrix) {
-        #[expect(
-            clippy::expect_used,
-            reason = "installing an empty-scope unit is a caller bug"
-        )]
-        let root = scope.min_op().expect("non-empty unit scope");
-        for op in scope.ops() {
-            self.parent[op as usize] = root;
-        }
-        self.units[root as usize] = Some(Unit { scope, mat });
-    }
-
-    /// Return a consumed matrix to this enumerator's pool for reuse.
-    #[inline]
-    pub(crate) fn recycle(&mut self, mat: EnumMatrix) {
-        self.pool.push(mat);
-    }
-
-    /// Collect the distinct union-find roots currently covering `scope`
-    /// into `out` (cleared first), in ascending first-discovery order. A
-    /// part whose subgraph is internally disconnected survives as several
-    /// roots; the seam phase exports each as its own unit.
-    pub(crate) fn surviving_roots(&mut self, scope: Scope, out: &mut Vec<u32>) {
-        out.clear();
-        for op in scope.ops() {
-            let r = self.find(op);
-            if !out.contains(&r) {
-                out.push(r);
-            }
-        }
-    }
-
     /// Current Def-3 key of dataflow edge `e` and the roots of the two units
     /// it would merge; `None` once both endpoints share a unit. Leaves the
     /// merged scope's boundary operators in `self.boundary`: their count
@@ -540,11 +497,11 @@ impl Enumerator {
     /// over the original edge index. Lazy staleness handling: an entry whose
     /// stored key no longer matches current unit state is re-pushed with the
     /// current value. Every listed edge's endpoints must already be covered
-    /// by live units (seeded singletons or installed part results).
+    /// by live units (seeded singletons or earlier merges).
     ///
     /// Refuses, before taking the units apart, the first merge that would
     /// take `stats.generated` past `max_rows`.
-    pub(crate) fn contract_edges(
+    fn contract_edges(
         &mut self,
         plan: &LogicalPlan,
         layout: &PlanLayout,
@@ -719,12 +676,12 @@ impl Enumerator {
     /// call. Selection uses the merge-tree costs, but the
     /// *reported* cost is a pure function of (plan, assignment, oracle),
     /// independent of the order floating-point additions happened in — so
-    /// serial and split-parallel enumeration agree on cost bits. Under a
+    /// serial and split enumeration agree on cost bits. Under a
     /// non-`ExpectedCost` risk policy the stored row costs are risk scores,
     /// so `min_cost_row` picks the min-*risk* plan; the reported cost is
     /// still the canonical mean of that winner (risk changes which plan
     /// wins, never how its cost is quoted — DESIGN §12).
-    pub(crate) fn finish(
+    fn finish(
         &mut self,
         plan: &LogicalPlan,
         layout: &PlanLayout,
@@ -774,19 +731,41 @@ impl Enumerator {
         opts: EnumOptions<'_>,
         max_rows: u64,
     ) -> Result<(ExecutionPlan, EnumStats), OverBudget> {
-        check_preconditions(plan, layout, opts);
-        let n = plan.n_ops();
-        let mut stats = EnumStats::default();
-        let layout = &PlanLayout::of(plan, layout);
-
-        self.begin(n, layout);
-        self.seed_singletons(plan, layout, opts, Scope::full(n), &mut stats);
         let mut edges = std::mem::take(&mut self.edge_idx);
         edges.clear();
         edges.extend(0..plan.edges().len() as u32);
-        let contracted = self.contract_edges(plan, layout, opts, &edges, max_rows, &mut stats);
+        let whole = (Scope::full(plan.n_ops()), &edges[..]);
+        let search = self.enumerate_parts(plan, layout, opts, [whole], &[], max_rows);
         self.edge_idx = edges;
-        contracted?;
+        search
+    }
+
+    /// The one contract loop, for the whole plan as one part and for a
+    /// split alike: each part, in order, seeds its operators' singletons and
+    /// contracts its edges against counters of its own (so refused past
+    /// `max_rows` rows of its own), which then fold into the total; the
+    /// seam edges contract last, against that total. Parts must be disjoint
+    /// and, with the seams, cover the plan's operators and edges.
+    pub(crate) fn enumerate_parts<'e>(
+        &mut self,
+        plan: &LogicalPlan,
+        layout: &FeatureLayout,
+        opts: EnumOptions<'_>,
+        parts: impl IntoIterator<Item = (Scope, &'e [u32])>,
+        seams: &[u32],
+        max_rows: u64,
+    ) -> Result<(ExecutionPlan, EnumStats), OverBudget> {
+        check_preconditions(plan, layout, opts);
+        let layout = &PlanLayout::of(plan, layout);
+        self.begin(plan.n_ops(), layout);
+        let mut stats = EnumStats::default();
+        for (scope, edges) in parts {
+            let mut part = EnumStats::default();
+            self.seed_singletons(plan, layout, opts, scope, &mut part);
+            self.contract_edges(plan, layout, opts, edges, max_rows, &mut part)?;
+            stats.absorb(&part);
+        }
+        self.contract_edges(plan, layout, opts, seams, max_rows, &mut stats)?;
         Ok((self.finish(plan, layout, opts), stats))
     }
 }

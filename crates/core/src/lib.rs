@@ -20,9 +20,9 @@
 //! * [`split`] — deterministic low-connectivity plan partitioning (the
 //!   paper's `split`): minimum-crossing-edge cut boundaries over the
 //!   topological order, never through a `RepeatLoop` region;
-//! * [`parallel`] — the split-enumerate-merge driver running one
-//!   enumerator per part on `robopt_plan::par`'s scoped fan-out,
-//!   bit-identical across thread counts (DESIGN §9).
+//! * [`parallel`] — the split driver: a split is an edge schedule on one
+//!   enumerator, its parts contracted in order, then its seams (DESIGN
+//!   §9).
 
 pub mod dist;
 pub mod enumerate;

@@ -34,12 +34,7 @@ use crate::dist::CostDistribution;
 /// so the analytic model, the learned forest (`robopt_ml::RandomForest`
 /// behind `robopt_ml::ModelOracle`) and test doubles are interchangeable
 /// without monomorphizing a copy of the enumeration loop per model.
-///
-/// `Sync` is a supertrait: the parallel enumerator shares one
-/// `&dyn CostOracle` across its worker threads (costing is read-only), so
-/// every oracle must be safe to call concurrently. All in-tree models
-/// already are — they hold only immutable weight tables.
-pub trait CostOracle: Sync {
+pub trait CostOracle {
     /// Width of the feature rows this oracle expects — the
     /// [`FeatureLayout::width`] it was built against. Both batch paths
     /// validate incoming rows against it, killing the silent wrong-layout

@@ -53,14 +53,10 @@ fn warmed_enumerator_performs_no_matrix_allocation() {
         exec
     });
 
-    // Split-parallel path: each part enumerator and the seam merger own
-    // their own pools, so the guarantee extends across threads — after
-    // warm-up, a parallel run grows nothing either. Clamp off so worker
-    // threads really run even on a single-core host (the counter is a
-    // process-global relaxed atomic; any cross-thread growth would show).
-    let mut parallel = ParallelEnumerator::new(2)
-        .with_split(SplitOptions::new(4))
-        .with_hardware_clamp(false);
+    // Split path: parts and seams run on the driver's one enumerator, so
+    // its one pool serves them all — after warm-up, a split run grows
+    // nothing either.
+    let mut parallel = ParallelEnumerator::default().with_split(SplitOptions::new(4));
     let split = settles_after_one_run("split", 5, || {
         let (exec, stats) = parallel.enumerate(&plan, &layout, opts);
         assert!(stats.generated > 0);
@@ -82,7 +78,7 @@ fn warmed_enumerator_performs_no_matrix_allocation() {
     let layout = FeatureLayout::new(8, N_OPERATOR_KINDS);
     let oracle = AnalyticOracle::for_registry(&registry, &layout);
     let opts = EnumOptions::new(&registry).with_oracle(&oracle);
-    let mut parallel = ParallelEnumerator::new(1).with_split(SplitOptions::new(8));
+    let mut parallel = ParallelEnumerator::default().with_split(SplitOptions::new(8));
     settles_after_one_run("wide split", 19, || {
         parallel.enumerate(&wide_plan, &layout, opts).0
     });

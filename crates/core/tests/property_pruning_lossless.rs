@@ -113,7 +113,7 @@ fn masked_registry(rng: &mut SplitMix64, k: usize) -> PlatformRegistry {
 fn pruned_priority_enumeration_matches_exhaustive_optimum() {
     let mut e = Enumerators {
         serial: Enumerator::new(),
-        split: ParallelEnumerator::new(1).with_split(SplitOptions::new(3)),
+        split: ParallelEnumerator::default().with_split(SplitOptions::new(3)),
         object: ObjectEnumerator::new(),
     };
 

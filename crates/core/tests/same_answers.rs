@@ -138,7 +138,7 @@ fn row_digest(plan: &LogicalPlan, registry: &PlatformRegistry, parts: usize, pru
         let (exec, stats) = if parts == 1 {
             Enumerator::new().enumerate(plan, &layout, opts)
         } else {
-            ParallelEnumerator::new(1)
+            ParallelEnumerator::default()
                 .with_split(SplitOptions::new(parts))
                 .enumerate(plan, &layout, opts)
         };

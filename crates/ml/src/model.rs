@@ -94,13 +94,10 @@ impl<M: Model> ModelOracle<M> {
     }
 }
 
-// `CostOracle: Sync` (the parallel enumerator shares one oracle across its
-// workers), so the wrapped model must be `Sync` too. Every in-tree model
-// is: fitted state is immutable weight/tree tables. The bound is
-// `DistModel` (not bare `Model`) so `cost_batch_dist` can forward to the
-// model's distributional pass — stable Rust has no specialization to do
-// that selectively.
-impl<M: DistModel + Sync> CostOracle for ModelOracle<M> {
+// The bound is `DistModel` (not bare `Model`) so `cost_batch_dist` can
+// forward to the model's distributional pass — stable Rust has no
+// specialization to do that selectively.
+impl<M: DistModel> CostOracle for ModelOracle<M> {
     fn width(&self) -> usize {
         self.model.width()
     }

@@ -40,9 +40,27 @@ impl HashIndex {
         }
     }
 
-    /// Forget every entry, keeping the table's size and allocation.
-    pub fn clear(&mut self) {
-        self.slots.fill(0);
+    /// Forget the `len` indexed entries, hashed as `hash_of` says,
+    /// keeping the table's size and allocation. A table holding few
+    /// entries next to its size — the pruning table after one large merge
+    /// grew it — empties the run of slots from each entry's home onward
+    /// instead of every slot, so a clear costs what was indexed, not what
+    /// the largest use left behind. An entry lies between its home and the
+    /// end of the run through it, and a walk empties a run from where it
+    /// starts to its end, so each walk finds its entry or finds it gone.
+    pub fn clear(&mut self, len: usize, hash_of: impl Fn(usize) -> u64) {
+        if 16 * len >= self.slots.len() {
+            self.slots.fill(0);
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        for entry in 0..len {
+            let mut slot = hash_of(entry) as usize & mask;
+            while self.slots[slot] != 0 {
+                self.slots[slot] = 0;
+                slot = (slot + 1) & mask;
+            }
+        }
     }
 
     /// The entry hashed to `hash` that `is` accepts, or the free slot where
@@ -163,7 +181,8 @@ impl<V> KeyMap<V> {
 
     /// Remove every entry, keeping both allocations for reuse.
     pub fn clear(&mut self) {
-        self.index.clear();
+        let entries = &self.entries;
+        self.index.clear(entries.len(), |i| mix64(entries[i].0));
         self.entries.clear();
     }
 
@@ -391,6 +410,44 @@ mod tests {
             let (_, hash) = entries[0];
             assert!(index.probe(hash, |i| entries[i].0 == u64::MAX).is_err());
             removals_keep_the_rest_findable(index, entries);
+        }
+    }
+
+    /// A clear empties every slot, whether it walks the entries' runs (few
+    /// entries in a large table) or fills the table: runs of colliding
+    /// homes, runs that wrap past the last slot and runs that removals
+    /// shifted back included.
+    #[test]
+    fn a_clear_empties_every_slot() {
+        let mut rng = SplitMix64::new(0xC1EA);
+        for (live, homes) in [
+            (0, 1),
+            (1, 1),
+            (40, 3),
+            (40, 8192),
+            (400, 8192),
+            (3_000, 64),
+        ] {
+            let mut index = HashIndex::with_capacity(4_096);
+            let mask = index.slots.len() as u64 - 1;
+            let mut entries: Vec<(u64, u64)> = Vec::new();
+            for key in 0..live {
+                let hash = rng.next_u64() & TAG | (mask - rng.gen_range(homes) as u64);
+                let slot = index.probe(hash, |_| false).expect_err("keys are distinct");
+                entries.push((key, hash));
+                index.fill(slot, hash, entries.len(), |i| entries[i].1);
+            }
+            for _ in 0..live / 4 {
+                let at = rng.gen_range(entries.len());
+                index.remove(entries[at].1, at, |i| entries[i].1);
+                entries.swap_remove(at);
+                if let Some(&(_, moved)) = entries.get(at) {
+                    index.repoint(moved, entries.len(), at);
+                }
+            }
+            assert_eq!(index.slots.len(), 8_192, "{live} entries grew the table");
+            index.clear(entries.len(), |i| entries[i].1);
+            assert!(index.slots.iter().all(|&s| s == 0), "{live} entries");
         }
     }
 

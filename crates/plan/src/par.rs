@@ -1,9 +1,8 @@
 //! The workspace's one scoped fan-out, its one read of the host's core
-//! count and its one wall clock. Engine operators, the split driver's parts
-//! and the forest's trees all tile a slice with [`par_chunks`], and each
-//! keeps its output invariant to the tiling, so the worker count changes
-//! wall time, never bytes. No worker outlives the call: `std::thread::scope`
-//! joins them all.
+//! count and its one wall clock. Engine operators and the forest's trees
+//! tile a slice with [`par_chunks`], and each keeps its output invariant to
+//! the tiling, so the worker count changes wall time, never bytes. No
+//! worker outlives the call: `std::thread::scope` joins them all.
 
 use std::time::Instant;
 
@@ -36,7 +35,7 @@ pub fn par_chunks<T: Send, R: Default + Send>(
 /// every caller's output is identical for every worker count.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the count only sizes par_chunks tilings, and every caller's output is invariant to the tiling (the forest and the split driver each assert it across worker counts)"
+    reason = "the count only sizes the forest fit's par_chunks tiling, whose trees are invariant to it (asserted across worker counts)"
 )]
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())

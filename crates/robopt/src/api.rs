@@ -17,21 +17,21 @@ pub use robopt_plan::{SpecError, WorkloadParams, WorkloadSpec};
 
 use crate::cache::CacheStats;
 
-/// How a request's enumeration executes. Split into two groups:
-///
-/// * `workers` and `hardware_clamp` schedule work but — by the split-driver
-///   determinism contract — **cannot change the result**, so they are
-///   excluded from the plan-signature cache key;
-/// * `split_parts` and `prune` change the merge tree / search shape (and
-///   thus [`EnumStats`]), so they are part of the key.
+/// How a request's enumeration executes: `split_parts` and `prune` change
+/// the merge tree / search shape (and thus [`EnumStats`]), so both are part
+/// of the plan-signature cache key. Enumeration runs on one thread;
+/// `workers` and `hardware_clamp` are read by nothing and kept out of the
+/// key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPolicy {
-    /// Worker threads for split-based enumeration (≥ 1).
+    /// Ignored. Kept only for the benchmark's replay of the facade
+    /// (ROADMAP 1(e)).
     pub workers: usize,
     /// Plan partition count handed to `robopt_core::SplitOptions`.
-    /// `1` disables splitting (serial enumeration on the merger).
+    /// `1` disables splitting (the whole plan is the one part).
     pub split_parts: usize,
-    /// Cap workers at `available_parallelism` (on by default).
+    /// Ignored. Kept only for the benchmark's replay of the facade
+    /// (ROADMAP 1(e)).
     pub hardware_clamp: bool,
     /// Def-2 lossless boundary pruning (on by default).
     pub prune: bool,
@@ -49,21 +49,9 @@ impl Default for ExecutionPolicy {
 }
 
 impl ExecutionPolicy {
-    /// Default policy with `workers` worker threads.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Override the plan partition count.
     pub fn with_split_parts(mut self, parts: usize) -> Self {
         self.split_parts = parts.max(1);
-        self
-    }
-
-    /// Toggle the `available_parallelism` worker cap.
-    pub fn with_hardware_clamp(mut self, clamp: bool) -> Self {
-        self.hardware_clamp = clamp;
         self
     }
 
@@ -74,7 +62,7 @@ impl ExecutionPolicy {
     }
 
     /// Fold the result-affecting fields into a signature hasher.
-    /// `workers` / `hardware_clamp` deliberately excluded (see type docs);
+    /// `workers` / `hardware_clamp` excluded (see type docs);
     /// the pattern names every field, so a new one must be keyed or
     /// excluded here before the crate compiles.
     pub(crate) fn write_sig(&self, h: &mut SigHasher) {
@@ -219,7 +207,7 @@ pub struct OptimizeResponse {
     /// The risk policy that ranked this answer, echoed as its wire label
     /// (`expected`, `sigma<k>`, `q<q>`).
     pub risk_policy: String,
-    /// Enumeration counters (invariant across worker counts).
+    /// Enumeration counters.
     pub stats: EnumStats,
 }
 
@@ -550,8 +538,14 @@ mod tests {
     fn signature_ignores_workers_and_clamp_but_not_prune_or_split() {
         let base = OptimizeRequest::new(WorkloadSpec::WordCount { scale: 1e7 });
         let sig = base.signature();
-        let workers = base.with_policy(ExecutionPolicy::default().with_workers(8));
-        let clamp = base.with_policy(ExecutionPolicy::default().with_hardware_clamp(false));
+        let workers = base.with_policy(ExecutionPolicy {
+            workers: 8,
+            ..ExecutionPolicy::default()
+        });
+        let clamp = base.with_policy(ExecutionPolicy {
+            hardware_clamp: false,
+            ..ExecutionPolicy::default()
+        });
         assert_eq!(sig, workers.signature(), "workers must not change the key");
         assert_eq!(sig, clamp.signature(), "clamp must not change the key");
         let noprune = base.with_policy(ExecutionPolicy::default().with_prune(false));

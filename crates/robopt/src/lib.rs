@@ -1,7 +1,7 @@
 //! `robopt`: the optimizer-as-a-service umbrella crate (DESIGN §10).
 //!
 //! Everything underneath — plan building, Fig-5 vectorization, lossless
-//! enumeration, split-based parallelism, the learned forest — stays in its
+//! enumeration, the plan split, the learned forest — stays in its
 //! own crate; this crate owns the *service contract* that callers (the CLI
 //! daemon, the fig benchmarks, the integration tests) speak:
 //!
@@ -11,8 +11,8 @@
 //!   plumbing at every call site;
 //! * [`optimizer`] — the [`Optimizer`] facade: owns the registry, the cost
 //!   model (analytic or trained forest behind `&dyn CostOracle`), the
-//!   warmed per-part matrix pools of one [`robopt_core::ParallelEnumerator`],
-//!   and the plan-signature cache, whose capacity 0 is caching off;
+//!   warmed matrix pool of one [`robopt_core::ParallelEnumerator`], and the
+//!   plan-signature cache, whose capacity 0 is caching off;
 //! * [`cache`] — [`PlanCache`], deterministic plan-signature memoization in
 //!   one `KeyMap`, with benefit-weighted eviction and hit/miss counters;
 //! * [`json`] — the dependency-free JSON parser and [`json::Writer`] every
@@ -28,11 +28,10 @@
 //! # Determinism
 //!
 //! A cached response is the *same bytes* as a cold one: responses compare
-//! cost by `f64::to_bits`, the cache key excludes knobs that cannot change
-//! the result (worker count, hardware clamp), and enumeration always runs
-//! through the split-based driver whose output is bit-identical across
-//! thread counts. `tests/determinism.rs` digests cache-on and cache-off
-//! streams and asserts equality.
+//! cost by `f64::to_bits`, the cache key covers every policy field the
+//! answer reads, and enumeration is a pure function of the request on one
+//! thread. `tests/determinism.rs` digests cache-on and cache-off streams
+//! and asserts equality.
 
 pub mod api;
 pub mod cache;

@@ -2,8 +2,8 @@
 //!
 //! Owns the [`PlatformRegistry`], the Fig-5 [`FeatureLayout`], the active
 //! cost model (analytic, or a trained forest behind the same
-//! `&dyn CostOracle` the enumerators already speak), the warmed per-part
-//! matrix pools of one [`ParallelEnumerator`], and the plan-signature
+//! `&dyn CostOracle` the enumerators already speak), the warmed matrix
+//! pool of one [`ParallelEnumerator`], and the plan-signature
 //! [`PlanCache`]. Service callers send [`OptimizeRequest`]s and never wire
 //! `EnumOptions`, an oracle and an enumerator themselves; the raw plumbing
 //! stays inside `robopt_core`, with [`Optimizer::enum_options`] as the
@@ -14,9 +14,9 @@
 //! The cache key ([`OptimizeRequest::signature`]) covers everything the
 //! response depends on *except* the active model — so every model swap
 //! ([`Optimizer::train`], [`Optimizer::install_forest`]) flushes the
-//! cache. Worker count and hardware clamp are excluded from the key
-//! because enumeration always runs through the split driver, whose result
-//! is bit-identical across thread counts.
+//! cache. The policy's `workers` and `hardware_clamp` fields are excluded
+//! from the key because nothing reads them: enumeration runs on one
+//! thread, the split an edge schedule on one enumerator.
 
 use robopt_core::vectorize::vectorize_assignment;
 use robopt_core::{
@@ -111,7 +111,7 @@ impl Optimizer {
             registry,
             layout,
             oracle,
-            parallel: ParallelEnumerator::new(1),
+            parallel: ParallelEnumerator::default(),
             cache: PlanCache::new(PlanCache::DEFAULT_CAPACITY),
             requests: 0,
             busy: BusyTime::default(),
@@ -410,9 +410,7 @@ impl Optimizer {
     }
 
     /// Cold path: build the plan, run split-based enumeration under the
-    /// request's policy and shape the result into a response. Always goes
-    /// through the parallel driver — its output is bit-identical across
-    /// worker counts, which is what lets the cache key ignore `workers`.
+    /// request's policy and shape the result into a response.
     fn optimize_cold(
         &mut self,
         req: &OptimizeRequest,
@@ -428,9 +426,7 @@ impl Optimizer {
             dist,
             ..
         } = self;
-        parallel.set_threads(req.policy.workers);
         parallel.set_split(SplitOptions::new(req.policy.split_parts.max(1)));
-        parallel.set_hardware_clamp(req.policy.hardware_clamp);
         let opts = EnumOptions::new(registry)
             .with_oracle(oracle.as_dyn())
             .with_prune(req.policy.prune)
@@ -622,35 +618,6 @@ mod tests {
         let recomputed = fresh.optimize(&req).expect("cache-off optimize");
         assert_eq!(cold, recomputed);
         assert_eq!(fresh.cache_stats().hits, 0);
-    }
-
-    #[test]
-    fn worker_count_and_clamp_share_one_cache_line_soundly() {
-        let mut opt = Optimizer::named();
-        let one = opt
-            .optimize(
-                &OptimizeRequest::new(wc()).with_policy(
-                    ExecutionPolicy::default()
-                        .with_workers(1)
-                        .with_hardware_clamp(false),
-                ),
-            )
-            .expect("1 worker");
-        // Recompute with 4 workers on a cache-disabled facade: the split
-        // driver's determinism contract makes it bit-identical, which is
-        // exactly why `workers` is excluded from the signature.
-        let mut fresh = Optimizer::named();
-        fresh.set_cache_capacity(0);
-        let four = fresh
-            .optimize(
-                &OptimizeRequest::new(wc()).with_policy(
-                    ExecutionPolicy::default()
-                        .with_workers(4)
-                        .with_hardware_clamp(false),
-                ),
-            )
-            .expect("4 workers");
-        assert_eq!(one, four);
     }
 
     #[test]

@@ -292,17 +292,11 @@ fn parse_policy(doc: &JsonValue<'_>) -> Result<ExecutionPolicy, ServiceError> {
     if let Some(p) = field(doc, "policy", "an object", |v| {
         matches!(v, JsonValue::Obj(_)).then_some(v)
     })? {
-        if let Some(workers) = field_usize(p, "workers")? {
-            policy = policy.with_workers(workers);
-        }
         if let Some(parts) = field_usize(p, "split_parts")? {
             policy = policy.with_split_parts(parts);
         }
         if let Some(prune) = field_bool(p, "prune")? {
             policy = policy.with_prune(prune);
-        }
-        if let Some(clamp) = field_bool(p, "hardware_clamp")? {
-            policy = policy.with_hardware_clamp(clamp);
         }
     }
     Ok(policy)
@@ -363,17 +357,17 @@ pub(crate) mod tests {
 
     #[test]
     fn optimize_request_round_trips_through_the_wire() {
+        // `workers` and `hardware_clamp` are not policy keys: like any
+        // unknown key, they are ignored.
         let req = parse_request(
-            r#"{"op":"optimize","workload":{"kind":"wordcount","scale":1e7},"policy":{"workers":4,"split_parts":8,"prune":true}}"#,
+            r#"{"op":"optimize","workload":{"kind":"wordcount","scale":1e7},"policy":{"workers":4,"split_parts":3,"prune":true,"hardware_clamp":false}}"#,
         )
         .expect("parse");
         assert_eq!(
             req,
             Request::Optimize(OptimizeRequest {
                 workload: WorkloadSpec::WordCount { scale: 1e7 },
-                policy: ExecutionPolicy::default()
-                    .with_workers(4)
-                    .with_split_parts(8),
+                policy: ExecutionPolicy::default().with_split_parts(3),
                 risk: RiskPolicy::ExpectedCost,
             })
         );

@@ -65,9 +65,8 @@ fn seeded_run_digest() -> u64 {
     let mut h = 0xD1657_u64;
 
     // Facade enumeration over random connected DAGs: serial (one split
-    // part), split-parallel (clamp off: real scoped threads even on a
-    // single-core host), and the object-graph baseline via the raw-options
-    // escape hatch.
+    // part), split (three parts), and the object-graph baseline via the
+    // raw-options escape hatch.
     let mut rng = SplitMix64::new(0xDE7E_4213);
     let mut object_enum = ObjectEnumerator::new();
     for _ in 0..12 {
@@ -79,17 +78,10 @@ fn seeded_run_digest() -> u64 {
             ops: n,
             density: 0.4,
         };
-        let serial_req = OptimizeRequest::new(spec).with_policy(
-            ExecutionPolicy::default()
-                .with_workers(1)
-                .with_split_parts(1),
-        );
-        let par_req = OptimizeRequest::new(spec).with_policy(
-            ExecutionPolicy::default()
-                .with_workers(2)
-                .with_split_parts(3)
-                .with_hardware_clamp(false),
-        );
+        let serial_req =
+            OptimizeRequest::new(spec).with_policy(ExecutionPolicy::default().with_split_parts(1));
+        let par_req =
+            OptimizeRequest::new(spec).with_policy(ExecutionPolicy::default().with_split_parts(3));
 
         // Three answers per request — cold, memoized, and recomputed with
         // the cache disabled — must be bit-identical before digesting.
@@ -108,7 +100,7 @@ fn seeded_run_digest() -> u64 {
         // and get the same reply, byte for byte.
         let parse = |risk: &str| {
             let line = format!(
-                r#"{{"op":"optimize","workload":{{"kind":"random_dag","seed":{seed},"ops":{n},"density":0.4}},"policy":{{"workers":1,"split_parts":1}}{risk}}}"#
+                r#"{{"op":"optimize","workload":{{"kind":"random_dag","seed":{seed},"ops":{n},"density":0.4}},"policy":{{"split_parts":1}}{risk}}}"#
             );
             match parse_request(&line) {
                 Ok(Request::Optimize(req)) => Some(req),
@@ -130,10 +122,10 @@ fn seeded_run_digest() -> u64 {
         assert_eq!(a, b, "the default risk policy replied differently");
         assert_eq!(a, render_response(&Response::Optimize(best.clone())));
 
-        // Split-parallel: same winner, same canonical cost bits as serial
+        // Split: same winner, same canonical cost bits as serial
         // (merge trees differ, so EnumStats legitimately may not).
-        let par = warm.optimize(&par_req).expect("parallel optimize");
-        assert_eq!(par.assignments, best.assignments, "parallel vs serial");
+        let par = warm.optimize(&par_req).expect("split optimize");
+        assert_eq!(par.assignments, best.assignments, "split vs serial");
         assert_eq!(par.cost.to_bits(), best.cost.to_bits());
         mix_response(&mut h, &par);
 

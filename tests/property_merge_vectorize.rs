@@ -354,7 +354,7 @@ fn a_plan_of_all_24_kinds_enumerates_in_the_full_layout_with_the_same_answer() {
     // from scratch: a reference that shares no row with the enumerator.
     let reference = ObjectEnumerator::new().enumerate(&plan, &full, opts).0;
     let (serial, _) = Enumerator::new().enumerate(&plan, &full, opts);
-    let (split, _) = ParallelEnumerator::new(2)
+    let (split, _) = ParallelEnumerator::default()
         .with_split(SplitOptions::new(4))
         .enumerate(&plan, &full, opts);
     for got in [&serial, &split] {

@@ -160,8 +160,8 @@ fn tiny_cache_evicts_consistently_and_never_changes_responses() {
 #[test]
 fn cache_key_separates_policies_that_change_the_answer() {
     // prune on/off and split_parts are part of the plan signature (they can
-    // change the search), so flipping them must MISS; worker count and the
-    // hardware clamp only change scheduling, so they must HIT.
+    // change the search), so flipping them must MISS; the policy's
+    // `workers` field is read by nothing, so it must HIT.
     // 7 ops keeps the prune-off arm tractable and inside the facade's
     // enumeration budget (unpruned rows grow exponentially in plan depth
     // over the 5-platform named registry).
@@ -176,8 +176,10 @@ fn cache_key_separates_policies_that_change_the_answer() {
     opt.optimize(&pruned_off).expect("prune off");
     assert_eq!(opt.cache_stats().misses, 2, "prune flag must be in the key");
 
-    let more_workers =
-        OptimizeRequest::new(spec).with_policy(ExecutionPolicy::default().with_workers(4));
+    let more_workers = OptimizeRequest::new(spec).with_policy(ExecutionPolicy {
+        workers: 4,
+        ..ExecutionPolicy::default()
+    });
     let hit = opt.optimize(&more_workers).expect("worker sweep");
     let stats = opt.cache_stats();
     assert_eq!(stats.misses, 2, "worker count must NOT be in the key");
