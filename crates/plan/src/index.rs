@@ -41,18 +41,15 @@ impl HashIndex {
     }
 
     /// Forget the `len` indexed entries, hashed as `hash_of` says,
-    /// keeping the table's size and allocation. A table holding few
-    /// entries next to its size — the pruning table after one large merge
-    /// grew it — empties the run of slots from each entry's home onward
-    /// instead of every slot, so a clear costs what was indexed, not what
-    /// the largest use left behind. An entry lies between its home and the
-    /// end of the run through it, and a walk empties a run from where it
-    /// starts to its end, so each walk finds its entry or finds it gone.
-    pub fn clear(&mut self, len: usize, hash_of: impl Fn(usize) -> u64) {
-        if 16 * len >= self.slots.len() {
-            self.slots.fill(0);
-            return;
-        }
+    /// keeping the table's size and allocation: empty the run of slots from
+    /// each entry's home onward, not every slot, so a clear costs what was
+    /// indexed, not what the largest use left behind (the pruning table
+    /// after one large merge grew it). An entry lies between its home and
+    /// the end of the run through it, and a walk empties a run from where
+    /// it starts to its end, so each walk finds its entry or finds it gone.
+    /// Private: a `len` or `hash_of` other than the live entries' would
+    /// leave slots behind, so only [`KeyMap::clear`] calls it.
+    fn clear(&mut self, len: usize, hash_of: impl Fn(usize) -> u64) {
         let mask = self.slots.len() - 1;
         for entry in 0..len {
             let mut slot = hash_of(entry) as usize & mask;
@@ -413,10 +410,10 @@ mod tests {
         }
     }
 
-    /// A clear empties every slot, whether it walks the entries' runs (few
-    /// entries in a large table) or fills the table: runs of colliding
-    /// homes, runs that wrap past the last slot and runs that removals
-    /// shifted back included.
+    /// A clear empties every slot by walking the entries' runs, whether
+    /// they are few in a large table or fill it to its doubling point: runs
+    /// of colliding homes, runs that wrap past the last slot and runs that
+    /// removals shifted back included.
     #[test]
     fn a_clear_empties_every_slot() {
         let mut rng = SplitMix64::new(0xC1EA);

@@ -621,6 +621,27 @@ mod tests {
     }
 
     #[test]
+    fn worker_count_and_clamp_share_one_cache_line_soundly() {
+        let mut opt = Optimizer::named();
+        let default = opt
+            .optimize(&OptimizeRequest::new(wc()))
+            .expect("default policy");
+        // Recompute with the ignored fields set on a cache-disabled facade:
+        // nothing reads them, which is exactly why they are excluded from
+        // the signature.
+        let mut fresh = Optimizer::named();
+        fresh.set_cache_capacity(0);
+        let ignored = fresh
+            .optimize(&OptimizeRequest::new(wc()).with_policy(ExecutionPolicy {
+                workers: 4,
+                hardware_clamp: false,
+                ..Default::default()
+            }))
+            .expect("ignored fields set");
+        assert_eq!(default, ignored);
+    }
+
+    #[test]
     fn the_request_risk_policy_keys_the_cache() {
         let mut opt = Optimizer::named();
         let plain = opt.optimize(&OptimizeRequest::new(wc())).expect("expected");
