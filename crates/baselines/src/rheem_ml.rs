@@ -3,7 +3,8 @@
 //! Identical search to `robopt_core::Enumerator` — the same merge order
 //! ([`robopt_core::merge_key`], found by a scan instead of a heap), the same
 //! registry-driven availability masking and conversion feasibility, the
-//! same Def-2 lossless boundary pruning, the same batched
+//! same Def-2 lossless boundary pruning (rows compared, so costed, only in
+//! merges that close a boundary operator), the same batched
 //! [`robopt_core::CostOracle`] entry point, and therefore the same
 //! [`EnumStats`] — but subplans are object graphs ([`ObjNode`]), and the ML
 //! cost model is treated as an external black box: every batch is
@@ -25,7 +26,10 @@ use crate::object_plan::ObjNode;
 
 struct ObjUnit {
     scope: Scope,
-    /// Candidate subplans paired with their (pruning-time) cost.
+    /// Boundary operators of `scope`.
+    frontier: u32,
+    /// Candidate subplans paired with their (pruning-time) cost, 0 where
+    /// the merge that built them compared nothing.
     plans: Vec<(Rc<ObjNode>, f64)>,
 }
 
@@ -128,23 +132,27 @@ impl ObjectEnumerator {
             .map(|op| {
                 // Availability masking: one singleton per permitted platform,
                 // costed through the batched black-box entry point (fresh
-                // batch buffer, as everywhere in the strawman).
+                // batch buffer, as everywhere in the strawman) only in a
+                // one-operator plan, the one where they are compared.
                 let nodes: Vec<Rc<ObjNode>> = registry
                     .available_platforms(plan.op(op).kind)
                     .map(|p| ObjNode::leaf(op, p.raw()))
                     .collect();
-                let mut batch: Vec<f64> = Vec::new();
-                for node in &nodes {
-                    batch.extend_from_slice(&Self::features_of(plan, layout, node));
+                let mut costs = vec![0.0; nodes.len()];
+                if n == 1 {
+                    let mut batch: Vec<f64> = Vec::new();
+                    for node in &nodes {
+                        batch.extend_from_slice(&Self::features_of(plan, layout, node));
+                    }
+                    oracle.cost_batch(RowsView::new(&batch, layout.width), &mut costs);
                 }
-                let mut costs = Vec::new();
-                oracle.cost_batch(RowsView::new(&batch, layout.width), &mut costs);
                 let rows = nodes.len() as u64;
                 stats.generated += rows;
                 stats.kept += rows;
                 stats.peak_rows = stats.peak_rows.max(rows);
                 Some(ObjUnit {
                     scope: Scope::singleton(op),
+                    frontier: u32::from(n > 1),
                     plans: nodes.into_iter().zip(costs).collect(),
                 })
             })
@@ -177,6 +185,10 @@ impl ObjectEnumerator {
             let b = units[rb as usize].take().expect("live unit at root");
             let merged_scope = a.scope.union(b.scope);
             let boundary = Self::boundary_of(plan, merged_scope);
+            // The enumerator's rule: a merge that closes no boundary
+            // operator makes only new footprints, so it compares nothing.
+            let frontier = boundary.len() as u32;
+            let compares = a.frontier + b.frontier > frontier;
             let crossing: Vec<(u32, u32)> = plan
                 .edges()
                 .iter()
@@ -188,7 +200,9 @@ impl ObjectEnumerator {
                 .collect();
 
             // Stage every feasible combination (fresh object graph + fresh
-            // feature vector each), then cost the batch in one call.
+            // feature vector each), then cost the batch in one call; a merge
+            // that compares nothing keeps its object graphs unscored.
+            let mut merged: Vec<(Rc<ObjNode>, f64)> = Vec::new();
             let mut staged: Vec<(Rc<ObjNode>, u64)> = Vec::new();
             let mut batch: Vec<f64> = Vec::new();
             let mut assign_buf = vec![NO_PLATFORM; n];
@@ -214,15 +228,20 @@ impl ObjectEnumerator {
                     if !feasible {
                         continue;
                     }
+                    if !compares {
+                        merged.push((node, 0.0));
+                        continue;
+                    }
                     batch.extend_from_slice(&Self::features_of(plan, layout, &node));
                     staged.push((node, footprint_hash(&boundary, &assign_buf)));
                 }
             }
             let mut costs = Vec::new();
-            oracle.cost_batch(RowsView::new(&batch, layout.width), &mut costs);
+            if compares {
+                oracle.cost_batch(RowsView::new(&batch, layout.width), &mut costs);
+            }
 
             let mut fp_map = FootprintTable::new();
-            let mut merged: Vec<(Rc<ObjNode>, f64)> = Vec::new();
             for ((node, fp), cost) in staged.into_iter().zip(costs) {
                 match fp_map.insert_or_get(fp, merged.len() as u32) {
                     Some(row) => {
@@ -244,6 +263,7 @@ impl ObjectEnumerator {
             parent[rb as usize] = ra;
             units[ra as usize] = Some(ObjUnit {
                 scope: merged_scope,
+                frontier,
                 plans: merged,
             });
         }

@@ -12,9 +12,10 @@
 //! whose crossing edges have no conversion path in the registry's COT are
 //! excluded, DESIGN §6.3), each block is costed in **one batched oracle
 //! call**, and Def-2 boundary pruning keeps the cheapest row per pruning
-//! footprint. When one unit covers the whole plan its empty footprint leaves
-//! exactly the optimal row, which `unvectorize` turns into an
-//! [`ExecutionPlan`].
+//! footprint. A merge that closes no boundary operator produces only new
+//! footprints, so it compares nothing and costs nothing (DESIGN §5). When
+//! one unit covers the whole plan its empty footprint leaves exactly the
+//! optimal row, which `unvectorize` turns into an [`ExecutionPlan`].
 //!
 //! Rows are **plan-local**: every matrix, the scratch row and the staging
 //! block are laid out by the plan's own [`PlanLayout`] — the Fig-5 cells of
@@ -243,11 +244,15 @@ pub fn merge_key(frontier: u32, larger_rows: u64, edge: u32) -> MergeKey {
 /// What [`merge_key`] ranks by, smallest first.
 pub type MergeKey = (u32, u64, u32);
 
-/// One live node of the enumeration graph: the scope it covers and the
-/// matrix of surviving candidate rows for that scope.
+/// One live node of the enumeration graph: the scope it covers, the number
+/// of its boundary operators, and the matrix of surviving candidate rows
+/// for that scope. The rows have pairwise-distinct footprints over the
+/// scope's boundary, pruned or not: that is what lets a merge that closes
+/// no boundary operator skip the comparison (DESIGN §5).
 #[derive(Debug)]
 struct Unit {
     scope: Scope,
+    frontier: u32,
     mat: EnumMatrix,
 }
 
@@ -256,6 +261,12 @@ struct Unit {
 /// [`Enumerator::enumerate`] is the one-call serial entry point; the split
 /// driver (`crate::parallel`) runs the same contract loop,
 /// `Enumerator::enumerate_parts`, over the parts and seams of a plan split.
+///
+/// A row's cost is read only where rows are compared: by the pruning of
+/// the merge that builds it, and by `finish` on the whole-plan unit. So
+/// the oracle costs only the rows of merges that compare — a pruned merge
+/// that closes a boundary operator, and the whole-plan merge — and every
+/// other row is kept with cost 0, unread (DESIGN §5).
 #[derive(Debug, Default)]
 pub struct Enumerator {
     pool: Vec<EnumMatrix>,
@@ -280,6 +291,10 @@ pub struct Enumerator {
     feas: Vec<bool>,
     /// Reused edge-index list for the serial all-edges path.
     edge_idx: Vec<u32>,
+    /// The two input scopes and the staged rows of every merge, for the
+    /// tests that check which merges the oracle costs.
+    #[cfg(test)]
+    merge_log: Vec<(Scope, Scope, u64)>,
 }
 
 /// The contract every enumeration entry point ([`Enumerator::enumerate`],
@@ -423,7 +438,8 @@ impl Enumerator {
     /// platform the availability matrix permits for the operator's kind.
     /// The rows are scored (one batched oracle call per unit) only for a
     /// one-operator plan, where [`Enumerator::finish`] picks among them:
-    /// a merge reads the costs of the unit it builds, never of its inputs.
+    /// a merge reads the costs of the unit it builds, never of its inputs,
+    /// so every other seed row keeps cost 0, unread.
     fn seed_singletons(
         &mut self,
         plan: &LogicalPlan,
@@ -466,6 +482,9 @@ impl Enumerator {
             stats.peak_rows = stats.peak_rows.max(mat.rows() as u64);
             self.units[op as usize] = Some(Unit {
                 scope: Scope::singleton(op),
+                // A connected plan of two or more operators gives every
+                // operator a neighbour outside its singleton.
+                frontier: u32::from(n > 1),
                 mat,
             });
         }
@@ -498,6 +517,11 @@ impl Enumerator {
     /// stored key no longer matches current unit state is re-pushed with the
     /// current value. Every listed edge's endpoints must already be covered
     /// by live units (seeded singletons or earlier merges).
+    ///
+    /// A merge compares rows only when it covers the whole plan or, pruned,
+    /// closes a boundary operator of its inputs; any other merge stages,
+    /// patches and drops infeasible rows as usual but keeps every feasible
+    /// one unscored, with no oracle call, footprint hash or table probe.
     ///
     /// Refuses, before taking the units apart, the first merge that would
     /// take `stats.generated` past `max_rows`.
@@ -547,6 +571,14 @@ impl Enumerator {
             let a = self.take_unit(ra);
             let b = self.take_unit(rb);
             let merged_scope = a.scope.union(b.scope);
+            // `self.boundary` is the merged scope's, left by `edge_key`. For
+            // disjoint scopes bd(a ∪ b) ⊆ bd(a) ∪ bd(b), so equal counts
+            // mean no boundary operator closed and every merged footprint is
+            // a distinct pair of input footprints: there is nothing to prune.
+            let frontier = self.boundary.len() as u32;
+            let whole = merged_scope.len() as usize == n;
+            let scored = whole || (opts.prune() && a.frontier + b.frontier > frontier);
+            let folds = scored && opts.prune();
 
             // Dataflow edges crossing the two scopes (conversion sites).
             self.crossing.clear();
@@ -569,21 +601,22 @@ impl Enumerator {
 
             // Merge, cost and prune one left row at a time: `merge_feats_many`
             // fuses one `a` row against all of `b` in one block,
-            // conversion features are patched per combination in place, the
-            // block is costed with one batched oracle call, and every
-            // feasible row is folded straight into the destination unit
-            // (cheapest per Def-2 pruning footprint). Assignments are
-            // overlaid, not merged: the scratch row is `a`'s row, copied
-            // once per left row, and a candidate rewrites only `b`'s
-            // operators in it — it is a full assignment whenever it is read
-            // (crossing edges, footprint, the row kept in `dst`). The full
+            // conversion features are patched per combination in place, a
+            // merge that compares costs the block with one batched oracle
+            // call, and every feasible row is folded straight into the
+            // destination unit (cheapest per Def-2 pruning footprint, or
+            // pushed as staged when the merge compares nothing).
+            // Assignments are overlaid, not merged: the scratch row is `a`'s
+            // row, copied once per left row, and a candidate rewrites only
+            // `b`'s operators in it — it is a full assignment whenever it is
+            // read (crossing edges, footprint, the row kept in `dst`). The full
             // `rows_a × rows_b` cross-product is never materialized — the
             // working set stays one `rows_b`-row block regardless of how
             // large the merge is, so big seam merges cannot thrash the
             // matrix pool.
             let cap = if opts.prune() {
                 (k as u64)
-                    .saturating_pow(self.boundary.len() as u32)
+                    .saturating_pow(frontier)
                     .min((rows_a * rows_b) as u64) as usize
             } else {
                 rows_a * rows_b
@@ -591,7 +624,9 @@ impl Enumerator {
             let mut dst = self.take_mat(width, n, cap);
             let mut block = std::mem::take(&mut self.stage_block);
             let mut assign = std::mem::take(&mut self.scratch_assign);
-            self.fp_map.clear();
+            if folds {
+                self.fp_map.clear();
+            }
             for ia in 0..a.mat.rows() {
                 merge_feats_many(&mut block, a.mat.row(ia), b.mat.rows_view());
                 assign.copy_from_slice(a.mat.assignments(ia));
@@ -619,15 +654,17 @@ impl Enumerator {
                         add_conversion_features(plan, local, u, pu, pv, feats);
                     }
                 }
-                self.score_rows(oracle, opts.risk(), layout.packed(&block));
+                if scored {
+                    self.score_rows(oracle, opts.risk(), layout.packed(&block));
+                }
                 for ib in 0..b.mat.rows() {
                     if !self.feas[ib] {
                         continue;
                     }
-                    let cost = self.cost_buf[ib];
+                    let cost = if scored { self.cost_buf[ib] } else { 0.0 };
                     let feats = &block[ib * width..(ib + 1) * width];
                     overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
-                    if opts.prune() {
+                    if folds {
                         let fp = footprint_hash(&self.boundary, &assign);
                         match self.fp_map.insert_or_get(fp, dst.rows() as u32) {
                             Some(row) => {
@@ -647,6 +684,9 @@ impl Enumerator {
             self.stage_block = block;
             self.scratch_assign = assign;
             stats.generated += (rows_a * rows_b) as u64;
+            #[cfg(test)]
+            self.merge_log
+                .push((a.scope, b.scope, (rows_a * rows_b) as u64));
             assert!(
                 dst.rows() > 0,
                 "no feasible platform combination for a merged scope — \
@@ -663,6 +703,7 @@ impl Enumerator {
             self.pool.push(b.mat);
             self.units[ra as usize] = Some(Unit {
                 scope: merged_scope,
+                frontier,
                 mat: dst,
             });
         }
@@ -969,8 +1010,9 @@ mod tests {
 
     /// Every row every unit keeps, read the way the oracle reads it — as a
     /// packed view of full-layout rows — is the full-layout vector of the
-    /// (partial) assignment stored beside it. Edges are contracted one at a
-    /// time so each unit can be inspected when it is built.
+    /// (partial) assignment stored beside it, and no two rows of a unit
+    /// share a footprint. Edges are contracted one at a time so each unit
+    /// can be inspected when it is built.
     #[test]
     fn every_kept_row_unpacks_to_the_full_layout_vector_of_its_assignment() {
         use robopt_plan::{Operator, OperatorKind, SplitMix64};
@@ -982,6 +1024,7 @@ mod tests {
         ];
         let mut rng = SplitMix64::new(0x0023_0001);
         let (mut unpacked, mut want) = (Vec::new(), Vec::new());
+        let (mut boundary, mut footprints) = (Vec::new(), std::collections::BTreeSet::new());
         for case in 0..24 {
             let registry = &registries[case % registries.len()];
             let full = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
@@ -1012,6 +1055,21 @@ mod tests {
             let layout = PlanLayout::of(&plan, &full);
             let mut check = |unit: &Unit| {
                 assert_eq!(unit.mat.width(), layout.local().width);
+                // Pairwise-distinct footprints over the unit's boundary,
+                // whether or not the merge that built it compared rows: the
+                // invariant that lets a merge closing no boundary operator
+                // skip the comparison.
+                boundary_ops(&plan, unit.scope, &mut boundary);
+                assert_eq!(unit.frontier as usize, boundary.len(), "case {case}");
+                footprints.clear();
+                for r in 0..unit.mat.rows() {
+                    let assign = unit.mat.assignments(r);
+                    let fp: Vec<u8> = boundary.iter().map(|&op| assign[op as usize]).collect();
+                    assert!(
+                        footprints.insert(fp),
+                        "case {case} row {r}: a second row with its footprint"
+                    );
+                }
                 layout
                     .packed(unit.mat.rows_view().flat())
                     .unpack_into(&mut unpacked);
@@ -1051,6 +1109,94 @@ mod tests {
             let exec = en.finish(&plan, &layout, opts);
             assert_eq!(exec.assignments.len(), n);
         }
+    }
+
+    /// The oracle costs exactly the staged rows of the merges that compare:
+    /// pruned, the whole-plan merge and those that close a boundary
+    /// operator; unpruned, the whole-plan merge alone. Seeded DAGs and
+    /// pipelines over the named, uniform and masked registries, searched
+    /// serially and split at 2, 3, 4 and 8 parts, under the analytic oracle
+    /// and a fixed-seed forest ranked by `sigma2`.
+    #[test]
+    fn the_oracle_costs_only_the_rows_of_merges_that_compare() {
+        use crate::split::{split_plan, SplitOptions};
+        use crate::testing::{masked_registry, CountingOracle, TinyForest};
+        use robopt_plan::SplitMix64;
+        let mut rng = SplitMix64::new(0x0042_C057);
+        let mut registries = vec![PlatformRegistry::named()];
+        registries.extend((2..=8).map(PlatformRegistry::uniform));
+        registries.extend((0..4).map(|i| masked_registry(&mut rng, 2 + i % 3)));
+        let (mut en, mut bd) = (Enumerator::new(), Vec::new());
+        let mut frontier = |plan: &LogicalPlan, scope: Scope| {
+            boundary_ops(plan, scope, &mut bd);
+            bd.len()
+        };
+        let (mut costed, mut skipped) = (0, 0);
+        for registry in &registries {
+            let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+            let analytic = AnalyticOracle::for_registry(registry, &layout);
+            let forest = TinyForest::new(registry, &layout, 0xF0_4E57);
+            let dag_ops = 4 + rng.gen_range(11);
+            let dag = workloads::random_connected_dag(&mut rng, dag_ops, 0.3);
+            let pipeline = workloads::synthetic_pipeline(6 + rng.gen_range(25), 1e5);
+            // Small enough for the unpruned k^n cross-product.
+            let small = workloads::random_connected_dag(&mut rng, 4, 0.5);
+            for (plan, prune) in [(&dag, true), (&pipeline, true), (&small, false)] {
+                let oracles: [(&dyn CostOracle, RiskPolicy); 2] = [
+                    (&analytic, RiskPolicy::ExpectedCost),
+                    (&forest, RiskPolicy::MeanPlusKSigma(2.0)),
+                ];
+                for (inner, risk) in oracles {
+                    let counting = CountingOracle::new(inner);
+                    let opts = EnumOptions::new(registry)
+                        .with_oracle(&counting)
+                        .with_prune(prune)
+                        .with_risk(risk);
+                    for parts in [1, 2, 3, 4, 8] {
+                        en.merge_log.clear();
+                        if parts == 1 {
+                            en.enumerate(plan, &layout, opts);
+                        } else {
+                            let split = split_plan(plan, SplitOptions::new(parts));
+                            let edges = split.part_edges.iter().map(Vec::as_slice);
+                            let split_parts = split.parts.iter().copied().zip(edges);
+                            unbudgeted(en.enumerate_parts(
+                                plan,
+                                &layout,
+                                opts,
+                                split_parts,
+                                &split.seam_edges,
+                                u64::MAX,
+                            ));
+                        }
+                        let mut want = 0;
+                        for &(a, b, staged) in &en.merge_log {
+                            let union = a.union(b);
+                            let closes =
+                                frontier(plan, a) + frontier(plan, b) > frontier(plan, union);
+                            if union.len() as usize == plan.n_ops() || (prune && closes) {
+                                want += staged;
+                            } else {
+                                skipped += staged;
+                            }
+                        }
+                        assert_eq!(
+                            counting.take_rows(),
+                            want,
+                            "{} ops, {} platforms, prune {prune}, {risk:?}, {parts} parts",
+                            plan.n_ops(),
+                            registry.len()
+                        );
+                        costed += want;
+                    }
+                }
+            }
+        }
+        // Both kinds of merge occur, so costing every staged row fails.
+        assert!(
+            costed > 0 && skipped > 0,
+            "costed {costed}, skipped {skipped}"
+        );
     }
 
     #[test]

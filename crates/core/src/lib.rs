@@ -29,6 +29,8 @@ pub mod enumerate;
 pub mod oracle;
 pub mod parallel;
 pub mod split;
+#[cfg(test)]
+mod testing;
 pub mod vectorize;
 
 pub use dist::{CostDistribution, RiskPolicy};

@@ -102,11 +102,12 @@ impl ParallelEnumerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{CostDistribution, RiskPolicy};
-    use crate::oracle::{AnalyticOracle, CostOracle};
+    use crate::dist::RiskPolicy;
+    use crate::oracle::AnalyticOracle;
+    use crate::testing::TinyForest;
     use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
     use robopt_platforms::PlatformRegistry;
-    use robopt_vector::{RowsView, SigHasher};
+    use robopt_vector::SigHasher;
 
     fn setup(k: usize) -> (PlatformRegistry, FeatureLayout, AnalyticOracle) {
         let registry = PlatformRegistry::uniform(k);
@@ -151,76 +152,6 @@ mod tests {
             assert!(refused.is_err_and(|over| over.estimate > max_rows));
         }
         assert_eq!(en.enumerate_within(&plan, &layout, opts, total), Ok(free));
-    }
-
-    /// A small fixed-seed forest over the analytic model: eight depth-3
-    /// trees split on per-platform input-tuple cells and scale the analytic
-    /// cost by their leaf, so rows rank non-linearly (pruning is lossy, as
-    /// under the trained forest) and the members disagree, which gives
-    /// `sigma2` a spread to act on.
-    struct TinyForest {
-        analytic: AnalyticOracle,
-        trees: Vec<Tree>,
-    }
-
-    /// A complete depth-3 tree: seven `(cell, threshold)` splits in
-    /// breadth-first order, then eight leaf scales.
-    type Tree = ([(usize, f64); 7], [f64; 8]);
-
-    impl TinyForest {
-        fn new(registry: &PlatformRegistry, layout: &FeatureLayout, seed: u64) -> Self {
-            let mut rng = SplitMix64::new(seed);
-            let trees = (0..8)
-                .map(|_| {
-                    let splits = std::array::from_fn(|_| {
-                        let cell = layout.platform_input_tuples(rng.gen_range(registry.len()));
-                        (cell, 10f64.powf(2.0 + 5.0 * rng.next_f64()))
-                    });
-                    (splits, std::array::from_fn(|_| 0.5 + rng.next_f64()))
-                })
-                .collect();
-            TinyForest {
-                analytic: AnalyticOracle::for_registry(registry, layout),
-                trees,
-            }
-        }
-
-        fn member(&self, tree: usize, feats: &[f64], base: f64) -> f64 {
-            let (splits, leaves) = &self.trees[tree];
-            let mut node = 0;
-            for _ in 0..3 {
-                let (cell, threshold) = splits[node];
-                node = 2 * node + 1 + usize::from(feats[cell] > threshold);
-            }
-            base * leaves[node - splits.len()]
-        }
-    }
-
-    impl CostOracle for TinyForest {
-        fn width(&self) -> usize {
-            self.analytic.width()
-        }
-        fn cost_row(&self, feats: &[f64]) -> f64 {
-            let base = self.analytic.cost_row(feats);
-            let sum: f64 = (0..self.trees.len())
-                .map(|t| self.member(t, feats, base))
-                .sum();
-            sum / self.trees.len() as f64
-        }
-        fn cost_batch_dist(&self, rows: RowsView<'_>, out: &mut CostDistribution) {
-            let mut unpacked = Vec::new();
-            let rows = rows.full(&mut unpacked);
-            let members = self.trees.len();
-            let samples = out.sample_scratch(rows.rows(), members);
-            for r in 0..rows.rows() {
-                let feats = rows.row(r);
-                let base = self.analytic.cost_row(feats);
-                for t in 0..members {
-                    samples[r * members + t] = self.member(t, feats, base);
-                }
-            }
-            out.finalize_samples(members);
-        }
     }
 
     /// Fold one budgeted run into `h`: the assignment bytes, the cost bits
