@@ -4,7 +4,7 @@
 use robopt_core::vectorize::{vectorize_assignment, ExecutionPlan};
 use robopt_core::EnumOptions;
 use robopt_plan::LogicalPlan;
-use robopt_platforms::PlatformId;
+use robopt_platforms::{PlatformId, PlatformRegistry};
 use robopt_vector::{FeatureLayout, RowsView};
 
 /// Rows costed per batched oracle call during the exhaustive sweep.
@@ -17,66 +17,25 @@ pub fn exhaustive_count(n_ops: usize, n_platforms: usize) -> u128 {
     (n_platforms as u128).saturating_pow(n_ops as u32)
 }
 
-/// Cost every feasible one of the `k^n` full assignments (availability and
-/// conversion feasibility come from the registry carried by `opts`) and
-/// return the optimum. Candidates are costed in batches of `BATCH_ROWS` rows
-/// through [`robopt_core::CostOracle::cost_batch`]; guarded to small plans.
-/// The sweep is already exhaustive, so `opts.prune()` is ignored.
-pub fn exhaustive_best(
+/// Hand `visit` every feasible one of the `k^n` full assignments of `plan`
+/// (availability and conversion feasibility come from `registry`), as raw
+/// platform bytes in odometer order, operator 0 turning fastest. The one
+/// ground-truth sweep of the workspace; guarded to `k^n ≤ 2²²`.
+pub fn for_each_feasible(
     plan: &LogicalPlan,
-    layout: &FeatureLayout,
-    opts: EnumOptions<'_>,
-) -> ExecutionPlan {
-    let registry = opts.registry();
-    let oracle = opts.oracle();
-    let n = plan.n_ops();
-    let k = registry.len();
-    assert_eq!(layout.n_platforms, k);
-    assert_eq!(oracle.width(), layout.width);
+    registry: &PlatformRegistry,
+    mut visit: impl FnMut(&[u8]),
+) {
+    let (n, k) = (plan.n_ops(), registry.len());
     let total = exhaustive_count(n, k);
     assert!(
         total <= 1 << 22,
         "exhaustive search space too large: {total}"
     );
     let mut assign = vec![0u8; n];
-    let mut feats: Vec<f64> = Vec::new();
-    let mut batch: Vec<f64> = Vec::with_capacity(BATCH_ROWS * layout.width);
-    let mut batch_assign: Vec<u8> = Vec::with_capacity(BATCH_ROWS * n);
-    let mut costs: Vec<f64> = Vec::new();
-    let mut best_cost = f64::INFINITY;
-    let mut best_assign: Option<Vec<u8>> = None;
-
-    let mut flush = |batch: &mut Vec<f64>,
-                     batch_assign: &mut Vec<u8>,
-                     best_cost: &mut f64,
-                     best_assign: &mut Option<Vec<u8>>| {
-        if batch.is_empty() {
-            return;
-        }
-        oracle.cost_batch(RowsView::new(batch, layout.width), &mut costs);
-        for (r, &cost) in costs.iter().enumerate() {
-            if cost < *best_cost {
-                *best_cost = cost;
-                *best_assign = Some(batch_assign[r * n..(r + 1) * n].to_vec());
-            }
-        }
-        batch.clear();
-        batch_assign.clear();
-    };
-
     for _ in 0..total {
         if registry.feasible(plan, |i| PlatformId::from_index(assign[i] as usize)) {
-            vectorize_assignment(plan, layout, &assign, &mut feats);
-            batch.extend_from_slice(&feats);
-            batch_assign.extend_from_slice(&assign);
-            if batch.len() >= BATCH_ROWS * layout.width {
-                flush(
-                    &mut batch,
-                    &mut batch_assign,
-                    &mut best_cost,
-                    &mut best_assign,
-                );
-            }
+            visit(&assign);
         }
         // Odometer increment in base k.
         for slot in assign.iter_mut() {
@@ -87,12 +46,52 @@ pub fn exhaustive_best(
             *slot = 0;
         }
     }
-    flush(
-        &mut batch,
-        &mut batch_assign,
-        &mut best_cost,
-        &mut best_assign,
-    );
+}
+
+/// The optimum over [`for_each_feasible`]'s sweep under the registry and
+/// oracle carried by `opts`. Candidates are costed in batches of
+/// `BATCH_ROWS` rows through [`robopt_core::CostOracle::cost_batch`]. The
+/// sweep is already exhaustive, so `opts.prune()` is ignored.
+pub fn exhaustive_best(
+    plan: &LogicalPlan,
+    layout: &FeatureLayout,
+    opts: EnumOptions<'_>,
+) -> ExecutionPlan {
+    let registry = opts.registry();
+    let oracle = opts.oracle();
+    let n = plan.n_ops();
+    assert_eq!(layout.n_platforms, registry.len());
+    assert_eq!(oracle.width(), layout.width);
+    let mut feats: Vec<f64> = Vec::new();
+    let mut batch: Vec<f64> = Vec::with_capacity(BATCH_ROWS * layout.width);
+    let mut batch_assign: Vec<u8> = Vec::with_capacity(BATCH_ROWS * n);
+    let mut costs: Vec<f64> = Vec::new();
+    let mut best_cost = f64::INFINITY;
+    let mut best_assign: Option<Vec<u8>> = None;
+
+    let mut flush = |batch: &mut Vec<f64>, batch_assign: &mut Vec<u8>| {
+        if batch.is_empty() {
+            return;
+        }
+        oracle.cost_batch(RowsView::new(batch, layout.width), &mut costs);
+        for (r, &cost) in costs.iter().enumerate() {
+            if cost < best_cost {
+                best_cost = cost;
+                best_assign = Some(batch_assign[r * n..(r + 1) * n].to_vec());
+            }
+        }
+        batch.clear();
+        batch_assign.clear();
+    };
+    for_each_feasible(plan, registry, |assign| {
+        vectorize_assignment(plan, layout, assign, &mut feats);
+        batch.extend_from_slice(&feats);
+        batch_assign.extend_from_slice(assign);
+        if batch.len() >= BATCH_ROWS * layout.width {
+            flush(&mut batch, &mut batch_assign);
+        }
+    });
+    flush(&mut batch, &mut batch_assign);
     #[expect(
         clippy::expect_used,
         reason = "exhaustive search over an availability-satisfiable plan always visits at least one feasible assignment"

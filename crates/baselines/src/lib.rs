@@ -7,12 +7,13 @@
 //!   vector from the objects on **every** cost invocation. The only
 //!   difference from `robopt-core` is the representation, which is exactly
 //!   what the Fig-1 benchmark isolates.
-//! * [`exhaustive`] — enumerate all `k^n` assignments (tiny plans only);
-//!   the ground truth for the Lemma-1 losslessness property tests.
+//! * [`exhaustive`] — one sweep over the feasible ones of all `k^n`
+//!   assignments (tiny plans only): the ground truth for the Lemma-1
+//!   losslessness property tests and Fig 8's true optimum.
 
 pub mod exhaustive;
 pub mod object_plan;
 pub mod rheem_ml;
 
-pub use exhaustive::{exhaustive_best, exhaustive_count};
+pub use exhaustive::{exhaustive_best, exhaustive_count, for_each_feasible};
 pub use rheem_ml::ObjectEnumerator;

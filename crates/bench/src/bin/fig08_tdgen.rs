@@ -25,6 +25,7 @@
 use std::time::Instant;
 
 use robopt::{BackendChoice, ExecuteRequest, OptimizeRequest, Optimizer, WorkloadSpec};
+use robopt_baselines::for_each_feasible;
 use robopt_bench::{rounded, Report};
 use robopt_ml::{
     spearman, ForestConfig, Metrics, Model, RandomForest, SimulatorSource, TrainingSet,
@@ -112,21 +113,10 @@ fn true_optimum(
     registry: &PlatformRegistry,
     sim: &RuntimeSimulator<'_>,
 ) -> f64 {
-    let k = registry.len();
-    let n = plan.n_ops();
-    let mut assign = vec![0u8; n];
     let mut best = f64::INFINITY;
-    let combos = (k as u64).pow(n as u32);
-    for mut code in 0..combos {
-        for slot in assign.iter_mut() {
-            *slot = (code % k as u64) as u8;
-            code /= k as u64;
-        }
-        let s = sim.simulate_raw(plan, &assign);
-        if s < best {
-            best = s;
-        }
-    }
+    for_each_feasible(plan, registry, |assign| {
+        best = best.min(sim.simulate_raw(plan, assign));
+    });
     best
 }
 

@@ -42,6 +42,7 @@ use robopt_vector::{
 
 use crate::dist::{CostDistribution, RiskPolicy};
 use crate::oracle::CostOracle;
+use crate::split::{split_plan, SplitOptions};
 use crate::vectorize::{add_conversion_features, vectorize_assignment, ExecutionPlan, PlanLayout};
 
 /// Enumeration options: a borrowed [`PlatformRegistry`], the cost oracle
@@ -258,9 +259,10 @@ struct Unit {
 
 /// The vector-based enumerator with pooled, reusable buffers.
 ///
-/// [`Enumerator::enumerate`] is the one-call serial entry point; the split
-/// driver (`crate::parallel`) runs the same contract loop,
-/// `Enumerator::enumerate_parts`, over the parts and seams of a plan split.
+/// [`Enumerator::enumerate_within`] is the one budgeted entry point: it
+/// runs the contract loop over the parts and seams of a plan split, and
+/// serial search is the one-part split `SplitOptions::new(1)`.
+/// [`Enumerator::enumerate`] is that serial search, unbudgeted.
 ///
 /// A row's cost is read only where rows are compared: by the pruning of
 /// the merge that builds it, and by `finish` on the whole-plan unit. So
@@ -289,17 +291,14 @@ pub struct Enumerator {
     /// right row `ib`): infeasible combinations are still costed with their
     /// block — batching beats branching — but never reach the destination.
     feas: Vec<bool>,
-    /// Reused edge-index list for the serial all-edges path.
-    edge_idx: Vec<u32>,
     /// The two input scopes and the staged rows of every merge, for the
     /// tests that check which merges the oracle costs.
     #[cfg(test)]
     merge_log: Vec<(Scope, Scope, u64)>,
 }
 
-/// The contract every enumeration entry point ([`Enumerator::enumerate`],
-/// `ParallelEnumerator::enumerate`) holds its caller to, checked before any
-/// work starts.
+/// The contract [`Enumerator::enumerate_within`] holds its caller to,
+/// checked before any work starts.
 fn check_preconditions(plan: &LogicalPlan, layout: &FeatureLayout, opts: EnumOptions<'_>) {
     let k = opts.n_platforms();
     let oracle = opts.oracle();
@@ -750,63 +749,52 @@ impl Enumerator {
         result
     }
 
-    /// Run Algorithm 1. The plan must be sealed and connected; the layout's
-    /// platform dimension must match the registry carried by `opts`, and the
-    /// oracle carried by `opts` must expect the layout's row width.
+    /// Run Algorithm 1 serially and unbudgeted:
+    /// [`Enumerator::enumerate_within`] under the one-part split.
     pub fn enumerate(
         &mut self,
         plan: &LogicalPlan,
         layout: &FeatureLayout,
         opts: EnumOptions<'_>,
     ) -> (ExecutionPlan, EnumStats) {
-        unbudgeted(self.enumerate_within(plan, layout, opts, u64::MAX))
+        let serial = SplitOptions::new(1);
+        unbudgeted(self.enumerate_within(plan, layout, opts, serial, u64::MAX))
     }
 
-    /// [`Enumerator::enumerate`], refused with [`OverBudget`] before the
-    /// first merge that would stage more than `max_rows` candidate rows in
-    /// all ([`EnumStats::generated`]).
+    /// Run Algorithm 1 over the parts and seams of `split_plan(plan,
+    /// split)`. The plan must be sealed and connected; the layout's platform
+    /// dimension must match the registry carried by `opts`, and the oracle
+    /// carried by `opts` must expect the layout's row width.
+    ///
+    /// The one contract loop: each part, in part order, seeds its
+    /// operators' singletons and contracts its edges against counters of
+    /// its own, which then fold into the total; the seam edges contract
+    /// last, against that total. So the search is refused with
+    /// [`OverBudget`] before the first merge that would take a part past
+    /// `max_rows` staged rows of its own ([`EnumStats::generated`]), or the
+    /// seams past `max_rows` of the parts' total and their own; the lowest
+    /// refused part answers. Serial search is the one part of
+    /// `SplitOptions::new(1)`, with no seams.
     pub fn enumerate_within(
         &mut self,
         plan: &LogicalPlan,
         layout: &FeatureLayout,
         opts: EnumOptions<'_>,
-        max_rows: u64,
-    ) -> Result<(ExecutionPlan, EnumStats), OverBudget> {
-        let mut edges = std::mem::take(&mut self.edge_idx);
-        edges.clear();
-        edges.extend(0..plan.edges().len() as u32);
-        let whole = (Scope::full(plan.n_ops()), &edges[..]);
-        let search = self.enumerate_parts(plan, layout, opts, [whole], &[], max_rows);
-        self.edge_idx = edges;
-        search
-    }
-
-    /// The one contract loop, for the whole plan as one part and for a
-    /// split alike: each part, in order, seeds its operators' singletons and
-    /// contracts its edges against counters of its own (so refused past
-    /// `max_rows` rows of its own), which then fold into the total; the
-    /// seam edges contract last, against that total. Parts must be disjoint
-    /// and, with the seams, cover the plan's operators and edges.
-    pub(crate) fn enumerate_parts<'e>(
-        &mut self,
-        plan: &LogicalPlan,
-        layout: &FeatureLayout,
-        opts: EnumOptions<'_>,
-        parts: impl IntoIterator<Item = (Scope, &'e [u32])>,
-        seams: &[u32],
+        split: SplitOptions,
         max_rows: u64,
     ) -> Result<(ExecutionPlan, EnumStats), OverBudget> {
         check_preconditions(plan, layout, opts);
+        let split = split_plan(plan, split);
         let layout = &PlanLayout::of(plan, layout);
         self.begin(plan.n_ops(), layout);
         let mut stats = EnumStats::default();
-        for (scope, edges) in parts {
+        for (&scope, edges) in split.parts.iter().zip(&split.part_edges) {
             let mut part = EnumStats::default();
             self.seed_singletons(plan, layout, opts, scope, &mut part);
             self.contract_edges(plan, layout, opts, edges, max_rows, &mut part)?;
             stats.absorb(&part);
         }
-        self.contract_edges(plan, layout, opts, seams, max_rows, &mut stats)?;
+        self.contract_edges(plan, layout, opts, &split.seam_edges, max_rows, &mut stats)?;
         Ok((self.finish(plan, layout, opts), stats))
     }
 }
@@ -815,8 +803,10 @@ impl Enumerator {
 mod tests {
     use super::*;
     use crate::oracle::AnalyticOracle;
+    use crate::testing::TinyForest;
     use crate::vectorize::add_operator_cells;
-    use robopt_plan::{workloads, N_OPERATOR_KINDS};
+    use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
+    use robopt_vector::SigHasher;
 
     fn run(plan: &LogicalPlan, k: usize, prune: bool) -> (ExecutionPlan, EnumStats) {
         let registry = PlatformRegistry::uniform(k);
@@ -858,8 +848,9 @@ mod tests {
             let free = en.enumerate(&plan, &layout, opts);
             let total = free.1.generated;
             let limit = total - 1;
+            let serial = SplitOptions::new(1);
             assert_eq!(
-                en.enumerate_within(&plan, &layout, opts, limit),
+                en.enumerate_within(&plan, &layout, opts, serial, limit),
                 Err(OverBudget {
                     estimate: total,
                     limit
@@ -868,7 +859,7 @@ mod tests {
             );
             // Every singleton row, then the first merge's 4 × 4.
             assert_eq!(
-                en.enumerate_within(&plan, &layout, opts, 0),
+                en.enumerate_within(&plan, &layout, opts, serial, 0),
                 Err(OverBudget {
                     estimate: 4 * ops as u64 + 16,
                     limit: 0
@@ -876,7 +867,7 @@ mod tests {
                 "prune {prune}"
             );
             assert_eq!(
-                en.enumerate_within(&plan, &layout, opts, total),
+                en.enumerate_within(&plan, &layout, opts, serial, total),
                 Ok(free),
                 "prune {prune}"
             );
@@ -1015,7 +1006,7 @@ mod tests {
     /// can be inspected when it is built.
     #[test]
     fn every_kept_row_unpacks_to_the_full_layout_vector_of_its_assignment() {
-        use robopt_plan::{Operator, OperatorKind, SplitMix64};
+        use robopt_plan::{Operator, OperatorKind};
         let registries = [
             PlatformRegistry::named(),
             PlatformRegistry::uniform(2),
@@ -1119,9 +1110,7 @@ mod tests {
     /// and a fixed-seed forest ranked by `sigma2`.
     #[test]
     fn the_oracle_costs_only_the_rows_of_merges_that_compare() {
-        use crate::split::{split_plan, SplitOptions};
-        use crate::testing::{masked_registry, CountingOracle, TinyForest};
-        use robopt_plan::SplitMix64;
+        use crate::testing::{masked_registry, CountingOracle};
         let mut rng = SplitMix64::new(0x0042_C057);
         let mut registries = vec![PlatformRegistry::named()];
         registries.extend((2..=8).map(PlatformRegistry::uniform));
@@ -1154,21 +1143,8 @@ mod tests {
                         .with_risk(risk);
                     for parts in [1, 2, 3, 4, 8] {
                         en.merge_log.clear();
-                        if parts == 1 {
-                            en.enumerate(plan, &layout, opts);
-                        } else {
-                            let split = split_plan(plan, SplitOptions::new(parts));
-                            let edges = split.part_edges.iter().map(Vec::as_slice);
-                            let split_parts = split.parts.iter().copied().zip(edges);
-                            unbudgeted(en.enumerate_parts(
-                                plan,
-                                &layout,
-                                opts,
-                                split_parts,
-                                &split.seam_edges,
-                                u64::MAX,
-                            ));
-                        }
+                        let split = SplitOptions::new(parts);
+                        unbudgeted(en.enumerate_within(plan, &layout, opts, split, u64::MAX));
                         let mut want = 0;
                         for &(a, b, staged) in &en.merge_log {
                             let union = a.union(b);
@@ -1197,6 +1173,169 @@ mod tests {
             costed > 0 && skipped > 0,
             "costed {costed}, skipped {skipped}"
         );
+    }
+
+    fn uniform_setup(k: usize) -> (PlatformRegistry, FeatureLayout, AnalyticOracle) {
+        let registry = PlatformRegistry::uniform(k);
+        let layout = FeatureLayout::new(k, N_OPERATOR_KINDS);
+        let oracle = AnalyticOracle::for_registry(&registry, &layout);
+        (registry, layout, oracle)
+    }
+
+    #[test]
+    fn a_split_matches_serial_on_a_pipeline() {
+        let plan = workloads::synthetic_pipeline(24, 1e5);
+        let (registry, layout, oracle) = uniform_setup(3);
+        let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+        let mut en = Enumerator::new();
+        let (serial, _) = en.enumerate(&plan, &layout, opts);
+        let split = SplitOptions::new(4);
+        let (par, stats) = unbudgeted(en.enumerate_within(&plan, &layout, opts, split, u64::MAX));
+        assert_eq!(par.assignments, serial.assignments);
+        assert_eq!(par.cost.to_bits(), serial.cost.to_bits());
+        assert_eq!(stats.merges, plan.n_ops() as u64 - 1);
+    }
+
+    /// Parts and seam merge are refused on their own and the folded
+    /// counters, the same way on a reused enumerator as on a fresh one; the
+    /// full total is enough for the unbudgeted answer.
+    #[test]
+    fn a_split_budget_refusal_is_the_same_on_a_reused_enumerator() {
+        let plan = workloads::synthetic_pipeline(30, 1e5);
+        let (registry, layout, oracle) = uniform_setup(4);
+        let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+        let split = SplitOptions::new(5);
+        let fresh =
+            |max_rows| Enumerator::new().enumerate_within(&plan, &layout, opts, split, max_rows);
+        let free = unbudgeted(fresh(u64::MAX));
+        let total = free.1.generated;
+        let mut en = Enumerator::new();
+        for max_rows in [0, 100, total / 2, total - 1] {
+            let refused = en.enumerate_within(&plan, &layout, opts, split, max_rows);
+            assert_eq!(refused, fresh(max_rows), "max_rows={max_rows}");
+            assert!(refused.is_err_and(|over| over.estimate > max_rows));
+        }
+        assert_eq!(
+            en.enumerate_within(&plan, &layout, opts, split, total),
+            Ok(free)
+        );
+    }
+
+    /// Fold one budgeted run into `h`: the assignment bytes, the cost bits
+    /// and every `EnumStats` field of an answer, or a refusal's estimate
+    /// and limit.
+    fn fold(h: &mut SigHasher, run: &Result<(ExecutionPlan, EnumStats), OverBudget>) {
+        match run {
+            Ok((exec, stats)) => {
+                h.write_u64(0);
+                for p in exec.raw_assignments() {
+                    h.write_u64(u64::from(p));
+                }
+                h.write_f64_bits(exec.cost);
+                let EnumStats {
+                    generated,
+                    kept,
+                    merges,
+                    peak_rows,
+                } = *stats;
+                for c in [generated, kept, merges, peak_rows] {
+                    h.write_u64(c);
+                }
+            }
+            Err(OverBudget { estimate, limit }) => {
+                h.write_u64(1);
+                h.write_u64(*estimate);
+                h.write_u64(*limit);
+            }
+        }
+    }
+
+    /// Every run of `plan` at split parts {2, 3, 4, 8} and budgets {0, 10,
+    /// total/2, total − 1, unbudgeted}, folded into `h` on one reused
+    /// enumerator.
+    fn fold_split_runs(
+        h: &mut SigHasher,
+        en: &mut Enumerator,
+        plan: &LogicalPlan,
+        layout: &FeatureLayout,
+        opts: EnumOptions<'_>,
+    ) {
+        for parts in [2, 3, 4, 8] {
+            let split = SplitOptions::new(parts);
+            let total = unbudgeted(en.enumerate_within(plan, layout, opts, split, u64::MAX))
+                .1
+                .generated;
+            for max_rows in [0, 10, total / 2, total - 1, u64::MAX] {
+                fold(h, &en.enumerate_within(plan, layout, opts, split, max_rows));
+            }
+        }
+    }
+
+    /// Split answers, stats and refusals on seeded DAGs and pipelines over
+    /// `named()` and `uniform(3)` under the analytic oracle, and on a few
+    /// of them under [`TinyForest`] ranked by `sigma2`, pinned as one digest
+    /// taken while every part ran on an enumerator of its own. Any change
+    /// to how parts, seams or budgets are scheduled that moves one winner,
+    /// cost bit, counter or refusal moves it.
+    #[test]
+    fn a_seeded_split_stream_is_pinned() {
+        let mut rng = SplitMix64::new(0x5B11_7041);
+        let mut h = SigHasher::new();
+        let mut en = Enumerator::new();
+        for registry in [PlatformRegistry::named(), PlatformRegistry::uniform(3)] {
+            let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+            let analytic = AnalyticOracle::for_registry(&registry, &layout);
+            let forest = TinyForest::new(&registry, &layout, 0xF0_4E57);
+            let mut plans: Vec<LogicalPlan> = (0..6)
+                .map(|_| {
+                    let n = 6 + rng.gen_range(11);
+                    workloads::random_connected_dag(&mut rng, n, 0.3)
+                })
+                .collect();
+            plans.push(workloads::synthetic_pipeline(12, 1e5));
+            plans.push(workloads::synthetic_pipeline(30, 1e6));
+            let opts = EnumOptions::new(&registry).with_oracle(&analytic);
+            for plan in &plans {
+                fold_split_runs(&mut h, &mut en, plan, &layout, opts);
+            }
+            let opts = EnumOptions::new(&registry)
+                .with_oracle(&forest)
+                .with_risk(RiskPolicy::MeanPlusKSigma(2.0));
+            for plan in plans.iter().step_by(3) {
+                fold_split_runs(&mut h, &mut en, plan, &layout, opts);
+            }
+        }
+        assert_eq!(h.finish(), 0x2e35_1930_3c58_4262);
+    }
+
+    #[test]
+    fn unsplittable_plan_falls_back_to_serial() {
+        let plan = workloads::wordcount(1e5);
+        let (registry, layout, oracle) = uniform_setup(2);
+        let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+        let (serial, serial_stats) = Enumerator::new().enumerate(&plan, &layout, opts);
+        // parts = 1: the whole plan is the one part.
+        let split = SplitOptions::new(1);
+        let (par, stats) =
+            unbudgeted(Enumerator::new().enumerate_within(&plan, &layout, opts, split, u64::MAX));
+        assert_eq!(par, serial);
+        assert_eq!(stats, serial_stats);
+    }
+
+    #[test]
+    fn repeated_runs_reuse_pools_and_agree() {
+        let plan = workloads::synthetic_pipeline(20, 1e5);
+        let (registry, layout, oracle) = uniform_setup(2);
+        let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+        let split = SplitOptions::new(4);
+        let mut en = Enumerator::new();
+        let mut run = || unbudgeted(en.enumerate_within(&plan, &layout, opts, split, u64::MAX));
+        let (first, first_stats) = run();
+        for _ in 0..3 {
+            let (again, stats) = run();
+            assert_eq!(again, first);
+            assert_eq!(stats, first_stats);
+        }
     }
 
     #[test]

@@ -16,18 +16,18 @@
 //!   (Def. 2), availability masking and conversion-feasibility exclusion
 //!   from the [`robopt_platforms::PlatformRegistry`] carried by
 //!   [`enumerate::EnumOptions`], enumeration statistics, and the budget on
-//!   staged rows a search can run under ([`enumerate::OverBudget`]);
+//!   staged rows a search can run under ([`enumerate::OverBudget`]).
+//!   The one budgeted entry point, [`enumerate::Enumerator::enumerate_within`],
+//!   takes a [`split::SplitOptions`]: serial search is its one-part split;
 //! * [`split`] — deterministic low-connectivity plan partitioning (the
 //!   paper's `split`): minimum-crossing-edge cut boundaries over the
-//!   topological order, never through a `RepeatLoop` region;
-//! * [`parallel`] — the split driver: a split is an edge schedule on one
-//!   enumerator, its parts contracted in order, then its seams (DESIGN
-//!   §9).
+//!   topological order, never through a `RepeatLoop` region. A split is an
+//!   edge schedule on one enumerator, its parts contracted in order, then
+//!   its seams (DESIGN §9).
 
 pub mod dist;
 pub mod enumerate;
 pub mod oracle;
-pub mod parallel;
 pub mod split;
 #[cfg(test)]
 mod testing;
@@ -36,6 +36,6 @@ pub mod vectorize;
 pub use dist::{CostDistribution, RiskPolicy};
 pub use enumerate::{merge_key, EnumOptions, EnumStats, Enumerator, MergeKey, OverBudget};
 pub use oracle::{AnalyticOracle, CostOracle};
-pub use parallel::ParallelEnumerator;
+pub use split::ParallelEnumerator;
 pub use split::{loop_regions, split_plan, PlanSplit, SplitOptions, MAX_CUT_EDGES};
 pub use vectorize::ExecutionPlan;

@@ -1,4 +1,4 @@
-//! The plan splitter: low-connectivity cut boundaries for parallel
+//! The plan splitter: low-connectivity cut boundaries for split
 //! enumeration (paper §IV-D's `split`; DESIGN §9).
 //!
 //! The splitter cuts the plan into up to K contiguous segments of its
@@ -18,14 +18,21 @@
 //!   round-trip;
 //! * boundaries whose crossing-edge count exceeds [`MAX_CUT_EDGES`] — a
 //!   wide seam makes the final merge phase as expensive as the enumeration
-//!   it was supposed to parallelize.
+//!   it was supposed to split.
 //!
 //! When a window contains no admissible boundary the cut is skipped and the
 //! split simply has fewer parts; a plan that admits no cuts at all comes
-//! back whole (one part, empty seam).
+//! back whole (one part, empty seam). `SplitOptions::new(1)` is the serial
+//! schedule: one part, the whole plan, its edges in index order.
+//!
+//! A split is an argument of [`Enumerator::enumerate_within`], not a second
+//! enumerator: it only schedules the one contract loop's edges (DESIGN §9).
 
 use robopt_plan::{LogicalPlan, OperatorKind};
-use robopt_vector::Scope;
+use robopt_vector::{FeatureLayout, Scope};
+
+use crate::enumerate::{unbudgeted, EnumOptions, EnumStats, Enumerator};
+use crate::vectorize::ExecutionPlan;
 
 /// Maximum dataflow edges a single cut may cross. Cuts wider than this
 /// are rejected (the seam cross-product would dominate the run).
@@ -46,9 +53,34 @@ impl SplitOptions {
     }
 }
 
-impl Default for SplitOptions {
-    fn default() -> Self {
-        SplitOptions::new(4)
+/// A shim kept only for the benchmark's replay of the facade (ROADMAP
+/// 1(e)): a split and an [`Enumerator`], forwarded to
+/// [`Enumerator::enumerate_within`]. Product code passes the split itself.
+#[derive(Debug)]
+pub struct ParallelEnumerator(SplitOptions, Enumerator);
+
+impl ParallelEnumerator {
+    /// A one-part split until `with_split`; the thread count is ignored.
+    pub fn new(_threads: usize) -> Self {
+        ParallelEnumerator(SplitOptions::new(1), Enumerator::new())
+    }
+    /// Enumerate under `split`.
+    pub fn with_split(self, split: SplitOptions) -> Self {
+        ParallelEnumerator(split, self.1)
+    }
+    /// A no-op: there is no worker count to clamp.
+    pub fn with_hardware_clamp(self, _clamp: bool) -> Self {
+        self
+    }
+    /// [`Enumerator::enumerate_within`] under the split, unbudgeted.
+    pub fn enumerate(
+        &mut self,
+        plan: &LogicalPlan,
+        layout: &FeatureLayout,
+        opts: EnumOptions<'_>,
+    ) -> (ExecutionPlan, EnumStats) {
+        let ParallelEnumerator(split, en) = self;
+        unbudgeted(en.enumerate_within(plan, layout, opts, *split, u64::MAX))
     }
 }
 
@@ -75,7 +107,8 @@ impl PlanSplit {
         self.parts.len()
     }
 
-    /// True when the plan came back whole (no admissible cut).
+    /// Never true: [`split_plan`] returns at least one part, and a plan
+    /// that comes back whole (no admissible cut) has `len() == 1`.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.parts.is_empty()
@@ -112,6 +145,16 @@ pub fn loop_regions(plan: &LogicalPlan) -> Vec<Scope> {
 pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
     let n = plan.n_ops();
     assert!(n >= 1, "empty plan");
+    let k = opts.parts.clamp(1, n);
+    if k == 1 {
+        // What the cut search below returns when it finds no cut, without
+        // the topological pass.
+        return PlanSplit {
+            parts: vec![Scope::full(n)],
+            part_edges: vec![(0..plan.edges().len() as u32).collect()],
+            seam_edges: Vec::new(),
+        };
+    }
     let order = plan.topo_order();
     let mut pos = vec![0u32; n];
     for (i, &op) in order.iter().enumerate() {
@@ -149,7 +192,6 @@ pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
     }
 
     // Pick up to K-1 cut boundaries, one search window per target.
-    let k = opts.parts.clamp(1, n);
     let window = (n / (2 * k)).max(1);
     let mut cuts: Vec<usize> = Vec::new();
     let mut prev = 0usize;
@@ -210,7 +252,40 @@ pub fn split_plan(plan: &LogicalPlan, opts: SplitOptions) -> PlanSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robopt_plan::{workloads, Operator, SplitMix64};
+    use crate::oracle::AnalyticOracle;
+    use robopt_plan::{workloads, Operator, SplitMix64, N_OPERATOR_KINDS};
+    use robopt_platforms::PlatformRegistry;
+
+    /// The benchmark's shim answers as the one enumerator it forwards to:
+    /// assignment bytes, cost bits and every `EnumStats` field, over seeded
+    /// DAGs at parts {1, 2, 3, 8}, each side reused across plans.
+    #[test]
+    fn the_shim_answers_as_enumerate_within() {
+        let mut rng = SplitMix64::new(0x5_4143);
+        let mut en = Enumerator::new();
+        for parts in [1, 2, 3, 8] {
+            let split = SplitOptions::new(parts);
+            let mut shim = ParallelEnumerator::new(4)
+                .with_split(split)
+                .with_hardware_clamp(false);
+            for case in 0..6 {
+                let k = 2 + rng.gen_range(3);
+                let registry = PlatformRegistry::uniform(k);
+                let layout = FeatureLayout::new(k, N_OPERATOR_KINDS);
+                let oracle = AnalyticOracle::for_registry(&registry, &layout);
+                let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+                let n = 6 + rng.gen_range(20);
+                let plan = workloads::random_connected_dag(&mut rng, n, 0.3);
+                let (want, want_stats) =
+                    unbudgeted(en.enumerate_within(&plan, &layout, opts, split, u64::MAX));
+                let (got, stats) = shim.enumerate(&plan, &layout, opts);
+                let tag = format!("parts {parts}, case {case}");
+                assert_eq!(got.raw_assignments(), want.raw_assignments(), "{tag}");
+                assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{tag}");
+                assert_eq!(stats, want_stats, "{tag}");
+            }
+        }
+    }
 
     /// Crossing-edge count of each cut, from `parts` and `seam_edges`: a
     /// seam edge from part `a` to part `b` crosses cuts `a..b`.
@@ -278,6 +353,12 @@ mod tests {
         assert_eq!(split.len(), 1);
         assert!(split.seam_edges.is_empty());
         assert!(cut_sizes(&plan, &split).is_empty());
+        // The same one part the serial split returns without searching.
+        let serial = split_plan(&plan, SplitOptions::new(1));
+        assert_eq!(split.parts, [Scope::full(plan.n_ops())]);
+        assert_eq!(split.parts, serial.parts);
+        assert_eq!(split.part_edges, serial.part_edges);
+        assert_eq!(serial.part_edges, [(0..12).collect::<Vec<u32>>()]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Test doubles shared by the unit tests of [`crate::enumerate`] and
-//! [`crate::parallel`]: a small fixed-seed forest oracle, a counting
-//! oracle adapter, and seeded registries with availability masks and
-//! missing channels.
+//! Test doubles for the unit tests of [`crate::enumerate`]: a small
+//! fixed-seed forest oracle, a counting oracle adapter, and seeded
+//! registries with availability masks and missing channels.
 
 use std::cell::Cell;
 

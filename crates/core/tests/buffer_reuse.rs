@@ -7,9 +7,7 @@
 //! Single test in its own binary: `robopt_vector::alloc_events` is a
 //! process-global counter, so it must not race with unrelated tests.
 
-use robopt_core::{
-    AnalyticOracle, EnumOptions, Enumerator, ExecutionPlan, ParallelEnumerator, SplitOptions,
-};
+use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ExecutionPlan, SplitOptions};
 use robopt_plan::{workloads, N_OPERATOR_KINDS};
 use robopt_platforms::PlatformRegistry;
 use robopt_vector::FeatureLayout;
@@ -53,12 +51,13 @@ fn warmed_enumerator_performs_no_matrix_allocation() {
         exec
     });
 
-    // Split path: parts and seams run on the driver's one enumerator, so
-    // its one pool serves them all — after warm-up, a split run grows
-    // nothing either.
-    let mut parallel = ParallelEnumerator::default().with_split(SplitOptions::new(4));
+    // Split path: parts and seams run on one enumerator, so its one pool
+    // serves them all — after warm-up, a split run grows nothing either.
+    let mut enumerator = Enumerator::new();
     let split = settles_after_one_run("split", 5, || {
-        let (exec, stats) = parallel.enumerate(&plan, &layout, opts);
+        let (exec, stats) = enumerator
+            .enumerate_within(&plan, &layout, opts, SplitOptions::new(4), u64::MAX)
+            .unwrap();
         assert!(stats.generated > 0);
         exec
     });
@@ -78,9 +77,13 @@ fn warmed_enumerator_performs_no_matrix_allocation() {
     let layout = FeatureLayout::new(8, N_OPERATOR_KINDS);
     let oracle = AnalyticOracle::for_registry(&registry, &layout);
     let opts = EnumOptions::new(&registry).with_oracle(&oracle);
-    let mut parallel = ParallelEnumerator::default().with_split(SplitOptions::new(8));
+    let mut enumerator = Enumerator::new();
     settles_after_one_run("wide split", 19, || {
-        parallel.enumerate(&wide_plan, &layout, opts).0
+        let split = SplitOptions::new(8);
+        enumerator
+            .enumerate_within(&wide_plan, &layout, opts, split, u64::MAX)
+            .unwrap()
+            .0
     });
     let mut enumerator = Enumerator::new();
     settles_after_one_run("wide serial", 19, || {

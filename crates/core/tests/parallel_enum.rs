@@ -1,10 +1,10 @@
 //! Split enumeration contract (DESIGN §9): a split search answers the same
-//! on a fresh and on a reused driver, agrees with serial enumeration on the
-//! chosen assignment and canonical cost bits, and both match the
+//! on a fresh and on a reused enumerator, agrees with serial enumeration on
+//! the chosen assignment and canonical cost bits, and both match the
 //! exhaustive optimum on plans small enough to brute-force.
 
 use robopt_baselines::exhaustive_best;
-use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ParallelEnumerator, SplitOptions};
+use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, SplitOptions};
 use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::PlatformRegistry;
 use robopt_vector::FeatureLayout;
@@ -13,7 +13,7 @@ use robopt_vector::FeatureLayout;
 fn split_is_repeatable_and_agrees_with_serial_on_random_dags() {
     let mut rng = SplitMix64::new(0x9A11_E7E1);
     let mut serial = Enumerator::new();
-    let mut reused = ParallelEnumerator::default();
+    let mut reused = Enumerator::new();
     for case in 0..24 {
         let n = 6 + rng.gen_range(22); // 6..=27 operators
         let k = 2 + rng.gen_range(3); // 2..=4 platforms
@@ -25,13 +25,15 @@ fn split_is_repeatable_and_agrees_with_serial_on_random_dags() {
         let opts = EnumOptions::new(&registry).with_oracle(&oracle);
         let tag = format!("case {case} (n={n}, k={k}, K={parts})");
 
-        // A fresh driver and one reused across cases (its pool warmed by
-        // other plans) answer alike, stats included.
-        let (base, base_stats) = ParallelEnumerator::default()
-            .with_split(SplitOptions::new(parts))
-            .enumerate(&plan, &layout, opts);
-        reused.set_split(SplitOptions::new(parts));
-        let (again, stats) = reused.enumerate(&plan, &layout, opts);
+        // A fresh enumerator and one reused across cases (its pool warmed
+        // by other plans) answer alike, stats included.
+        let split = SplitOptions::new(parts);
+        let (base, base_stats) = Enumerator::new()
+            .enumerate_within(&plan, &layout, opts, split, u64::MAX)
+            .unwrap();
+        let (again, stats) = reused
+            .enumerate_within(&plan, &layout, opts, split, u64::MAX)
+            .unwrap();
         assert_eq!(again.assignments, base.assignments, "{tag}: reused");
         assert_eq!(
             again.cost.to_bits(),
@@ -55,7 +57,7 @@ fn split_is_repeatable_and_agrees_with_serial_on_random_dags() {
 #[test]
 fn parallel_matches_exhaustive_optimum_on_small_plans() {
     let mut rng = SplitMix64::new(0xBAA5_E11E);
-    let mut par = ParallelEnumerator::default().with_split(SplitOptions::new(3));
+    let mut en = Enumerator::new();
     for case in 0..24 {
         let n = 4 + rng.gen_range(4); // 4..=7 operators
         let k = 2 + rng.gen_range(2); // 2..=3 platforms -> k^n <= 2187
@@ -66,7 +68,9 @@ fn parallel_matches_exhaustive_optimum_on_small_plans() {
         let opts = EnumOptions::new(&registry).with_oracle(&oracle);
 
         let brute = exhaustive_best(&plan, &layout, opts);
-        let (best, stats) = par.enumerate(&plan, &layout, opts);
+        let (best, stats) = en
+            .enumerate_within(&plan, &layout, opts, SplitOptions::new(3), u64::MAX)
+            .unwrap();
         let tol = 1e-9 * brute.cost.abs().max(1.0);
         assert!(
             (best.cost - brute.cost).abs() <= tol,
@@ -78,7 +82,7 @@ fn parallel_matches_exhaustive_optimum_on_small_plans() {
     }
 }
 
-/// A split driver over a 24-op pipeline (which `SplitOptions::new(4)`
+/// A 4-part split search over a 24-op pipeline (which `SplitOptions::new(4)`
 /// really cuts), fed a registry / layout / oracle triple that may disagree.
 fn split_enumerate(registry_k: usize, layout_k: usize, oracle_k: usize) {
     let plan = workloads::synthetic_pipeline(24, 1e5);
@@ -88,13 +92,9 @@ fn split_enumerate(registry_k: usize, layout_k: usize, oracle_k: usize) {
         &PlatformRegistry::uniform(oracle_k),
         &FeatureLayout::new(oracle_k, N_OPERATOR_KINDS),
     );
-    ParallelEnumerator::default()
-        .with_split(SplitOptions::new(4))
-        .enumerate(
-            &plan,
-            &layout,
-            EnumOptions::new(&registry).with_oracle(&oracle),
-        );
+    let opts = EnumOptions::new(&registry).with_oracle(&oracle);
+    let _ =
+        Enumerator::new().enumerate_within(&plan, &layout, opts, SplitOptions::new(4), u64::MAX);
 }
 
 #[test]

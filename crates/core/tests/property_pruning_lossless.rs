@@ -2,7 +2,7 @@
 //! priority enumeration with Def-2 pruning returns the same optimal cost as
 //! exhaustive enumeration under the analytic oracle, on random DAGs.
 //!
-//! Also cross-checks the split driver and the object-graph baseline: every
+//! Also cross-checks a 3-part split and the object-graph baseline: every
 //! enumerator must land on the same optimum, or the Fig-1 comparison would
 //! not be apples-to-apples. The registries range from `uniform(k)`, where
 //! every kind runs everywhere and every conversion exists, to the named
@@ -10,16 +10,16 @@
 //! one-way channels, where many candidates are infeasible.
 
 use robopt_baselines::{exhaustive_best, ObjectEnumerator};
-use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ParallelEnumerator, SplitOptions};
+use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, SplitOptions};
 use robopt_plan::{workloads, LogicalPlan, OperatorKind, SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::{Platform, PlatformId, PlatformRegistry};
 use robopt_vector::{FeatureLayout, SigHasher};
 
-/// The serial enumerator, a 3-part split driver and the object-graph
-/// baseline, reused across cases.
+/// The serial enumerator, an enumerator for 3-part splits and the
+/// object-graph baseline, reused across cases.
 struct Enumerators {
     serial: Enumerator,
-    split: ParallelEnumerator,
+    split: Enumerator,
     object: ObjectEnumerator,
 }
 
@@ -37,13 +37,18 @@ fn assert_lossless(
 
     let brute = exhaustive_best(plan, &layout, opts);
     let (pruned, stats) = e.serial.enumerate(plan, &layout, opts);
-    let (split, _) = e.split.enumerate(plan, &layout, opts);
+    // No search is refused at the `u64::MAX` budget; a refusal would read
+    // NaN and fail the check below.
+    let split = e
+        .split
+        .enumerate_within(plan, &layout, opts, SplitOptions::new(3), u64::MAX)
+        .map_or(f64::NAN, |(exec, _)| exec.cost);
     let object = e.object.enumerate(plan, &layout, opts).0;
 
     let tol = 1e-9 * brute.cost.abs().max(1.0);
     for (name, cost) in [
         ("pruned", pruned.cost),
-        ("split", split.cost),
+        ("split", split),
         ("object", object.cost),
     ] {
         assert!(
@@ -113,7 +118,7 @@ fn masked_registry(rng: &mut SplitMix64, k: usize) -> PlatformRegistry {
 fn pruned_priority_enumeration_matches_exhaustive_optimum() {
     let mut e = Enumerators {
         serial: Enumerator::new(),
-        split: ParallelEnumerator::default().with_split(SplitOptions::new(3)),
+        split: Enumerator::new(),
         object: ObjectEnumerator::new(),
     };
 

@@ -15,7 +15,7 @@
 
 use robopt_core::{
     AnalyticOracle, CostDistribution, CostOracle, EnumOptions, EnumStats, Enumerator,
-    ExecutionPlan, ParallelEnumerator, RiskPolicy, SplitOptions,
+    ExecutionPlan, RiskPolicy, SplitOptions,
 };
 use robopt_plan::{LogicalPlan, Operator, OperatorKind, SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::PlatformRegistry;
@@ -124,8 +124,8 @@ fn digest(exec: &ExecutionPlan, stats: &EnumStats) -> u64 {
 }
 
 /// One table row: `plan` on `registry` at `parts` split parts, the three
-/// risk policies folded in [`RISKS`] order. `parts == 1` runs the serial
-/// [`Enumerator`], anything else the split driver.
+/// risk policies folded in [`RISKS`] order. `parts == 1` is the serial
+/// search.
 fn row_digest(plan: &LogicalPlan, registry: &PlatformRegistry, parts: usize, prune: bool) -> u64 {
     let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
     let oracle = SpreadOracle::new(registry, &layout);
@@ -135,14 +135,11 @@ fn row_digest(plan: &LogicalPlan, registry: &PlatformRegistry, parts: usize, pru
             .with_oracle(&oracle)
             .with_prune(prune)
             .with_risk(risk);
-        let (exec, stats) = if parts == 1 {
-            Enumerator::new().enumerate(plan, &layout, opts)
-        } else {
-            ParallelEnumerator::default()
-                .with_split(SplitOptions::new(parts))
-                .enumerate(plan, &layout, opts)
-        };
-        h.write_u64(digest(&exec, &stats));
+        let split = SplitOptions::new(parts);
+        let run = Enumerator::new().enumerate_within(plan, &layout, opts, split, u64::MAX);
+        // No search is refused at the `u64::MAX` budget; a refusal would
+        // fold 0 and fail its row.
+        h.write_u64(run.map_or(0, |(exec, stats)| digest(&exec, &stats)));
     }
     h.finish()
 }

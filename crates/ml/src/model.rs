@@ -14,8 +14,8 @@
 //!
 //! `Model`s read full rows ([`RowsView::row`]); the enumerator sends packed
 //! ones (DESIGN §3). `ModelOracle` is where the two meet: both batch methods
-//! unpack a packed view into a per-thread scratch ([`RowsView::full`], the
-//! identity on a full view) and hand the model the rows it has always read,
+//! unpack a packed view into the oracle's own scratch ([`RowsView::full`],
+//! the identity on a full view) and hand the model the rows it has always read,
 //! so no model — the forest walk included — knows packed rows exist.
 
 use std::cell::RefCell;
@@ -80,12 +80,18 @@ pub trait DistModel: Model {
 #[derive(Debug, Clone)]
 pub struct ModelOracle<M> {
     model: M,
+    /// Where a packed batch is unpacked ([`RowsView::full`]). Reused, not a
+    /// `Vec` per call: a cold request makes dozens of oracle calls of 10–20
+    /// KB each, and allocating and freeing that at the top of the heap every
+    /// call costs more than the unpack itself.
+    unpacked: RefCell<Vec<f64>>,
 }
 
 impl<M: Model> ModelOracle<M> {
     /// Wrap a fitted model.
     pub fn new(model: M) -> Self {
-        ModelOracle { model }
+        let unpacked = RefCell::new(Vec::new());
+        ModelOracle { model, unpacked }
     }
 
     /// The wrapped model.
@@ -114,7 +120,8 @@ impl<M: DistModel> CostOracle for ModelOracle<M> {
             rows.width(),
             self.width()
         );
-        with_full(rows, |rows| self.model.predict_batch(rows, out));
+        let mut unpacked = self.unpacked.borrow_mut();
+        self.model.predict_batch(rows.full(&mut unpacked), out);
     }
 
     fn cost_batch_dist(&self, rows: RowsView<'_>, out: &mut CostDistribution) {
@@ -125,22 +132,9 @@ impl<M: DistModel> CostOracle for ModelOracle<M> {
             rows.width(),
             self.width()
         );
-        with_full(rows, |rows| self.model.predict_dist_batch(rows, out));
+        let mut unpacked = self.unpacked.borrow_mut();
+        self.model.predict_dist_batch(rows.full(&mut unpacked), out);
     }
-}
-
-thread_local! {
-    /// Where [`with_full`] unpacks a packed batch. Per thread and reused,
-    /// not a `Vec` per call: a cold request makes dozens of oracle calls of
-    /// 10–20 KB each, and allocating and freeing that at the top of the heap
-    /// every call costs more than the unpack itself.
-    static UNPACKED: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `predict` on `rows` as a full view ([`RowsView::full`]): models index
-/// a row by full-layout cell, the enumerator sends packed rows.
-fn with_full<R>(rows: RowsView<'_>, predict: impl FnOnce(RowsView<'_>) -> R) -> R {
-    UNPACKED.with_borrow_mut(|unpacked| predict(rows.full(unpacked)))
 }
 
 #[cfg(test)]

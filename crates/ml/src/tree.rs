@@ -305,23 +305,11 @@ fn partition(span: &mut [u32], goes_left: &[bool], spill: &mut [u32]) -> usize {
 
 impl RegressionTree {
     /// Fit a tree on the rows selected by `idx` (indices into `rows`, with
-    /// repeats allowed — the forest passes bootstrap samples directly).
-    /// `rng` drives per-node feature subsampling only; with
-    /// `feature_candidates: None` it is never consulted.
-    pub fn fit_on_indices(
-        config: &TreeConfig,
-        rows: RowsView<'_>,
-        labels: &[f64],
-        idx: &[u32],
-        rng: &mut SplitMix64,
-    ) -> RegressionTree {
-        let columns = ColumnOrder::new(rows);
-        let mut scratch = FitScratch::default();
-        RegressionTree::fit_sorted(config, rows, labels, idx, rng, &columns, &mut scratch)
-    }
-
-    /// [`RegressionTree::fit_on_indices`] given the `rows`' [`ColumnOrder`]
-    /// and buffers to work in: what a forest calls once per tree.
+    /// repeats allowed — the forest passes bootstrap samples directly),
+    /// given the `rows`' [`ColumnOrder`] and buffers to work in: what a
+    /// forest calls once per tree. `rng` drives per-node feature
+    /// subsampling only; with `feature_candidates: None` it is never
+    /// consulted.
     pub(crate) fn fit_sorted(
         config: &TreeConfig,
         rows: RowsView<'_>,
@@ -641,18 +629,6 @@ impl RegressionTree {
     pub(crate) fn values(&self) -> &[f64] {
         &self.value
     }
-
-    /// Predict one row: the one-row, one-tree case of the forest's
-    /// lock-step `forest::walk`.
-    #[inline]
-    pub fn predict(&self, feats: &[f64]) -> f64 {
-        debug_assert_eq!(feats.len(), self.width);
-        let mut leaf_value = 0.0;
-        crate::forest::walk(std::array::from_ref(self), &[feats], |_, _, value| {
-            leaf_value = value;
-        });
-        leaf_value
-    }
 }
 
 struct Split {
@@ -692,6 +668,32 @@ fn sum_and_sse(labels: &[f64], idx: &[u32]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RegressionTree {
+        /// Fit a tree on `rows` with a fresh column order and scratch.
+        fn fit_on_indices(
+            config: &TreeConfig,
+            rows: RowsView<'_>,
+            labels: &[f64],
+            idx: &[u32],
+            rng: &mut SplitMix64,
+        ) -> RegressionTree {
+            let columns = ColumnOrder::new(rows);
+            let mut scratch = FitScratch::default();
+            RegressionTree::fit_sorted(config, rows, labels, idx, rng, &columns, &mut scratch)
+        }
+
+        /// Predict one row: the one-row, one-tree case of the forest's
+        /// lock-step `forest::walk`.
+        fn predict(&self, feats: &[f64]) -> f64 {
+            debug_assert_eq!(feats.len(), self.width);
+            let mut leaf_value = 0.0;
+            crate::forest::walk(std::array::from_ref(self), &[feats], |_, _, value| {
+                leaf_value = value;
+            });
+            leaf_value
+        }
+    }
 
     fn fit_all(config: &TreeConfig, feats: &[f64], width: usize, labels: &[f64]) -> RegressionTree {
         let rows = RowsView::new(feats, width);

@@ -7,7 +7,7 @@
 //! The spec stays plain `Copy` data so callers can hash it into cache keys
 //! and render it over the wire.
 
-use crate::dag::LogicalPlan;
+use crate::dag::{LogicalPlan, MAX_OPS};
 use crate::rng::SplitMix64;
 use crate::workloads;
 
@@ -73,10 +73,10 @@ pub struct WorkloadParams {
     pub iterations: Option<u32>,
 }
 
-/// Operator-count bounds for the parameterized workload shapes; keeps
-/// callers from building degenerate or exponential plans.
+/// Operator-count lower bound for the parameterized workload shapes; with
+/// the plan's own cap `dag::MAX_OPS`, keeps callers from building
+/// degenerate or exponential plans.
 const MIN_OPS: usize = 2;
-const MAX_OPS: usize = 128;
 
 /// Loop trip-count bounds for the iterative shapes.
 const MAX_ITERATIONS: u32 = 256;

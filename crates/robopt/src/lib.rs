@@ -11,8 +11,9 @@
 //!   plumbing at every call site;
 //! * [`optimizer`] — the [`Optimizer`] facade: owns the registry, the cost
 //!   model (analytic or trained forest behind `&dyn CostOracle`), the
-//!   warmed matrix pool of one [`robopt_core::ParallelEnumerator`], and the
-//!   plan-signature cache, whose capacity 0 is caching off;
+//!   warmed matrix pool of one [`robopt_core::Enumerator`], which it hands
+//!   each request's split, and the plan-signature cache, whose capacity 0
+//!   is caching off;
 //! * [`cache`] — [`PlanCache`], deterministic plan-signature memoization in
 //!   one `KeyMap`, with benefit-weighted eviction and hit/miss counters;
 //! * [`json`] — the dependency-free JSON parser and [`json::Writer`] every

@@ -3,11 +3,12 @@
 //! Owns the [`PlatformRegistry`], the Fig-5 [`FeatureLayout`], the active
 //! cost model (analytic, or a trained forest behind the same
 //! `&dyn CostOracle` the enumerators already speak), the warmed matrix
-//! pool of one [`ParallelEnumerator`], and the plan-signature
-//! [`PlanCache`]. Service callers send [`OptimizeRequest`]s and never wire
-//! `EnumOptions`, an oracle and an enumerator themselves; the raw plumbing
-//! stays inside `robopt_core`, with [`Optimizer::enum_options`] as the
-//! escape hatch for baselines that need it.
+//! pool of one [`Enumerator`], which it hands each request's
+//! [`SplitOptions`], and the plan-signature [`PlanCache`]. Service callers
+//! send [`OptimizeRequest`]s and never wire `EnumOptions`, an oracle and an
+//! enumerator themselves; the raw plumbing stays inside `robopt_core`, with
+//! [`Optimizer::enum_options`] as the escape hatch for baselines that need
+//! it.
 //!
 //! # Cache soundness
 //!
@@ -20,7 +21,7 @@
 
 use robopt_core::vectorize::vectorize_assignment;
 use robopt_core::{
-    AnalyticOracle, CostDistribution, CostOracle, EnumOptions, ParallelEnumerator, SplitOptions,
+    AnalyticOracle, CostDistribution, CostOracle, EnumOptions, Enumerator, SplitOptions,
 };
 use robopt_engine::Engine;
 use robopt_ml::{
@@ -85,7 +86,7 @@ pub struct Optimizer {
     registry: PlatformRegistry,
     layout: FeatureLayout,
     oracle: OracleKind,
-    parallel: ParallelEnumerator,
+    enumerator: Enumerator,
     /// Capacity 0 is caching off.
     cache: PlanCache,
     /// `optimize` calls, counting the ones `compare` and an unassigned
@@ -111,7 +112,7 @@ impl Optimizer {
             registry,
             layout,
             oracle,
-            parallel: ParallelEnumerator::default(),
+            enumerator: Enumerator::new(),
             cache: PlanCache::new(PlanCache::DEFAULT_CAPACITY),
             requests: 0,
             busy: BusyTime::default(),
@@ -421,18 +422,18 @@ impl Optimizer {
             registry,
             layout,
             oracle,
-            parallel,
+            enumerator,
             feats,
             dist,
             ..
         } = self;
-        parallel.set_split(SplitOptions::new(req.policy.split_parts.max(1)));
+        let split = SplitOptions::new(req.policy.split_parts);
         let opts = EnumOptions::new(registry)
             .with_oracle(oracle.as_dyn())
             .with_prune(req.policy.prune)
             .with_risk(req.risk);
-        let (exec, stats) = parallel
-            .enumerate_within(plan, layout, opts, MAX_ENUMERATION_ROWS)
+        let (exec, stats) = enumerator
+            .enumerate_within(plan, layout, opts, split, MAX_ENUMERATION_ROWS)
             .map_err(|over| ServiceError::TooLarge {
                 what: "enumeration rows",
                 estimate: over.estimate,

@@ -76,12 +76,6 @@ impl PiecewisePoly {
         }
         acc
     }
-
-    /// The knot abscissae.
-    #[inline]
-    pub fn knots(&self) -> &[f64] {
-        &self.xs
-    }
 }
 
 /// Newton divided-difference coefficients for one window.
@@ -143,7 +137,7 @@ mod tests {
                 "interpolant must pass through its knots"
             );
         }
-        assert_eq!(poly.knots().len(), 11);
+        assert_eq!(poly.xs.len(), 11);
     }
 
     #[test]

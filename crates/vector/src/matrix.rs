@@ -136,22 +136,6 @@ impl EnumMatrix {
         r
     }
 
-    /// Append every row of `other` (same width and operator count) in three
-    /// bulk copies. Growth is counted as [`EnumMatrix::push_row`] counts it.
-    pub fn extend_from(&mut self, other: &EnumMatrix) {
-        assert_eq!(
-            (self.width, self.n_ops),
-            (other.width, other.n_ops),
-            "matrix shapes differ"
-        );
-        self.counting_growth(|m| {
-            m.feats.extend_from_slice(&other.feats);
-            m.assign.extend_from_slice(&other.assign);
-            m.costs.extend_from_slice(&other.costs);
-        });
-        self.rows += other.rows;
-    }
-
     /// Set the cost of row `r` (used after a batched oracle call costs the
     /// staged candidate rows in one pass).
     #[inline]
@@ -464,29 +448,6 @@ mod tests {
         m.overwrite_row(1, &[7.0, 8.0, 9.0], &[NO_PLATFORM, 0], 1.0);
         assert_eq!(m.row(1), &[7.0, 8.0, 9.0]);
         assert_eq!(m.cost(1), 1.0);
-    }
-
-    #[test]
-    fn extend_from_appends_what_push_row_would() {
-        let mut src = EnumMatrix::new();
-        src.reset(2, 2);
-        src.push_row(&[1.0, 2.0], &[0, NO_PLATFORM], 5.0);
-        src.push_row(&[3.0, 4.0], &[NO_PLATFORM, 1], 6.0);
-        let (mut bulk, mut by_row) = (EnumMatrix::new(), EnumMatrix::new());
-        for m in [&mut bulk, &mut by_row] {
-            m.reset(2, 2);
-            m.push_row(&[9.0, 9.0], &[1, 1], 1.0);
-        }
-        bulk.extend_from(&src);
-        for r in 0..src.rows() {
-            by_row.push_row(src.row(r), src.assignments(r), src.cost(r));
-        }
-        assert_eq!(bulk.rows(), 3);
-        assert_eq!(bulk.rows_view().flat(), by_row.rows_view().flat());
-        for r in 0..3 {
-            assert_eq!(bulk.assignments(r), by_row.assignments(r));
-            assert_eq!(bulk.cost(r), by_row.cost(r));
-        }
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //! * [`robopt_core`] — vectorize, Algorithm-1 enumeration with Def-2
 //!   pruning and an optional budget on staged rows, `CostOracle` and
 //!   `AnalyticOracle`, `CostDistribution` / `RiskPolicy`, the plan splitter
-//!   and parallel enumerator, `EnumStats`;
+//!   (a split is an argument of the one enumerator), `EnumStats`;
 //! * [`robopt_baselines`] — the object-graph "Rheem-ML" enumerator and
-//!   exhaustive search;
+//!   the one exhaustive sweep over feasible assignments;
 //! * [`robopt_tdgen`] — TDGEN: shape templates (a skeleton is an unsealed
 //!   `LogicalPlan` with its sources' scale shares), the β-bounded assignment
 //!   walk, piecewise log-log interpolation behind the one knot sweep

@@ -21,7 +21,7 @@ use robopt_baselines::ObjectEnumerator;
 use robopt_core::vectorize::{
     add_conversion_features, add_operator_cells, live_runs, vectorize_assignment, PlanLayout,
 };
-use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, ParallelEnumerator, SplitOptions};
+use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, SplitOptions};
 use robopt_plan::{workloads, LogicalPlan, Operator, OperatorKind, SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::{PlatformId, PlatformRegistry};
 use robopt_vector::merge::merge_feats;
@@ -353,10 +353,11 @@ fn a_plan_of_all_24_kinds_enumerates_in_the_full_layout_with_the_same_answer() {
     // The object-graph baseline encodes every candidate in the full layout
     // from scratch: a reference that shares no row with the enumerator.
     let reference = ObjectEnumerator::new().enumerate(&plan, &full, opts).0;
-    let (serial, _) = Enumerator::new().enumerate(&plan, &full, opts);
-    let (split, _) = ParallelEnumerator::default()
-        .with_split(SplitOptions::new(4))
-        .enumerate(&plan, &full, opts);
+    let mut en = Enumerator::new();
+    let (serial, _) = en.enumerate(&plan, &full, opts);
+    let (split, _) = en
+        .enumerate_within(&plan, &full, opts, SplitOptions::new(4), u64::MAX)
+        .unwrap();
     for got in [&serial, &split] {
         assert_eq!(got.assignments, reference.assignments);
         assert_eq!(got.cost.to_bits(), serial.cost.to_bits());

@@ -203,6 +203,25 @@ fn home_findings(home: &Home, rel: &str, source: &str) -> Vec<String> {
         .collect()
 }
 
+/// The benchmark's split shim (ROADMAP 1(e)), spelled in two halves so
+/// this file does not name it.
+const SHIM: &str = concat!("Parallel", "Enumerator");
+
+/// Lines of `source` that name [`SHIM`], but its definition and test in
+/// `core::split` and `core`'s re-export: product code, tests and the fig
+/// binaries pass a split to `Enumerator::enumerate_within` instead.
+fn shim_findings(rel: &str, source: &str) -> Vec<String> {
+    if rel == "crates/core/src/split.rs" {
+        return Vec::new();
+    }
+    let reexport = format!("pub use split::{SHIM};");
+    let named = |l: &str| l.contains(SHIM) && !(rel == "crates/core/src/lib.rs" && l == reexport);
+    let found = source.lines().enumerate().filter(|(_, l)| named(l));
+    found
+        .map(|(i, _)| format!("{rel}:{}: names the benchmark's split shim", i + 1))
+        .collect()
+}
+
 /// `(repo-relative path, text)` of every product-library source: the
 /// crates' `src/` trees but the front ends', which time and fan out however
 /// their job needs, and the root `src/`.
@@ -346,6 +365,15 @@ fn the_hash_index_has_one_home() {
 }
 
 #[test]
+fn the_split_shim_is_named_only_where_it_lives() {
+    let mut sources = read_rs_tree("crates").expect("crate sources");
+    sources.extend(read_rs_tree("src").expect("root sources"));
+    sources.extend(read_rs_tree("tests").expect("root tests"));
+    let found = sources.iter().flat_map(|(rel, s)| shim_findings(rel, s));
+    assert_eq!(found.collect::<Vec<_>>(), Vec::<String>::new());
+}
+
+#[test]
 fn numbers_are_scanned_as_the_pattern_reads() {
     let found = numbers("q0.9 of 1e7: 2.4x, 7745.5 ms, 3. 12");
     assert_eq!(found, ["0.9", "1", "7", "2.4", "7745.5", "3", "12"]);
@@ -402,6 +430,10 @@ fn bad_inputs_are_reported() {
             &INDEX,
             "crates/engine/src/exec.rs",
             "fn next(slot: usize, mask: usize) -> usize {\n    (slot + 1) & mask\n}\n",
+        ),
+        shim_findings(
+            "crates/core/src/lib.rs",
+            &format!("pub use split::{SHIM};\npub use split::{{split_plan, {SHIM}}};\n"),
         ),
     ];
     for (i, findings) in cases.iter().enumerate() {
