@@ -318,9 +318,13 @@ impl<'a> Engine<'a> {
                         // The source streams through the coin a block at
                         // a time: only what it keeps is ever stored. The
                         // whole range is reserved, but only the kept rows'
-                        // pages (and one block past them) are touched, and
-                        // the rest is given back; growing by doubling
-                        // instead cost more in copies than the fusion saved.
+                        // pages (and one block past them) are touched, so
+                        // the untouched slack is never resident and is not
+                        // given back: shrinking it lowered glibc's dynamic
+                        // mmap threshold, so every pass mapped and faulted
+                        // in a fresh chunk for TPC-H's lineitem. Growing by
+                        // doubling instead cost more in copies than the
+                        // fusion saved.
                         let source = self.source(plan, src, rows);
                         let n = source.len();
                         let mut out = Vec::with_capacity(n);
@@ -331,7 +335,6 @@ impl<'a> Engine<'a> {
                             let kept = keep_to_front(&mut out[at..], |r| keep_record(r, sel, salt));
                             out.truncate(at + kept);
                         }
-                        out.shrink_to_fit();
                         return out;
                     }
                 }

@@ -206,6 +206,24 @@ impl<V> KeyMap<V> {
         self.entries.iter().map(|(key, value)| (*key, value))
     }
 
+    /// Keep the entries `keep` accepts, after it has changed their values
+    /// as it likes. The survivors keep their entry order and are indexed
+    /// afresh in the table's allocation, which they fit since they are no
+    /// more than were indexed before.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, &mut V) -> bool) {
+        let entries = &self.entries;
+        self.index.clear(entries.len(), |i| mix64(entries[i].0));
+        self.entries.retain_mut(|(key, value)| keep(*key, value));
+        for len in 1..=self.entries.len() {
+            let hash = mix64(self.entries[len - 1].0);
+            // A probe that accepts nothing ends at a free slot.
+            if let Err(slot) = self.index.probe(hash, |_| false) {
+                let entries = &self.entries;
+                self.index.fill(slot, hash, len, |i| mix64(entries[i].0));
+            }
+        }
+    }
+
     /// Store `key → value`, replacing any previous value for `key`.
     #[inline]
     pub fn insert(&mut self, key: u64, value: V) {
@@ -317,6 +335,15 @@ mod tests {
                     }
                     _ => assert_eq!(map.get(key), model.get(&key).copied(), "{round}/{step}"),
                 }
+                if step % 5_000 == 4_999 {
+                    // Drop a third of the keys and change every survivor.
+                    let keep = |key: u64, value: &mut u32| {
+                        *value ^= 1;
+                        !key.is_multiple_of(3)
+                    };
+                    model.retain(|&key, value| keep(key, value));
+                    map.retain(keep);
+                }
                 assert_eq!(map.len(), model.len(), "{round}/{step}");
                 peak = peak.max(map.len());
             }
@@ -371,6 +398,17 @@ mod tests {
                     });
                     assert_eq!(got.as_ref(), model.get(&key), "{step}");
                 }
+            }
+            if step % 2_500 == 999 {
+                // Keep every other key and mark the survivors; their entry
+                // order stays.
+                let keep = |key: u64, value: &mut String| {
+                    value.push('*');
+                    key.is_multiple_of(2)
+                };
+                model.retain(|&key, value| keep(key, value));
+                order.retain(|key| key.is_multiple_of(2));
+                map.retain(keep);
             }
             assert_eq!(map.len(), model.len(), "{step}");
             if step % 1_000 == 0 || step == 19_999 {

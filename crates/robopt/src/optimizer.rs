@@ -91,7 +91,7 @@ pub struct Optimizer {
     cache: PlanCache,
     /// `optimize` calls, counting the ones `compare` and an unassigned
     /// `execute` make (`StatsResponse::requests`) — also the logical clock
-    /// that drives cache recency (never wall time).
+    /// that ages the cache's request counts (never wall time).
     requests: u64,
     busy: BusyTime,
     /// Scratch feature row for the winner re-cost and single-platform
@@ -224,10 +224,9 @@ impl Optimizer {
             return Ok(hit);
         }
         let resp = self.optimize_cold(req, sig)?;
-        if self.cache.capacity() > 0 {
-            let work = resp.stats.generated.max(1);
-            self.cache.insert(sig, resp.clone(), work, self.requests);
-        }
+        let work = resp.stats.generated.max(1);
+        self.cache
+            .insert_with(sig, work, self.requests, || resp.clone());
         self.busy.add(started.elapsed());
         Ok(resp)
     }
