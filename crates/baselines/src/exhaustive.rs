@@ -14,7 +14,8 @@ const BATCH_ROWS: usize = 256;
 /// Table-I (20, 5) point, hence `u128`), saturating at `u128::MAX` once
 /// `n · log₂ k` reaches 128 (Pipeline-128 on eight platforms).
 pub fn exhaustive_count(n_ops: usize, n_platforms: usize) -> u128 {
-    (n_platforms as u128).saturating_pow(n_ops as u32)
+    // An exponent past u32::MAX saturates like the power does.
+    (n_platforms as u128).saturating_pow(u32::try_from(n_ops).unwrap_or(u32::MAX))
 }
 
 /// Hand `visit` every feasible one of the `k^n` full assignments of `plan`
@@ -114,6 +115,10 @@ mod tests {
         assert_eq!(exhaustive_count(127, 2), 1 << 127);
         assert_eq!(exhaustive_count(128, 2), u128::MAX);
         assert_eq!(exhaustive_count(128, 8), u128::MAX);
+        // Past 2^32 operators the exponent saturates instead of wrapping to 0.
+        assert_eq!(exhaustive_count(u32::MAX as usize + 1, 2), u128::MAX);
+        assert_eq!(exhaustive_count(5, 1), 1);
+        assert_eq!(exhaustive_count(u32::MAX as usize + 1, 1), 1);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! * **Parallel training**: each worker of the workspace's one fan-out
 //!   ([`robopt_plan::par::par_chunks`]) fits one contiguous block of tree
 //!   indices (no work queue, no locks). The training set's columns are
-//!   sorted once, before the workers start
-//!   (`tree::ColumnOrder`, shared read-only); a worker expands
-//!   that order per bootstrap sample into one
-//!   `tree::FitScratch` it reuses across its trees — `4 · rows ·
-//!   live columns` bytes shared plus as much again per worker.
+//!   sorted and split into value groups once, before the workers start
+//!   (`tree::ColumnOrder`, shared read-only); a worker loads the
+//!   distinct rows of each bootstrap sample from that order into one
+//!   `tree::FitScratch` it reuses across its trees — `8 · rows ·
+//!   live columns` bytes shared plus `4 · distinct rows · live columns`
+//!   per worker.
 //! * **Lock-step inference**: every prediction entry point is a sink over
 //!   one descent, `walk`, which advances a block of up to
 //!   `ROW_BLOCK` rows × `TREE_BLOCK` trees one level at a time. The
@@ -81,8 +82,8 @@ impl RandomForest {
     }
 
     /// [`RandomForest::fit`] on `n_threads` workers. The columns are sorted
-    /// here, once, and shared; each worker expands them per tree into one
-    /// [`FitScratch`] of its own.
+    /// here, once, and shared; each worker loads each tree's sample from
+    /// them into one [`FitScratch`] of its own.
     #[expect(
         clippy::expect_used,
         reason = "par_chunks' blocks tile 0..n_trees exactly, so every slot is filled once it returns"

@@ -12,11 +12,18 @@
 //!
 //! The tree is the forest's base learner. Fitting is presorted CART: a
 //! `ColumnOrder` sorts every feature column of the training set once, by
-//! `(feature value, row index)`; a tree expands that order by its sample's
-//! multiplicities into `FitScratch`, and from then on every node owns the
-//! same `[start, end)` span of the sample and of each column's block, kept
-//! sorted by a stable partition at every split — no node gathers or sorts
-//! anything. The explicit node stack, the ascending visit of candidate
+//! `(feature value, row index)`, and numbers each column's runs of equal
+//! values (its value groups). A tree loads the rows its sample holds, each
+//! once, into one block per column of `FitScratch`, beside the sample
+//! itself (`order`, in draw order with its repeats) and each row's
+//! multiplicity. Every node owns a span of `order` and the same span of
+//! each block, kept sorted by a stable partition at every split — no node
+//! gathers or sorts anything. The split scan walks a block's span, adds a
+//! row's label as often as the sample drew it, and tests a boundary by
+//! comparing two group ids; it reads feature values only to place the
+//! threshold of a boundary that beats the best gain so far. Label sums
+//! are therefore the same chain of additions as a scan over every drawn
+//! copy. The explicit node stack, the ascending visit of candidate
 //! columns and the `(value, row)` order make equal-gain ties resolve the
 //! same way regardless of prior calls, and the fitted tree is, bit for bit,
 //! the one a per-node sort of each candidate column produces (the `tests`
@@ -176,29 +183,41 @@ pub struct RegressionTree {
 /// children `0`.
 pub type TreeParts = (Vec<u32>, Vec<f64>, Vec<u32>, Vec<u32>, Vec<f64>);
 
-/// One pending node during fitting: its span of the sample, which is also
-/// its span of every column block in [`FitScratch`].
+/// One pending node during fitting: its span of the sample (`order`), and
+/// its span of every column block in [`FitScratch`], which holds each of
+/// the node's rows once.
 struct PendingNode {
     node: usize,
     start: usize,
     end: usize,
+    distinct_start: usize,
+    distinct_end: usize,
     depth: usize,
 }
 
 /// `ColumnOrder::block` of a column that holds one value over the whole set.
 const CONSTANT: u32 = u32::MAX;
 
-/// Every feature column of one training set, sorted once: what all trees
-/// fitted on that set share. Costs `4 · rows · live` bytes, `live` being the
-/// columns that are not constant over the set.
+/// Every feature column of one training set, sorted once and split into
+/// value groups: what all trees fitted on that set share. Costs
+/// `8 · rows · live` bytes, `live` being the columns that are not constant
+/// over the set.
 #[derive(Debug)]
 pub(crate) struct ColumnOrder {
-    /// Per column, the block of `sorted` holding it, or [`CONSTANT`]: a
-    /// column with one value over the set cannot split any sample of it.
+    /// Per column, the block of `sorted` and `group` holding it, or
+    /// [`CONSTANT`]: a column with one value over the set cannot split any
+    /// sample of it.
     block: Vec<u32>,
     /// One block of `rows` row ids per live column, ascending by
     /// `(value.total_cmp, row id)`.
     sorted: Vec<u32>,
+    /// One block per live column, indexed by row id: the row's value group,
+    /// dense and ascending along `sorted`. Neighbours in `sorted` share a
+    /// group iff their values compare `==`, so a NaN has a group of its own.
+    group: Vec<u32>,
+    /// Per live column, whether it holds a NaN: only then can two copies
+    /// of one row sit on either side of a boundary.
+    has_nan: Vec<bool>,
     rows: usize,
 }
 
@@ -206,46 +225,64 @@ impl ColumnOrder {
     pub(crate) fn new(rows: RowsView<'_>) -> ColumnOrder {
         let n = rows.rows();
         let mut block = vec![CONSTANT; rows.width()];
-        let mut sorted = Vec::new();
         let mut live = 0;
-        let mut column: Vec<(f64, u32)> = Vec::with_capacity(n);
         for (col, slot) in block.iter_mut().enumerate() {
-            column.clear();
-            column.extend((0..n).map(|r| (rows.value(r, col), r as u32)));
-            if column.iter().all(|&(v, _)| v == column[0].0) {
+            if !(0..n).all(|r| rows.value(r, col) == rows.value(0, col)) {
+                *slot = live;
+                live += 1;
+            }
+        }
+        // Both arrays at their final size up front: grown by doubling, the
+        // pair peaks at twice its size during the set-up.
+        let mut sorted = Vec::with_capacity(live as usize * n);
+        let mut group = vec![0; live as usize * n];
+        let mut has_nan = Vec::with_capacity(live as usize);
+        let mut column: Vec<(f64, u32)> = Vec::with_capacity(n);
+        for (col, &slot) in block.iter().enumerate() {
+            if slot == CONSTANT {
                 continue;
             }
+            column.clear();
+            column.extend((0..n).map(|r| (rows.value(r, col), r as u32)));
             // Sort by (value, row index): a total order, so the order of a
             // node's rows — hence the prefix scan and the threshold chosen
             // under ties — is a function of the rows alone.
             column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             sorted.extend(column.iter().map(|&(_, r)| r));
-            *slot = live;
-            live += 1;
+            let groups = &mut group[slot as usize * n..][..n];
+            let mut id = 0;
+            for (i, &(v, r)) in column.iter().enumerate() {
+                id += u32::from(i > 0 && v != column[i - 1].0);
+                groups[r as usize] = id;
+            }
+            has_nan.push(column.iter().any(|&(v, _)| v.is_nan()));
         }
         ColumnOrder {
             block,
             sorted,
+            group,
+            has_nan,
             rows: n,
         }
     }
 
     /// Columns that are not constant over the set: the blocks of `sorted`.
     fn live(&self) -> usize {
-        self.sorted.len() / self.rows.max(1)
+        self.has_nan.len()
     }
 }
 
 /// The buffers one tree fit works in; a forest worker reuses one across its
-/// trees. Beyond a few words per row this is `4 · sample · live` bytes.
+/// trees. Beyond a few words per row this is `4 · distinct · live` bytes,
+/// `distinct` being the rows the sample holds.
 #[derive(Debug, Default)]
 pub(crate) struct FitScratch {
     /// How often the sample holds each row of the set.
     count: Vec<u32>,
     /// The sample in the caller's order (label sums and means read this).
     order: Vec<u32>,
-    /// One block of `sample` row ids per live column: the sample in that
-    /// column's order, every node's span of it sorted.
+    /// One block of `distinct` row ids per live column: each row of the
+    /// sample once, in that column's order, every node's span of it sorted.
     cols: Vec<u32>,
     /// Which side of the split being applied each row of the set falls on.
     goes_left: Vec<bool>,
@@ -254,34 +291,31 @@ pub(crate) struct FitScratch {
 }
 
 impl FitScratch {
-    /// Load the sample `idx`: a linear pass per column block repeats each
-    /// row as often as the sample holds it. Repeats of a row are adjacent
-    /// and identical, so the result is the `(value, row)` sort of the sample.
-    fn load(&mut self, columns: &ColumnOrder, idx: &[u32]) {
+    /// Load the sample `idx`: one linear pass over the column order keeps
+    /// the rows the sample holds, which is the `(value, row)` sort of the
+    /// sample's distinct rows. Returns how many there are.
+    fn load(&mut self, columns: &ColumnOrder, idx: &[u32]) -> usize {
         self.count.clear();
         self.count.resize(columns.rows, 0);
         for &r in idx {
             self.count[r as usize] += 1;
         }
+        let distinct = self.count.iter().filter(|&&c| c > 0).count();
         self.order.clear();
         self.order.extend_from_slice(idx);
         self.goes_left.resize(columns.rows, false);
         self.spill.resize(idx.len(), 0);
-        // Four copies of every row, then step by its count: the next row
-        // overwrites the surplus, and no branch depends on a count unless it
-        // exceeds four (0.4 % of a bootstrap's rows).
-        let total = columns.live() * idx.len();
-        self.cols.resize(total + 4, 0);
+        // Write every row, then step past it only if it was drawn: the next
+        // row overwrites one that was not, with no branch on the count.
+        let total = columns.live() * distinct;
+        self.cols.resize(total + 1, 0);
         let mut at = 0;
         for &r in &columns.sorted {
-            let repeats = self.count[r as usize] as usize;
-            self.cols[at..at + 4].fill(r);
-            if repeats > 4 {
-                self.cols[at + 4..at + repeats].fill(r);
-            }
-            at += repeats;
+            self.cols[at] = r;
+            at += usize::from(self.count[r as usize] > 0);
         }
         self.cols.truncate(total);
+        distinct
     }
 }
 
@@ -337,13 +371,13 @@ impl RegressionTree {
             nodes: Vec::new(),
             value: Vec::new(),
         };
-        scratch.load(columns, idx);
+        let distinct = scratch.load(columns, idx);
         let FitScratch {
+            count,
             order,
             cols: sorted_cols,
             goes_left,
             spill,
-            ..
         } = scratch;
         let sample = order.len();
         let mut cols: Vec<usize> = (0..width).collect();
@@ -352,6 +386,8 @@ impl RegressionTree {
             node: root,
             start: 0,
             end: sample,
+            distinct_start: 0,
+            distinct_end: distinct,
             depth: 0,
         }];
         while let Some(pending) = stack.pop() {
@@ -364,6 +400,7 @@ impl RegressionTree {
             if total_sse <= 1e-12 {
                 continue; // pure node: nothing to reduce
             }
+            let distinct_span = pending.distinct_start..pending.distinct_end;
             let candidates = Self::pick_candidates(config, &mut cols, rng);
             let mut best: Option<Split> = None;
             for &col in candidates {
@@ -371,50 +408,78 @@ impl RegressionTree {
                 if block == CONSTANT {
                     continue;
                 }
-                let sorted = &sorted_cols[block as usize * sample..][span.clone()];
+                let block = block as usize;
+                let sorted = &sorted_cols[block * distinct..][distinct_span.clone()];
+                let group = &columns.group[block * columns.rows..][..columns.rows];
+                // Two copies of one row compare unequal only as NaN.
+                let nan = |r: u32| columns.has_nan[block] && rows.value(r as usize, col).is_nan();
                 // A column constant over this node (most candidates: all-zero
                 // plan-vector cells) separates nothing — the scan below would
-                // skip every position on its equal-values test. In a sorted
-                // span that is the two ends comparing equal.
-                let mut hi = rows.value(sorted[0] as usize, col);
-                if hi == rows.value(sorted[n - 1] as usize, col) {
+                // skip every boundary on its group test. In a sorted span
+                // that is the two ends sharing a group.
+                let (first, last) = (sorted[0], sorted[sorted.len() - 1]);
+                if group[first as usize] == group[last as usize] && !nan(first) {
                     continue;
                 }
+                // The split between the sample's first `n_left` rows and the
+                // rest, whose values at the boundary are rows `lo`'s and `hi`'s.
+                let mut boundary =
+                    |n_left: usize, left_sum: f64, left_sq: f64, lo: u32, hi: u32| {
+                        let n_right = n - n_left;
+                        if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
+                            return;
+                        }
+                        let right_sum = total_sum - left_sum;
+                        let left_sse = left_sq - left_sum * left_sum / n_left as f64;
+                        // SSE(right) via the parent identity saves a second pass.
+                        let right_sse = (total_sse + total_sum * total_sum / n as f64 - left_sq)
+                            - right_sum * right_sum / n_right as f64;
+                        let gain = total_sse - left_sse - right_sse;
+                        // Strict `>` keeps the first (lowest column, lowest
+                        // threshold) of any equal-gain candidates.
+                        if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
+                            let value = |r: u32| rows.value(r as usize, col);
+                            best = Some(Split {
+                                gain,
+                                col,
+                                threshold: midpoint(value(lo), value(hi)),
+                            });
+                        }
+                    };
                 let mut left_sum = 0.0;
                 let mut left_sq = 0.0;
-                for i in 0..n - 1 {
-                    let y = labels[sorted[i] as usize];
+                let mut n_left = 0;
+                for (i, &r) in sorted.iter().enumerate() {
+                    // Add the row's label once per drawn copy: the chain of
+                    // additions a scan over every copy makes.
+                    let y = labels[r as usize];
+                    let repeats = count[r as usize] as usize;
                     left_sum += y;
                     left_sq += y * y;
-                    let lo = hi;
-                    hi = rows.value(sorted[i + 1] as usize, col);
-                    let n_left = i + 1;
-                    let n_right = n - n_left;
-                    if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
-                        continue;
+                    if repeats > 1 {
+                        let copies_split = nan(r);
+                        for copy in 1..repeats {
+                            if copies_split {
+                                boundary(n_left + copy, left_sum, left_sq, r, r);
+                            }
+                            left_sum += y;
+                            left_sq += y * y;
+                        }
                     }
-                    if lo == hi {
-                        continue; // cannot separate equal feature values
-                    }
-                    let right_sum = total_sum - left_sum;
-                    let left_sse = left_sq - left_sum * left_sum / n_left as f64;
-                    // SSE(right) via the parent identity saves a second pass.
-                    let right_sse = (total_sse + total_sum * total_sum / n as f64 - left_sq)
-                        - right_sum * right_sum / n_right as f64;
-                    let gain = total_sse - left_sse - right_sse;
-                    // Strict `>` keeps the first (lowest column, lowest
-                    // threshold) of any equal-gain candidates.
-                    if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                        best = Some(Split {
-                            gain,
-                            col,
-                            threshold: midpoint(lo, hi),
-                        });
+                    n_left += repeats;
+                    let Some(&next) = sorted.get(i + 1) else {
+                        break;
+                    };
+                    // Equal feature values cannot be separated.
+                    if group[r as usize] != group[next as usize] {
+                        boundary(n_left, left_sum, left_sq, r, next);
                     }
                 }
             }
             let Some(split) = best else { continue };
-            for &r in &order[span.clone()] {
+            // Every copy of a row falls on the same side: flag each row once.
+            let split_block = columns.block[split.col] as usize;
+            for &r in &sorted_cols[split_block * distinct..][distinct_span.clone()] {
                 goes_left[r as usize] = rows.value(r as usize, split.col) <= split.threshold;
             }
             let mid = pending.start + partition(&mut order[span.clone()], goes_left, spill);
@@ -422,9 +487,11 @@ impl RegressionTree {
             // neither can, they are left as they lie.
             let depth = pending.depth + 1;
             let larger_child = (mid - pending.start).max(pending.end - mid);
+            let mut distinct_mid = pending.distinct_start;
             if depth < config.max_depth && larger_child >= config.min_samples_split {
-                for block in sorted_cols.chunks_exact_mut(sample) {
-                    partition(&mut block[span.clone()], goes_left, spill);
+                for block in sorted_cols.chunks_exact_mut(distinct) {
+                    distinct_mid = pending.distinct_start
+                        + partition(&mut block[distinct_span.clone()], goes_left, spill);
                 }
             }
             let left_node = tree.push_leaf(mean_label(labels, &order[pending.start..mid]));
@@ -440,12 +507,16 @@ impl RegressionTree {
                 node: right_node,
                 start: mid,
                 end: pending.end,
+                distinct_start: distinct_mid,
+                distinct_end: pending.distinct_end,
                 depth,
             });
             stack.push(PendingNode {
                 node: left_node,
                 start: pending.start,
                 end: mid,
+                distinct_start: pending.distinct_start,
+                distinct_end: distinct_mid,
                 depth,
             });
         }
@@ -736,6 +807,8 @@ mod tests {
             node: root,
             start: 0,
             end: order.len(),
+            distinct_start: 0,
+            distinct_end: 0,
             depth: 0,
         }];
         while let Some(pending) = stack.pop() {
@@ -823,12 +896,16 @@ mod tests {
                 node: right_node,
                 start: mid,
                 end: pending.end,
+                distinct_start: 0,
+                distinct_end: 0,
                 depth: pending.depth + 1,
             });
             stack.push(PendingNode {
                 node: left_node,
                 start: pending.start,
                 end: mid,
+                distinct_start: 0,
+                distinct_end: 0,
                 depth: pending.depth + 1,
             });
         }
@@ -864,13 +941,25 @@ mod tests {
         tree
     }
 
-    /// One generated column value: constant, few-valued, signed zeros or
-    /// continuous, by the column's `kind`.
+    /// One generated column value: constant, few-valued, signed zeros,
+    /// continuous, or non-finite among signed zeros, by the column's `kind`.
     fn cell(kind: usize, rng: &mut SplitMix64) -> f64 {
         match kind {
             0 => 42.0,
             1 => rng.gen_range(3) as f64,
             2 => [0.0, -0.0, 1.0][rng.gen_range(3)],
+            // NaN never shares a value group, -NaN sorts first and NaN
+            // last, and the signed zeros compare equal: every special case
+            // of the group ids.
+            5 => [
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                1.0,
+            ][rng.gen_range(7)],
             _ => rng.next_f64() * 8.0 - 4.0,
         }
     }
@@ -879,10 +968,12 @@ mod tests {
     fn presorted_fit_equals_the_per_node_sort_fit_on_generated_inputs() {
         let mut rng = SplitMix64::new(0x5eed_cafe);
         let (mut grown, mut nodes) = (0, 0);
-        for case in 0..480 {
+        // Cases from 480 on also draw kind 5, the non-finite cells.
+        for case in 0..640 {
             let n = 1 + rng.gen_range(if case % 4 == 0 { 300 } else { 48 });
             let width = 1 + rng.gen_range(12);
-            let kinds: Vec<usize> = (0..width).map(|_| rng.gen_range(5)).collect();
+            let kind_count = if case < 480 { 5 } else { 6 };
+            let kinds: Vec<usize> = (0..width).map(|_| rng.gen_range(kind_count)).collect();
             let feats: Vec<f64> = (0..n * width)
                 .map(|cell_at| cell(kinds[cell_at % width], &mut rng))
                 .collect();
@@ -973,6 +1064,33 @@ mod tests {
                 &labels,
                 &evens,
                 "constant in the sample, not in the set",
+            );
+            // One NaN row: its copies compare unequal, and a large label
+            // leaves the node a rounding error short of pure.
+            assert_fitters_agree(
+                config,
+                &[f64::NAN, 1.0],
+                2,
+                &[1234.567],
+                &[0; 13],
+                "one NaN row, 13 times",
+            );
+            // Every row drawn five to nine times, in a scrambled order.
+            let mut copies: Vec<u32> = (0..n as u32)
+                .flat_map(|r| std::iter::repeat_n(r, 5 + (r as usize * 7) % 5))
+                .collect();
+            for i in (1..copies.len()).rev() {
+                copies.swap(i, rng.gen_range(i + 1));
+            }
+            assert_fitters_agree(config, &feats, 3, &labels, &copies, "every row 5+ times");
+            let few_valued: Vec<f64> = feats.iter().map(|v| (v * 3.0).floor()).collect();
+            assert_fitters_agree(
+                config,
+                &few_valued,
+                3,
+                &labels,
+                &copies,
+                "every row 5+ times, few values",
             );
         }
     }
