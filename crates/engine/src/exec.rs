@@ -964,20 +964,16 @@ impl Keyed {
         }
     }
 
-    /// A hash of the part of `(key, num, text)` that decides its entry,
-    /// under one finalizer: the key is spread by an odd multiply before the
-    /// payload's bits are folded in, text bytes one at a time after them
-    /// (the words keyed operators see are a few bytes long), and the whole
-    /// is mixed once.
-    fn hash(self, key: u64, num: f64, text: &[u8]) -> u64 {
+    /// A hash of the key, and of the payload's bits unless the key alone
+    /// decides the entry, under one finalizer: the key is spread by an odd
+    /// multiply before the bits are folded in, and the whole is mixed once.
+    /// Texts are not hashed: a record's key already tells them apart (a
+    /// line's key is its row, a word's its FNV hash), and [`Keyed::same`]
+    /// compares their bytes.
+    fn hash(self, key: u64, num: f64) -> u64 {
         let mut h = key;
         if self != Keyed::GroupByKey {
             h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ num.to_bits();
-            if self == Keyed::Distinct {
-                for &b in text {
-                    h = h.rotate_left(8) ^ u64::from(b);
-                }
-            }
         }
         mix64(h)
     }
@@ -1028,7 +1024,7 @@ impl Accumulator {
     }
 
     fn add(&mut self, key: u64, num: f64, text: &[u8]) {
-        self.absorb(self.keyed.hash(key, num, text), 1, key, num, text);
+        self.absorb(self.keyed.hash(key, num), 1, key, num, text);
     }
 
     /// Union `other`'s entries into this one's: counts add, the least

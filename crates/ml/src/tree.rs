@@ -12,22 +12,29 @@
 //!
 //! The tree is the forest's base learner. Fitting is presorted CART: a
 //! `ColumnOrder` sorts every feature column of the training set once, by
-//! `(feature value, row index)`, and numbers each column's runs of equal
-//! values (its value groups). A tree loads the rows its sample holds, each
-//! once, into one block per column of `FitScratch`, beside the sample
-//! itself (`order`, in draw order with its repeats) and each row's
-//! multiplicity. Every node owns a span of `order` and the same span of
-//! each block, kept sorted by a stable partition at every split — no node
-//! gathers or sorts anything. The split scan walks a block's span, adds a
-//! row's label as often as the sample drew it, and tests a boundary by
-//! comparing two group ids; it reads feature values only to place the
-//! threshold of a boundary that beats the best gain so far. Label sums
-//! are therefore the same chain of additions as a scan over every drawn
-//! copy. The explicit node stack, the ascending visit of candidate
-//! columns and the `(value, row)` order make equal-gain ties resolve the
-//! same way regardless of prior calls, and the fitted tree is, bit for bit,
-//! the one a per-node sort of each candidate column produces (the `tests`
-//! module keeps that fitter as the reference).
+//! `(feature value, row index)` with every NaN last, and numbers each
+//! column's runs of equal values (its value groups; all NaNs are one). A
+//! tree loads the rows its sample holds, each once, into one block per
+//! column of `FitScratch`, beside the sample itself (`order`, in draw order
+//! with its repeats) and each row's multiplicity. Every node owns a span of
+//! `order` and the same span of each block, kept sorted by a stable
+//! partition at every split — no node gathers or sorts anything. The split
+//! scan walks a block's span, adds a row's label as often as the sample
+//! drew it, and tests a boundary by comparing two group ids; it reads
+//! feature values only to place the threshold of a boundary that beats the
+//! best gain so far. Label sums are therefore the same chain of additions
+//! as a scan over every drawn copy.
+//!
+//! A boundary is admissible only if its lower value is finite. Its
+//! threshold then is finite too, and sends every row the scan counted left
+//! to the left child: NaN sorts where the walk sends it, and no split
+//! separates −∞ from the rest or +∞ from NaN. Every fitted tree therefore
+//! reloads through [`RegressionTree::from_parts`]. The explicit node stack,
+//! the ascending visit of candidate columns and the `(value, row)` order
+//! make equal-gain ties resolve the same way regardless of prior calls, and
+//! the fitted tree is, bit for bit, the one a per-node sort of each
+//! candidate column produces (the `tests` module keeps that fitter as the
+//! reference).
 
 use robopt_plan::rng::SplitMix64;
 use robopt_vector::RowsView;
@@ -209,15 +216,14 @@ pub(crate) struct ColumnOrder {
     /// sample of it.
     block: Vec<u32>,
     /// One block of `rows` row ids per live column, ascending by
-    /// `(value.total_cmp, row id)`.
+    /// [`cell_order`], then row id.
     sorted: Vec<u32>,
     /// One block per live column, indexed by row id: the row's value group,
     /// dense and ascending along `sorted`. Neighbours in `sorted` share a
-    /// group iff their values compare `==`, so a NaN has a group of its own.
+    /// group iff they are [`same_value`].
     group: Vec<u32>,
-    /// Per live column, whether it holds a NaN: only then can two copies
-    /// of one row sit on either side of a boundary.
-    has_nan: Vec<bool>,
+    /// Columns that are not constant over the set: the blocks of `sorted`.
+    live: usize,
     rows: usize,
 }
 
@@ -227,16 +233,15 @@ impl ColumnOrder {
         let mut block = vec![CONSTANT; rows.width()];
         let mut live = 0;
         for (col, slot) in block.iter_mut().enumerate() {
-            if !(0..n).all(|r| rows.value(r, col) == rows.value(0, col)) {
-                *slot = live;
+            if !(0..n).all(|r| same_value(rows.value(r, col), rows.value(0, col))) {
+                *slot = live as u32;
                 live += 1;
             }
         }
         // Both arrays at their final size up front: grown by doubling, the
         // pair peaks at twice its size during the set-up.
-        let mut sorted = Vec::with_capacity(live as usize * n);
-        let mut group = vec![0; live as usize * n];
-        let mut has_nan = Vec::with_capacity(live as usize);
+        let mut sorted = Vec::with_capacity(live * n);
+        let mut group = vec![0; live * n];
         let mut column: Vec<(f64, u32)> = Vec::with_capacity(n);
         for (col, &slot) in block.iter().enumerate() {
             if slot == CONSTANT {
@@ -247,29 +252,35 @@ impl ColumnOrder {
             // Sort by (value, row index): a total order, so the order of a
             // node's rows — hence the prefix scan and the threshold chosen
             // under ties — is a function of the rows alone.
-            column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            column.sort_unstable_by(|a, b| cell_order(a.0, b.0).then(a.1.cmp(&b.1)));
             sorted.extend(column.iter().map(|&(_, r)| r));
             let groups = &mut group[slot as usize * n..][..n];
             let mut id = 0;
             for (i, &(v, r)) in column.iter().enumerate() {
-                id += u32::from(i > 0 && v != column[i - 1].0);
+                id += u32::from(i > 0 && !same_value(v, column[i - 1].0));
                 groups[r as usize] = id;
             }
-            has_nan.push(column.iter().any(|&(v, _)| v.is_nan()));
         }
         ColumnOrder {
             block,
             sorted,
             group,
-            has_nan,
+            live,
             rows: n,
         }
     }
+}
 
-    /// Columns that are not constant over the set: the blocks of `sorted`.
-    fn live(&self) -> usize {
-        self.has_nan.len()
-    }
+/// The one order of a column's cells: ascending, every NaN last whatever
+/// its sign, which is where [`Node::next`] sends it.
+fn cell_order(a: f64, b: f64) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+}
+
+/// Whether two cells share a value group: they compare `==`, or both are
+/// NaN. No threshold separates such cells.
+fn same_value(a: f64, b: f64) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
 }
 
 /// The buffers one tree fit works in; a forest worker reuses one across its
@@ -307,7 +318,7 @@ impl FitScratch {
         self.spill.resize(idx.len(), 0);
         // Write every row, then step past it only if it was drawn: the next
         // row overwrites one that was not, with no branch on the count.
-        let total = columns.live() * distinct;
+        let total = columns.live * distinct;
         self.cols.resize(total + 1, 0);
         let mut at = 0;
         for &r in &columns.sorted {
@@ -411,68 +422,55 @@ impl RegressionTree {
                 let block = block as usize;
                 let sorted = &sorted_cols[block * distinct..][distinct_span.clone()];
                 let group = &columns.group[block * columns.rows..][..columns.rows];
-                // Two copies of one row compare unequal only as NaN.
-                let nan = |r: u32| columns.has_nan[block] && rows.value(r as usize, col).is_nan();
                 // A column constant over this node (most candidates: all-zero
                 // plan-vector cells) separates nothing — the scan below would
                 // skip every boundary on its group test. In a sorted span
                 // that is the two ends sharing a group.
-                let (first, last) = (sorted[0], sorted[sorted.len() - 1]);
-                if group[first as usize] == group[last as usize] && !nan(first) {
+                if group[sorted[0] as usize] == group[sorted[sorted.len() - 1] as usize] {
                     continue;
                 }
-                // The split between the sample's first `n_left` rows and the
-                // rest, whose values at the boundary are rows `lo`'s and `hi`'s.
-                let mut boundary =
-                    |n_left: usize, left_sum: f64, left_sq: f64, lo: u32, hi: u32| {
-                        let n_right = n - n_left;
-                        if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
-                            return;
-                        }
-                        let right_sum = total_sum - left_sum;
-                        let left_sse = left_sq - left_sum * left_sum / n_left as f64;
-                        // SSE(right) via the parent identity saves a second pass.
-                        let right_sse = (total_sse + total_sum * total_sum / n as f64 - left_sq)
-                            - right_sum * right_sum / n_right as f64;
-                        let gain = total_sse - left_sse - right_sse;
-                        // Strict `>` keeps the first (lowest column, lowest
-                        // threshold) of any equal-gain candidates.
-                        if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                            let value = |r: u32| rows.value(r as usize, col);
-                            best = Some(Split {
-                                gain,
-                                col,
-                                threshold: midpoint(value(lo), value(hi)),
-                            });
-                        }
-                    };
                 let mut left_sum = 0.0;
                 let mut left_sq = 0.0;
                 let mut n_left = 0;
-                for (i, &r) in sorted.iter().enumerate() {
+                // The split between the sample's first `n_left` rows and the
+                // rest, whose values at the boundary are rows `lo`'s and `hi`'s.
+                for pair in sorted.windows(2) {
+                    let (lo, hi) = (pair[0] as usize, pair[1] as usize);
                     // Add the row's label once per drawn copy: the chain of
                     // additions a scan over every copy makes.
-                    let y = labels[r as usize];
-                    let repeats = count[r as usize] as usize;
-                    left_sum += y;
-                    left_sq += y * y;
-                    if repeats > 1 {
-                        let copies_split = nan(r);
-                        for copy in 1..repeats {
-                            if copies_split {
-                                boundary(n_left + copy, left_sum, left_sq, r, r);
-                            }
-                            left_sum += y;
-                            left_sq += y * y;
-                        }
+                    let y = labels[lo];
+                    for _ in 0..count[lo] {
+                        left_sum += y;
+                        left_sq += y * y;
                     }
-                    n_left += repeats;
-                    let Some(&next) = sorted.get(i + 1) else {
-                        break;
-                    };
+                    n_left += count[lo] as usize;
+                    let n_right = n - n_left;
                     // Equal feature values cannot be separated.
-                    if group[r as usize] != group[next as usize] {
-                        boundary(n_left, left_sum, left_sq, r, next);
+                    if group[lo] == group[hi]
+                        || n_left < config.min_samples_leaf
+                        || n_right < config.min_samples_leaf
+                    {
+                        continue;
+                    }
+                    let right_sum = total_sum - left_sum;
+                    let left_sse = left_sq - left_sum * left_sum / n_left as f64;
+                    // SSE(right) via the parent identity saves a second pass.
+                    let right_sse = (total_sse + total_sum * total_sum / n as f64 - left_sq)
+                        - right_sum * right_sum / n_right as f64;
+                    let gain = total_sse - left_sse - right_sse;
+                    // Strict `>` keeps the first (lowest column, lowest
+                    // threshold) of any equal-gain candidates; a boundary
+                    // whose lower value is ±∞ is not admissible.
+                    if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
+                        let value = |r: usize| rows.value(r, col);
+                        if value(lo).is_finite() {
+                            let threshold = midpoint(value(lo), value(hi));
+                            best = Some(Split {
+                                gain,
+                                col,
+                                threshold,
+                            });
+                        }
                     }
                 }
             }
@@ -708,8 +706,9 @@ struct Split {
     threshold: f64,
 }
 
-/// Midpoint threshold that is guaranteed to separate `lo < hi` even when
-/// they are adjacent floats (the naive average can round back onto `hi`).
+/// Midpoint threshold that is guaranteed to separate a finite `lo` from
+/// `hi > lo` even when they are adjacent floats (the naive average can round
+/// back onto `hi`): `lo` itself when `hi` is +∞ or NaN, so it is finite.
 fn midpoint(lo: f64, hi: f64) -> f64 {
     let mid = lo + (hi - lo) * 0.5;
     if mid < hi {
@@ -830,12 +829,12 @@ mod tests {
                 // cells) separates nothing — the scan below would skip every
                 // position on its equal-values test — so it is not sorted.
                 let first = sorted[0].0;
-                if sorted.iter().all(|&(v, _)| v == first) {
+                if sorted.iter().all(|&(v, _)| same_value(v, first)) {
                     continue;
                 }
                 // Sort by (value, row index): total order ⇒ deterministic
                 // prefix scan and threshold choice under ties.
-                sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                sorted.sort_unstable_by(|a, b| cell_order(a.0, b.0).then(a.1.cmp(&b.1)));
                 let mut left_sum = 0.0;
                 let mut left_sq = 0.0;
                 for i in 0..n - 1 {
@@ -847,8 +846,8 @@ mod tests {
                     if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
                         continue;
                     }
-                    if sorted[i].0 == sorted[i + 1].0 {
-                        continue; // cannot separate equal feature values
+                    if same_value(sorted[i].0, sorted[i + 1].0) || !sorted[i].0.is_finite() {
+                        continue; // cannot separate equal values, or from ±∞ below
                     }
                     let right_sum = total_sum - left_sum;
                     let left_sse = left_sq - left_sum * left_sum / n_left as f64;
@@ -922,7 +921,10 @@ mod tests {
     }
 
     /// Both fitters from equal seeds: equal trees, bit for bit, and equal
-    /// RNG states afterwards.
+    /// RNG states afterwards. The tree reloads through
+    /// [`RegressionTree::from_parts`], and routed through it the sample
+    /// leaves every leaf at least `min(min_samples_leaf, draws)` draws: the
+    /// scan counted each row on the side the walk sends it.
     fn assert_fitters_agree(
         config: &TreeConfig,
         feats: &[f64],
@@ -938,6 +940,23 @@ mod tests {
         assert_eq!(bits(tree.parts()), bits(reference.parts()), "{case}");
         assert_eq!(tree.depth, reference.depth, "{case}");
         assert_eq!(rng.next_u64(), ref_rng.next_u64(), "rng state: {case}");
+        let (split_col, threshold, left, right, value) = tree.parts();
+        let reloaded = RegressionTree::from_parts(width, split_col, threshold, left, right, value)
+            .unwrap_or_else(|e| panic!("{case}: the fitted tree does not reload: {e:?}"));
+        assert_eq!(bits(reloaded.parts()), bits(tree.parts()), "{case}");
+        let mut draws = vec![0; tree.n_nodes()];
+        for &r in idx {
+            let mut node = 0;
+            while !tree.is_leaf(node) {
+                node = tree.nodes[node].next(rows.row(r as usize)) as usize;
+            }
+            draws[node] += 1;
+        }
+        let floor = config.min_samples_leaf.min(idx.len());
+        for leaf in (0..tree.n_nodes()).filter(|&i| tree.is_leaf(i)) {
+            let held = draws[leaf];
+            assert!(held >= floor, "{case}: leaf {leaf} holds {held} draws");
+        }
         tree
     }
 
@@ -948,9 +967,10 @@ mod tests {
             0 => 42.0,
             1 => rng.gen_range(3) as f64,
             2 => [0.0, -0.0, 1.0][rng.gen_range(3)],
-            // NaN never shares a value group, -NaN sorts first and NaN
-            // last, and the signed zeros compare equal: every special case
-            // of the group ids.
+            // NaN and -NaN share one value group and sort last, ±∞ bound
+            // the finite cells, and the signed zeros compare equal: every
+            // special case of the order, the group ids and the
+            // finite-lower-side test.
             5 => [
                 f64::NAN,
                 -f64::NAN,
@@ -1065,7 +1085,7 @@ mod tests {
                 &evens,
                 "constant in the sample, not in the set",
             );
-            // One NaN row: its copies compare unequal, and a large label
+            // One NaN row: its copies share a value group, and a large label
             // leaves the node a rounding error short of pure.
             assert_fitters_agree(
                 config,
@@ -1074,6 +1094,26 @@ mod tests {
                 &[1234.567],
                 &[0; 13],
                 "one NaN row, 13 times",
+            );
+            // Each special value twice, labelled so that separating −∞, or
+            // +∞ from the NaNs, would gain the most.
+            let special = [
+                -f64::NAN,
+                f64::NEG_INFINITY,
+                -0.0,
+                0.0,
+                1.0,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            let special_labels = [0.0, 100.0, 1.0, 1.0, 2.0, 50.0, 0.0];
+            assert_fitters_agree(
+                config,
+                &special.repeat(2),
+                1,
+                &special_labels.repeat(2),
+                &(0..14).collect::<Vec<u32>>(),
+                "every special value, twice",
             );
             // Every row drawn five to nine times, in a scrambled order.
             let mut copies: Vec<u32> = (0..n as u32)

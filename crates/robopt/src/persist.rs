@@ -185,6 +185,83 @@ pub(crate) mod tests {
         assert_eq!(text, forest_to_json(&loaded));
     }
 
+    /// Forests fitted on sets whose cells include NaN, −NaN, ±∞ and ±0.0
+    /// (the cell kinds of `robopt_ml::tree`'s tests) save and load back, and
+    /// predict the same bits after, on finite rows and on rows holding those
+    /// values.
+    #[test]
+    fn forests_fit_on_non_finite_cells_reload_and_predict_the_same_bits() {
+        const SPECIAL: [f64; 7] = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+        ];
+        let mut rng = SplitMix64::new(0x00dd_ce11);
+        // Few-valued, continuous or special cells, by the column's kind.
+        let cell = |kind: usize, rng: &mut SplitMix64| match kind {
+            0 => rng.gen_range(3) as f64,
+            1 => rng.next_f64() * 8.0 - 4.0,
+            _ => SPECIAL[rng.gen_range(SPECIAL.len())],
+        };
+        let mut sets = Vec::new();
+        // 64 rows x 3, every 7th row's first cell non-finite with label 50.
+        for odd in [f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -f64::NAN] {
+            let mut feats: Vec<f64> = (0..64 * 3).map(|_| cell(1, &mut rng)).collect();
+            let mut labels: Vec<f64> = (0..64).map(|_| rng.next_f64()).collect();
+            for r in (0..64).step_by(7) {
+                (feats[r * 3], labels[r]) = (odd, 50.0);
+            }
+            sets.push((3, feats, labels, ForestConfig::default()));
+        }
+        for seed in 0..24 {
+            let width = 1 + rng.gen_range(4);
+            let n = 8 + rng.gen_range(120);
+            // Column 0 always holds special cells.
+            let kinds: Vec<usize> = (0..width)
+                .map(|c| if c == 0 { 2 } else { rng.gen_range(3) })
+                .collect();
+            let feats: Vec<f64> = (0..n * width)
+                .map(|i| cell(kinds[i % width], &mut rng))
+                .collect();
+            let labels: Vec<f64> = (0..n).map(|_| rng.next_f64() * 10.0).collect();
+            let tree = robopt_ml::TreeConfig {
+                min_samples_split: 2,
+                min_samples_leaf: 1,
+                ..Default::default()
+            };
+            sets.push((
+                width,
+                feats,
+                labels,
+                ForestConfig {
+                    seed,
+                    tree,
+                    ..ForestConfig::default()
+                },
+            ));
+        }
+        for (case, (width, feats, labels, cfg)) in sets.into_iter().enumerate() {
+            let cfg = ForestConfig { n_trees: 8, ..cfg };
+            let forest = RandomForest::fit(&cfg, RowsView::new(&feats, width), &labels);
+            let loaded = forest_from_json(&forest_to_json(&forest))
+                .unwrap_or_else(|e| panic!("case {case}: the fitted forest does not reload: {e}"));
+            let finite: Vec<f64> = (0..64 * width).map(|_| cell(1, &mut rng)).collect();
+            let special: Vec<f64> = (0..64 * width).map(|_| cell(2, &mut rng)).collect();
+            for queries in [&feats, &finite, &special] {
+                let rows = RowsView::new(queries, width);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                forest.predict_batch(rows, &mut a);
+                loaded.predict_batch(rows, &mut b);
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "case {case}");
+            }
+        }
+    }
+
     #[test]
     fn malformed_model_files_are_rejected_with_typed_errors() {
         assert!(matches!(
