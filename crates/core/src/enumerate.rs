@@ -12,10 +12,14 @@
 //! whose crossing edges have no conversion path in the registry's COT are
 //! excluded, DESIGN §6.3), each block is costed in **one batched oracle
 //! call**, and Def-2 boundary pruning keeps the cheapest row per pruning
-//! footprint. A merge that closes no boundary operator produces only new
-//! footprints, so it compares nothing and costs nothing (DESIGN §5). When
-//! one unit covers the whole plan its empty footprint leaves exactly the
-//! optimal row, which `unvectorize` turns into an [`ExecutionPlan`].
+//! footprint. A merged row's footprint is the pair of its two inputs'
+//! footprints on the merged boundary, so pruning numbers each input's rows
+//! by theirs (at most one hash per input row) and folds each staged row
+//! into a dense index over the pairs. A merge that closes no boundary
+//! operator produces only new footprints, so it compares nothing and costs
+//! nothing (DESIGN §5). When one unit covers the whole plan its empty
+//! footprint leaves exactly the optimal row, which `unvectorize` turns into
+//! an [`ExecutionPlan`].
 //!
 //! Rows are **plan-local**: every matrix, the scratch row and the staging
 //! block are laid out by the plan's own [`PlanLayout`] — the Fig-5 cells of
@@ -25,8 +29,8 @@
 //! `Enumerator::finish` encodes a full-layout row, for the winner.
 //!
 //! Zero-allocation hot path: the [`Enumerator`] owns matrix pools, scratch
-//! row buffers, the batch cost buffer, the priority heap and the footprint
-//! map, all reused across calls. After a warm-up run, enumerating performs
+//! row buffers, the batch cost buffer, the priority heap, the footprint
+//! table and the pair index, all reused across calls. After a warm-up run, enumerating performs
 //! no `EnumMatrix` buffer growth (asserted by
 //! `crates/core/tests/buffer_reuse.rs` via [`robopt_vector::alloc_events`]).
 
@@ -275,7 +279,13 @@ pub struct Enumerator {
     units: Vec<Option<Unit>>,
     parent: Vec<u32>,
     heap: BinaryHeap<Reverse<MergeKey>>,
+    /// Numbers a folding merge's input rows by their footprint on their
+    /// side of the merged boundary (`Enumerator::number_rows`).
     fp_map: FootprintTable,
+    /// A folding merge's ids, one buffer: `a`'s rows' sub-ids, then `b`'s,
+    /// then the pair index, one slot per `(sub_a, sub_b)` footprint holding
+    /// the row of the destination that keeps it (`EMPTY` until one does).
+    fold_ids: Vec<u32>,
     scratch_feats: Vec<f64>,
     scratch_assign: Vec<u8>,
     /// Batched merge destination: one left row × every right row, written
@@ -286,16 +296,30 @@ pub struct Enumerator {
     /// (and unallocated) on the classic point path.
     dist_buf: CostDistribution,
     boundary: Vec<u32>,
-    crossing: Vec<(u32, u32)>,
+    /// Dataflow edges `(u, v)` crossing a merge's two scopes, each with
+    /// whether `u` lies in the outer unit `a`.
+    crossing: Vec<(u32, u32, bool)>,
     /// Per-block feasibility flags (`feas[ib]` for the current left row ×
     /// right row `ib`): infeasible combinations are still costed with their
     /// block — batching beats branching — but never reach the destination.
     feas: Vec<bool>,
-    /// The two input scopes and the staged rows of every merge, for the
-    /// tests that check which merges the oracle costs.
+    /// Every merge's inputs and footprint hashes, for the tests that check
+    /// which merges the oracle costs and how often a fold hashes.
     #[cfg(test)]
-    merge_log: Vec<(Scope, Scope, u64)>,
+    merge_log: Vec<tests::MergeRecord>,
+    /// Footprint hashes since the current merge began.
+    #[cfg(test)]
+    hashes: u64,
+    /// When set, every folding merge also folds its staged rows the way
+    /// the pair index replaced — one footprint hash over the merged
+    /// boundary and one probe per staged row — and checks that both folds
+    /// keep the same rows in the same order.
+    #[cfg(test)]
+    reference: Option<tests::ReferenceFold>,
 }
+
+/// A pair-index slot no row holds yet.
+const EMPTY: u32 = u32::MAX;
 
 /// The contract [`Enumerator::enumerate_within`] holds its caller to,
 /// checked before any work starts.
@@ -420,6 +444,46 @@ impl Enumerator {
         }
     }
 
+    /// Number `unit`'s rows by their footprint over the operators of its
+    /// boundary that stay on the merged scope's (`self.boundary`) into
+    /// `self.fold_ids[at..]`, densely in order of first appearance, and
+    /// return how many footprints there are. A unit whose boundary
+    /// operators all stay numbers its rows `0..rows` (their footprints over
+    /// its boundary are pairwise distinct, `Unit`), a unit none of whose
+    /// operators stays is one class, and any other unit hashes each row
+    /// once into the pruning table.
+    fn number_rows(&mut self, unit: &Unit, at: usize) -> usize {
+        let stays = |op: &&u32| unit.scope.contains(**op);
+        let n_stay = self.boundary.iter().filter(stays).count();
+        let ids = &mut self.fold_ids[at..at + unit.mat.rows()];
+        if n_stay == 0 {
+            ids.fill(0);
+            return 1;
+        }
+        if n_stay == unit.frontier as usize {
+            for (r, id) in ids.iter_mut().enumerate() {
+                *id = r as u32;
+            }
+            return ids.len();
+        }
+        let mut ops = [0u32; u128::BITS as usize];
+        for (slot, &op) in ops.iter_mut().zip(self.boundary.iter().filter(stays)) {
+            *slot = op;
+        }
+        let ops = &ops[..n_stay];
+        self.fp_map.clear();
+        for (r, id) in ids.iter_mut().enumerate() {
+            let fp = footprint_hash(ops, unit.mat.assignments(r));
+            #[cfg(test)]
+            {
+                self.hashes += 1;
+            }
+            let next = self.fp_map.len() as u32;
+            *id = self.fp_map.insert_or_get(fp, next).unwrap_or(next);
+        }
+        self.fp_map.len()
+    }
+
     /// Reset per-run state for an `n`-operator plan: no live units yet,
     /// identity union-find, scratch rows sized to the plan's own layout.
     fn begin(&mut self, n: usize, layout: &PlanLayout) {
@@ -521,6 +585,12 @@ impl Enumerator {
     /// closes a boundary operator of its inputs; any other merge stages,
     /// patches and drops infeasible rows as usual but keeps every feasible
     /// one unscored, with no oracle call, footprint hash or table probe.
+    /// A pruned merge that compares folds its rows by footprint without a
+    /// hash or probe per staged row: `number_rows` numbers each input's rows
+    /// by their footprint on its side of the merged boundary, and staged row
+    /// `(ia, ib)` folds into slot `sub_a[ia] · n_b + sub_b[ib]` of the pair
+    /// index, pushed the first time its slot is hit, so the rows come out as
+    /// a per-row probe of the merged footprint kept them (DESIGN §5).
     ///
     /// Refuses, before taking the units apart, the first merge that would
     /// take `stats.generated` past `max_rows`.
@@ -579,13 +649,14 @@ impl Enumerator {
             let scored = whole || (opts.prune() && a.frontier + b.frontier > frontier);
             let folds = scored && opts.prune();
 
-            // Dataflow edges crossing the two scopes (conversion sites).
+            // Dataflow edges crossing the two scopes (conversion sites),
+            // oriented once per merge.
             self.crossing.clear();
             for &(u, v) in plan.edges() {
-                if (a.scope.contains(u) && b.scope.contains(v))
-                    || (b.scope.contains(u) && a.scope.contains(v))
-                {
-                    self.crossing.push((u, v));
+                if a.scope.contains(u) && b.scope.contains(v) {
+                    self.crossing.push((u, v, true));
+                } else if b.scope.contains(u) && a.scope.contains(v) {
+                    self.crossing.push((u, v, false));
                 }
             }
 
@@ -598,17 +669,38 @@ impl Enumerator {
             }
             let inner_ops = &inner_ops[..b.scope.len() as usize];
 
+            // A merged row's footprint is the pair of its inputs' footprints
+            // on their sides of the merged boundary, so a folding merge
+            // numbers each input's rows by theirs (`number_rows`) and keeps
+            // the cheapest row per pair in a dense index of `n_a × n_b`
+            // slots: at most `rows_a + rows_b` hashes name all
+            // `rows_a × rows_b` groups.
+            self.fold_ids.clear();
+            let mut n_b = 0;
+            if folds {
+                self.fold_ids.resize(rows_a + rows_b, 0);
+                let n_a = self.number_rows(&a, 0);
+                n_b = self.number_rows(&b, rows_a);
+                self.fold_ids.resize(rows_a + rows_b + n_a * n_b, EMPTY);
+            }
+            let mut ids = std::mem::take(&mut self.fold_ids);
+            let (sub_a, rest) = ids.split_at_mut(if folds { rows_a } else { 0 });
+            let (sub_b, index) = rest.split_at_mut(if folds { rows_b } else { 0 });
+
             // Merge, cost and prune one left row at a time: `merge_feats_many`
             // fuses one `a` row against all of `b` in one block,
-            // conversion features are patched per combination in place, a
-            // merge that compares costs the block with one batched oracle
-            // call, and every feasible row is folded straight into the
+            // conversion features are patched per combination in place (the
+            // crossing edges' platforms read straight from the two input
+            // rows), a merge that compares costs the block with one batched
+            // oracle call, and every feasible row is folded straight into the
             // destination unit (cheapest per Def-2 pruning footprint, or
-            // pushed as staged when the merge compares nothing).
+            // pushed as staged when the merge compares nothing). A row is
+            // pushed the first time its pair slot is hit, in `(ia, ib)`
+            // order, so the rows come out in the order a per-row probe of
+            // the merged footprint would create them.
             // Assignments are overlaid, not merged: the scratch row is `a`'s
-            // row, copied once per left row, and a candidate rewrites only
-            // `b`'s operators in it — it is a full assignment whenever it is
-            // read (crossing edges, footprint, the row kept in `dst`). The full
+            // row, copied once per left row, and a row that is pushed or
+            // overwrites one rewrites only `b`'s operators in it. The full
             // `rows_a × rows_b` cross-product is never materialized — the
             // working set stays one `rows_b`-row block regardless of how
             // large the merge is, so big seam merges cannot thrash the
@@ -623,12 +715,14 @@ impl Enumerator {
             let mut dst = self.take_mat(width, n, cap);
             let mut block = std::mem::take(&mut self.stage_block);
             let mut assign = std::mem::take(&mut self.scratch_assign);
-            if folds {
-                self.fp_map.clear();
+            #[cfg(test)]
+            if let Some(reference) = self.reference.as_mut().filter(|_| folds) {
+                reference.begin(width, n);
             }
-            for ia in 0..a.mat.rows() {
+            for ia in 0..rows_a {
+                let a_assign = a.mat.assignments(ia);
                 merge_feats_many(&mut block, a.mat.row(ia), b.mat.rows_view());
-                assign.copy_from_slice(a.mat.assignments(ia));
+                assign.copy_from_slice(a_assign);
                 debug_assert!(
                     inner_ops
                         .iter()
@@ -636,11 +730,15 @@ impl Enumerator {
                     "overlapping scopes"
                 );
                 self.feas.clear();
-                self.feas.resize(b.mat.rows(), true);
+                self.feas.resize(rows_b, true);
                 for (ib, feats) in block.chunks_exact_mut(width).enumerate() {
-                    overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
-                    for &(u, v) in &self.crossing {
-                        let (pu, pv) = (assign[u as usize], assign[v as usize]);
+                    let b_assign = b.mat.assignments(ib);
+                    for &(u, v, u_in_a) in &self.crossing {
+                        let (pu, pv) = if u_in_a {
+                            (a_assign[u as usize], b_assign[v as usize])
+                        } else {
+                            (b_assign[u as usize], a_assign[v as usize])
+                        };
                         if pu != pv
                             && !registry.convertible(
                                 PlatformId::from_index(pu as usize),
@@ -656,36 +754,58 @@ impl Enumerator {
                 if scored {
                     self.score_rows(oracle, opts.risk(), layout.packed(&block));
                 }
-                for ib in 0..b.mat.rows() {
+                // The index slots of this row's `a` footprint.
+                let base = sub_a.get(ia).map_or(0, |&id| id as usize * n_b);
+                for ib in 0..rows_b {
                     if !self.feas[ib] {
                         continue;
                     }
                     let cost = if scored { self.cost_buf[ib] } else { 0.0 };
                     let feats = &block[ib * width..(ib + 1) * width];
-                    overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
-                    if folds {
-                        let fp = footprint_hash(&self.boundary, &assign);
-                        match self.fp_map.insert_or_get(fp, dst.rows() as u32) {
-                            Some(row) => {
-                                if cost < dst.cost(row as usize) {
-                                    dst.overwrite_row(row as usize, feats, &assign, cost);
-                                }
-                            }
-                            None => {
-                                dst.push_row(feats, &assign, cost);
-                            }
+                    #[cfg(test)]
+                    if let Some(reference) = self.reference.as_mut().filter(|_| folds) {
+                        let (boundary, b_assign) = (&self.boundary, b.mat.assignments(ib));
+                        reference.fold(boundary, a_assign, inner_ops, b_assign, feats, cost);
+                    }
+                    let kept = if folds {
+                        let slot = &mut index[base + sub_b[ib] as usize];
+                        if *slot == EMPTY {
+                            *slot = dst.rows() as u32;
+                            None
+                        } else if cost < dst.cost(*slot as usize) {
+                            Some(*slot as usize)
+                        } else {
+                            continue;
                         }
                     } else {
-                        dst.push_row(feats, &assign, cost);
+                        None
+                    };
+                    overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
+                    match kept {
+                        Some(row) => dst.overwrite_row(row, feats, &assign, cost),
+                        None => {
+                            dst.push_row(feats, &assign, cost);
+                        }
                     }
                 }
             }
+            self.fold_ids = ids;
             self.stage_block = block;
             self.scratch_assign = assign;
             stats.generated += (rows_a * rows_b) as u64;
             #[cfg(test)]
-            self.merge_log
-                .push((a.scope, b.scope, (rows_a * rows_b) as u64));
+            {
+                if let Some(reference) = self.reference.as_mut().filter(|_| folds) {
+                    reference.check(&dst, a.scope, b.scope);
+                }
+                self.merge_log.push(tests::MergeRecord {
+                    a: a.scope,
+                    b: b.scope,
+                    rows: (rows_a as u64, rows_b as u64),
+                    scored,
+                    hashes: std::mem::take(&mut self.hashes),
+                });
+            }
             assert!(
                 dst.rows() > 0,
                 "no feasible platform combination for a merged scope — \
@@ -1146,7 +1266,8 @@ mod tests {
                         let split = SplitOptions::new(parts);
                         unbudgeted(en.enumerate_within(plan, &layout, opts, split, u64::MAX));
                         let mut want = 0;
-                        for &(a, b, staged) in &en.merge_log {
+                        for &MergeRecord { a, b, rows, .. } in &en.merge_log {
+                            let staged = rows.0 * rows.1;
                             let union = a.union(b);
                             let closes =
                                 frontier(plan, a) + frontier(plan, b) > frontier(plan, union);
@@ -1173,6 +1294,139 @@ mod tests {
             costed > 0 && skipped > 0,
             "costed {costed}, skipped {skipped}"
         );
+    }
+
+    /// One merge, as `Enumerator::contract_edges` logs it.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct MergeRecord {
+        pub(super) a: Scope,
+        pub(super) b: Scope,
+        /// The two input units' row counts.
+        pub(super) rows: (u64, u64),
+        /// Whether the merge compared its rows.
+        pub(super) scored: bool,
+        /// Footprint hashes the merge made.
+        pub(super) hashes: u64,
+    }
+
+    /// The fold the pair index replaced: per staged row, the candidate's
+    /// full assignment, one `footprint_hash` over the merged boundary and
+    /// one `insert_or_get`, keeping the cheapest row per footprint.
+    #[derive(Debug, Default)]
+    pub(super) struct ReferenceFold {
+        table: FootprintTable,
+        mat: EnumMatrix,
+        assign: Vec<u8>,
+        /// Folding merges checked so far.
+        merges: u64,
+    }
+
+    impl ReferenceFold {
+        pub(super) fn begin(&mut self, width: usize, n_ops: usize) {
+            self.table.clear();
+            self.mat.reset(width, n_ops);
+        }
+
+        pub(super) fn fold(
+            &mut self,
+            boundary: &[u32],
+            a_assign: &[u8],
+            inner_ops: &[u32],
+            b_assign: &[u8],
+            feats: &[f64],
+            cost: f64,
+        ) {
+            self.assign.clear();
+            self.assign.extend_from_slice(a_assign);
+            overlay_assignments(&mut self.assign, inner_ops, b_assign);
+            let fp = footprint_hash(boundary, &self.assign);
+            match self.table.insert_or_get(fp, self.mat.rows() as u32) {
+                Some(row) => {
+                    if cost < self.mat.cost(row as usize) {
+                        self.mat
+                            .overwrite_row(row as usize, feats, &self.assign, cost);
+                    }
+                }
+                None => {
+                    self.mat.push_row(feats, &self.assign, cost);
+                }
+            }
+        }
+
+        /// `dst` holds the reference's rows, bit for bit and in order.
+        pub(super) fn check(&mut self, dst: &EnumMatrix, a: Scope, b: Scope) {
+            self.merges += 1;
+            let merge = format!("merge of {:#x} and {:#x}", a.0, b.0);
+            assert_eq!(dst.rows(), self.mat.rows(), "{merge}: rows kept");
+            let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for r in 0..dst.rows() {
+                let want = self.mat.assignments(r);
+                assert_eq!(dst.assignments(r), want, "{merge}: row {r}'s assignment");
+                let (got, want) = (dst.cost(r), self.mat.cost(r));
+                assert_eq!(got.to_bits(), want.to_bits(), "{merge}: row {r}'s cost");
+                let (got, want) = (bits(dst.row(r)), bits(self.mat.row(r)));
+                assert_eq!(got, want, "{merge}: row {r}'s features");
+            }
+        }
+    }
+
+    /// The pair-index fold keeps the rows the per-row footprint probe kept,
+    /// in the same order, with the same costs and feature bits, after every
+    /// merge, and hashes at most once per input row. Seeded DAGs and
+    /// pipelines over the named, uniform and masked registries, searched
+    /// serially and split at 2, 3, 4 and 8 parts, under the analytic oracle
+    /// and a fixed-seed forest ranked by `sigma2`.
+    #[test]
+    fn the_pair_index_keeps_the_reference_folds_rows_in_order() {
+        use crate::testing::masked_registry;
+        let mut rng = SplitMix64::new(0x0047_F01D);
+        let mut registries = vec![PlatformRegistry::named()];
+        registries.extend((2..=8).map(PlatformRegistry::uniform));
+        registries.extend((0..4).map(|i| masked_registry(&mut rng, 2 + i % 3)));
+        let mut en = Enumerator::new();
+        en.reference = Some(ReferenceFold::default());
+        let (mut hashed, mut mixed) = (0, 0);
+        for registry in &registries {
+            let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+            let analytic = AnalyticOracle::for_registry(registry, &layout);
+            let forest = TinyForest::new(registry, &layout, 0xF0_4E57);
+            let dag_ops = 4 + rng.gen_range(13);
+            let dag = workloads::random_connected_dag(&mut rng, dag_ops, 0.3);
+            let pipeline = workloads::synthetic_pipeline(6 + rng.gen_range(25), 1e5);
+            for plan in [&dag, &pipeline] {
+                let oracles: [(&dyn CostOracle, RiskPolicy); 2] = [
+                    (&analytic, RiskPolicy::ExpectedCost),
+                    (&forest, RiskPolicy::MeanPlusKSigma(2.0)),
+                ];
+                for (oracle, risk) in oracles {
+                    let opts = EnumOptions::new(registry)
+                        .with_oracle(oracle)
+                        .with_risk(risk);
+                    for parts in [1, 2, 3, 4, 8] {
+                        en.merge_log.clear();
+                        let split = SplitOptions::new(parts);
+                        unbudgeted(en.enumerate_within(plan, &layout, opts, split, u64::MAX));
+                        for rec in en.merge_log.iter().filter(|rec| rec.scored) {
+                            let inputs = rec.rows.0 + rec.rows.1;
+                            assert!(
+                                rec.hashes <= inputs,
+                                "{} ops, {} platforms, {parts} parts: {} hashes for {inputs} input rows",
+                                plan.n_ops(),
+                                registry.len(),
+                                rec.hashes
+                            );
+                            hashed += rec.hashes;
+                            mixed += u64::from(rec.hashes > 0 && rec.hashes < inputs);
+                        }
+                    }
+                }
+            }
+        }
+        // Every numbering occurs: hashed rows, and merges where one side
+        // hashes while the other takes a shortcut.
+        assert!(hashed > 0 && mixed > 0, "hashed {hashed}, mixed {mixed}");
+        let reference = en.reference.take().unwrap();
+        assert!(reference.merges > 0);
     }
 
     fn uniform_setup(k: usize) -> (PlatformRegistry, FeatureLayout, AnalyticOracle) {

@@ -76,6 +76,11 @@ impl RandomForest {
     /// Fit a forest on `rows`/`labels` under `config`. Training is
     /// parallel across trees yet bit-identical to the serial order because
     /// per-tree randomness never depends on scheduling.
+    ///
+    /// Panics on no rows, a label count other than the row count, or a
+    /// label that is not finite (NaN or ±∞): a node's mean over such a
+    /// label is not finite, and `RegressionTree::from_parts` refuses it, so
+    /// the forest could not be reloaded.
     pub fn fit(config: &ForestConfig, rows: RowsView<'_>, labels: &[f64]) -> RandomForest {
         let n_threads = available_threads().min(config.n_trees);
         RandomForest::fit_on_threads(config, rows, labels, n_threads)
@@ -97,6 +102,13 @@ impl RandomForest {
         assert!(config.n_trees >= 1, "forest needs at least one tree");
         assert_eq!(rows.rows(), labels.len(), "one label per feature row");
         assert!(rows.rows() >= 1, "cannot fit a forest on zero samples");
+        let bad = labels.iter().position(|label| !label.is_finite());
+        assert!(
+            bad.is_none(),
+            "row {} has the non-finite label {}: a forest fits finite labels only",
+            bad.unwrap_or_default(),
+            labels[bad.unwrap_or_default()]
+        );
         let tree_cfg = TreeConfig {
             feature_candidates: Some(
                 config
@@ -334,6 +346,35 @@ mod tests {
             feats.extend_from_slice(&x);
         }
         (feats, labels)
+    }
+
+    /// Fit a small forest whose labels are finite but for `bad` at row 10.
+    fn fit_with_label(bad: f64) -> RandomForest {
+        let (feats, mut labels) = noisy_quadratic(64, 3, 13);
+        labels[10] = bad;
+        let config = ForestConfig {
+            n_trees: 4,
+            ..ForestConfig::default()
+        };
+        RandomForest::fit(&config, RowsView::new(&feats, 3), &labels)
+    }
+
+    #[test]
+    #[should_panic(expected = "row 10 has the non-finite label NaN")]
+    fn a_nan_label_is_refused_before_fitting() {
+        fit_with_label(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 10 has the non-finite label inf")]
+    fn a_positive_infinite_label_is_refused_before_fitting() {
+        fit_with_label(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 10 has the non-finite label -inf")]
+    fn a_negative_infinite_label_is_refused_before_fitting() {
+        fit_with_label(f64::NEG_INFINITY);
     }
 
     #[test]

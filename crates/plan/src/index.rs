@@ -153,8 +153,9 @@ impl HashIndex {
 
 /// A deterministic `u64 → V` map: `(key, value)` entries in insertion
 /// order until a [`KeyMap::remove`], indexed by a [`HashIndex`] over the
-/// SplitMix64 finalizer ([`mix64`]) of the key. `V` is any value: a row
-/// position for pruning, a whole cached response for the plan cache.
+/// SplitMix64 finalizer ([`mix64`]) of the key. `V` is any value: a
+/// footprint's number (the enumerator) or row position (the Rheem-ML
+/// strawman) for pruning, a whole cached response for the plan cache.
 /// `clear` keeps both allocations, so a warmed map serves a hot loop
 /// without growing.
 #[derive(Debug, Clone, Default)]
@@ -267,7 +268,7 @@ impl<V> KeyMap<V> {
 }
 
 /// Lookups that answer with a copy of the value, as the pruning table's
-/// `u32` row positions and the engine's join-key set are read.
+/// `u32` numbers and the engine's join-key set are read.
 impl<V: Copy> KeyMap<V> {
     /// Value stored under `key`, if any.
     #[inline]

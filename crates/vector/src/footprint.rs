@@ -6,8 +6,11 @@
 //! footprints interact identically with the rest of the plan, so `prune`
 //! keeps only the cheapest row per footprint (lossless, Lemma 1). The
 //! footprint is hashed to a `u64` key with the workspace's SplitMix64
-//! finalizer ([`mix64`]); `prune` is then one pass over a
-//! [`FootprintTable`], one probe per staged row.
+//! finalizer ([`mix64`]). The enumerator hashes each input row of a merge
+//! over its side of the merged boundary and numbers the rows through a
+//! [`FootprintTable`]; a staged row's footprint is then the pair of its
+//! inputs' numbers, so pruning hashes and probes once per input row, not
+//! once per staged row.
 
 use robopt_plan::index::KeyMap;
 use robopt_plan::rng::mix64;
@@ -142,9 +145,9 @@ impl SigHasher {
     }
 }
 
-/// The `u64 -> u32` map the pruning pass keeps its cheapest row per
-/// footprint in (footprint → row), and the plan cache its entries (signature
-/// → position): the workspace's one open-addressing table,
+/// The `u64 -> u32` map the pruning pass numbers a merge's input rows by
+/// footprint in (footprint → number), and the plan cache its entries
+/// (signature → position): the workspace's one open-addressing table,
 /// [`robopt_plan::index`], whose entries sit in **insertion order** — no
 /// per-process hasher seed, so nothing that reads it can vary run to run
 /// (`clippy::disallowed_types` rejects `std`'s seeded `HashMap` in every

@@ -11,7 +11,7 @@
 //! * [`merge`] — the fused add-with-max-cells merge kernel;
 //! * [`footprint`] — scope bitsets, Def-2 pruning footprints hashed to
 //!   `u64`, and [`footprint::FootprintTable`], the pruning pass's
-//!   footprint → row map over the workspace's one hash table
+//!   footprint → number map over the workspace's one hash table
 //!   ([`robopt_plan::index`]).
 
 pub mod footprint;
