@@ -1,54 +1,38 @@
 //! The "Rheem-ML" strawman enumerator (paper Figs 1, 9a).
 //!
-//! Identical search to `robopt_core::Enumerator` — the same merge order
-//! ([`robopt_core::merge_key`], found by a scan instead of a heap), the same
-//! registry-driven availability masking and conversion feasibility, the
-//! same Def-2 lossless boundary pruning (rows compared, so costed, only in
-//! merges that close a boundary operator), the same batched
-//! [`robopt_core::CostOracle`] entry point, and therefore the same
-//! [`EnumStats`] — but subplans are object graphs ([`ObjNode`]), and the ML
-//! cost model is treated as an external black box: every batch is
-//! assembled by walking the object graphs and materializing **fresh**
-//! feature vectors (plan-to-vector transformation at call time, fresh
-//! allocations per merge step). Comparing this against the vector-based
-//! enumerator isolates precisely the representation benefit the paper
-//! claims.
+//! The search of `robopt_core::Enumerator` — the same merge schedule
+//! ([`MergeOrder`]), availability masking, conversion feasibility, Def-2
+//! pruning (rows costed only in merges that close a boundary operator) and
+//! batched [`robopt_core::CostOracle`] calls, so the same [`EnumStats`] —
+//! over object graphs ([`ObjNode`]) instead of matrices. The cost model is
+//! an external black box: every batch walks the object graphs into
+//! **fresh** feature vectors (fresh allocations per merge step), and every
+//! staged plan is hashed over the merged boundary and probed once. The
+//! representation is the only difference, which is what Fig 1 isolates.
 
 use std::rc::Rc;
 
 use robopt_core::vectorize::{add_conversion_features, add_operator_cells, ExecutionPlan};
-use robopt_core::{merge_key, EnumOptions, EnumStats, MergeKey};
+use robopt_core::{EnumOptions, EnumStats, MergeOrder};
 use robopt_plan::LogicalPlan;
 use robopt_platforms::PlatformId;
-use robopt_vector::{footprint_hash, FeatureLayout, FootprintTable, RowsView, Scope, NO_PLATFORM};
+use robopt_vector::{footprint_hash, FeatureLayout, FootprintTable, RowsView, NO_PLATFORM};
 
 use crate::object_plan::ObjNode;
 
-struct ObjUnit {
-    scope: Scope,
-    /// Boundary operators of `scope`.
-    frontier: u32,
-    /// Candidate subplans paired with their (pruning-time) cost, 0 where
-    /// the merge that built them compared nothing.
-    plans: Vec<(Rc<ObjNode>, f64)>,
-}
+/// A unit's candidate subplans paired with their (pruning-time) cost, 0
+/// where the merge that built them compared nothing.
+type Plans = Vec<(Rc<ObjNode>, f64)>;
 
 /// Object-graph enumerator with per-batch plan-to-vector transformation.
 #[derive(Debug, Default)]
-pub struct ObjectEnumerator;
-
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        let gp = parent[parent[x as usize] as usize];
-        parent[x as usize] = gp;
-        x = gp;
-    }
-    x
+pub struct ObjectEnumerator {
+    order: MergeOrder<Plans>,
 }
 
 impl ObjectEnumerator {
     pub fn new() -> Self {
-        ObjectEnumerator
+        ObjectEnumerator::default()
     }
 
     /// The per-invocation plan-to-vector transformation: walk the object
@@ -74,47 +58,11 @@ impl ObjectEnumerator {
         feats
     }
 
-    fn boundary_of(plan: &LogicalPlan, scope: Scope) -> Vec<u32> {
-        (0..plan.n_ops() as u32)
-            .filter(|&op| {
-                scope.contains(op)
-                    && plan
-                        .succs(op)
-                        .iter()
-                        .chain(plan.preds(op))
-                        .any(|&o| !scope.contains(o))
-            })
-            .collect()
-    }
-
-    /// The current merge key of dataflow edge `e` and the roots of the two
-    /// units it would merge; `None` once both endpoints share a unit.
-    fn edge_key(
-        plan: &LogicalPlan,
-        units: &[Option<ObjUnit>],
-        parent: &mut [u32],
-        e: usize,
-    ) -> Option<(u32, u32, MergeKey)> {
-        let (u, v) = plan.edges()[e];
-        let (ra, rb) = (find(parent, u), find(parent, v));
-        if ra == rb {
-            return None;
-        }
-        let (a, b) = (units[ra as usize].as_ref()?, units[rb as usize].as_ref()?);
-        let frontier = Self::boundary_of(plan, a.scope.union(b.scope)).len() as u32;
-        let larger = a.plans.len().max(b.plans.len()) as u64;
-        Some((ra, rb, merge_key(frontier, larger, e as u32)))
-    }
-
     /// Run the enumeration; result matches the vector enumerator's optimum
     /// over the same registry and oracle (both carried by `opts`), and the
     /// counters match its [`EnumStats`]. The strawman always prunes (Def-2)
     /// and ranks by expected cost: `opts.prune()` and `opts.risk()` are
     /// ignored.
-    #[expect(
-        clippy::expect_used,
-        reason = "whole-fn invariants: union-find roots always hold live units (contracted roots are never re-found), and every singleton keeps >= 1 availability-masked plan through merges"
-    )]
     pub fn enumerate(
         &mut self,
         plan: &LogicalPlan,
@@ -128,86 +76,47 @@ impl ObjectEnumerator {
         assert_eq!(layout.n_platforms, registry.len());
         assert_eq!(oracle.width(), layout.width);
         let mut stats = EnumStats::default();
-        let mut units: Vec<Option<ObjUnit>> = (0..n as u32)
-            .map(|op| {
-                // Availability masking: one singleton per permitted platform,
-                // costed through the batched black-box entry point (fresh
-                // batch buffer, as everywhere in the strawman) only in a
-                // one-operator plan, the one where they are compared.
-                let nodes: Vec<Rc<ObjNode>> = registry
-                    .available_platforms(plan.op(op).kind)
-                    .map(|p| ObjNode::leaf(op, p.raw()))
-                    .collect();
-                let mut costs = vec![0.0; nodes.len()];
-                if n == 1 {
-                    let mut batch: Vec<f64> = Vec::new();
-                    for node in &nodes {
-                        batch.extend_from_slice(&Self::features_of(plan, layout, node));
-                    }
-                    oracle.cost_batch(RowsView::new(&batch, layout.width), &mut costs);
+        self.order.begin(n);
+        for op in 0..n as u32 {
+            // Availability masking: one singleton per permitted platform,
+            // costed through the batched black-box entry point (fresh batch
+            // buffer, as everywhere in the strawman) only in a one-operator
+            // plan, the one where they are compared.
+            let nodes: Vec<Rc<ObjNode>> = registry
+                .available_platforms(plan.op(op).kind)
+                .map(|p| ObjNode::leaf(op, p.raw()))
+                .collect();
+            let mut costs = vec![0.0; nodes.len()];
+            if n == 1 {
+                let mut batch: Vec<f64> = Vec::new();
+                for node in &nodes {
+                    batch.extend_from_slice(&Self::features_of(plan, layout, node));
                 }
-                let rows = nodes.len() as u64;
-                stats.generated += rows;
-                stats.kept += rows;
-                stats.peak_rows = stats.peak_rows.max(rows);
-                Some(ObjUnit {
-                    scope: Scope::singleton(op),
-                    frontier: u32::from(n > 1),
-                    plans: nodes.into_iter().zip(costs).collect(),
-                })
-            })
-            .collect();
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-
-        // The enumerator's merge order by scan: every edge keeps the key it
-        // was last ranked by, the smallest kept key is re-ranked, and it is
-        // contracted only if it still holds — otherwise the fresh key is
-        // kept and the scan repeats. That is the heap's lazy re-ranking, so
-        // both enumerators contract the same edges in the same order.
-        let mut keys: Vec<Option<MergeKey>> = (0..plan.edges().len())
-            .map(|e| Self::edge_key(plan, &units, &mut parent, e).map(|(_, _, key)| key))
-            .collect();
-        while let Some((ranked, e)) = keys
-            .iter()
-            .enumerate()
-            .filter_map(|(e, key)| key.map(|key| (key, e)))
-            .min()
-        {
-            keys[e] = None;
-            let Some((ra, rb, fresh)) = Self::edge_key(plan, &units, &mut parent, e) else {
-                continue;
-            };
-            if fresh != ranked {
-                keys[e] = Some(fresh);
-                continue;
+                oracle.cost_batch(RowsView::new(&batch, layout.width), &mut costs);
             }
-            let a = units[ra as usize].take().expect("live unit at root");
-            let b = units[rb as usize].take().expect("live unit at root");
-            let merged_scope = a.scope.union(b.scope);
-            let boundary = Self::boundary_of(plan, merged_scope);
+            let rows = nodes.len() as u64;
+            stats.generated += rows;
+            stats.kept += rows;
+            stats.peak_rows = stats.peak_rows.max(rows);
+            self.order.seed(op, nodes.into_iter().zip(costs).collect());
+        }
+
+        self.order.schedule(plan, 0..plan.edges().len() as u32);
+        while let Some((merge, a, b)) = self.order.pop(plan) {
+            let (boundary, crossing) = (self.order.boundary(), self.order.crossing());
             // The enumerator's rule: a merge that closes no boundary
             // operator makes only new footprints, so it compares nothing.
-            let frontier = boundary.len() as u32;
-            let compares = a.frontier + b.frontier > frontier;
-            let crossing: Vec<(u32, u32)> = plan
-                .edges()
-                .iter()
-                .copied()
-                .filter(|&(u, v)| {
-                    (a.scope.contains(u) && b.scope.contains(v))
-                        || (b.scope.contains(u) && a.scope.contains(v))
-                })
-                .collect();
+            let compares = merge.closes();
 
             // Stage every feasible combination (fresh object graph + fresh
             // feature vector each), then cost the batch in one call; a merge
             // that compares nothing keeps its object graphs unscored.
-            let mut merged: Vec<(Rc<ObjNode>, f64)> = Vec::new();
+            let mut merged: Plans = Vec::new();
             let mut staged: Vec<(Rc<ObjNode>, u64)> = Vec::new();
             let mut batch: Vec<f64> = Vec::new();
             let mut assign_buf = vec![NO_PLATFORM; n];
-            for (na, _) in &a.plans {
-                for (nb, _) in &b.plans {
+            for (na, _) in &a {
+                for (nb, _) in &b {
                     let node = ObjNode::merge(Rc::clone(na), Rc::clone(nb));
                     let mut placements = Vec::new();
                     node.collect_into(&mut placements);
@@ -217,7 +126,7 @@ impl ObjectEnumerator {
                     }
                     // Conversion feasibility: exclude combinations whose
                     // crossing edges have no COT path.
-                    let feasible = crossing.iter().all(|&(u, v)| {
+                    let feasible = crossing.iter().all(|&(u, v, _)| {
                         let (pu, pv) = (assign_buf[u as usize], assign_buf[v as usize]);
                         pu == pv
                             || registry.convertible(
@@ -233,7 +142,7 @@ impl ObjectEnumerator {
                         continue;
                     }
                     batch.extend_from_slice(&Self::features_of(plan, layout, &node));
-                    staged.push((node, footprint_hash(&boundary, &assign_buf)));
+                    staged.push((node, footprint_hash(boundary, &assign_buf)));
                 }
             }
             let mut costs = Vec::new();
@@ -256,22 +165,19 @@ impl ObjectEnumerator {
                     }
                 }
             }
-            stats.generated += (a.plans.len() * b.plans.len()) as u64;
+            stats.generated += (a.len() * b.len()) as u64;
             stats.merges += 1;
             stats.kept += merged.len() as u64;
             stats.peak_rows = stats.peak_rows.max(merged.len() as u64);
-            parent[rb as usize] = ra;
-            units[ra as usize] = Some(ObjUnit {
-                scope: merged_scope,
-                frontier,
-                plans: merged,
-            });
+            self.order.join(&merge, merged);
         }
 
-        let root = find(&mut parent, 0);
-        let unit = units[root as usize].take().expect("live unit at root");
-        let (best_node, best_cost) = unit
-            .plans
+        let plans = self.order.take_whole();
+        #[expect(
+            clippy::expect_used,
+            reason = "every singleton keeps >= 1 availability-masked plan through merges"
+        )]
+        let (best_node, best_cost) = plans
             .iter()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("non-empty enumeration");

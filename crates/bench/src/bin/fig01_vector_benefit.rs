@@ -2,7 +2,7 @@
 //! (object-graph) enumeration with an ML-style cost model, 2 platforms.
 //!
 //! Both enumerators run the same search (one merge order,
-//! [`robopt_core::merge_key`], and Def-2 pruning) against the same analytic
+//! [`robopt_core::MergeOrder`], and Def-2 pruning) against the same analytic
 //! [`robopt_core::CostOracle`]; only the subplan representation differs,
 //! so the measured gap isolates the vectorization benefit. The vector side
 //! goes through the [`robopt::Optimizer`] facade (cache disabled, one split

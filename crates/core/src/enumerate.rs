@@ -2,24 +2,21 @@
 //!
 //! The enumeration graph starts with one unit per operator, with one
 //! singleton row per platform the registry's availability matrix permits
-//! for that operator's kind. Repeatedly, the dataflow edge with the best
-//! Def-3 priority — fewest boundary operators of the merged scope (the
-//! pruned frontier `k^|boundary|` multiplies every later merge), ties by
-//! extending the larger existing unit (linear merge trees over balanced
-//! ones), then FIFO — is contracted: the two matrices are cross-merged one
-//! left row at a time with the fused add kernel, conversion features are
-//! added for every dataflow edge crossing the two scopes (combinations
-//! whose crossing edges have no conversion path in the registry's COT are
-//! excluded, DESIGN §6.3), each block is costed in **one batched oracle
-//! call**, and Def-2 boundary pruning keeps the cheapest row per pruning
-//! footprint. A merged row's footprint is the pair of its two inputs'
-//! footprints on the merged boundary, so pruning numbers each input's rows
-//! by theirs (at most one hash per input row) and folds each staged row
-//! into a dense index over the pairs. A merge that closes no boundary
-//! operator produces only new footprints, so it compares nothing and costs
-//! nothing (DESIGN §5). When one unit covers the whole plan its empty
-//! footprint leaves exactly the optimal row, which `unvectorize` turns into
-//! an [`ExecutionPlan`].
+//! for that operator's kind. Repeatedly, the dataflow edge the merge
+//! schedule ([`crate::order`], Def-3 priority) puts first is contracted: the
+//! two matrices are cross-merged one left row at a time with the fused add
+//! kernel, conversion features are added for every dataflow edge crossing
+//! the two scopes (combinations whose crossing edges have no conversion path
+//! in the registry's COT are excluded, DESIGN §6.3), each block is costed in
+//! **one batched oracle call**, and Def-2 boundary pruning keeps the
+//! cheapest row per pruning footprint. A merged row's footprint is the pair
+//! of its two inputs' footprints on the merged boundary, so pruning numbers
+//! each input's rows by theirs (at most one hash per input row) and folds
+//! each staged row into a dense index over the pairs. A merge that closes
+//! no boundary operator produces only new footprints, so it compares
+//! nothing and costs nothing (DESIGN §5). When one unit covers the whole
+//! plan its empty footprint leaves exactly the optimal row, which
+//! `unvectorize` turns into an [`ExecutionPlan`].
 //!
 //! Rows are **plan-local**: every matrix, the scratch row and the staging
 //! block are laid out by the plan's own [`PlanLayout`] — the Fig-5 cells of
@@ -29,13 +26,10 @@
 //! `Enumerator::finish` encodes a full-layout row, for the winner.
 //!
 //! Zero-allocation hot path: the [`Enumerator`] owns matrix pools, scratch
-//! row buffers, the batch cost buffer, the priority heap, the footprint
-//! table and the pair index, all reused across calls. After a warm-up run, enumerating performs
-//! no `EnumMatrix` buffer growth (asserted by
+//! row buffers, the batch cost buffer, the merge schedule, the footprint
+//! table and the pair index, all reused across calls. After a warm-up run,
+//! enumerating performs no `EnumMatrix` buffer growth (asserted by
 //! `crates/core/tests/buffer_reuse.rs` via [`robopt_vector::alloc_events`]).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use robopt_plan::LogicalPlan;
 use robopt_platforms::{PlatformId, PlatformRegistry};
@@ -46,6 +40,7 @@ use robopt_vector::{
 
 use crate::dist::{CostDistribution, RiskPolicy};
 use crate::oracle::CostOracle;
+use crate::order::MergeOrder;
 use crate::split::{split_plan, SplitOptions};
 use crate::vectorize::{add_conversion_features, vectorize_assignment, ExecutionPlan, PlanLayout};
 
@@ -216,51 +211,6 @@ pub(crate) fn unbudgeted<T>(search: Result<T, OverBudget>) -> T {
     search.expect("no search exceeds the u64::MAX budget")
 }
 
-/// Def-3 priority of contracting dataflow edge `edge`, smallest first:
-/// `(frontier, u64::MAX - larger_rows, edge)`. The one merge order of the
-/// workspace — [`Enumerator`] pops it from a heap, the Rheem-ML strawman
-/// (`robopt_baselines::ObjectEnumerator`) scans for it.
-///
-/// * `frontier` — boundary operators of the merged scope. Primary key:
-///   the pruned frontier is bounded by `k^frontier`, and that frontier
-///   multiplies the staging cost of *every* future merge touching the
-///   unit, so shrinking it first dominates any one merge's own
-///   cross-product.
-/// * `larger_rows` — row count of the larger endpoint unit, inverted:
-///   among equal-frontier candidates, *extending* an existing multi-row
-///   unit wins over pairing two fresh singletons. This keeps merge trees
-///   linear — a balanced tree merges two k²-row units into a k⁴
-///   cross-product where the linear tree stages k³ — which is what lets
-///   split parts (whose interior scopes carry two boundary operators)
-///   stay within a constant factor of serial enumeration.
-/// * `edge` — the dataflow edge index: FIFO among full ties, and (one
-///   live entry per edge) what makes every key unique, so the pop order
-///   is a function of the keys alone.
-///
-/// A key goes stale when a merge grows one of the edge's units; both
-/// enumerators re-rank only the edge whose kept key is smallest, contract
-/// it if its key still holds, and otherwise keep the fresh key and look
-/// again.
-#[inline]
-pub fn merge_key(frontier: u32, larger_rows: u64, edge: u32) -> MergeKey {
-    (frontier, u64::MAX - larger_rows, edge)
-}
-
-/// What [`merge_key`] ranks by, smallest first.
-pub type MergeKey = (u32, u64, u32);
-
-/// One live node of the enumeration graph: the scope it covers, the number
-/// of its boundary operators, and the matrix of surviving candidate rows
-/// for that scope. The rows have pairwise-distinct footprints over the
-/// scope's boundary, pruned or not: that is what lets a merge that closes
-/// no boundary operator skip the comparison (DESIGN §5).
-#[derive(Debug)]
-struct Unit {
-    scope: Scope,
-    frontier: u32,
-    mat: EnumMatrix,
-}
-
 /// The vector-based enumerator with pooled, reusable buffers.
 ///
 /// [`Enumerator::enumerate_within`] is the one budgeted entry point: it
@@ -276,9 +226,8 @@ struct Unit {
 #[derive(Debug, Default)]
 pub struct Enumerator {
     pool: Vec<EnumMatrix>,
-    units: Vec<Option<Unit>>,
-    parent: Vec<u32>,
-    heap: BinaryHeap<Reverse<MergeKey>>,
+    /// The merge schedule over the run's units, their surviving rows.
+    order: MergeOrder<EnumMatrix>,
     /// Numbers a folding merge's input rows by their footprint on their
     /// side of the merged boundary (`Enumerator::number_rows`).
     fp_map: FootprintTable,
@@ -295,10 +244,6 @@ pub struct Enumerator {
     /// Distributional scratch for non-`ExpectedCost` risk policies; unused
     /// (and unallocated) on the classic point path.
     dist_buf: CostDistribution,
-    boundary: Vec<u32>,
-    /// Dataflow edges `(u, v)` crossing a merge's two scopes, each with
-    /// whether `u` lies in the outer unit `a`.
-    crossing: Vec<(u32, u32, bool)>,
     /// Per-block feasibility flags (`feas[ib]` for the current left row ×
     /// right row `ib`): infeasible combinations are still costed with their
     /// block — batching beats branching — but never reach the destination.
@@ -342,19 +287,6 @@ fn check_preconditions(plan: &LogicalPlan, layout: &FeatureLayout, opts: EnumOpt
     assert!(plan.is_connected(), "enumeration requires a connected plan");
 }
 
-/// Fill `out` with the boundary operators of `scope` — operators inside
-/// with at least one dataflow edge to an operator outside — in ascending
-/// op id (the canonical footprint order).
-fn boundary_ops(plan: &LogicalPlan, scope: Scope, out: &mut Vec<u32>) {
-    out.clear();
-    out.extend(scope.ops().filter(|&op| {
-        plan.succs(op)
-            .iter()
-            .chain(plan.preds(op))
-            .any(|&o| !scope.contains(o))
-    }));
-}
-
 /// Write `src`'s platform for every operator of `ops` into `row` and leave
 /// the other slots alone: with `row` holding the outer unit's assignment
 /// and `src` a row of the inner unit (disjoint scopes), `row` becomes the
@@ -369,42 +301,6 @@ fn overlay_assignments(row: &mut [u8], ops: &[u32], src: &[u8]) {
 impl Enumerator {
     pub fn new() -> Self {
         Enumerator::default()
-    }
-
-    #[inline]
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    /// Row count and scope of the unit rooted at `r`, for ranking merge
-    /// candidates. Liveness is enforced where the unit is consumed
-    /// ([`Enumerator::take_unit`]), so a dead root just reads as empty.
-    #[inline]
-    fn unit_shape(&self, r: u32) -> (usize, Scope) {
-        match self.units.get(r as usize) {
-            Some(Some(u)) => (u.mat.rows(), u.scope),
-            _ => (0, Scope::default()),
-        }
-    }
-
-    /// Detach the live unit rooted at `r`. The union-find invariant —
-    /// every root returned by [`Enumerator::find`] owns a `Some` unit until
-    /// it is contracted away — makes the lookup structural.
-    #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "union-find root always holds a live unit (contracted roots are never re-found)"
-    )]
-    fn take_unit(&mut self, r: u32) -> Unit {
-        self.units
-            .get_mut(r as usize)
-            .and_then(Option::take)
-            .expect("live unit at union-find root")
     }
 
     /// Take a pooled matrix, best-fit by the rows it will have to hold: the
@@ -444,36 +340,38 @@ impl Enumerator {
         }
     }
 
-    /// Number `unit`'s rows by their footprint over the operators of its
-    /// boundary that stay on the merged scope's (`self.boundary`) into
-    /// `self.fold_ids[at..]`, densely in order of first appearance, and
+    /// Number the rows of `mat`, the unit of `scope` with `frontier`
+    /// boundary operators, by their footprint over the operators of its
+    /// boundary that stay on the merged scope's ([`MergeOrder::boundary`])
+    /// into `self.fold_ids[at..]`, densely in order of first appearance, and
     /// return how many footprints there are. A unit whose boundary
-    /// operators all stay numbers its rows `0..rows` (their footprints over
-    /// its boundary are pairwise distinct, `Unit`), a unit none of whose
-    /// operators stays is one class, and any other unit hashes each row
-    /// once into the pruning table.
-    fn number_rows(&mut self, unit: &Unit, at: usize) -> usize {
-        let stays = |op: &&u32| unit.scope.contains(**op);
-        let n_stay = self.boundary.iter().filter(stays).count();
-        let ids = &mut self.fold_ids[at..at + unit.mat.rows()];
+    /// operators all stay numbers its rows `0..rows` (a unit's footprints
+    /// over its boundary are pairwise distinct, [`crate::order`]), a unit
+    /// none of whose operators stays is one class, and any other unit
+    /// hashes each row once into the pruning table.
+    fn number_rows(&mut self, scope: Scope, frontier: u32, mat: &EnumMatrix, at: usize) -> usize {
+        let stays = |op: &&u32| scope.contains(**op);
+        let boundary = self.order.boundary();
+        let n_stay = boundary.iter().filter(stays).count();
+        let ids = &mut self.fold_ids[at..at + mat.rows()];
         if n_stay == 0 {
             ids.fill(0);
             return 1;
         }
-        if n_stay == unit.frontier as usize {
+        if n_stay == frontier as usize {
             for (r, id) in ids.iter_mut().enumerate() {
                 *id = r as u32;
             }
             return ids.len();
         }
         let mut ops = [0u32; u128::BITS as usize];
-        for (slot, &op) in ops.iter_mut().zip(self.boundary.iter().filter(stays)) {
+        for (slot, &op) in ops.iter_mut().zip(boundary.iter().filter(stays)) {
             *slot = op;
         }
         let ops = &ops[..n_stay];
         self.fp_map.clear();
         for (r, id) in ids.iter_mut().enumerate() {
-            let fp = footprint_hash(ops, unit.mat.assignments(r));
+            let fp = footprint_hash(ops, mat.assignments(r));
             #[cfg(test)]
             {
                 self.hashes += 1;
@@ -485,12 +383,9 @@ impl Enumerator {
     }
 
     /// Reset per-run state for an `n`-operator plan: no live units yet,
-    /// identity union-find, scratch rows sized to the plan's own layout.
+    /// scratch rows sized to the plan's own layout.
     fn begin(&mut self, n: usize, layout: &PlanLayout) {
-        self.units.clear();
-        self.units.resize_with(n, || None);
-        self.parent.clear();
-        self.parent.extend(0..n as u32);
+        self.order.begin(n);
         self.scratch_feats.clear();
         self.scratch_feats.resize(layout.local().width, 0.0);
         self.scratch_assign.clear();
@@ -543,57 +438,23 @@ impl Enumerator {
             stats.generated += mat.rows() as u64;
             stats.kept += mat.rows() as u64;
             stats.peak_rows = stats.peak_rows.max(mat.rows() as u64);
-            self.units[op as usize] = Some(Unit {
-                scope: Scope::singleton(op),
-                // A connected plan of two or more operators gives every
-                // operator a neighbour outside its singleton.
-                frontier: u32::from(n > 1),
-                mat,
-            });
+            self.order.seed(op, mat);
         }
-    }
-
-    /// Current Def-3 key of dataflow edge `e` and the roots of the two units
-    /// it would merge; `None` once both endpoints share a unit. Leaves the
-    /// merged scope's boundary operators in `self.boundary`: their count
-    /// ranks the edge, their list is the footprint every staged row hashes.
-    fn edge_key(&mut self, plan: &LogicalPlan, e: u32) -> Option<(u32, u32, MergeKey)> {
-        let (u, v) = plan.edges()[e as usize];
-        let (ra, rb) = (self.find(u), self.find(v));
-        if ra == rb {
-            return None;
-        }
-        let (rows_a, scope_a) = self.unit_shape(ra);
-        let (rows_b, scope_b) = self.unit_shape(rb);
-        boundary_ops(plan, scope_a.union(scope_b), &mut self.boundary);
-        let frontier = self.boundary.len() as u32;
-        Some((ra, rb, merge_key(frontier, rows_a.max(rows_b) as u64, e)))
     }
 
     /// Contract the listed dataflow edges (indexes into `plan.edges()`) in
-    /// Def-3 priority order: fewest boundary operators of the merged scope
-    /// first (the pruned frontier `k^|boundary|` multiplies every later
-    /// merge, so closing boundaries dominates any one merge's own
-    /// cross-product), ties by extending the larger existing unit (linear
-    /// merge trees stage `k³` where balanced ones stage `k⁴`), then FIFO
-    /// over the original edge index. Lazy staleness handling: an entry whose
-    /// stored key no longer matches current unit state is re-pushed with the
-    /// current value. Every listed edge's endpoints must already be covered
-    /// by live units (seeded singletons or earlier merges).
+    /// the order the merge schedule pops them ([`crate::order`]). Every
+    /// listed edge's endpoints must already be covered by live units (seeded
+    /// singletons or earlier merges).
     ///
     /// A merge compares rows only when it covers the whole plan or, pruned,
-    /// closes a boundary operator of its inputs; any other merge stages,
-    /// patches and drops infeasible rows as usual but keeps every feasible
-    /// one unscored, with no oracle call, footprint hash or table probe.
-    /// A pruned merge that compares folds its rows by footprint without a
-    /// hash or probe per staged row: `number_rows` numbers each input's rows
-    /// by their footprint on its side of the merged boundary, and staged row
-    /// `(ia, ib)` folds into slot `sub_a[ia] · n_b + sub_b[ib]` of the pair
-    /// index, pushed the first time its slot is hit, so the rows come out as
-    /// a per-row probe of the merged footprint kept them (DESIGN §5).
+    /// closes a boundary operator of its inputs ([`crate::order::Merge::closes`]);
+    /// any other merge keeps every feasible row unscored, with no oracle
+    /// call, footprint hash or table probe. A pruned merge that compares
+    /// folds its rows through the pair index (module docs, DESIGN §5).
     ///
-    /// Refuses, before taking the units apart, the first merge that would
-    /// take `stats.generated` past `max_rows`.
+    /// Refuses, before it stages, the first merge that would take
+    /// `stats.generated` past `max_rows`.
     fn contract_edges(
         &mut self,
         plan: &LogicalPlan,
@@ -610,24 +471,9 @@ impl Enumerator {
         let local = layout.local();
         let width = local.width;
 
-        self.heap.clear();
-        for &e in edges {
-            if let Some((_, _, key)) = self.edge_key(plan, e) {
-                self.heap.push(Reverse(key));
-            }
-        }
-
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            let Some((ra, rb, fresh)) = self.edge_key(plan, entry.2) else {
-                continue;
-            };
-            // Stale priority (an endpoint grew since the push): requeue.
-            if fresh != entry {
-                self.heap.push(Reverse(fresh));
-                continue;
-            }
-
-            let (rows_a, rows_b) = (self.unit_shape(ra).0, self.unit_shape(rb).0);
+        self.order.schedule(plan, edges.iter().copied());
+        while let Some((merge, a, b)) = self.order.pop(plan) {
+            let (rows_a, rows_b) = (a.rows(), b.rows());
             let estimate = (rows_a as u64)
                 .saturating_mul(rows_b as u64)
                 .saturating_add(stats.generated);
@@ -637,37 +483,19 @@ impl Enumerator {
                     limit: max_rows,
                 });
             }
-            let a = self.take_unit(ra);
-            let b = self.take_unit(rb);
-            let merged_scope = a.scope.union(b.scope);
-            // `self.boundary` is the merged scope's, left by `edge_key`. For
-            // disjoint scopes bd(a ∪ b) ⊆ bd(a) ∪ bd(b), so equal counts
-            // mean no boundary operator closed and every merged footprint is
-            // a distinct pair of input footprints: there is nothing to prune.
-            let frontier = self.boundary.len() as u32;
-            let whole = merged_scope.len() as usize == n;
-            let scored = whole || (opts.prune() && a.frontier + b.frontier > frontier);
+            let (scope_a, scope_b) = merge.scopes;
+            let whole = merge.scope().len() as usize == n;
+            let scored = whole || (opts.prune() && merge.closes());
             let folds = scored && opts.prune();
-
-            // Dataflow edges crossing the two scopes (conversion sites),
-            // oriented once per merge.
-            self.crossing.clear();
-            for &(u, v) in plan.edges() {
-                if a.scope.contains(u) && b.scope.contains(v) {
-                    self.crossing.push((u, v, true));
-                } else if b.scope.contains(u) && a.scope.contains(v) {
-                    self.crossing.push((u, v, false));
-                }
-            }
 
             // The inner unit's operators, listed once per merge: the only
             // slots of the scratch assignment row a candidate changes. A
             // scope is a `u128` bitset, so the list fits on the stack.
             let mut inner_ops = [0u32; u128::BITS as usize];
-            for (slot, op) in inner_ops.iter_mut().zip(b.scope.ops()) {
+            for (slot, op) in inner_ops.iter_mut().zip(scope_b.ops()) {
                 *slot = op;
             }
-            let inner_ops = &inner_ops[..b.scope.len() as usize];
+            let inner_ops = &inner_ops[..scope_b.len() as usize];
 
             // A merged row's footprint is the pair of its inputs' footprints
             // on their sides of the merged boundary, so a folding merge
@@ -679,8 +507,9 @@ impl Enumerator {
             let mut n_b = 0;
             if folds {
                 self.fold_ids.resize(rows_a + rows_b, 0);
-                let n_a = self.number_rows(&a, 0);
-                n_b = self.number_rows(&b, rows_a);
+                let (frontier_a, frontier_b) = merge.frontiers;
+                let n_a = self.number_rows(scope_a, frontier_a, &a, 0);
+                n_b = self.number_rows(scope_b, frontier_b, &b, rows_a);
                 self.fold_ids.resize(rows_a + rows_b + n_a * n_b, EMPTY);
             }
             let mut ids = std::mem::take(&mut self.fold_ids);
@@ -707,7 +536,7 @@ impl Enumerator {
             // matrix pool.
             let cap = if opts.prune() {
                 (k as u64)
-                    .saturating_pow(frontier)
+                    .saturating_pow(merge.frontier)
                     .min((rows_a * rows_b) as u64) as usize
             } else {
                 rows_a * rows_b
@@ -720,8 +549,8 @@ impl Enumerator {
                 reference.begin(width, n);
             }
             for ia in 0..rows_a {
-                let a_assign = a.mat.assignments(ia);
-                merge_feats_many(&mut block, a.mat.row(ia), b.mat.rows_view());
+                let a_assign = a.assignments(ia);
+                merge_feats_many(&mut block, a.row(ia), b.rows_view());
                 assign.copy_from_slice(a_assign);
                 debug_assert!(
                     inner_ops
@@ -732,8 +561,8 @@ impl Enumerator {
                 self.feas.clear();
                 self.feas.resize(rows_b, true);
                 for (ib, feats) in block.chunks_exact_mut(width).enumerate() {
-                    let b_assign = b.mat.assignments(ib);
-                    for &(u, v, u_in_a) in &self.crossing {
+                    let b_assign = b.assignments(ib);
+                    for &(u, v, u_in_a) in self.order.crossing() {
                         let (pu, pv) = if u_in_a {
                             (a_assign[u as usize], b_assign[v as usize])
                         } else {
@@ -764,7 +593,7 @@ impl Enumerator {
                     let feats = &block[ib * width..(ib + 1) * width];
                     #[cfg(test)]
                     if let Some(reference) = self.reference.as_mut().filter(|_| folds) {
-                        let (boundary, b_assign) = (&self.boundary, b.mat.assignments(ib));
+                        let (boundary, b_assign) = (self.order.boundary(), b.assignments(ib));
                         reference.fold(boundary, a_assign, inner_ops, b_assign, feats, cost);
                     }
                     let kept = if folds {
@@ -780,7 +609,7 @@ impl Enumerator {
                     } else {
                         None
                     };
-                    overlay_assignments(&mut assign, inner_ops, b.mat.assignments(ib));
+                    overlay_assignments(&mut assign, inner_ops, b.assignments(ib));
                     match kept {
                         Some(row) => dst.overwrite_row(row, feats, &assign, cost),
                         None => {
@@ -796,11 +625,11 @@ impl Enumerator {
             #[cfg(test)]
             {
                 if let Some(reference) = self.reference.as_mut().filter(|_| folds) {
-                    reference.check(&dst, a.scope, b.scope);
+                    reference.check(&dst, scope_a, scope_b);
                 }
                 self.merge_log.push(tests::MergeRecord {
-                    a: a.scope,
-                    b: b.scope,
+                    a: scope_a,
+                    b: scope_b,
                     rows: (rows_a as u64, rows_b as u64),
                     scored,
                     hashes: std::mem::take(&mut self.hashes),
@@ -816,15 +645,10 @@ impl Enumerator {
             stats.kept += dst.rows() as u64;
             stats.peak_rows = stats.peak_rows.max(dst.rows() as u64);
 
-            // Contract: rb joins ra; recycle the consumed matrices.
-            self.parent[rb as usize] = ra;
-            self.pool.push(a.mat);
-            self.pool.push(b.mat);
-            self.units[ra as usize] = Some(Unit {
-                scope: merged_scope,
-                frontier,
-                mat: dst,
-            });
+            // Recycle the consumed matrices; `dst` is the merged unit.
+            self.pool.push(a);
+            self.pool.push(b);
+            self.order.join(&merge, dst);
         }
         Ok(())
     }
@@ -847,25 +671,18 @@ impl Enumerator {
         layout: &PlanLayout,
         opts: EnumOptions<'_>,
     ) -> ExecutionPlan {
-        let n = plan.n_ops();
-        let root = self.find(0);
-        let unit = self.take_unit(root);
-        assert_eq!(
-            unit.scope.len() as usize,
-            n,
-            "enumeration finished without covering the whole plan"
-        );
+        let mat = self.order.take_whole();
         #[expect(
             clippy::expect_used,
             reason = "every singleton pushes >= 1 row and every merge asserts a feasible row, so the final unit is non-empty"
         )]
-        let best = unit.mat.min_cost_row().expect("non-empty enumeration");
+        let best = mat.min_cost_row().expect("non-empty enumeration");
         let mut feats = std::mem::take(&mut self.scratch_feats);
-        vectorize_assignment(plan, layout.full(), unit.mat.assignments(best), &mut feats);
+        vectorize_assignment(plan, layout.full(), mat.assignments(best), &mut feats);
         let cost = opts.oracle().cost_row(&feats);
         self.scratch_feats = feats;
-        let result = ExecutionPlan::from_raw(unit.mat.assignments(best), cost);
-        self.pool.push(unit.mat);
+        let result = ExecutionPlan::from_raw(mat.assignments(best), cost);
+        self.pool.push(mat);
         result
     }
 
@@ -923,6 +740,7 @@ impl Enumerator {
 mod tests {
     use super::*;
     use crate::oracle::AnalyticOracle;
+    use crate::order::boundary_ops;
     use crate::testing::TinyForest;
     use crate::vectorize::add_operator_cells;
     use robopt_plan::{workloads, SplitMix64, N_OPERATOR_KINDS};
@@ -1164,17 +982,17 @@ mod tests {
             let oracle = AnalyticOracle::for_registry(registry, &full);
             let opts = EnumOptions::new(registry).with_oracle(&oracle);
             let layout = PlanLayout::of(&plan, &full);
-            let mut check = |unit: &Unit| {
-                assert_eq!(unit.mat.width(), layout.local().width);
+            let mut check = |(scope, frontier, mat): (Scope, u32, &EnumMatrix)| {
+                assert_eq!(mat.width(), layout.local().width);
                 // Pairwise-distinct footprints over the unit's boundary,
                 // whether or not the merge that built it compared rows: the
                 // invariant that lets a merge closing no boundary operator
                 // skip the comparison.
-                boundary_ops(&plan, unit.scope, &mut boundary);
-                assert_eq!(unit.frontier as usize, boundary.len(), "case {case}");
+                boundary_ops(&plan, scope, &mut boundary);
+                assert_eq!(frontier as usize, boundary.len(), "case {case}");
                 footprints.clear();
-                for r in 0..unit.mat.rows() {
-                    let assign = unit.mat.assignments(r);
+                for r in 0..mat.rows() {
+                    let assign = mat.assignments(r);
                     let fp: Vec<u8> = boundary.iter().map(|&op| assign[op as usize]).collect();
                     assert!(
                         footprints.insert(fp),
@@ -1182,17 +1000,17 @@ mod tests {
                     );
                 }
                 layout
-                    .packed(unit.mat.rows_view().flat())
+                    .packed(mat.rows_view().flat())
                     .unpack_into(&mut unpacked);
                 for (r, got) in unpacked.chunks_exact(full.width).enumerate() {
-                    let assign = unit.mat.assignments(r);
+                    let assign = mat.assignments(r);
                     want.clear();
                     want.resize(full.width, 0.0);
-                    for op in unit.scope.ops() {
+                    for op in scope.ops() {
                         add_operator_cells(&plan, &full, op, assign[op as usize], &mut want);
                     }
                     for &(u, v) in plan.edges() {
-                        if unit.scope.contains(u) && unit.scope.contains(v) {
+                        if scope.contains(u) && scope.contains(v) {
                             let (pu, pv) = (assign[u as usize], assign[v as usize]);
                             add_conversion_features(&plan, &full, u, pu, pv, &mut want);
                         }
@@ -1210,11 +1028,12 @@ mod tests {
             let mut stats = EnumStats::default();
             en.begin(n, &layout);
             en.seed_singletons(&plan, &layout, opts, Scope::full(n), &mut stats);
-            en.units.iter().flatten().for_each(&mut check);
+            for op in 0..n as u32 {
+                check(en.order.unit_of(op).unwrap());
+            }
             for e in 0..plan.edges().len() as u32 {
                 unbudgeted(en.contract_edges(&plan, &layout, opts, &[e], u64::MAX, &mut stats));
-                let root = en.find(plan.edges()[e as usize].0);
-                check(en.units[root as usize].as_ref().unwrap());
+                check(en.order.unit_of(plan.edges()[e as usize].0).unwrap());
             }
             assert_eq!(stats.merges, n as u64 - 1);
             let exec = en.finish(&plan, &layout, opts);

@@ -11,8 +11,11 @@
 //! * [`vectorize`] — whole-plan and singleton Fig-5 encodings, conversion
 //!   features, and `unvectorize` back to an executable platform assignment
 //!   over [`robopt_platforms::PlatformId`]s;
-//! * [`enumerate`] — Algorithm 1: priority-queue enumeration over
-//!   [`robopt_vector::EnumMatrix`] units with lossless boundary pruning
+//! * [`order`] — the one merge schedule ([`order::MergeOrder`]): the
+//!   union-find over units, Def-3 priority keys and their lazy re-ranking,
+//!   driven by [`enumerate`] and by the Rheem-ML strawman alike;
+//! * [`enumerate`] — Algorithm 1 over [`robopt_vector::EnumMatrix`] units
+//!   in the schedule's order, with lossless boundary pruning
 //!   (Def. 2), availability masking and conversion-feasibility exclusion
 //!   from the [`robopt_platforms::PlatformRegistry`] carried by
 //!   [`enumerate::EnumOptions`], enumeration statistics, and the budget on
@@ -28,14 +31,16 @@
 pub mod dist;
 pub mod enumerate;
 pub mod oracle;
+pub mod order;
 pub mod split;
 #[cfg(test)]
 mod testing;
 pub mod vectorize;
 
 pub use dist::{CostDistribution, RiskPolicy};
-pub use enumerate::{merge_key, EnumOptions, EnumStats, Enumerator, MergeKey, OverBudget};
+pub use enumerate::{EnumOptions, EnumStats, Enumerator, OverBudget};
 pub use oracle::{AnalyticOracle, CostOracle};
+pub use order::MergeOrder;
 pub use split::ParallelEnumerator;
 pub use split::{loop_regions, split_plan, PlanSplit, SplitOptions, MAX_CUT_EDGES};
 pub use vectorize::ExecutionPlan;

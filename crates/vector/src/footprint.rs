@@ -46,17 +46,6 @@ impl Scope {
         }
     }
 
-    /// Lowest operator id in the scope — the canonical union-find root the
-    /// enumerator anchors a pre-built unit at. `None` for the empty scope.
-    #[inline]
-    pub fn min_op(self) -> Option<u32> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(self.0.trailing_zeros())
-        }
-    }
-
     #[inline]
     pub fn len(self) -> u32 {
         self.0.count_ones()
@@ -267,17 +256,11 @@ mod tests {
     }
 
     #[test]
-    fn scope_full_and_min_op() {
+    fn scope_full() {
         assert_eq!(Scope::full(0), Scope::default());
         assert_eq!(Scope::full(3).len(), 3);
         assert_eq!(Scope::full(128).len(), 128);
         assert!(Scope::full(5).contains(4));
         assert!(!Scope::full(5).contains(5));
-        assert_eq!(Scope::default().min_op(), None);
-        assert_eq!(Scope::singleton(7).min_op(), Some(7));
-        assert_eq!(
-            Scope::singleton(9).union(Scope::singleton(2)).min_op(),
-            Some(2)
-        );
     }
 }

@@ -33,12 +33,15 @@
 //!   backend run per row; `SimulatorSource` is it over the simulator), and
 //!   the fitted predictors `Model` / `DistModel` behind `ModelOracle` (each
 //!   model exists only as what its own inherent `fit` returns);
-//! * [`robopt_core`] — vectorize, Algorithm-1 enumeration with Def-2
-//!   pruning and an optional budget on staged rows, `CostOracle` and
+//! * [`robopt_core`] — vectorize, the one merge schedule (`order`: the
+//!   union-find, Def-3 keys and their lazy re-ranking), Algorithm-1
+//!   enumeration with Def-2 pruning and an optional budget on staged rows
+//!   driving it, `CostOracle` and
 //!   `AnalyticOracle`, `CostDistribution` / `RiskPolicy`, the plan splitter
 //!   (a split is an argument of the one enumerator), `EnumStats`;
-//! * [`robopt_baselines`] — the object-graph "Rheem-ML" enumerator and
-//!   the one exhaustive sweep over feasible assignments;
+//! * [`robopt_baselines`] — the object-graph "Rheem-ML" enumerator, which
+//!   drives the same merge schedule over object graphs, and the one
+//!   exhaustive sweep over feasible assignments;
 //! * [`robopt_tdgen`] — TDGEN: shape templates (a skeleton is an unsealed
 //!   `LogicalPlan` with its sources' scale shares), the β-bounded assignment
 //!   walk, piecewise log-log interpolation behind the one knot sweep

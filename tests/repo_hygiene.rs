@@ -1,8 +1,8 @@
 //! Repo-shaped invariants no compiler or clippy lint can see (DESIGN §8):
 //! the build is offline, every package opts into the lint tables, the
-//! product libraries fan out threads, read the wall clock and keep an
-//! open-addressing hash table in one file each, the docs
-//! name no artifact without a binary that writes it, and EXPERIMENTS.md
+//! product libraries fan out threads, read the wall clock, keep an
+//! open-addressing hash table and keep a merge order in one file each, the
+//! docs name no artifact without a binary that writes it, and EXPERIMENTS.md
 //! quotes its artifacts instead of copying them — one table, whose rows
 //! hold only numbers their binary's `.txt` holds. Each check is a pure
 //! function over text that returns its findings.
@@ -180,6 +180,14 @@ const INDEX: Home = Home {
     what: "keeps an open-addressing table",
     file: "crates/plan/src/index.rs",
     fragments: &["slots: Vec<", "& mask"],
+};
+
+/// The one merge order: the heap its keys wait in, and the union-find over
+/// the units it merges.
+const ORDER: Home = Home {
+    what: "keeps a merge order",
+    file: "crates/core/src/order.rs",
+    fragments: &["BinaryHeap", "parent["],
 };
 
 /// Code lines of `source` outside `home.file` that hold one of its
@@ -365,6 +373,12 @@ fn the_hash_index_has_one_home() {
 }
 
 #[test]
+fn the_merge_order_has_one_home() {
+    let sources = product_sources().expect("product sources");
+    assert_eq!(second_homes(&ORDER, &sources), Vec::<String>::new());
+}
+
+#[test]
 fn the_split_shim_is_named_only_where_it_lives() {
     let mut sources = read_rs_tree("crates").expect("crate sources");
     sources.extend(read_rs_tree("src").expect("root sources"));
@@ -430,6 +444,11 @@ fn bad_inputs_are_reported() {
             &INDEX,
             "crates/engine/src/exec.rs",
             "fn next(slot: usize, mask: usize) -> usize {\n    (slot + 1) & mask\n}\n",
+        ),
+        home_findings(
+            &ORDER,
+            "crates/baselines/src/rheem_ml.rs",
+            "fn find(parent: &mut [u32], x: u32) -> u32 {\n    parent[x as usize]\n}\n",
         ),
         shim_findings(
             "crates/core/src/lib.rs",
