@@ -2,7 +2,7 @@
 //! the Table-I `k^n` search-space reference.
 
 use robopt_core::vectorize::{vectorize_assignment, ExecutionPlan};
-use robopt_core::EnumOptions;
+use robopt_core::{CostDistribution, EnumOptions};
 use robopt_plan::LogicalPlan;
 use robopt_platforms::{PlatformId, PlatformRegistry};
 use robopt_vector::{FeatureLayout, RowsView};
@@ -50,9 +50,11 @@ pub fn for_each_feasible(
 }
 
 /// The optimum over [`for_each_feasible`]'s sweep under the registry and
-/// oracle carried by `opts`. Candidates are costed in batches of
-/// `BATCH_ROWS` rows through [`robopt_core::CostOracle::cost_batch`]. The
-/// sweep is already exhaustive, so `opts.prune()` is ignored.
+/// oracle carried by `opts`, quoted by [`ExecutionPlan::quote`].
+/// Candidates are costed in batches of `BATCH_ROWS` rows through
+/// [`robopt_core::CostOracle::cost_batch`]. The sweep is already
+/// exhaustive and ranks by expected cost, so `opts.prune()` and
+/// `opts.risk()` are ignored.
 pub fn exhaustive_best(
     plan: &LogicalPlan,
     layout: &FeatureLayout,
@@ -98,7 +100,8 @@ pub fn exhaustive_best(
         reason = "exhaustive search over an availability-satisfiable plan always visits at least one feasible assignment"
     )]
     let best_assign = best_assign.expect("no feasible assignment under this registry");
-    ExecutionPlan::from_raw(&best_assign, best_cost)
+    let mut dist = CostDistribution::new();
+    ExecutionPlan::quote(plan, layout, oracle, &best_assign, &mut feats, &mut dist)
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //!   and cost oracle) but run over an object subplan graph in the style of
 //!   RHEEMix, re-deriving the feature vector from the objects on **every**
 //!   cost invocation. The only difference from `robopt-core` is the
-//!   representation, which is exactly what the Fig-1 benchmark isolates.
+//!   representation, which is exactly what the Fig-1 benchmark isolates:
+//!   the winner is quoted by the same `robopt_core::ExecutionPlan::quote`.
 //! * [`exhaustive`] — one sweep over the feasible ones of all `k^n`
 //!   assignments (tiny plans only): the ground truth for the Lemma-1
-//!   losslessness property tests and Fig 8's true optimum.
+//!   losslessness property tests and Fig 8's true optimum, quoted alike.
 
 pub mod exhaustive;
 pub mod object_plan;

@@ -8,12 +8,14 @@
 //! an external black box: every batch walks the object graphs into
 //! **fresh** feature vectors (fresh allocations per merge step), and every
 //! staged plan is hashed over the merged boundary and probed once. The
-//! representation is the only difference, which is what Fig 1 isolates.
+//! winner is quoted by the enumerator's [`ExecutionPlan::quote`], so both
+//! report the same cost bits for the same plan. The representation is the
+//! only difference, which is what Fig 1 isolates.
 
 use std::rc::Rc;
 
 use robopt_core::vectorize::{add_conversion_features, add_operator_cells, ExecutionPlan};
-use robopt_core::{EnumOptions, EnumStats, MergeOrder};
+use robopt_core::{CostDistribution, EnumOptions, EnumStats, MergeOrder};
 use robopt_plan::LogicalPlan;
 use robopt_platforms::PlatformId;
 use robopt_vector::{footprint_hash, FeatureLayout, FootprintTable, RowsView, NO_PLATFORM};
@@ -59,10 +61,11 @@ impl ObjectEnumerator {
     }
 
     /// Run the enumeration; result matches the vector enumerator's optimum
-    /// over the same registry and oracle (both carried by `opts`), and the
-    /// counters match its [`EnumStats`]. The strawman always prunes (Def-2)
-    /// and ranks by expected cost: `opts.prune()` and `opts.risk()` are
-    /// ignored.
+    /// over the same registry and oracle (both carried by `opts`), quoted by
+    /// the same [`ExecutionPlan::quote`], and the counters match its
+    /// [`EnumStats`]. The strawman always prunes (Def-2) and ranks by
+    /// expected cost, so it accepts only the default `opts.prune()` and
+    /// `opts.risk()`.
     pub fn enumerate(
         &mut self,
         plan: &LogicalPlan,
@@ -73,6 +76,8 @@ impl ObjectEnumerator {
         let registry = opts.registry();
         let oracle = opts.oracle();
         assert!(plan.is_connected());
+        assert!(opts.prune(), "the strawman always prunes");
+        assert!(opts.risk().is_expected(), "the strawman ranks by mean cost");
         assert_eq!(layout.n_platforms, registry.len());
         assert_eq!(oracle.width(), layout.width);
         let mut stats = EnumStats::default();
@@ -177,7 +182,7 @@ impl ObjectEnumerator {
             clippy::expect_used,
             reason = "every singleton keeps >= 1 availability-masked plan through merges"
         )]
-        let (best_node, best_cost) = plans
+        let (best_node, _) = plans
             .iter()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("non-empty enumeration");
@@ -187,19 +192,21 @@ impl ObjectEnumerator {
         for (op, p) in placements {
             raw[op as usize] = p;
         }
-        (ExecutionPlan::from_raw(&raw, *best_cost), stats)
+        let (mut feats, mut dist) = (Vec::new(), CostDistribution::new());
+        let best = ExecutionPlan::quote(plan, layout, oracle, &raw, &mut feats, &mut dist);
+        (best, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robopt_core::{AnalyticOracle, EnumOptions, Enumerator};
+    use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, RiskPolicy};
     use robopt_plan::{workloads, SplitMix64, WorkloadSpec, N_OPERATOR_KINDS};
     use robopt_platforms::PlatformRegistry;
 
     /// Both enumerators over `plan`: the strawman's counters equal the
-    /// serial enumerator's, and its cost agrees within 1e-9 relative.
+    /// serial enumerator's, and its cost bits too.
     fn assert_same_search(plan: &LogicalPlan, registry: &PlatformRegistry) -> ExecutionPlan {
         let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
         let oracle = AnalyticOracle::for_registry(registry, &layout);
@@ -207,9 +214,9 @@ mod tests {
         let (vec_exec, vec_stats) = Enumerator::new().enumerate(plan, &layout, opts);
         let (obj_exec, obj_stats) = ObjectEnumerator::new().enumerate(plan, &layout, opts);
         assert_eq!(obj_stats, vec_stats, "the strawman ran another search");
-        let tol = 1e-9 * vec_exec.cost.abs().max(1.0);
-        assert!(
-            (vec_exec.cost - obj_exec.cost).abs() <= tol,
+        assert_eq!(
+            obj_exec.cost.to_bits(),
+            vec_exec.cost.to_bits(),
             "costs {} vs {}",
             vec_exec.cost,
             obj_exec.cost
@@ -263,5 +270,27 @@ mod tests {
             assert_same_search(&plan, &registry).assignments,
             vec_exec.assignments
         );
+    }
+
+    /// Runs the strawman on WordCount under `opts` adjusted by `tweak`.
+    fn run_with(tweak: impl FnOnce(EnumOptions<'_>) -> EnumOptions<'_>) {
+        let plan = workloads::wordcount(1e5);
+        let registry = PlatformRegistry::uniform(2);
+        let layout = FeatureLayout::new(registry.len(), N_OPERATOR_KINDS);
+        let oracle = AnalyticOracle::for_registry(&registry, &layout);
+        let opts = tweak(EnumOptions::new(&registry).with_oracle(&oracle));
+        ObjectEnumerator::new().enumerate(&plan, &layout, opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "the strawman always prunes")]
+    fn an_unpruned_search_is_rejected() {
+        run_with(|opts| opts.with_prune(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "the strawman ranks by mean cost")]
+    fn a_risk_policy_is_rejected() {
+        run_with(|opts| opts.with_risk(RiskPolicy::MeanPlusKSigma(2.0)));
     }
 }

@@ -62,9 +62,10 @@ fn measure(task: &'static str, spec: WorkloadSpec) -> Row {
         std::hint::black_box(exec.cost);
     });
 
-    let tol = 1e-9 * vector_cost.abs().max(1.0);
+    // Both quote their winner through `ExecutionPlan::quote`: the same plan
+    // reads the same cost bits.
     assert!(
-        (vector_cost - object_cost).abs() <= tol,
+        vector_cost.to_bits() == object_cost.to_bits(),
         "{task}: enumerators disagree (vector {vector_cost} vs object {object_cost}) — \
          the comparison would not isolate representation"
     );

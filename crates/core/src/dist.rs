@@ -81,20 +81,6 @@ impl CostDistribution {
         self.mean.is_empty()
     }
 
-    /// `(mean, std, q10, q90)` of a distribution holding exactly one row —
-    /// the shape a one-plan re-cost produces; `None` for any other count.
-    pub fn single_row(&self) -> Option<(f64, f64, f64, f64)> {
-        match (
-            self.mean.as_slice(),
-            self.std.as_slice(),
-            self.q10.as_slice(),
-            self.q90.as_slice(),
-        ) {
-            ([mean], [std], [q10], [q90]) => Some((*mean, *std, *q10, *q90)),
-            _ => None,
-        }
-    }
-
     /// Degenerate distribution from an already-filled `mean` column:
     /// `std = 0`, all quantiles equal to the mean. This is what a
     /// point-estimate oracle reports, and under it every [`RiskPolicy`]

@@ -15,15 +15,15 @@
 //! each staged row into a dense index over the pairs. A merge that closes
 //! no boundary operator produces only new footprints, so it compares
 //! nothing and costs nothing (DESIGN §5). When one unit covers the whole
-//! plan its empty footprint leaves exactly the optimal row, which
-//! `unvectorize` turns into an [`ExecutionPlan`].
+//! plan its empty footprint leaves exactly the optimal row, whose
+//! assignment `unvectorize` quotes ([`ExecutionPlan::quote`]).
 //!
 //! Rows are **plan-local**: every matrix, the scratch row and the staging
 //! block are laid out by the plan's own [`PlanLayout`] — the Fig-5 cells of
 //! the operator kinds the plan holds, 105 of 292 at 7 kinds × 8 platforms —
 //! built once per run from the caller's full layout. The oracle receives
 //! them as packed views of full-layout rows ([`PlanLayout::packed`]); only
-//! `Enumerator::finish` encodes a full-layout row, for the winner.
+//! the winner's quote ([`ExecutionPlan::quote`]) encodes a full-layout row.
 //!
 //! Zero-allocation hot path: the [`Enumerator`] owns matrix pools, scratch
 //! row buffers, the batch cost buffer, the merge schedule, the footprint
@@ -42,7 +42,7 @@ use crate::dist::{CostDistribution, RiskPolicy};
 use crate::oracle::CostOracle;
 use crate::order::MergeOrder;
 use crate::split::{split_plan, SplitOptions};
-use crate::vectorize::{add_conversion_features, vectorize_assignment, ExecutionPlan, PlanLayout};
+use crate::vectorize::{add_conversion_features, ExecutionPlan, PlanLayout};
 
 /// Enumeration options: a borrowed [`PlatformRegistry`], the cost oracle
 /// driving the search, and tuning flags, assembled builder-style.
@@ -241,8 +241,8 @@ pub struct Enumerator {
     /// by [`merge_feats_many`] then conversion-patched in place.
     stage_block: Vec<f64>,
     cost_buf: Vec<f64>,
-    /// Distributional scratch for non-`ExpectedCost` risk policies; unused
-    /// (and unallocated) on the classic point path.
+    /// Distributional scratch for non-`ExpectedCost` risk policies and for
+    /// the final plan's one-row quote.
     dist_buf: CostDistribution,
     /// Per-block feasibility flags (`feas[ib]` for the current left row ×
     /// right row `ib`): infeasible combinations are still costed with their
@@ -654,17 +654,16 @@ impl Enumerator {
     }
 
     /// unvectorize: detach the single surviving unit (it must cover the
-    /// whole plan), take its cheapest row, and re-cost that assignment
-    /// **canonically** — one whole-plan `vectorize_assignment` encode in the
-    /// full layout (the only full-width row of a run) plus one `cost_row`
-    /// call. Selection uses the merge-tree costs, but the
-    /// *reported* cost is a pure function of (plan, assignment, oracle),
-    /// independent of the order floating-point additions happened in — so
-    /// serial and split enumeration agree on cost bits. Under a
-    /// non-`ExpectedCost` risk policy the stored row costs are risk scores,
-    /// so `min_cost_row` picks the min-*risk* plan; the reported cost is
-    /// still the canonical mean of that winner (risk changes which plan
-    /// wins, never how its cost is quoted — DESIGN §12).
+    /// whole plan), take its cheapest row, and quote that assignment
+    /// ([`ExecutionPlan::quote`], the only full-width row of a run).
+    /// Selection uses the merge-tree costs, but the *reported* cost is a
+    /// pure function of (plan, assignment, oracle), independent of the
+    /// order floating-point additions happened in — so serial and split
+    /// enumeration agree on cost bits. Under a non-`ExpectedCost` risk
+    /// policy the stored row costs are risk scores, so `min_cost_row` picks
+    /// the min-*risk* plan; the quote is still that winner's mean and
+    /// spread (risk changes which plan wins, never how its cost is quoted —
+    /// DESIGN §12).
     fn finish(
         &mut self,
         plan: &LogicalPlan,
@@ -677,11 +676,14 @@ impl Enumerator {
             reason = "every singleton pushes >= 1 row and every merge asserts a feasible row, so the final unit is non-empty"
         )]
         let best = mat.min_cost_row().expect("non-empty enumeration");
-        let mut feats = std::mem::take(&mut self.scratch_feats);
-        vectorize_assignment(plan, layout.full(), mat.assignments(best), &mut feats);
-        let cost = opts.oracle().cost_row(&feats);
-        self.scratch_feats = feats;
-        let result = ExecutionPlan::from_raw(mat.assignments(best), cost);
+        let result = ExecutionPlan::quote(
+            plan,
+            layout.full(),
+            opts.oracle(),
+            mat.assignments(best),
+            &mut self.scratch_feats,
+            &mut self.dist_buf,
+        );
         self.pool.push(mat);
         result
     }
@@ -1084,7 +1086,8 @@ mod tests {
                         en.merge_log.clear();
                         let split = SplitOptions::new(parts);
                         unbudgeted(en.enumerate_within(plan, &layout, opts, split, u64::MAX));
-                        let mut want = 0;
+                        // The winner's quote is one row.
+                        let mut want = 1;
                         for &MergeRecord { a, b, rows, .. } in &en.merge_log {
                             let staged = rows.0 * rows.1;
                             let union = a.union(b);

@@ -46,7 +46,9 @@ pub trait CostOracle {
     fn cost_row(&self, feats: &[f64]) -> f64;
 
     /// Cost every row of `rows` into `out` (cleared first; `out[r]` is the
-    /// cost of full-layout row `r`). The default implementation loops
+    /// cost of full-layout row `r`, bit for bit what `cost_row` reads on
+    /// it: a plan's [`crate::ExecutionPlan::quote`] takes its mean from this
+    /// path, and a caller may recost that plan by row). The default loops
     /// [`CostOracle::cost_row`]; batch-capable models (the random forest,
     /// the linear oracle) override it with a lock-step walk over several
     /// rows. Overrides must keep the width check (`debug_assert_eq!` against

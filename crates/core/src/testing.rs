@@ -81,9 +81,9 @@ impl CostOracle for TinyForest {
     }
 }
 
-/// Forwards every call to `inner` and counts the rows of its batch calls
-/// (the staged rows the enumeration costs; `finish`'s one canonical
-/// `cost_row` is not counted).
+/// Forwards every call to `inner` and counts the rows of its batch calls:
+/// the staged rows the enumeration costs, and the one row of the winner's
+/// quote (`ExecutionPlan::quote`). `cost_row` calls are not counted.
 pub(crate) struct CountingOracle<'a> {
     inner: &'a dyn CostOracle,
     rows: Cell<u64>,

@@ -7,8 +7,9 @@
 //!
 //! * [`PlanLayout::fill_singleton`] — one operator on one platform, in a
 //!   plan's own row layout (the enumeration seeds);
-//! * [`vectorize_assignment`] — a whole plan under a full assignment (used
-//!   by the exhaustive baseline and the property tests);
+//! * [`vectorize_assignment`] — a whole plan under a full assignment (the
+//!   exhaustive baseline's candidates, and [`ExecutionPlan::quote`], the
+//!   one costing of every producer's final plan);
 //! * the object-graph strawman's plan-to-vector walk
 //!   (`robopt_baselines::rheem_ml`).
 //!
@@ -30,29 +31,56 @@ use robopt_plan::{LogicalPlan, N_OPERATOR_KINDS};
 use robopt_platforms::PlatformId;
 use robopt_vector::{FeatureLayout, RowsView, NO_PLATFORM};
 
-/// The result of `unvectorize`: an executable platform assignment.
+use crate::dist::CostDistribution;
+use crate::oracle::CostOracle;
+
+/// The result of `unvectorize`: an executable platform assignment and its
+/// quote. [`ExecutionPlan::quote`] is the one constructor, so every
+/// producer reports the same numbers for the same assignment.
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub struct ExecutionPlan {
     /// Platform per operator, indexed by op id; ids resolve against the
     /// [`robopt_platforms::PlatformRegistry`] the enumeration ran over.
     pub assignments: Vec<PlatformId>,
-    /// Cost under the oracle that drove the enumeration.
+    /// Mean cost under the oracle that drove the enumeration.
     pub cost: f64,
+    /// Population standard deviation (0 under a point-estimate oracle).
+    pub cost_std: f64,
+    /// 10th-percentile sample (`cost` under a point-estimate oracle).
+    pub cost_q10: f64,
+    /// 90th-percentile sample (`cost` under a point-estimate oracle).
+    pub cost_q90: f64,
 }
 
 impl ExecutionPlan {
-    /// Build from the raw per-operator platform bytes the enumeration
-    /// matrices carry (see `robopt_vector::EnumMatrix`).
-    pub fn from_raw(raw: &[u8], cost: f64) -> Self {
+    /// unvectorize's quote of the full assignment `raw` (one platform byte
+    /// per operator, as the enumeration matrices carry them): one
+    /// whole-plan [`vectorize_assignment`] into `feats` in the full layout
+    /// and one one-row [`CostOracle::cost_batch_dist`] into `dist`. The
+    /// quote is a pure function of (plan, assignment, oracle), whatever
+    /// order a search summed its rows in, and its mean is `cost_row`'s bits
+    /// (the [`CostOracle`] contract).
+    pub fn quote(
+        plan: &LogicalPlan,
+        full_layout: &FeatureLayout,
+        oracle: &dyn CostOracle,
+        raw: &[u8],
+        feats: &mut Vec<f64>,
+        dist: &mut CostDistribution,
+    ) -> Self {
+        vectorize_assignment(plan, full_layout, raw, feats);
+        oracle.cost_batch_dist(RowsView::new(feats, full_layout.width), dist);
+        assert_eq!(dist.len(), 1, "one plan, one row");
         ExecutionPlan {
             assignments: raw
                 .iter()
-                .map(|&p| {
-                    debug_assert_ne!(p, NO_PLATFORM, "unassigned operator in a final plan");
-                    PlatformId::from_index(p as usize)
-                })
+                .map(|&p| PlatformId::from_index(p as usize))
                 .collect(),
-            cost,
+            cost: dist.mean[0],
+            cost_std: dist.std[0],
+            cost_q10: dist.q10[0],
+            cost_q90: dist.q90[0],
         }
     }
 

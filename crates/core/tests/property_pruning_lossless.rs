@@ -7,10 +7,18 @@
 //! not be apples-to-apples. The registries range from `uniform(k)`, where
 //! every kind runs everywhere and every conversion exists, to the named
 //! testbed and seeded registries with availability masks and missing
-//! one-way channels, where many candidates are infeasible.
+//! one-way channels, where many candidates are infeasible. The strawman
+//! runs the serial search, so it must also land on the serial winner, cost
+//! bits included, and every producer must report exactly its own
+//! assignment's quote (`ExecutionPlan::quote`), under every risk policy and
+//! under a forest as well.
 
 use robopt_baselines::{exhaustive_best, ObjectEnumerator};
-use robopt_core::{AnalyticOracle, EnumOptions, Enumerator, SplitOptions};
+use robopt_core::{
+    AnalyticOracle, CostDistribution, CostOracle, EnumOptions, Enumerator, ExecutionPlan,
+    RiskPolicy, SplitOptions,
+};
+use robopt_ml::{ForestConfig, ModelOracle, RandomForest, SimulatorSource, TrainingSource};
 use robopt_plan::{workloads, LogicalPlan, OperatorKind, SplitMix64, N_OPERATOR_KINDS};
 use robopt_platforms::{Platform, PlatformId, PlatformRegistry};
 use robopt_vector::{FeatureLayout, SigHasher};
@@ -75,10 +83,21 @@ fn assert_lossless(
         &pruned.raw_assignments(),
         &mut feats,
     );
-    let recost = robopt_core::CostOracle::cost_row(&oracle, &feats);
-    assert!(
-        (recost - pruned.cost).abs() <= tol,
+    let recost = oracle.cost_row(&feats);
+    assert_eq!(
+        recost.to_bits(),
+        pruned.cost.to_bits(),
         "{case}: unvectorize cost drift"
+    );
+    // The strawman runs the same search and quotes its winner the same way.
+    assert_eq!(
+        object.assignments, pruned.assignments,
+        "{case}: object plan"
+    );
+    assert_eq!(
+        object.cost.to_bits(),
+        pruned.cost.to_bits(),
+        "{case}: object cost bits"
     );
 }
 
@@ -151,6 +170,110 @@ fn pruned_priority_enumeration_matches_exhaustive_optimum() {
     for (case, registry, plan) in masked_cases() {
         assert_lossless(&case, &plan, &registry, &mut e);
     }
+}
+
+/// Every producer of a final plan reports its own assignment's quote: the
+/// serial and the split enumerator under every risk policy, the exhaustive
+/// sweep on small plans and the strawman on the default options, under the
+/// analytic oracle and a small fixed-seed forest, on the named testbed,
+/// `uniform(2..=5)` and seeded masked registries. All four numbers must
+/// equal [`ExecutionPlan::quote`]'s bit for bit.
+#[test]
+fn every_producer_reports_the_quote_of_its_own_assignment() {
+    let forests: Vec<ModelOracle<RandomForest>> = (2..=5)
+        .map(|k| {
+            let registry = PlatformRegistry::uniform(k);
+            let layout = FeatureLayout::new(k, N_OPERATOR_KINDS);
+            let set = SimulatorSource::new(&registry, layout, 0x0F0E, 0.05).generate(200);
+            let cfg = ForestConfig {
+                n_trees: 8,
+                ..ForestConfig::default()
+            };
+            ModelOracle::new(RandomForest::fit(&cfg, set.rows_view(), &set.labels))
+        })
+        .collect();
+    let mut rng = SplitMix64::new(0x9007_E5A1);
+    let mut cases = Vec::new();
+    for case in 0..8 {
+        let n = 3 + rng.gen_range(4); // 3..=6 operators
+        let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
+        cases.push((
+            format!("named case {case}"),
+            PlatformRegistry::named(),
+            plan,
+        ));
+        let k = 2 + rng.gen_range(4); // 2..=5 platforms
+        let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
+        cases.push((
+            format!("uniform({k}) case {case}"),
+            PlatformRegistry::uniform(k),
+            plan,
+        ));
+        let k = 2 + rng.gen_range(3); // 2..=4 platforms
+        let registry = masked_registry(&mut rng, k);
+        let plan = workloads::random_connected_dag(&mut rng, n, 0.4);
+        cases.push((format!("masked({k}) case {case}"), registry, plan));
+    }
+
+    let (mut serial, mut split, mut object) = (
+        Enumerator::new(),
+        Enumerator::new(),
+        ObjectEnumerator::new(),
+    );
+    let (mut feats, mut dist) = (Vec::new(), CostDistribution::new());
+    let mut spread_seen = false;
+    for (case, registry, plan) in &cases {
+        let k = registry.len();
+        let layout = FeatureLayout::new(k, N_OPERATOR_KINDS);
+        let analytic = AnalyticOracle::for_registry(registry, &layout);
+        let oracles: [(&str, &dyn CostOracle); 2] =
+            [("analytic", &analytic), ("forest", &forests[k - 2])];
+        for (oracle_name, oracle) in oracles {
+            for risk in [
+                RiskPolicy::ExpectedCost,
+                RiskPolicy::MeanPlusKSigma(2.0),
+                RiskPolicy::Quantile(0.9),
+            ] {
+                let opts = EnumOptions::new(registry)
+                    .with_oracle(oracle)
+                    .with_risk(risk);
+                let mut producers = vec![
+                    ("serial", serial.enumerate(plan, &layout, opts).0),
+                    (
+                        "split",
+                        split
+                            .enumerate_within(plan, &layout, opts, SplitOptions::new(3), u64::MAX)
+                            .map(|(exec, _)| exec)
+                            .expect("no search is refused at the u64::MAX budget"),
+                    ),
+                ];
+                if k.pow(plan.n_ops() as u32) <= 4096 {
+                    producers.push(("exhaustive", exhaustive_best(plan, &layout, opts)));
+                }
+                if risk.is_expected() {
+                    producers.push(("object", object.enumerate(plan, &layout, opts).0));
+                }
+                for (name, got) in producers {
+                    let raw = got.raw_assignments();
+                    let want =
+                        ExecutionPlan::quote(plan, &layout, oracle, &raw, &mut feats, &mut dist);
+                    spread_seen |= got.cost_std > 0.0;
+                    assert_eq!(
+                        quote_bits(&got),
+                        quote_bits(&want),
+                        "{case}, {oracle_name}, {}: {name} is not its assignment's quote",
+                        risk.label()
+                    );
+                }
+            }
+        }
+    }
+    assert!(spread_seen, "no quote carried a spread");
+}
+
+/// The bits of a plan's cost, spread and quantiles.
+fn quote_bits(p: &ExecutionPlan) -> [u64; 4] {
+    [p.cost, p.cost_std, p.cost_q10, p.cost_q90].map(f64::to_bits)
 }
 
 /// The 240 seeded (registry, plan) cases, drawn from one stream.

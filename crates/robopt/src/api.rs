@@ -193,8 +193,8 @@ pub struct OptimizeResponse {
     pub assignments: Vec<String>,
     /// Number of distinct platforms in the winning plan.
     pub distinct_platforms: usize,
-    /// Canonical re-cost of the winning assignment under the active oracle.
-    /// Always the distribution *mean* — risk policies change which plan
+    /// The winning plan's quote (`ExecutionPlan::quote`) under the active
+    /// oracle. Always the distribution *mean* — risk policies change which plan
     /// wins, never how its cost is quoted (DESIGN §12).
     pub cost: f64,
     /// Standard deviation of the winner's cost distribution (zero under a

@@ -19,9 +19,9 @@
 //! from the key because nothing reads them: enumeration runs on one
 //! thread, the split an edge schedule on one enumerator.
 
-use robopt_core::vectorize::vectorize_assignment;
 use robopt_core::{
-    AnalyticOracle, CostDistribution, CostOracle, EnumOptions, Enumerator, SplitOptions,
+    AnalyticOracle, CostDistribution, CostOracle, EnumOptions, Enumerator, ExecutionPlan,
+    SplitOptions,
 };
 use robopt_engine::Engine;
 use robopt_ml::{
@@ -33,7 +33,7 @@ use robopt_platforms::{
     ExecutionBackend, ExecutionReport, PlatformId, PlatformRegistry, RuntimeSimulator,
 };
 use robopt_tdgen::{TdgenConfig, TdgenGenerator};
-use robopt_vector::{FeatureLayout, RowsView};
+use robopt_vector::FeatureLayout;
 
 use crate::api::{
     build_workload, BackendChoice, CompareRequest, CompareResponse, ExecuteRequest,
@@ -94,12 +94,6 @@ pub struct Optimizer {
     /// that ages the cache's request counts (never wall time).
     requests: u64,
     busy: BusyTime,
-    /// Scratch feature row for the winner re-cost and single-platform
-    /// costing (`compare`); reused across requests.
-    feats: Vec<f64>,
-    /// Scratch distribution for the one-row winner re-cost that fills
-    /// `cost_std` / `cost_q10` / `cost_q90`; reused across requests.
-    dist: CostDistribution,
 }
 
 impl Optimizer {
@@ -116,8 +110,6 @@ impl Optimizer {
             cache: PlanCache::new(PlanCache::DEFAULT_CAPACITY),
             requests: 0,
             busy: BusyTime::default(),
-            feats: Vec::new(),
-            dist: CostDistribution::new(),
         }
     }
 
@@ -372,7 +364,6 @@ impl Optimizer {
             registry,
             layout,
             oracle,
-            feats,
             ..
         } = self;
         // Runtime numbers flow through the ExecutionBackend seam; for the
@@ -385,7 +376,7 @@ impl Optimizer {
         let mut best_single_cost: Option<f64> = None;
         for id in registry.ids().collect::<Vec<_>>() {
             let single =
-                single_platform_plan(registry, layout, oracle.as_dyn(), feats, &plan, id, backend);
+                single_platform_plan(registry, layout, oracle.as_dyn(), &plan, id, backend);
             if let Some(cost) = single.cost {
                 best_single_cost = Some(match best_single_cost {
                     Some(best) if best <= cost => best,
@@ -422,8 +413,6 @@ impl Optimizer {
             layout,
             oracle,
             enumerator,
-            feats,
-            dist,
             ..
         } = self;
         let split = SplitOptions::new(req.policy.split_parts);
@@ -438,26 +427,6 @@ impl Optimizer {
                 estimate: over.estimate,
                 limit: over.limit,
             })?;
-        // One-row distribution over the winner fills the uncertainty
-        // fields. The distribution's mean is bit-identical to the
-        // canonical `cost_row` mean the enumerator reported (both sum the
-        // same members in the same order), so `cost` itself is untouched.
-        let raw: Vec<u8> = exec.assignments.iter().map(|&id| id.raw()).collect();
-        vectorize_assignment(plan, layout, &raw, feats);
-        oracle
-            .as_dyn()
-            .cost_batch_dist(RowsView::new(feats, layout.width), dist);
-        let Some((_mean, cost_std, cost_q10, cost_q90)) = dist.single_row() else {
-            return Err(ServiceError::BadModel(format!(
-                "cost model returned {} distribution rows for the one winning plan",
-                dist.len()
-            )));
-        };
-        debug_assert_eq!(
-            _mean.to_bits(),
-            exec.cost.to_bits(),
-            "winner distribution mean diverged from the canonical cost"
-        );
         Ok(OptimizeResponse {
             workload: req.workload.name(),
             signature: sig,
@@ -468,9 +437,9 @@ impl Optimizer {
                 .collect(),
             distinct_platforms: exec.distinct_platforms(),
             cost: exec.cost,
-            cost_std,
-            cost_q10,
-            cost_q90,
+            cost_std: exec.cost_std,
+            cost_q10: exec.cost_q10,
+            cost_q90: exec.cost_q90,
             risk_policy: req.risk.label(),
             stats,
         })
@@ -484,7 +453,6 @@ fn single_platform_plan(
     registry: &PlatformRegistry,
     layout: &FeatureLayout,
     oracle: &dyn CostOracle,
-    feats: &mut Vec<f64>,
     plan: &LogicalPlan,
     id: PlatformId,
     backend: &dyn ExecutionBackend,
@@ -498,12 +466,12 @@ fn single_platform_plan(
         };
     }
     let raw = vec![id.raw(); plan.n_ops()];
-    vectorize_assignment(plan, layout, &raw, feats);
-    let cost = oracle.cost_row(feats);
+    let (mut feats, mut dist) = (Vec::new(), CostDistribution::new());
+    let quote = ExecutionPlan::quote(plan, layout, oracle, &raw, &mut feats, &mut dist);
     let report = backend.execute_raw(plan, &raw);
     SinglePlatformPlan {
         platform: name,
-        cost: Some(cost),
+        cost: Some(quote.cost),
         sim_seconds: report.feasible.then_some(report.seconds),
     }
 }
@@ -581,7 +549,9 @@ impl BusyTime {
 mod tests {
     use super::*;
     use crate::api::{ExecutionPolicy, WorkloadSpec};
+    use robopt_core::vectorize::vectorize_assignment;
     use robopt_core::RiskPolicy;
+    use robopt_vector::RowsView;
 
     fn wc() -> WorkloadSpec {
         WorkloadSpec::WordCount { scale: 1e7 }
@@ -664,6 +634,56 @@ mod tests {
             opt.optimize(&OptimizeRequest::new(wc()).with_risk(RiskPolicy::Quantile(1.5))),
             Err(ServiceError::InvalidRequest(_))
         ));
+    }
+
+    /// A cold response's four numbers are its winner's quote: bit for bit
+    /// what encoding the winner and costing it as a one-row distribution
+    /// reads, the path the facade ran itself before the enumerator quoted.
+    #[test]
+    fn a_cold_response_reads_its_winners_quote() {
+        let mut analytic = Optimizer::named();
+        let mut forest = Optimizer::named();
+        forest
+            .train(&TrainRequest {
+                n_trees: 4,
+                ..TrainRequest::new(64)
+            })
+            .expect("train");
+        let (mut feats, mut dist) = (Vec::new(), CostDistribution::new());
+        for opt in [&mut analytic, &mut forest] {
+            opt.set_cache_capacity(0);
+            for spec in [
+                wc(),
+                WorkloadSpec::TpchQ3 { scale: 1e6 },
+                WorkloadSpec::Pipeline { ops: 9, scale: 1e5 },
+            ] {
+                for risk in [
+                    RiskPolicy::ExpectedCost,
+                    RiskPolicy::MeanPlusKSigma(2.0),
+                    RiskPolicy::Quantile(0.9),
+                ] {
+                    let req = OptimizeRequest::new(spec).with_risk(risk);
+                    let resp = opt.optimize(&req).expect("optimize");
+                    let plan = build_workload(&spec).expect("spec builds");
+                    let ids = opt.resolve_platform_ids(&resp.assignments).expect("names");
+                    let raw: Vec<u8> = ids.iter().map(|id| id.raw()).collect();
+                    vectorize_assignment(&plan, &opt.layout, &raw, &mut feats);
+                    opt.oracle
+                        .as_dyn()
+                        .cost_batch_dist(RowsView::new(&feats, opt.layout.width), &mut dist);
+                    assert_eq!(dist.len(), 1);
+                    let want = [dist.mean[0], dist.std[0], dist.q10[0], dist.q90[0]];
+                    let got = [resp.cost, resp.cost_std, resp.cost_q10, resp.cost_q90];
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{} under {}",
+                        spec.name(),
+                        resp.risk_policy
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -360,7 +360,6 @@ fn a_plan_of_all_24_kinds_enumerates_in_the_full_layout_with_the_same_answer() {
         .unwrap();
     for got in [&serial, &split] {
         assert_eq!(got.assignments, reference.assignments);
-        assert_eq!(got.cost.to_bits(), serial.cost.to_bits());
-        assert!((got.cost - reference.cost).abs() <= 1e-9 * reference.cost.abs());
+        assert_eq!(got.cost.to_bits(), reference.cost.to_bits());
     }
 }
